@@ -203,9 +203,9 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	// The local runner is the crash-safe cell runner: each completed cell
 	// is written through to the cache as it finishes, and a sweep whose
 	// cells are partially cached (a resumed job, or an overlap with an
-	// earlier sweep) runs only the missing ones. It backs both roles —
-	// the coordinator's no-worker/corpus fallback and the worker's shard
-	// execution both route through it.
+	// earlier sweep) runs only the missing ones, as one cell group. A
+	// worker runs its shards through the same group engine, so a shard
+	// obeys -sweep-workers and replays the op stream its sweep shares.
 	runner := service.CellRunner(*sweepWorkers, cache)
 	var fabricHandler http.Handler
 	var fleet func() any
@@ -221,7 +221,7 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		wk := fabric.NewWorker(fabric.WorkerConfig{
 			Self:        adv,
 			Coordinator: *join,
-			Run:         runner,
+			Cells:       service.CellGroupRunner(*sweepWorkers),
 			Cache:       cache,
 			Log:         logger,
 		})

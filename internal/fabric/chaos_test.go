@@ -77,9 +77,9 @@ func (m *mesh) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// countRunner counts executions of a wrapped runner. For workers every
-// run is one cell (shards execute singleton specs); for the coordinator's
-// local runner a run may be a whole delegated sweep.
+// countRunner counts executions of a wrapped runner: the coordinator's
+// local runner, where a run is a whole delegated sweep or one verified
+// cell. Workers count cells in testWorker.runner.
 type countRunner struct {
 	runs atomic.Int32
 }
@@ -129,10 +129,10 @@ func (g *startGate) arrive() {
 	<-g.ch
 }
 
-func (tw *testWorker) runner() jobs.Runner {
-	inner := service.Runner(1)
-	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
-		if tw.started.Add(1) == 1 {
+func (tw *testWorker) runner() GroupRunner {
+	inner := service.CellGroupRunner(1)
+	return func(ctx context.Context, spec []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
+		if tw.started.Add(int32(len(cells))) == int32(len(cells)) {
 			if tw.gate != nil {
 				tw.gate.arrive()
 			}
@@ -140,14 +140,15 @@ func (tw *testWorker) runner() jobs.Runner {
 				time.Sleep(tw.slowFirst)
 			}
 		}
-		out, err := inner(ctx, spec, progress)
-		if err == nil {
-			n := tw.cells.Add(1)
-			if k := atomic.LoadInt32(&tw.killAfter); k > 0 && n >= k {
-				tw.mesh.kill(tw.host)
+		return inner(ctx, spec, cells, func(cr hybridtier.CellResult, single []byte) {
+			if cr.Err == "" {
+				n := tw.cells.Add(1)
+				if k := atomic.LoadInt32(&tw.killAfter); k > 0 && n >= k {
+					tw.mesh.kill(tw.host)
+				}
 			}
-		}
-		return out, err
+			onCell(cr, single)
+		})
 	}
 }
 
@@ -213,7 +214,7 @@ func newFleet(t *testing.T, nWorkers int, plan *ChaosPlan, heartbeat bool, tweak
 			Self:        "http://" + tw.host,
 			Coordinator: "http://coord",
 			Transport:   ms, // heartbeats ride the raw mesh; chaos torments the coordinator's side
-			Run:         tw.runner(),
+			Cells:       tw.runner(),
 			Cache:       wcache,
 			Interval:    2 * time.Millisecond,
 		})

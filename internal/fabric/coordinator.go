@@ -26,8 +26,9 @@ type Config struct {
 	// commit, so resubmitted or overlapping sweeps hit without running.
 	Cache *jobs.Cache
 	// Local executes canonical specs in-process (required): the whole
-	// sweep when no fleet is live, single cells when the fleet dies
-	// mid-sweep, and the verification run for a worker-reported failure.
+	// sweep when no fleet is live or the fleet dies mid-sweep — the
+	// daemon's cell runner then resumes from the cells already committed —
+	// and the verification run for a worker-reported failure.
 	Local jobs.Runner
 	// HeartbeatTTL is how stale a worker's last registration may be
 	// before it counts as lost (default 6s).
@@ -318,6 +319,7 @@ type sweepRun struct {
 	plans     []cellPlan
 	progress  func(done, total int)
 
+	progMu   sync.Mutex // serializes progress reports
 	mu       sync.Mutex
 	cond     *sync.Cond
 	elements [][]byte        // committed element bytes by cell index
@@ -387,13 +389,11 @@ func (r *sweepRun) run() ([]byte, error) {
 		}
 		live := r.c.live()
 		if len(live) == 0 {
-			// The whole fleet died mid-sweep: finish the remaining cells in
-			// this process. Degraded, but the sweep completes and commits
-			// feed the cache, so a healthier retry is all hits.
-			if err := r.runLocal(); err != nil {
-				return nil, err
-			}
-			continue
+			// The whole fleet died mid-sweep: hand the sweep to the local
+			// runner. Every committed cell is already in the cache, so the
+			// daemon's cell runner resumes from them and runs what is left
+			// as one cell group. Degraded, but the sweep completes.
+			return r.c.cfg.Local(r.ctx, r.canonical, r.progress)
 		}
 		var wg sync.WaitGroup
 		for _, ws := range live {
@@ -521,8 +521,6 @@ func (r *sweepRun) commitSingleton(i int, body []byte, from *workerState) error 
 	r.elements[i] = element
 	r.left--
 	delete(r.flights, i)
-	done, total := len(r.plans)-r.left, len(r.plans)
-	progress := r.progress
 	r.cond.Broadcast()
 	r.mu.Unlock()
 
@@ -537,8 +535,15 @@ func (r *sweepRun) commitSingleton(i int, body []byte, from *workerState) error 
 		_ = r.c.cfg.Cache.Put(r.plans[i].hash, body, r.plans[i].spec)
 	}
 	r.c.releaseCell(r.plans[i].hash, body)
-	if progress != nil {
-		progress(done, total)
+	if r.progress != nil {
+		// The count is read under progMu, so concurrent commits can never
+		// deliver their reports out of order: it only ever rises.
+		r.progMu.Lock()
+		r.mu.Lock()
+		done := len(r.plans) - r.left
+		r.mu.Unlock()
+		r.progress(done, len(r.plans))
+		r.progMu.Unlock()
 	}
 	return nil
 }
@@ -773,32 +778,6 @@ func (r *sweepRun) verifyLocally(i int, workerURL, workerErr string) {
 		return
 	}
 	r.commitFromAnywhere(i, body)
-}
-
-// runLocal drains the queue in-process — the no-live-workers path.
-func (r *sweepRun) runLocal() error {
-	for {
-		idxs := r.take(1)
-		if len(idxs) == 0 {
-			return nil
-		}
-		i := idxs[0]
-		if r.ctx.Err() != nil {
-			r.requeue(idxs, false)
-			return nil // the scheduler loop reports cancellation
-		}
-		body, err := r.c.cfg.Local(r.ctx, r.plans[i].spec, nil)
-		if err != nil {
-			r.requeue(idxs, false)
-			if r.ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		if err := r.commitSingleton(i, body, nil); err != nil {
-			return err
-		}
-	}
 }
 
 // abandonOwned releases every claim this run still owns (uncommitted

@@ -19,10 +19,14 @@
 //     commit table applies each cell's result at most once — sound
 //     because cells are idempotent by determinism, so speculative and
 //     duplicated executions can only ever produce the same bytes.
-//   - Worker (worker.go) executes shards cell by cell as singleton
-//     sweeps, caching each under its cell-level content address
-//     (SweepSpec.CellSpec(c).Hash()) so any daemon in the federation can
-//     serve it later.
+//   - Worker (worker.go) executes a shard as one cell group of the
+//     shard's sweep, not singleton by singleton: cached cells resolve
+//     first, the rest run through Sweep.RunCells under the daemon's
+//     -sweep-workers and replay the op stream their sweep shares — which
+//     the facade's keyed stream cache holds across shards and sweeps, so
+//     a worker generates it once. Each executed cell is cached once under
+//     its cell-level content address (SweepSpec.CellSpec(c).Hash()) so
+//     any daemon in the federation can serve it later.
 //
 // Cache hits route fleet-wide through the remote read-through tier of
 // jobs.Cache: workers probe the coordinator, the coordinator probes its

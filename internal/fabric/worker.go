@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	hybridtier "repro"
 	"repro/internal/jobs"
 )
 
@@ -20,12 +21,18 @@ type WorkerConfig struct {
 	Coordinator string
 	// Transport carries registration heartbeats (nil = DefaultTransport).
 	Transport Transport
-	// Run executes canonical singleton specs in-process (required).
+	// Cells executes a shard's uncached cells as one group
+	// (service.CellGroupRunner): one worker pool, one op stream where the
+	// sweep shares one. Cells or Run is required.
+	Cells GroupRunner
+	// Run executes canonical specs in-process. A worker assembled with
+	// only Run executes each cell as its own singleton sweep, one after
+	// another.
 	Run jobs.Runner
 	// Cache is this daemon's result cache; executed cells are written
-	// through to it under their cell-level content address, and shard
-	// execution consults it first (which, with the remote tier installed,
-	// also probes the coordinator).
+	// through to it — once — under their cell-level content address, and
+	// shard execution consults it first (which, with the remote tier
+	// installed, also probes the coordinator).
 	Cache *jobs.Cache
 	// Interval is the heartbeat period (default 2s). It must stay well
 	// under the coordinator's HeartbeatTTL or the worker flaps.
@@ -34,22 +41,53 @@ type WorkerConfig struct {
 	Log *log.Logger
 }
 
+// GroupRunner executes the cells at the given indices of a canonical
+// sweep spec as one group, calling onCell — serialized — once per
+// completed cell with the cell (its index in the whole sweep inside) and
+// its canonical singleton result bytes. A failed cell is data: it carries
+// its error in cr.Err and in the bytes. The returned error means the
+// group could not run (a bad spec, cancellation).
+type GroupRunner func(ctx context.Context, canonical []byte, cells []int, onCell func(cr hybridtier.CellResult, single []byte)) error
+
+// singletons adapts a whole-spec runner to GroupRunner: each cell runs as
+// its own singleton sweep, so nothing is shared between them.
+func singletons(run jobs.Runner) GroupRunner {
+	return func(ctx context.Context, canonical []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
+		_, plans, err := planCells(canonical)
+		if err != nil {
+			return err
+		}
+		for _, i := range cells {
+			single, err := run(ctx, plans[i].spec, nil)
+			if err != nil {
+				return err
+			}
+			onCell(hybridtier.CellResult{Cell: plans[i].cell}, single)
+		}
+		return nil
+	}
+}
+
 // Worker is one fleet member: it joins a coordinator by heartbeating
 // POST /fabric/register, and serves shards the coordinator dispatches to
-// its advertised URL. Execution is cell-by-cell as singleton sweeps, so
-// every result it produces carries a cell-level content address the
-// whole federation can cache against.
+// its advertised URL. A shard executes as one cell group, and every
+// result it produces is canonical singleton bytes under a cell-level
+// content address the whole federation can cache against.
 type Worker struct {
 	cfg WorkerConfig
 }
 
-// NewWorker builds a worker. Self, Coordinator, and Run are required.
+// NewWorker builds a worker. Self, Coordinator, and one of Cells and Run
+// are required.
 func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Self == "" || cfg.Coordinator == "" {
 		panic("fabric: WorkerConfig.Self and Coordinator are required")
 	}
-	if cfg.Run == nil {
-		panic("fabric: WorkerConfig.Run is required")
+	if cfg.Cells == nil {
+		if cfg.Run == nil {
+			panic("fabric: WorkerConfig.Cells or Run is required")
+		}
+		cfg.Cells = singletons(cfg.Run)
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
@@ -113,12 +151,12 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// runShard executes the requested cells one by one as singleton sweeps.
-// Each cell resolves through the cache first (memory, disk, and — via
-// the remote tier — the coordinator), runs only on a full miss, and
-// writes its result back under the cell hash. Deterministic runner
-// failures travel back as per-cell errors rather than failing the shard:
-// the coordinator decides what a failed cell means for the sweep.
+// runShard resolves each requested cell through the cache (memory, disk,
+// and — via the remote tier — the coordinator), then executes the misses
+// as one cell group, writing each result through under its cell hash as
+// it completes. A failed cell travels back as data, like any result; a
+// group that could not run at all marks every unanswered cell with the
+// error, and the coordinator decides what that means for the sweep.
 func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	var req shardRequest
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 16<<20)).Decode(&req); err != nil {
@@ -141,41 +179,50 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	cache := w.cfg.Cache
 	resp := shardResponse{Cells: make([]shardCell, 0, len(req.Cells))}
+	answer := func(i int, body []byte, errText string) {
+		resp.Cells = append(resp.Cells, shardCell{Index: i, Hash: plans[i].hash, Body: body, Err: errText})
+	}
+	var misses []int
 	for _, i := range req.Cells {
-		cell := shardCell{Index: i, Hash: plans[i].hash}
-		body, err := w.runCell(r.Context(), plans[i])
-		if err != nil {
-			if r.Context().Err() != nil {
-				// The coordinator hung up (timeout, loss, cancel); nobody is
-				// reading this response, so stop burning cycles.
-				return
-			}
-			cell.Err = err.Error()
-		} else {
-			cell.Body = body
+		var body []byte
+		hit := false
+		if cache != nil {
+			body, hit = cache.Get(plans[i].hash)
 		}
-		resp.Cells = append(resp.Cells, cell)
+		if hit {
+			answer(i, body, "")
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	if len(misses) > 0 {
+		err := w.cfg.Cells(r.Context(), req.Spec, misses, func(cr hybridtier.CellResult, single []byte) {
+			if cache != nil && cr.Err == "" {
+				// Same stance as commit: a disk write failure must not lose
+				// a computed result that memory already serves.
+				_ = cache.Put(plans[cr.Index].hash, single, plans[cr.Index].spec)
+			}
+			answer(cr.Index, single, "")
+		})
+		if r.Context().Err() != nil {
+			// The coordinator hung up (timeout, loss, cancel); nobody is
+			// reading this response.
+			return
+		}
+		if err != nil {
+			answered := make(map[int]bool, len(resp.Cells))
+			for _, c := range resp.Cells {
+				answered[c.Index] = true
+			}
+			for _, i := range misses {
+				if !answered[i] {
+					answer(i, nil, err.Error())
+				}
+			}
+		}
 	}
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(resp)
-}
-
-// runCell resolves one cell: cache hit (any tier) or execute and cache.
-func (w *Worker) runCell(ctx context.Context, p cellPlan) ([]byte, error) {
-	if w.cfg.Cache != nil {
-		if body, ok := w.cfg.Cache.Get(p.hash); ok {
-			return body, nil
-		}
-	}
-	body, err := w.cfg.Run(ctx, p.spec, nil)
-	if err != nil {
-		return nil, err
-	}
-	if w.cfg.Cache != nil {
-		// Same stance as commit: a disk write failure must not lose a
-		// computed result that memory already serves.
-		_ = w.cfg.Cache.Put(p.hash, body, p.spec)
-	}
-	return body, nil
 }

@@ -2,215 +2,108 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	hybridtier "repro"
 	"repro/internal/jobs"
 )
 
+// CellGroupRunner returns the engine that executes chosen cells of a
+// canonical sweep spec as one group (Sweep.RunCells): one worker pool of
+// sweepWorkers cells, one shared op stream where the sweep has one, and
+// onCell called once per completed cell — serialized, in completion order
+// — with the cell (its index in the whole sweep inside) and its canonical
+// singleton result bytes. It stores nothing: whoever holds the cache
+// writes cells through from onCell, once. A cell that failed carries its
+// error in cr.Err and in the bytes; the returned error is non-nil only
+// for configuration errors and cancellation, as with Sweep.Run.
+func CellGroupRunner(sweepWorkers int) func(ctx context.Context, canonical []byte, cells []int, onCell func(cr hybridtier.CellResult, single []byte)) error {
+	return func(ctx context.Context, canonical []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
+		sw, err := sweepOf(canonical, sweepWorkers)
+		if err != nil {
+			return err
+		}
+		var marshalErr error
+		sw.OnCell = func(cr hybridtier.CellResult) {
+			single, err := hybridtier.MarshalSingletonCell(cr)
+			if err != nil {
+				marshalErr = err
+				return
+			}
+			onCell(cr, single)
+		}
+		if _, err := sw.RunCells(ctx, cells); err != nil {
+			return err
+		}
+		return marshalErr
+	}
+}
+
 // CellRunner is Runner made crash-safe: it executes a canonical sweep
 // spec as content-addressed cells against the result cache, so a daemon
-// killed mid-sweep re-runs only the cells that never landed. Three paths:
+// killed mid-sweep re-runs only the cells that never landed. One path:
+// probe the cache for every cell, run the missing ones as one group —
+// each written through as it completes, which is what turns a later crash
+// into a partial-hit resume — and merge cached and fresh cells. A cold
+// sweep misses everywhere and runs whole; a restarted-after-the-last-cell
+// one hits everywhere and runs nothing.
 //
-//   - every cell already cached → merge and return without running
-//     anything (the restarted-after-the-last-cell case);
-//   - no cell cached → one whole-sweep Sweep.Run, preserving the facade's
-//     shared-stream optimization, with Sweep.OnCell writing each
-//     completed cell through to the cache as it finishes — this is what
-//     turns a later crash into a partial-hit resume;
-//   - some cells cached → run only the missing cells as singleton sweeps,
-//     write them through, and merge cached + fresh elements.
+// The output is byte-identical to Runner's whichever cells were cached:
+// ReindexCellJSON/MergeCellJSON reassemble singleton bytes exactly as
+// json.Marshal renders the whole-sweep slice — the identity the fabric's
+// tests pin and the crash-restart e2e test re-proves.
 //
-// All three produce byte-identical output: a singleton sweep of
-// CellSpec(c) yields exactly cell c's result (the facade's determinism
-// contract), and ReindexCellJSON/MergeCellJSON reassemble element bytes
-// exactly as json.Marshal renders the whole-sweep slice — the identity
-// the fabric's tests pin and the crash-restart e2e test re-proves.
-//
-// With a nil cache it degrades to Runner. Cells that end in an error
-// (cancellation included) are never written through, so resume re-runs
-// them rather than caching a half-truth.
+// With a nil cache, and for a one-cell sweep, it is Runner: a single
+// cell's content address is the sweep's own, under which the job manager
+// stores the result anyway. Cells that end in an error (cancellation
+// included) are never written through, so resume re-runs them rather than
+// caching a half-truth.
 func CellRunner(sweepWorkers int, cache *jobs.Cache) jobs.Runner {
 	plain := Runner(sweepWorkers)
+	group := CellGroupRunner(sweepWorkers)
 	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
-		if cache == nil {
-			return plain(ctx, spec, progress)
-		}
-		s, plans, err := hybridtier.CellPlans(spec)
-		if err != nil || len(plans) == 0 {
-			// Not plannable as cells (should not happen for canonical
-			// specs); run it whole rather than refuse it.
+		_, plans, err := hybridtier.CellPlans(spec)
+		if cache == nil || err != nil || len(plans) < 2 {
 			return plain(ctx, spec, progress)
 		}
 		// Probe the local tiers only: N remote probes per sweep would
 		// turn one submit into a probe storm, and crash resume only needs
 		// what THIS daemon's disk already holds.
-		cached := make([][]byte, len(plans))
+		singles := make([][]byte, len(plans))
 		var missing []int
 		for i, p := range plans {
 			if data, ok := cache.GetLocal(p.Hash); ok {
-				cached[i] = data
+				singles[i] = data
 			} else {
 				missing = append(missing, i)
 			}
 		}
-		writeThrough := func(cr hybridtier.CellResult) {
-			if cr.Err != "" {
-				return
-			}
-			i := cr.Index
-			single, err := hybridtier.MarshalSingletonCell(cr)
-			if err != nil {
-				return
-			}
-			// Put failures degrade durability (the next crash re-runs this
-			// cell), never the running sweep.
-			_ = cache.Put(plans[i].Hash, single, plans[i].Spec)
+		done := len(plans) - len(missing)
+		if progress != nil && done > 0 {
+			progress(done, len(plans)) // surface the cached head start immediately
 		}
-		if len(missing) == len(plans) {
-			// Nothing cached: the whole-sweep fast path (one shared
-			// stream, one worker pool) with per-cell write-through.
-			sw, err := s.Sweep()
+		if len(missing) > 0 {
+			err := group(ctx, spec, missing, func(cr hybridtier.CellResult, single []byte) {
+				singles[cr.Index] = single
+				if cr.Err == "" {
+					// Put failures degrade durability (the next crash re-runs
+					// this cell), never the running sweep.
+					_ = cache.Put(plans[cr.Index].Hash, single, plans[cr.Index].Spec)
+				}
+				if done++; progress != nil {
+					progress(done, len(plans))
+				}
+			})
 			if err != nil {
 				return nil, err
 			}
-			sw.Workers = sweepWorkers
-			sw.Progress = progress
-			sw.OnCell = writeThrough
-			cells, err := sw.Run(ctx)
-			if err != nil {
-				return nil, err
+		}
+		elements := make([][]byte, len(plans))
+		for i, p := range plans {
+			if elements[i], err = hybridtier.ReindexCellJSON(singles[i], p.Cell.Index); err != nil {
+				return nil, fmt.Errorf("service: cell %d of sweep: %w", i, err)
 			}
-			return json.Marshal(cells)
 		}
-		return resumeSweep(ctx, sweepWorkers, plans, cached, missing, progress, writeThrough)
+		return hybridtier.MergeCellJSON(elements), nil
 	}
-}
-
-// resumeSweep completes a partially-cached sweep: missing cells run as
-// singleton sweeps across a bounded pool, everything merges in Cells
-// order. progress counts cached cells as already done.
-func resumeSweep(
-	ctx context.Context,
-	sweepWorkers int,
-	plans []hybridtier.CellPlan,
-	cached [][]byte,
-	missing []int,
-	progress func(done, total int),
-	writeThrough func(hybridtier.CellResult),
-) ([]byte, error) {
-	total := len(plans)
-	var done atomic.Int64
-	done.Store(int64(total - len(missing)))
-	var progMu sync.Mutex
-	report := func() {
-		if progress == nil {
-			return
-		}
-		progMu.Lock()
-		progress(int(done.Load()), total)
-		progMu.Unlock()
-	}
-	report() // surface the cached head start immediately
-
-	workers := sweepWorkers
-	if workers <= 0 || workers > len(missing) {
-		workers = len(missing)
-	}
-	var (
-		wg       sync.WaitGroup
-		jobsCh   = make(chan int)
-		fresh    = make([][]byte, len(plans)) // singleton bytes by cell index
-		firstErr error
-		errMu    sync.Mutex
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobsCh {
-				single, err := runSingleton(ctx, plans[i])
-				if err != nil {
-					fail(err)
-					continue
-				}
-				fresh[i] = single
-				var crs []hybridtier.CellResult
-				if json.Unmarshal(single, &crs) == nil && len(crs) == 1 {
-					cr := crs[0]
-					cr.Index = plans[i].Cell.Index
-					progMu.Lock()
-					writeThrough(cr)
-					progMu.Unlock()
-				}
-				done.Add(1)
-				report()
-			}
-		}()
-	}
-feed:
-	for _, i := range missing {
-		if ctx.Err() != nil {
-			break
-		}
-		select {
-		case jobsCh <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobsCh)
-	wg.Wait()
-	// Cancellation only fails the resume if it actually left cells unrun —
-	// a fully-cached sweep (or one whose last cell beat the cancel) has
-	// everything it needs to merge.
-	if err := ctx.Err(); err != nil && int(done.Load()) != total {
-		return nil, fmt.Errorf("service: resumed sweep canceled after %d/%d cells: %w", done.Load(), total, err)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	elements := make([][]byte, len(plans))
-	for i, p := range plans {
-		single := cached[i]
-		if single == nil {
-			single = fresh[i]
-		}
-		element, err := hybridtier.ReindexCellJSON(single, p.Cell.Index)
-		if err != nil {
-			return nil, fmt.Errorf("service: cell %d of resumed sweep: %w", i, err)
-		}
-		elements[i] = element
-	}
-	return hybridtier.MergeCellJSON(elements), nil
-}
-
-// runSingleton executes one cell's singleton spec and returns the
-// canonical singleton result bytes (index 0 inside).
-func runSingleton(ctx context.Context, plan hybridtier.CellPlan) ([]byte, error) {
-	var s hybridtier.SweepSpec
-	if err := json.Unmarshal(plan.Spec, &s); err != nil {
-		return nil, fmt.Errorf("service: corrupt singleton spec: %w", err)
-	}
-	sw, err := s.Sweep()
-	if err != nil {
-		return nil, err
-	}
-	sw.Workers = 1
-	cells, err := sw.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(cells)
 }

@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"context"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	hybridtier "repro"
+	"repro/internal/errfs"
 	"repro/internal/jobs"
+	"repro/internal/registry"
+	"repro/internal/registry/registrytest"
+	"repro/internal/trace"
 )
 
 // cellTestSpec is a 4-cell grid (2 policies × 2 seeds), canonicalized.
@@ -31,9 +38,9 @@ func newCellCache(t *testing.T) *jobs.Cache {
 	return c
 }
 
-// TestCellRunnerMatchesRunnerAndPopulatesCache: the cold-cache fast path
-// produces bytes identical to the plain whole-sweep Runner while writing
-// every cell through to the cache under its content address.
+// TestCellRunnerMatchesRunnerAndPopulatesCache: a cold cache produces
+// bytes identical to the plain whole-sweep Runner while writing every
+// cell through to the cache under its content address.
 func TestCellRunnerMatchesRunnerAndPopulatesCache(t *testing.T) {
 	canonical := cellTestSpec(t)
 	want, err := Runner(2)(context.Background(), canonical, nil)
@@ -246,5 +253,138 @@ func TestCellRunnerNilCacheDegradesToRunner(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("nil-cache CellRunner diverges from Runner")
+	}
+}
+
+// inflight is the "inflight-zipf" workload: a Zipf source that counts how
+// many instances are open at once. A sweep builds one per running cell and
+// closes it when the cell ends, so the high-water mark is the number of
+// cells the runner had in flight.
+var inflight struct{ open, max atomic.Int32 }
+
+type inflightZipf struct{ *trace.ZipfSource }
+
+func (inflightZipf) Close() error { inflight.open.Add(-1); return nil }
+
+func registerInflight(t *testing.T) {
+	registrytest.WithWorkloads(t, registry.WorkloadEntry{
+		Name: "inflight-zipf", Doc: "test: Zipf that counts concurrently open instances",
+		New: func(p registry.WorkloadParams) (trace.Source, error) {
+			n := inflight.open.Add(1)
+			for {
+				m := inflight.max.Load()
+				if n <= m || inflight.max.CompareAndSwap(m, n) {
+					break
+				}
+			}
+			// Hold the slot long enough that an unbounded pool would
+			// have every cell open before the first one closes.
+			time.Sleep(2 * time.Millisecond)
+			return inflightZipf{trace.NewZipfSource("inflight-zipf", 1024, 1.0, 0, p.Seed)}, nil
+		},
+	})
+	inflight.open.Store(0)
+	inflight.max.Store(0)
+}
+
+// TestCellRunnerResumeBoundsCellsInFlight: with the default
+// -sweep-workers 0, a resume runs its missing cells across GOMAXPROCS
+// workers like any sweep — not one goroutine, generator and 2.5 MB scratch
+// per missing cell, which is what resumeSweep's private pool used to do.
+func TestCellRunnerResumeBoundsCellsInFlight(t *testing.T) {
+	registerInflight(t)
+	spec := hybridtier.SweepSpec{
+		Workload: "inflight-zipf",
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Seeds:    []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, // multi-seed: every cell builds its own
+		Ops:      2_000,
+	}
+	canonical, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Runner(1)(context.Background(), canonical, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, plans, err := hybridtier.CellPlans(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := newCellCache(t)
+	single, err := Runner(1)(context.Background(), plans[0].Spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(plans[0].Hash, single, plans[0].Spec); err != nil {
+		t.Fatal(err)
+	}
+
+	inflight.max.Store(0)
+	got, err := CellRunner(0, cache)(context.Background(), canonical, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("resumed bytes diverge from an uninterrupted run")
+	}
+	if max, limit := int(inflight.max.Load()), runtime.GOMAXPROCS(0); max < 1 || max > limit {
+		t.Errorf("resume of %d cells had %d in flight at once, want 1..GOMAXPROCS=%d",
+			len(plans)-1, max, limit)
+	}
+}
+
+// TestEachResultIsStoredOncePerDaemon counts the store's renames (one per
+// atomic write, three per Cache.Put) under a job manager running the cell
+// runner: every cell of a sweep is written through exactly once and the
+// merged result once; a one-cell sweep — whose cell address IS the sweep's
+// — is stored by the manager alone, not by the runner first.
+func TestEachResultIsStoredOncePerDaemon(t *testing.T) {
+	fsys := errfs.Inject(errfs.OS{})
+	cache, err := jobs.NewCacheFS(64<<20, t.TempDir(), fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobs.NewManager(jobs.Config{Workers: 1, Run: CellRunner(2, cache), Cache: cache})
+	defer Drain(m, 30*time.Second)
+	run := func(spec hybridtier.SweepSpec) {
+		t.Helper()
+		canonical, err := spec.CanonicalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := m.Submit(hybridtier.HashCanonicalJSON(canonical), canonical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from := 0; ; {
+			events, terminal, err := j.Next(context.Background(), from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if from += len(events); terminal {
+				break
+			}
+		}
+		if st := j.Info().State; st != jobs.Done {
+			t.Fatalf("job ended %s: %s", st, j.Info().Error)
+		}
+	}
+	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
+
+	one := testSpec()
+	one.Policies, one.Seeds = one.Policies[:1], one.Seeds[:1]
+	run(one)
+	if got := fsys.Count(errfs.OpRename); got != perPut {
+		t.Errorf("a one-cell sweep cost %d renames, want %d (one Put)", got, perPut)
+	}
+
+	before := fsys.Count(errfs.OpRename)
+	four := testSpec()
+	four.Ops++ // four never-seen cells
+	run(four)
+	if got := fsys.Count(errfs.OpRename) - before; got != (4+1)*perPut {
+		t.Errorf("a four-cell sweep cost %d renames, want %d (four cells and the merged result, once each)",
+			got, (4+1)*perPut)
 	}
 }

@@ -70,6 +70,20 @@ type Config struct {
 // one stray upload cannot fill a disk.
 const defaultMaxTraceBytes = 1 << 30
 
+// sweepOf rebuilds the runnable Sweep a canonical spec describes.
+func sweepOf(canonical []byte, sweepWorkers int) (*hybridtier.Sweep, error) {
+	var s hybridtier.SweepSpec
+	if err := json.Unmarshal(canonical, &s); err != nil {
+		return nil, fmt.Errorf("service: corrupt canonical spec: %w", err)
+	}
+	sw, err := s.Sweep()
+	if err != nil {
+		return nil, err
+	}
+	sw.Workers = sweepWorkers
+	return sw, nil
+}
+
 // Runner returns the jobs.Runner that executes canonical sweep specs:
 // unmarshal, rebuild the Sweep, run it with sweepWorkers concurrent
 // cells, and marshal the cells exactly as the golden tests do
@@ -77,15 +91,10 @@ const defaultMaxTraceBytes = 1 << 30
 // failures — the cells carry their "error" fields, matching the CLI.
 func Runner(sweepWorkers int) jobs.Runner {
 	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
-		var s hybridtier.SweepSpec
-		if err := json.Unmarshal(spec, &s); err != nil {
-			return nil, fmt.Errorf("service: corrupt canonical spec: %w", err)
-		}
-		sw, err := s.Sweep()
+		sw, err := sweepOf(spec, sweepWorkers)
 		if err != nil {
 			return nil, err
 		}
-		sw.Workers = sweepWorkers
 		sw.Progress = progress
 		cells, err := sw.Run(ctx)
 		if err != nil {

@@ -163,6 +163,10 @@ func (r *ReplaySource) Fork() *ReplaySource {
 // Ops returns the number of operations in the shared stream.
 func (r *ReplaySource) Ops() int64 { return int64(len(r.opStarts)) - 1 }
 
+// Accesses returns the number of packed accesses the shared stream holds —
+// its memory cost, at 4 bytes each.
+func (r *ReplaySource) Accesses() int { return len(r.packed) }
+
 // Name implements Source with the recorded source's name.
 func (r *ReplaySource) Name() string { return r.name }
 

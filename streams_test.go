@@ -1,0 +1,450 @@
+package hybridtier
+
+// The keyed stream cache and cell-group execution (streams.go,
+// Sweep.RunCells). A counting clock-free workload registered next to the
+// built-ins says how often a sweep really built — and so generated — its
+// workload; every case also compares result bytes with cells generated
+// live, one Experiment each, so a cached, forked, evicted or recycled
+// stream that replays anything else fails here.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/registry"
+	"repro/internal/registry/registrytest"
+	"repro/internal/trace"
+)
+
+// countZipf is the "count-zipf" workload: a Zipf source that counts its
+// constructions and calls onBatch (when set) before every generated batch.
+var countZipf struct {
+	builds  atomic.Int64
+	onBatch atomic.Pointer[func()]
+}
+
+type hookedZipf struct{ *trace.ZipfSource }
+
+func (h hookedZipf) NextBatch(dst []trace.Access, max int) []trace.Access {
+	if fn := countZipf.onBatch.Load(); fn != nil {
+		(*fn)()
+	}
+	return h.ZipfSource.NextBatch(dst, max)
+}
+
+// freshStreams gives the test an empty stream cache of the given budget
+// and a registry that resolves count-zipf, and zeroes the build counter.
+func freshStreams(t *testing.T, budget int) {
+	t.Helper()
+	registrytest.WithWorkloads(t, registry.WorkloadEntry{
+		Name: "count-zipf", Doc: "test: Zipf that counts its constructions",
+		New: func(p registry.WorkloadParams) (trace.Source, error) {
+			countZipf.builds.Add(1)
+			n := p.Pages
+			if n <= 0 {
+				n = 4096
+			}
+			return hookedZipf{trace.NewZipfSource("count-zipf", n, 1.0, 0.1, p.Seed)}, nil
+		},
+	})
+	old := streams
+	streams = newStreamCache(budget)
+	countZipf.builds.Store(0)
+	countZipf.onBatch.Store(nil)
+	t.Cleanup(func() {
+		streams = old
+		countZipf.onBatch.Store(nil)
+	})
+}
+
+// countSweep is a 12-cell single-seed sweep (3 policies × 4 ratios) of
+// count-zipf: the shape of the benchmark's cold job A.
+func countSweep(policies []PolicyName, seed uint64, ops int64, params WorkloadParams) *Sweep {
+	return &Sweep{
+		Policies: policies,
+		Ratios:   []int{16, 8, 4, 2},
+		Seeds:    []uint64{seed},
+		Workers:  2,
+		Base: []Option{
+			WithWorkloadName("count-zipf"),
+			WithWorkloadParams(params),
+			WithOps(ops),
+		},
+	}
+}
+
+var threePolicies = []PolicyName{PolicyHybridTier, PolicyMemtis, PolicyLRU}
+
+// liveCells runs every cell of sw as an Experiment of its own — live
+// generation, no stream shared or cached — and returns the JSON a
+// Sweep.Run of the same cells must marshal to.
+func liveCells(t *testing.T, sw *Sweep) []byte {
+	t.Helper()
+	var out []CellResult
+	for _, c := range sw.Cells() {
+		res, err := sw.experimentFor(c, nil, nil).Run(context.Background())
+		if err != nil {
+			t.Fatalf("live cell %+v: %v", c, err)
+		}
+		out = append(out, CellResult{Cell: c, Result: res})
+	}
+	return mustJSON(t, out)
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func runJSON(t *testing.T, sw *Sweep) []byte {
+	t.Helper()
+	cells, err := sw.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, cells)
+}
+
+// runInGroups executes sw's cells as consecutive RunCells groups of size n
+// — a fleet worker's shards — and returns the cells in sweep order.
+func runInGroups(t *testing.T, sw *Sweep, n int) []byte {
+	t.Helper()
+	var out []CellResult
+	total := len(sw.Cells())
+	for lo := 0; lo < total; lo += n {
+		var idxs []int
+		for i := lo; i < min(lo+n, total); i++ {
+			idxs = append(idxs, i)
+		}
+		cells, err := sw.RunCells(context.Background(), idxs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cells...)
+	}
+	return mustJSON(t, out)
+}
+
+func wantBuilds(t *testing.T, what string, want int64) {
+	t.Helper()
+	if got := countZipf.builds.Swap(0); got != want {
+		t.Errorf("%s built the workload %d times, want %d", what, got, want)
+	}
+}
+
+func TestRunCellsIsRunForASubset(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	for _, tc := range []struct {
+		name string
+		sw   *Sweep
+	}{
+		{"shared-stream", countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2048})},
+		{"multi-seed", testSweep(2)},
+		{"workload-func", &Sweep{
+			Policies: threePolicies, Ratios: []int{8, 4}, Workers: 2,
+			Base: []Option{WithOps(20_000), WithWorkloadFunc(func(seed uint64) (Workload, error) {
+				return trace.NewZipfSource("fn-zipf", 2048, 1.0, 0.1, seed), nil
+			})},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			whole, err := tc.sw.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			idxs := []int{len(whole) - 1, 0, 3}
+			var onCell, lastDone, lastTotal int
+			sub := *tc.sw
+			sub.OnCell = func(CellResult) { onCell++ }
+			sub.Progress = func(done, total int) { lastDone, lastTotal = done, total }
+			got, err := sub.RunCells(context.Background(), idxs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := []CellResult{whole[idxs[0]], whole[idxs[1]], whole[idxs[2]]}
+			if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+				t.Errorf("RunCells(%v) differs from the same cells of Run", idxs)
+			}
+			if onCell != 3 || lastDone != 3 || lastTotal != 3 {
+				t.Errorf("OnCell ×%d, final Progress %d/%d; want 3 and 3/3", onCell, lastDone, lastTotal)
+			}
+			if _, err := tc.sw.RunCells(context.Background(), []int{len(whole)}); err == nil {
+				t.Error("an index outside the sweep must be rejected")
+			}
+		})
+	}
+}
+
+// TestStreamCacheKeyedReuse: six two-cell groups of a 12-cell sweep build
+// the workload once; the same stream serves a later sweep that adds a
+// policy; any change of seed, ops or a param generates anew.
+func TestStreamCacheKeyedReuse(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	params := WorkloadParams{Pages: 2048}
+	base := countSweep(threePolicies, 1, 20_000, params)
+	want := liveCells(t, base)
+	countZipf.builds.Store(0)
+
+	if got := runInGroups(t, base, 2); !bytes.Equal(got, want) {
+		t.Error("six groups of two differ from live generation")
+	}
+	wantBuilds(t, "a 12-cell sweep run as six groups", 1)
+
+	wider := countSweep(append(threePolicies[:3:3], PolicyARC), 1, 20_000, params)
+	wantWider := liveCells(t, wider)
+	countZipf.builds.Store(0)
+	if got := runJSON(t, wider); !bytes.Equal(got, wantWider) {
+		t.Error("the widened sweep differs from live generation")
+	}
+	wantBuilds(t, "a second sweep on the same workload, params, seed and ops", 0)
+
+	for _, tc := range []struct {
+		what string
+		sw   *Sweep
+	}{
+		{"another seed", countSweep(threePolicies, 2, 20_000, params)},
+		{"another op count", countSweep(threePolicies, 1, 20_001, params)},
+		{"another page count", countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2049})},
+		{"another skew", countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2048, Skew: 0.5})},
+	} {
+		want := liveCells(t, tc.sw)
+		countZipf.builds.Store(0)
+		if got := runJSON(t, tc.sw); !bytes.Equal(got, want) {
+			t.Errorf("%s: differs from live generation", tc.what)
+		}
+		wantBuilds(t, tc.what, 1)
+	}
+	// A respelled workload name is the same stream.
+	respelled := countSweep(threePolicies, 1, 20_000, params)
+	respelled.Base[0] = WithWorkloadName(" ( count-zipf ) ")
+	runJSON(t, respelled)
+	wantBuilds(t, "a respelling of the cached workload", 0)
+}
+
+// TestStreamCacheNeverRetainsOpaqueStreams: a WithWorkloadFunc factory has
+// no identity and a trace file's bytes may change under its path, so
+// neither leaves anything behind — not even a "does not share" entry.
+func TestStreamCacheNeverRetainsOpaqueStreams(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	var fnBuilds int
+	fn := &Sweep{
+		Policies: threePolicies, Ratios: []int{8, 4}, Workers: 2,
+		Base: []Option{WithOps(20_000), WithWorkloadFunc(func(seed uint64) (Workload, error) {
+			fnBuilds++
+			return trace.NewZipfSource("fn-zipf", 2048, 1.0, 0.1, seed), nil
+		})},
+	}
+	first := runJSON(t, fn)
+	if fnBuilds != 1 {
+		t.Errorf("a WithWorkloadFunc sweep built %d times, want 1 (shared within the call)", fnBuilds)
+	}
+	if second := runJSON(t, fn); !bytes.Equal(first, second) || fnBuilds != 2 {
+		t.Errorf("second WithWorkloadFunc sweep: builds=%d (want 2: nothing retained), identical=%v",
+			fnBuilds, bytes.Equal(first, second))
+	}
+
+	path := filepath.Join(t.TempDir(), "cap.htrc")
+	if _, err := NewExperiment(WithWorkloadName("zipf"), WithOps(5_000), WithRecordTo(path)).Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	replay := &Sweep{Policies: threePolicies, Base: []Option{WithTraceFile(path)}}
+	composed := &Sweep{Policies: threePolicies, Base: []Option{
+		WithWorkloadName("mix:count-zipf,trace:" + path), WithOps(5_000)}}
+	for _, sw := range []*Sweep{replay, composed} {
+		if got, want := runJSON(t, sw), liveCells(t, sw); !bytes.Equal(got, want) {
+			t.Error("trace sweep differs from live cells")
+		}
+	}
+	if n := len(streams.entries); n != 0 {
+		t.Errorf("opaque streams left %d cache entries, want none", n)
+	}
+}
+
+// TestStreamCacheConcurrentSweepsGenerateOnce: sweeps racing for one key
+// wait for the first to generate.
+func TestStreamCacheConcurrentSweepsGenerateOnce(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	sw := countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2048})
+	want := liveCells(t, sw)
+	countZipf.builds.Store(0)
+	var wg sync.WaitGroup
+	results := make([][]byte, 6)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cp := *sw
+			cells, err := cp.Run(context.Background())
+			if err == nil {
+				results[i], _ = json.Marshal(cells)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, got := range results {
+		if !bytes.Equal(got, want) {
+			t.Errorf("concurrent sweep %d differs from live generation", i)
+		}
+	}
+	wantBuilds(t, "six concurrent sweeps on one key", 1)
+}
+
+// TestStreamCacheEvictionSparesStreamsInUse: a stream evicted while a
+// sweep's forks are mid-replay stays intact — its arrays are recycled only
+// once nobody reads them — and an idle evicted stream's arrays ARE reused.
+func TestStreamCacheEvictionSparesStreamsInUse(t *testing.T) {
+	const ops = 20_000
+	// Room for one stream (≈1 access per op), not two.
+	freshStreams(t, ops+ops/2)
+	params := WorkloadParams{Pages: 2048}
+	victim := countSweep(threePolicies, 1, ops, params)
+	want := liveCells(t, victim)
+	evictors := []*Sweep{
+		countSweep(threePolicies, 2, ops, params),
+		countSweep(threePolicies, 3, ops, params),
+		countSweep(threePolicies, 4, ops, params),
+	}
+	victim.Workers = 1
+	fired := false
+	victim.OnCell = func(CellResult) {
+		if fired {
+			return
+		}
+		fired = true
+		// The victim's first cell is done and eleven are to come. Each
+		// evictor generates a stream, pushing the previous one out: the
+		// victim's first (still referenced), then idle ones whose arrays
+		// the next generation overwrites.
+		for _, sw := range evictors {
+			runJSON(t, sw)
+		}
+		if _, cached := streams.entries[streamKey{"count-zipf", WorkloadParams{Pages: 2048, Seed: 1}, ops}]; cached {
+			t.Error("test wiring: the victim's stream was not evicted")
+		}
+	}
+	if got := runJSON(t, victim); !bytes.Equal(got, want) {
+		t.Error("a sweep whose stream was evicted mid-replay differs from live generation")
+	}
+	if streams.retained > streams.budget {
+		t.Errorf("cache retains %d accesses, budget %d", streams.retained, streams.budget)
+	}
+	// The evictors' results are as good as live ones, recycled arrays or not.
+	for i, sw := range evictors {
+		if got, want := runJSON(t, sw), liveCells(t, sw); !bytes.Equal(got, want) {
+			t.Errorf("evictor %d differs from live generation", i)
+		}
+	}
+}
+
+// TestStreamCacheCanceledGenerationCachesNothing: a sweep canceled while
+// its stream generates leaves no entry, and the next sweep generates and
+// succeeds.
+func TestStreamCacheCanceledGenerationCachesNothing(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	sw := countSweep(threePolicies, 1, 50_000, WorkloadParams{Pages: 2048})
+	want := liveCells(t, sw)
+	countZipf.builds.Store(0)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	batches := 0
+	hook := func() {
+		if batches++; batches == 3 {
+			cancel()
+		}
+	}
+	countZipf.onBatch.Store(&hook)
+	if _, err := sw.Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled sweep returned %v", err)
+	}
+	countZipf.onBatch.Store(nil)
+	if batches > 4 {
+		t.Errorf("generation ran %d batches past a cancel at the third", batches-3)
+	}
+	if n := len(streams.entries); n != 0 {
+		t.Fatalf("canceled generation left %d cache entries", n)
+	}
+	countZipf.builds.Store(0)
+	if got := runJSON(t, sw); !bytes.Equal(got, want) {
+		t.Error("the sweep after a canceled one differs from live generation")
+	}
+	wantBuilds(t, "the sweep after a canceled generation", 1)
+}
+
+// TestStreamCacheOverBudgetStreamIsAttemptedOnce: a stream longer than the
+// budget falls back to live generation in every cell, and the cache
+// remembers that, so no later sweep — or shard — generates it again only to
+// throw it away.
+func TestStreamCacheOverBudgetStreamIsAttemptedOnce(t *testing.T) {
+	const ops = 20_000
+	freshStreams(t, ops/2)
+	sw := countSweep(threePolicies, 1, ops, WorkloadParams{Pages: 2048})
+	want := liveCells(t, sw)
+	cells := int64(len(sw.Cells()))
+	countZipf.builds.Store(0)
+
+	if got := runJSON(t, sw); !bytes.Equal(got, want) {
+		t.Error("over-budget sweep differs from live generation")
+	}
+	wantBuilds(t, "the first over-budget sweep (one attempt, then every cell live)", 1+cells)
+	if got := runInGroups(t, sw, 2); !bytes.Equal(got, want) {
+		t.Error("over-budget sweep in groups differs from live generation")
+	}
+	wantBuilds(t, "the same sweep again, in six groups (no further attempt)", cells)
+	if streams.retained != 0 {
+		t.Errorf("an over-budget stream left %d accesses retained", streams.retained)
+	}
+}
+
+// TestStreamCacheEntryBound: "does not share" entries cost no accesses,
+// so the entry count has a bound of its own.
+func TestStreamCacheEntryBound(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	for i := range maxStreamEntries + 10 {
+		key := streamKey{workload: fmt.Sprintf("w%d", i)}
+		streams.get(context.Background(), key, func(*trace.ReplaySource) (*trace.ReplaySource, error) {
+			return nil, nil
+		})
+	}
+	if n := len(streams.entries); n != maxStreamEntries || streams.lru.Len() != n {
+		t.Errorf("cache holds %d entries (%d listed), want the bound %d", n, streams.lru.Len(), maxStreamEntries)
+	}
+}
+
+// TestStreamCacheBuildFailureIsNotRemembered: a workload that fails to
+// build teaches the cache nothing — the sweep's cells report the error,
+// no entry stays behind, and a later sweep tries again.
+func TestStreamCacheBuildFailureIsNotRemembered(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	registrytest.WithWorkloads(t, registry.WorkloadEntry{
+		Name: "broken", Doc: "test: a workload that cannot be built",
+		New: func(registry.WorkloadParams) (trace.Source, error) {
+			return nil, errors.New("broken: no such dataset")
+		},
+	})
+	sw := &Sweep{Policies: threePolicies, Base: []Option{WithWorkloadName("broken"), WithOps(1_000)}}
+	for range 2 {
+		cells, err := sw.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			if c.Err == "" {
+				t.Errorf("cell %+v of an unbuildable workload reported no error", c.Cell)
+			}
+		}
+		if n := len(streams.entries); n != 0 {
+			t.Errorf("a failed build left %d cache entries", n)
+		}
+	}
+}

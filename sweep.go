@@ -108,51 +108,58 @@ func (s *Sweep) experimentFor(c Cell, extra []Option, sc *sim.Scratch) *Experime
 // errCellNotRun marks cells the sweep never started before cancellation.
 const errCellNotRun = "sweep canceled before this cell ran"
 
-// maxSharedStreamAccesses bounds the memory a pre-generated shared stream
-// may hold (4 bytes per access packed → 128 MB); longer runs regenerate
-// per cell.
-const maxSharedStreamAccesses = 32 << 20
-
-// streamPool recycles retired shared streams across sweeps: their multi-MB
-// backing arrays are fully overwritten on reuse, so they come back dirty.
-var streamPool = sync.Pool{New: func() any { return (*trace.ReplaySource)(nil) }}
-
-// sharedStream pre-generates the op stream for cells to replay, or returns
-// nil when the optimization does not apply: it requires more than one cell,
-// a single seed (the stream is seed-determined), no recording tee, and a
-// workload instance that declares itself clock-free. Failures return nil
-// too — the per-cell path will surface them consistently.
-func (s *Sweep) sharedStream(cells []Cell, baseExtra []Option) *trace.ReplaySource {
+// sharedStream returns the op stream the cells replay, or nil when the
+// optimization does not apply: the SWEEP — not this call's subset of it —
+// must have more than one cell, a single seed (the stream is
+// seed-determined) and no recording tee, and the workload instance must
+// declare itself clock-free. A stream with an identity (streamKey) comes
+// from the process-wide cache, looked up before any workload is built;
+// one without is generated here when at least two of its cells run now.
+// Failures return nil too — the per-cell path will surface them
+// consistently. release must be called once every fork is done.
+func (s *Sweep) sharedStream(ctx context.Context, cells []Cell, running int, baseExtra []Option) (rs *trace.ReplaySource, release func()) {
+	none := func() {}
 	if len(cells) < 2 {
-		return nil
+		return nil, none
 	}
 	for _, c := range cells[1:] {
 		if c.Seed != cells[0].Seed {
-			return nil
+			return nil, none
 		}
 	}
 	proto := s.experimentFor(cells[0], baseExtra, nil)
 	if proto.recordTo != "" {
-		return nil
+		return nil, none
 	}
-	w, owned, err := proto.buildWorkload()
-	if err != nil {
-		return nil
-	}
-	if owned {
-		if c, ok := w.(io.Closer); ok {
-			defer c.Close()
+	cache := streams
+	gen := func(recycle *trace.ReplaySource) (*trace.ReplaySource, error) {
+		w, owned, err := proto.buildWorkload()
+		if err != nil {
+			return nil, err
 		}
+		if owned {
+			if c, ok := w.(io.Closer); ok {
+				defer c.Close()
+			}
+		}
+		if cf, ok := w.(trace.ClockFree); !ok || !cf.ClockFree() {
+			return nil, nil
+		}
+		src := ctxSource{trace.AsBatchSource(w), ctx}
+		rs := trace.NewReplaySource(src, proto.ops, cache.budget, recycle)
+		if rs == nil {
+			// Canceled mid-generation, or a stream that does not pack.
+			return nil, ctx.Err()
+		}
+		return rs, nil
 	}
-	if cf, ok := w.(trace.ClockFree); !ok || !cf.ClockFree() {
-		return nil
+	if key, ok := proto.streamKey(); ok {
+		return cache.get(ctx, key, gen)
 	}
-	recycle := streamPool.Get().(*trace.ReplaySource)
-	rs := trace.NewReplaySource(w, proto.ops, maxSharedStreamAccesses, recycle)
-	if rs == nil && recycle != nil {
-		streamPool.Put(recycle)
+	if running < 2 {
+		return nil, none
 	}
-	return rs
+	return cache.once(gen)
 }
 
 // Run executes every cell and returns results in Cells order. Per-cell
@@ -162,6 +169,21 @@ func (s *Sweep) sharedStream(cells []Cell, baseExtra []Option) *trace.ReplaySour
 // completed cells carry their Result, interrupted cells a cancellation
 // error, and never-started cells errCellNotRun.
 func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
+	all := make([]int, len(s.Cells()))
+	for i := range all {
+		all[i] = i
+	}
+	return s.RunCells(ctx, all)
+}
+
+// RunCells executes the cells at idxs — positions in Cells order — and
+// returns their results in idxs order, each carrying its index in the
+// whole sweep. It is Run for a cell group: the same worker pool, OnCell,
+// Progress (counting idxs), scratch recycling, cancellation and error
+// contract, and the same shared op stream — a group replays the stream its
+// sweep would, however few of the cells it runs. The sweep fabric's
+// workers and the service's resume path run their share of a sweep here.
+func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) {
 	if len(s.Policies) == 0 {
 		return nil, fmt.Errorf("hybridtier: sweep needs at least one policy")
 	}
@@ -222,25 +244,30 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 			return nil, fmt.Errorf("hybridtier: sweep ratios must be positive, got %d", c.Ratio)
 		}
 	}
-	// Clock-free workloads (trace.ClockFree) emit the same op stream in
-	// every cell that shares their seed, so the sweep generates the stream
-	// once up front and hands each cell a cheap in-memory replay cursor —
-	// cells then skip regeneration (graph traversals, Zipf draws, B-tree
-	// descents) entirely. Guarded to single-seed sweeps; the stream is
-	// bounded so a huge run falls back to live generation.
-	shared := s.sharedStream(cells, baseExtra)
-
-	results := make([]CellResult, len(cells))
-	for i := range cells {
-		results[i] = CellResult{Cell: cells[i], Err: errCellNotRun}
+	results := make([]CellResult, len(idxs))
+	for k, idx := range idxs {
+		if idx < 0 || idx >= len(cells) {
+			return nil, fmt.Errorf("hybridtier: cell index %d outside the sweep's %d cells", idx, len(cells))
+		}
+		results[k] = CellResult{Cell: cells[idx], Err: errCellNotRun}
 	}
+	// Clock-free workloads (trace.ClockFree) emit the same op stream in
+	// every cell that shares their seed, so the stream is generated once —
+	// per process, not per call: see streamCache — and each cell gets a
+	// cheap in-memory replay cursor, skipping regeneration (graph
+	// traversals, Zipf draws, B-tree descents) entirely. Guarded to
+	// single-seed sweeps; the stream is bounded so a huge run falls back to
+	// live generation.
+	shared, release := s.sharedStream(ctx, cells, len(idxs), baseExtra)
+	// Deferred past wg.Wait: by then every fork is done.
+	defer release()
 
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	if workers > len(idxs) {
+		workers = len(idxs)
 	}
 
 	var (
@@ -256,8 +283,8 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 			defer wg.Done()
 			sc := scratchPool.Get().(*sim.Scratch)
 			defer scratchPool.Put(sc)
-			for idx := range jobs {
-				c := cells[idx]
+			for k := range jobs {
+				c := results[k].Cell
 				e := s.experimentFor(c, baseExtra, sc)
 				if shared != nil {
 					e.workload = shared.Fork()
@@ -268,7 +295,7 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 					cr.Result = nil
 					cr.Err = err.Error()
 				}
-				results[idx] = cr
+				results[k] = cr
 				if s.OnCell != nil || s.Progress != nil {
 					// The completion count is incremented UNDER progMu: with
 					// the increment outside, two workers could swap between
@@ -282,7 +309,7 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 						s.OnCell(cr)
 					}
 					if s.Progress != nil {
-						s.Progress(n, len(cells))
+						s.Progress(n, len(idxs))
 					}
 					progMu.Unlock()
 				} else {
@@ -292,25 +319,21 @@ func (s *Sweep) Run(ctx context.Context) ([]CellResult, error) {
 		}()
 	}
 feed:
-	for idx := range cells {
+	for k := range idxs {
 		if ctx.Err() != nil {
 			break
 		}
 		select {
-		case jobs <- idx:
+		case jobs <- k:
 		case <-ctxDone:
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	if shared != nil {
-		// All forks are done; recycle the stream's arrays for the next sweep.
-		streamPool.Put(shared)
-	}
 	if err := ctx.Err(); err != nil {
 		return results, fmt.Errorf("hybridtier: sweep canceled after %d/%d cells: %w",
-			done.Load(), len(cells), err)
+			done.Load(), len(idxs), err)
 	}
 	return results, nil
 }
