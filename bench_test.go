@@ -4,8 +4,8 @@
 //
 // Each figure/table bench executes its experiment end to end at the Tiny
 // scale per iteration, so `go test -bench=.` doubles as a smoke-run of the
-// whole harness; cmd/hybridbench runs the same experiments at quick/full
-// scale for the numbers recorded in EXPERIMENTS.md.
+// whole harness; htiersim -experiment runs the same experiments at
+// quick/full scale.
 package hybridtier_test
 
 import (
@@ -124,13 +124,12 @@ func benchPolicy(b *testing.B, name hybridtier.PolicyName) {
 	b.Helper()
 	const pages = 1 << 14
 	for i := 0; i < b.N; i++ {
-		w := hybridtier.Zipf("bench", pages, 1.0, 7)
-		res, err := hybridtier.Simulate(hybridtier.SimOptions{
-			Workload:  w,
-			Policy:    name,
-			FastRatio: 8,
-			Ops:       100_000,
-		})
+		res, err := hybridtier.NewExperiment(
+			hybridtier.WithWorkload(hybridtier.Zipf("bench", pages, 1.0, 7)),
+			hybridtier.WithPolicy(name),
+			hybridtier.WithRatio(8),
+			hybridtier.WithOps(100_000),
+		).Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,13 +148,12 @@ func BenchmarkPolicyTwoQ(b *testing.B)       { benchPolicy(b, hybridtier.PolicyT
 func BenchmarkHugePageMode(b *testing.B) {
 	const pages = 1 << 16
 	for i := 0; i < b.N; i++ {
-		w := hybridtier.Zipf("bench-huge", pages, 1.0, 7)
-		if _, err := hybridtier.Simulate(hybridtier.SimOptions{
-			Workload:  w,
-			HugePages: true,
-			FastRatio: 8,
-			Ops:       100_000,
-		}); err != nil {
+		if _, err := hybridtier.NewExperiment(
+			hybridtier.WithWorkload(hybridtier.Zipf("bench-huge", pages, 1.0, 7)),
+			hybridtier.WithHugePages(true),
+			hybridtier.WithRatio(8),
+			hybridtier.WithOps(100_000),
+		).Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

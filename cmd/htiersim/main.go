@@ -8,9 +8,10 @@
 //
 //	htiersim [-workload cdn] [-policy HybridTier,Memtis] [-ratio 8,16]
 //	         [-seed 1,2,3] [-ops 1000000] [-huge] [-cache] [-tracker idlepage]
-//	         [-batch-ops N] [-pipeline] [-scale tiny|quick|full] [-workers N]
+//	         [-batch-ops N] [-scale tiny|quick|full] [-workers N]
 //	         [-json] [-series] [-list] [-record run.htrc] [-replay run.htrc]
 //	         [-trace-info run.htrc] [-submit http://host:8080]
+//	         [-experiment fig9,tab3]
 //
 // Workloads and policies are resolved through the public registries, so
 // -list can never drift from what actually runs. -tracker forces one
@@ -39,6 +40,12 @@
 // -record and -replay name local files and therefore conflict with
 // -submit; -workers and -batch-ops are local execution knobs the daemon
 // chooses for itself.
+//
+// -experiment regenerates the paper's evaluation tables and figures (the
+// artifact's repro.sh analogue) instead of running a simulation: the named
+// experiments of internal/experiments (-list shows the ids; "all" runs
+// every one) run at -scale and print as aligned text tables, with notes
+// recording the paper's expected shape next to the measured values.
 package main
 
 import (
@@ -52,6 +59,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"time"
 
 	hybridtier "repro"
 	"repro/internal/experiments"
@@ -81,14 +89,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleFlag := fs.String("scale", "quick", "workload scale: tiny, quick, or full")
 	workers := fs.Int("workers", 0, "concurrent sweep cells (default: all cores)")
 	batchOps := fs.Int("batch-ops", 0, "ops fetched per workload batch (1 = single-op reference schedule; results are identical)")
-	pipeline := fs.Bool("pipeline", false, "overlap workload generation with simulation (clock-free workloads only; results are identical)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON")
 	series := fs.Bool("series", false, "print the latency time series (single run only)")
-	list := fs.Bool("list", false, "list workloads, policies, and composition syntax")
+	list := fs.Bool("list", false, "list workloads, policies, composition syntax, and experiment ids")
 	record := fs.String("record", "", "capture the run's op stream to this trace file (single run only)")
 	replay := fs.String("replay", "", "replay this trace file as the workload")
 	traceInfo := fs.String("trace-info", "", "print a trace file's header and counts, then exit")
 	submit := fs.String("submit", "", "post the sweep to the htiersimd daemon at this URL instead of running locally")
+	experiment := fs.String("experiment", "", "regenerate these paper tables/figures at -scale instead of simulating: comma-separated ids (see -list), or all")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0 // -h/-help prints usage and is a success, not a usage error
@@ -136,6 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		for _, line := range hybridtier.WorkloadSpecSyntax() {
 			fmt.Fprintf(stdout, "  %s\n", line)
 		}
+		fmt.Fprintln(stdout, "experiments (paper tables and figures; -experiment runs them at -scale):")
+		for _, e := range experiments.All() {
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.ID, e.Title)
+		}
 		return 0
 	}
 
@@ -149,6 +161,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scale = experiments.Full
 	default:
 		return fail(2, "unknown scale %q (want tiny, quick, or full)", *scaleFlag)
+	}
+
+	if *experiment != "" {
+		return runExperiments(stdout, stderr, *experiment, scale)
 	}
 
 	if err := hybridtier.ValidateTracker(*trackerFlag); err != nil {
@@ -231,7 +247,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hybridtier.WithCacheModel(*cache),
 		hybridtier.WithTracker(*trackerFlag),
 		hybridtier.WithBatchOps(*batchOps),
-		hybridtier.WithPipeline(*pipeline),
 	}
 	// For a trace the library defaults to the recorded length (a longer
 	// replay would wrap around to the trace's start), so the flag default
@@ -297,6 +312,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if failed > 0 {
 		return fail(1, "%d of %d cells failed", failed, len(cells))
 	}
+	return 0
+}
+
+// runExperiments regenerates the named paper tables and figures ("all":
+// every registered one) at the given scale, one aligned text table each.
+// Ctrl-C cancels the in-flight experiment.
+func runExperiments(stdout, stderr io.Writer, ids string, scale experiments.Scale) int {
+	var todo []experiments.Experiment
+	if ids == "all" {
+		todo = experiments.All()
+	} else {
+		for _, id := range strings.Split(ids, ",") {
+			id = strings.TrimSpace(id)
+			e, ok := experiments.ByID(id)
+			if !ok {
+				fmt.Fprintf(stderr, "htiersim: unknown experiment %q (use -list)\n", id)
+				return 2
+			}
+			todo = append(todo, e)
+		}
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	fmt.Fprintf(stdout, "HybridTier reproduction — scale %s, %d experiment(s)\n\n", scale.Name, len(todo))
+	start := time.Now()
+	for _, e := range todo {
+		t0 := time.Now()
+		tbl, err := e.Run(ctx, scale)
+		if err != nil {
+			fmt.Fprintf(stderr, "htiersim: %s failed: %v\n", e.ID, err)
+			return 1
+		}
+		tbl.Fprint(stdout)
+		fmt.Fprintf(stdout, "  (%s in %.1fs)\n\n", e.ID, time.Since(t0).Seconds())
+	}
+	fmt.Fprintf(stdout, "total: %.1fs\n", time.Since(start).Seconds())
 	return 0
 }
 

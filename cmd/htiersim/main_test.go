@@ -43,6 +43,7 @@ func TestBadGrammarExitsNonZeroWithDiagnosis(t *testing.T) {
 		{[]string{"-workload", "no-such-workload"}, "known:"},
 		{[]string{"-workload", "cdn", "-replay", "x.htrc"}, "conflict"},
 		{[]string{"-scale", "bogus"}, "unknown scale"},
+		{[]string{"-experiment", "fig99"}, `unknown experiment "fig99"`},
 	}
 	for _, c := range cases {
 		code, _, stderr := runCLI(t, c.args...)
@@ -51,6 +52,18 @@ func TestBadGrammarExitsNonZeroWithDiagnosis(t *testing.T) {
 		}
 		if !strings.Contains(stderr, c.want) {
 			t.Errorf("%v: stderr %q lacks %q", c.args, stderr, c.want)
+		}
+	}
+}
+
+func TestExperimentPrintsPaperTables(t *testing.T) {
+	code, out, stderr := runCLI(t, "-experiment", "tab4, fig3a", "-scale", "tiny")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"scale tiny, 2 experiment(s)", "Metadata size", "EMA score", "(tab4 in ", "(fig3a in ", "total: "} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-experiment output lacks %q:\n%s", want, out)
 		}
 	}
 }

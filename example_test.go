@@ -107,17 +107,16 @@ func ExampleDefaultWorkloads() {
 	// HybridTier true
 }
 
-// ExampleSimulate runs HybridTier over a skewed workload at a 1:8
-// fast:slow capacity split and checks that the hot set was promoted into
-// the fast tier.
-func ExampleSimulate() {
-	w := hybridtier.Zipf("example", 1<<14, 1.0, 7)
-	res, err := hybridtier.Simulate(hybridtier.SimOptions{
-		Workload:  w,
-		Policy:    hybridtier.PolicyHybridTier,
-		FastRatio: 8,
-		Ops:       100_000,
-	})
+// ExampleNewExperiment_withWorkload runs HybridTier over a caller-built
+// skewed workload at a 1:8 fast:slow capacity split and checks that the hot
+// set was promoted into the fast tier.
+func ExampleNewExperiment_withWorkload() {
+	res, err := hybridtier.NewExperiment(
+		hybridtier.WithWorkload(hybridtier.Zipf("example", 1<<14, 1.0, 7)),
+		hybridtier.WithPolicy(hybridtier.PolicyHybridTier),
+		hybridtier.WithRatio(8),
+		hybridtier.WithOps(100_000),
+	).Run(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,6 @@ type Experiment struct {
 	tracker  string
 	windowNs int64
 	batchOps int
-	pipeline bool
 	recordTo string
 	progress func(done, total int64)
 	// scratch supplies reusable simulation buffers; Sweep workers set it
@@ -214,20 +213,9 @@ func WithBatchOps(n int) Option {
 	return func(e *Experiment) { e.batchOps = n }
 }
 
-// WithPipeline overlaps workload generation with simulation on a second
-// goroutine. Like WithBatchOps it is purely a performance knob: results
-// stay byte-identical (the determinism tests pin this), because the
-// pipeline only engages for workloads whose stream provably cannot depend
-// on simulation timing (trace.ClockFree) and falls back to the inline
-// fetch path everywhere else — shifting workloads, recording tees, and
-// in-memory packed replays.
-func WithPipeline(on bool) Option {
-	return func(e *Experiment) { e.pipeline = on }
-}
-
 // NewExperiment builds an experiment from options. Unset or zero-valued
-// knobs fall back to the same defaults Simulate used: HybridTier at a 1:8
-// split, one million ops, seed 1.
+// knobs fall back to the defaults: HybridTier at a 1:8 split, one million
+// ops, seed 1.
 func NewExperiment(opts ...Option) *Experiment {
 	e := &Experiment{policy: PolicyHybridTier}
 	for _, o := range opts {
@@ -353,7 +341,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	cfg.Ctx = ctx
 	cfg.Progress = e.progress
 	cfg.BatchOps = e.batchOps
-	cfg.Pipeline = e.pipeline
 	cfg.Scratch = e.scratch
 	res, err := sim.Run(cfg)
 	if err == nil {

@@ -14,8 +14,7 @@ func TestExperimentDefaults(t *testing.T) {
 	if e.policy != PolicyHybridTier || e.ratio != 8 || e.ops != 1_000_000 || e.seed != 1 {
 		t.Errorf("defaults = %+v", e)
 	}
-	// Zero-valued options fall back to the same defaults (the Simulate
-	// wrapper depends on this).
+	// Zero-valued options fall back to the same defaults.
 	e = NewExperiment(WithRatio(0), WithOps(0), WithSeed(0), WithPolicy(""))
 	if e.policy != PolicyHybridTier || e.ratio != 8 || e.ops != 1_000_000 || e.seed != 1 {
 		t.Errorf("zero-valued options must normalize, got %+v", e)
@@ -56,28 +55,6 @@ func TestExperimentRegistryWorkload(t *testing.T) {
 	}
 	if res.Policy != "HybridTier" || res.Ops != 50_000 {
 		t.Errorf("bad result: policy=%q ops=%d", res.Policy, res.Ops)
-	}
-}
-
-// TestExperimentMatchesSimulate pins the deprecated wrapper to the new
-// path: identical configuration must produce the identical Result.
-func TestExperimentMatchesSimulate(t *testing.T) {
-	old, err := Simulate(SimOptions{
-		Workload: Zipf("t", 4096, 1.0, 9), FastRatio: 8, Ops: 60_000, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := NewExperiment(
-		WithWorkload(Zipf("t", 4096, 1.0, 9)),
-		WithRatio(8), WithOps(60_000), WithSeed(9),
-	).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MedianLatNs != old.MedianLatNs || res.ElapsedNs != old.ElapsedNs ||
-		res.Mem != old.Mem {
-		t.Errorf("Experiment and Simulate diverged:\n exp %+v\n sim %+v", res.Mem, old.Mem)
 	}
 }
 

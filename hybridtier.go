@@ -47,9 +47,6 @@
 package hybridtier
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/tier"
@@ -94,28 +91,6 @@ type Workload = trace.Source
 // is stable: snake_case keys, fields only appended.
 type Result = sim.Result
 
-// SimOptions configures a Simulate call.
-//
-// Deprecated: use NewExperiment with functional options; SimOptions
-// remains as a thin wrapper over it.
-type SimOptions struct {
-	// Workload produces the access stream (required).
-	Workload Workload
-	// Policy selects the tiering system (default PolicyHybridTier).
-	Policy PolicyName
-	// FastRatio is N in a 1:N fast:slow capacity split (default 8).
-	FastRatio int
-	// Ops is the number of operations to simulate (default 1,000,000).
-	Ops int64
-	// HugePages switches to 2 MB tracking/migration granularity (§4.4).
-	HugePages bool
-	// CacheModel enables the full application+tiering CPU-cache model
-	// used by the cache-overhead experiments (slower).
-	CacheModel bool
-	// Seed makes the run deterministic (default 1).
-	Seed uint64
-}
-
 // NewPolicy constructs the named policy through the policy registry for a
 // page space of numPages with a fast tier of fastPages, returning the
 // policy and the first-touch allocation mode the paper's methodology
@@ -141,29 +116,6 @@ func tierCapacity(numPages, ratio int, huge bool) (polPages, polFast int) {
 		}
 	}
 	return polPages, polFast
-}
-
-// Simulate runs one tiering simulation and returns its metrics.
-//
-// Deprecated: use NewExperiment(...).Run(ctx), which adds cancellation,
-// progress reporting, and registry-resolved workloads. Simulate remains a
-// working wrapper over the same path.
-func Simulate(opts SimOptions) (*Result, error) {
-	if opts.Workload == nil {
-		return nil, fmt.Errorf("hybridtier: Workload is required")
-	}
-	e := NewExperiment(
-		WithWorkload(opts.Workload),
-		WithRatio(opts.FastRatio),
-		WithOps(opts.Ops),
-		WithHugePages(opts.HugePages),
-		WithCacheModel(opts.CacheModel),
-		WithSeed(opts.Seed),
-	)
-	if opts.Policy != "" {
-		WithPolicy(opts.Policy)(e)
-	}
-	return e.Run(context.Background())
 }
 
 // Zipf returns a single-page-per-op workload with Zipf(s) popularity over n

@@ -1,6 +1,7 @@
 package hybridtier
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/mem"
@@ -8,7 +9,7 @@ import (
 
 func TestSimulateDefaults(t *testing.T) {
 	w := Zipf("t", 4096, 1.0, 1)
-	res, err := Simulate(SimOptions{Workload: w, Ops: 50_000})
+	res, err := NewExperiment(WithWorkload(w), WithOps(50_000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,14 +22,14 @@ func TestSimulateDefaults(t *testing.T) {
 }
 
 func TestSimulateRequiresWorkload(t *testing.T) {
-	if _, err := Simulate(SimOptions{}); err == nil {
+	if _, err := NewExperiment().Run(context.Background()); err == nil {
 		t.Error("missing workload must fail")
 	}
 }
 
 func TestSimulateUnknownPolicy(t *testing.T) {
 	w := Zipf("t", 1024, 1.0, 1)
-	if _, err := Simulate(SimOptions{Workload: w, Policy: "nope", Ops: 100}); err == nil {
+	if _, err := NewExperiment(WithWorkload(w), WithPolicy("nope"), WithOps(100)).Run(context.Background()); err == nil {
 		t.Error("unknown policy must fail")
 	}
 }
@@ -36,7 +37,7 @@ func TestSimulateUnknownPolicy(t *testing.T) {
 func TestEveryPolicySimulates(t *testing.T) {
 	for _, name := range Policies() {
 		w := Zipf("t", 4096, 1.0, 1)
-		res, err := Simulate(SimOptions{Workload: w, Policy: name, Ops: 30_000})
+		res, err := NewExperiment(WithWorkload(w), WithPolicy(name), WithOps(30_000)).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -48,7 +49,7 @@ func TestEveryPolicySimulates(t *testing.T) {
 
 func TestSimulateHugePages(t *testing.T) {
 	w := Zipf("t", 1<<15, 1.0, 1)
-	res, err := Simulate(SimOptions{Workload: w, HugePages: true, Ops: 30_000})
+	res, err := NewExperiment(WithWorkload(w), WithHugePages(true), WithOps(30_000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSimulateHugePages(t *testing.T) {
 
 func TestShiftingZipfFacade(t *testing.T) {
 	w := ShiftingZipf("t", 4096, 1.0, 1, 20_000, 0.5)
-	res, err := Simulate(SimOptions{Workload: w, Ops: 60_000})
+	res, err := NewExperiment(WithWorkload(w), WithOps(60_000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package experiments regenerates every measurement table and figure in the
 // HybridTier paper's evaluation (§2 motivation figures, §6 evaluation
 // figures 9-17, tables 3-5). Each experiment is a named runner producing a
-// Table; cmd/hybridbench prints them, bench_test.go wraps them in testing.B
-// targets, and EXPERIMENTS.md records paper-vs-measured shapes.
+// Table; htiersim -experiment prints them and bench_test.go wraps them in
+// testing.B targets.
 package experiments
 
 import (
@@ -22,8 +22,8 @@ import (
 )
 
 // Scale selects experiment sizing. Quick keeps unit tests and `go test
-// -bench` fast; Full is what cmd/hybridbench runs to regenerate the paper's
-// tables at the repository's reference scale.
+// -bench` fast; Full is what htiersim -experiment -scale full runs to
+// regenerate the paper's tables at the repository's reference scale.
 type Scale struct {
 	Name            string
 	Ops             int64 // ops per simulation run

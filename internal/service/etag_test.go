@@ -152,7 +152,7 @@ func (w *nopResponseWriter) WriteHeader(int)             {}
 
 // benchHandler builds a handler whose in-memory cache holds one result,
 // returning it with the result's hash.
-func benchHandler(b *testing.B) (*handler, string) {
+func benchHandler(b testing.TB) (*handler, string) {
 	b.Helper()
 	cache, err := jobs.NewCache(64<<20, "")
 	if err != nil {
@@ -199,6 +199,27 @@ func BenchmarkResultServe304(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.result(w, r)
+	}
+}
+
+// TestResultServeHitAllocatesNothing asserts what the two benchmarks above
+// measure: in steady state a cache-hit GET /results/{hash}, answered 200 or
+// 304, allocates nothing.
+func TestResultServeHitAllocatesNothing(t *testing.T) {
+	h, hash := benchHandler(t)
+	for _, tc := range []struct{ name, ifNoneMatch string }{
+		{"200", ""},
+		{"304", `"` + hash + `"`},
+	} {
+		r := httptest.NewRequest("GET", "/results/"+hash, nil)
+		r.SetPathValue("hash", hash)
+		if tc.ifNoneMatch != "" {
+			r.Header.Set("If-None-Match", tc.ifNoneMatch)
+		}
+		w := &nopResponseWriter{h: make(http.Header)}
+		if n := testing.AllocsPerRun(100, func() { h.result(w, r) }); n != 0 {
+			t.Errorf("%s: %v allocs per cache-hit serve, want 0", tc.name, n)
+		}
 	}
 }
 

@@ -47,26 +47,6 @@ func BenchmarkSimOpLoopZipf(b *testing.B) {
 	}
 }
 
-// BenchmarkSimOpLoopZipfPipelined is BenchmarkSimOpLoopZipf with
-// generation overlapped onto a producer goroutine (Config.Pipeline), so
-// the win from hiding the Zipf draw behind simulation is visible against
-// its inline twin above.
-func BenchmarkSimOpLoopZipfPipelined(b *testing.B) {
-	const pages = 1 << 14
-	w := trace.NewZipfSource("bench-zipf", pages, 1.0, 0.1, 7)
-	cfg := DefaultConfig(w, baselines.NewStatic("FirstTouch"), pages/9)
-	cfg.Pipeline = true
-	cfg.Ops = int64(b.N)
-	if cfg.Ops < 1024 {
-		cfg.Ops = 1024
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkSimOpLoopIdlepage is BenchmarkSimOpLoopZipf observed through
 // the idlepage scan tracker instead of PEBS: every access marks a bitmap
 // bit (period 1, no countdown skip) and a full-footprint scan drains at

@@ -58,9 +58,6 @@ type Config struct {
 	// hierarchy too, enabling the Fig. 5/13 miss-fraction measurements.
 	// It roughly doubles run time, so performance experiments leave it off.
 	AppCacheModel bool
-	// MetaCacheModel routes tiering-metadata touches through the cache
-	// hierarchy (needed for tiering cache-interference costs).
-	MetaCacheModel bool
 	// TrafficScale converts one simulated access into bytes of memory
 	// traffic, modeling the 16-thread × memory-level-parallelism traffic
 	// of the real machine for bandwidth-utilization purposes.
@@ -96,13 +93,6 @@ type Config struct {
 	// single-op fetch schedule (the reference path the determinism tests
 	// compare against).
 	BatchOps int
-	// Pipeline overlaps workload batch generation with simulation on a
-	// second goroutine (pipeline.go). Like BatchOps it is purely a
-	// throughput knob — results stay byte-identical — and it only engages
-	// where that is provable: workloads that declare trace.ClockFree and
-	// are not already served from an in-memory packed replay. Elsewhere it
-	// silently falls back to the inline fetch path.
-	Pipeline bool
 	// Scratch, when non-nil, supplies reusable buffers (access batches,
 	// histograms) so sweeps can recycle allocations across cells. A Scratch
 	// must not be shared by concurrent runs.
@@ -130,7 +120,6 @@ func DefaultConfig(w trace.Source, p tier.Policy, fastPages int) Config {
 		TickNs:              10_000_000,  // 10 virtual ms
 		WindowNs:            100_000_000, // 100 virtual ms
 		BatchDrain:          256,
-		MetaCacheModel:      true,
 		TrafficScale:        2048, // 16 threads × deep MLP: ~20 GB/s at 10M accesses/s
 		FaultCostNs:         1000,
 		LLCMissPenaltyNs:    60,
@@ -257,9 +246,6 @@ func (e *env) Charge(ns float64) {
 }
 
 func (e *env) TouchMeta(off int64) {
-	if !e.s.cfg.MetaCacheModel {
-		return
-	}
 	l1Hit, llcHit := e.s.cache.Access(e.s.metaBase+off, cachesim.Tiering)
 	if !l1Hit && !llcHit {
 		e.s.interference += e.s.cfg.LLCMissPenaltyNs
@@ -499,18 +485,6 @@ func Run(cfg Config) (*Result, error) {
 	// into registers, so replay pays neither a copy into the scratch buffer
 	// nor an []Access materialization.
 	packedSrc, _ := src.(trace.PackedViewSource)
-	// Pipelined generation engages only where byte-identity is provable:
-	// the source must be clock-free (its stream cannot depend on the
-	// AdvanceTime calls it will no longer see interleaved with fetches)
-	// and not a packed replay, which is already cheaper than a channel
-	// hop per batch.
-	var pipe *batchPipeline
-	if cfg.Pipeline && packedSrc == nil {
-		if cf, ok := cfg.Workload.(trace.ClockFree); ok && cf.ClockFree() {
-			pipe = startPipeline(src, cfg.Ops, batchOps)
-			defer pipe.shutdown()
-		}
-	}
 
 	// Hot-loop state is hoisted into locals: the per-tier access latency is
 	// constant between utilization updates (ticks), and the cfg fields and
@@ -582,14 +556,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		var pcur []uint32
 		cur := buf
-		switch {
-		case pipe != nil:
-			// The producer mirrors the want schedule, so the received
-			// batch is exactly what the inline fetch would have returned.
-			cur = <-pipe.full
-		case packedSrc != nil:
+		if packedSrc != nil {
 			pcur = packedSrc.NextPackedView(want)
-		default:
+		} else {
 			buf = src.NextBatch(buf[:0], want)
 			cur = buf
 		}
@@ -598,9 +567,6 @@ func Run(cfg Config) (*Result, error) {
 			n = len(pcur)
 		}
 		if n == 0 {
-			if pipe != nil && cur != nil {
-				pipe.free <- cur[:0]
-			}
 			// The source can produce no more ops — only failed trace
 			// replays do this. Account one empty op exactly like the
 			// single-op path: zero latency observed, clock unchanged.
@@ -743,14 +709,7 @@ func Run(cfg Config) (*Result, error) {
 						mayDrain = true
 					}
 					cfg.Policy.Tick()
-					// The producer goroutine owns a pipelined source, so
-					// tick-time clock notifications are skipped — which a
-					// clock-free source cannot observe, by the same
-					// contract that lets the sweep's shared stream be
-					// generated with no ticks at all.
-					if pipe == nil {
-						cfg.Workload.AdvanceTime(s.now)
-					}
+					cfg.Workload.AdvanceTime(s.now)
 					s.updateUtilization()
 					nextTick += tickNs
 				}
@@ -765,12 +724,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 				progressLeft = progressEvery
 			}
-		}
-		if pipe != nil {
-			// Return the consumed batch buffer for the producer's next
-			// fetch. Never blocks: the consumer holds at most one of the
-			// pipeline's buffers at a time.
-			pipe.free <- cur[:0]
 		}
 	}
 
@@ -788,11 +741,7 @@ func Run(cfg Config) (*Result, error) {
 	// A final clock notification marks the end-of-run virtual time for
 	// stream observers — a trace capture's last time mark records the
 	// run's full extent. Sources see it as one more tick; none change
-	// behaviour after their last op. A pipelined producer must be fully
-	// stopped first: this call returns source ownership to this goroutine.
-	if pipe != nil {
-		pipe.shutdown()
-	}
+	// behaviour after their last op.
 	cfg.Workload.AdvanceTime(s.now)
 
 	if cfg.Progress != nil {

@@ -47,7 +47,7 @@ func TestNextBatchMatchesNextOp(t *testing.T) {
 		return []Source{
 			NewZipfSource("z", 1024, 1.0, 0.2, 3),
 			NewScanSource("s", 100),
-			NewMixSource("m", NewZipfSource("a", 512, 1.0, 0, 1), NewScanSource("b", 512), 0.7, 9),
+			mustMix(t, "m", Weighted{NewZipfSource("a", 512, 1.0, 0, 1), 0.7}, Weighted{NewScanSource("b", 512), 0.3}),
 			NewShiftingZipfSource("sh", 1024, 1.0, 0.1, 3, 70, 0.5),
 		}
 	}
@@ -181,8 +181,6 @@ func TestClockFreeMarkers(t *testing.T) {
 		{NewZipfSource("z", 64, 1.0, 0, 1), true},
 		{NewScanSource("s", 64), true},
 		{NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), false},
-		{NewMixSource("m", NewZipfSource("a", 64, 1.0, 0, 1), NewScanSource("b", 64), 0.5, 2), true},
-		{NewMixSource("m", NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), NewScanSource("b", 64), 0.5, 2), false},
 	}
 	for i, c := range cases {
 		if got := c.src.ClockFree(); got != c.want {

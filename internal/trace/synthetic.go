@@ -182,70 +182,6 @@ func (s *ScanSource) NextBatch(dst []Access, max int) []Access {
 // AdvanceTime implements Source.
 func (s *ScanSource) AdvanceTime(int64) {}
 
-// MixSource interleaves two sources with a fixed probability, e.g. a Zipf
-// working set polluted by a background scan.
-type MixSource struct {
-	name string
-	a, b Source
-	pA   float64
-	rng  *xrand.RNG
-	n    int
-	// shifty records that a child is a ShiftSource, whose op-count-
-	// triggered shift must see the single-op AdvanceTime schedule; batches
-	// then degrade to one op per call (see AsBatchSource).
-	shifty bool
-}
-
-// NewMixSource draws from a with probability pA, else from b. Both sources
-// must address the same page space size.
-func NewMixSource(name string, a, b Source, pA float64, seed uint64) *MixSource {
-	n := a.NumPages()
-	if b.NumPages() > n {
-		n = b.NumPages()
-	}
-	_, sa := a.(ShiftSource)
-	_, sb := b.(ShiftSource)
-	return &MixSource{name: name, a: a, b: b, pA: pA, rng: xrand.New(seed), n: n,
-		shifty: sa || sb}
-}
-
-// Name implements Source.
-func (m *MixSource) Name() string { return m.name }
-
-// NumPages implements Source.
-func (m *MixSource) NumPages() int { return m.n }
-
-// NextOp implements Source.
-func (m *MixSource) NextOp(dst []Access) []Access {
-	if m.rng.Float64() < m.pA {
-		return m.a.NextOp(dst)
-	}
-	return m.b.NextOp(dst)
-}
-
-// NextBatch implements BatchSource. When a child can shift, the mix cannot
-// know its schedule, so batches fall back to one op per call.
-func (m *MixSource) NextBatch(dst []Access, max int) []Access {
-	if m.shifty && max > 1 {
-		max = 1
-	}
-	for i := 0; i < max; i++ {
-		n := len(dst)
-		dst = m.NextOp(dst)
-		if len(dst) == n {
-			break
-		}
-		dst[len(dst)-1].EndOp = true
-	}
-	return dst
-}
-
-// AdvanceTime implements Source.
-func (m *MixSource) AdvanceTime(now int64) {
-	m.a.AdvanceTime(now)
-	m.b.AdvanceTime(now)
-}
-
 // ClockFree implements the marker: Zipf draws never consult the clock.
 func (z *ZipfSource) ClockFree() bool { return true }
 
@@ -255,14 +191,3 @@ func (s *ShiftingZipfSource) ClockFree() bool { return false }
 
 // ClockFree implements the marker: a scan is position-driven only.
 func (s *ScanSource) ClockFree() bool { return true }
-
-// ClockFree implements the marker: a mix is clock-free when both children
-// declare themselves clock-free.
-func (m *MixSource) ClockFree() bool {
-	ca, ok := m.a.(ClockFree)
-	if !ok || !ca.ClockFree() {
-		return false
-	}
-	cb, ok := m.b.(ClockFree)
-	return ok && cb.ClockFree()
-}

@@ -146,33 +146,3 @@ func TestScanSourceSequential(t *testing.T) {
 		t.Error("accessors mismatch")
 	}
 }
-
-func TestMixSource(t *testing.T) {
-	a := NewScanSource("a", 10)
-	b := NewScanSource("b", 100)
-	m := NewMixSource("mix", a, b, 0.8, 5)
-	if m.NumPages() != 100 {
-		t.Errorf("mix NumPages = %d, want max(10,100)", m.NumPages())
-	}
-	fromA := 0
-	var buf []Access
-	for i := 0; i < 10000; i++ {
-		buf = m.NextOp(buf[:0])
-		if buf[0].Page < 10 {
-			// ambiguous (both sources can produce <10); count via parity of
-			// scan positions instead: just check ratio loosely using b's
-			// distinct range.
-		}
-		if buf[0].Page >= 10 {
-			continue
-		}
-		fromA++
-	}
-	// a produces only pages <10; b produces pages <10 one-tenth of the time.
-	// Expected fraction of ops with page<10 ≈ 0.8 + 0.2*0.1 = 0.82.
-	frac := float64(fromA) / 10000
-	if frac < 0.75 || frac > 0.9 {
-		t.Errorf("mix fraction = %v, want ≈ 0.82", frac)
-	}
-	m.AdvanceTime(10)
-}

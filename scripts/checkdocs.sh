@@ -1,7 +1,8 @@
 #!/bin/sh
 # checkdocs.sh — the CI documentation gate. Fails when:
 #   1. a Go package has no doc comment (// Package ... for libraries,
-#      // Command ... for cmd/ binaries, any leading comment for examples/),
+#      // Command ... for cmd/ binaries and bench/, any leading comment for
+#      examples/),
 #   2. an internal/* package is missing from docs/ARCHITECTURE.md,
 #   3. a relative markdown link in README.md or docs/*.md points at a file
 #      that does not exist, or
@@ -15,11 +16,13 @@ fail=0
 # above its package clause (license headers and build tags may precede
 # it, so the whole leading block is scanned, not just line 1). Examples
 # are package main demos whose doc comment is prose, so any comment line
-# before the package clause counts there.
-for dir in $(find . -name '*.go' -not -path './.git/*' -exec dirname {} \; | sort -u); do
+# before the package clause counts there. The benchmark's build cache and
+# output directories (bench/run.sh) hold copies of Go sources, not packages.
+for dir in $(find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*' \
+    -not -path './bench/out/*' -exec dirname {} \; | sort -u); do
     case "$dir" in
     ./examples/*) pat='^\/\/ ' ;;
-    ./cmd/*) pat='^\/\/ Command ' ;;
+    ./cmd/* | ./bench) pat='^\/\/ Command ' ;;
     *) pat='^\/\/ Package ' ;;
     esac
     ok=0

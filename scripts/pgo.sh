@@ -3,8 +3,9 @@
 # representative sweep load and install it as cmd/htiersimd/default.pgo,
 # the profile `go build ./...` picks up automatically (-pgo=auto is the
 # Go toolchain default, keyed on default.pgo in the main package
-# directory). docs/PERFORMANCE.md describes the methodology; BENCH_pgo.json
-# records the before/after measured when the checked-in profile was made.
+# directory). docs/PERFORMANCE.md describes the methodology, records the
+# measured effect of the checked-in profile, and says when to re-run this
+# script (any edit to sim.Run or a policy hot path).
 #
 #   ./scripts/pgo.sh                 # 30 s capture on port 18923
 #   PGO_SECONDS=60 ./scripts/pgo.sh  # longer capture window
@@ -73,5 +74,6 @@ daemon=""
 
 cp "$bin/cpu.prof" "$out"
 echo "pgo.sh: wrote $out ($(wc -c <"$out") bytes)" >&2
-echo "pgo.sh: refresh the before/after record with:" >&2
-echo "  PGO=off ./scripts/bench.sh pgo_before && PGO=\$PWD/$out ./scripts/bench.sh pgo_after" >&2
+echo "pgo.sh: measure it against a -pgo=off build, in alternating pairs, with:" >&2
+echo "  go build -o /tmp/htiersimd.pgo ./cmd/htiersimd && go build -pgo=off -o /tmp/htiersimd.nopgo ./cmd/htiersimd" >&2
+echo "  bash bench/run.sh --workload daemon_cold --trace 0 -daemon <binary>" >&2

@@ -224,8 +224,8 @@ func TestSweepRecycledRingMatchesFreshRuns(t *testing.T) {
 // the invariant is exact: the tracker's access counter equals the op
 // count, for ANY op count — including ones that are not a multiple of
 // the PEBS period (13) and leave a partial countdown to fold — and for
-// any fetch schedule or pipeline mode. An off-by-one here would silently
-// skew every sampled-fraction statistic in the paper's overhead tables.
+// any fetch schedule. An off-by-one here would silently skew every
+// sampled-fraction statistic in the paper's overhead tables.
 func TestTrackerAccountingExact(t *testing.T) {
 	// Prime: not a multiple of any period or batch size, and large enough
 	// (tens of virtual ms) that scan trackers cross several 20 ms scan
@@ -247,7 +247,6 @@ func TestTrackerAccountingExact(t *testing.T) {
 			{"batch1", []hybridtier.Option{hybridtier.WithBatchOps(1)}},
 			{"batch7", []hybridtier.Option{hybridtier.WithBatchOps(7)}},
 			{"default", nil},
-			{"no-pipeline", []hybridtier.Option{hybridtier.WithPipeline(false)}},
 		} {
 			res, err := hybridtier.NewExperiment(append([]hybridtier.Option{
 				hybridtier.WithWorkload(hybridtier.Zipf("acct", 1<<12, 1.0, 7)),
