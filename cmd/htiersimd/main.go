@@ -96,6 +96,14 @@ func loopbackURL(addr net.Addr) string {
 	return "http://127.0.0.1:" + port
 }
 
+// newServer bounds how long a client may take over its request headers
+// and how long an idle keep-alive connection is held — not bodies or
+// responses: trace uploads and event streams are legitimately long.
+func newServer(addr string, h http.Handler) *http.Server {
+	const readHeaderTimeout, idleTimeout = 10 * time.Second, 2 * time.Minute
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stderr, nil))
 }
@@ -174,7 +182,7 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	// The job journal makes restarts resume instead of forget. It defaults
 	// on whenever results are durable (-cache-dir) because the two
 	// guarantees compose: the journal re-lists finished jobs and resubmits
-	// interrupted ones, and the cell runner below serves their already-
+	// interrupted ones, and the cell engine below serves their already-
 	// computed cells from the store.
 	jpath := *journalPath
 	if jpath == "" && *cacheDir != "" {
@@ -194,19 +202,14 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		}
 	}
 
-	// Fabric role. A plain daemon coordinates: its jobs run through the
-	// fleet scheduler, which degrades to the exact single-process path
-	// while no workers are registered. -worker flips the daemon to the
-	// other side of the protocol: execute shards, heartbeat the
-	// coordinator, and read through its cache.
-	//
-	// The local runner is the crash-safe cell runner: each completed cell
-	// is written through to the cache as it finishes, and a sweep whose
-	// cells are partially cached (a resumed job, or an overlap with an
-	// earlier sweep) runs only the missing ones, as one cell group. A
-	// worker runs its shards through the same group engine, so a shard
-	// obeys -sweep-workers and replays the op stream its sweep shares.
-	runner := service.CellRunner(*sweepWorkers, cache)
+	// Every daemon runs the cell engine (internal/fabric): each completed
+	// cell is written through to the cache, so a resumed or overlapping
+	// sweep runs only what is missing. A plain daemon coordinates — live
+	// workers take its cells, the in-process executor (one cell group under
+	// -sweep-workers) while none is registered. -worker resolves the
+	// coordinator's shards on the same engine and reads through its cache.
+	cells := fabric.LocalCells(*sweepWorkers)
+	var runner jobs.Runner
 	var fabricHandler http.Handler
 	var fleet func() any
 	if *workerMode || *join != "" {
@@ -221,20 +224,17 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		wk := fabric.NewWorker(fabric.WorkerConfig{
 			Self:        adv,
 			Coordinator: *join,
-			Cells:       service.CellGroupRunner(*sweepWorkers),
+			Cells:       cells,
 			Cache:       cache,
 			Log:         logger,
 		})
 		cache.SetRemote(wk.ProbeCoordinator)
 		fabricHandler = wk.Handler()
+		runner = wk.Runner()
 		go wk.Join(ctx)
 		logger.Printf("worker mode: joining %s, advertising %s", *join, adv)
 	} else {
-		coord := fabric.NewCoordinator(fabric.Config{
-			Cache: cache,
-			Local: runner,
-			Log:   logger,
-		})
+		coord := fabric.NewCoordinator(fabric.Config{Cache: cache, Cells: cells, Log: logger})
 		cache.SetRemote(coord.ProbeWorkers)
 		fabricHandler = coord.Handler()
 		fleet = func() any { return coord.Status() }
@@ -314,7 +314,7 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		handler = outer
 		logger.Print("pprof handlers mounted at /debug/pprof/")
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	srv := newServer(*addr, handler)
 
 	if ready != nil {
 		ready <- ln.Addr().String()

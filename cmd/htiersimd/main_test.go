@@ -285,3 +285,22 @@ func TestDaemonBadCacheDirExitsOne(t *testing.T) {
 		t.Errorf("impossible cache dir exit %d, want 1:\n%s", code, logs.String())
 	}
 }
+
+// TestServerBoundsHeadersAndIdleButNotBodies: a client that never
+// finishes its request headers, or parks an idle keep-alive connection,
+// is cut off; a long trace upload or event stream is not, so the read and
+// write timeouts must stay unset.
+func TestServerBoundsHeadersAndIdleButNotBodies(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler != http.Handler(h) {
+		t.Errorf("server addr %q handler %v: not what was passed in", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("ReadHeaderTimeout = %s, IdleTimeout = %s; want 10s and 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %s, WriteTimeout = %s; want both unset (uploads and streams are long)",
+			srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

@@ -32,7 +32,7 @@ type ChaosPlan struct {
 	DelayMax  time.Duration
 }
 
-// Chaos wraps a Transport with ChaosPlan's seeded faults. Decisions are a
+// Chaos wraps a transport with ChaosPlan's seeded faults. Decisions are a
 // pure function of (plan seed, request key, per-key attempt number),
 // where the key is the method plus the URL path — NOT a global message
 // counter — so concurrent fleets reproduce the same fault multiset no
@@ -42,7 +42,7 @@ type ChaosPlan struct {
 // so a retried message eventually rolls a clean delivery; any Drop
 // probability below 1 cannot starve a retry loop forever.
 type Chaos struct {
-	Inner Transport
+	Inner http.RoundTripper
 	Plan  ChaosPlan
 
 	mu       sync.Mutex
@@ -50,8 +50,8 @@ type Chaos struct {
 	faults   int
 }
 
-// NewChaos wraps inner (nil = DefaultTransport) with plan's faults.
-func NewChaos(inner Transport, plan ChaosPlan) *Chaos {
+// NewChaos wraps inner (nil = http.DefaultTransport) with plan's faults.
+func NewChaos(inner http.RoundTripper, plan ChaosPlan) *Chaos {
 	return &Chaos{Inner: inner, Plan: plan, attempts: map[string]uint64{}}
 }
 
@@ -97,7 +97,7 @@ func (c *Chaos) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	inner := c.Inner
 	if inner == nil {
-		inner = DefaultTransport
+		inner = http.DefaultTransport
 	}
 	dropReply := c.roll(rng, c.Plan.DropReply)
 	if c.roll(rng, c.Plan.Dup) {

@@ -22,7 +22,6 @@ import (
 
 	hybridtier "repro"
 	"repro/internal/jobs"
-	"repro/internal/service"
 )
 
 // mesh routes fabric HTTP by host name to in-process handlers. Killing a
@@ -77,11 +76,22 @@ func (m *mesh) RoundTrip(req *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// countRunner counts executions of a wrapped runner: the coordinator's
-// local runner, where a run is a whole delegated sweep or one verified
-// cell. Workers count cells in testWorker.runner.
+// countRunner counts what the coordinator's in-process executor is
+// handed: runs is local cell groups (the queue drained locally, or one
+// verified cell), cells the cells they completed. Workers count cells in
+// testWorker.runner; a wrapped jobs.Runner counts whole sweeps.
 type countRunner struct {
-	runs atomic.Int32
+	runs, cells atomic.Int32
+}
+
+func (c *countRunner) wrapCells(inner GroupRunner) GroupRunner {
+	return func(ctx context.Context, spec []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
+		c.runs.Add(1)
+		return inner(ctx, spec, cells, func(cr hybridtier.CellResult, single []byte) {
+			c.cells.Add(1)
+			onCell(cr, single)
+		})
+	}
 }
 
 func (c *countRunner) wrap(inner jobs.Runner) jobs.Runner {
@@ -109,6 +119,9 @@ type testWorker struct {
 	// worker has been dispatched one — pinning work distribution that
 	// scheduling races would otherwise leave to chance.
 	gate *startGate
+	// groupErr, when set, fails every shard's cell group without running
+	// it: the worker answers each cell with this error.
+	groupErr error
 }
 
 // startGate holds early arrivals until `need` workers have shown up.
@@ -130,14 +143,23 @@ func (g *startGate) arrive() {
 }
 
 func (tw *testWorker) runner() GroupRunner {
-	inner := service.CellGroupRunner(1)
+	inner := LocalCells(1)
 	return func(ctx context.Context, spec []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
+		if tw.groupErr != nil {
+			return tw.groupErr
+		}
 		if tw.started.Add(int32(len(cells))) == int32(len(cells)) {
 			if tw.gate != nil {
 				tw.gate.arrive()
 			}
 			if tw.slowFirst > 0 {
-				time.Sleep(tw.slowFirst)
+				// Give up with the shard RPC: a straggler that outlived its
+				// test would run cells under whatever test came next.
+				select {
+				case <-time.After(tw.slowFirst):
+				case <-ctx.Done():
+					return ctx.Err()
+				}
 			}
 		}
 		return inner(ctx, spec, cells, func(cr hybridtier.CellResult, single []byte) {
@@ -182,7 +204,7 @@ func newFleet(t *testing.T, nWorkers int, plan *ChaosPlan, heartbeat bool, tweak
 		t.Fatal(err)
 	}
 	f := &testFleet{mesh: ms, cache: cache, local: &countRunner{}}
-	var tr Transport = ms
+	var tr http.RoundTripper = ms
 	if plan != nil {
 		f.chaos = NewChaos(ms, *plan)
 		tr = f.chaos
@@ -190,7 +212,7 @@ func newFleet(t *testing.T, nWorkers int, plan *ChaosPlan, heartbeat bool, tweak
 	cfg := Config{
 		Transport:     tr,
 		Cache:         cache,
-		Local:         f.local.wrap(service.Runner(2)),
+		Cells:         f.local.wrapCells(LocalCells(2)),
 		HeartbeatTTL:  time.Hour, // liveness is driven by the test, not the clock
 		ShardTimeout:  time.Minute,
 		MaxShardCells: 2, // small shards: more scheduling, more failure windows
@@ -199,7 +221,8 @@ func newFleet(t *testing.T, nWorkers int, plan *ChaosPlan, heartbeat bool, tweak
 		tweak(&cfg)
 	}
 	f.coord = NewCoordinator(cfg)
-	cache.SetRemote(f.coord.ProbeWorkers)
+	f.cache = cfg.Cache // a tweak may have swapped in an instrumented one
+	f.cache.SetRemote(f.coord.ProbeWorkers)
 	ms.add("coord", f.coord.Handler())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -309,7 +332,7 @@ func TestNoLiveWorkersDelegatesWholeSweepLocally(t *testing.T) {
 		t.Errorf("workerless sweep differs from local run")
 	}
 	if runs := f.local.runs.Load(); runs != 1 {
-		t.Errorf("local runs = %d, want exactly 1 whole-sweep delegation", runs)
+		t.Errorf("local runs = %d, want exactly 1 cell group holding the whole sweep", runs)
 	}
 }
 
@@ -434,7 +457,7 @@ func TestResubmitAfterFleetLossIsFullCacheHit(t *testing.T) {
 		Run:     sweeps.wrap(f.coord.Runner()),
 		Cache:   f.cache,
 	})
-	t.Cleanup(func() { service.Drain(m, 30*time.Second) })
+	t.Cleanup(func() { drain(m) })
 
 	hash := hybridtier.HashCanonicalJSON(spec)
 	job, created, err := m.Submit(hash, spec)
@@ -576,7 +599,7 @@ func TestHeartbeatTTLExpiresAndRejoinRevives(t *testing.T) {
 	}
 	coord := NewCoordinator(Config{
 		Cache:        cache,
-		Local:        service.Runner(1),
+		Cells:        LocalCells(1),
 		HeartbeatTTL: 30 * time.Millisecond,
 	})
 	ms.add("coord", coord.Handler())

@@ -12,23 +12,31 @@ import (
 	"sync"
 	"time"
 
+	hybridtier "repro"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
 
 // Config assembles a Coordinator.
 type Config struct {
-	// Transport carries every coordinator→worker message (nil =
-	// DefaultTransport). Tests inject Chaos here.
-	Transport Transport
-	// Cache is the coordinator's result cache — the same one its
-	// jobs.Manager serves from. Cell results are written through to it at
-	// commit, so resubmitted or overlapping sweeps hit without running.
+	// Transport carries every coordinator→worker message — registration
+	// heartbeats, shard dispatch, cache probes each cross exactly one
+	// RoundTrip (nil = http.DefaultTransport). Tests inject Chaos here.
+	Transport http.RoundTripper
+	// Cache is the daemon's result cache — the same one its jobs.Manager
+	// serves from. Computed cells are written through to it at commit, so
+	// resubmitted, overlapping and crash-resumed sweeps hit without running.
+	// Nil stores nothing.
 	Cache *jobs.Cache
-	// Local executes canonical specs in-process (required): the whole
-	// sweep when no fleet is live or the fleet dies mid-sweep — the
-	// daemon's cell runner then resumes from the cells already committed —
-	// and the verification run for a worker-reported failure.
+	// Cells is the in-process executor (LocalCells): it takes everything
+	// queued as one cell group whenever no live worker may — a daemon with
+	// no fleet, a one-cell or corpus: sweep, a fleet that died mid-sweep —
+	// and verifies cells a worker reported as failed. Cells or Local is
+	// required.
+	Cells GroupRunner
+	// Local is kept so bench/'s in-process launcher compiles until the
+	// benchmark refresh: a whole-spec runner, adapted cell by cell through
+	// singletons when Cells is nil.
 	Local jobs.Runner
 	// HeartbeatTTL is how stale a worker's last registration may be
 	// before it counts as lost (default 6s).
@@ -44,17 +52,17 @@ type Config struct {
 	// a healthy fleet never duplicates work; past it, stragglers stop
 	// gating the sweep.
 	StealAfter time.Duration
-	// ProbeTimeout bounds one remote cache probe (default 250ms).
-	ProbeTimeout time.Duration
 	// Log receives fleet events; nil silences.
 	Log *log.Logger
 }
 
-// Coordinator owns a fleet of worker daemons and runs sweeps across it.
-// Its Runner plugs into jobs.Manager exactly where the single-process
-// service.Runner does, so the daemon's HTTP API, event streams, caching,
-// and drain semantics are unchanged — only the execution engine widens
-// from one process to a fleet.
+// Coordinator is the cell engine every daemon runs: it resolves the cells
+// of a canonical spec through one probe → claim → run → commit loop
+// (cellRun) whose executors are the live workers of its fleet and the
+// in-process Config.Cells. With no worker registered it is a single
+// daemon's crash-safe sweep runner; a Worker holds one for its shards. Its
+// Runner plugs into jobs.Manager, so the daemon's HTTP API, event streams,
+// caching and drain semantics are the same at every fleet size.
 type Coordinator struct {
 	cfg Config
 
@@ -80,10 +88,13 @@ type cellClaim struct {
 	waiters []chan []byte
 }
 
-// NewCoordinator builds a coordinator. Config.Local is required.
+// NewCoordinator builds the engine. Config.Cells (or Local) is required.
 func NewCoordinator(cfg Config) *Coordinator {
-	if cfg.Local == nil {
-		panic("fabric: Config.Local is required")
+	if cfg.Cells == nil {
+		if cfg.Local == nil {
+			panic("fabric: an in-process executor (Cells) is required")
+		}
+		cfg.Cells = singletons(cfg.Local)
 	}
 	if cfg.HeartbeatTTL <= 0 {
 		cfg.HeartbeatTTL = 6 * time.Second
@@ -96,9 +107,6 @@ func NewCoordinator(cfg Config) *Coordinator {
 	}
 	if cfg.StealAfter <= 0 {
 		cfg.StealAfter = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 250 * time.Millisecond
 	}
 	return &Coordinator{
 		cfg:     cfg,
@@ -263,70 +271,84 @@ func (c *Coordinator) Status() FleetStatus {
 // from there instead of recomputing.
 func (c *Coordinator) ProbeWorkers(hash string) ([]byte, bool) {
 	for _, ws := range c.live() {
-		if data, ok := probeResult(c.cfg.Transport, ws.url, hash, c.cfg.ProbeTimeout); ok {
+		if data, ok := probe(c.cfg.Transport, ws.url, hash); ok {
 			return data, true
 		}
 	}
 	return nil, false
 }
 
-// Runner adapts the coordinator to the jobs.Manager execution slot.
-func (c *Coordinator) Runner() jobs.Runner {
-	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
-		return c.RunSweep(ctx, spec, progress)
-	}
-}
+// Runner is the engine in the jobs.Manager execution slot.
+func (c *Coordinator) Runner() jobs.Runner { return c.RunSweep }
 
-// RunSweep executes one canonical sweep spec across the fleet and returns
-// the merged result — byte-identical to what Config.Local (and therefore
-// a single-process Sweep.Run) produces for the same spec. Sweeps fall
-// back to plain local execution when the fleet cannot or should not run
-// them: no live workers (the single-daemon case, preserving the shared
-// stream optimization), a single cell (dispatch overhead would dominate),
-// or a corpus: workload (the trace bytes live in THIS daemon's corpus;
-// workers have no replica to replay).
+// RunSweep resolves every cell of one canonical sweep spec and merges
+// them — into bytes identical to what a single-process Sweep.Run of the
+// same spec marshals, whichever executors ran the cells and whichever
+// cells came out of the cache. Live workers take the cells of any sweep
+// that can leave this process: not a single cell (dispatch overhead would
+// dominate), and not a corpus: workload (the trace bytes live in THIS
+// daemon's corpus; workers have no replica to replay).
 func (c *Coordinator) RunSweep(ctx context.Context, canonical []byte, progress func(done, total int)) ([]byte, error) {
-	spec, plans, err := planCells(canonical)
+	r, err := c.newRun(ctx, canonical)
 	if err != nil {
 		return nil, err
 	}
-	corpus := false
-	if hashes, herr := registry.Workloads.CorpusHashes(spec.Workload); herr == nil && len(hashes) > 0 {
-		corpus = true
+	r.progress = progress
+	// A one-cell sweep's cell hash is the sweep's own, and jobs.Manager
+	// stores the result under it: writing it through here would store it
+	// twice.
+	r.store = len(r.plans) > 1
+	hashes, herr := registry.Workloads.CorpusHashes(r.spec.Workload)
+	r.remote = len(r.plans) > 1 && !(herr == nil && len(hashes) > 0)
+	every := make([]int, len(r.plans))
+	for i := range every {
+		every[i] = i
 	}
-	if len(plans) < 2 || corpus || len(c.live()) == 0 {
-		return c.cfg.Local(ctx, canonical, progress)
+	singles, err := r.resolve(every)
+	if err != nil {
+		return nil, err
 	}
-	run := &sweepRun{
-		c:         c,
-		ctx:       ctx,
-		canonical: canonical,
-		plans:     plans,
-		elements:  make([][]byte, len(plans)),
-		left:      len(plans),
-		flights:   map[int]*flight{},
-		progress:  progress,
+	elements := make([][]byte, len(singles))
+	for i, p := range r.plans {
+		if elements[i], err = hybridtier.ReindexCellJSON(singles[i], p.Cell.Index); err != nil {
+			return nil, fmt.Errorf("fabric: cell %d of sweep: %w", i, err)
+		}
 	}
-	run.cond = sync.NewCond(&run.mu)
-	return run.run()
+	return hybridtier.MergeCellJSON(elements), nil
 }
 
-// sweepRun is one RunSweep invocation's scheduling state.
-type sweepRun struct {
+// cellRun is the engine's one loop, for one sweep or one shard: probe the
+// cache for each wanted cell of a canonical spec, claim the misses, queue
+// the claimed, hand the queue to executors, commit what they answer.
+//
+// Commit has one rule set. Bytes an executor computed are written through
+// to the cache once (when store is set) and handed to every sweep waiting
+// on the cell's claim; bytes that came out of the cache or from another
+// sweep's claim are never written back; a cell that ended in an error is
+// data for the merge but is neither stored nor shared — waiting sweeps run
+// it themselves; duplicates (steals, chaos-duplicated deliveries, late
+// retries) are dropped, which is sound because cells are deterministic.
+type cellRun struct {
 	c         *Coordinator
 	ctx       context.Context
 	canonical []byte
-	plans     []cellPlan
+	spec      hybridtier.SweepSpec
+	plans     []hybridtier.CellPlan
+	remote    bool // live workers may execute cells
+	store     bool // computed cells are written through under their cell hash
 	progress  func(done, total int)
 
-	progMu   sync.Mutex // serializes progress reports
-	mu       sync.Mutex
-	cond     *sync.Cond
-	elements [][]byte        // committed element bytes by cell index
-	left     int             // uncommitted cells
-	queue    []int           // owned cells awaiting dispatch
-	flights  map[int]*flight // owned in-flight cells
-	fatal    error           // deterministic failure; aborts the sweep
+	progMu  sync.Mutex // serializes progress reports
+	mu      sync.Mutex
+	cond    *sync.Cond
+	singles [][]byte        // committed canonical singleton bytes by cell index
+	owned   []bool          // cells whose claim this run holds
+	total   int             // cells wanted
+	left    int             // wanted cells not yet committed
+	queue   []int           // owned cells awaiting an executor
+	flights map[int]*flight // owned cells out with an executor
+	fatal   error           // deterministic failure; aborts the run
+	closed  bool            // resolve has returned; nothing may be claimed any more
 }
 
 // flight tracks one dispatched, uncommitted cell: how often it has been
@@ -336,9 +358,30 @@ type flight struct {
 	since  time.Time
 }
 
-// run resolves cells from the cache, claims the rest, and loops dispatch
-// rounds until every cell is committed (or the run fails/cancels).
-func (r *sweepRun) run() ([]byte, error) {
+// newRun plans a canonical spec's cells; resolve then runs the loop.
+func (c *Coordinator) newRun(ctx context.Context, canonical []byte) (*cellRun, error) {
+	spec, plans, err := hybridtier.CellPlans(canonical)
+	if err != nil {
+		return nil, fmt.Errorf("fabric: %w", err)
+	}
+	r := &cellRun{
+		c:         c,
+		ctx:       ctx,
+		canonical: canonical,
+		spec:      spec,
+		plans:     plans,
+		singles:   make([][]byte, len(plans)),
+		owned:     make([]bool, len(plans)),
+		flights:   map[int]*flight{},
+	}
+	r.cond = sync.NewCond(&r.mu)
+	return r, nil
+}
+
+// resolve runs the loop over cells (distinct indices into the plan) until
+// every one is committed or the run fails or is canceled, and returns the
+// committed singleton bytes by cell index — complete when err is nil.
+func (r *cellRun) resolve(cells []int) (singles [][]byte, err error) {
 	// Wake the scheduler when the job is canceled mid-wait.
 	stopWake := context.AfterFunc(r.ctx, func() {
 		r.mu.Lock()
@@ -346,24 +389,51 @@ func (r *sweepRun) run() ([]byte, error) {
 		r.mu.Unlock()
 	})
 	defer stopWake()
-	defer r.abandonOwned()
+	// On every way out: snapshot what was committed for the caller, and
+	// give back every claim still held (the failure and cancellation
+	// paths) so waiting sweeps stop waiting and execute themselves.
+	defer func() {
+		r.mu.Lock()
+		r.closed = true
+		singles = append([][]byte(nil), r.singles...)
+		var hashes []string
+		for i, own := range r.owned {
+			if own {
+				hashes = append(hashes, r.plans[i].Hash)
+			}
+		}
+		r.mu.Unlock()
+		for _, h := range hashes {
+			r.c.releaseCell(h, nil)
+		}
+	}()
 
-	for i := range r.plans {
+	r.total, r.left = len(cells), len(cells)
+	cached := 0
+	for _, i := range cells {
 		// Cache first — Get consults memory, disk, and the fleet's remote
 		// tier, so cells computed anywhere resolve here without running.
-		if body, ok := r.cacheGet(r.plans[i].hash); ok {
-			if err := r.commitSingleton(i, body, nil); err != nil {
-				return nil, err
+		if r.c.cfg.Cache != nil {
+			if body, ok := r.c.cfg.Cache.Get(r.plans[i].Hash); ok {
+				r.mu.Lock()
+				r.singles[i] = body
+				r.left--
+				r.mu.Unlock()
+				cached++
+				continue
 			}
-			continue
 		}
-		if ch, owned := r.c.claimCell(r.plans[i].hash); !owned {
+		if ch, owned := r.c.claimCell(r.plans[i].Hash); !owned {
 			go r.await(i, ch)
 		} else {
 			r.mu.Lock()
+			r.owned[i] = true
 			r.queue = append(r.queue, i)
 			r.mu.Unlock()
 		}
+	}
+	if cached > 0 {
+		r.report() // the cached head start, once
 	}
 
 	for {
@@ -378,22 +448,24 @@ func (r *sweepRun) run() ([]byte, error) {
 		switch {
 		case fatal != nil:
 			return nil, fatal
+		case left == 0:
+			return nil, nil // even if the context was canceled on the way
 		case r.ctx.Err() != nil:
 			return nil, fmt.Errorf("fabric: sweep canceled with %d/%d cells committed: %w",
-				len(r.plans)-left, len(r.plans), r.ctx.Err())
-		case left == 0:
-			r.mu.Lock()
-			merged := mergeCells(r.elements)
-			r.mu.Unlock()
-			return merged, nil
+				r.total-left, r.total, r.ctx.Err())
 		}
-		live := r.c.live()
+		var live []*workerState
+		if r.remote {
+			live = r.c.live()
+		}
 		if len(live) == 0 {
-			// The whole fleet died mid-sweep: hand the sweep to the local
-			// runner. Every committed cell is already in the cache, so the
-			// daemon's cell runner resumes from them and runs what is left
-			// as one cell group. Degraded, but the sweep completes.
-			return r.c.cfg.Local(r.ctx, r.canonical, r.progress)
+			// No worker to ask — a lone daemon, a sweep that must not leave
+			// this process, or a fleet that died mid-sweep: the in-process
+			// executor takes everything queued as one cell group.
+			if idxs := r.take(len(r.plans)); len(idxs) > 0 {
+				r.runLocal(idxs)
+			}
+			continue
 		}
 		var wg sync.WaitGroup
 		for _, ws := range live {
@@ -407,15 +479,7 @@ func (r *sweepRun) run() ([]byte, error) {
 	}
 }
 
-// cacheGet probes the coordinator's cache (all tiers) for a cell hash.
-func (r *sweepRun) cacheGet(hash string) ([]byte, bool) {
-	if r.c.cfg.Cache == nil {
-		return nil, false
-	}
-	return r.c.cfg.Cache.Get(hash)
-}
-
-// claimCell registers interest in a cell hash fleet-wide. The first
+// claimCell registers interest in a cell hash engine-wide. The first
 // caller becomes the executor (owned = true); later callers get a
 // channel that yields the singleton bytes at commit, or closes empty if
 // the owner abandons.
@@ -453,26 +517,28 @@ func (c *Coordinator) releaseCell(hash string, body []byte) {
 
 // await rides another sweep's execution of cell i. On abandon it tries to
 // take ownership; losing that race just means waiting on the new owner.
-func (r *sweepRun) await(i int, ch <-chan []byte) {
+func (r *cellRun) await(i int, ch <-chan []byte) {
 	for {
 		select {
 		case body, ok := <-ch:
 			if ok && body != nil {
-				r.commitFromAnywhere(i, body)
+				r.commit(i, body, false, nil)
 				return
 			}
-			next, owned := r.c.claimCell(r.plans[i].hash)
+			next, owned := r.c.claimCell(r.plans[i].Hash)
 			if owned {
 				r.mu.Lock()
-				if !r.plans[i].committed {
+				keep := !r.closed
+				if keep {
+					r.owned[i] = true
 					r.queue = append(r.queue, i)
+					r.cond.Broadcast()
 				}
-				r.cond.Broadcast()
 				r.mu.Unlock()
-				if r.plans[i].committed {
-					// Committed while we were waiting (cache race); give the
-					// claim back so no other sweep blocks on us.
-					r.c.releaseCell(r.plans[i].hash, nil)
+				if !keep {
+					// The run ended while this claim was being taken; give it
+					// back so no other sweep blocks on a run that is gone.
+					r.c.releaseCell(r.plans[i].Hash, nil)
 				}
 				return
 			}
@@ -483,16 +549,8 @@ func (r *sweepRun) await(i int, ch <-chan []byte) {
 	}
 }
 
-// commitFromAnywhere applies a commit raced in from outside the pump path
-// (an await or a verification); errors become fatal.
-func (r *sweepRun) commitFromAnywhere(i int, body []byte) {
-	if err := r.commitSingleton(i, body, nil); err != nil {
-		r.fail(err)
-	}
-}
-
 // fail records a deterministic failure and wakes the scheduler.
-func (r *sweepRun) fail(err error) {
+func (r *cellRun) fail(err error) {
 	r.mu.Lock()
 	if r.fatal == nil {
 		r.fatal = err
@@ -501,26 +559,20 @@ func (r *sweepRun) fail(err error) {
 	r.mu.Unlock()
 }
 
-// commitSingleton commits cell i's canonical singleton result at most
-// once: the first commit reindexes and lands, every duplicate (steals,
-// chaos-duplicated deliveries, late retries) is dropped on the floor.
-// Committed bytes write through to the cache under the cell hash and
-// resolve the fleet-wide claim, so concurrent and future sweeps inherit
-// the cell without running it. from credits the worker that computed it.
-func (r *sweepRun) commitSingleton(i int, body []byte, from *workerState) error {
-	element, err := reindexCell(body, r.plans[i].cell.Index)
-	if err != nil {
-		return err
-	}
+// commit lands cell i's canonical singleton bytes at most once, by the
+// rule set cellRun documents. fresh marks bytes an executor just computed
+// for a cell that ended without error; from credits the worker that did.
+func (r *cellRun) commit(i int, single []byte, fresh bool, from *workerState) {
 	r.mu.Lock()
-	if r.plans[i].committed {
+	if r.singles[i] != nil {
 		r.mu.Unlock()
-		return nil
+		return
 	}
-	r.plans[i].committed = true
-	r.elements[i] = element
+	r.singles[i] = single
 	r.left--
 	delete(r.flights, i)
+	owned := r.owned[i]
+	r.owned[i] = false
 	r.cond.Broadcast()
 	r.mu.Unlock()
 
@@ -529,36 +581,62 @@ func (r *sweepRun) commitSingleton(i int, body []byte, from *workerState) error 
 		from.committed++
 		r.c.mu.Unlock()
 	}
-	if r.c.cfg.Cache != nil {
-		// Memory insert cannot fail and disk failure must not lose a
-		// computed cell — same stance as jobs.Manager's result Put.
-		_ = r.c.cfg.Cache.Put(r.plans[i].hash, body, r.plans[i].spec)
+	if fresh && r.store && r.c.cfg.Cache != nil {
+		// Memory insert cannot fail and a disk failure must not lose a
+		// computed cell (the next crash re-runs it) — same stance as
+		// jobs.Manager's result Put.
+		_ = r.c.cfg.Cache.Put(r.plans[i].Hash, single, r.plans[i].Spec)
 	}
-	r.c.releaseCell(r.plans[i].hash, body)
-	if r.progress != nil {
-		// The count is read under progMu, so concurrent commits can never
-		// deliver their reports out of order: it only ever rises.
-		r.progMu.Lock()
-		r.mu.Lock()
-		done := len(r.plans) - r.left
-		r.mu.Unlock()
-		r.progress(done, len(r.plans))
-		r.progMu.Unlock()
+	if owned {
+		if !fresh {
+			single = nil
+		}
+		r.c.releaseCell(r.plans[i].Hash, single)
 	}
-	return nil
+	r.report()
+}
+
+// report delivers the run's one progress counter. The count is read under
+// progMu, so concurrent commits can never deliver their reports out of
+// order: it only ever rises.
+func (r *cellRun) report() {
+	if r.progress == nil {
+		return
+	}
+	r.progMu.Lock()
+	r.mu.Lock()
+	done := r.total - r.left
+	r.mu.Unlock()
+	r.progress(done, r.total)
+	r.progMu.Unlock()
+}
+
+// runLocal executes idxs on the in-process executor as one cell group —
+// one worker pool, one shared op stream where the sweep has one — and
+// commits each cell as it completes, which is what turns a later crash
+// into a partial-hit resume. A group that could not run fails the run.
+func (r *cellRun) runLocal(idxs []int) {
+	err := r.c.cfg.Cells(r.ctx, r.canonical, idxs, func(cr hybridtier.CellResult, single []byte) {
+		if cr.Err != "" && r.ctx.Err() != nil {
+			return // a casualty of the cancellation, not a result
+		}
+		r.commit(cr.Index, single, cr.Err == "", nil)
+	})
+	if err != nil && r.ctx.Err() == nil {
+		r.fail(err)
+	}
 }
 
 // take removes up to n dispatchable cells from the queue, skipping any
-// that were committed while queued (await/cache races), and marks them
-// in-flight.
-func (r *sweepRun) take(n int) []int {
+// that were committed while queued, and marks them in-flight.
+func (r *cellRun) take(n int) []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []int
 	for len(out) < n && len(r.queue) > 0 {
 		i := r.queue[0]
 		r.queue = r.queue[1:]
-		if r.plans[i].committed {
+		if r.singles[i] != nil {
 			continue
 		}
 		r.flights[i] = &flight{since: time.Now()}
@@ -573,7 +651,7 @@ func (r *sweepRun) take(n int) []int {
 // straggling shard is duplicated once before anything is tripled). Idle
 // capacity re-running busy workers' cells is the work-stealing half of
 // straggler tolerance; at-most-once commit makes duplication harmless.
-func (r *sweepRun) steal(n int) []int {
+func (r *cellRun) steal(n int) []int {
 	const maxSteals = 3 // past this the cells are cursed, not straggling
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -583,8 +661,7 @@ func (r *sweepRun) steal(n int) []int {
 	}
 	var cands []cand
 	for i, fl := range r.flights {
-		if !r.plans[i].committed && fl.steals < maxSteals &&
-			time.Since(fl.since) >= r.c.cfg.StealAfter {
+		if fl.steals < maxSteals && time.Since(fl.since) >= r.c.cfg.StealAfter {
 			cands = append(cands, cand{i, fl})
 		}
 	}
@@ -608,10 +685,10 @@ func (r *sweepRun) steal(n int) []int {
 
 // requeue returns undelivered cells to the queue. Stolen cells stay with
 // their original flight — the owner's dispatch is still in play.
-func (r *sweepRun) requeue(idxs []int, stolen bool) {
+func (r *cellRun) requeue(idxs []int, stolen bool) {
 	r.mu.Lock()
 	for _, i := range idxs {
-		if r.plans[i].committed {
+		if r.singles[i] != nil {
 			continue
 		}
 		if stolen {
@@ -630,7 +707,7 @@ func (r *sweepRun) requeue(idxs []int, stolen bool) {
 // shardSize balances dispatch overhead against scheduling granularity:
 // enough shards that every worker gets several (so stealing has targets),
 // capped so one loss never requeues much work.
-func (r *sweepRun) shardSize(liveWorkers int) int {
+func (r *cellRun) shardSize(liveWorkers int) int {
 	r.mu.Lock()
 	remaining := r.left
 	r.mu.Unlock()
@@ -649,7 +726,7 @@ func (r *sweepRun) shardSize(liveWorkers int) int {
 // whose peers still have cells in flight lingers, polling for a cell to
 // become steal-eligible, so straggler recovery does not depend on the
 // accident of a pump being awake at the right moment.
-func (r *sweepRun) pump(ws *workerState) {
+func (r *cellRun) pump(ws *workerState) {
 	for {
 		r.mu.Lock()
 		stop := r.left == 0 || r.fatal != nil
@@ -690,17 +767,21 @@ func (r *sweepRun) pump(ws *workerState) {
 				return
 			}
 			// Transport loss or a draining worker: presume it gone, let the
-			// requeued cells find a live peer next round.
+			// requeued cells find a live peer — or the in-process executor —
+			// next round.
 			r.c.markDead(ws)
 			return
 		}
 	}
 }
 
-// dispatch sends one shard to ws and commits whatever comes back. Cells
-// the worker could not run deterministically are verified locally before
-// they may fail the sweep.
-func (r *sweepRun) dispatch(ws *workerState, idxs []int) error {
+// dispatch sends one shard to ws and commits whatever comes back. A cell
+// the worker reports as failed is verified on the in-process executor, as
+// a one-cell group: a failure that reproduces here is deterministic — the
+// sweep fails with the local error, matching what a single-process run
+// would do — and one that does not was the worker's problem, and the
+// local result commits.
+func (r *cellRun) dispatch(ws *workerState, idxs []int) error {
 	r.c.mu.Lock()
 	ws.inflight += len(idxs)
 	r.c.mu.Unlock()
@@ -743,12 +824,17 @@ func (r *sweepRun) dispatch(ws *workerState, idxs []int) error {
 		}
 		returned[sc.Index] = true
 		if sc.Err != "" {
-			r.verifyLocally(sc.Index, ws.url, sc.Err)
+			r.c.logf("fabric: worker %s failed cell %d (%s); verifying locally", ws.url, sc.Index, sc.Err)
+			r.runLocal([]int{sc.Index})
 			continue
 		}
-		if cerr := r.commitSingleton(sc.Index, sc.Body, ws); cerr != nil {
-			return cerr
+		// Bytes from outside the process are checked before they can reach
+		// the cache: exactly one cell, and whether it ended in an error.
+		var cells []hybridtier.CellResult
+		if err := json.Unmarshal(sc.Body, &cells); err != nil || len(cells) != 1 {
+			return fmt.Errorf("fabric: worker %s answered cell %d with bytes that are not a singleton result", ws.url, sc.Index)
 		}
+		r.commit(sc.Index, sc.Body, cells[0].Err == "", ws)
 	}
 	// A shard answer that silently omits cells requeues them rather than
 	// hanging the sweep.
@@ -762,38 +848,4 @@ func (r *sweepRun) dispatch(ws *workerState, idxs []int) error {
 		r.requeue(missing, false)
 	}
 	return nil
-}
-
-// verifyLocally re-runs a cell the worker reported as failed. A failure
-// that reproduces here is deterministic — the sweep fails with the local
-// error, matching what a single-process run would do. One that does not
-// reproduce was the worker's problem, and the local result commits.
-func (r *sweepRun) verifyLocally(i int, workerURL, workerErr string) {
-	r.c.logf("fabric: worker %s failed cell %d (%s); verifying locally", workerURL, i, workerErr)
-	body, err := r.c.cfg.Local(r.ctx, r.plans[i].spec, nil)
-	if err != nil {
-		if r.ctx.Err() == nil {
-			r.fail(err)
-		}
-		return
-	}
-	r.commitFromAnywhere(i, body)
-}
-
-// abandonOwned releases every claim this run still owns (uncommitted
-// cells on the failure and cancellation paths) so waiting sweeps stop
-// waiting and execute themselves. Committed cells released at commit
-// time are long gone from the table.
-func (r *sweepRun) abandonOwned() {
-	r.mu.Lock()
-	var hashes []string
-	for i := range r.plans {
-		if !r.plans[i].committed {
-			hashes = append(hashes, r.plans[i].hash)
-		}
-	}
-	r.mu.Unlock()
-	for _, h := range hashes {
-		r.c.releaseCell(h, nil)
-	}
 }

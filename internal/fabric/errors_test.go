@@ -12,10 +12,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/service"
 )
 
 // handlerError performs one request against h and returns the status
@@ -42,7 +40,7 @@ func TestCoordinatorErrorStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(Config{Cache: cache, Local: service.Runner(1)})
+	coord := NewCoordinator(Config{Cache: cache, Cells: LocalCells(1)})
 	h := coord.Handler()
 	missHash := strings.Repeat("0", 64)
 	cases := []struct {
@@ -78,7 +76,7 @@ func TestWorkerErrorStrings(t *testing.T) {
 	w := NewWorker(WorkerConfig{
 		Self:        "http://self",
 		Coordinator: "http://coord",
-		Run:         service.Runner(1),
+		Run:         referenceRunner(1),
 	})
 	h := w.Handler()
 	spec := string(canonical(t, testSpec()))
@@ -120,7 +118,7 @@ func marshalCompact(t *testing.T, v any) string {
 }
 
 func TestFleetStatusJSONShape(t *testing.T) {
-	coord := NewCoordinator(Config{Local: service.Runner(1)})
+	coord := NewCoordinator(Config{Cells: LocalCells(1)})
 	if got, want := marshalCompact(t, coord.Status()), `{"workers":[],"live":0}`; got != want {
 		t.Errorf("empty fleet status = %s, want %s", got, want)
 	}
@@ -136,62 +134,5 @@ func TestFleetStatusJSONShape(t *testing.T) {
 	want := `{"workers":[{"url":"http://w0","live":true,"inflight_cells":0,"committed_cells":0}],"live":1}`
 	if got := marshalCompact(t, coord.Status()); got != want {
 		t.Errorf("fleet status = %s, want %s", got, want)
-	}
-}
-
-func TestServiceMountsFabricAndReportsFleet(t *testing.T) {
-	cache, err := jobs.NewCache(1<<20, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := NewCoordinator(Config{Cache: cache, Local: service.Runner(1)})
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: coord.Runner(), Cache: cache})
-	srv := httptest.NewServer(service.NewHandler(service.Config{
-		Manager: m,
-		Fabric:  coord.Handler(),
-		Fleet:   func() any { return coord.Status() },
-	}))
-	t.Cleanup(func() {
-		srv.Close()
-		service.Drain(m, 30*time.Second)
-	})
-
-	// Registration travels through the daemon's real mux to the mounted
-	// fabric handler.
-	resp, err := http.Post(srv.URL+"/fabric/register", "application/json",
-		strings.NewReader(`{"url":"http://w0:1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("register via service mux: status %d", resp.StatusCode)
-	}
-
-	// /healthz now carries the fleet section with the registered worker.
-	resp, err = http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Fleet FleetStatus `json:"fleet"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if health.Fleet.Live != 1 || len(health.Fleet.Workers) != 1 || health.Fleet.Workers[0].URL != "http://w0:1" {
-		t.Errorf("healthz fleet = %+v, want one live worker http://w0:1", health.Fleet)
-	}
-
-	// The coordinator's cache probe endpoint answers through the mount
-	// too — from LOCAL tiers, pinned by the shared serveLocalResult path.
-	hash := strings.Repeat("a", 64)
-	if err := cache.Put(hash, []byte(`{"x":1}`), nil); err != nil {
-		t.Fatal(err)
-	}
-	data, ok := probeResult(nil, srv.URL, hash, time.Second)
-	if !ok || string(data) != `{"x":1}` {
-		t.Errorf("probe via service mux = %q, %v; want cached bytes", data, ok)
 	}
 }

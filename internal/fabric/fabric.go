@@ -1,50 +1,51 @@
-// Package fabric turns a fleet of experiment daemons into one sweep
-// engine. A coordinator daemon shards a canonical SweepSpec into cell
-// ranges, dispatches them over HTTP to registered worker daemons
-// (htiersimd -worker -join <coordinator>), and merges the per-cell
-// results back into the exact bytes a single-process Sweep.Run marshals —
-// the per-cell determinism contract established by the facade is what
-// makes shards mergeable byte-identically, and re-execution safe.
+// Package fabric is the cell engine every experiment daemon runs, and the
+// protocol that lets a fleet of daemons share it. A canonical SweepSpec is
+// resolved cell by cell — probe the result cache, claim the misses, run
+// them, commit — and merged back into the exact bytes a single-process
+// Sweep.Run marshals: the per-cell determinism contract established by the
+// facade is what makes cells computed anywhere mergeable byte-identically,
+// and re-execution safe.
 //
 // The moving parts:
 //
-//   - Transport (transport.go) is the RPC seam every coordinator↔worker
-//     message crosses. Production uses plain HTTP; tests inject Chaos
-//     (chaos.go), a deterministic seeded fault schedule that drops,
-//     delays, and duplicates messages so failure handling is provable,
-//     not flaky.
-//   - Coordinator (coordinator.go) owns the fleet: registration acts as
-//     heartbeat, live workers pull shards, idle workers steal in-flight
-//     cells from stragglers, a worker loss requeues its cells, and a
-//     commit table applies each cell's result at most once — sound
-//     because cells are idempotent by determinism, so speculative and
-//     duplicated executions can only ever produce the same bytes.
-//   - Worker (worker.go) executes a shard as one cell group of the
-//     shard's sweep, not singleton by singleton: cached cells resolve
-//     first, the rest run through Sweep.RunCells under the daemon's
-//     -sweep-workers and replay the op stream their sweep shares — which
-//     the facade's keyed stream cache holds across shards and sweeps, so
-//     a worker generates it once. Each executed cell is cached once under
-//     its cell-level content address (SweepSpec.CellSpec(c).Hash()) so
-//     any daemon in the federation can serve it later.
+//   - Coordinator (coordinator.go) is the engine. Its one loop (cellRun)
+//     serves a daemon's sweeps and a worker's shards alike; a commit table
+//     applies each cell's result at most once, writes computed bytes
+//     through to the cache once, and never writes back what came out of it.
+//     Two kinds of executor drain the loop's queue. Live workers
+//     (htiersimd -worker -join <coordinator>) pull shards over HTTP:
+//     registration acts as heartbeat, idle workers steal in-flight cells
+//     from stragglers, a lost worker's cells requeue. The in-process
+//     GroupRunner (group.go: LocalCells, over Sweep.RunCells) takes
+//     everything queued as one cell group whenever no live worker may — so
+//     a daemon without a fleet, a one-cell or corpus: sweep and a fleet
+//     that died mid-sweep are the same code, chosen from worker liveness,
+//     not from a flag — and verifies cells a worker reported as failed.
+//   - Worker (worker.go) joins a coordinator and answers its shards from an
+//     engine of its own that never has workers: cached cells resolve first,
+//     the rest run as one group under the daemon's -sweep-workers and
+//     replay the op stream their sweep shares — which the facade's keyed
+//     stream cache holds across shards and sweeps, so a worker generates it
+//     once. Each executed cell is cached once under its cell-level content
+//     address (SweepSpec.CellSpec(c).Hash()) so any daemon in the
+//     federation can serve it later.
+//   - Every message crosses one http.RoundTripper (transport.go).
+//     Production uses plain HTTP; tests inject Chaos (chaos.go), a
+//     deterministic seeded fault schedule that drops, delays, and
+//     duplicates messages so failure handling is provable, not flaky.
 //
 // Cache hits route fleet-wide through the remote read-through tier of
 // jobs.Cache: workers probe the coordinator, the coordinator probes its
 // workers, and every probe is answered from local tiers only (GetLocal),
-// which is what keeps mutual probing from recursing. In-flight dedupe is
-// federation-aware at two grains: whole sweeps dedupe by spec hash in
-// jobs.Manager as before, and overlapping cells of concurrent sweeps
-// dedupe by cell hash in the coordinator's claim table, so one execution
+// which is what keeps mutual probing from recursing. In-flight dedupe works
+// at two grains: whole sweeps dedupe by spec hash in jobs.Manager, and
+// overlapping cells of concurrent sweeps dedupe by cell hash in the
+// engine's claim table — on a lone daemon as in a fleet — so one execution
 // feeds every waiting sweep. docs/FABRIC.md walks through the topology,
 // the failure model, and the at-most-once-commit argument.
 package fabric
 
-import (
-	"encoding/json"
-	"fmt"
-
-	hybridtier "repro"
-)
+import "encoding/json"
 
 // shardRequest is the body of POST /fabric/run: the full canonical sweep
 // spec plus the indices (into the spec's deterministic cell enumeration)
@@ -78,41 +79,4 @@ type shardResponse struct {
 // considered lost.
 type registerRequest struct {
 	URL string `json:"url"`
-}
-
-// cellPlan is the coordinator's precomputed view of one cell: its
-// coordinates, its singleton canonical spec, the cell-level content
-// address derived from it, and the coordinator's commit bit. The planning
-// itself lives in the facade (hybridtier.CellPlans), shared with the
-// service's crash-safe cell runner so both shard the same addresses.
-type cellPlan struct {
-	cell      hybridtier.Cell
-	spec      []byte // canonical JSON of CellSpec(cell)
-	hash      string
-	committed bool
-}
-
-// planCells derives every cell's singleton spec and hash via the facade,
-// in the policy-major Cells order the merged result array must have.
-func planCells(canonical []byte) (hybridtier.SweepSpec, []cellPlan, error) {
-	spec, facadePlans, err := hybridtier.CellPlans(canonical)
-	if err != nil {
-		return spec, nil, fmt.Errorf("fabric: %w", err)
-	}
-	plans := make([]cellPlan, len(facadePlans))
-	for i, p := range facadePlans {
-		plans[i] = cellPlan{cell: p.Cell, spec: p.Spec, hash: p.Hash}
-	}
-	return spec, plans, nil
-}
-
-// reindexCell and mergeCells are the facade's byte-stable singleton
-// rewrite and merge (hybridtier.ReindexCellJSON / MergeCellJSON); see
-// their doc comments for the encoding contract the fabric leans on.
-func reindexCell(singleton []byte, idx int) ([]byte, error) {
-	return hybridtier.ReindexCellJSON(singleton, idx)
-}
-
-func mergeCells(elements [][]byte) []byte {
-	return hybridtier.MergeCellJSON(elements)
 }

@@ -8,13 +8,14 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 
 	hybridtier "repro"
-	"repro/internal/service"
+	"repro/internal/jobs"
 )
 
 // testSpec is the grid the fabric tests shard: 2 policies × 2 ratios ×
@@ -39,21 +40,51 @@ func canonical(t *testing.T, spec hybridtier.SweepSpec) []byte {
 	return b
 }
 
-// localRun executes a canonical spec exactly as a single daemon would.
+// referenceRunner is the reference every byte-identity test here compares
+// against — service.Runner, restated because internal/service imports this
+// package: a plain Sweep.Run of the spec, marshaled.
+func referenceRunner(sweepWorkers int) jobs.Runner {
+	return func(ctx context.Context, canonical []byte, _ func(done, total int)) ([]byte, error) {
+		var spec hybridtier.SweepSpec
+		if err := json.Unmarshal(canonical, &spec); err != nil {
+			return nil, err
+		}
+		sw, err := spec.Sweep()
+		if err != nil {
+			return nil, err
+		}
+		sw.Workers = sweepWorkers
+		cells, err := sw.Run(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(cells)
+	}
+}
+
+// localRun executes a canonical spec exactly as a plain in-process sweep
+// would.
 func localRun(t *testing.T, spec []byte) []byte {
 	t.Helper()
-	out, err := service.Runner(2)(context.Background(), spec, nil)
+	out, err := referenceRunner(2)(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
+// drain shuts a test's job manager down, as service.Drain does.
+func drain(m *jobs.Manager) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	m.Drain(ctx)
+}
+
 func TestReindexedSingletonsMergeToLocalBytes(t *testing.T) {
 	spec := canonical(t, testSpec())
 	expected := localRun(t, spec)
 
-	_, plans, err := planCells(spec)
+	_, plans, err := hybridtier.CellPlans(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,56 +93,56 @@ func TestReindexedSingletonsMergeToLocalBytes(t *testing.T) {
 	}
 	elements := make([][]byte, len(plans))
 	for i, p := range plans {
-		single, err := service.Runner(1)(context.Background(), p.spec, nil)
+		single, err := referenceRunner(1)(context.Background(), p.Spec, nil)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
-		elements[i], err = reindexCell(single, p.cell.Index)
+		elements[i], err = hybridtier.ReindexCellJSON(single, p.Cell.Index)
 		if err != nil {
 			t.Fatalf("cell %d reindex: %v", i, err)
 		}
 	}
-	if got := mergeCells(elements); !bytes.Equal(got, expected) {
+	if got := hybridtier.MergeCellJSON(elements); !bytes.Equal(got, expected) {
 		t.Errorf("merged singleton cells differ from local run:\n got %s\nwant %s", got, expected)
 	}
 }
 
 func TestPlanCellsDerivesDistinctCellAddresses(t *testing.T) {
 	spec := canonical(t, testSpec())
-	_, plans, err := planCells(spec)
+	_, plans, err := hybridtier.CellPlans(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]bool{}
 	for i, p := range plans {
-		if p.hash != hybridtier.HashCanonicalJSON(p.spec) {
+		if p.Hash != hybridtier.HashCanonicalJSON(p.Spec) {
 			t.Errorf("cell %d: stored hash is not the hash of its singleton spec", i)
 		}
-		if seen[p.hash] {
-			t.Errorf("cell %d: hash %s collides with another cell", i, p.hash)
+		if seen[p.Hash] {
+			t.Errorf("cell %d: hash %s collides with another cell", i, p.Hash)
 		}
-		seen[p.hash] = true
-		if p.cell.Index != i {
-			t.Errorf("cell %d: enumeration index %d", i, p.cell.Index)
+		seen[p.Hash] = true
+		if p.Cell.Index != i {
+			t.Errorf("cell %d: enumeration index %d", i, p.Cell.Index)
 		}
 	}
 	// Planning is deterministic: same canonical bytes, same plan.
-	_, again, err := planCells(spec)
+	_, again, err := hybridtier.CellPlans(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range plans {
-		if plans[i].hash != again[i].hash || !bytes.Equal(plans[i].spec, again[i].spec) {
+		if plans[i].Hash != again[i].Hash || !bytes.Equal(plans[i].Spec, again[i].Spec) {
 			t.Fatalf("replanning cell %d produced different spec/hash", i)
 		}
 	}
 }
 
 func TestReindexRejectsNonSingletons(t *testing.T) {
-	if _, err := reindexCell([]byte(`[]`), 0); err == nil {
+	if _, err := hybridtier.ReindexCellJSON([]byte(`[]`), 0); err == nil {
 		t.Error("empty array: want error")
 	}
-	if _, err := reindexCell([]byte(`not json`), 0); err == nil {
+	if _, err := hybridtier.ReindexCellJSON([]byte(`not json`), 0); err == nil {
 		t.Error("garbage: want error")
 	}
 }

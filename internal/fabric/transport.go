@@ -10,27 +10,14 @@ import (
 	"time"
 )
 
-// Transport is the fabric's RPC seam: every coordinator↔worker message —
-// registration heartbeats, shard dispatch, cache probes — crosses exactly
-// one RoundTrip, so a single injected implementation sees (and may fault)
-// the fleet's entire conversation. It is http.RoundTripper by another
-// name: production passes an *http.Transport, the chaos suite passes a
-// seeded fault injector over an in-process handler mesh.
-type Transport interface {
-	RoundTrip(*http.Request) (*http.Response, error)
-}
-
-// DefaultTransport is the production transport: plain HTTP.
-var DefaultTransport Transport = http.DefaultTransport
-
-// call performs one JSON-over-HTTP fabric exchange: POST (or GET when
-// body is nil) to url, decode the response into out (unless nil). Non-2xx
-// statuses surface as errors carrying the body's error text so the caller
-// can log why a peer refused. A nil transport falls back to
-// DefaultTransport.
-func call(ctx context.Context, t Transport, method, url string, body any, out any) error {
+// call performs one fabric exchange over t (nil = http.DefaultTransport):
+// send body as JSON (nothing when nil) and decode the JSON response into
+// out — or, when out is a *[]byte, hand back the response bytes as they
+// are; a nil out discards them. Non-2xx statuses surface as errors carrying
+// the body's error text so the caller can log why a peer refused.
+func call(ctx context.Context, t http.RoundTripper, method, url string, body any, out any) error {
 	if t == nil {
-		t = DefaultTransport
+		t = http.DefaultTransport
 	}
 	var rd io.Reader
 	if body != nil {
@@ -66,10 +53,15 @@ func call(ctx context.Context, t Transport, method, url string, body any, out an
 		}
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte:
+		*out = data
+		return nil
+	default:
+		return json.Unmarshal(data, out)
 	}
-	return json.Unmarshal(data, out)
 }
 
 // StatusError is a non-2xx fabric reply: the peer answered, it just said
@@ -85,30 +77,15 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("fabric: peer returned %d: %s", e.Code, e.Msg)
 }
 
-// probeResult fetches a peer's LOCAL cache tiers for hash with a bounded
-// timeout. Misses and transport failures are both "no": a probe is an
-// optimization, never a dependency.
-func probeResult(t Transport, base, hash string, timeout time.Duration) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// probeTimeout bounds one remote cache probe, on either side.
+const probeTimeout = 250 * time.Millisecond
+
+// probe asks a peer's LOCAL cache tiers for hash. Misses and transport
+// failures are both "no": a probe is an optimization, never a dependency.
+func probe(t http.RoundTripper, base, hash string) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/fabric/result/"+hash, nil)
-	if err != nil {
-		return nil, false
-	}
-	if t == nil {
-		t = DefaultTransport
-	}
-	resp, err := t.RoundTrip(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
-	if err != nil {
-		return nil, false
-	}
-	return data, true
+	var data []byte
+	err := call(ctx, t, http.MethodGet, base+"/fabric/result/"+hash, nil, &data)
+	return data, err == nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	hybridtier "repro"
 	"repro/internal/jobs"
 )
 
@@ -19,20 +18,21 @@ type WorkerConfig struct {
 	Self string
 	// Coordinator is the coordinator's base URL to join (required).
 	Coordinator string
-	// Transport carries registration heartbeats (nil = DefaultTransport).
-	Transport Transport
-	// Cells executes a shard's uncached cells as one group
-	// (service.CellGroupRunner): one worker pool, one op stream where the
-	// sweep shares one. Cells or Run is required.
+	// Transport carries registration heartbeats and cache probes (nil =
+	// http.DefaultTransport).
+	Transport http.RoundTripper
+	// Cells is the in-process executor of the worker's engine
+	// (LocalCells): a shard's uncached cells run on it as one group. Cells
+	// or Run is required.
 	Cells GroupRunner
-	// Run executes canonical specs in-process. A worker assembled with
-	// only Run executes each cell as its own singleton sweep, one after
-	// another.
+	// Run is kept so bench/'s in-process launcher compiles until the
+	// benchmark refresh: a whole-spec runner, adapted cell by cell through
+	// singletons when Cells is nil.
 	Run jobs.Runner
-	// Cache is this daemon's result cache; executed cells are written
-	// through to it — once — under their cell-level content address, and
-	// shard execution consults it first (which, with the remote tier
-	// installed, also probes the coordinator).
+	// Cache is this daemon's result cache, the engine's: executed cells
+	// are written through to it — once — under their cell-level content
+	// address, and shard execution consults it first (which, with the
+	// remote tier installed, also probes the coordinator).
 	Cache *jobs.Cache
 	// Interval is the heartbeat period (default 2s). It must stay well
 	// under the coordinator's HeartbeatTTL or the worker flaps.
@@ -41,40 +41,16 @@ type WorkerConfig struct {
 	Log *log.Logger
 }
 
-// GroupRunner executes the cells at the given indices of a canonical
-// sweep spec as one group, calling onCell — serialized — once per
-// completed cell with the cell (its index in the whole sweep inside) and
-// its canonical singleton result bytes. A failed cell is data: it carries
-// its error in cr.Err and in the bytes. The returned error means the
-// group could not run (a bad spec, cancellation).
-type GroupRunner func(ctx context.Context, canonical []byte, cells []int, onCell func(cr hybridtier.CellResult, single []byte)) error
-
-// singletons adapts a whole-spec runner to GroupRunner: each cell runs as
-// its own singleton sweep, so nothing is shared between them.
-func singletons(run jobs.Runner) GroupRunner {
-	return func(ctx context.Context, canonical []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
-		_, plans, err := planCells(canonical)
-		if err != nil {
-			return err
-		}
-		for _, i := range cells {
-			single, err := run(ctx, plans[i].spec, nil)
-			if err != nil {
-				return err
-			}
-			onCell(hybridtier.CellResult{Cell: plans[i].cell}, single)
-		}
-		return nil
-	}
-}
-
 // Worker is one fleet member: it joins a coordinator by heartbeating
 // POST /fabric/register, and serves shards the coordinator dispatches to
-// its advertised URL. A shard executes as one cell group, and every
-// result it produces is canonical singleton bytes under a cell-level
-// content address the whole federation can cache against.
+// its advertised URL. A shard is resolved by the same engine that runs a
+// coordinator's sweeps — here one that never has workers — so its uncached
+// cells execute as one cell group, and every result it produces is
+// canonical singleton bytes under a cell-level content address the whole
+// federation can cache against.
 type Worker struct {
-	cfg WorkerConfig
+	cfg    WorkerConfig
+	engine *Coordinator
 }
 
 // NewWorker builds a worker. Self, Coordinator, and one of Cells and Run
@@ -83,23 +59,19 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	if cfg.Self == "" || cfg.Coordinator == "" {
 		panic("fabric: WorkerConfig.Self and Coordinator are required")
 	}
-	if cfg.Cells == nil {
-		if cfg.Run == nil {
-			panic("fabric: WorkerConfig.Cells or Run is required")
-		}
-		cfg.Cells = singletons(cfg.Run)
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	return &Worker{cfg: cfg}
+	if cfg.Cells == nil && cfg.Run != nil {
+		cfg.Cells = singletons(cfg.Run)
+	}
+	engine := NewCoordinator(Config{Cache: cfg.Cache, Cells: cfg.Cells, Log: cfg.Log})
+	return &Worker{cfg: cfg, engine: engine}
 }
 
-func (w *Worker) logf(format string, args ...any) {
-	if w.cfg.Log != nil {
-		w.cfg.Log.Printf(format, args...)
-	}
-}
+// Runner is the engine as a jobs.Runner, for sweeps submitted to the
+// worker daemon's own /jobs: they share claims and cache with its shards.
+func (w *Worker) Runner() jobs.Runner { return w.engine.RunSweep }
 
 // Join registers with the coordinator immediately and then re-registers
 // every Interval until ctx is done. Registration IS the heartbeat: there
@@ -126,7 +98,7 @@ func (w *Worker) register(ctx context.Context) {
 	err := call(cctx, w.cfg.Transport, http.MethodPost,
 		w.cfg.Coordinator+"/fabric/register", registerRequest{URL: w.cfg.Self}, nil)
 	if err != nil && ctx.Err() == nil {
-		w.logf("fabric: register with %s failed: %v", w.cfg.Coordinator, err)
+		w.engine.logf("fabric: register with %s failed: %v", w.cfg.Coordinator, err)
 	}
 }
 
@@ -135,7 +107,7 @@ func (w *Worker) register(ctx context.Context) {
 // coordinator probing its workers, any result cached anywhere in the
 // fleet is one hop from everywhere.
 func (w *Worker) ProbeCoordinator(hash string) ([]byte, bool) {
-	return probeResult(w.cfg.Transport, w.cfg.Coordinator, hash, 250*time.Millisecond)
+	return probe(w.cfg.Transport, w.cfg.Coordinator, hash)
 }
 
 // Handler serves the worker's side of the fabric protocol:
@@ -151,12 +123,12 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// runShard resolves each requested cell through the cache (memory, disk,
-// and — via the remote tier — the coordinator), then executes the misses
-// as one cell group, writing each result through under its cell hash as
-// it completes. A failed cell travels back as data, like any result; a
-// group that could not run at all marks every unanswered cell with the
-// error, and the coordinator decides what that means for the sweep.
+// runShard is decode → resolve → encode: the engine resolves the
+// requested cells (cache, claims, one local cell group for the misses,
+// each written through as it completes) and the answer is their singleton
+// bytes. A failed cell travels back as data, like any result; a shard that
+// could not run marks every unanswered cell with the error, and the
+// coordinator decides what that means for the sweep.
 func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 	var req shardRequest
 	if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, 16<<20)).Decode(&req); err != nil {
@@ -167,60 +139,36 @@ func (w *Worker) runShard(rw http.ResponseWriter, r *http.Request) {
 		fabricError(rw, http.StatusBadRequest, "fabric: shard needs at least one cell")
 		return
 	}
-	_, plans, err := planCells(req.Spec)
+	run, err := w.engine.newRun(r.Context(), req.Spec)
 	if err != nil {
 		fabricError(rw, http.StatusBadRequest, err.Error())
 		return
 	}
+	cells := make([]int, 0, len(req.Cells))
+	listed := make([]bool, len(run.plans))
 	for _, i := range req.Cells {
-		if i < 0 || i >= len(plans) {
+		if i < 0 || i >= len(run.plans) {
 			fabricError(rw, http.StatusBadRequest,
-				fmt.Sprintf("fabric: shard cell index %d outside the spec's %d cells", i, len(plans)))
+				fmt.Sprintf("fabric: shard cell index %d outside the spec's %d cells", i, len(run.plans)))
 			return
 		}
-	}
-	cache := w.cfg.Cache
-	resp := shardResponse{Cells: make([]shardCell, 0, len(req.Cells))}
-	answer := func(i int, body []byte, errText string) {
-		resp.Cells = append(resp.Cells, shardCell{Index: i, Hash: plans[i].hash, Body: body, Err: errText})
-	}
-	var misses []int
-	for _, i := range req.Cells {
-		var body []byte
-		hit := false
-		if cache != nil {
-			body, hit = cache.Get(plans[i].hash)
-		}
-		if hit {
-			answer(i, body, "")
-		} else {
-			misses = append(misses, i)
+		if !listed[i] {
+			listed[i] = true
+			cells = append(cells, i)
 		}
 	}
-	if len(misses) > 0 {
-		err := w.cfg.Cells(r.Context(), req.Spec, misses, func(cr hybridtier.CellResult, single []byte) {
-			if cache != nil && cr.Err == "" {
-				// Same stance as commit: a disk write failure must not lose
-				// a computed result that memory already serves.
-				_ = cache.Put(plans[cr.Index].hash, single, plans[cr.Index].spec)
-			}
-			answer(cr.Index, single, "")
-		})
-		if r.Context().Err() != nil {
-			// The coordinator hung up (timeout, loss, cancel); nobody is
-			// reading this response.
-			return
-		}
-		if err != nil {
-			answered := make(map[int]bool, len(resp.Cells))
-			for _, c := range resp.Cells {
-				answered[c.Index] = true
-			}
-			for _, i := range misses {
-				if !answered[i] {
-					answer(i, nil, err.Error())
-				}
-			}
+	run.store = true
+	singles, err := run.resolve(cells)
+	if r.Context().Err() != nil {
+		// The coordinator hung up (timeout, loss, cancel); nobody is
+		// reading this response.
+		return
+	}
+	resp := shardResponse{Cells: make([]shardCell, len(cells))}
+	for k, i := range cells {
+		resp.Cells[k] = shardCell{Index: i, Hash: run.plans[i].Hash, Body: singles[i]}
+		if singles[i] == nil {
+			resp.Cells[k].Err = err.Error()
 		}
 	}
 	rw.Header().Set("Content-Type", "application/json")

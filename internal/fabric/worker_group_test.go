@@ -19,7 +19,6 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/registry"
 	"repro/internal/registry/registrytest"
-	"repro/internal/service"
 	"repro/internal/trace"
 )
 
@@ -44,7 +43,7 @@ func groupSpec(t *testing.T, policies ...hybridtier.PolicyName) []byte {
 // reindexed, merged result.
 func postShards(t *testing.T, h http.Handler, spec []byte) []byte {
 	t.Helper()
-	_, plans, err := planCells(spec)
+	_, plans, err := hybridtier.CellPlans(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,36 +63,36 @@ func postShards(t *testing.T, h http.Handler, spec []byte) []byte {
 			t.Fatalf("shard [%d %d] answered %d cells", lo, lo+1, len(resp.Cells))
 		}
 		for _, sc := range resp.Cells {
-			if sc.Err != "" || sc.Hash != plans[sc.Index].hash {
+			if sc.Err != "" || sc.Hash != plans[sc.Index].Hash {
 				t.Fatalf("cell %d: error %q, hash %s", sc.Index, sc.Err, sc.Hash)
 			}
-			if elements[sc.Index], err = reindexCell(sc.Body, sc.Index); err != nil {
+			if elements[sc.Index], err = hybridtier.ReindexCellJSON(sc.Body, sc.Index); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	return mergeCells(elements)
+	return hybridtier.MergeCellJSON(elements)
 }
 
 // singletonRun is the reference: every cell as a sweep of its own, which
 // shares and caches nothing.
 func singletonRun(t *testing.T, spec []byte) []byte {
 	t.Helper()
-	_, plans, err := planCells(spec)
+	_, plans, err := hybridtier.CellPlans(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	elements := make([][]byte, len(plans))
 	for i, p := range plans {
-		single, err := service.Runner(1)(context.Background(), p.spec, nil)
+		single, err := referenceRunner(1)(context.Background(), p.Spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if elements[i], err = reindexCell(single, i); err != nil {
+		if elements[i], err = hybridtier.ReindexCellJSON(single, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return mergeCells(elements)
+	return hybridtier.MergeCellJSON(elements)
 }
 
 func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
@@ -114,7 +113,7 @@ func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
 	}
 	h := NewWorker(WorkerConfig{
 		Self: "http://self", Coordinator: "http://coord",
-		Cells: service.CellGroupRunner(1), Cache: cache,
+		Cells: LocalCells(1), Cache: cache,
 	}).Handler()
 	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
 
@@ -147,7 +146,7 @@ func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
 	// A worker assembled with only Run executes the same shards cell by
 	// cell, to the same bytes.
 	plain := NewWorker(WorkerConfig{
-		Self: "http://self", Coordinator: "http://coord", Run: service.Runner(1),
+		Self: "http://self", Coordinator: "http://coord", Run: referenceRunner(1),
 	}).Handler()
 	if got := postShards(t, plain, four); !bytes.Equal(got, want) {
 		t.Error("a Run-only worker's shards differ from singleton runs")

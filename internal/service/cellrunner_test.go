@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"strings"
@@ -13,6 +14,7 @@ import (
 
 	hybridtier "repro"
 	"repro/internal/errfs"
+	"repro/internal/fabric"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 	"repro/internal/registry/registrytest"
@@ -336,16 +338,54 @@ func TestCellRunnerResumeBoundsCellsInFlight(t *testing.T) {
 
 // TestEachResultIsStoredOncePerDaemon counts the store's renames (one per
 // atomic write, three per Cache.Put) under a job manager running the cell
-// runner: every cell of a sweep is written through exactly once and the
+// engine: every cell of a sweep is written through exactly once and the
 // merged result once; a one-cell sweep — whose cell address IS the sweep's
-// — is stored by the manager alone, not by the runner first.
+// — is stored by the manager alone, not by the runner first. The claim
+// holds for a lone daemon, whose in-process executor runs the cells, and
+// for a coordinator whose live worker does.
 func TestEachResultIsStoredOncePerDaemon(t *testing.T) {
+	t.Run("lone daemon", func(t *testing.T) {
+		testEachResultIsStoredOnce(t, func(cache *jobs.Cache) jobs.Runner { return CellRunner(2, cache) })
+	})
+	t.Run("coordinator with a worker", func(t *testing.T) {
+		testEachResultIsStoredOnce(t, func(cache *jobs.Cache) jobs.Runner {
+			coord := fabric.NewCoordinator(fabric.Config{Cache: cache, Cells: fabric.LocalCells(2)})
+			csrv := httptest.NewServer(coord.Handler())
+			t.Cleanup(csrv.Close)
+			wsrv := httptest.NewUnstartedServer(nil)
+			wk := fabric.NewWorker(fabric.WorkerConfig{
+				Self: "http://" + wsrv.Listener.Addr().String(), Coordinator: csrv.URL,
+				Cells: fabric.LocalCells(1),
+			})
+			wsrv.Config.Handler = wk.Handler()
+			wsrv.Start()
+			t.Cleanup(wsrv.Close)
+			ctx, cancel := context.WithCancel(context.Background())
+			t.Cleanup(cancel)
+			go wk.Join(ctx)
+			for deadline := time.Now().Add(10 * time.Second); coord.Status().Live == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the worker never joined")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			t.Cleanup(func() {
+				if st := coord.Status(); st.Workers[0].CommittedCells != 4 {
+					t.Errorf("the worker committed %d cells, want the four-cell sweep's 4", st.Workers[0].CommittedCells)
+				}
+			})
+			return coord.Runner()
+		})
+	})
+}
+
+func testEachResultIsStoredOnce(t *testing.T, runner func(*jobs.Cache) jobs.Runner) {
 	fsys := errfs.Inject(errfs.OS{})
 	cache, err := jobs.NewCacheFS(64<<20, t.TempDir(), fsys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: CellRunner(2, cache), Cache: cache})
+	m := jobs.NewManager(jobs.Config{Workers: 1, Run: runner(cache), Cache: cache})
 	defer Drain(m, 30*time.Second)
 	run := func(spec hybridtier.SweepSpec) {
 		t.Helper()

@@ -1,0 +1,74 @@
+package service
+
+import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fabric"
+	"repro/internal/jobs"
+)
+
+func TestServiceMountsFabricAndReportsFleet(t *testing.T) {
+	cache, err := jobs.NewCache(1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := fabric.NewCoordinator(fabric.Config{Cache: cache, Cells: fabric.LocalCells(1)})
+	m := jobs.NewManager(jobs.Config{Workers: 1, Run: coord.Runner(), Cache: cache})
+	srv := httptest.NewServer(NewHandler(Config{
+		Manager: m,
+		Fabric:  coord.Handler(),
+		Fleet:   func() any { return coord.Status() },
+	}))
+	t.Cleanup(func() {
+		srv.Close()
+		Drain(m, 30*time.Second)
+	})
+
+	// Registration travels through the daemon's real mux to the mounted
+	// fabric handler.
+	resp, err := http.Post(srv.URL+"/fabric/register", "application/json",
+		strings.NewReader(`{"url":"http://w0:1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register via service mux: status %d", resp.StatusCode)
+	}
+
+	// /healthz now carries the fleet section with the registered worker.
+	resp, err = http.Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Fleet fabric.FleetStatus `json:"fleet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Fleet.Live != 1 || len(health.Fleet.Workers) != 1 || health.Fleet.Workers[0].URL != "http://w0:1" {
+		t.Errorf("healthz fleet = %+v, want one live worker http://w0:1", health.Fleet)
+	}
+
+	// The coordinator's cache probe endpoint answers through the mount
+	// too — from LOCAL tiers, pinned by the shared serveLocalResult path.
+	// A worker's remote tier is the client of that endpoint.
+	hash := strings.Repeat("a", 64)
+	if err := cache.Put(hash, []byte(`{"x":1}`), nil); err != nil {
+		t.Fatal(err)
+	}
+	wk := fabric.NewWorker(fabric.WorkerConfig{
+		Self: "http://w0:1", Coordinator: srv.URL, Cells: fabric.LocalCells(1),
+	})
+	data, ok := wk.ProbeCoordinator(hash)
+	if !ok || string(data) != `{"x":1}` {
+		t.Errorf("probe via service mux = %q, %v; want cached bytes", data, ok)
+	}
+}

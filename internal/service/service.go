@@ -1,8 +1,9 @@
 // Package service is the HTTP layer of the experiment daemon
 // (cmd/htiersimd): it translates between the REST+streaming API described
-// in docs/SERVICE.md and the jobs subsystem (internal/jobs), and owns the
-// one function that turns a canonical SweepSpec into executed cells
-// (Runner, over the facade's Sweep.Run).
+// in docs/SERVICE.md and the jobs subsystem (internal/jobs). Jobs execute
+// on the cell engine in internal/fabric; what lives here beside the
+// handler is Runner, the plain Sweep.Run reference the engine's output is
+// tested against.
 //
 // The API's central guarantee is inherited, not implemented, here: a
 // sweep's JSON is a pure function of its canonical spec, so the bytes
@@ -70,31 +71,25 @@ type Config struct {
 // one stray upload cannot fill a disk.
 const defaultMaxTraceBytes = 1 << 30
 
-// sweepOf rebuilds the runnable Sweep a canonical spec describes.
-func sweepOf(canonical []byte, sweepWorkers int) (*hybridtier.Sweep, error) {
-	var s hybridtier.SweepSpec
-	if err := json.Unmarshal(canonical, &s); err != nil {
-		return nil, fmt.Errorf("service: corrupt canonical spec: %w", err)
-	}
-	sw, err := s.Sweep()
-	if err != nil {
-		return nil, err
-	}
-	sw.Workers = sweepWorkers
-	return sw, nil
-}
-
-// Runner returns the jobs.Runner that executes canonical sweep specs:
-// unmarshal, rebuild the Sweep, run it with sweepWorkers concurrent
-// cells, and marshal the cells exactly as the golden tests do
-// (encoding/json, compact). Per-cell failures are data, not job
-// failures — the cells carry their "error" fields, matching the CLI.
+// Runner returns the reference jobs.Runner: unmarshal the canonical spec,
+// rebuild the Sweep, run it whole with sweepWorkers concurrent cells, and
+// marshal the cells exactly as the golden tests do (encoding/json,
+// compact). Per-cell failures are data, not job failures — the cells carry
+// their "error" fields, matching the CLI. No daemon runs jobs on it — they
+// run on the cell engine (CellRunner, internal/fabric), which probes,
+// stores and merges cell by cell; Runner is what every byte-identity test
+// compares that engine's output against, so it stays this plain.
 func Runner(sweepWorkers int) jobs.Runner {
-	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
-		sw, err := sweepOf(spec, sweepWorkers)
+	return func(ctx context.Context, canonical []byte, progress func(done, total int)) ([]byte, error) {
+		var spec hybridtier.SweepSpec
+		if err := json.Unmarshal(canonical, &spec); err != nil {
+			return nil, fmt.Errorf("service: corrupt canonical spec: %w", err)
+		}
+		sw, err := spec.Sweep()
 		if err != nil {
 			return nil, err
 		}
+		sw.Workers = sweepWorkers
 		sw.Progress = progress
 		cells, err := sw.Run(ctx)
 		if err != nil {
