@@ -9,6 +9,14 @@
 // actor a disjoint address region (the simulator places tiering metadata far
 // away from application data), so the model captures capacity and conflict
 // interference between the two without needing a full memory map.
+//
+// Replacement is true LRU, and a set's only state is the order of its tags:
+// most recently used first, empty slots last. A line's hit/miss sequence
+// under LRU is a function of the access sequence alone, so this is
+// outcome-identical to the textbook form (a last-use timestamp per way and
+// a scan for the oldest) that the package's tests keep as the reference —
+// the order of a set is exactly the order of those timestamps, and because
+// empties always trail the valid tags a set fills before it evicts.
 package cachesim
 
 // Actor identifies who issued a memory access, for miss attribution.
@@ -26,7 +34,8 @@ const LineBytes = 64
 
 // Config describes one cache level.
 type Config struct {
-	// SizeBytes is the total capacity. Must be a multiple of LineBytes*Ways.
+	// SizeBytes is the total capacity: LineBytes*Ways times a power-of-two
+	// set count. New panics on anything else.
 	SizeBytes int
 	// Ways is the set associativity.
 	Ways int
@@ -66,72 +75,48 @@ func (s Stats) MissFraction(a Actor) float64 {
 	return float64(s.Misses[a]) / float64(t)
 }
 
-// level is one set-associative cache with true-LRU replacement per set.
+// level is one set-associative cache with true-LRU replacement per set. A
+// set is ways consecutive tags kept in recency order, most recent first,
+// and that order is the whole replacement state: a set that is filling has
+// its empty slots (tag 0; a line is stored as line+1) behind every valid
+// tag, so "the last slot" is an empty one until the set is full and the
+// least recently used line from then on.
 type level struct {
-	ways    int
-	sets    int
-	tags    []uint64 // sets*ways entries; 0 means empty (tag 0 stored as tag+1)
-	lruTick []uint64
-	// mru caches each set's most-recently-hit way so the common re-hit
-	// costs one compare instead of a ways-wide scan. Pure acceleration:
-	// hit/miss outcomes and LRU state are identical with or without it.
-	mru   []uint16
-	tick  uint64
+	ways  int
+	mask  uint64   // sets-1; sets is a power of two
+	tags  []uint64 // sets*ways entries
 	stats Stats
 }
 
-func newLevel(c Config) *level {
-	lines := c.SizeBytes / LineBytes
+func newLevel(c Config) level {
 	if c.Ways <= 0 {
 		panic("cachesim: Ways must be positive")
 	}
-	sets := lines / c.Ways
-	if sets == 0 {
-		sets = 1
+	sets := c.SizeBytes / (LineBytes * c.Ways)
+	if sets <= 0 || sets&(sets-1) != 0 || sets*LineBytes*c.Ways != c.SizeBytes {
+		panic("cachesim: SizeBytes must be LineBytes*Ways times a power of two")
 	}
-	// Round sets down to a power of two for cheap indexing.
-	for sets&(sets-1) != 0 {
-		sets &= sets - 1
-	}
-	return &level{
-		ways:    c.Ways,
-		sets:    sets,
-		tags:    make([]uint64, sets*c.Ways),
-		lruTick: make([]uint64, sets*c.Ways),
-		mru:     make([]uint16, sets),
-	}
+	return level{ways: c.Ways, mask: uint64(sets - 1), tags: make([]uint64, sets*c.Ways)}
 }
 
-// access looks line up, updating LRU state; it reports whether it hit.
+// access looks line up and makes it its set's most recent; it reports
+// whether it hit. One pass does both: every tag ahead of the line moves one
+// place towards the LRU end and the line takes the front. On a miss that is
+// the whole set, and the tag that falls off the end is the victim.
 func (l *level) access(line uint64, a Actor) bool {
-	l.tick++
 	l.stats.Accesses[a]++
-	set := int(line) & (l.sets - 1)
-	base := set * l.ways
-	stored := line + 1 // avoid tag 0 ambiguity with empty slots
-	// Fast path: the set's last-hit way. A tag appears at most once per
-	// set, so a match here is the same hit the scan would find.
-	if m := base + int(l.mru[set]); l.tags[m] == stored {
-		l.lruTick[m] = l.tick
-		return true
-	}
-	victim := base
-	oldest := l.lruTick[base]
-	for i := base; i < base+l.ways; i++ {
-		if l.tags[i] == stored {
-			l.lruTick[i] = l.tick
-			l.mru[set] = uint16(i - base)
+	base := int(line&l.mask) * l.ways
+	set := l.tags[base : base+l.ways]
+	stored := line + 1
+	carry := stored
+	for i, t := range set {
+		set[i] = carry
+		if t == stored {
 			return true
 		}
-		if l.lruTick[i] < oldest {
-			oldest = l.lruTick[i]
-			victim = i
-		}
+		carry = t
 	}
 	l.stats.Misses[a]++
-	l.tags[victim] = stored
-	l.lruTick[victim] = l.tick
-	l.mru[set] = uint16(victim - base)
 	return false
 }
 
@@ -139,8 +124,8 @@ func (l *level) access(line uint64, a Actor) bool {
 // fills do not back-invalidate L1 (non-inclusive model), which is accurate
 // enough for relative miss-fraction comparisons.
 type Hierarchy struct {
-	l1  *level
-	llc *level
+	l1  level
+	llc level
 }
 
 // DefaultConfig mirrors the evaluation machine's Xeon 4314 per-core L1d

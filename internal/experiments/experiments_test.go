@@ -115,6 +115,46 @@ func TestEveryExperimentRuns(t *testing.T) {
 	}
 }
 
+// TestCacheOverheadShape pins what fig5/fig13/fig14 are in the paper to
+// show, at Tiny scale on 4 KB pages: replacing Memtis' per-page tables with
+// a counting Bloom filter, and then blocking the filter, takes tiering
+// metadata out of the CPU caches. Today fig14 prints LLC misses relative to
+// Memtis of 0.98 (standard CBF) and 0.45 (blocked), L1 misses of 0.78
+// (blocked), and fig13/fig5 LLC miss shares of 5.9 % against 12.1 %.
+// Known departure, deliberately not asserted: standard-CBF HybridTier's
+// tiering L1 misses exceed Memtis' at this scale (2.78×; k scattered
+// counter lines per sample against a 48 KB L1), where the paper has
+// standard CBF already 12-36 % ahead.
+func TestCacheOverheadShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three cache-modeled runs skipped in -short mode")
+	}
+	run := func(policy string) (l1, llc uint64, llcShare float64) {
+		res, err := cacheRun(context.Background(), Tiny, policy, false)
+		if err != nil {
+			t.Fatalf("%s: %v", policy, err)
+		}
+		_, llcShare, l1, llc = missRow(res)
+		return l1, llc, llcShare
+	}
+	memtisL1, memtisLLC, memtisShare := run("Memtis")
+	_, cbfLLC, _ := run("HybridTier-CBF")
+	htL1, htLLC, htShare := run("HybridTier")
+
+	if htLLC >= cbfLLC {
+		t.Errorf("fig14: blocked-CBF tiering LLC misses %d not below standard-CBF's %d", htLLC, cbfLLC)
+	}
+	if float64(htLLC) > 0.6*float64(memtisLLC) {
+		t.Errorf("fig14: HybridTier tiering LLC misses %d above 0.6× Memtis' %d", htLLC, memtisLLC)
+	}
+	if htL1 >= memtisL1 {
+		t.Errorf("fig14: HybridTier tiering L1 misses %d not below Memtis' %d", htL1, memtisL1)
+	}
+	if htShare >= memtisShare {
+		t.Errorf("fig13 4KB LLC miss share %.3f not below fig5's %.3f", htShare, memtisShare)
+	}
+}
+
 func TestFastPagesFor(t *testing.T) {
 	if got := fastPagesFor(1700, 16); got != 100 {
 		t.Errorf("fastPagesFor(1700, 16) = %d, want 100", got)
