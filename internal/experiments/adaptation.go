@@ -14,29 +14,45 @@ func init() {
 	register(Experiment{ID: "tab3", Title: "Time to adapt to new access distribution", Run: runTab3})
 }
 
-// runShift executes one adaptation run: a CacheLib workload whose
+// shiftRunner executes one workload's adaptation runs, policies × ratios,
+// and returns the results by policy and ratio.
+type shiftRunner func(ctx context.Context, s Scale, workload string, policies []string, ratios []int) (map[string]map[int]*sim.Result, error)
+
+// shiftSeed is the one seed the adaptation experiments run at.
+const shiftSeed = 21
+
+// shiftOptions configures an adaptation run: a CacheLib workload whose
 // popularity rotates by 2/3 one third of the way in. The workload needs
 // shift configuration beyond the registry's sizing params, so it goes
-// through the facade's workload-factory option. Adaptation timelines need
-// finer windows than throughput runs to resolve the re-convergence point.
-func runShift(ctx context.Context, s Scale, workload, policy string, ratio int) (*sim.Result, error) {
-	e := hybridtier.NewExperiment(
+// through the facade's workload-factory option (which takes precedence
+// over a workload name). Adaptation timelines need finer windows than
+// throughput runs to resolve the re-convergence point.
+func shiftOptions(s Scale, workload string) []hybridtier.Option {
+	return []hybridtier.Option{
 		hybridtier.WithWorkloadFunc(func(seed uint64) (hybridtier.Workload, error) {
 			return s.ShiftingCacheLib(workload, seed, s.AdaptOps/3)
 		}),
-		hybridtier.WithPolicy(hybridtier.PolicyName(policy)),
-		hybridtier.WithRatio(ratio),
-		hybridtier.WithOps(s.AdaptOps),
-		hybridtier.WithSeed(21),
 		hybridtier.WithWindowNs(5_000_000),
-	)
-	return e.Run(ctx)
+	}
 }
 
-// runFig4 reproduces Figure 4: median cache latency over time for
+// sweepShift runs a workload's cells as one Sweep, so the shifted stream —
+// the same in every cell — is generated once and replayed.
+func sweepShift(ctx context.Context, s Scale, workload string, policies []string, ratios []int) (map[string]map[int]*sim.Result, error) {
+	return sweep(ctx, s, workload, policies, ratios, s.AdaptOps, shiftSeed, shiftOptions(s, workload)...)
+}
+
+func runFig4(ctx context.Context, s Scale) (*Table, error) { return fig4(ctx, s, sweepShift) }
+func runTab3(ctx context.Context, s Scale) (*Table, error) { return tab3(ctx, s, sweepShift) }
+
+// fig4 reproduces Figure 4: median cache latency over time for
 // AutoNUMA, Memtis, and HybridTier around the distribution change.
-func runFig4(ctx context.Context, s Scale) (*Table, error) {
+func fig4(ctx context.Context, s Scale, run shiftRunner) (*Table, error) {
 	policies := []string{"AutoNUMA", "Memtis", "HybridTier"}
+	results, err := run(ctx, s, "cdn", policies, []int{8})
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig4",
 		Title:   "Mean latency (ns) over time, CacheLib CDN 1:8, shift at 1/3 of run",
@@ -48,10 +64,7 @@ func runFig4(ctx context.Context, s Scale) (*Table, error) {
 	series := make(map[string][]stats.SeriesPoint)
 	var shiftNs int64
 	for _, pol := range policies {
-		res, err := runShift(ctx, s, "cdn", pol, 8)
-		if err != nil {
-			return nil, err
-		}
+		res := results[pol][8]
 		series[pol] = res.Series
 		if res.ShiftNs > 0 {
 			shiftNs = res.ShiftNs
@@ -95,10 +108,10 @@ func runFig4(ctx context.Context, s Scale) (*Table, error) {
 	return t, nil
 }
 
-// runTab3 reproduces Table 3: time (virtual) to come within 1% of the
+// tab3 reproduces Table 3: time (virtual) to come within 1% of the
 // steady-state median latency after the shift, Memtis vs HybridTier over
 // both CacheLib workloads and the configured ratios.
-func runTab3(ctx context.Context, s Scale) (*Table, error) {
+func tab3(ctx context.Context, s Scale, run shiftRunner) (*Table, error) {
 	t := &Table{
 		ID:      "tab3",
 		Title:   "Time to adapt to new distribution (virtual ms; lower is better)",
@@ -108,15 +121,17 @@ func runTab3(ctx context.Context, s Scale) (*Table, error) {
 		},
 	}
 	var reductions []float64
+	policies := []string{"Memtis", "HybridTier"}
 	for _, wl := range []string{"cdn", "social"} {
+		results, err := run(ctx, s, wl, policies, s.Ratios)
+		if err != nil {
+			return nil, err
+		}
 		for _, ratio := range s.Ratios {
 			vals := map[string]string{}
 			var memtisNs, hybridNs float64
-			for _, pol := range []string{"Memtis", "HybridTier"} {
-				res, err := runShift(ctx, s, wl, pol, ratio)
-				if err != nil {
-					return nil, err
-				}
+			for _, pol := range policies {
+				res := results[pol][ratio]
 				if adapt, ok := res.AdaptationNs(10, 0.05); ok {
 					vals[pol] = fmt.Sprintf("%.1f", float64(adapt)/1e6)
 					if pol == "Memtis" {

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	hybridtier "repro"
 	"repro/internal/registry"
+	"repro/internal/sim"
 )
 
 func TestAllWorkloadsConstruct(t *testing.T) {
@@ -192,5 +194,54 @@ func TestShiftingCacheLib(t *testing.T) {
 	}
 	if _, err := Tiny.ShiftingCacheLib("bfs-kron", 1, 100); err == nil {
 		t.Error("non-cachelib shifting workload must fail")
+	}
+}
+
+// perCellShift is the adaptation experiments' reference runner: every cell
+// an Experiment of its own that builds and generates its shifted workload,
+// which is how fig4 and tab3 ran before their cells became sweeps.
+func perCellShift(ctx context.Context, s Scale, workload string, policies []string, ratios []int) (map[string]map[int]*sim.Result, error) {
+	out := map[string]map[int]*sim.Result{}
+	for _, pol := range policies {
+		out[pol] = map[int]*sim.Result{}
+		for _, ratio := range ratios {
+			res, err := hybridtier.NewExperiment(append(shiftOptions(s, workload),
+				hybridtier.WithPolicy(hybridtier.PolicyName(pol)),
+				hybridtier.WithRatio(ratio),
+				hybridtier.WithOps(s.AdaptOps),
+				hybridtier.WithSeed(shiftSeed),
+			)...).Run(ctx)
+			if err != nil {
+				return nil, err
+			}
+			out[pol][ratio] = res
+		}
+	}
+	return out, nil
+}
+
+// TestAdaptationSweepsPrintThePerCellTables: running each workload's
+// adaptation cells as one sweep over a shared, shift-marked stream prints
+// fig4 and tab3 byte for byte as per-cell generation does — shift times and
+// adaptation times included.
+func TestAdaptationSweepsPrintThePerCellTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("adaptation sweeps skipped in -short mode")
+	}
+	for _, tc := range []struct {
+		id    string
+		table func(context.Context, Scale, shiftRunner) (*Table, error)
+	}{{"fig4", fig4}, {"tab3", tab3}} {
+		var printed [2]bytes.Buffer
+		for i, run := range []shiftRunner{sweepShift, perCellShift} {
+			tbl, err := tc.table(context.Background(), Tiny, run)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.id, err)
+			}
+			tbl.Fprint(&printed[i])
+		}
+		if !bytes.Equal(printed[0].Bytes(), printed[1].Bytes()) {
+			t.Errorf("%s printed from sweeps differs from per-cell runs:\n%s\nwant:\n%s", tc.id, &printed[0], &printed[1])
+		}
 	}
 }

@@ -135,11 +135,16 @@ func newStartGate(need int) *startGate {
 	return &startGate{need: int32(need), ch: make(chan struct{})}
 }
 
-func (g *startGate) arrive() {
+// arrive gives up with ctx: an executor whose sweep or shard RPC ended must
+// not sit here waiting for an arrival that may never come.
+func (g *startGate) arrive(ctx context.Context) {
 	if g.arrived.Add(1) == g.need {
 		close(g.ch)
 	}
-	<-g.ch
+	select {
+	case <-g.ch:
+	case <-ctx.Done():
+	}
 }
 
 func (tw *testWorker) runner() GroupRunner {
@@ -150,7 +155,7 @@ func (tw *testWorker) runner() GroupRunner {
 		}
 		if tw.started.Add(int32(len(cells))) == int32(len(cells)) {
 			if tw.gate != nil {
-				tw.gate.arrive()
+				tw.gate.arrive(ctx)
 			}
 			if tw.slowFirst > 0 {
 				// Give up with the shard RPC: a straggler that outlived its

@@ -77,7 +77,7 @@ func TestOverlappingSweepsOnLoneDaemonShareCellExecutions(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := NewCoordinator(Config{Cache: cache, Cells: func(ctx context.Context, spec []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
-		gate.arrive()
+		gate.arrive(ctx)
 		return inner(ctx, spec, cells, onCell)
 	}})
 
@@ -256,7 +256,12 @@ func TestCanceledOwnerHandsItsClaimsToTheWaitingSweep(t *testing.T) {
 	entered := make(chan struct{}, 2)
 	hold := make(chan struct{})
 	engine := NewCoordinator(Config{Cells: func(ctx context.Context, spec []byte, cells []int, onCell func(hybridtier.CellResult, []byte)) error {
-		entered <- struct{}{}
+		// Non-blocking: the waiter may take the abandoned claims over in
+		// more Cells calls than the test receives from entered.
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		select {
 		case <-hold:
 		case <-ctx.Done():

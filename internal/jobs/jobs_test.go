@@ -151,7 +151,9 @@ func TestSubmitDedupesInFlight(t *testing.T) {
 			return []byte("r"), nil
 		},
 	})
-	defer m.Drain(context.Background())
+	free := sync.OnceFunc(func() { close(release) })
+	defer m.Drain(context.Background()) // LIFO: free first, then drain
+	defer free()
 
 	h := hashOf("dup")
 	j1, created1, err := m.Submit(h, []byte("{}"))
@@ -171,7 +173,7 @@ func TestSubmitDedupesInFlight(t *testing.T) {
 	if err != nil || !created3 || j3 == j1 {
 		t.Errorf("distinct hash must create a distinct job")
 	}
-	close(release)
+	free()
 	waitTerminal(t, j1)
 	waitTerminal(t, j3)
 }

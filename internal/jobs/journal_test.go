@@ -242,7 +242,11 @@ func newGatedRunner() *gatedRunner {
 
 func (g *gatedRunner) run(ctx context.Context, spec []byte, progress func(int, int)) ([]byte, error) {
 	g.ran.Add(1)
-	g.started <- string(spec)
+	select {
+	case g.started <- string(spec):
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 	select {
 	case <-g.release:
 		return []byte(fmt.Sprintf(`{"from":%q}`, spec)), nil

@@ -10,18 +10,21 @@ import (
 )
 
 // WithWorkloads swaps registry.Workloads, until the test ends, for a copy
-// that also holds entries. Not for parallel tests: the registry is a
-// process-wide variable.
+// that also holds entries; an entry named like a registered workload takes
+// its place (a test wrapping a built-in's constructor). Not for parallel
+// tests: the registry is a process-wide variable.
 func WithWorkloads(t testing.TB, entries ...registry.WorkloadEntry) {
 	t.Helper()
 	old := registry.Workloads
 	r := registry.NewWorkloadRegistry()
-	for _, name := range old.Names() {
-		e, _ := old.Lookup(name)
-		r.MustRegister(e)
-	}
 	for _, e := range entries {
 		r.MustRegister(e)
+	}
+	for _, name := range old.Names() {
+		if _, replaced := r.Lookup(name); !replaced {
+			e, _ := old.Lookup(name)
+			r.MustRegister(e)
+		}
 	}
 	registry.Workloads = r
 	t.Cleanup(func() { registry.Workloads = old })

@@ -268,6 +268,10 @@ type inflightZipf struct{ *trace.ZipfSource }
 
 func (inflightZipf) Close() error { inflight.open.Add(-1); return nil }
 
+// ClockFree withdraws the embedded Zipf's promise, so no sweep shares a
+// stream of it: every cell builds — and is counted holding — its own.
+func (inflightZipf) ClockFree() bool { return false }
+
 func registerInflight(t *testing.T) {
 	registrytest.WithWorkloads(t, registry.WorkloadEntry{
 		Name: "inflight-zipf", Doc: "test: Zipf that counts concurrently open instances",
@@ -298,7 +302,7 @@ func TestCellRunnerResumeBoundsCellsInFlight(t *testing.T) {
 	spec := hybridtier.SweepSpec{
 		Workload: "inflight-zipf",
 		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
-		Seeds:    []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, // multi-seed: every cell builds its own
+		Seeds:    []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		Ops:      2_000,
 	}
 	canonical, err := spec.CanonicalJSON()

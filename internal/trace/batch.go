@@ -28,18 +28,19 @@ type BatchSource interface {
 	NextBatch(dst []Access, max int) []Access
 }
 
-// ClockFree is implemented by sources that can promise their op stream is
-// completely independent of the virtual clock: AdvanceTime notifications
-// change nothing they emit, and they perform no shift timestamping a
-// replay could miss. For such sources, one generated stream is valid for
-// every simulation that consumes the same operation count — the sweep
-// engine exploits this by generating once and replaying from memory across
-// cells (see ReplaySource). The report is per-instance, because many
-// sources are clock-free only in some configurations (e.g. a CacheLib
-// instance with no scheduled bulk shift).
+// ClockFree is implemented by sources that can promise the CONTENT of their
+// op stream is independent of the virtual clock: AdvanceTime changes nothing
+// they emit. A source may still stamp an op-count-triggered shift with the
+// clock (ShiftSource) — the stamp is not content, and a replay re-stamps it
+// from the replaying run's own clock (see ReplaySource). For such sources one
+// generated stream is valid for every simulation that consumes the same
+// operation count, which the sweep engine exploits by generating once and
+// replaying from memory across cells. The report is per-instance: a
+// composite is clock-free only when every child is, and a trace-file reader
+// is not — its ShiftTime is the recorded time, not the replaying clock.
 type ClockFree interface {
-	// ClockFree reports whether this instance's stream is independent of
-	// AdvanceTime and of shift timestamping.
+	// ClockFree reports whether this instance's accesses are independent of
+	// AdvanceTime.
 	ClockFree() bool
 }
 
@@ -51,12 +52,22 @@ type ClockFree interface {
 // handed out zero-copy through NextPackedView, so replay costs a quarter
 // of an []Access stream's memory traffic and no regeneration. Like every
 // Source it is infinite: the stream wraps around at the end.
+//
+// A packed ShiftSource's shifts are kept beside the stream as marks — the
+// op indexes they fired at. A fork stamps each mark with the last
+// AdvanceTime of the run replaying it and ends its fetch right before the
+// next mark, the schedule live generators keep (BatchSource), so the shift
+// time a replaying cell reports is the one live generation would.
 type ReplaySource struct {
 	name     string
 	numPages int
 	packed   []uint32 // bit0 write, bit1 end-of-op, bits 2+ page id
 	opStarts []int32  // packed index of each op's first access, plus end sentinel
+	marks    []int32  // op index of each shift, ascending
 	pos      int      // current op index
+	next     int      // first mark not yet fired
+	now      int64    // last AdvanceTime
+	shiftAt  int64    // stamp of the last mark fired, -1 before any
 }
 
 // packedPageLimit is the largest page id the packed encoding carries;
@@ -64,17 +75,22 @@ type ReplaySource struct {
 const packedPageLimit = 1 << 30
 
 // NewReplaySource builds the shared immutable stream for a ReplaySource by
-// drawing ops whole operations from src (which should be clock-free). The
-// returned prototype is positioned at the start; Fork cheap-copies it for
-// concurrent consumers. It returns nil if src stops producing early, a
-// page id exceeds the packed encoding, or the stream would exceed
-// maxAccesses — callers then fall back to live generation. recycle, when
-// non-nil, donates a retired stream's backing arrays; no clearing is
-// needed since reads never pass the written length.
+// drawing ops whole operations from src (which should be clock-free). While
+// packing, the op index is src's clock: the BatchSource contract makes a
+// shifting op the first of its batch, so a ShiftTime that changed across a
+// batch is that op's index — for composites with several shifting children
+// and one-op adapters alike. The returned prototype is positioned at the
+// start; Fork cheap-copies it for concurrent consumers. It returns nil if
+// src stops producing early, a page id exceeds the packed encoding, a shift
+// is not stamped with the clock, or the stream would exceed maxAccesses —
+// callers then fall back to live generation. recycle, when non-nil, donates
+// a retired stream's backing arrays; no clearing is needed since reads
+// never pass the written length.
 func NewReplaySource(src Source, ops int64, maxAccesses int, recycle *ReplaySource) *ReplaySource {
 	bs := AsBatchSource(src)
+	ss, _ := src.(ShiftSource)
 	var packed []uint32
-	var opStarts []int32
+	var opStarts, marks []int32
 	if recycle != nil {
 		packed = recycle.packed[:0]
 		opStarts = recycle.opStarts[:0]
@@ -91,13 +107,22 @@ func NewReplaySource(src Source, ops int64, maxAccesses int, recycle *ReplaySour
 	opStarts = append(opStarts, 0)
 	var chunk []Access // generation staging, stays cache-hot
 	var generated int64
+	shiftAt := int64(-1)
 	sized := false
 	for generated < ops {
 		want := int64(4096)
 		if rem := ops - generated; rem < want {
 			want = rem
 		}
+		first := generated
+		bs.AdvanceTime(first)
 		chunk = bs.NextBatch(chunk[:0], int(want))
+		if ss != nil && ss.ShiftTime() != shiftAt {
+			if shiftAt = ss.ShiftTime(); shiftAt != first {
+				return nil // not a stamp of our clock: a recorded time
+			}
+			marks = append(marks, int32(first))
+		}
 		if len(chunk) == 0 || len(packed)+len(chunk) > maxAccesses ||
 			len(packed)+len(chunk) > (1<<31-2) {
 			return nil
@@ -150,15 +175,29 @@ func NewReplaySource(src Source, ops int64, maxAccesses int, recycle *ReplaySour
 		numPages: src.NumPages(),
 		packed:   packed,
 		opStarts: opStarts,
+		marks:    marks,
+		shiftAt:  -1,
 	}
 }
 
-// Fork returns an independent cursor over the same shared stream.
-func (r *ReplaySource) Fork() *ReplaySource {
+// Fork returns an independent cursor over the same shared stream. It is a
+// ShiftSource exactly when the stream carries marks — interface presence is
+// what AsBatchSource, the trace recorder and the simulator key on (compose.go
+// follows the same rule) — so a mark-free replay looks like a plain source.
+func (r *ReplaySource) Fork() Source {
 	cp := *r
-	cp.pos = 0
-	return &cp
+	cp.pos, cp.next, cp.now, cp.shiftAt = 0, 0, 0, -1
+	if len(cp.marks) == 0 {
+		return &cp
+	}
+	return shiftReplay{&cp}
 }
+
+// shiftReplay is a fork of a stream with shift marks.
+type shiftReplay struct{ *ReplaySource }
+
+// ShiftTime implements ShiftSource with the replaying run's own stamp.
+func (s shiftReplay) ShiftTime() int64 { return s.shiftAt }
 
 // Ops returns the number of operations in the shared stream.
 func (r *ReplaySource) Ops() int64 { return int64(len(r.opStarts)) - 1 }
@@ -173,8 +212,8 @@ func (r *ReplaySource) Name() string { return r.name }
 // NumPages implements Source.
 func (r *ReplaySource) NumPages() int { return r.numPages }
 
-// AdvanceTime implements Source; the stream is clock-free by construction.
-func (r *ReplaySource) AdvanceTime(int64) {}
+// AdvanceTime implements Source: the clock only stamps marks.
+func (r *ReplaySource) AdvanceTime(now int64) { r.now = now }
 
 // ClockFree implements the marker: a replayed clock-free stream is itself
 // clock-free.
@@ -185,41 +224,19 @@ func UnpackAccess(v uint32) Access {
 	return Access{Page: mem.PageID(v >> 2), Write: v&1 != 0, EndOp: v&2 != 0}
 }
 
-// decode appends packed accesses [lo, hi) to dst.
-func (r *ReplaySource) decode(dst []Access, lo, hi int32) []Access {
-	for _, v := range r.packed[lo:hi] {
-		dst = append(dst, UnpackAccess(v))
-	}
-	return dst
-}
-
 // NextOp implements Source. The packed stream carries EndOp bits, but the
 // Access contract says single-op fetches leave EndOp false, so the final
 // access's flag is cleared.
 func (r *ReplaySource) NextOp(dst []Access) []Access {
-	lo, hi := r.opStarts[r.pos], r.opStarts[r.pos+1]
-	if r.pos++; r.pos >= int(r.Ops()) {
-		r.pos = 0
-	}
-	dst = r.decode(dst, lo, hi)
+	dst = r.NextBatch(dst, 1)
 	dst[len(dst)-1].EndOp = false
 	return dst
 }
 
-// NextBatch implements BatchSource as one bulk decode per call.
+// NextBatch implements BatchSource as one bulk decode of a packed view.
 func (r *ReplaySource) NextBatch(dst []Access, max int) []Access {
-	n := int(r.Ops())
-	for max > 0 {
-		take := max
-		if rem := n - r.pos; take > rem {
-			take = rem
-		}
-		dst = r.decode(dst, r.opStarts[r.pos], r.opStarts[r.pos+take])
-		r.pos += take
-		if r.pos == n {
-			r.pos = 0
-		}
-		max -= take
+	for _, v := range r.NextPackedView(max) {
+		dst = append(dst, UnpackAccess(v))
 	}
 	return dst
 }
@@ -238,13 +255,24 @@ type PackedViewSource interface {
 }
 
 // NextPackedView implements PackedViewSource: the returned batch aliases
-// the shared stream. A view never spans the wrap-around, so it may hold
-// fewer than max ops.
+// the shared stream. A view never spans the wrap-around or a pending mark,
+// so it may hold fewer than max ops.
 func (r *ReplaySource) NextPackedView(max int) []uint32 {
 	n := int(r.Ops())
 	take := max
 	if rem := n - r.pos; take > rem {
 		take = rem
+	}
+	if r.next < len(r.marks) {
+		// The op at a mark is the first of its view, so every earlier op's
+		// ticks have been delivered: now is the shift's time.
+		if int(r.marks[r.next]) == r.pos && take > 0 {
+			r.shiftAt = r.now
+			r.next++
+		}
+		if r.next < len(r.marks) && take > int(r.marks[r.next])-r.pos {
+			take = int(r.marks[r.next]) - r.pos
+		}
 	}
 	lo, hi := r.opStarts[r.pos], r.opStarts[r.pos+take]
 	if r.pos += take; r.pos == n {

@@ -125,7 +125,7 @@ func TestReplaySourceRoundTrip(t *testing.T) {
 	}
 
 	// Packed views, spanning a wrap-around.
-	fork := rs.Fork()
+	fork := rs.Fork().(PackedViewSource)
 	var views []Access
 	for len(views) < 2*ops { // two full passes
 		pv := fork.NextPackedView(64)
@@ -172,19 +172,161 @@ func (f *fixedPage) NextOp(dst []Access) []Access {
 	return append(dst, Access{Page: f.page})
 }
 
-// TestClockFreeMarkers locks which built-in synthetics are clock-free.
+// TestClockFreeMarkers locks which built-in synthetics are clock-free:
+// all of them, since the marker speaks of content only — a shifting source's
+// accesses are op-count-driven and the clock merely stamps the shift. A
+// source that makes no promise (a trace-file reader, here fixedPage) is the
+// opt-out.
 func TestClockFreeMarkers(t *testing.T) {
-	cases := []struct {
-		src  interface{ ClockFree() bool }
-		want bool
-	}{
-		{NewZipfSource("z", 64, 1.0, 0, 1), true},
-		{NewScanSource("s", 64), true},
-		{NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), false},
-	}
-	for i, c := range cases {
-		if got := c.src.ClockFree(); got != c.want {
-			t.Errorf("case %d: ClockFree = %v, want %v", i, got, c.want)
+	for i, src := range []Source{
+		NewZipfSource("z", 64, 1.0, 0, 1),
+		NewScanSource("s", 64),
+		NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5),
+		NewReplaySource(NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), 20, 1<<10, nil).Fork(),
+	} {
+		if cf, ok := src.(ClockFree); !ok || !cf.ClockFree() {
+			t.Errorf("case %d (%s): not clock-free", i, src.Name())
 		}
 	}
+	if _, ok := Source(&fixedPage{}).(ClockFree); ok {
+		t.Error("fixedPage stands for a source without the marker")
+	}
+}
+
+// shiftedSource builds a source with len(shifts) shifting leaves — none, one
+// (natively capped, or behind the one-op adapter when shape is odd), or
+// several under a mix (even shape) or phases — for total ops.
+func shiftedSource(t testing.TB, pages int, shifts []int64, shape uint8, total int64) Source {
+	var kids []Source
+	for i, at := range shifts {
+		kids = append(kids, NewShiftingZipfSource("sh", pages, 1.0, 0.3, uint64(i+1), at, 0.5))
+	}
+	switch {
+	case len(kids) == 0:
+		return NewZipfSource("z", pages, 1.0, 0.3, 1)
+	case len(kids) == 1 && shape&1 == 0:
+		return kids[0]
+	case len(kids) == 1:
+		return struct{ ShiftSource }{kids[0].(ShiftSource)}
+	}
+	var src Source
+	var err error
+	if shape&1 == 0 {
+		parts := make([]Weighted, len(kids))
+		for i, k := range kids {
+			parts[i] = Weighted{k, float64(i + 1)}
+		}
+		src, err = NewMix("", parts...)
+	} else {
+		stages := make([]Stage, len(kids))
+		for i, k := range kids {
+			stages[i] = Stage{Source: k, Ops: total/int64(len(kids)) + 1}
+		}
+		stages[len(kids)-1].Ops = 0
+		src, err = NewPhases("", stages...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// replayDriver consumes a source the way the simulator does: whatever a
+// fetch returns is consumed, then the clock — a function of the ops consumed
+// and the script's own advances — is delivered before the next fetch.
+type replayDriver struct {
+	src      Source
+	consumed int64
+	extra    int64
+	buf      []Access
+}
+
+func (d *replayDriver) tick() { d.src.AdvanceTime(d.consumed*7 + d.extra) }
+
+// fetch draws n whole ops, re-requesting after short returns, through
+// NextOp (how == 0), NextBatch, or NextPackedView where the source has it.
+func (d *replayDriver) fetch(t *testing.T, how byte, n int) []Access {
+	var out []Access
+	for got := 0; got < n; {
+		d.buf = d.buf[:0]
+		pv, packed := d.src.(PackedViewSource)
+		switch {
+		case how == 0:
+			d.buf = d.src.NextOp(d.buf)
+			d.buf[len(d.buf)-1].EndOp = true
+		case how == 2 && packed:
+			for _, v := range pv.NextPackedView(n - got) {
+				d.buf = append(d.buf, UnpackAccess(v))
+			}
+		default:
+			d.buf = AsBatchSource(d.src).NextBatch(d.buf, n-got)
+		}
+		k := countOps(d.buf)
+		if k == 0 || k > n-got {
+			t.Fatalf("fetch of %d ops returned %d", n-got, k)
+		}
+		got += k
+		d.consumed += int64(k)
+		out = append(out, d.buf...)
+		d.tick()
+	}
+	return out
+}
+
+// FuzzReplayShiftMarks: a fork of a packed stream and a fresh live source,
+// driven by the same interleaving of NextOp / NextBatch(n) /
+// NextPackedView(n) / AdvanceTime(t) calls, emit the same accesses and
+// report the same ShiftTime after every call — the shift at op 0, at the
+// last op, under composites and behind the one-op adapter — and a fork of a
+// mark-free stream is not a ShiftSource at all.
+func FuzzReplayShiftMarks(f *testing.F) {
+	f.Add(uint16(64), uint16(300), uint8(0), uint16(0), uint16(0), uint16(0), uint8(0), []byte{1, 9, 3, 200, 2, 64})
+	f.Add(uint16(64), uint16(300), uint8(1), uint16(100), uint16(0), uint16(0), uint8(0), []byte{1, 250, 3, 5, 2, 250, 0, 0})
+	f.Add(uint16(64), uint16(300), uint8(1), uint16(0), uint16(0), uint16(0), uint8(1), []byte{2, 7, 3, 1, 1, 7})
+	f.Add(uint16(64), uint16(300), uint8(1), uint16(300), uint16(0), uint16(0), uint8(0), []byte{2, 255, 2, 255, 3, 9})
+	f.Add(uint16(512), uint16(900), uint8(2), uint16(10), uint16(200), uint16(0), uint8(0), []byte{2, 100, 3, 3, 1, 100, 0, 0})
+	f.Add(uint16(512), uint16(900), uint8(3), uint16(1), uint16(250), uint16(299), uint8(1), []byte{1, 255, 2, 255, 3, 77, 2, 255})
+	// A later phase whose first op shifts: found by this target, when
+	// phases still ran a batch across the stage boundary.
+	f.Add(uint16(101), uint16(259), uint8(2), uint16(162), uint16(0), uint16(0), uint8(1), []byte("00"))
+	f.Fuzz(func(t *testing.T, pages, ops uint16, nShifts uint8, s1, s2, s3 uint16, shape uint8, script []byte) {
+		total := int64(ops)%2000 + 1
+		shifts := []int64{int64(s1), int64(s2), int64(s3)}[:nShifts%4]
+		build := func() Source { return shiftedSource(t, int(pages)%4096+4, shifts, shape, total) }
+		rs := NewReplaySource(build(), total, 1<<20, nil)
+		if rs == nil {
+			t.Fatal("stream did not pack")
+		}
+		live, fork := &replayDriver{src: build()}, &replayDriver{src: rs.Fork()}
+		liveShift, _ := live.src.(ShiftSource)
+		forkShift, marked := fork.src.(ShiftSource)
+		if marked != (len(rs.marks) > 0) || marked && liveShift == nil {
+			t.Fatalf("fork is a ShiftSource: %v, with %d marks", marked, len(rs.marks))
+		}
+		for i := 0; i+1 < len(script) && live.consumed < total; i += 2 {
+			how, arg := script[i]%4, int(script[i+1])
+			if how == 3 {
+				live.extra += int64(arg)
+				fork.extra += int64(arg)
+				live.tick()
+				fork.tick()
+				continue
+			}
+			n := min(arg%97+1, int(total-live.consumed))
+			if how == 0 {
+				n = 1
+			}
+			want, got := live.fetch(t, how, n), fork.fetch(t, how, n)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("call %d (kind %d, %d ops): replayed accesses diverge from live generation", i/2, how, n)
+			}
+			if marked && liveShift.ShiftTime() != forkShift.ShiftTime() {
+				t.Fatalf("call %d: fork reports shift at %d, live source at %d",
+					i/2, forkShift.ShiftTime(), liveShift.ShiftTime())
+			}
+		}
+		if !marked && liveShift != nil && liveShift.ShiftTime() != -1 {
+			t.Fatalf("live source shifted at %d but the stream carries no mark", liveShift.ShiftTime())
+		}
+	})
 }

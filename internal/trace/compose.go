@@ -397,7 +397,9 @@ func countOps(accs []Access) int {
 // its batch at a clock-sensitive boundary (a pending shift) or died; the
 // composite then ends its own batch too, so the simulator drains and
 // delivers every pending tick before the stage is asked again — exactly
-// the re-request discipline the BatchSource contract prescribes.
+// the re-request discipline the BatchSource contract prescribes. A spent
+// quota ends the batch likewise while a child can shift: the next stage's
+// first op may be its shifting op, which must open a batch of its own.
 func (p *phasesSource) NextBatch(dst []Access, max int) []Access {
 	for max > 0 {
 		p.advance()
@@ -413,7 +415,7 @@ func (p *phasesSource) NextBatch(dst []Access, max int) []Access {
 			p.rem -= int64(made)
 		}
 		max -= made
-		if made < ask {
+		if made < ask || p.shifty && !last && p.rem == 0 {
 			return dst
 		}
 	}

@@ -247,6 +247,9 @@ func TestCombinatorConstructorErrors(t *testing.T) {
 	}
 }
 
+// TestClockFreePropagation: a composite is clock-free when every child is
+// — shifting children included, their content being op-count-driven — and
+// one child without the marker (what a trace: leaf is) takes it away.
 func TestClockFreePropagation(t *testing.T) {
 	cf := func(s Source) bool {
 		c, ok := s.(ClockFree)
@@ -255,20 +258,30 @@ func TestClockFreePropagation(t *testing.T) {
 	z1 := NewZipfSource("z1", 64, 1.0, 0, 1)
 	z2 := NewZipfSource("z2", 64, 1.0, 0, 2)
 	shift := NewShiftingZipfSource("sh", 64, 1.0, 0, 3, 100, 0.5)
+	unmarked := struct{ Source }{NewZipfSource("tr", 64, 1.0, 0, 4)}
 
 	if m := mustMix(t, "", Weighted{z1, 1}, Weighted{z2, 1}); !cf(m) {
 		t.Error("mix of clock-free tenants must be clock-free")
 	}
-	if m := mustMix(t, "", Weighted{z1, 1}, Weighted{shift, 1}); cf(m) {
-		t.Error("mix with a shifting tenant must not be clock-free")
+	if m := mustMix(t, "", Weighted{z1, 1}, Weighted{shift, 1}); !cf(m) {
+		t.Error("mix with a shifting tenant must be clock-free")
+	}
+	if m := mustMix(t, "", Weighted{shift, 1}, Weighted{unmarked, 1}); cf(m) {
+		t.Error("mix with an unmarked tenant must not be clock-free")
 	}
 	p, _ := NewPhases("", Stage{z1, 10}, Stage{z2, 0})
 	if !cf(p) {
 		t.Error("phases over clock-free stages must be clock-free")
 	}
+	if p, _ := NewPhases("", Stage{z1, 10}, Stage{unmarked, 0}); cf(p) {
+		t.Error("phases with an unmarked stage must not be clock-free")
+	}
 	o, _ := NewOffset("", shift, 10)
-	if cf(o) {
-		t.Error("offset of a shifting source must not be clock-free")
+	if !cf(o) {
+		t.Error("offset of a shifting source must be clock-free")
+	}
+	if o, _ := NewOffset("", unmarked, 10); cf(o) {
+		t.Error("offset of an unmarked source must not be clock-free")
 	}
 	r, _ := NewRepeat("", z1, 10)
 	if !cf(r) {

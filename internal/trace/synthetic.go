@@ -182,12 +182,10 @@ func (s *ScanSource) NextBatch(dst []Access, max int) []Access {
 // AdvanceTime implements Source.
 func (s *ScanSource) AdvanceTime(int64) {}
 
-// ClockFree implements the marker: Zipf draws never consult the clock.
+// ClockFree implements the marker: Zipf draws never consult the clock —
+// ShiftingZipfSource included, whose shift is op-count-triggered and only
+// stamped with the clock.
 func (z *ZipfSource) ClockFree() bool { return true }
-
-// ClockFree implements the marker: the shift stamps itself with the
-// virtual clock, so a shifting source is never clock-free.
-func (s *ShiftingZipfSource) ClockFree() bool { return false }
 
 // ClockFree implements the marker: a scan is position-driven only.
 func (s *ScanSource) ClockFree() bool { return true }

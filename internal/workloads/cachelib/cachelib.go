@@ -280,7 +280,6 @@ func (c *Cache) ShiftTime() int64 { return c.shiftedAt }
 // Ops returns the number of operations generated so far.
 func (c *Cache) Ops() int64 { return c.ops }
 
-// ClockFree implements trace.ClockFree: the generator consults the clock
-// only to timestamp the scheduled bulk shift, so an instance without one
-// is clock-free (churn is op-count-driven).
-func (c *Cache) ClockFree() bool { return c.cfg.ShiftAfterOps <= 0 }
+// ClockFree implements trace.ClockFree: churn and the bulk shift are
+// op-count-driven, and the clock only timestamps the shift.
+func (c *Cache) ClockFree() bool { return true }

@@ -15,7 +15,8 @@ cd "$(dirname "$0")/.."
 out=${1:-coverage.out}
 floor=$(cat scripts/coverage_floor.txt)
 
-go test -count=1 -coverprofile="$out" -coverpkg=./... ./...
+# An explicit timeout: a hung test fails in minutes with a goroutine dump.
+go test -count=1 -timeout 8m -coverprofile="$out" -coverpkg=./... ./...
 
 total=$(go tool cover -func="$out" | awk '/^total:/ { sub(/%/, "", $3); print $3 }')
 echo "total statement coverage: ${total}% (floor: ${floor}%)"

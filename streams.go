@@ -26,7 +26,7 @@ const maxStreamEntries = 64
 // replay the same accesses — whichever policies and ratios they cross.
 type streamKey struct {
 	workload string         // normalized registry name or composition spec
-	params   WorkloadParams // Seed holds the sweep's single seed
+	params   WorkloadParams // Seed holds the cell's seed
 	ops      int64
 }
 
@@ -213,9 +213,12 @@ func (c *streamCache) once(gen generator) (rs *trace.ReplaySource, release func(
 
 // ctxSource ends its stream once ctx is done, which NewReplaySource treats
 // as a source that ran dry: generation stops within one batch of a cancel.
+// shift is the workload's ShiftSource face, nil when it has none: the
+// embedded BatchSource may be an adapter that hides it.
 type ctxSource struct {
 	trace.BatchSource
-	ctx context.Context
+	shift trace.ShiftSource
+	ctx   context.Context
 }
 
 func (s ctxSource) NextBatch(dst []trace.Access, max int) []trace.Access {
@@ -223,4 +226,13 @@ func (s ctxSource) NextBatch(dst []trace.Access, max int) []trace.Access {
 		return dst
 	}
 	return s.BatchSource.NextBatch(dst, max)
+}
+
+// ShiftTime implements trace.ShiftSource so the packed stream keeps the
+// workload's shift marks.
+func (s ctxSource) ShiftTime() int64 {
+	if s.shift == nil {
+		return -1
+	}
+	return s.shift.ShiftTime()
 }

@@ -21,6 +21,8 @@ import (
 	"repro/internal/registry"
 	"repro/internal/registry/registrytest"
 	"repro/internal/trace"
+	"repro/internal/tracefile"
+	"repro/internal/workloads/cachelib"
 )
 
 // countZipf is the "count-zipf" workload: a Zipf source that counts its
@@ -39,20 +41,38 @@ func (h hookedZipf) NextBatch(dst []trace.Access, max int) []trace.Access {
 	return h.ZipfSource.NextBatch(dst, max)
 }
 
+// counted wraps a workload constructor so each construction bumps
+// countZipf.builds.
+func counted(build registry.WorkloadFactory) registry.WorkloadFactory {
+	return func(p registry.WorkloadParams) (trace.Source, error) {
+		countZipf.builds.Add(1)
+		return build(p)
+	}
+}
+
 // freshStreams gives the test an empty stream cache of the given budget
-// and a registry that resolves count-zipf, and zeroes the build counter.
+// and a registry that resolves count-zipf and count-shift, and zeroes the
+// build counter.
 func freshStreams(t *testing.T, budget int) {
 	t.Helper()
+	pages := func(p registry.WorkloadParams) int {
+		if p.Pages <= 0 {
+			return 4096
+		}
+		return p.Pages
+	}
 	registrytest.WithWorkloads(t, registry.WorkloadEntry{
 		Name: "count-zipf", Doc: "test: Zipf that counts its constructions",
-		New: func(p registry.WorkloadParams) (trace.Source, error) {
-			countZipf.builds.Add(1)
-			n := p.Pages
-			if n <= 0 {
-				n = 4096
-			}
-			return hookedZipf{trace.NewZipfSource("count-zipf", n, 1.0, 0.1, p.Seed)}, nil
-		},
+		New: counted(func(p registry.WorkloadParams) (trace.Source, error) {
+			return hookedZipf{trace.NewZipfSource("count-zipf", pages(p), 1.0, 0.1, p.Seed)}, nil
+		}),
+	}, registry.WorkloadEntry{
+		// Records — a size no Zipf source reads — is how many ops pass
+		// before the shift: 0 shifts on the very first op.
+		Name: "count-shift", Doc: "test: shifting Zipf that counts its constructions",
+		New: counted(func(p registry.WorkloadParams) (trace.Source, error) {
+			return trace.NewShiftingZipfSource("count-shift", pages(p), 1.0, 0.1, p.Seed, int64(p.Records), 2.0/3.0), nil
+		}),
 	})
 	old := streams
 	streams = newStreamCache(budget)
@@ -151,6 +171,7 @@ func TestRunCellsIsRunForASubset(t *testing.T) {
 	}{
 		{"shared-stream", countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2048})},
 		{"multi-seed", testSweep(2)},
+		{"multi-seed-shifting", shiftSweep("mix:0.5*zipf,0.5*count-shift", 3_000, []uint64{1, 2, 3})},
 		{"workload-func", &Sweep{
 			Policies: threePolicies, Ratios: []int{8, 4}, Workers: 2,
 			Base: []Option{WithOps(20_000), WithWorkloadFunc(func(seed uint64) (Workload, error) {
@@ -446,5 +467,230 @@ func TestStreamCacheBuildFailureIsNotRemembered(t *testing.T) {
 		if n := len(streams.entries); n != 0 {
 			t.Errorf("a failed build left %d cache entries", n)
 		}
+	}
+}
+
+// shiftSweep is a sweep of 2 policies × seeds over a workload built on
+// count-shift, whose shift fires after shiftAfter of its own ops.
+func shiftSweep(workload string, shiftAfter int, seeds []uint64) *Sweep {
+	return &Sweep{
+		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Seeds:    seeds,
+		Workers:  2,
+		Base: []Option{
+			WithWorkloadName(workload),
+			WithWorkloadParams(WorkloadParams{Pages: 2048, Records: shiftAfter}),
+			WithOps(shiftOps),
+		},
+	}
+}
+
+// shiftOps is long enough for a policy tick (10 virtual ms, some 100k Zipf
+// ops) to pass before a shift at 120k ops, so the shift's time is not 0.
+const shiftOps = 160_000
+
+// TestShiftingWorkloadsShareOneStreamPerSeed: every shifting generator and
+// every composition over one is a shareable stream. For each workload, at
+// one seed and at three, a shared-stream sweep — any worker count, any
+// batch size, whole or in RunCells groups — marshals to the bytes of
+// per-cell live generation, shift times included, having built the workload
+// once per distinct seed.
+func TestShiftingWorkloadsShareOneStreamPerSeed(t *testing.T) {
+	var fnBuilds atomic.Int64
+	shiftedCacheLib := func(seed uint64) (Workload, error) {
+		fnBuilds.Add(1)
+		cfg := cachelib.CDN(seed)
+		cfg.Objects, cfg.ShiftAfterOps, cfg.ShiftFrac = 2_000, 60_000, 2.0/3.0
+		return cachelib.New(cfg)
+	}
+	for _, tc := range []struct {
+		name     string
+		workload string // "" runs shiftedCacheLib through WithWorkloadFunc
+		after    int    // count-shift's Records
+		leaves   int64  // counted constructions per build of the workload
+		shiftAt0 bool   // the shift fires on the first op, at time 0
+	}{
+		{name: "shifting-zipf", workload: "count-shift", after: 120_000, leaves: 1},
+		{name: "shifted-cachelib-func"},
+		{name: "mix", workload: "mix:0.5*zipf,0.5*count-shift", after: 60_000, leaves: 1},
+		{name: "phases", workload: "phases:count-shift@130000,zipf", after: 120_000, leaves: 1},
+		{name: "phases-late-stage", workload: "phases:zipf@120000,count-shift", leaves: 1},
+		{name: "repeat", workload: "repeat:count-shift@130000", after: 120_000, leaves: 1},
+		{name: "two-shifting-children", workload: "mix:0.5*count-shift,0.5*(phases:count-shift@70000,zipf)", after: 60_000, leaves: 2},
+		{name: "shift-at-op-0", workload: "count-shift", leaves: 1, shiftAt0: true},
+		{name: "shift-at-last-op", workload: "offset:count-shift+64", after: shiftOps, leaves: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			freshStreams(t, maxSharedStreamAccesses)
+			for _, seeds := range [][]uint64{{1}, {1, 2, 3}} {
+				sw := shiftSweep(tc.workload, tc.after, seeds)
+				if tc.workload == "" {
+					// CacheLib ops touch several pages: fewer make a tick.
+					sw.Base = []Option{WithWorkloadFunc(shiftedCacheLib), WithOps(80_000)}
+				}
+				want := liveCells(t, sw)
+				var cells []CellResult
+				if err := json.Unmarshal(want, &cells); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range cells {
+					if at := c.Result.ShiftNs; at < 0 || tc.shiftAt0 != (at == 0) {
+						t.Fatalf("live cell %+v: shift_ns = %d; the case must shift (at time 0: %v)", c.Cell, at, tc.shiftAt0)
+					}
+				}
+				countZipf.builds.Store(0)
+				fnBuilds.Store(0)
+				// Seed 1's stream is cached by the one-seed pass.
+				fresh := int64(len(seeds))
+				if len(seeds) > 1 {
+					fresh--
+				}
+				for i, v := range []struct {
+					workers, batch, group int
+				}{{1, 1, 0}, {2, 7, 3}, {2, 0, 0}, {1, 0, 5}} {
+					run := *sw
+					run.Workers = v.workers
+					run.Base = append(sw.Base[:len(sw.Base):len(sw.Base)], WithBatchOps(v.batch))
+					got := runJSON
+					if v.group > 0 {
+						got = func(t *testing.T, sw *Sweep) []byte { return runInGroups(t, sw, v.group) }
+					}
+					what := fmt.Sprintf("%d seed(s), workers %d, batch %d, groups of %d", len(seeds), v.workers, v.batch, v.group)
+					if !bytes.Equal(got(t, &run), want) {
+						t.Errorf("%s: differs from per-cell live generation", what)
+					}
+					switch n := fnBuilds.Swap(0); {
+					case tc.workload == "" && v.group == 0 && n != int64(len(seeds)):
+						// Keyless: nothing is retained, every whole sweep
+						// generates each seed once.
+						t.Errorf("%s: built the workload %d times, want %d", what, n, len(seeds))
+					case tc.workload == "":
+					case i == 0:
+						wantBuilds(t, what, tc.leaves*fresh)
+					default:
+						wantBuilds(t, what+" (warm)", 0)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSweepPinsNoMoreThanTheStreamBudget: streams in use are pinned by their
+// forks, not by the cache, so a many-seed sweep shares only the seeds whose
+// streams fit the budget together and generates the rest live.
+func TestSweepPinsNoMoreThanTheStreamBudget(t *testing.T) {
+	const ops = 5_000 // count-zipf packs one access per op
+	freshStreams(t, 2*ops+ops/2)
+	sw := countSweep(threePolicies, 0, ops, WorkloadParams{Pages: 2048})
+	sw.Ratios = []int{8}
+	sw.Seeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	want := liveCells(t, sw)
+	countZipf.builds.Store(0)
+	if got := runJSON(t, sw); !bytes.Equal(got, want) {
+		t.Error("a sweep over more seeds than fit the budget differs from live generation")
+	}
+	// Seeds 1 and 2 replay (2×ops ≤ budget); seed 3's stream is generated,
+	// found not to fit beside them and let go; it and the five seeds after
+	// it generate live in each of their three cells.
+	wantBuilds(t, "eight seeds on a two-stream budget", 3+6*3)
+	if streams.retained > streams.budget {
+		t.Errorf("cache retains %d accesses, budget %d", streams.retained, streams.budget)
+	}
+	for key, e := range streams.entries {
+		if e.refs != 0 {
+			t.Errorf("seed %d's stream is still held %d times after the sweep", key.params.Seed, e.refs)
+		}
+	}
+	// Seed 1's stream was evicted by seed 3's while pinned: only its release
+	// could have retired the arrays.
+	if streams.spare == nil {
+		t.Error("the evicted, pinned stream was never released")
+	}
+}
+
+// TestMarkFreeReplayLooksLikeAPlainSource: a stream without shift marks —
+// here from a ShiftSource whose shift never fires — replays through a fork
+// that is no ShiftSource, so Result bytes (shift_ns -1) and a recording's
+// header are what they were before replay could carry marks; its packed
+// views are uncapped and allocate nothing.
+func TestMarkFreeReplayLooksLikeAPlainSource(t *testing.T) {
+	const ops = 5_000
+	gen := func() Workload {
+		return trace.NewShiftingZipfSource("never", 2048, 1.0, 0.1, 1, 2*ops, 0.5)
+	}
+	rs := trace.NewReplaySource(gen(), ops, 1<<20, nil)
+	if rs == nil {
+		t.Fatal("stream did not pack")
+	}
+	if _, shifty := rs.Fork().(trace.ShiftSource); shifty {
+		t.Fatal("a fork of a mark-free stream must not be a ShiftSource")
+	}
+	run := func(w Workload, extra ...Option) []byte {
+		res, err := NewExperiment(append([]Option{WithWorkload(w), WithOps(ops)}, extra...)...).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ShiftNs != -1 {
+			t.Errorf("shift_ns = %d, want -1", res.ShiftNs)
+		}
+		return mustJSON(t, res)
+	}
+	path := filepath.Join(t.TempDir(), "fork.htrc")
+	if live, replayed := run(gen()), run(rs.Fork(), WithRecordTo(path)); !bytes.Equal(live, replayed) {
+		t.Error("a mark-free replay differs from live generation")
+	}
+	info, err := tracefile.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Shift || info.Shifts != 0 {
+		t.Errorf("recorded fork: header Shift %v, %d shift marks; want none", info.Shift, info.Shifts)
+	}
+	pv := rs.Fork().(trace.PackedViewSource)
+	if n := len(pv.NextPackedView(512)); n != 512 {
+		t.Errorf("first view holds %d accesses, want the 512 ops asked for", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pv.NextPackedView(64) }); allocs != 0 {
+		t.Errorf("NextPackedView allocates %v times per call", allocs)
+	}
+}
+
+// TestLocalClockedJobsBuildOncePerSeed: the benchmark's local_clocked jobs —
+// a two-seed shifting-zipf sweep of 14 cells and a two-seed
+// phases:social@N,cdn sweep of 16 — used to construct their workload once
+// per cell, 30 times a pass; now once per (job, seed) on a cold stream
+// cache and not at all on a warm one.
+func TestLocalClockedJobsBuildOncePerSeed(t *testing.T) {
+	freshStreams(t, maxSharedStreamAccesses)
+	var wrapped []registry.WorkloadEntry
+	for _, name := range []string{"shifting-zipf", "social"} { // one social per phases build
+		e, _ := registry.Workloads.Lookup(name)
+		e.New = counted(e.New)
+		wrapped = append(wrapped, e)
+	}
+	registrytest.WithWorkloads(t, wrapped...)
+	params := WorkloadParams{CacheObjects: 500, Pages: 2048}
+	jobs := []*Sweep{{
+		Policies: []PolicyName{"HybridTier", "Memtis", "TPP", "AutoNUMA", "LRU", "Heat-Idle", "Heat-Dirty"},
+		Ratios:   []int{8}, Seeds: []uint64{1, 2},
+		Base: []Option{WithWorkloadName("shifting-zipf"), WithWorkloadParams(params), WithOps(20_000)},
+	}, {
+		Policies: []PolicyName{"HybridTier", "TPP", "LRU@idlepage", "Age-Idle"},
+		Ratios:   []int{8, 4}, Seeds: []uint64{1, 2},
+		Base: []Option{WithWorkloadName("phases:social@5000,cdn"), WithWorkloadParams(params), WithOps(10_000)},
+	}}
+	for _, sw := range jobs {
+		liveCells(t, sw)
+	}
+	wantBuilds(t, "one pass of per-cell generation", 30)
+	for _, pass := range []struct {
+		what string
+		want int64
+	}{{"one pass on a cold stream cache", 4}, {"one pass on a warm stream cache", 0}} {
+		for _, sw := range jobs {
+			runJSON(t, sw)
+		}
+		wantBuilds(t, pass.what, pass.want)
 	}
 }

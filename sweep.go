@@ -108,58 +108,85 @@ func (s *Sweep) experimentFor(c Cell, extra []Option, sc *sim.Scratch) *Experime
 // errCellNotRun marks cells the sweep never started before cancellation.
 const errCellNotRun = "sweep canceled before this cell ran"
 
-// sharedStream returns the op stream the cells replay, or nil when the
-// optimization does not apply: the SWEEP — not this call's subset of it —
-// must have more than one cell, a single seed (the stream is
-// seed-determined) and no recording tee, and the workload instance must
-// declare itself clock-free. A stream with an identity (streamKey) comes
-// from the process-wide cache, looked up before any workload is built;
-// one without is generated here when at least two of its cells run now.
-// Failures return nil too — the per-cell path will surface them
-// consistently. release must be called once every fork is done.
-func (s *Sweep) sharedStream(ctx context.Context, cells []Cell, running int, baseExtra []Option) (rs *trace.ReplaySource, release func()) {
-	none := func() {}
-	if len(cells) < 2 {
-		return nil, none
-	}
-	for _, c := range cells[1:] {
-		if c.Seed != cells[0].Seed {
-			return nil, none
-		}
-	}
-	proto := s.experimentFor(cells[0], baseExtra, nil)
-	if proto.recordTo != "" {
-		return nil, none
-	}
+// sharedStreams returns, by seed, the op streams the cells at idxs replay; a
+// seed without one generates live in every cell. A seed shares when the
+// SWEEP — not this call's subset of it — has at least two cells of it (a
+// recording sweep has one) and its workload instance declares itself
+// clock-free. A stream with an identity (streamKey) comes from the
+// process-wide cache, looked up before any workload is built; one without
+// is generated here when at least two of the seed's cells run now. Streams
+// in use are pinned by their forks, not by the cache, so a sweep pins no
+// more than the cache's budget: the first seed that fails to share or does
+// not fit ends the search, and it and the seeds after it generate live —
+// where the per-cell path surfaces any failure consistently. release must
+// be called once every fork is done.
+func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, baseExtra []Option) (shared map[uint64]*trace.ReplaySource, release func()) {
 	cache := streams
-	gen := func(recycle *trace.ReplaySource) (*trace.ReplaySource, error) {
-		w, owned, err := proto.buildWorkload()
-		if err != nil {
-			return nil, err
+	inSweep, running := map[uint64]int{}, map[uint64]int{}
+	for _, c := range cells {
+		inSweep[c.Seed]++
+	}
+	for _, idx := range idxs {
+		running[cells[idx].Seed]++
+	}
+	shared = map[uint64]*trace.ReplaySource{}
+	var releases []func()
+	release = func() {
+		for _, r := range releases {
+			r()
 		}
-		if owned {
-			if c, ok := w.(io.Closer); ok {
-				defer c.Close()
+	}
+	pinned := 0
+	for _, idx := range idxs {
+		seed := cells[idx].Seed
+		if shared[seed] != nil || inSweep[seed] < 2 {
+			continue
+		}
+		proto := s.experimentFor(cells[idx], baseExtra, nil)
+		key, keyed := proto.streamKey()
+		if !keyed && running[seed] < 2 {
+			continue
+		}
+		gen := func(recycle *trace.ReplaySource) (*trace.ReplaySource, error) {
+			w, owned, err := proto.buildWorkload()
+			if err != nil {
+				return nil, err
 			}
+			if owned {
+				if c, ok := w.(io.Closer); ok {
+					defer c.Close()
+				}
+			}
+			if cf, ok := w.(trace.ClockFree); !ok || !cf.ClockFree() {
+				return nil, nil
+			}
+			shift, _ := w.(trace.ShiftSource)
+			src := ctxSource{trace.AsBatchSource(w), shift, ctx}
+			rs := trace.NewReplaySource(src, proto.ops, cache.budget, recycle)
+			if rs == nil {
+				// Canceled mid-generation, or a stream that does not pack.
+				return nil, ctx.Err()
+			}
+			return rs, nil
 		}
-		if cf, ok := w.(trace.ClockFree); !ok || !cf.ClockFree() {
-			return nil, nil
+		var rs *trace.ReplaySource
+		var rel func()
+		if keyed {
+			rs, rel = cache.get(ctx, key, gen)
+		} else {
+			rs, rel = cache.once(gen)
 		}
-		src := ctxSource{trace.AsBatchSource(w), ctx}
-		rs := trace.NewReplaySource(src, proto.ops, cache.budget, recycle)
-		if rs == nil {
-			// Canceled mid-generation, or a stream that does not pack.
-			return nil, ctx.Err()
+		if rs != nil {
+			pinned += rs.Accesses()
 		}
-		return rs, nil
+		if rs == nil || pinned > cache.budget {
+			rel()
+			break
+		}
+		shared[seed] = rs
+		releases = append(releases, rel)
 	}
-	if key, ok := proto.streamKey(); ok {
-		return cache.get(ctx, key, gen)
-	}
-	if running < 2 {
-		return nil, none
-	}
-	return cache.once(gen)
+	return shared, release
 }
 
 // Run executes every cell and returns results in Cells order. Per-cell
@@ -252,13 +279,12 @@ func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) 
 		results[k] = CellResult{Cell: cells[idx], Err: errCellNotRun}
 	}
 	// Clock-free workloads (trace.ClockFree) emit the same op stream in
-	// every cell that shares their seed, so the stream is generated once —
-	// per process, not per call: see streamCache — and each cell gets a
-	// cheap in-memory replay cursor, skipping regeneration (graph
-	// traversals, Zipf draws, B-tree descents) entirely. Guarded to
-	// single-seed sweeps; the stream is bounded so a huge run falls back to
-	// live generation.
-	shared, release := s.sharedStream(ctx, cells, len(idxs), baseExtra)
+	// every cell that shares their seed, so each seed's stream is generated
+	// once — per process, not per call: see streamCache — and each cell gets
+	// a cheap in-memory replay cursor, skipping regeneration (graph
+	// traversals, Zipf draws, B-tree descents) entirely. The streams are
+	// bounded, so a huge run falls back to live generation.
+	shared, release := s.sharedStreams(ctx, cells, idxs, baseExtra)
 	// Deferred past wg.Wait: by then every fork is done.
 	defer release()
 
@@ -286,8 +312,8 @@ func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) 
 			for k := range jobs {
 				c := results[k].Cell
 				e := s.experimentFor(c, baseExtra, sc)
-				if shared != nil {
-					e.workload = shared.Fork()
+				if rs := shared[c.Seed]; rs != nil {
+					e.workload = rs.Fork()
 				}
 				res, err := e.Run(ctx)
 				cr := CellResult{Cell: c, Result: res}
