@@ -71,7 +71,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -127,7 +126,6 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long running jobs may finish after SIGTERM")
 	journalPath := fs.String("journal", "", "job journal file (default: <cache-dir>/journal.wal; empty cache-dir disables)")
 	scrubInterval := fs.Duration("scrub-interval", 0, "period between store integrity scrubs (0 = off)")
-	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ (scripts/pgo.sh drives this)")
 	workerMode := fs.Bool("worker", false, "join a sweep fabric as a worker instead of coordinating one")
 	join := fs.String("join", "", "coordinator base URL to register with (worker mode)")
 	advertise := fs.String("advertise", "", "base URL the coordinator dials back (default: loopback + listen port)")
@@ -298,22 +296,6 @@ func run(args []string, logw io.Writer, ready chan<- string) int {
 		Integrity:     integrity,
 		Log:           logger,
 	})
-	if *pprofOn {
-		// Profiling endpoints are opt-in and mounted explicitly (never via
-		// net/http/pprof's DefaultServeMux side effect): a production
-		// daemon should not expose /debug/pprof/ unless asked to. This is
-		// how scripts/pgo.sh captures the CPU profile that becomes the
-		// checked-in default.pgo.
-		outer := http.NewServeMux()
-		outer.HandleFunc("/debug/pprof/", pprof.Index)
-		outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		outer.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		outer.Handle("/", handler)
-		handler = outer
-		logger.Print("pprof handlers mounted at /debug/pprof/")
-	}
 	srv := newServer(*addr, handler)
 
 	if ready != nil {

@@ -1,11 +1,13 @@
-// Package pebs simulates hardware event-based memory-access sampling
-// (Intel PEBS / AMD IBS). Real PEBS delivers, at a configured period, a
-// buffer of records each holding the virtual address of a sampled load or
-// store; tiering runtimes drain that buffer in batches (Algorithm 1 in the
-// paper). This package reproduces the interface contract exactly — a
-// subsampled address stream with a bounded buffer that drops records under
-// overload — so policies written against it behave as they would against
-// the hardware facility.
+// Package pebs holds the sample side of hardware event-based memory-access
+// sampling (Intel PEBS / AMD IBS). Real PEBS delivers, at a configured
+// period, a buffer of records each holding the virtual address of a sampled
+// load or store; tiering runtimes drain that buffer in batches (Algorithm 1
+// in the paper). This package is that contract's data: the Sample record,
+// the sampling Config, the Stats counters, and Buffer — the one bounded
+// buffer that drops records under overload and is drained in batches. Who
+// decides which accesses become samples (every Period-th one, or a bitmap
+// scan) is internal/tracker's business; every tracker kind embeds a Buffer,
+// so policies see one drain protocol whatever feeds it.
 package pebs
 
 import (
@@ -27,7 +29,7 @@ type Sample struct {
 	Write bool
 }
 
-// Config controls the sampler.
+// Config controls PEBS sampling.
 type Config struct {
 	// Period is the sampling period: one sample is taken every Period
 	// accesses. Real deployments use periods in the hundreds to thousands
@@ -57,7 +59,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats counts sampler activity.
+// Stats counts sampling activity.
 type Stats struct {
 	Accesses uint64 `json:"accesses"`
 	Sampled  uint64 `json:"sampled"`
@@ -65,154 +67,86 @@ type Stats struct {
 	Drained  uint64 `json:"drained"`
 }
 
-// Sampler subsamples an access stream into a bounded ring buffer.
-// It is not safe for concurrent use.
-type Sampler struct {
-	cfg Config
-	// countdown is the number of accesses left until the next sample —
-	// skip-ahead sampling, so the per-access cost between samples is one
-	// decrement and one branch (and Observe inlines into hot loops).
-	countdown int
-	// accBase accumulates the access count folded in at each sample (and
-	// Reset); total accesses = accBase + (Period - countdown).
-	accBase uint64
+// Buffer is the bounded sample buffer every tracker kind embeds: a ring
+// that drops (and counts) new samples while full and is drained oldest
+// first in batches. It is not safe for concurrent use.
+type Buffer struct {
 	ring    []Sample
 	head    int // next write
 	tail    int // next read
 	size    int
-	stats   Stats
+	sampled uint64
+	dropped uint64
+	drained uint64
 }
 
-// New creates a Sampler. It panics on invalid configuration, as samplers
-// are constructed from validated configs.
-func New(cfg Config) (*Sampler, error) {
-	return NewWithRing(cfg, nil)
-}
-
-// NewWithRing is New with a caller-supplied ring buffer to reuse (the
-// default BufferSize is a 2 MB allocation, worth recycling across sweep
-// cells). A short ring is ignored. The recycled ring is scrubbed on
-// checkout: its contents are another run's samples, and although the
-// head/tail/size protocol never reads an unwritten slot, clearing makes
-// that a guarantee rather than an invariant — a buffer-handling bug can
-// surface only zero samples, never a previous cell's pages leaking into
-// this cell's policy decisions or drop counts.
-func NewWithRing(cfg Config, ring []Sample) (*Sampler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewBuffer returns a buffer of exactly size samples, reusing recycled's
+// storage when it is large enough (the default size is a 2 MB allocation,
+// worth recycling across sweep cells; a short or nil slice is ignored).
+// Recycled storage is scrubbed on checkout: its contents are another run's
+// samples, and although the head/tail/size protocol never reads an
+// unwritten slot, clearing makes that a guarantee rather than an invariant
+// — a buffer-handling bug can surface only zero samples, never a previous
+// cell's pages leaking into this cell's policy decisions or drop counts.
+func NewBuffer(recycled []Sample, size int) Buffer {
+	if cap(recycled) < size {
+		return Buffer{ring: make([]Sample, size)}
 	}
-	if cap(ring) >= cfg.BufferSize {
-		ring = ring[:cfg.BufferSize]
-		clear(ring)
-	} else {
-		ring = make([]Sample, cfg.BufferSize)
-	}
-	return &Sampler{cfg: cfg, countdown: cfg.Period, ring: ring}, nil
+	ring := recycled[:size]
+	clear(ring)
+	return Buffer{ring: ring}
 }
 
-// Ring exposes the sampler's backing buffer for reuse pools; the sampler
-// must not be used afterwards.
-func (s *Sampler) Ring() []Sample { return s.ring }
-
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Sampler {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// Config returns the sampler configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
-// Observe feeds one access into the sampler. Every Period-th access is
-// recorded; records are dropped when the ring is full. Between samples it
-// is a pure countdown decrement, so it inlines into the simulator's loop.
-func (s *Sampler) Observe(page mem.PageID, tier mem.Tier, now int64, write bool) {
-	s.countdown--
-	if s.countdown > 0 {
+// Take records one sample, or drops and counts it when the buffer is full
+// (as the hardware does: drops happen at the producer, the oldest samples
+// are kept).
+func (b *Buffer) Take(s Sample) {
+	b.sampled++
+	if b.size == len(b.ring) {
+		b.dropped++
 		return
 	}
-	s.sample(page, tier, now, write)
-}
-
-// sample records one sampled access and rearms the countdown. Kept out of
-// Observe so the per-access path stays under the inlining budget.
-//
-//go:noinline
-func (s *Sampler) sample(page mem.PageID, tier mem.Tier, now int64, write bool) {
-	s.countdown = s.cfg.Period
-	s.Take(page, tier, now, write)
-}
-
-// Take records one sampled access, accounting a full period of accesses
-// (the sample plus the Period-1 skipped before it). It is the firing half
-// of Observe for callers that hoist the skip countdown into their own loop
-// — the simulator keeps it in a register and calls Take when it hits zero,
-// then ObserveSkipped once at the end for the unfired remainder.
-func (s *Sampler) Take(page mem.PageID, tier mem.Tier, now int64, write bool) {
-	s.accBase += uint64(s.cfg.Period)
-	s.stats.Sampled++
-	if s.size == len(s.ring) {
-		s.stats.Dropped++
-		return
+	b.ring[b.head] = s
+	if b.head++; b.head == len(b.ring) {
+		b.head = 0
 	}
-	s.ring[s.head] = Sample{Page: page, Tier: tier, Time: now, Write: write}
-	if s.head++; s.head == len(s.ring) {
-		s.head = 0
-	}
-	s.size++
-}
-
-// ObserveSkipped accounts n accesses that a countdown-hoisting caller
-// observed without reaching the sampling period, keeping Stats().Accesses
-// exact.
-func (s *Sampler) ObserveSkipped(n int) {
-	if n > 0 {
-		s.accBase += uint64(n)
-	}
+	b.size++
 }
 
 // Pending returns the number of buffered samples.
-func (s *Sampler) Pending() int { return s.size }
+func (b *Buffer) Pending() int { return b.size }
 
 // Drain moves up to max buffered samples into dst (appending) and returns
 // the extended slice. max <= 0 drains everything.
-func (s *Sampler) Drain(dst []Sample, max int) []Sample {
-	n := s.size
+func (b *Buffer) Drain(dst []Sample, max int) []Sample {
+	n := b.size
 	if max > 0 && max < n {
 		n = max
 	}
 	// At most two bulk copies: tail→end of ring, then a wrapped remainder.
 	first := n
-	if avail := len(s.ring) - s.tail; first > avail {
+	if avail := len(b.ring) - b.tail; first > avail {
 		first = avail
 	}
-	dst = append(dst, s.ring[s.tail:s.tail+first]...)
+	dst = append(dst, b.ring[b.tail:b.tail+first]...)
 	if rest := n - first; rest > 0 {
-		dst = append(dst, s.ring[:rest]...)
-		s.tail = rest
-	} else if s.tail += first; s.tail == len(s.ring) {
-		s.tail = 0
+		dst = append(dst, b.ring[:rest]...)
+		b.tail = rest
+	} else if b.tail += first; b.tail == len(b.ring) {
+		b.tail = 0
 	}
-	s.size -= n
-	s.stats.Drained += uint64(n)
+	b.size -= n
+	b.drained += uint64(n)
 	return dst
 }
 
-// Stats returns a copy of the sampler statistics. The access count is
-// derived from the countdown state, so it stays exact without per-access
-// bookkeeping.
-func (s *Sampler) Stats() Stats {
-	st := s.stats
-	st.Accesses = s.accBase + uint64(s.cfg.Period-s.countdown)
-	return st
-}
+// Ring exposes the backing storage for reuse pools (NewBuffer's recycled
+// argument); the buffer must not be used afterwards.
+func (b *Buffer) Ring() []Sample { return b.ring }
 
-// Reset clears buffered samples and the period phase but keeps statistics.
-func (s *Sampler) Reset() {
-	s.accBase += uint64(s.cfg.Period - s.countdown)
-	s.head, s.tail, s.size = 0, 0, 0
-	s.countdown = s.cfg.Period
+// Stats assembles the counters around the access count, which the
+// embedding tracker keeps: only it knows how many accesses stand behind
+// each sample.
+func (b *Buffer) Stats(accesses uint64) Stats {
+	return Stats{Accesses: accesses, Sampled: b.sampled, Dropped: b.dropped, Drained: b.drained}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/tier"
 	"repro/internal/trace"
+	"repro/internal/tracker"
 )
 
 func hybridFor(fast int) *core.HybridTier {
@@ -206,6 +207,40 @@ func TestDeterministicResults(t *testing.T) {
 	if a.ElapsedNs != b.ElapsedNs || a.MedianLatNs != b.MedianLatNs ||
 		a.Mem.Promotions != b.Mem.Promotions {
 		t.Error("identical configs must produce identical results")
+	}
+}
+
+// TestTrackersConserveSamples is the end-of-run form of the sample
+// buffer's invariant (sampled == dropped + drained + Pending), one cell
+// per tracker kind: what Result.Pebs leaves unaccounted, sampled − dropped
+// − drained, is what was still buffered when the run ended, so it lies in
+// [0, BufferSize]. The buffer holds 512 entries — two drain batches, and
+// well under what one scan of this footprint emits — so PEBS never drops
+// and the scanning kinds do.
+func TestTrackersConserveSamples(t *testing.T) {
+	const pages, ops, buffer = 4096, 200_003, 512
+	for _, kind := range tracker.Kinds() {
+		w := trace.NewZipfSource("zipf", pages, 1.0, 0.3, 5)
+		fast := pages / 9
+		cfg := DefaultConfig(w, hybridFor(fast), fast)
+		cfg.Ops = ops
+		cfg.Tracker.Kind = kind
+		cfg.Tracker.Pebs.BufferSize, cfg.Tracker.BufferSize = buffer, buffer
+		cfg.Tracker.ScanNs = 2_000_000
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Pebs
+		if st.Accesses != ops || st.Sampled == 0 || st.Drained == 0 {
+			t.Errorf("%s: %+v; want %d accesses, samples taken and drained", kind, st, ops)
+		}
+		if scans := kind != tracker.KindPEBS; scans != (st.Dropped > 0) {
+			t.Errorf("%s: dropped %d of %d samples through a %d-entry buffer", kind, st.Dropped, st.Sampled, buffer)
+		}
+		if left := int64(st.Sampled) - int64(st.Dropped) - int64(st.Drained); left < 0 || left > buffer {
+			t.Errorf("%s: sampled − dropped − drained = %d, want within [0, %d]: %+v", kind, left, buffer, st)
+		}
 	}
 }
 

@@ -410,53 +410,6 @@ func (t *TimeSeries) Reset() {
 	t.started = false
 }
 
-// SteadyState returns the mean of the medians of the last n windows, which
-// the adaptation-time experiments (Table 3) use as the converged latency.
-func SteadyState(points []SeriesPoint, n int) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	if n > len(points) {
-		n = len(points)
-	}
-	sum := 0.0
-	for _, p := range points[len(points)-n:] {
-		sum += float64(p.Median)
-	}
-	return sum / float64(n)
-}
-
-// AdaptTime returns the first time ≥ after at which the series' window
-// median stays within tol (fractional, e.g. 0.01 for 1%) of steady for the
-// remainder of the series, mirroring Table 3's "reach within 1% of the
-// steady-state median latency". The boolean is false when the series never
-// converges.
-func AdaptTime(points []SeriesPoint, after int64, steady, tol float64) (int64, bool) {
-	if steady <= 0 {
-		return 0, false
-	}
-	lastBad := int64(-1)
-	found := false
-	for _, p := range points {
-		if p.Time < after {
-			continue
-		}
-		found = true
-		if math.Abs(float64(p.Median)-steady)/steady > tol {
-			lastBad = p.Time
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	for _, p := range points {
-		if p.Time > lastBad && p.Time >= after {
-			return p.Time, true
-		}
-	}
-	return 0, false
-}
-
 // Smooth returns a copy of points whose Mean fields are replaced by a
 // centered moving average over 2k+1 windows, damping per-window noise
 // before convergence detection.
@@ -500,10 +453,13 @@ func MeanSteadyState(points []SeriesPoint, n int) float64 {
 	return sum / float64(n)
 }
 
-// MeanAdaptTime is AdaptTime over the window means instead of the medians.
-// The test is one-sided: a disturbance pushes the metric above its steady
-// level, so a window is unconverged only while it remains more than tol
-// above steady — dips below steady are not failures.
+// MeanAdaptTime returns the first time ≥ after at which the series' window
+// mean stays within tol (fractional, e.g. 0.01 for 1%) of steady for the
+// remainder of the series, mirroring Table 3's "reach within 1% of the
+// steady-state latency". The boolean is false when the series never
+// converges. The test is one-sided: a disturbance pushes the metric above
+// its steady level, so a window is unconverged only while it remains more
+// than tol above steady — dips below steady are not failures.
 func MeanAdaptTime(points []SeriesPoint, after int64, steady, tol float64) (int64, bool) {
 	if steady <= 0 {
 		return 0, false

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -248,40 +249,80 @@ func TestTimeSeriesGap(t *testing.T) {
 }
 
 func TestSteadyState(t *testing.T) {
-	pts := []SeriesPoint{{Median: 10}, {Median: 20}, {Median: 30}, {Median: 40}}
-	if got := SteadyState(pts, 2); got != 35 {
-		t.Errorf("SteadyState = %v, want 35", got)
+	pts := []SeriesPoint{{Mean: 10}, {Mean: 20}, {Mean: 30}, {Mean: 40}}
+	if got := MeanSteadyState(pts, 2); got != 35 {
+		t.Errorf("MeanSteadyState = %v, want 35", got)
 	}
-	if got := SteadyState(pts, 100); got != 25 {
-		t.Errorf("SteadyState clamps n: got %v, want 25", got)
+	if got := MeanSteadyState(pts, 100); got != 25 {
+		t.Errorf("MeanSteadyState clamps n: got %v, want 25", got)
 	}
-	if got := SteadyState(nil, 3); got != 0 {
-		t.Errorf("SteadyState(nil) = %v, want 0", got)
+	if got := MeanSteadyState(nil, 3); got != 0 {
+		t.Errorf("MeanSteadyState(nil) = %v, want 0", got)
 	}
 }
 
 func TestAdaptTime(t *testing.T) {
-	// Series: disturbance at t=100 raises medians, converges at t=400.
+	// Series: disturbance at t=100 raises means, converges at t=400.
 	pts := []SeriesPoint{
-		{Time: 0, Median: 100},
-		{Time: 100, Median: 300},
-		{Time: 200, Median: 250},
-		{Time: 300, Median: 150},
-		{Time: 400, Median: 101},
-		{Time: 500, Median: 100},
-		{Time: 600, Median: 100},
+		{Time: 0, Mean: 100},
+		{Time: 100, Mean: 300},
+		{Time: 200, Mean: 250},
+		{Time: 300, Mean: 150},
+		{Time: 400, Mean: 101},
+		{Time: 500, Mean: 100},
+		{Time: 600, Mean: 100},
 	}
-	got, ok := AdaptTime(pts, 100, 100, 0.01)
+	got, ok := MeanAdaptTime(pts, 100, 100, 0.01)
 	if !ok || got != 400 {
-		t.Errorf("AdaptTime = %v, %v; want 400, true", got, ok)
+		t.Errorf("MeanAdaptTime = %v, %v; want 400, true", got, ok)
+	}
+	// The tolerance is one-sided: an overshoot below steady on the way
+	// down (t=500) is converged, where a two-sided test would wait for 600.
+	dip := append([]SeriesPoint{}, pts...)
+	dip[5].Mean = 60
+	if got, ok := MeanAdaptTime(dip, 100, 100, 0.01); !ok || got != 400 {
+		t.Errorf("MeanAdaptTime with a dip below steady = %v, %v; want 400, true", got, ok)
 	}
 	// Never converging within tolerance.
-	_, ok = AdaptTime([]SeriesPoint{{Time: 100, Median: 300}}, 0, 100, 0.01)
+	_, ok = MeanAdaptTime([]SeriesPoint{{Time: 100, Mean: 300}}, 0, 100, 0.01)
 	if ok {
-		t.Error("AdaptTime should not converge when the last point is off-steady")
+		t.Error("MeanAdaptTime should not converge when the last point is off-steady")
 	}
-	if _, ok := AdaptTime(pts, 100, 0, 0.01); ok {
-		t.Error("AdaptTime with steady=0 must fail")
+	if _, ok := MeanAdaptTime(pts, 100, 0, 0.01); ok {
+		t.Error("MeanAdaptTime with steady=0 must fail")
+	}
+	if _, ok := MeanAdaptTime(pts, 700, 100, 0.01); ok {
+		t.Error("MeanAdaptTime with no window at or after the disturbance must fail")
+	}
+}
+
+// TestSmooth: a centered moving average over 2k+1 windows whose window is
+// clamped at both ends of the series (3, 4, 5, 4, 3 points wide for k=2
+// over five windows), touching Mean only and never its input.
+func TestSmooth(t *testing.T) {
+	pts := []SeriesPoint{
+		{Time: 0, Median: 7, Mean: 10, Count: 1},
+		{Time: 10, Median: 7, Mean: 20, Count: 1},
+		{Time: 20, Median: 7, Mean: 60, Count: 1},
+		{Time: 30, Median: 7, Mean: 30, Count: 1},
+		{Time: 40, Median: 7, Mean: 80, Count: 1},
+	}
+	orig := append([]SeriesPoint{}, pts...)
+	got := Smooth(pts, 2)
+	want := []float64{90.0 / 3, 120.0 / 4, 200.0 / 5, 190.0 / 4, 170.0 / 3}
+	for i, p := range got {
+		if math.Abs(p.Mean-want[i]) > 1e-9 {
+			t.Errorf("Smooth(k=2)[%d].Mean = %v, want %v", i, p.Mean, want[i])
+		}
+		if p.Time != orig[i].Time || p.Median != 7 || p.Count != 1 {
+			t.Errorf("Smooth changed more than Mean at %d: %+v", i, p)
+		}
+	}
+	if !reflect.DeepEqual(pts, orig) {
+		t.Error("Smooth modified its input")
+	}
+	if got := Smooth(pts, 0); !reflect.DeepEqual(got, orig) || &got[0] == &pts[0] {
+		t.Errorf("Smooth(k=0) must return an unsmoothed copy, got %+v", got)
 	}
 }
 

@@ -7,49 +7,40 @@ import (
 	"repro/internal/pebs"
 )
 
-// BenchmarkScanObserve measures the scanning trackers' per-access cost:
-// two bitmap word updates, the price every op pays when the simulator
-// runs under idlepage or soft-dirty tracking (period 1 — no countdown
-// skip shields it). The PEBS twin is BenchmarkPebsObserve in
-// internal/pebs; the two numbers bracket the tracker choice's hot-loop
-// impact.
-func BenchmarkScanObserve(b *testing.B) {
-	const pages = 1 << 14
-	trk, err := New(Config{Kind: KindIdlepage, ScanNs: 1 << 62, BufferSize: 1 << 10, ScanCostPerPageNs: 0.5}, pages, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		trk.Observe(mem.PageID(i)&(pages-1), mem.Tier(i&1), int64(i), i&7 == 0)
-	}
-}
-
-// BenchmarkIdlepageScanDrain measures one full scan cycle per iteration:
-// mark a spread of pages, walk and clear the whole bitmap emitting
-// samples, and drain them — the periodic cost the simulator charges at
-// each scan boundary. ns/op is per-scan over a 16 Ki-page footprint with
-// 1/8 of pages touched.
-func BenchmarkIdlepageScanDrain(b *testing.B) {
-	const pages = 1 << 14
-	trk, err := New(Config{Kind: KindIdlepage, ScanNs: 1, BufferSize: 1 << 14, ScanCostPerPageNs: 0.5}, pages, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := make([]pebs.Sample, 0, pages)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < pages; p += 8 {
-			trk.Observe(mem.PageID(p), mem.Slow, int64(i), false)
-		}
-		if trk.Sync(int64(i)+1) == 0 {
-			b.Fatal("scan did not fire")
-		}
-		batch = trk.Drain(batch[:0], 0)
-		if len(batch) != pages/8 {
-			b.Fatalf("drained %d samples, want %d", len(batch), pages/8)
-		}
+// BenchmarkTrackerObserve prices each kind per access, driven the way
+// sim.Run drives it: the Period countdown hoisted into the loop, Observe
+// when it fires, Sync at every virtual tick, Drain at the simulator's
+// batch size. PEBS pays one sample every 13th access; the scanning kinds
+// pay two bitmap word updates on every access (period 1 — no countdown
+// skip shields them) plus a full-footprint scan per scan period.
+func BenchmarkTrackerObserve(b *testing.B) {
+	const pages, nsPerAccess, tickNs, batchDrain = 1 << 14, 100, 10_000_000, 256
+	for _, kind := range Kinds() {
+		b.Run(kind, func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Kind = kind
+			trk, err := New(cfg, pages, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var batch []pebs.Sample
+			period := trk.Period()
+			left, now, nextTick := period, int64(0), int64(tickNs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if left--; left <= 0 {
+					trk.Observe(mem.PageID(i)&(pages-1), mem.Tier(i&1), now, i&7 == 0)
+					left = period
+				}
+				if now += nsPerAccess; now >= nextTick {
+					trk.Sync(now)
+					nextTick += tickNs
+				}
+				if trk.Pending() >= batchDrain {
+					batch = trk.Drain(batch[:0], 0)
+				}
+			}
+		})
 	}
 }

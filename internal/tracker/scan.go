@@ -7,82 +7,18 @@ import (
 	"repro/internal/pebs"
 )
 
-// sampleRing is the bounded sample buffer the scanning trackers share.
-// It reproduces the PEBS ring's semantics exactly — bounded capacity,
-// drop-and-count under overload, two-bulk-copy drain — so policies see
-// one contract regardless of tracker.
-type sampleRing struct {
-	buf     []pebs.Sample
-	head    int // next write
-	tail    int // next read
-	size    int
-	sampled uint64
-	dropped uint64
-	drained uint64
-}
-
-// checkoutRing returns a ring of exactly size entries, reusing recycled
-// storage when it is large enough. Recycled memory is scrubbed: a pooled
-// ring carries another sweep cell's samples, and clearing on checkout
-// guarantees a buffer-handling bug can only surface zero samples, never
-// another cell's pages.
-func checkoutRing(recycled []pebs.Sample, size int) []pebs.Sample {
-	if cap(recycled) >= size {
-		r := recycled[:size]
-		clear(r)
-		return r
-	}
-	return make([]pebs.Sample, size)
-}
-
-func (r *sampleRing) take(s pebs.Sample) {
-	r.sampled++
-	if r.size == len(r.buf) {
-		r.dropped++
-		return
-	}
-	r.buf[r.head] = s
-	if r.head++; r.head == len(r.buf) {
-		r.head = 0
-	}
-	r.size++
-}
-
-func (r *sampleRing) drain(dst []pebs.Sample, max int) []pebs.Sample {
-	n := r.size
-	if max > 0 && max < n {
-		n = max
-	}
-	first := n
-	if avail := len(r.buf) - r.tail; first > avail {
-		first = avail
-	}
-	dst = append(dst, r.buf[r.tail:r.tail+first]...)
-	if rest := n - first; rest > 0 {
-		dst = append(dst, r.buf[:rest]...)
-		r.tail = rest
-	} else if r.tail += first; r.tail == len(r.buf) {
-		r.tail = 0
-	}
-	r.size -= n
-	r.drained += uint64(n)
-	return dst
-}
-
 // scanTracker is the shared machinery of the bitmap trackers: per-page
 // marked bits set on Observe, a last-seen-tier bitmap, and a periodic
 // scan-and-clear that turns set bits into samples. The two concrete
 // trackers differ only in which accesses set bits and how the emitted
 // sample is flagged.
 type scanTracker struct {
-	ring     sampleRing
+	buffered
 	marked   []uint64 // bit set when the page was accessed since the last scan
 	slowBits []uint64 // last-seen tier per page (set = slow); not cleared by scans
-	numPages int
 	scanNs   int64
 	costNs   float64 // full-footprint scan cost
 	nextScan int64
-	accesses uint64
 	// emitWrite is the Write flag stamped on scan samples: false for
 	// idlepage (accessed bits carry no read/write information), true for
 	// soft-dirty (only writes set bits).
@@ -92,10 +28,9 @@ type scanTracker struct {
 func newScanTracker(cfg Config, numPages int, recycled []pebs.Sample, emitWrite bool) scanTracker {
 	words := (numPages + 63) >> 6
 	return scanTracker{
-		ring:      sampleRing{buf: checkoutRing(recycled, cfg.BufferSize)},
+		buffered:  buffered{Buffer: pebs.NewBuffer(recycled, cfg.BufferSize)},
 		marked:    make([]uint64, words),
 		slowBits:  make([]uint64, words),
-		numPages:  numPages,
 		scanNs:    cfg.ScanNs,
 		costNs:    float64(numPages) * cfg.ScanCostPerPageNs,
 		nextScan:  cfg.ScanNs,
@@ -115,12 +50,6 @@ func (t *scanTracker) mark(page mem.PageID, tier mem.Tier) {
 		t.slowBits[w] |= b
 	} else {
 		t.slowBits[w] &^= b
-	}
-}
-
-func (t *scanTracker) ObserveSkipped(n int) {
-	if n > 0 {
-		t.accesses += uint64(n)
 	}
 }
 
@@ -151,7 +80,7 @@ func (t *scanTracker) Sync(now int64) float64 {
 			if slow&(1<<tz) != 0 {
 				tier = mem.Slow
 			}
-			t.ring.take(pebs.Sample{
+			t.Take(pebs.Sample{
 				Page:  base + mem.PageID(tz),
 				Tier:  tier,
 				Time:  now,
@@ -160,21 +89,6 @@ func (t *scanTracker) Sync(now int64) float64 {
 		}
 	}
 	return t.costNs
-}
-
-func (t *scanTracker) Pending() int { return t.ring.size }
-func (t *scanTracker) Drain(dst []pebs.Sample, max int) []pebs.Sample {
-	return t.ring.drain(dst, max)
-}
-func (t *scanTracker) Ring() []pebs.Sample { return t.ring.buf }
-
-func (t *scanTracker) Stats() pebs.Stats {
-	return pebs.Stats{
-		Accesses: t.accesses,
-		Sampled:  t.ring.sampled,
-		Dropped:  t.ring.dropped,
-		Drained:  t.ring.drained,
-	}
 }
 
 // idlepage reproduces memtierd's idle-page tracker: every access sets
@@ -188,10 +102,6 @@ func (t *scanTracker) Stats() pebs.Stats {
 // the sample is stale, exactly as a real bitmap walk's would be.
 type idlepage struct {
 	scanTracker
-}
-
-func newIdlepage(cfg Config, numPages int, ring []pebs.Sample) *idlepage {
-	return &idlepage{newScanTracker(cfg, numPages, ring, false)}
 }
 
 func (t *idlepage) Kind() string { return KindIdlepage }
@@ -210,10 +120,6 @@ func (t *idlepage) Observe(page mem.PageID, tier mem.Tier, now int64, write bool
 // which is precisely the trade-off worth simulating.
 type softDirty struct {
 	scanTracker
-}
-
-func newSoftDirty(cfg Config, numPages int, ring []pebs.Sample) *softDirty {
-	return &softDirty{newScanTracker(cfg, numPages, ring, true)}
 }
 
 func (t *softDirty) Kind() string { return KindSoftDirty }

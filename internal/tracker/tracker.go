@@ -5,12 +5,12 @@
 // tiering) choose among *trackers*: hardware event sampling, idle-page
 // bitmap scans, soft-dirty write tracking, DAMON-style region sampling.
 // This package defines the pluggable Tracker contract the simulator
-// drives, with the PEBS sampler as the reference implementation and two
+// drives, with PEBS sampling as the reference kind and two
 // memtierd-inspired scanning trackers beside it.
 //
-// All trackers speak the same drain protocol as the PEBS sampler
-// (Algorithm 1): accesses go in through Observe, samples come out in
-// batches through Drain, and a bounded ring drops under overload. What
+// All kinds speak one drain protocol (Algorithm 1) because all embed the
+// one pebs.Buffer: accesses go in through Observe, samples come out in
+// batches through Drain, and the bounded buffer drops under overload. What
 // differs is *when* samples materialize — per access for PEBS, at
 // periodic scan boundaries (Sync) for the bitmap trackers — and what
 // they can see (soft-dirty observes only writes).
@@ -148,10 +148,7 @@ type Tracker interface {
 // New builds the configured tracker. numPages sizes the scanning
 // trackers' bitmaps (at the simulation's tracking granularity, so huge
 // pages shrink them 512×); ring, when non-nil, recycles a sample buffer
-// from a previous run. The recycled buffer is scrubbed before use — a
-// pooled ring carries another cell's samples, and stale entries must not
-// be able to reach a policy even through a tracker bug (see
-// checkoutRing).
+// from a previous run (scrubbed before use, see pebs.NewBuffer).
 func New(cfg Config, numPages int, ring []pebs.Sample) (Tracker, error) {
 	kind, err := Normalize(cfg.Kind)
 	if err != nil {
@@ -164,15 +161,49 @@ func New(cfg Config, numPages int, ring []pebs.Sample) (Tracker, error) {
 	}
 	switch kind {
 	case KindPEBS:
-		s, err := pebs.NewWithRing(norm.Pebs, ring)
-		if err != nil {
-			return nil, err
-		}
-		return &pebsTracker{s: s, period: norm.Pebs.Period}, nil
+		return &pebsTracker{
+			buffered: buffered{Buffer: pebs.NewBuffer(ring, norm.Pebs.BufferSize)},
+			period:   norm.Pebs.Period,
+		}, nil
 	case KindIdlepage:
-		return newIdlepage(norm, numPages, ring), nil
+		return &idlepage{newScanTracker(norm, numPages, ring, false)}, nil
 	case KindSoftDirty:
-		return newSoftDirty(norm, numPages, ring), nil
+		return &softDirty{newScanTracker(norm, numPages, ring, true)}, nil
 	}
 	panic("unreachable: Normalize admitted kind " + kind)
 }
+
+// buffered is what every kind embeds: the one sample buffer — Pending,
+// Drain and Ring are its methods, promoted — and the access count that
+// stands behind its Stats.
+type buffered struct {
+	pebs.Buffer
+	accesses uint64
+}
+
+func (b *buffered) ObserveSkipped(n int) {
+	if n > 0 {
+		b.accesses += uint64(n)
+	}
+}
+
+func (b *buffered) Stats() pebs.Stats { return b.Buffer.Stats(b.accesses) }
+
+// pebsTracker is hardware event sampling: the caller's hoisted countdown
+// delivers every period-th access, each of which becomes one sample and
+// accounts the whole period (itself plus the period-1 skipped before it).
+// Hardware sampling has no periodic scan, so Sync is free.
+type pebsTracker struct {
+	buffered
+	period int
+}
+
+func (t *pebsTracker) Kind() string { return KindPEBS }
+func (t *pebsTracker) Period() int  { return t.period }
+
+func (t *pebsTracker) Observe(page mem.PageID, tier mem.Tier, now int64, write bool) {
+	t.accesses += uint64(t.period)
+	t.Take(pebs.Sample{Page: page, Tier: tier, Time: now, Write: write})
+}
+
+func (t *pebsTracker) Sync(int64) float64 { return 0 }

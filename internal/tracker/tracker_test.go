@@ -3,6 +3,7 @@ package tracker
 import (
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/mem"
 	"repro/internal/pebs"
@@ -51,12 +52,15 @@ func TestValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: config %+v validated; want error", i, c)
 		}
+		if _, err := New(c, 64, nil); err == nil {
+			t.Errorf("case %d: New(%+v) built a tracker; want error", i, c)
+		}
 	}
 }
 
-// TestPEBSAdapter checks the adapter preserves the sampler's hoisted-
-// countdown accounting: Observe forwards to Take (a full period each),
-// ObserveSkipped folds the remainder, and the drain path is untouched.
+// TestPEBSAdapter checks the PEBS kind's side of the hoisted-countdown
+// protocol: Observe accounts a full period and takes one sample,
+// ObserveSkipped folds the remainder, Sync is free.
 func TestPEBSAdapter(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Pebs = pebs.Config{Period: 5, BufferSize: 4}
@@ -187,58 +191,183 @@ func TestSoftDirtyWriteOnly(t *testing.T) {
 	}
 }
 
-// TestRingOverflowAndWrap exercises drop counting and the wrapped drain.
-func TestRingOverflowAndWrap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Kind = KindIdlepage
-	cfg.ScanNs = 10
-	cfg.BufferSize = 4
-	trk, _ := New(cfg, 64, nil)
-	for p := 0; p < 6; p++ {
-		trk.Observe(mem.PageID(p), mem.Fast, 0, false)
-	}
-	trk.Sync(10) // 6 marked pages into a 4-slot ring: 2 drop
-	if st := trk.Stats(); st.Sampled != 6 || st.Dropped != 2 {
-		t.Fatalf("stats = %+v; want Sampled 6, Dropped 2", st)
-	}
-	if got := trk.Drain(nil, 2); len(got) != 2 {
-		t.Fatalf("partial drain returned %d", len(got))
-	}
-	// Refill so the ring wraps, then drain across the seam.
-	trk.Observe(40, mem.Fast, 15, false)
-	trk.Observe(41, mem.Fast, 16, false)
-	trk.Sync(20)
-	got := trk.Drain(nil, 0)
-	wantPages := []mem.PageID{2, 3, 40, 41}
-	if len(got) != len(wantPages) {
-		t.Fatalf("drained %d samples; want %d", len(got), len(wantPages))
-	}
-	for i, s := range got {
-		if s.Page != wantPages[i] {
-			t.Fatalf("sample %d page = %d; want %d", i, s.Page, wantPages[i])
+// TestPEBSAccessesExact: for any period, number of fired Observes and
+// unfired remainder, Stats().Accesses is exactly what the caller's
+// countdown saw, one sample is taken per fire, and they drain in order.
+func TestPEBSAccessesExact(t *testing.T) {
+	f := func(p uint8, fires uint16, rem uint8) bool {
+		period := int(p)%50 + 1
+		remainder := int(rem) % period
+		cfg := DefaultConfig()
+		n := int(fires) % 2048
+		cfg.Pebs = pebs.Config{Period: period, BufferSize: 2048}
+		trk, err := New(cfg, 1, nil)
+		if err != nil {
+			return false
 		}
+		for i := 0; i < n; i++ {
+			trk.Observe(mem.PageID(i), mem.Fast, int64(i), false)
+		}
+		trk.ObserveSkipped(remainder)
+		trk.ObserveSkipped(-1) // a countdown that just fired has nothing to fold
+		want := pebs.Stats{Accesses: uint64(n*period + remainder), Sampled: uint64(n)}
+		if trk.Stats() != want {
+			return false
+		}
+		got := trk.Drain(nil, 0)
+		for i, s := range got {
+			if s.Time != int64(i) {
+				return false
+			}
+		}
+		return len(got) == n
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
-// TestCheckoutRingScrub pins the pooled-buffer guarantee: recycled rings
-// are cleared before a tracker adopts them, so stale samples from a
-// previous sweep cell can never be observed, even through a bug that
-// reads an unwritten slot.
-func TestCheckoutRingScrub(t *testing.T) {
-	stale := make([]pebs.Sample, 8)
-	for i := range stale {
-		stale[i] = pebs.Sample{Page: 999, Tier: mem.Slow, Time: 42, Write: true}
+// ringHarness feeds one tracker kind batches of samples through its own
+// front door — Observe for PEBS, Observe then a scan for the bitmap kinds
+// — so the ring cases below read the same for all three. Scans emit in
+// ascending page order, so every batch lists its pages ascending.
+type ringHarness struct {
+	t        *testing.T
+	trk      Tracker
+	kind     string
+	now      int64
+	recycled []pebs.Sample // what New was handed, dirty
+}
+
+// newRingHarness builds a kind over a size-entry ring, handing New a
+// recycled slice of the given length (0: none) full of another run's
+// samples.
+func newRingHarness(t *testing.T, kind string, size, recycledLen int) *ringHarness {
+	t.Helper()
+	var recycled []pebs.Sample
+	for i := 0; i < recycledLen; i++ {
+		recycled = append(recycled, pebs.Sample{Page: 999, Tier: mem.Slow, Time: 42, Write: true})
 	}
-	r := checkoutRing(stale, 4)
-	if len(r) != 4 {
-		t.Fatalf("len = %d; want 4", len(r))
+	cfg := DefaultConfig()
+	cfg.Kind = kind
+	cfg.Pebs = pebs.Config{Period: 1, BufferSize: size}
+	cfg.ScanNs, cfg.BufferSize = 1, size
+	trk, err := New(cfg, 4096, recycled)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range r {
-		if s != (pebs.Sample{}) {
-			t.Fatalf("slot %d not scrubbed: %+v", i, s)
+	return &ringHarness{t: t, trk: trk, kind: kind, recycled: recycled}
+}
+
+// emit makes the tracker produce one sample per page, all stamped h.now.
+func (h *ringHarness) emit(pages ...mem.PageID) {
+	h.now++
+	for _, p := range pages {
+		h.trk.Observe(p, mem.Slow, h.now, h.kind == KindSoftDirty)
+	}
+	h.trk.Sync(h.now)
+}
+
+// drain drains up to max samples and checks they are exactly the given
+// pages, oldest first.
+func (h *ringHarness) drain(max int, want ...mem.PageID) {
+	h.t.Helper()
+	got := h.trk.Drain(nil, max)
+	pages := make([]mem.PageID, len(got))
+	for i, s := range got {
+		pages[i] = s.Page
+	}
+	if !reflect.DeepEqual(pages, append([]mem.PageID{}, want...)) {
+		h.t.Fatalf("Drain(%d) pages = %v; want %v", max, pages, want)
+	}
+}
+
+func (h *ringHarness) expect(pending int, sampled, dropped, drained uint64) {
+	h.t.Helper()
+	st := h.trk.Stats()
+	if h.trk.Pending() != pending || st.Sampled != sampled || st.Dropped != dropped || st.Drained != drained {
+		h.t.Fatalf("pending %d stats %+v; want pending %d sampled %d dropped %d drained %d",
+			h.trk.Pending(), st, pending, sampled, dropped, drained)
+	}
+}
+
+func seq(from, n int) []mem.PageID {
+	pages := make([]mem.PageID, n)
+	for i := range pages {
+		pages[i] = mem.PageID(from + i)
+	}
+	return pages
+}
+
+// TestRingSemantics is the one table of buffer behaviour — drop on
+// overflow, bounded and full drains, wrap-around, the scrubbed recycled
+// ring — run through tracker.New for every kind: the buffer exists once
+// (pebs.Buffer), and this is what every kind promises with it.
+func TestRingSemantics(t *testing.T) {
+	cases := []struct {
+		name     string
+		size     int
+		recycled int
+		run      func(h *ringHarness)
+	}{
+		{name: "drop_on_overflow", size: 4, run: func(h *ringHarness) {
+			h.emit(seq(0, 10)...)
+			h.expect(4, 10, 6, 0)
+			// Drops happen at the producer: the oldest samples are kept.
+			h.drain(0, 0, 1, 2, 3)
+		}},
+		{name: "drain_max", size: 100, run: func(h *ringHarness) {
+			h.emit(seq(0, 50)...)
+			h.drain(20, seq(0, 20)...)
+			h.expect(30, 50, 0, 20)
+			h.drain(0, seq(20, 30)...)
+			h.expect(0, 50, 0, 50)
+		}},
+		{name: "wraparound", size: 4, run: func(h *ringHarness) {
+			// Fill, drain, fill again so head and tail lap the ring.
+			for round := 0; round < 5; round++ {
+				h.emit(seq(round*10, 3)...)
+				h.drain(0, seq(round*10, 3)...)
+			}
+			// A partial drain, then a refill that wraps: the full drain
+			// crosses the seam in FIFO order.
+			h.emit(seq(100, 6)...)
+			h.expect(4, 21, 2, 15)
+			h.drain(2, 100, 101)
+			h.emit(140, 141)
+			h.drain(0, 102, 103, 140, 141)
+			h.expect(0, 23, 2, 21)
+		}},
+		// A pooled ring carries another sweep cell's samples: the kind
+		// adopts the storage but not one stale entry of it.
+		{name: "recycled_ring_scrubbed", size: 4, recycled: 8, run: func(h *ringHarness) {
+			ring := h.trk.Ring()
+			if len(ring) != 4 || &ring[0] != &h.recycled[0] {
+				h.t.Fatalf("recycled storage not adopted at the configured size (len %d)", len(ring))
+			}
+			for i, s := range ring {
+				if s != (pebs.Sample{}) {
+					h.t.Fatalf("slot %d not scrubbed: %+v", i, s)
+				}
+			}
+			h.emit(7)
+			h.drain(0, 7)
+			h.expect(0, 1, 0, 1)
+		}},
+		{name: "short_recycled_ring_replaced", size: 4, recycled: 2, run: func(h *ringHarness) {
+			if ring := h.trk.Ring(); len(ring) != 4 || &ring[0] == &h.recycled[0] {
+				h.t.Fatalf("short recycled buffer not replaced (len %d)", len(ring))
+			}
+			h.emit(seq(0, 5)...)
+			h.expect(4, 5, 1, 0)
+			h.drain(0, 0, 1, 2, 3)
+		}},
+	}
+	for _, c := range cases {
+		for _, kind := range Kinds() {
+			t.Run(c.name+"/"+kind, func(t *testing.T) {
+				c.run(newRingHarness(t, kind, c.size, c.recycled))
+			})
 		}
-	}
-	if small := checkoutRing(stale[:2], 4); len(small) != 4 {
-		t.Fatalf("short recycled buffer not replaced")
 	}
 }
