@@ -8,7 +8,7 @@
 //
 //	htiersim [-workload cdn] [-policy HybridTier,Memtis] [-ratio 8,16]
 //	         [-seed 1,2,3] [-ops 1000000] [-huge] [-cache] [-tracker idlepage]
-//	         [-batch-ops N] [-scale tiny|quick|full] [-workers N]
+//	         [-scale tiny|quick|full] [-workers N]
 //	         [-json] [-series] [-list] [-record run.htrc] [-replay run.htrc]
 //	         [-trace-info run.htrc] [-submit http://host:8080]
 //	         [-experiment fig9,tab3]
@@ -38,8 +38,8 @@
 // content-addressed cache — byte-identical to what the same flags print
 // locally, and free when another client already ran the same experiment.
 // -record and -replay name local files and therefore conflict with
-// -submit; -workers and -batch-ops are local execution knobs the daemon
-// chooses for itself.
+// -submit; -workers is a local execution knob the daemon chooses for
+// itself.
 //
 // -experiment regenerates the paper's evaluation tables and figures (the
 // artifact's repro.sh analogue) instead of running a simulation: the named
@@ -88,7 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trackerFlag := fs.String("tracker", "", "access tracker for every cell: pebs, idlepage, or softdirty (default: each policy's own; Policy@tracker pins per policy)")
 	scaleFlag := fs.String("scale", "quick", "workload scale: tiny, quick, or full")
 	workers := fs.Int("workers", 0, "concurrent sweep cells (default: all cores)")
-	batchOps := fs.Int("batch-ops", 0, "ops fetched per workload batch (1 = single-op reference schedule; results are identical)")
 	jsonOut := fs.Bool("json", false, "emit results as JSON")
 	series := fs.Bool("series", false, "print the latency time series (single run only)")
 	list := fs.Bool("list", false, "list workloads, policies, composition syntax, and experiment ids")
@@ -246,7 +245,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hybridtier.WithHugePages(*huge),
 		hybridtier.WithCacheModel(*cache),
 		hybridtier.WithTracker(*trackerFlag),
-		hybridtier.WithBatchOps(*batchOps),
 	}
 	// For a trace the library defaults to the recorded length (a longer
 	// replay would wrap around to the trace's start), so the flag default

@@ -33,7 +33,6 @@ type Experiment struct {
 	seed     uint64
 	tracker  string
 	windowNs int64
-	batchOps int
 	recordTo string
 	progress func(done, total int64)
 	// scratch supplies reusable simulation buffers; Sweep workers set it
@@ -185,8 +184,8 @@ func WithCacheModel(on bool) Option {
 	return func(e *Experiment) { e.cache = on }
 }
 
-// WithSeed makes the run deterministic (default 1). The seed drives both
-// the workload instance and the simulator.
+// WithSeed makes the run deterministic (default 1). The seed builds the
+// workload instance; the simulator itself draws no randomness.
 func WithSeed(s uint64) Option {
 	return func(e *Experiment) { e.seed = s }
 }
@@ -202,15 +201,6 @@ func WithWindowNs(ns int64) Option {
 // concurrency-safe: cells running in parallel share it.
 func WithProgress(fn func(done, total int64)) Option {
 	return func(e *Experiment) { e.progress = fn }
-}
-
-// WithBatchOps sets how many operations the simulator fetches from the
-// workload per batch (default sim.DefaultBatchOps). It is purely a
-// performance knob — results are identical for any value — and 1 forces
-// the single-op fetch schedule, which the determinism tests compare
-// against the batched default.
-func WithBatchOps(n int) Option {
-	return func(e *Experiment) { e.batchOps = n }
 }
 
 // NewExperiment builds an experiment from options. Unset or zero-valued
@@ -329,7 +319,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	cfg := sim.DefaultConfig(w, p, polFast)
 	cfg.Ops = ops
 	cfg.Alloc = alloc
-	cfg.Seed = e.seed
 	cfg.Tracker.Kind = trackerKind
 	cfg.AppCacheModel = e.cache
 	if e.huge {
@@ -340,7 +329,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 	}
 	cfg.Ctx = ctx
 	cfg.Progress = e.progress
-	cfg.BatchOps = e.batchOps
 	cfg.Scratch = e.scratch
 	res, err := sim.Run(cfg)
 	if err == nil {

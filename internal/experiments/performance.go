@@ -256,7 +256,6 @@ func runMomentum(ctx context.Context, s Scale, wl string, threshold uint32) (*si
 	}
 	cfg := sim.DefaultConfig(w, p, fast)
 	cfg.Ops = s.Ops
-	cfg.Seed = 33
 	cfg.Ctx = ctx
 	return sim.Run(cfg)
 }

@@ -77,22 +77,3 @@ func benchTrackerLoop(b *testing.B, kind string) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkSimOpLoopSingleOpFetch is BenchmarkSimOpLoop with BatchOps 1 —
-// the single-op fetch schedule — so the win from batch fetching is visible
-// in isolation.
-func BenchmarkSimOpLoopSingleOpFetch(b *testing.B) {
-	const pages = 1 << 14
-	w := trace.NewScanSource("bench-scan", pages)
-	cfg := DefaultConfig(w, baselines.NewStatic("FirstTouch"), pages/9)
-	cfg.BatchOps = 1
-	cfg.Ops = int64(b.N)
-	if cfg.Ops < 1024 {
-		cfg.Ops = 1024
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -39,9 +39,8 @@ func TestRunCanceledMidRun(t *testing.T) {
 	defer cancel()
 	cfg := cancelConfig(1_000_000)
 	cfg.Ctx = ctx
-	cfg.ProgressEvery = 10_000
 	cfg.Progress = func(done, total int64) {
-		if done >= 10_000 && done < total {
+		if done >= progressEvery && done < total {
 			cancel()
 		}
 	}
@@ -56,8 +55,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 }
 
 func TestRunProgressReachesTotal(t *testing.T) {
-	cfg := cancelConfig(50_000)
-	cfg.ProgressEvery = 10_000
+	cfg := cancelConfig(3*progressEvery + 1000)
 	var last, calls int64
 	cfg.Progress = func(done, total int64) {
 		if total != cfg.Ops {

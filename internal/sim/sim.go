@@ -76,33 +76,27 @@ type Config struct {
 	TieringInterference float64
 	// LatHistMaxNs bounds the op-latency histogram.
 	LatHistMaxNs int64
-	// Seed drives the simulator's internal randomness (address offsets).
-	Seed uint64
 	// Ctx, when non-nil, is polled in the op loop; cancellation stops the
 	// run promptly with a *CanceledError.
 	Ctx context.Context
 	// Progress, when non-nil, is called from the op loop with (done, total)
-	// operation counts every ProgressEvery ops and once at completion. It
+	// operation counts every progressEvery ops and once at completion. It
 	// runs on the simulation goroutine and must be cheap.
 	Progress func(done, total int64)
-	// ProgressEvery is the Progress callback period in ops (default 65536).
-	ProgressEvery int64
-	// BatchOps is the number of operations fetched from the workload per
-	// trace.BatchSource call (default DefaultBatchOps). Purely a throughput
-	// knob: any value produces identical results, and 1 forces the
-	// single-op fetch schedule (the reference path the determinism tests
-	// compare against).
-	BatchOps int
 	// Scratch, when non-nil, supplies reusable buffers (access batches,
 	// histograms) so sweeps can recycle allocations across cells. A Scratch
 	// must not be shared by concurrent runs.
 	Scratch *Scratch
 }
 
-// DefaultBatchOps is the default workload fetch batch: large enough to
-// amortize per-batch dispatch to nothing, small enough that the access
-// buffer stays cache-resident.
-const DefaultBatchOps = 512
+// batchOps is the workload fetch batch: large enough to amortize per-batch
+// dispatch to nothing, small enough that the access buffer stays
+// cache-resident. Results do not depend on it: the reference simulator in
+// reference_test.go fetches one op at a time and must agree byte for byte.
+const batchOps = 512
+
+// progressEvery is the Progress callback period in ops.
+const progressEvery = 65536
 
 // DefaultConfig returns simulation parameters for a workload and policy at
 // the given fast-tier capacity.
@@ -125,7 +119,6 @@ func DefaultConfig(w trace.Source, p tier.Policy, fastPages int) Config {
 		LLCMissPenaltyNs:    60,
 		TieringInterference: 0.2,
 		LatHistMaxNs:        50_000,
-		Seed:                1,
 	}
 }
 
@@ -260,7 +253,6 @@ type simulator struct {
 	cfg    Config
 	memory *mem.Memory
 	cache  *cachesim.Hierarchy
-	rng    *xrand.RNG
 
 	now          int64
 	tieringBusy  float64
@@ -447,7 +439,6 @@ func Run(cfg Config) (*Result, error) {
 		cfg:    cfg,
 		memory: memory,
 		cache:  cachesim.NewDefault(),
-		rng:    xrand.New(cfg.Seed),
 		// Metadata lives far from application data in the modeled address
 		// space so the two contend only through cache capacity.
 		metaBase: int64(numPages)*cfg.PageBytes + (1 << 40),
@@ -471,10 +462,6 @@ func Run(cfg Config) (*Result, error) {
 	slowSeries := sc.timeSeries(true, cfg.WindowNs, 0, 1001, 2)
 	batch := sc.sampleBuf(cfg.BatchDrain * 2)
 
-	batchOps := cfg.BatchOps
-	if batchOps <= 0 {
-		batchOps = DefaultBatchOps
-	}
 	// Most workloads touch a handful of pages per op; the batch buffer is
 	// preallocated for that and grows (amortized, reused across batches and
 	// — via Scratch — across runs) for denser ops.
@@ -518,10 +505,6 @@ func Run(cfg Config) (*Result, error) {
 	// the drain schedule identical to an every-op check.
 	mayDrain := false
 
-	progressEvery := cfg.ProgressEvery
-	if progressEvery <= 0 {
-		progressEvery = 65536
-	}
 	progressLeft := progressEvery
 
 	// The slow-tier share series receives only the values 0 and 1000, so a
@@ -568,8 +551,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if n == 0 {
 			// The source can produce no more ops — only failed trace
-			// replays do this. Account one empty op exactly like the
-			// single-op path: zero latency observed, clock unchanged.
+			// replays do this. Account one empty op, as an empty NextOp
+			// would be: zero latency observed, clock unchanged.
 			latHist.Observe(0)
 			series.Observe(s.now, 0)
 			op++

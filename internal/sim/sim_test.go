@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"testing"
 
 	"repro/internal/baselines"
@@ -241,55 +240,5 @@ func TestTrackersConserveSamples(t *testing.T) {
 		if left := int64(st.Sampled) - int64(st.Dropped) - int64(st.Drained); left < 0 || left > buffer {
 			t.Errorf("%s: sampled − dropped − drained = %d, want within [0, %d]: %+v", kind, left, buffer, st)
 		}
-	}
-}
-
-// shortSource produces only limit ops, then empty batches forever — the
-// shape of a failed trace replay. Run fetches through NextBatch alone, so
-// that is the one method it overrides.
-type shortSource struct {
-	trace.BatchSource
-	limit int
-	out   int
-}
-
-func (s *shortSource) NextBatch(dst []trace.Access, max int) []trace.Access {
-	if rem := s.limit - s.out; rem < max {
-		max = rem
-	}
-	if max <= 0 {
-		return dst[:0]
-	}
-	b := s.BatchSource.NextBatch(dst, max)
-	for i := range b {
-		if b[i].EndOp {
-			s.out++
-		}
-	}
-	return b
-}
-
-// TestExhaustedSourceBatchedMatchesSingleOp: past a source's last op every
-// fetch comes back empty and Run accounts one zero-latency op per fetch. The
-// default batch schedule must do that exactly like the BatchOps: 1 reference.
-func TestExhaustedSourceBatchedMatchesSingleOp(t *testing.T) {
-	const pages = 1 << 12
-	run := func(batchOps int) string {
-		w := &shortSource{BatchSource: trace.NewZipfSource("short", pages, 1.0, 0.1, 7), limit: 30_000}
-		cfg := DefaultConfig(w, baselines.NewStatic("FirstTouch"), pages/9)
-		cfg.Ops = 50_000 // 20k empty ops past exhaustion
-		cfg.BatchOps = batchOps
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if run(0) != run(1) {
-		t.Fatal("exhausted-source accounting diverges between the batched and single-op schedules")
 	}
 }

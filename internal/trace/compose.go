@@ -13,8 +13,8 @@ package trace
 //
 //   - NextOp and native NextBatch produce the identical operation stream
 //     for any interleaving of fetch sizes (the BatchSource contract), so
-//     composed sweeps stay byte-identical between the single-op reference
-//     schedule and the batched hot path.
+//     the simulator's batched hot path runs composed cells to the bytes of
+//     its reference, which fetches one op per NextOp.
 //   - ShiftSource propagates: when any child can shift, the composite
 //     reports the latest child shift time, and batches degrade to one op
 //     per call so op-count-triggered shifts observe the virtual clock on

@@ -20,9 +20,9 @@ import (
 // requests share one cache entry iff they run the same cells.
 //
 // Execution knobs that provably do not move results are deliberately
-// absent: worker counts and batch sizes (the determinism contracts in
-// batch_determinism_test.go and sweep_test.go are what make their
-// exclusion sound), progress callbacks, and recording tees. A spec that
+// absent: worker counts (the determinism contracts in sweep_test.go and
+// determinism_test.go are what make their exclusion sound), progress
+// callbacks, and recording tees. A spec that
 // differs only in those would be the same experiment — and hashes the
 // same because they cannot be expressed here.
 type SweepSpec struct {

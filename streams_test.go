@@ -491,8 +491,8 @@ const shiftOps = 160_000
 
 // TestShiftingWorkloadsShareOneStreamPerSeed: every shifting generator and
 // every composition over one is a shareable stream. For each workload, at
-// one seed and at three, a shared-stream sweep — any worker count, any
-// batch size, whole or in RunCells groups — marshals to the bytes of
+// one seed and at three, a shared-stream sweep — any worker count, whole
+// or in RunCells groups — marshals to the bytes of
 // per-cell live generation, shift times included, having built the workload
 // once per distinct seed.
 func TestShiftingWorkloadsShareOneStreamPerSeed(t *testing.T) {
@@ -546,16 +546,15 @@ func TestShiftingWorkloadsShareOneStreamPerSeed(t *testing.T) {
 					fresh--
 				}
 				for i, v := range []struct {
-					workers, batch, group int
-				}{{1, 1, 0}, {2, 7, 3}, {2, 0, 0}, {1, 0, 5}} {
+					workers, group int
+				}{{1, 0}, {2, 3}, {2, 0}, {1, 5}} {
 					run := *sw
 					run.Workers = v.workers
-					run.Base = append(sw.Base[:len(sw.Base):len(sw.Base)], WithBatchOps(v.batch))
 					got := runJSON
 					if v.group > 0 {
 						got = func(t *testing.T, sw *Sweep) []byte { return runInGroups(t, sw, v.group) }
 					}
-					what := fmt.Sprintf("%d seed(s), workers %d, batch %d, groups of %d", len(seeds), v.workers, v.batch, v.group)
+					what := fmt.Sprintf("%d seed(s), workers %d, groups of %d", len(seeds), v.workers, v.group)
 					if !bytes.Equal(got(t, &run), want) {
 						t.Errorf("%s: differs from per-cell live generation", what)
 					}

@@ -1,13 +1,12 @@
 package hybridtier
 
-// Mid-CELL cancellation coverage for Sweep.Run — the gap PR 3 left: its
-// batched pipeline rewrote the op loop's cancellation checks into
-// countdown form, and the existing sweep test only cancels at cell
-// boundaries (via Sweep.Progress). Here the cancel lands inside a cell's
-// op loop, on both fetch schedules, and the partial results must hold:
-// the interrupted cell carries a CanceledError whose op count reflects
-// real mid-run progress, finished cells keep their Results, and
-// never-started cells are marked as such.
+// Mid-CELL cancellation coverage for Sweep.Run: the op loop checks for
+// cancellation on a countdown, and the other sweep tests only cancel at
+// cell boundaries (via Sweep.Progress). Here the cancel lands inside a
+// cell's op loop, and the partial results must hold: the interrupted cell
+// carries a CanceledError whose op count reflects real mid-run progress,
+// finished cells keep their Results, and never-started cells are marked
+// as such.
 
 import (
 	"context"
@@ -24,97 +23,85 @@ var canceledOps = regexp.MustCompile(`canceled after (\d+) ops`)
 
 func TestSweepMidCellCancellation(t *testing.T) {
 	const cellOps = 3_000_000
-	for _, tc := range []struct {
-		name     string
-		batchOps int
-	}{
-		{"batched-default", 0}, // sim.DefaultBatchOps countdown schedule
-		{"batched-64", 64},
-		{"single-op-reference", 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			// Workers=1 serializes the cells, so cell 0 finishes, the
-			// cancel fires inside cell 1, and cell 2 never starts —
-			// deterministic coverage of all three partial-result kinds.
-			var cellsDone int
-			sw := &Sweep{
-				Policies: []PolicyName{PolicyHybridTier, PolicyLRU, PolicyTPP},
-				Seeds:    []uint64{1},
-				Workers:  1,
-				Base: []Option{
-					WithWorkloadName("zipf"),
-					WithWorkloadParams(WorkloadParams{Pages: 4096}),
-					WithOps(cellOps),
-					WithBatchOps(tc.batchOps),
-					WithProgress(func(done, total int64) {
-						// Fires within each cell's op loop; arm the cancel
-						// partway through the SECOND cell.
-						if cellsDone == 1 && done >= cellOps/4 && done < cellOps {
-							cancel()
-						}
-					}),
-				},
-				Progress: func(done, total int) { cellsDone = done },
-			}
-			cells, err := sw.Run(ctx)
-			if err == nil {
-				t.Fatal("canceled sweep must return an error")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("sweep error must wrap context.Canceled: %v", err)
-			}
-			if len(cells) != 3 {
-				t.Fatalf("got %d cells, want 3", len(cells))
-			}
-
-			// Cell 0 completed before the cancel: full Result, no error.
-			if cells[0].Result == nil || cells[0].Err != "" {
-				t.Errorf("finished cell lost its result: %+v", cells[0])
-			}
-			if got := cells[0].Result.Ops; got != cellOps {
-				t.Errorf("finished cell ran %d ops, want %d", got, cellOps)
-			}
-
-			// Cell 1 was interrupted mid-run: no Result, and the error is
-			// the simulator's CanceledError with a believable op count.
-			if cells[1].Result != nil {
-				t.Errorf("interrupted cell kept a result: %+v", cells[1])
-			}
-			m := canceledOps.FindStringSubmatch(cells[1].Err)
-			if m == nil {
-				t.Fatalf("interrupted cell error %q does not carry the CanceledError op count", cells[1].Err)
-			}
-			opsDone, aerr := strconv.ParseInt(m[1], 10, 64)
-			if aerr != nil {
-				t.Fatal(aerr)
-			}
-			if opsDone <= 0 || opsDone >= cellOps {
-				t.Errorf("canceled op count %d not strictly mid-run (0, %d)", opsDone, cellOps)
-			}
-			// The cancel was armed at a quarter of the cell; the countdown
-			// checks may overshoot by at most one progress/batch interval,
-			// far less than the rest of the run.
-			if opsDone < cellOps/4 {
-				t.Errorf("op count %d below the %d ops completed when cancel fired", opsDone, cellOps/4)
-			}
-
-			// Cell 2 never started and must say so.
-			if cells[2].Result != nil || !strings.Contains(cells[2].Err, "before this cell ran") {
-				t.Errorf("never-started cell = %+v", cells[2])
-			}
-
-			// Every cell, regardless of fate, keeps coordinates and the
-			// exactly-one-of-Result-and-Err contract.
-			for i, c := range cells {
-				if c.Policy == "" || c.Seed == 0 || c.Index != i {
-					t.Errorf("cell %d lost coordinates: %+v", i, c.Cell)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// Workers=1 serializes the cells, so cell 0 finishes, the
+	// cancel fires inside cell 1, and cell 2 never starts —
+	// deterministic coverage of all three partial-result kinds.
+	var cellsDone int
+	sw := &Sweep{
+		Policies: []PolicyName{PolicyHybridTier, PolicyLRU, PolicyTPP},
+		Seeds:    []uint64{1},
+		Workers:  1,
+		Base: []Option{
+			WithWorkloadName("zipf"),
+			WithWorkloadParams(WorkloadParams{Pages: 4096}),
+			WithOps(cellOps),
+			WithProgress(func(done, total int64) {
+				// Fires within each cell's op loop; arm the cancel
+				// partway through the SECOND cell.
+				if cellsDone == 1 && done >= cellOps/4 && done < cellOps {
+					cancel()
 				}
-				if (c.Result == nil) == (c.Err == "") {
-					t.Errorf("cell %d violates the Result/Err contract: %+v", i, c)
-				}
-			}
-		})
+			}),
+		},
+		Progress: func(done, total int) { cellsDone = done },
+	}
+	cells, err := sw.Run(ctx)
+	if err == nil {
+		t.Fatal("canceled sweep must return an error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("sweep error must wrap context.Canceled: %v", err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("got %d cells, want 3", len(cells))
+	}
+
+	// Cell 0 completed before the cancel: full Result, no error.
+	if cells[0].Result == nil || cells[0].Err != "" {
+		t.Errorf("finished cell lost its result: %+v", cells[0])
+	}
+	if got := cells[0].Result.Ops; got != cellOps {
+		t.Errorf("finished cell ran %d ops, want %d", got, cellOps)
+	}
+
+	// Cell 1 was interrupted mid-run: no Result, and the error is
+	// the simulator's CanceledError with a believable op count.
+	if cells[1].Result != nil {
+		t.Errorf("interrupted cell kept a result: %+v", cells[1])
+	}
+	m := canceledOps.FindStringSubmatch(cells[1].Err)
+	if m == nil {
+		t.Fatalf("interrupted cell error %q does not carry the CanceledError op count", cells[1].Err)
+	}
+	opsDone, aerr := strconv.ParseInt(m[1], 10, 64)
+	if aerr != nil {
+		t.Fatal(aerr)
+	}
+	if opsDone <= 0 || opsDone >= cellOps {
+		t.Errorf("canceled op count %d not strictly mid-run (0, %d)", opsDone, cellOps)
+	}
+	// The cancel was armed at a quarter of the cell; the countdown
+	// checks may overshoot by at most one progress/batch interval,
+	// far less than the rest of the run.
+	if opsDone < cellOps/4 {
+		t.Errorf("op count %d below the %d ops completed when cancel fired", opsDone, cellOps/4)
+	}
+
+	// Cell 2 never started and must say so.
+	if cells[2].Result != nil || !strings.Contains(cells[2].Err, "before this cell ran") {
+		t.Errorf("never-started cell = %+v", cells[2])
+	}
+
+	// Every cell, regardless of fate, keeps coordinates and the
+	// exactly-one-of-Result-and-Err contract.
+	for i, c := range cells {
+		if c.Policy == "" || c.Seed == 0 || c.Index != i {
+			t.Errorf("cell %d lost coordinates: %+v", i, c.Cell)
+		}
+		if (c.Result == nil) == (c.Err == "") {
+			t.Errorf("cell %d violates the Result/Err contract: %+v", i, c)
+		}
 	}
 }
