@@ -132,12 +132,6 @@ func writeCSV(dst *os.File, w trace.Source, ops int64, seed uint64) error {
 	return out.Flush()
 }
 
-// traceSink is the writer surface shared by both container versions.
-type traceSink interface {
-	WriteOp([]trace.Access) error
-	Close() error
-}
-
 // writeBinary emits a trace file replayable via "trace:<path>".
 func writeBinary(path string, w trace.Source, ops int64, seed uint64, version int) error {
 	meta := tracefile.MetaOf(w, seed)
@@ -145,15 +139,7 @@ func writeBinary(path string, w trace.Source, ops int64, seed uint64, version in
 	// timestamped as marks; claiming shift-capability in the header would
 	// misstate the content. Capture a live run to preserve shift marks.
 	meta.Shift = false
-	var (
-		tw  traceSink
-		err error
-	)
-	if version == tracefile.Version2 {
-		tw, err = tracefile.CreateV2(path, meta)
-	} else {
-		tw, err = tracefile.Create(path, meta)
-	}
+	tw, err := tracefile.CreateVersion(path, meta, version)
 	if err != nil {
 		return err
 	}

@@ -39,16 +39,17 @@ func benchTracePath(b *testing.B, ops int) string {
 // over a wrapped (infinite) reader, in ops per benchmark iteration.
 func BenchmarkTraceReplayBatch(b *testing.B) {
 	path := benchTracePath(b, 1<<14)
-	r, err := openV1(path)
+	r, err := Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer r.Close()
+	bs := r.(trace.BatchSource)
 	buf := make([]trace.Access, 0, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += 512 {
-		buf = r.NextBatch(buf[:0], 512)
+		buf = bs.NextBatch(buf[:0], 512)
 		if len(buf) == 0 {
 			b.Fatal("empty batch", r.Err())
 		}

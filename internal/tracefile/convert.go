@@ -7,27 +7,6 @@ import (
 	"repro/internal/trace"
 )
 
-// traceWriter is the write surface shared by both format versions.
-type traceWriter interface {
-	WriteOp(accs []trace.Access) error
-	MarkTime(now int64) error
-	MarkShift(now int64) error
-	Close() error
-	Abort() error
-}
-
-// replayClock exposes the internal replay-clock state of either reader,
-// so Convert can observe mark application between ops.
-func replayClock(r Replay) (lastTime int64, sawTime bool, shiftAt int64) {
-	switch r := r.(type) {
-	case *Reader:
-		return r.lastTime, r.sawTime, r.shiftAt
-	case *ReaderV2:
-		return r.lastTime, r.sawTime, r.shiftAt
-	}
-	return 0, false, -1
-}
-
 // Convert re-encodes the trace at src into format version (Version or
 // Version2) at dst, preserving the header and the replayed stream exactly:
 // a replay of the converted file produces byte-identical results to a
@@ -40,23 +19,14 @@ func Convert(src, dst string, version int) error {
 	if src == dst {
 		return fmt.Errorf("tracefile: converting %s onto itself", src)
 	}
-	r, err := Open(src)
+	r, err := openReplay(src)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	r.(interface{ disableWrap() }).disableWrap()
-
-	var w traceWriter
-	switch version {
-	case Version:
-		w, err = Create(dst, r.Header())
-	case Version2:
-		w, err = CreateV2(dst, r.Header())
-	default:
-		err = fmt.Errorf("tracefile: unknown target version %d (know %d and %d)",
-			version, Version, Version2)
-	}
+	s := r.state()
+	s.wrap = false
+	w, err := CreateVersion(dst, r.Header(), version)
 	if err != nil {
 		return err
 	}
@@ -66,7 +36,7 @@ func Convert(src, dst string, version int) error {
 	// — which is all replay keeps of a mark run.
 	prevLast, prevSaw, prevShift := int64(0), false, int64(-1)
 	emitMarks := func() error {
-		lt, saw, st := replayClock(r)
+		lt, saw, st := s.lastTime, s.sawTime, s.shiftAt
 		if saw && (!prevSaw || lt != prevLast) {
 			if err := w.MarkTime(lt); err != nil {
 				return err

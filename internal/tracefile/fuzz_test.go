@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -39,12 +40,12 @@ func seedTrace(gz, shift bool) []byte {
 // the scan the way Stat does. It returns the flat op streams.
 func readAll(t *testing.T, path string) ([][]trace.Access, error) {
 	t.Helper()
-	r, err := Open(path)
+	r, err := openReplay(path)
 	if err != nil {
 		return nil, err
 	}
 	defer r.Close()
-	r.(interface{ disableWrap() }).disableWrap()
+	r.state().wrap = false
 	var ops [][]trace.Access
 	for {
 		op := r.NextOp(nil)
@@ -54,6 +55,42 @@ func readAll(t *testing.T, path string) ([][]trace.Access, error) {
 		ops = append(ops, op)
 	}
 	return ops, r.Err()
+}
+
+// reencode is the round-trip half of both fuzz targets: a trace Stat
+// called clean must replay exactly info.Ops ops, and re-encoding them as
+// version must replay the same stream. It returns the ops and the path of
+// the re-encoded trace.
+func reencode(t *testing.T, path string, info Info, version int) ([][]trace.Access, string) {
+	t.Helper()
+	ops, err := readAll(t, path)
+	if err != nil {
+		t.Fatalf("Stat called %s clean but replay failed: %v", path, err)
+	}
+	if int64(len(ops)) != info.Ops {
+		t.Fatalf("Stat counted %d ops, replay decoded %d", info.Ops, len(ops))
+	}
+	out := filepath.Join(filepath.Dir(path), "out.htrc")
+	w, err := CreateVersion(out, info.Meta, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		if err := w.WriteOp(op); err != nil {
+			t.Fatalf("re-encoding a clean trace as version %d failed: %v", version, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops2, err := readAll(t, out)
+	if err != nil {
+		t.Fatalf("re-encoded trace does not replay: %v", err)
+	}
+	if !reflect.DeepEqual(ops2, ops) {
+		t.Fatalf("round trip through version %d changed the op stream", version)
+	}
+	return ops, out
 }
 
 func FuzzReaderRoundTrip(f *testing.F) {
@@ -83,42 +120,6 @@ func FuzzReaderRoundTrip(f *testing.F) {
 		}
 		// The input decoded cleanly: its op stream must survive a decode →
 		// re-encode → decode round trip bit for bit, with matching counts.
-		ops, err := readAll(t, path)
-		if err != nil {
-			t.Fatalf("Stat called %s clean but replay failed: %v", path, err)
-		}
-		if int64(len(ops)) != info.Ops {
-			t.Fatalf("Stat counted %d ops, replay decoded %d", info.Ops, len(ops))
-		}
-		out := filepath.Join(dir, "out.htrc")
-		w, err := Create(out, info.Meta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range ops {
-			if err := w.WriteOp(op); err != nil {
-				t.Fatalf("re-encoding a clean trace failed: %v", err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		ops2, err := readAll(t, out)
-		if err != nil {
-			t.Fatalf("re-encoded trace does not replay: %v", err)
-		}
-		if len(ops2) != len(ops) {
-			t.Fatalf("round trip changed op count: %d -> %d", len(ops), len(ops2))
-		}
-		for i := range ops {
-			if len(ops[i]) != len(ops2[i]) {
-				t.Fatalf("op %d changed access count: %d -> %d", i, len(ops[i]), len(ops2[i]))
-			}
-			for j := range ops[i] {
-				if ops[i][j] != ops2[i][j] {
-					t.Fatalf("op %d access %d changed: %+v -> %+v", i, j, ops[i][j], ops2[i][j])
-				}
-			}
-		}
+		reencode(t, path, info, Version)
 	})
 }

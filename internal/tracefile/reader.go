@@ -6,15 +6,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// Reader replays a trace file as a trace.Source. It satisfies the Source
-// contract that workloads are infinite by wrapping around: when the end
-// record is reached the file is reopened and the stream restarts, so a
+// Reader replays a version-1 trace as a trace.Source. It satisfies the
+// Source contract that workloads are infinite by wrapping around: when the
+// end record is reached the body is rewound and the stream restarts, so a
 // trace can drive more ops than were recorded. AdvanceTime consumes any
 // pending marks but otherwise ignores the clock — the recorded ops
 // already embed every time-driven decision the original source made —
@@ -30,132 +29,41 @@ import (
 // return); NextOp instead returns an empty op and the failure is latched
 // on Err, which replay paths check after the run.
 type Reader struct {
-	path string
-	f    *os.File
-	gz   *gzip.Reader
-	br   *bufio.Reader
-
-	meta       Meta
-	compressed bool
-
+	replayState
+	br       *bufio.Reader
 	prevPage int64
-	lastTime int64
-	sawTime  bool
-	shiftAt  int64
-	shifts   int
 	ops      uint64
 	accesses uint64
-
-	// wrap controls exhaustion: Open sets it so the source is infinite;
-	// Stat clears it to scan exactly one pass.
-	wrap  bool
-	loops int
-	done  bool // end record seen with wrap disabled
-	err   error
 }
 
-// openV1 parses path's header and positions the reader at the first
-// record. The exported entry point is Open (tracefile.go), which
-// dispatches on the version byte.
-func openV1(path string) (*Reader, error) {
-	r := &Reader{path: path, shiftAt: -1, wrap: true}
-	if err := r.open(); err != nil {
-		return nil, err
-	}
-	return r, nil
+// newReader starts a v1 replay of s's file at the first body record.
+func newReader(s replayState) (*Reader, error) {
+	r := &Reader{replayState: s}
+	return r, r.rewind()
 }
 
-// disableWrap switches the reader to one-pass mode (Stat, Convert).
-func (r *Reader) disableWrap() { r.wrap = false }
-
-// open (re)opens the file and parses the header into r.
-func (r *Reader) open() error {
-	f, err := os.Open(r.path)
-	if err != nil {
+// rewind positions the decoder at the first body record: on open, and
+// again each time the replay wraps around.
+func (r *Reader) rewind() error {
+	if _, err := r.f.Seek(r.hdr.size, io.SeekStart); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	head := make([]byte, len(Magic)+2)
-	if _, err := io.ReadFull(br, head); err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if string(head[:len(Magic)]) != Magic {
-		f.Close()
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:len(Magic)])
-	}
-	if v := head[len(Magic)]; v != Version {
-		f.Close()
-		return fmt.Errorf("tracefile: unsupported version %d (this build reads version %d)",
-			v, Version)
-	}
-	flags := head[len(Magic)+1]
-	if rest := flags &^ (FlagGzip | FlagShift); rest != 0 {
-		// The spec reserves bits 2–7 as must-be-zero; decoding a body
-		// written under unknown flags would produce garbage, not ops.
-		f.Close()
-		return fmt.Errorf("tracefile: unsupported header flags %#02x", rest)
-	}
-	nameLen, err := binary.ReadUvarint(br)
-	if err != nil || nameLen > maxNameLen {
-		f.Close()
-		return fmt.Errorf("%w: bad workload-name length", ErrCorrupt)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short workload name: %v", ErrCorrupt, err)
-	}
-	numPages, err := binary.ReadUvarint(br)
-	if err != nil || numPages == 0 || numPages > 1<<40 {
-		f.Close()
-		return fmt.Errorf("%w: bad page-space size", ErrCorrupt)
-	}
-	seed, err := binary.ReadUvarint(br)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	r.meta = Meta{
-		Name:     string(name),
-		NumPages: int(numPages),
-		Seed:     seed,
-		Shift:    flags&FlagShift != 0,
-	}
-	r.compressed = flags&FlagGzip != 0
-	if r.compressed {
-		gz, err := gzip.NewReader(br)
+	var body io.Reader = r.f
+	if r.hdr.flags&FlagGzip != 0 {
+		gz, err := gzip.NewReader(r.f)
 		if err != nil {
-			f.Close()
 			return fmt.Errorf("%w: bad gzip body: %v", ErrCorrupt, err)
 		}
-		r.gz = gz
-		r.br = bufio.NewReaderSize(gz, 1<<16)
-	} else {
-		r.gz = nil
-		r.br = br
+		body = gz
 	}
-	r.f = f
-	r.prevPage = 0
-	r.lastTime = 0
-	r.ops = 0
-	r.accesses = 0
+	if r.br == nil {
+		r.br = bufio.NewReaderSize(body, 1<<16)
+	} else {
+		r.br.Reset(body)
+	}
+	r.prevPage, r.ops, r.accesses = 0, 0, 0
 	return nil
 }
-
-// Header returns the trace's header fields.
-func (r *Reader) Header() Meta { return r.meta }
-
-// Path returns the file the reader replays; recording paths use it to
-// refuse overwriting the trace being replayed.
-func (r *Reader) Path() string { return r.path }
-
-// Name implements trace.Source with the recorded workload's name, so
-// replayed results label themselves exactly like the live run.
-func (r *Reader) Name() string { return r.meta.Name }
-
-// NumPages implements trace.Source from the header.
-func (r *Reader) NumPages() int { return r.meta.NumPages }
 
 // AdvanceTime implements trace.Source. Replay ignores the clock itself —
 // the recorded ops already embed every time-driven decision — but any
@@ -166,16 +74,12 @@ func (r *Reader) NumPages() int { return r.meta.NumPages }
 // wrap-around to NextOp.
 func (r *Reader) AdvanceTime(int64) {
 	for r.err == nil && !r.done {
-		b, perr := r.br.Peek(2)
-		if perr != nil {
+		b, err := r.br.Peek(2)
+		if err != nil {
 			// Anywhere short of the end record a valid trace has at least
 			// two more bytes, so running out here is a missing end record,
 			// not a stopping point to pass over silently.
-			if perr == io.EOF || perr == io.ErrUnexpectedEOF {
-				r.fail(ErrTruncated)
-			} else {
-				r.fail(fmt.Errorf("%w: %v", ErrCorrupt, perr))
-			}
+			r.failRead(err)
 			return
 		}
 		if b[0] != 0 || b[1] == ctlEnd {
@@ -188,48 +92,21 @@ func (r *Reader) AdvanceTime(int64) {
 	}
 }
 
-// ShiftTime implements trace.ShiftSource from the stream's shift marks:
-// -1 until one is consumed, then the latest mark's virtual time — the
-// same progression the live source reported.
-func (r *Reader) ShiftTime() int64 { return r.shiftAt }
-
-// Loops reports how many times the reader wrapped around.
-func (r *Reader) Loops() int { return r.loops }
-
-// Err returns the first failure the reader hit: ErrTruncated when the body
-// ended without an end record, ErrCorrupt wraps for undecodable records or
-// count mismatches, or an I/O error.
-func (r *Reader) Err() error { return r.err }
-
-// Close releases the underlying file. The reader is unusable afterwards.
-func (r *Reader) Close() error {
-	if r.f == nil {
-		return nil
+// failRead latches a body read failure: running out of bytes before the
+// end record is truncation, anything else corruption.
+func (r *Reader) failRead(err error) {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		r.fail(ErrTruncated)
+	} else {
+		r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
 	}
-	err := r.f.Close()
-	r.f = nil
-	r.br = nil
-	r.done = true
-	return err
 }
 
-// fail latches the first error; NextOp returns empty ops from then on.
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.done = true
-}
-
-// readUvarint reads one varint, mapping EOF onto truncation.
+// readUvarint reads one varint, latching a failure.
 func (r *Reader) readUvarint() (uint64, bool) {
 	v, err := binary.ReadUvarint(r.br)
 	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			r.fail(ErrTruncated)
-		} else {
-			r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-		}
+		r.failRead(err)
 		return 0, false
 	}
 	return v, true
@@ -268,9 +145,9 @@ func (r *Reader) NextOp(dst []trace.Access) []trace.Access {
 			}
 			write := v&1 != 0
 			page := r.prevPage + unzigzag(v>>1)
-			if page < 0 || page >= int64(r.meta.NumPages) {
+			if page < 0 || page >= int64(r.hdr.meta.NumPages) {
 				r.fail(fmt.Errorf("%w: page %d outside [0,%d)",
-					ErrCorrupt, page, r.meta.NumPages))
+					ErrCorrupt, page, r.hdr.meta.NumPages))
 				return dst[:base]
 			}
 			r.prevPage = page
@@ -305,7 +182,7 @@ func (r *Reader) NextBatch(dst []trace.Access, max int) []trace.Access {
 func (r *Reader) control() bool {
 	sub, err := r.br.ReadByte()
 	if err != nil {
-		r.fail(ErrTruncated)
+		r.failRead(err)
 		return false
 	}
 	switch sub {
@@ -314,16 +191,14 @@ func (r *Reader) control() bool {
 		if !ok {
 			return false
 		}
-		r.lastTime += unzigzag(d)
-		r.sawTime = true
+		r.markTime(r.lastTime + unzigzag(d))
 		return true
 	case ctlShift:
 		d, ok := r.readUvarint()
 		if !ok {
 			return false
 		}
-		r.shiftAt = r.lastTime + unzigzag(d)
-		r.shifts++
+		r.markShift(r.lastTime + unzigzag(d))
 		return true
 	case ctlEnd:
 		ops, ok := r.readUvarint()
@@ -346,32 +221,16 @@ func (r *Reader) control() bool {
 			r.fail(fmt.Errorf("%w: trailing byte 0x%02x after end record", ErrCorrupt, b))
 			return false
 		} else if err != io.EOF {
-			if err == io.ErrUnexpectedEOF {
-				r.fail(ErrTruncated)
-			} else {
-				r.fail(fmt.Errorf("%w: %v", ErrCorrupt, err))
-			}
+			r.failRead(err)
 			return false
 		}
-		if !r.wrap {
-			r.done = true
+		if !r.atEnd(int64(r.ops)) {
 			return false
 		}
-		// A structurally valid trace with zero op records can never serve
-		// as a workload: wrapping would reopen straight into the end
-		// record again, forever. Latch an error instead of spinning.
-		if r.ops == 0 {
-			r.fail(fmt.Errorf("tracefile: %s has no op records to replay", r.path))
-			return false
-		}
-		// Wrap around: the Source contract says workloads are infinite.
-		r.f.Close()
-		if err := r.open(); err != nil {
-			r.f = nil
+		if err := r.rewind(); err != nil {
 			r.fail(err)
 			return false
 		}
-		r.loops++
 		return true
 	default:
 		r.fail(fmt.Errorf("%w: unknown control record 0x%02x", ErrCorrupt, sub))

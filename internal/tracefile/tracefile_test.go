@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -33,88 +34,144 @@ func randomOps(seed uint64, numOps, numPages int) [][]trace.Access {
 	return ops
 }
 
-// writeTrace writes ops to a fresh file with periodic time marks, returning
-// the path.
-func writeTrace(t *testing.T, name string, meta Meta, ops [][]trace.Access) string {
+// container is one writable trace encoding.
+type container struct {
+	name     string
+	file     string // a ".gz" suffix selects v1 gzip framing
+	version  int
+	blockOps int // v2 block flush threshold; 0 keeps the default
+}
+
+// containers covers both versions, v1 in both framings and v2 with the
+// default blocks and with blocks small enough that small tests cross
+// block boundaries.
+var containers = []container{
+	{"v1", "t.htrc", Version, 0},
+	{"v1-gzip", "t.htrc.gz", Version, 0},
+	{"v2", "t.htrc", Version2, 0},
+	{"v2-blocks-3", "t.htrc", Version2, 3},
+	{"v2-blocks-1", "t.htrc", Version2, 1},
+}
+
+// create starts a trace in c's encoding at a fresh path.
+func (c container) create(t testing.TB, meta Meta) (TraceWriter, string) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	w, err := Create(path, meta)
+	path := filepath.Join(t.TempDir(), c.file)
+	w, err := CreateVersion(path, meta, c.version)
 	if err != nil {
-		t.Fatalf("Create: %v", err)
+		t.Fatalf("%s: create: %v", c.name, err)
 	}
+	if w2, ok := w.(*WriterV2); ok && c.blockOps > 0 {
+		w2.blockOps = c.blockOps
+	}
+	return w, path
+}
+
+// write writes ops in c's encoding with a time mark after every tenth op,
+// returning the path.
+func (c container) write(t testing.TB, meta Meta, ops [][]trace.Access) string {
+	t.Helper()
+	w, path := c.create(t, meta)
 	for i, op := range ops {
 		if err := w.WriteOp(op); err != nil {
-			t.Fatalf("WriteOp(%d): %v", i, err)
+			t.Fatalf("%s: WriteOp(%d): %v", c.name, i, err)
 		}
 		if i%10 == 9 {
 			if err := w.MarkTime(int64(i+1) * 1000); err != nil {
-				t.Fatalf("MarkTime: %v", err)
+				t.Fatalf("%s: MarkTime: %v", c.name, err)
 			}
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+		t.Fatalf("%s: Close: %v", c.name, err)
 	}
 	return path
+}
+
+// writeTrace writes ops as a v1 trace named name.
+func writeTrace(t *testing.T, name string, meta Meta, ops [][]trace.Access) string {
+	t.Helper()
+	return container{name: "v1", file: name, version: Version}.write(t, meta, ops)
 }
 
 // readOps replays numOps ops from path.
 func readOps(t *testing.T, path string, numOps int) ([][]trace.Access, Replay) {
 	t.Helper()
-	r, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	t.Cleanup(func() { r.Close() })
+	r := mustOpen(t, path)
 	out := make([][]trace.Access, 0, numOps)
 	for i := 0; i < numOps; i++ {
-		op := r.NextOp(nil)
-		out = append(out, op)
+		out = append(out, r.NextOp(nil))
 	}
 	return out, r
 }
 
 // TestRoundTrip is the property-style writer→reader equality check: over
-// several seeds and both framings, the replayed stream must equal the
-// written one access for access.
+// several seeds and every container, the replayed stream must equal the
+// written one access for access, and Stat must count it cleanly.
 func TestRoundTrip(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		for _, name := range []string{"t.htrc", "t.htrc.gz"} {
-			ops := randomOps(seed, 500, 1<<14)
-			meta := Meta{Name: "rt", NumPages: 1 << 14, Seed: seed}
-			path := writeTrace(t, name, meta, ops)
-			got, r := readOps(t, path, len(ops))
-			if err := r.Err(); err != nil {
-				t.Fatalf("seed %d %s: reader error: %v", seed, name, err)
+	for _, c := range containers {
+		t.Run(c.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 6; seed++ {
+				ops := randomOps(seed, 500, 1<<14)
+				meta := Meta{Name: "rt", NumPages: 1 << 14, Seed: seed}
+				path := c.write(t, meta, ops)
+				got, r := readOps(t, path, len(ops))
+				if err := r.Err(); err != nil {
+					t.Fatalf("seed %d: reader error: %v", seed, err)
+				}
+				if !reflect.DeepEqual(got, ops) {
+					t.Fatalf("seed %d: replayed stream differs", seed)
+				}
+				if h := r.Header(); h != meta {
+					t.Fatalf("seed %d: header %+v, want %+v", seed, h, meta)
+				}
+				if _, v2 := r.(*ReaderV2); v2 != (c.version == Version2) {
+					t.Fatalf("seed %d: Open returned %T for a version %d file", seed, r, c.version)
+				}
+				info, err := Stat(path)
+				if err != nil || !info.Clean || info.Version != c.version || info.Ops != int64(len(ops)) ||
+					info.Compressed != strings.HasSuffix(c.file, ".gz") || info.EndNs != int64(len(ops))*1000 {
+					t.Fatalf("seed %d: Stat = %+v, %v", seed, info, err)
+				}
 			}
-			if !reflect.DeepEqual(got, ops) {
-				t.Fatalf("seed %d %s: replayed stream differs", seed, name)
-			}
-			if h := r.Header(); h != meta {
-				t.Fatalf("seed %d %s: header %+v, want %+v", seed, name, h, meta)
-			}
-			if gz := r.(*Reader).compressed; gz != (name == "t.htrc.gz") {
-				t.Fatalf("seed %d %s: compressed=%v", seed, name, gz)
-			}
+		})
+	}
+}
+
+// containersOf returns the containers written in the given version.
+func containersOf(version int) []container {
+	var out []container
+	for _, c := range containers {
+		if c.version == version {
+			out = append(out, c)
 		}
 	}
+	return out
 }
 
 // TestWrapAround: the Source contract says workloads are infinite, so a
 // reader driven past the recorded stream restarts from the first op.
-func TestWrapAround(t *testing.T) {
+func TestWrapAround(t *testing.T) { testWrapAround(t, containersOf(Version)) }
+
+// TestV2WrapAround: the same contract over v2, including a stream that
+// spans several blocks.
+func TestV2WrapAround(t *testing.T) { testWrapAround(t, containersOf(Version2)) }
+
+func testWrapAround(t *testing.T, cs []container) {
 	ops := randomOps(3, 10, 1024)
-	path := writeTrace(t, "wrap.htrc", Meta{Name: "w", NumPages: 1024}, ops)
-	got, r := readOps(t, path, 25)
-	if err := r.Err(); err != nil {
-		t.Fatalf("reader error: %v", err)
-	}
-	if r.Loops() != 2 {
-		t.Fatalf("Loops() = %d, want 2", r.Loops())
-	}
-	for i, op := range got {
-		if want := ops[i%10]; !reflect.DeepEqual(op, want) {
-			t.Fatalf("op %d: got %v, want %v", i, op, want)
+	for _, c := range cs {
+		path := c.write(t, Meta{Name: "w", NumPages: 1024}, ops)
+		got, r := readOps(t, path, 25)
+		if err := r.Err(); err != nil {
+			t.Fatalf("%s: reader error: %v", c.name, err)
+		}
+		if r.Loops() != 2 {
+			t.Fatalf("%s: Loops() = %d, want 2", c.name, r.Loops())
+		}
+		for i, op := range got {
+			if want := ops[i%10]; !reflect.DeepEqual(op, want) {
+				t.Fatalf("%s: op %d: got %v, want %v", c.name, i, op, want)
+			}
 		}
 	}
 }
@@ -177,10 +234,14 @@ func TestCorruptHeader(t *testing.T) {
 		"flags":    []byte("HTRC\x01\x04\x00"), // reserved bit 2 set
 		"name-len": append([]byte("HTRC\x01\x00"), 0xff, 0xff, 0xff, 0x7f),
 		"short":    []byte("HTRC\x01\x00\x05ab"),
+		"v2-gzip":  []byte("HTRC\x02\x01\x01x\x40\x00"), // v2 bodies are never gzip-framed
+		"v2-pages": append([]byte("HTRC\x02\x00\x01x"), 0x80, 0x80, 0x80, 0x80, 0x08, 0x00),
 	}
 	for name, b := range cases {
-		if _, err := Open(write(name, b)); err == nil {
-			t.Errorf("%s: Open accepted a corrupt header", name)
+		// The header is checked before any body or footer, so no case may
+		// pass for a merely truncated file.
+		if _, err := Open(write(name, b)); err == nil || errors.Is(err, ErrTruncated) {
+			t.Errorf("%s: Open = %v, want a header error", name, err)
 		}
 	}
 }
@@ -222,15 +283,48 @@ func TestPageOutOfRange(t *testing.T) {
 	}
 }
 
+// TestEmptyOpRejected: empty ops are unrepresentable in both versions, and
+// a closed writer refuses every write.
 func TestEmptyOpRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "e.htrc")
-	w, err := Create(path, Meta{Name: "e", NumPages: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range containers {
+		w, _ := c.create(t, Meta{Name: "e", NumPages: 4})
+		if err := w.WriteOp(nil); err == nil {
+			t.Errorf("%s: WriteOp(nil) succeeded; empty ops are unrepresentable", c.name)
+		}
+		w.Close()
+		w, _ = c.create(t, Meta{Name: "e", NumPages: 4})
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w.WriteOp([]trace.Access{{Page: 1}}) == nil || w.MarkTime(1) == nil {
+			t.Errorf("%s: a closed writer accepted a write", c.name)
+		}
 	}
-	defer w.Close()
-	if err := w.WriteOp(nil); err == nil {
-		t.Fatal("WriteOp(nil) succeeded; empty ops are unrepresentable")
+}
+
+// TestPageSpaceLimits: v2's packed word holds a 30-bit page id, so a page
+// space past 2^30 pages only fits v1 — the reason v1 stays writable
+// (docs/TRACE_FORMAT.md §"Why v1 stays writable"). Writers refuse a header
+// their readers would reject.
+func TestPageSpaceLimits(t *testing.T) {
+	big := Meta{Name: "big", NumPages: v2PageLimit + 1}
+	op := []trace.Access{{Page: v2PageLimit}, {Page: 3, Write: true}}
+	path := containers[0].write(t, big, [][]trace.Access{op})
+	got, r := readOps(t, path, 1)
+	if r.Err() != nil || !reflect.DeepEqual(got[0], op) {
+		t.Fatalf("v1 replay of a page past 2^30: %v, %v", got[0], r.Err())
+	}
+	if err := Convert(path, filepath.Join(t.TempDir(), "big.v2.htrc"), Version2); err == nil {
+		t.Error("converted a page space past 2^30 to v2")
+	}
+	for _, m := range []Meta{big, {Name: "huge", NumPages: 1<<40 + 1}, {Name: "none"}} {
+		version := Version2
+		if m.NumPages > big.NumPages || m.NumPages == 0 {
+			version = Version
+		}
+		if _, err := CreateVersion(filepath.Join(t.TempDir(), "x.htrc"), m, version); err == nil {
+			t.Errorf("v%d writer accepted %d pages", version, m.NumPages)
+		}
 	}
 }
 
@@ -341,35 +435,38 @@ func TestRecorderTee(t *testing.T) {
 
 // TestZeroOpTraceErrors: a structurally valid trace with no op records is
 // inspectable but cannot serve as a workload — NextOp must latch an error
-// instead of wrapping into the end record forever.
-func TestZeroOpTraceErrors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "zero.htrc")
-	w, err := Create(path, Meta{Name: "z", NumPages: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Stat(path)
-	if err != nil || !info.Clean || info.Ops != 0 {
-		t.Fatalf("Stat = %+v, %v; want clean zero-op info", info, err)
-	}
-	r := mustOpen(t, path)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if op := r.NextOp(nil); len(op) != 0 {
-			t.Errorf("NextOp on empty trace returned %v", op)
+// instead of wrapping into the end of the stream forever.
+func TestZeroOpTraceErrors(t *testing.T) { testZeroOpTrace(t, containersOf(Version)) }
+
+// TestV2ZeroOpTrace: the same zero-op contract over v2.
+func TestV2ZeroOpTrace(t *testing.T) { testZeroOpTrace(t, containersOf(Version2)) }
+
+func testZeroOpTrace(t *testing.T, cs []container) {
+	for _, c := range cs {
+		w, path := c.create(t, Meta{Name: "z", NumPages: 8})
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("NextOp on a zero-op trace never returned")
-	}
-	if r.Err() == nil {
-		t.Fatal("NextOp on a zero-op trace left Err nil")
+		info, err := Stat(path)
+		if err != nil || !info.Clean || info.Ops != 0 {
+			t.Fatalf("%s: Stat = %+v, %v; want clean zero-op info", c.name, info, err)
+		}
+		r := mustOpen(t, path)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if op := r.NextOp(nil); len(op) != 0 {
+				t.Errorf("%s: NextOp on empty trace returned %v", c.name, op)
+			}
+		}()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: NextOp on a zero-op trace never returned", c.name)
+		}
+		if r.Err() == nil {
+			t.Fatalf("%s: NextOp on a zero-op trace left Err nil", c.name)
+		}
 	}
 }
 

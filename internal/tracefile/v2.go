@@ -1,7 +1,6 @@
 package tracefile
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -73,10 +72,8 @@ type v2Block struct {
 // nothing seeks back — and single-threaded. Close appends the block index
 // footer and trailer; a file missing them reads back as truncated.
 type WriterV2 struct {
-	bw   *bufio.Writer
-	file *os.File // non-nil when CreateV2 opened the file
-
-	meta     Meta
+	writerBase
+	numPages int64
 	blockOps int // flush threshold, v2BlockOps (tests shrink it)
 
 	// Current open block.
@@ -85,41 +82,19 @@ type WriterV2 struct {
 	curOps  int64
 	curAccs int64
 
-	index    []v2Block
-	offset   int64 // bytes emitted so far (header + flushed blocks)
-	ops      uint64
-	accesses uint64
-	lastTime int64
-
-	scratch []byte
-	closed  bool
-	err     error
+	index  []v2Block
+	offset int64 // bytes emitted so far (header + flushed blocks)
 }
 
 // NewWriterV2 starts a version-2 trace on w: it writes the magic, version,
 // and header immediately. Close never closes w itself.
 func NewWriterV2(w io.Writer, meta Meta) (*WriterV2, error) {
-	if err := meta.validate(); err != nil {
+	tw := &WriterV2{numPages: int64(meta.NumPages), blockOps: v2BlockOps}
+	n, err := tw.start(w, Version2, 0, meta)
+	if err != nil {
 		return nil, err
 	}
-	if meta.NumPages > v2PageLimit {
-		return nil, fmt.Errorf("tracefile: %d pages exceed the v2 packed-word limit of %d; write a v1 trace instead",
-			meta.NumPages, v2PageLimit)
-	}
-	tw := &WriterV2{bw: bufio.NewWriterSize(w, 1<<16), meta: meta, blockOps: v2BlockOps}
-	var flags byte
-	if meta.Shift {
-		flags |= FlagShift
-	}
-	hdr := append([]byte(Magic), Version2, flags)
-	hdr = binary.AppendUvarint(hdr, uint64(len(meta.Name)))
-	hdr = append(hdr, meta.Name...)
-	hdr = binary.AppendUvarint(hdr, uint64(meta.NumPages))
-	hdr = binary.AppendUvarint(hdr, meta.Seed)
-	if _, err := tw.bw.Write(hdr); err != nil {
-		return nil, fmt.Errorf("tracefile: writing header: %w", err)
-	}
-	tw.offset = int64(len(hdr))
+	tw.offset = int64(n)
 	return tw, nil
 }
 
@@ -143,30 +118,11 @@ func CreateV2(path string, meta Meta) (*WriterV2, error) {
 	return w, nil
 }
 
-// setErr latches the first error.
-func (w *WriterV2) setErr(err error) error {
-	if w.err == nil {
-		w.err = err
-	}
-	return w.err
-}
-
 // WriteOp appends one op to the open block, flushing the block first when
-// it is full. Empty ops are not representable (an op is delimited by the
-// end-of-op bit on its final access) and are an error, like v1.
+// it is full.
 func (w *WriterV2) WriteOp(accs []trace.Access) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return w.setErr(fmt.Errorf("tracefile: write after Close"))
-	}
-	if len(accs) == 0 {
-		return w.setErr(fmt.Errorf("tracefile: empty ops are not representable"))
-	}
-	if len(accs) > maxOpAccesses {
-		return w.setErr(fmt.Errorf("tracefile: op with %d accesses exceeds the %d limit",
-			len(accs), maxOpAccesses))
+	if err := w.checkOp(accs); err != nil {
+		return err
 	}
 	if w.curOps >= int64(w.blockOps) || w.curAccs+int64(len(accs)) > v2BlockMaxAccesses {
 		if err := w.flushBlock(); err != nil {
@@ -174,8 +130,8 @@ func (w *WriterV2) WriteOp(accs []trace.Access) error {
 		}
 	}
 	for i, a := range accs {
-		if a.Page < 0 || int64(a.Page) >= int64(w.meta.NumPages) {
-			return w.setErr(fmt.Errorf("tracefile: page %d outside [0,%d)", a.Page, w.meta.NumPages))
+		if a.Page < 0 || int64(a.Page) >= w.numPages {
+			return w.setErr(fmt.Errorf("tracefile: page %d outside [0,%d)", a.Page, w.numPages))
 		}
 		v := uint32(a.Page) << 2
 		if a.Write {
@@ -188,8 +144,6 @@ func (w *WriterV2) WriteOp(accs []trace.Access) error {
 	}
 	w.curOps++
 	w.curAccs += int64(len(accs))
-	w.ops++
-	w.accesses += uint64(len(accs))
 	return nil
 }
 
@@ -206,11 +160,8 @@ func (w *WriterV2) MarkShift(now int64) error {
 }
 
 func (w *WriterV2) mark(kind byte, ns int64) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.closed {
-		return w.setErr(fmt.Errorf("tracefile: write after Close"))
+	if err := w.writable(); err != nil {
+		return err
 	}
 	if len(w.marks) >= v2BlockMaxMarks {
 		// Marks between two ops land in one block; past the cap the trace
@@ -218,9 +169,6 @@ func (w *WriterV2) mark(kind byte, ns int64) error {
 		return w.setErr(fmt.Errorf("tracefile: more than %d marks in one block", v2BlockMaxMarks))
 	}
 	w.marks = append(w.marks, v2Mark{kind: kind, pos: w.curOps, ns: ns})
-	if kind == v2MarkTime {
-		w.lastTime = ns
-	}
 	return nil
 }
 
@@ -241,11 +189,11 @@ func (w *WriterV2) flushBlock() error {
 		rec = binary.AppendUvarint(rec, zigzag(m.ns))
 	}
 	w.scratch = rec
-	if _, err := w.bw.Write(rec); err != nil {
-		return w.setErr(fmt.Errorf("tracefile: writing block: %w", err))
+	if err := w.write(rec, "block"); err != nil {
+		return err
 	}
-	if _, err := w.bw.Write(w.words); err != nil {
-		return w.setErr(fmt.Errorf("tracefile: writing block: %w", err))
+	if err := w.write(w.words, "block"); err != nil {
+		return err
 	}
 	w.index = append(w.index, v2Block{off: w.offset, ops: w.curOps, accesses: w.curAccs})
 	w.offset += int64(len(rec)) + int64(len(w.words))
@@ -253,11 +201,6 @@ func (w *WriterV2) flushBlock() error {
 	w.marks = w.marks[:0]
 	w.curOps, w.curAccs = 0, 0
 	return nil
-}
-
-// Counts reports the ops and accesses written so far.
-func (w *WriterV2) Counts() (ops, accesses int64) {
-	return int64(w.ops), int64(w.accesses)
 }
 
 // Close flushes the open block, writes the block index footer and trailer
@@ -288,25 +231,12 @@ func (w *WriterV2) finish(footer bool) error {
 			prev = b.off
 		}
 		w.scratch = ftr
-		if _, err := w.bw.Write(ftr); err != nil {
-			w.setErr(fmt.Errorf("tracefile: writing footer: %w", err))
-		} else {
+		if w.write(ftr, "footer") == nil {
 			var tr [v2TrailerLen]byte
 			binary.LittleEndian.PutUint32(tr[:4], uint32(len(ftr)))
 			copy(tr[4:], v2TrailerMagic)
-			if _, err := w.bw.Write(tr[:]); err != nil {
-				w.setErr(fmt.Errorf("tracefile: writing trailer: %w", err))
-			}
+			w.write(tr[:], "trailer")
 		}
 	}
-	w.closed = true
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("tracefile: flushing: %w", err)
-	}
-	if w.file != nil {
-		if err := w.file.Close(); err != nil && w.err == nil {
-			w.err = fmt.Errorf("tracefile: closing file: %w", err)
-		}
-	}
-	return w.err
+	return w.closeOut()
 }

@@ -12,88 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
-// writeV2 writes ops into a v2 trace at path, forcing small blocks so
-// multi-block paths are exercised even by small tests.
-func writeV2(t *testing.T, name string, meta Meta, ops [][]trace.Access, blockOps int) string {
+// writeV2 writes ops as a v2 trace with blocks of blockOps ops.
+func writeV2(t *testing.T, meta Meta, ops [][]trace.Access, blockOps int) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), name)
-	w, err := CreateV2(path, meta)
-	if err != nil {
-		t.Fatalf("CreateV2: %v", err)
-	}
-	if blockOps > 0 {
-		w.blockOps = blockOps
-	}
-	for _, op := range ops {
-		if err := w.WriteOp(op); err != nil {
-			t.Fatalf("WriteOp: %v", err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	return path
-}
-
-// TestV2RoundTrip: the writer→reader equality check across block
-// boundaries, through the version-dispatching Open.
-func TestV2RoundTrip(t *testing.T) {
-	for _, blockOps := range []int{1, 3, 0 /* default */} {
-		ops := randomOps(11, 100, 1<<12)
-		meta := Meta{Name: "v2rt", NumPages: 1 << 12, Seed: 11}
-		path := writeV2(t, "rt.htrc", meta, ops, blockOps)
-		got, r := readOps(t, path, len(ops))
-		if err := r.Err(); err != nil {
-			t.Fatalf("blockOps %d: reader error: %v", blockOps, err)
-		}
-		if _, ok := r.(*ReaderV2); !ok {
-			t.Fatalf("Open returned %T for a v2 file", r)
-		}
-		if !reflect.DeepEqual(got, ops) {
-			t.Fatalf("blockOps %d: replayed stream differs", blockOps)
-		}
-		if h := r.Header(); h != meta {
-			t.Fatalf("blockOps %d: header %+v, want %+v", blockOps, h, meta)
-		}
-		info, err := Stat(path)
-		if err != nil || !info.Clean || info.Version != Version2 || info.Ops != int64(len(ops)) {
-			t.Fatalf("blockOps %d: Stat = %+v, %v", blockOps, info, err)
-		}
-	}
-}
-
-// TestV2WrapAround: v2 replay is infinite like v1, wrapping to op 0.
-func TestV2WrapAround(t *testing.T) {
-	ops := randomOps(12, 10, 1024)
-	path := writeV2(t, "wrap.htrc", Meta{Name: "w", NumPages: 1024}, ops, 4)
-	got, r := readOps(t, path, 25)
-	if err := r.Err(); err != nil {
-		t.Fatalf("reader error: %v", err)
-	}
-	if r.Loops() != 2 {
-		t.Fatalf("Loops() = %d, want 2", r.Loops())
-	}
-	for i, op := range got {
-		if want := ops[i%10]; !reflect.DeepEqual(op, want) {
-			t.Fatalf("op %d: got %v, want %v", i, op, want)
-		}
-	}
-}
-
-// TestV2ZeroOpTrace: inspectable, but latches an error as a workload.
-func TestV2ZeroOpTrace(t *testing.T) {
-	path := writeV2(t, "zero.htrc", Meta{Name: "z", NumPages: 8}, nil, 0)
-	info, err := Stat(path)
-	if err != nil || !info.Clean || info.Ops != 0 {
-		t.Fatalf("Stat = %+v, %v; want clean zero-op info", info, err)
-	}
-	r := mustOpen(t, path)
-	if op := r.NextOp(nil); len(op) != 0 {
-		t.Fatalf("NextOp on empty trace returned %v", op)
-	}
-	if r.Err() == nil {
-		t.Fatal("NextOp on a zero-op trace left Err nil")
-	}
+	return container{name: "v2", file: "t.htrc", version: Version2, blockOps: blockOps}.write(t, meta, ops)
 }
 
 // TestV2Batches: NextBatch and NextPackedView must deliver the same stream
@@ -101,7 +23,7 @@ func TestV2ZeroOpTrace(t *testing.T) {
 func TestV2Batches(t *testing.T) {
 	ops := randomOps(13, 60, 1<<10)
 	meta := Meta{Name: "b", NumPages: 1 << 10}
-	path := writeV2(t, "batch.htrc", meta, ops, 7)
+	path := writeV2(t, meta, ops, 7)
 
 	flat := func(ops [][]trace.Access) []trace.Access {
 		var out []trace.Access
@@ -120,7 +42,7 @@ func TestV2Batches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer br.Close()
-	br.disableWrap()
+	br.wrap = false
 	var got []trace.Access
 	for {
 		before := len(got)
@@ -205,8 +127,8 @@ func TestConvertPreservesReplay(t *testing.T) {
 	for _, other := range []string{v2, back} {
 		a := mustOpen(t, v1)
 		b := mustOpen(t, other)
-		a.(interface{ disableWrap() }).disableWrap()
-		b.(interface{ disableWrap() }).disableWrap()
+		sa, sb := a.(replayer).state(), b.(replayer).state()
+		sa.wrap, sb.wrap = false, false
 		for i := 0; ; i++ {
 			opA := a.NextOp(nil)
 			opB := b.NextOp(nil)
@@ -216,10 +138,8 @@ func TestConvertPreservesReplay(t *testing.T) {
 			if a.ShiftTime() != b.ShiftTime() {
 				t.Fatalf("%s: op %d shift state %d vs %d", other, i, a.ShiftTime(), b.ShiftTime())
 			}
-			ltA, sawA, _ := replayClock(a)
-			ltB, sawB, _ := replayClock(b)
-			if ltA != ltB || sawA != sawB {
-				t.Fatalf("%s: op %d clock (%d,%v) vs (%d,%v)", other, i, ltA, sawA, ltB, sawB)
+			if sa.lastTime != sb.lastTime || sa.sawTime != sb.sawTime {
+				t.Fatalf("%s: op %d clock (%d,%v) vs (%d,%v)", other, i, sa.lastTime, sa.sawTime, sb.lastTime, sb.sawTime)
 			}
 			if len(opA) == 0 {
 				break
@@ -262,7 +182,7 @@ func TestV2SeekOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow.disableWrap()
+		slow.wrap = false
 		for i := int64(0); i < k; i++ {
 			if op := slow.NextOp(nil); len(op) == 0 {
 				t.Fatalf("k=%d: slow path exhausted at %d", k, i)
@@ -272,7 +192,7 @@ func TestV2SeekOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast.disableWrap()
+		fast.wrap = false
 		if err := fast.SeekOp(k); err != nil {
 			t.Fatalf("SeekOp(%d): %v", k, err)
 		}
@@ -316,7 +236,7 @@ func TestV2SeekOp(t *testing.T) {
 // nothing panics.
 func TestV2TruncationAndCorruption(t *testing.T) {
 	ops := randomOps(14, 50, 1<<10)
-	src := writeV2(t, "base.htrc", Meta{Name: "c", NumPages: 1 << 10}, ops, 8)
+	src := writeV2(t, Meta{Name: "c", NumPages: 1 << 10}, ops, 8)
 	base, err := os.ReadFile(src)
 	if err != nil {
 		t.Fatal(err)

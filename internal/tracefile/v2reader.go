@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 
 	"repro/internal/trace"
 )
@@ -22,13 +20,10 @@ import (
 // pending marks, ShiftTime reports the recorded shift marks, and decode
 // failures latch on Err while NextOp returns empty ops.
 type ReaderV2 struct {
-	path string
-	f    *os.File
-	meta Meta
+	replayState
 
 	index       []v2Block
 	firstOps    []int64 // prefix op sums per block, plus the total sentinel
-	totalAccs   int64
 	footerStart int64
 
 	// Loaded block state.
@@ -39,123 +34,45 @@ type ReaderV2 struct {
 	markIdx  int
 	opInBlk  int64
 
-	// Replay clock state, mirroring Reader.
-	lastTime int64
-	sawTime  bool
-	shiftAt  int64
-	shifts   int
-
-	wrap  bool
-	loops int
-	done  bool
-	err   error
-
 	buf []byte // block read buffer
 }
 
-// OpenV2 parses path's header and block index footer and positions the
-// reader at the first op. Files whose trailer is missing or unreadable are
-// reported as truncated — an aborted capture can never pass for complete.
+// OpenV2 opens a version-2 trace and positions the reader at the first op.
+// Files whose trailer is missing or unreadable are reported as truncated —
+// an aborted capture can never pass for complete.
 func OpenV2(path string) (*ReaderV2, error) {
-	r := &ReaderV2{path: path, shiftAt: -1, wrap: true, blk: -1}
-	if err := r.open(); err != nil {
+	r, err := openReplay(path)
+	if err != nil {
 		return nil, err
 	}
-	return r, nil
+	if r2, ok := r.(*ReaderV2); ok {
+		return r2, nil
+	}
+	r.Close()
+	return nil, fmt.Errorf("tracefile: %s is a version %d trace, not version %d", path, Version, Version2)
 }
 
-// open parses the header and footer into r, leaving the file open for
-// block reads.
-func (r *ReaderV2) open() error {
-	f, err := os.Open(r.path)
+// newReaderV2 starts a v2 replay of s's file by decoding its block index
+// footer; blocks are read as the replay reaches them.
+func newReaderV2(s replayState) (*ReaderV2, error) {
+	fi, err := s.f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	size := fi.Size()
-	// The header is bounded (magic, version, flags, three varints, a name
-	// of at most maxNameLen bytes), so one bounded read covers it.
-	headMax := int64(len(Magic) + 2 + 3*binary.MaxVarintLen64 + maxNameLen)
-	if headMax > size {
-		headMax = size
-	}
-	head := make([]byte, headMax)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	hr := bytes.NewReader(head)
-	pre := make([]byte, len(Magic)+2)
-	if _, err := io.ReadFull(hr, pre); err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	if string(pre[:len(Magic)]) != Magic {
-		f.Close()
-		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, pre[:len(Magic)])
-	}
-	if v := pre[len(Magic)]; v != Version2 {
-		f.Close()
-		return fmt.Errorf("tracefile: unsupported version %d (this build reads versions %d and %d)",
-			v, Version, Version2)
-	}
-	flags := pre[len(Magic)+1]
-	if flags&FlagGzip != 0 {
-		f.Close()
-		return fmt.Errorf("%w: v2 traces cannot be gzip-framed", ErrCorrupt)
-	}
-	if rest := flags &^ FlagShift; rest != 0 {
-		f.Close()
-		return fmt.Errorf("tracefile: unsupported header flags %#02x", rest)
-	}
-	nameLen, err := binary.ReadUvarint(hr)
-	if err != nil || nameLen > maxNameLen {
-		f.Close()
-		return fmt.Errorf("%w: bad workload-name length", ErrCorrupt)
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(hr, name); err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short workload name: %v", ErrCorrupt, err)
-	}
-	numPages, err := binary.ReadUvarint(hr)
-	if err != nil || numPages == 0 || numPages > v2PageLimit {
-		f.Close()
-		return fmt.Errorf("%w: bad page-space size", ErrCorrupt)
-	}
-	seed, err := binary.ReadUvarint(hr)
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
-	}
-	r.meta = Meta{
-		Name:     string(name),
-		NumPages: int(numPages),
-		Seed:     seed,
-		Shift:    flags&FlagShift != 0,
-	}
-	headerEnd := int64(len(head)) - int64(hr.Len())
-	if err := r.parseFooter(f, size, headerEnd); err != nil {
-		f.Close()
-		return err
-	}
-	r.f = f
-	return nil
+	r := &ReaderV2{replayState: s, blk: -1}
+	return r, r.parseFooter(fi.Size())
 }
 
 // parseFooter locates the footer via the fixed trailer at EOF and decodes
 // the block index, validating every entry so a corrupt index can never
 // drive an oversized allocation or an out-of-file read.
-func (r *ReaderV2) parseFooter(f *os.File, size, headerEnd int64) error {
+func (r *ReaderV2) parseFooter(size int64) error {
+	headerEnd := r.hdr.size
 	if size < headerEnd+v2TrailerLen {
 		return fmt.Errorf("%w: v2 trace has no footer", ErrTruncated)
 	}
 	var tr [v2TrailerLen]byte
-	if _, err := f.ReadAt(tr[:], size-v2TrailerLen); err != nil {
+	if _, err := r.f.ReadAt(tr[:], size-v2TrailerLen); err != nil {
 		return fmt.Errorf("%w: reading trailer: %v", ErrCorrupt, err)
 	}
 	if string(tr[4:]) != v2TrailerMagic {
@@ -167,7 +84,7 @@ func (r *ReaderV2) parseFooter(f *os.File, size, headerEnd int64) error {
 		return fmt.Errorf("%w: footer length %d overlaps the header", ErrCorrupt, ftrLen)
 	}
 	ftr := make([]byte, ftrLen)
-	if _, err := f.ReadAt(ftr, ftrStart); err != nil {
+	if _, err := r.f.ReadAt(ftr, ftrStart); err != nil {
 		return fmt.Errorf("%w: reading footer: %v", ErrCorrupt, err)
 	}
 	fr := bytes.NewReader(ftr)
@@ -179,7 +96,7 @@ func (r *ReaderV2) parseFooter(f *os.File, size, headerEnd int64) error {
 	}
 	index := make([]v2Block, 0, nBlocks)
 	firstOps := make([]int64, 1, nBlocks+1)
-	prevOff, ops, accs := int64(0), int64(0), int64(0)
+	prevOff, ops := int64(0), int64(0)
 	for i := uint64(0); i < nBlocks; i++ {
 		d, err := binary.ReadUvarint(fr)
 		if err != nil {
@@ -202,7 +119,6 @@ func (r *ReaderV2) parseFooter(f *os.File, size, headerEnd int64) error {
 		}
 		index = append(index, v2Block{off: off, ops: int64(bo), accesses: int64(ba)})
 		ops += int64(bo)
-		accs += int64(ba)
 		firstOps = append(firstOps, ops)
 		prevOff = off
 	}
@@ -211,56 +127,12 @@ func (r *ReaderV2) parseFooter(f *os.File, size, headerEnd int64) error {
 	}
 	r.index = index
 	r.firstOps = firstOps
-	r.totalAccs = accs
 	r.footerStart = ftrStart
 	return nil
 }
 
 // Ops returns the recorded op count, from the footer — no body scan.
 func (r *ReaderV2) Ops() int64 { return r.firstOps[len(r.firstOps)-1] }
-
-// Header returns the trace's header fields.
-func (r *ReaderV2) Header() Meta { return r.meta }
-
-// Path returns the file the reader replays.
-func (r *ReaderV2) Path() string { return r.path }
-
-// Name implements trace.Source with the recorded workload's name.
-func (r *ReaderV2) Name() string { return r.meta.Name }
-
-// NumPages implements trace.Source from the header.
-func (r *ReaderV2) NumPages() int { return r.meta.NumPages }
-
-// ShiftTime implements trace.ShiftSource from the stream's shift marks.
-func (r *ReaderV2) ShiftTime() int64 { return r.shiftAt }
-
-// Loops reports how many times the reader wrapped around.
-func (r *ReaderV2) Loops() int { return r.loops }
-
-// Err returns the first failure the reader hit.
-func (r *ReaderV2) Err() error { return r.err }
-
-// Close releases the underlying file. The reader is unusable afterwards.
-func (r *ReaderV2) Close() error {
-	if r.f == nil {
-		return nil
-	}
-	err := r.f.Close()
-	r.f = nil
-	r.done = true
-	return err
-}
-
-// disableWrap switches the reader to one-pass mode (Stat, Convert).
-func (r *ReaderV2) disableWrap() { r.wrap = false }
-
-// fail latches the first error; NextOp returns empty ops from then on.
-func (r *ReaderV2) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-	r.done = true
-}
 
 // blockEnd returns the file offset one past block i's last byte.
 func (r *ReaderV2) blockEnd(i int) int64 {
@@ -366,8 +238,8 @@ func (r *ReaderV2) loadBlock(i int) bool {
 	raw := buf[wordsAt:]
 	for j := range words {
 		v := binary.LittleEndian.Uint32(raw[j*4:])
-		if int64(v>>2) >= int64(r.meta.NumPages) {
-			r.fail(fmt.Errorf("%w: page %d outside [0,%d)", ErrCorrupt, v>>2, r.meta.NumPages))
+		if int64(v>>2) >= int64(r.hdr.meta.NumPages) {
+			r.fail(fmt.Errorf("%w: page %d outside [0,%d)", ErrCorrupt, v>>2, r.hdr.meta.NumPages))
 			return false
 		}
 		words[j] = v
@@ -393,17 +265,17 @@ func (r *ReaderV2) loadBlock(i int) bool {
 // recorded order: time marks set the replay clock, shift marks timestamp
 // adaptation exactly like the live run reported it.
 func (r *ReaderV2) applyMarks(upTo int64) {
-	for r.markIdx < len(r.marks) && r.marks[r.markIdx].pos <= upTo {
-		m := r.marks[r.markIdx]
-		r.markIdx++
-		switch m.kind {
-		case v2MarkTime:
-			r.lastTime = m.ns
-			r.sawTime = true
-		case v2MarkShift:
-			r.shiftAt = m.ns
-			r.shifts++
-		}
+	for ; r.markIdx < len(r.marks) && r.marks[r.markIdx].pos <= upTo; r.markIdx++ {
+		r.applyMark(r.marks[r.markIdx])
+	}
+}
+
+// applyMark applies one mark.
+func (r *ReaderV2) applyMark(m v2Mark) {
+	if m.kind == v2MarkTime {
+		r.markTime(m.ns)
+	} else {
+		r.markShift(m.ns)
 	}
 }
 
@@ -432,20 +304,7 @@ func (r *ReaderV2) ensureOp() bool {
 			}
 			continue
 		}
-		// End of the recorded stream.
-		if !r.wrap {
-			r.done = true
-			return false
-		}
-		if r.Ops() == 0 {
-			// Wrapping an op-less trace would spin forever; latch instead,
-			// exactly like the v1 reader.
-			r.fail(fmt.Errorf("tracefile: %s has no op records to replay", r.path))
-			return false
-		}
-		r.loops++
-		r.lastTime = 0
-		if !r.loadBlock(0) {
+		if !r.atEnd(r.Ops()) || !r.loadBlock(0) {
 			return false
 		}
 	}
@@ -577,18 +436,6 @@ func (r *ReaderV2) SeekOp(n int64) error {
 	return nil
 }
 
-// applyMark applies one mark unconditionally (SeekOp's earlier-block scan).
-func (r *ReaderV2) applyMark(m v2Mark) {
-	switch m.kind {
-	case v2MarkTime:
-		r.lastTime = m.ns
-		r.sawTime = true
-	case v2MarkShift:
-		r.shiftAt = m.ns
-		r.shifts++
-	}
-}
-
 // readBlockMarks decodes block i's mark section without reading its packed
 // words: it reads a small prefix of the block and grows it only if the
 // mark section is unusually large, so a seek across many blocks stays
@@ -623,35 +470,4 @@ func (r *ReaderV2) readBlockMarks(i int) ([]v2Mark, bool) {
 		r.done = false
 		prefix *= 8
 	}
-}
-
-// statV2 scans a v2 trace end to end, decoding every block (and therefore
-// bounds-checking every word) exactly like Stat's v1 pass.
-func statV2(path string) (Info, error) {
-	r, err := OpenV2(path)
-	if err != nil {
-		return Info{}, err
-	}
-	defer r.Close()
-	r.disableWrap()
-	info := Info{Meta: r.Header(), Version: Version2, ShiftNs: -1, EndNs: -1}
-	var buf []trace.Access
-	for {
-		buf = r.NextOp(buf[:0])
-		if len(buf) == 0 {
-			break
-		}
-		info.Ops++
-		info.Accesses += int64(len(buf))
-	}
-	// Trailing marks past the final op (including a final marks-only
-	// block) are consumed by ensureOp's end-of-stream transition.
-	info.Shifts = r.shifts
-	info.ShiftNs = r.ShiftTime()
-	if r.sawTime {
-		info.EndNs = r.lastTime
-	}
-	info.Clean = r.done && r.err == nil &&
-		info.Ops == r.Ops() && info.Accesses == r.totalAccs
-	return info, r.err
 }

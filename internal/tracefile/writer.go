@@ -1,7 +1,6 @@
 package tracefile
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -12,52 +11,42 @@ import (
 	"repro/internal/trace"
 )
 
-// Writer serializes an op stream into the trace format. It is streamable —
-// records hit the underlying writer as they are produced, nothing seeks
-// back — and single-threaded, like the Source contract it mirrors.
-// Close writes the end record; a file missing it reads back as truncated.
+// Control-record subtypes (the v1 body's tag-0 records).
+const (
+	ctlTime  = 0x01 // virtual-time mark
+	ctlShift = 0x02 // distribution-shift mark
+	ctlEnd   = 0x03 // end of trace, with op/access counts
+)
+
+// Writer serializes an op stream into the version-1 format. It is
+// streamable — records hit the underlying writer as they are produced,
+// nothing seeks back — and single-threaded, like the Source contract it
+// mirrors. Close writes the end record; a file missing it reads back as
+// truncated.
 type Writer struct {
-	dst      io.Writer // body sink: gz when compressing, else bw
-	bw       *bufio.Writer
-	gz       *gzip.Writer
-	file     *os.File // non-nil when Create opened the file
-	scratch  []byte
+	writerBase
+	gz       *gzip.Writer // non-nil when the body is gzip-framed
 	prevPage int64
 	lastTime int64
 	ops      uint64
 	accesses uint64
-	closed   bool
-	err      error
 }
 
 // NewWriter starts a trace on w: it writes the magic, version, and header
 // immediately. Set gzip to compress the body; Close then finishes the gzip
 // stream but never closes w itself.
 func NewWriter(w io.Writer, meta Meta, gzipBody bool) (*Writer, error) {
-	if err := meta.validate(); err != nil {
-		return nil, err
-	}
-	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
+	tw := &Writer{}
 	var flags byte
 	if gzipBody {
-		flags |= FlagGzip
+		flags = FlagGzip
 	}
-	if meta.Shift {
-		flags |= FlagShift
-	}
-	hdr := append([]byte(Magic), Version, flags)
-	hdr = binary.AppendUvarint(hdr, uint64(len(meta.Name)))
-	hdr = append(hdr, meta.Name...)
-	hdr = binary.AppendUvarint(hdr, uint64(meta.NumPages))
-	hdr = binary.AppendUvarint(hdr, meta.Seed)
-	if _, err := tw.bw.Write(hdr); err != nil {
-		return nil, fmt.Errorf("tracefile: writing header: %w", err)
+	if _, err := tw.start(w, Version, flags, meta); err != nil {
+		return nil, err
 	}
 	if gzipBody {
 		tw.gz = gzip.NewWriter(tw.bw)
-		tw.dst = tw.gz
-	} else {
-		tw.dst = tw.bw
+		tw.body = tw.gz
 	}
 	return tw, nil
 }
@@ -78,36 +67,19 @@ func Create(path string, meta Meta) (*Writer, error) {
 	return w, nil
 }
 
-// emit appends the scratch record to the body, latching the first error.
+// emit appends one record to the body.
 func (w *Writer) emit(rec []byte) error {
-	if w.err != nil {
-		return w.err
+	if err := w.writable(); err != nil {
+		return err
 	}
-	if w.closed {
-		w.err = fmt.Errorf("tracefile: write after Close")
-		return w.err
-	}
-	if _, err := w.dst.Write(rec); err != nil {
-		w.err = fmt.Errorf("tracefile: writing record: %w", err)
-	}
-	return w.err
+	w.scratch = rec
+	return w.write(rec, "record")
 }
 
-// WriteOp appends one op record. Empty ops are not representable in the
-// format (the zero tag is reserved for control records) and are an error.
+// WriteOp appends one op record.
 func (w *Writer) WriteOp(accs []trace.Access) error {
-	if len(accs) == 0 {
-		if w.err == nil {
-			w.err = fmt.Errorf("tracefile: empty ops are not representable")
-		}
-		return w.err
-	}
-	if len(accs) > maxOpAccesses {
-		if w.err == nil {
-			w.err = fmt.Errorf("tracefile: op with %d accesses exceeds the %d limit",
-				len(accs), maxOpAccesses)
-		}
-		return w.err
+	if err := w.checkOp(accs); err != nil {
+		return err
 	}
 	rec := binary.AppendUvarint(w.scratch[:0], uint64(len(accs)))
 	for _, a := range accs {
@@ -119,7 +91,6 @@ func (w *Writer) WriteOp(accs []trace.Access) error {
 		rec = binary.AppendUvarint(rec, v)
 		w.prevPage = int64(a.Page)
 	}
-	w.scratch = rec
 	if err := w.emit(rec); err != nil {
 		return err
 	}
@@ -132,9 +103,7 @@ func (w *Writer) WriteOp(accs []trace.Access) error {
 // boundary, delta-encoded against the previous mark.
 func (w *Writer) MarkTime(now int64) error {
 	rec := append(w.scratch[:0], 0, ctlTime)
-	rec = binary.AppendUvarint(rec, zigzag(now-w.lastTime))
-	w.scratch = rec
-	if err := w.emit(rec); err != nil {
+	if err := w.emit(binary.AppendUvarint(rec, zigzag(now-w.lastTime))); err != nil {
 		return err
 	}
 	w.lastTime = now
@@ -145,14 +114,7 @@ func (w *Writer) MarkTime(now int64) error {
 // delta-encoded against the previous time mark.
 func (w *Writer) MarkShift(now int64) error {
 	rec := append(w.scratch[:0], 0, ctlShift)
-	rec = binary.AppendUvarint(rec, zigzag(now-w.lastTime))
-	w.scratch = rec
-	return w.emit(rec)
-}
-
-// Counts reports the ops and accesses written so far.
-func (w *Writer) Counts() (ops, accesses int64) {
-	return int64(w.ops), int64(w.accesses)
+	return w.emit(binary.AppendUvarint(rec, zigzag(now-w.lastTime)))
 }
 
 // Close writes the end record (op and access counts, so readers detect
@@ -177,23 +139,12 @@ func (w *Writer) finish(endRecord bool) error {
 	if endRecord {
 		rec := append(w.scratch[:0], 0, ctlEnd)
 		rec = binary.AppendUvarint(rec, w.ops)
-		rec = binary.AppendUvarint(rec, w.accesses)
-		w.scratch = rec
-		w.emit(rec)
+		w.emit(binary.AppendUvarint(rec, w.accesses))
 	}
-	w.closed = true
 	if w.gz != nil {
-		if err := w.gz.Close(); err != nil && w.err == nil {
-			w.err = fmt.Errorf("tracefile: closing gzip stream: %w", err)
+		if err := w.gz.Close(); err != nil {
+			w.setErr(fmt.Errorf("tracefile: closing gzip stream: %w", err))
 		}
 	}
-	if err := w.bw.Flush(); err != nil && w.err == nil {
-		w.err = fmt.Errorf("tracefile: flushing: %w", err)
-	}
-	if w.file != nil {
-		if err := w.file.Close(); err != nil && w.err == nil {
-			w.err = fmt.Errorf("tracefile: closing file: %w", err)
-		}
-	}
-	return w.err
+	return w.closeOut()
 }
