@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -260,10 +261,11 @@ type Config struct {
 	Run Runner
 	// Cache, when non-nil, serves and stores results by spec hash.
 	Cache *Cache
-	// Journal, when non-nil, durably records every job transition so a
-	// restarted daemon can rebuild its job list (journal.go). Append
-	// failures never fail the job — the journal latches the error for
-	// /healthz and the daemon keeps serving from memory.
+	// Journal, when non-nil, durably records every job transition that
+	// changes what a restarted daemon rebuilds its job list from
+	// (journal.go). Append failures never fail the job — the journal
+	// latches the error for /healthz and the daemon keeps serving from
+	// memory.
 	Journal *Journal
 	// Resume is the record stream recovered by OpenJournal. NewManager
 	// replays it: terminal jobs are re-listed, jobs that were queued or
@@ -427,11 +429,10 @@ func (m *Manager) Submit(hash string, spec []byte) (j *Job, created bool, err er
 		_, cached = m.cfg.Cache.Get(hash)
 	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.draining {
+		m.mu.Unlock()
 		return nil, false, ErrDraining
 	}
-	defer m.pruneLocked()
 	if cached {
 		j := newJob(m.nextID(), hash, spec)
 		now := time.Now()
@@ -442,12 +443,18 @@ func (m *Manager) Submit(hash string, spec []byte) (j *Job, created bool, err er
 		j.mu.Unlock()
 		m.jobs[j.id] = j
 		m.order = append(m.order, j)
+		m.pruneLocked()
+		m.mu.Unlock()
 		// A cache hit is born terminal; journal it as such so a restart
-		// re-lists it without consulting the cache.
-		m.journal(Record{Type: recSubmit, Hash: hash, Spec: spec})
-		m.journal(Record{Type: recDone, Hash: hash})
+		// re-lists it without consulting the cache. One done record that
+		// carries the spec replays as submit + done would, and the journal
+		// skips it outright when the hash is already journaled done — so
+		// it is appended outside m.mu, yet before Submit acknowledges.
+		m.journal(Record{Type: recDone, Hash: hash, Spec: spec})
 		return j, true, nil
 	}
+	defer m.mu.Unlock()
+	defer m.pruneLocked()
 	if live, ok := m.inflight[hash]; ok {
 		return live, false, nil
 	}
@@ -477,12 +484,19 @@ func (m *Manager) pruneLocked() {
 	if excess <= 0 {
 		return
 	}
+	// The common case: the oldest excess jobs are all terminal, so they
+	// leave as a prefix without locking or copying the rest.
+	if !slices.ContainsFunc(m.order[:excess], func(j *Job) bool { return !j.terminal() }) {
+		for _, j := range m.order[:excess] {
+			delete(m.jobs, j.id)
+		}
+		clear(m.order[:excess])
+		m.order = m.order[excess:]
+		return
+	}
 	kept := make([]*Job, 0, len(m.order)-excess)
 	for _, j := range m.order {
-		j.mu.Lock()
-		terminal := j.state.Terminal()
-		j.mu.Unlock()
-		if excess > 0 && terminal {
+		if excess > 0 && j.terminal() {
 			delete(m.jobs, j.id)
 			excess--
 			continue
@@ -490,6 +504,13 @@ func (m *Manager) pruneLocked() {
 		kept = append(kept, j)
 	}
 	m.order = kept
+}
+
+// terminal reads the job's state under its own lock.
+func (j *Job) terminal() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state.Terminal()
 }
 
 // nextID mints "job-N". Callers hold mu.

@@ -14,12 +14,13 @@ import (
 )
 
 // The journal is the daemon's crash ledger: an append-only, fsync'd file
-// recording every job's submit, start, and terminal transition, keyed by
-// spec hash. A restarted Manager replays it (NewManager), re-listing
-// terminal jobs and automatically resubmitting whatever was queued or
-// running when the process died — and because completed cells already
-// live in the content-addressed result cache, the resumed run re-executes
-// only the cells the crash actually lost.
+// recording job submit, start, and terminal transitions, keyed by spec
+// hash — every transition that changes what a replay rebuilds, and no
+// other (Append's skip rule). A restarted Manager replays it
+// (NewManager), re-listing terminal jobs and automatically resubmitting
+// whatever was queued or running when the process died — and because
+// completed cells already live in the content-addressed result cache, the
+// resumed run re-executes only the cells the crash actually lost.
 //
 // Record framing is one line per record:
 //
@@ -54,15 +55,18 @@ type Record struct {
 // storage checksums.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Journal is the append side: one open file handle, every Append fsync'd
-// before it returns so an acknowledged record survives power loss. Safe
-// for concurrent use.
+// Journal is the append side: one open file handle, every written record
+// fsync'd before Append returns so an acknowledged record survives power
+// loss. Safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	fsys errfs.FS
 	path string
 	f    errfs.File
 	err  error // sticky: first append failure, reported by Err
+	// fold is replayRecords' fold of the records durably in the file, by
+	// hash, without spec bytes: what Append consults to skip a record.
+	fold map[string]foldState
 }
 
 // OpenJournal opens (creating if absent) the journal at path, recovers
@@ -93,7 +97,7 @@ func OpenJournal(path string, fsys errfs.FS) (*Journal, []Record, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("jobs: journal open: %w", err)
 	}
-	return &Journal{fsys: fsys, path: path, f: f}, records, nil
+	return &Journal{fsys: fsys, path: path, f: f, fold: liveFold(records)}, records, nil
 }
 
 // decodeRecords parses the journal bytes, returning every intact record
@@ -150,19 +154,31 @@ func encodeLine(rec Record) ([]byte, error) {
 	return line, nil
 }
 
-// Append writes one record and fsyncs it to disk before returning. On
-// failure the error is returned AND latched (Err), so the health endpoint
-// can report a journal that has stopped persisting while the daemon keeps
-// serving from memory — durability degrades loudly, availability stays.
+// Append writes one record and fsyncs it to disk before returning —
+// unless folding it would leave its hash's replayed state unchanged, in
+// which case replay could not tell it apart from absent and nothing is
+// written. The fold takes a record only once its fsync succeeds, so a
+// failed record is retried, never skipped. On failure the error is
+// returned AND latched (Err), so the health endpoint can report a journal
+// that has stopped persisting while the daemon keeps serving from memory
+// — durability degrades loudly, availability stays.
 func (j *Journal) Append(rec Record) error {
-	line, err := encodeLine(rec)
-	if err != nil {
-		return j.latch(err)
-	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return j.latchLocked(fmt.Errorf("jobs: journal is closed"))
+	}
+	old, seen := j.fold[rec.Hash]
+	if !seen {
+		old = foldState{state: Queued}
+	}
+	next := old.step(rec)
+	if seen && next == old {
+		return nil
+	}
+	line, err := encodeLine(rec)
+	if err != nil {
+		return j.latchLocked(err)
 	}
 	if _, err := j.f.Write(line); err != nil {
 		// A partial line may have landed; the checksum frame makes it
@@ -175,13 +191,8 @@ func (j *Journal) Append(rec Record) error {
 	if err := j.f.Sync(); err != nil {
 		return j.latchLocked(fmt.Errorf("jobs: journal fsync: %w", err))
 	}
+	j.fold[rec.Hash] = next
 	return nil
-}
-
-func (j *Journal) latch(err error) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.latchLocked(err)
 }
 
 func (j *Journal) latchLocked(err error) error {
@@ -233,6 +244,7 @@ func (j *Journal) Compact(records []Record) error {
 	if err := errfs.WriteAtomic(j.fsys, j.path, buf.Bytes()); err != nil {
 		return j.latchLocked(fmt.Errorf("jobs: journal compact: %w", err))
 	}
+	j.fold = liveFold(records)
 	if j.f != nil {
 		j.f.Close()
 	}
@@ -245,20 +257,52 @@ func (j *Journal) Compact(records []Record) error {
 	return nil
 }
 
+// foldState is one hash's replayed fate minus its spec bytes, which the
+// hash already determines: all a later record's effect depends on.
+type foldState struct {
+	state   State // Queued/Running = lost live job (resubmit); terminal = re-list
+	errMsg  string
+	hasSpec bool
+}
+
+// step folds one record into a hash's state — the single transition rule
+// replayRecords and Journal.Append share. Records of one job can
+// interleave slightly out of lifecycle order across goroutines (submit
+// and start race into the file), so the fold is a tolerant state machine:
+// a submit after a terminal record opens a new generation of the same
+// hash; within a generation the strongest state wins.
+func (st foldState) step(rec Record) foldState {
+	st.hasSpec = st.hasSpec || len(rec.Spec) > 0
+	switch rec.Type {
+	case recSubmit:
+		if st.state.Terminal() {
+			// The same spec was submitted again after completing: a new
+			// live generation replaces the terminal listing.
+			st.state, st.errMsg = Queued, ""
+		}
+	case recStart:
+		if !st.state.Terminal() {
+			st.state = Running
+		}
+	case recDone:
+		st.state, st.errMsg = Done, ""
+	case recFailed:
+		st.state, st.errMsg = Failed, rec.Error
+	case recCanceled:
+		st.state, st.errMsg = Canceled, rec.Error
+	}
+	return st
+}
+
 // replayedJob is one hash's reconstructed fate after a journal replay.
 type replayedJob struct {
-	hash   string
-	spec   []byte
-	state  State // Queued/Running = lost live job (resubmit); terminal = re-list
-	errMsg string
+	hash string
+	spec []byte
+	foldState
 }
 
 // replayRecords folds a recovered record stream into per-hash outcomes in
-// first-seen order. Records of one job can interleave slightly out of
-// lifecycle order across goroutines (submit and start race into the
-// file), so the fold is a tolerant state machine: a submit after a
-// terminal record opens a new generation of the same hash; within a
-// generation the strongest state wins.
+// first-seen order; each hash starts Queued.
 func replayRecords(records []Record) []replayedJob {
 	index := map[string]int{}
 	var out []replayedJob
@@ -266,31 +310,23 @@ func replayRecords(records []Record) []replayedJob {
 		i, seen := index[rec.Hash]
 		if !seen {
 			index[rec.Hash] = len(out)
-			out = append(out, replayedJob{hash: rec.Hash, state: Queued})
+			out = append(out, replayedJob{hash: rec.Hash, foldState: foldState{state: Queued}})
 			i = len(out) - 1
 		}
 		job := &out[i]
 		if len(rec.Spec) > 0 {
 			job.spec = rec.Spec
 		}
-		switch rec.Type {
-		case recSubmit:
-			if seen && job.state.Terminal() {
-				// The same spec was submitted again after completing: a new
-				// live generation replaces the terminal listing.
-				job.state, job.errMsg = Queued, ""
-			}
-		case recStart:
-			if !job.state.Terminal() {
-				job.state = Running
-			}
-		case recDone:
-			job.state, job.errMsg = Done, ""
-		case recFailed:
-			job.state, job.errMsg = Failed, rec.Error
-		case recCanceled:
-			job.state, job.errMsg = Canceled, rec.Error
-		}
+		job.foldState = job.foldState.step(rec)
 	}
 	return out
+}
+
+// liveFold is replayRecords' outcome of records, keyed by hash.
+func liveFold(records []Record) map[string]foldState {
+	fold := map[string]foldState{}
+	for _, rj := range replayRecords(records) {
+		fold[rj.hash] = rj.foldState
+	}
+	return fold
 }
