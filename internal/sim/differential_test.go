@@ -104,7 +104,7 @@ func (c refCell) check(t *testing.T, sc *Scratch) *Result {
 	case "live":
 		fed = gen()
 	case "packed":
-		rs := trace.NewReplaySource(gen(), c.ops, 1<<24, nil)
+		rs := trace.NewReplaySource(gen(), c.ops, 1<<24)
 		if rs == nil {
 			t.Fatalf("%s does not pack", c.workload)
 		}

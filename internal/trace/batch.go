@@ -83,24 +83,16 @@ const packedPageLimit = 1 << 30
 // start; Fork cheap-copies it for concurrent consumers. It returns nil if
 // src stops producing early, a page id exceeds the packed encoding, a shift
 // is not stamped with the clock, or the stream would exceed maxAccesses —
-// callers then fall back to live generation. recycle, when non-nil, donates
-// a retired stream's backing arrays; no clearing is needed since reads
-// never pass the written length.
-func NewReplaySource(src Source, ops int64, maxAccesses int, recycle *ReplaySource) *ReplaySource {
+// callers then fall back to live generation.
+//
+// Arguments after maxAccesses are ignored; they are accepted only so that
+// callers passing a nil there keep compiling.
+func NewReplaySource(src Source, ops int64, maxAccesses int, _ ...*ReplaySource) *ReplaySource {
 	bs := AsBatchSource(src)
 	ss, _ := src.(ShiftSource)
-	var packed []uint32
-	var opStarts, marks []int32
-	if recycle != nil {
-		packed = recycle.packed[:0]
-		opStarts = recycle.opStarts[:0]
-	}
-	if int64(cap(packed)) < min(int64(maxAccesses), ops) {
-		packed = make([]uint32, 0, min(int64(maxAccesses), ops*4))
-	}
-	if int64(cap(opStarts)) < ops+1 {
-		opStarts = make([]int32, 0, ops+1)
-	}
+	packed := make([]uint32, 0, min(int64(maxAccesses), ops*4))
+	opStarts := make([]int32, 0, ops+1)
+	var marks []int32
 	// opStarts[i] is op i's first access; the op ends where the next one
 	// starts, so recording each op's end index after the leading 0 yields
 	// starts and the final sentinel in one pass.

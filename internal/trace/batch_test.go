@@ -107,7 +107,7 @@ func TestAdapterSingleOpForShiftSources(t *testing.T) {
 func TestReplaySourceRoundTrip(t *testing.T) {
 	const ops = 300
 	gen := func() Source { return NewZipfSource("z", 2048, 1.0, 0.3, 11) }
-	rs := NewReplaySource(gen(), ops, 1<<20, nil)
+	rs := NewReplaySource(gen(), ops, 1<<20)
 	if rs == nil {
 		t.Fatal("NewReplaySource returned nil")
 	}
@@ -151,13 +151,13 @@ func TestReplaySourceRoundTrip(t *testing.T) {
 
 // TestReplaySourceBounds asserts the fallback conditions return nil.
 func TestReplaySourceBounds(t *testing.T) {
-	if rs := NewReplaySource(NewScanSource("s", 64), 1000, 10, nil); rs != nil {
+	if rs := NewReplaySource(NewScanSource("s", 64), 1000, 10); rs != nil {
 		t.Error("stream over maxAccesses must return nil")
 	}
 	big := struct{ Source }{NewScanSource("s", 64)}
 	_ = big
 	huge := &fixedPage{page: mem.PageID(packedPageLimit)}
-	if rs := NewReplaySource(huge, 10, 1000, nil); rs != nil {
+	if rs := NewReplaySource(huge, 10, 1000); rs != nil {
 		t.Error("page beyond the packed encoding must return nil")
 	}
 }
@@ -182,7 +182,7 @@ func TestClockFreeMarkers(t *testing.T) {
 		NewZipfSource("z", 64, 1.0, 0, 1),
 		NewScanSource("s", 64),
 		NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5),
-		NewReplaySource(NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), 20, 1<<10, nil).Fork(),
+		NewReplaySource(NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), 20, 1<<10).Fork(),
 	} {
 		if cf, ok := src.(ClockFree); !ok || !cf.ClockFree() {
 			t.Errorf("case %d (%s): not clock-free", i, src.Name())
@@ -293,7 +293,7 @@ func FuzzReplayShiftMarks(f *testing.F) {
 		total := int64(ops)%2000 + 1
 		shifts := []int64{int64(s1), int64(s2), int64(s3)}[:nShifts%4]
 		build := func() Source { return shiftedSource(t, int(pages)%4096+4, shifts, shape, total) }
-		rs := NewReplaySource(build(), total, 1<<20, nil)
+		rs := NewReplaySource(build(), total, 1<<20)
 		if rs == nil {
 			t.Fatal("stream did not pack")
 		}

@@ -61,8 +61,6 @@ type streamEntry struct {
 	// elem is the entry's place in the LRU list; nil while generating and
 	// again once evicted.
 	elem *list.Element
-	// refs counts sweeps whose forks may still read rs.
-	refs int
 }
 
 // streamCache retains packed op streams across sweeps, keyed by identity:
@@ -70,17 +68,14 @@ type streamEntry struct {
 // workload with other policies, and a resumed sweep all replay the stream
 // the first of them generated. It holds at most budget accesses, evicting
 // least recently used streams first. Streams in use are pinned by their
-// forks, not by the cache: eviction only unlinks, and a stream's arrays are
-// handed on for reuse (spare) only once no sweep reads them.
+// forks, not by the cache: eviction only unlinks, and the garbage collector
+// reclaims an evicted stream once no running sweep's forks read it.
 type streamCache struct {
 	mu       sync.Mutex
 	budget   int
 	entries  map[streamKey]*streamEntry
 	lru      *list.List // *streamEntry, most recently used first
 	retained int        // accesses held by linked entries
-	// spare is a retired stream whose backing arrays the next generation
-	// overwrites instead of allocating its own.
-	spare *trace.ReplaySource
 }
 
 func newStreamCache(budget int) *streamCache {
@@ -90,22 +85,20 @@ func newStreamCache(budget int) *streamCache {
 // streams is the process-wide cache every Sweep shares.
 var streams = newStreamCache(maxSharedStreamAccesses)
 
-// generator packs one stream, reusing recycle's arrays when it can. A nil
-// stream with a nil error means the key does not share; an error means
-// nothing was learned (the workload failed to build, the sweep was
-// canceled) and the next sweep should try again.
-type generator func(recycle *trace.ReplaySource) (*trace.ReplaySource, error)
+// generator packs one stream. A nil stream with a nil error means the key
+// does not share; an error means nothing was learned (the workload failed
+// to build, the sweep was canceled) and the next sweep should try again.
+type generator func() (*trace.ReplaySource, error)
 
 // get returns key's stream, running gen at most once however many sweeps
 // ask at the same time: the first generates, the rest wait for it. A nil
-// stream means the cells generate live. release must be called once no
-// fork of the stream can be read again.
+// stream means the cells generate live.
 //
 // An entry in the map is either being generated (elem nil, ready open) or
 // linked into the LRU list; one whose generation learned nothing, or that
 // was evicted, is in neither — so a sweep that waited looks the key up
 // again rather than trust the entry it waited on.
-func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) (rs *trace.ReplaySource, release func()) {
+func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) *trace.ReplaySource {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
@@ -113,17 +106,13 @@ func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) (rs
 		if e == nil {
 			e = &streamEntry{key: key, ready: make(chan struct{})}
 			c.entries[key] = e
-			recycle := c.takeSpareLocked()
 			c.mu.Unlock()
-			made, err := gen(recycle)
+			made, err := gen()
 			c.mu.Lock()
 			close(e.ready)
-			if made == nil {
-				c.retireLocked(recycle)
-			}
 			if err != nil {
 				delete(c.entries, key)
-				return nil, func() {}
+				return nil
 			}
 			e.rs = made
 			e.elem = c.lru.PushFront(e)
@@ -139,16 +128,12 @@ func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) (rs
 			}
 			c.mu.Lock()
 			if ctx.Err() != nil {
-				return nil, func() {}
+				return nil
 			}
 			continue
 		}
 		c.lru.MoveToFront(e.elem)
-		if e.rs == nil {
-			return nil, func() {}
-		}
-		e.refs++
-		return e.rs, func() { c.release(e) }
+		return e.rs
 	}
 }
 
@@ -162,52 +147,7 @@ func (c *streamCache) evictLocked() {
 		delete(c.entries, e.key)
 		if e.rs != nil {
 			c.retained -= e.rs.Accesses()
-			if e.refs == 0 {
-				c.retireLocked(e.rs)
-			}
 		}
-	}
-}
-
-// release drops one sweep's hold on e's stream; the last one out of an
-// evicted entry donates the arrays.
-func (c *streamCache) release(e *streamEntry) {
-	c.mu.Lock()
-	if e.refs--; e.refs == 0 && e.elem == nil {
-		c.retireLocked(e.rs)
-	}
-	c.mu.Unlock()
-}
-
-func (c *streamCache) takeSpareLocked() *trace.ReplaySource {
-	rs := c.spare
-	c.spare = nil
-	return rs
-}
-
-// retireLocked keeps rs's arrays for the next generation to overwrite.
-func (c *streamCache) retireLocked(rs *trace.ReplaySource) {
-	if rs != nil {
-		c.spare = rs
-	}
-}
-
-// once generates a stream that has no key to be retained under: it is
-// shared by the calling sweep's cells only, and release retires its arrays
-// for the next generation.
-func (c *streamCache) once(gen generator) (rs *trace.ReplaySource, release func()) {
-	c.mu.Lock()
-	recycle := c.takeSpareLocked()
-	c.mu.Unlock()
-	rs, _ = gen(recycle)
-	retired := rs
-	if rs == nil {
-		retired = recycle // nothing was packed: put the arrays back
-	}
-	return rs, func() {
-		c.mu.Lock()
-		c.retireLocked(retired)
-		c.mu.Unlock()
 	}
 }
 

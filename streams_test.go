@@ -4,8 +4,8 @@ package hybridtier
 // Sweep.RunCells). A counting clock-free workload registered next to the
 // built-ins says how often a sweep really built — and so generated — its
 // workload; every case also compares result bytes with cells generated
-// live, one Experiment each, so a cached, forked, evicted or recycled
-// stream that replays anything else fails here.
+// live, one Experiment each, so a cached, forked or evicted stream that
+// replays anything else fails here.
 
 import (
 	"bytes"
@@ -322,8 +322,9 @@ func TestStreamCacheConcurrentSweepsGenerateOnce(t *testing.T) {
 }
 
 // TestStreamCacheEvictionSparesStreamsInUse: a stream evicted while a
-// sweep's forks are mid-replay stays intact — its arrays are recycled only
-// once nobody reads them — and an idle evicted stream's arrays ARE reused.
+// sweep's forks are mid-replay stays intact. Eviction only unlinks it from
+// the cache; the forks' references, not a count, keep its arrays alive
+// until the garbage collector may reclaim them.
 func TestStreamCacheEvictionSparesStreamsInUse(t *testing.T) {
 	const ops = 20_000
 	// Room for one stream (≈1 access per op), not two.
@@ -345,8 +346,7 @@ func TestStreamCacheEvictionSparesStreamsInUse(t *testing.T) {
 		fired = true
 		// The victim's first cell is done and eleven are to come. Each
 		// evictor generates a stream, pushing the previous one out: the
-		// victim's first (still referenced), then idle ones whose arrays
-		// the next generation overwrites.
+		// victim's first (still read by its forks), then idle ones.
 		for _, sw := range evictors {
 			runJSON(t, sw)
 		}
@@ -360,7 +360,7 @@ func TestStreamCacheEvictionSparesStreamsInUse(t *testing.T) {
 	if streams.retained > streams.budget {
 		t.Errorf("cache retains %d accesses, budget %d", streams.retained, streams.budget)
 	}
-	// The evictors' results are as good as live ones, recycled arrays or not.
+	// The evictors' results are as good as live ones.
 	for i, sw := range evictors {
 		if got, want := runJSON(t, sw), liveCells(t, sw); !bytes.Equal(got, want) {
 			t.Errorf("evictor %d differs from live generation", i)
@@ -433,7 +433,7 @@ func TestStreamCacheEntryBound(t *testing.T) {
 	freshStreams(t, maxSharedStreamAccesses)
 	for i := range maxStreamEntries + 10 {
 		key := streamKey{workload: fmt.Sprintf("w%d", i)}
-		streams.get(context.Background(), key, func(*trace.ReplaySource) (*trace.ReplaySource, error) {
+		streams.get(context.Background(), key, func() (*trace.ReplaySource, error) {
 			return nil, nil
 		})
 	}
@@ -596,16 +596,6 @@ func TestSweepPinsNoMoreThanTheStreamBudget(t *testing.T) {
 	if streams.retained > streams.budget {
 		t.Errorf("cache retains %d accesses, budget %d", streams.retained, streams.budget)
 	}
-	for key, e := range streams.entries {
-		if e.refs != 0 {
-			t.Errorf("seed %d's stream is still held %d times after the sweep", key.params.Seed, e.refs)
-		}
-	}
-	// Seed 1's stream was evicted by seed 3's while pinned: only its release
-	// could have retired the arrays.
-	if streams.spare == nil {
-		t.Error("the evicted, pinned stream was never released")
-	}
 }
 
 // TestMarkFreeReplayLooksLikeAPlainSource: a stream without shift marks —
@@ -618,7 +608,7 @@ func TestMarkFreeReplayLooksLikeAPlainSource(t *testing.T) {
 	gen := func() Workload {
 		return trace.NewShiftingZipfSource("never", 2048, 1.0, 0.1, 1, 2*ops, 0.5)
 	}
-	rs := trace.NewReplaySource(gen(), ops, 1<<20, nil)
+	rs := trace.NewReplaySource(gen(), ops, 1<<20)
 	if rs == nil {
 		t.Fatal("stream did not pack")
 	}

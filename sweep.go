@@ -118,9 +118,8 @@ const errCellNotRun = "sweep canceled before this cell ran"
 // in use are pinned by their forks, not by the cache, so a sweep pins no
 // more than the cache's budget: the first seed that fails to share or does
 // not fit ends the search, and it and the seeds after it generate live —
-// where the per-cell path surfaces any failure consistently. release must
-// be called once every fork is done.
-func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, baseExtra []Option) (shared map[uint64]*trace.ReplaySource, release func()) {
+// where the per-cell path surfaces any failure consistently.
+func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, baseExtra []Option) map[uint64]*trace.ReplaySource {
 	cache := streams
 	inSweep, running := map[uint64]int{}, map[uint64]int{}
 	for _, c := range cells {
@@ -129,13 +128,7 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 	for _, idx := range idxs {
 		running[cells[idx].Seed]++
 	}
-	shared = map[uint64]*trace.ReplaySource{}
-	var releases []func()
-	release = func() {
-		for _, r := range releases {
-			r()
-		}
-	}
+	shared := map[uint64]*trace.ReplaySource{}
 	pinned := 0
 	for _, idx := range idxs {
 		seed := cells[idx].Seed
@@ -147,7 +140,7 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 		if !keyed && running[seed] < 2 {
 			continue
 		}
-		gen := func(recycle *trace.ReplaySource) (*trace.ReplaySource, error) {
+		gen := func() (*trace.ReplaySource, error) {
 			w, owned, err := proto.buildWorkload()
 			if err != nil {
 				return nil, err
@@ -162,7 +155,7 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 			}
 			shift, _ := w.(trace.ShiftSource)
 			src := ctxSource{trace.AsBatchSource(w), shift, ctx}
-			rs := trace.NewReplaySource(src, proto.ops, cache.budget, recycle)
+			rs := trace.NewReplaySource(src, proto.ops, cache.budget)
 			if rs == nil {
 				// Canceled mid-generation, or a stream that does not pack.
 				return nil, ctx.Err()
@@ -170,23 +163,20 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 			return rs, nil
 		}
 		var rs *trace.ReplaySource
-		var rel func()
 		if keyed {
-			rs, rel = cache.get(ctx, key, gen)
+			rs = cache.get(ctx, key, gen)
 		} else {
-			rs, rel = cache.once(gen)
+			rs, _ = gen()
 		}
 		if rs != nil {
 			pinned += rs.Accesses()
 		}
 		if rs == nil || pinned > cache.budget {
-			rel()
 			break
 		}
 		shared[seed] = rs
-		releases = append(releases, rel)
 	}
-	return shared, release
+	return shared
 }
 
 // Run executes every cell and returns results in Cells order. Per-cell
@@ -284,9 +274,7 @@ func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) 
 	// a cheap in-memory replay cursor, skipping regeneration (graph
 	// traversals, Zipf draws, B-tree descents) entirely. The streams are
 	// bounded, so a huge run falls back to live generation.
-	shared, release := s.sharedStreams(ctx, cells, idxs, baseExtra)
-	// Deferred past wg.Wait: by then every fork is done.
-	defer release()
+	shared := s.sharedStreams(ctx, cells, idxs, baseExtra)
 
 	workers := s.Workers
 	if workers <= 0 {
