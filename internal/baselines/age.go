@@ -47,12 +47,11 @@ func DefaultAgeConfig(numPages, fastPages int) AgeConfig {
 // counters — one timestamp per page — so a page is either fresh or idle,
 // the same binary signal memtierd extracts from idle-page bitmaps.
 type Age struct {
-	cfg        AgeConfig
-	env        tier.Env
-	lastSeen   []int64 // virtual ns of the page's last tracker report
-	scanCursor mem.PageID
-	lastScanNs int64
-	stats      AgeStats
+	cfg      AgeConfig
+	env      tier.Env
+	lastSeen []int64 // virtual ns of the page's last tracker report
+	reclaim  tier.Reclaimer
+	stats    AgeStats
 }
 
 // AgeStats counts policy activity.
@@ -96,15 +95,8 @@ func (a *Age) OnSamples(batch []tier.Sample) {
 		p := s.Page
 		a.env.TouchMeta(int64(p) * 8)
 		a.lastSeen[p] = s.Time
-		if s.Tier != mem.Slow {
-			continue
-		}
-		if a.env.Promote(p) == nil {
-			a.stats.Promoted++
-			continue
-		}
-		a.sweepIdle(s.Time)
-		if a.env.Promote(p) == nil {
+		if s.Tier == mem.Slow &&
+			tier.PromoteOrReclaim(a.env, p, func() { a.sweepIdle(s.Time) }) {
 			a.stats.Promoted++
 		}
 	}
@@ -125,28 +117,15 @@ func (a *Age) Tick() {
 // free pages exists. Like the other kernel-style baselines the sweep is
 // rate-limited and charged to the tiering thread.
 func (a *Age) sweepIdle(now int64) {
-	if now-a.lastScanNs < scanMinIntervalNs {
+	if !a.reclaim.Due(now) {
 		return
 	}
-	a.lastScanNs = now
 	a.stats.Sweeps++
-	mm := a.env.Mem()
-	target := int(a.cfg.FreeWatermark*float64(mm.FastCap())) + 1
-	visited := 0
-	last := a.scanCursor
-	mm.ScanFastFrom(a.scanCursor, func(p mem.PageID) bool {
-		visited++
-		last = p
-		if now-a.lastSeen[p] > a.cfg.IdleNs {
-			if a.env.Demote(p) == nil {
-				a.stats.Demoted++
-			}
-		}
-		// Stop once headroom exists or the sweep has covered the tier.
-		return mm.FastFree() < target && visited < a.cfg.FastPages
+	target := int(a.cfg.FreeWatermark*float64(a.env.Mem().FastCap())) + 1
+	_, demoted := a.reclaim.Walk(a.env, target, 25, func(p mem.PageID) bool {
+		return now-a.lastSeen[p] > a.cfg.IdleNs
 	})
-	a.scanCursor = last + 1
-	a.env.Charge(float64(visited) * 25)
+	a.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Age keeps its own timestamps

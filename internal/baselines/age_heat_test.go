@@ -110,7 +110,7 @@ func TestAgeSweepRateLimited(t *testing.T) {
 	// Promotion pressure well inside the rate-limit window: the sweep
 	// must not run, so the promotion stays failed.
 	m.Touch(9)
-	a.OnSamples([]tier.Sample{{Page: 9, Tier: mem.Slow, Time: scanMinIntervalNs - 1}})
+	a.OnSamples([]tier.Sample{{Page: 9, Tier: mem.Slow, Time: tier.ReclaimIntervalNs - 1}})
 	if st := a.Stats(); st.Sweeps != 0 {
 		t.Fatalf("sweep ran inside the rate-limit window: %+v", st)
 	}

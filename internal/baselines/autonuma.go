@@ -49,8 +49,7 @@ type AutoNUMA struct {
 	unmapped   []uint64 // bitmap
 	windowTime []int64  // unmap time per scan window
 	cursor     int      // next page to unmap
-	demoCursor mem.PageID
-	lastScanNs int64
+	reclaim    tier.Reclaimer
 	stats      AutoNUMAStats
 }
 
@@ -107,15 +106,9 @@ func (a *AutoNUMA) OnFault(p mem.PageID, t mem.Tier) {
 	a.unmapped[p>>6] &^= 1 << (p & 63)
 	w := int(p) / a.cfg.ScanWindowPages
 	lat := a.env.Now() - a.windowTime[w]
-	if t == mem.Slow && lat < a.cfg.HintThresholdNs {
-		if err := a.env.Promote(p); err != nil {
-			a.demoteToWatermark()
-			if a.env.Promote(p) == nil {
-				a.stats.Promoted++
-			}
-		} else {
-			a.stats.Promoted++
-		}
+	if t == mem.Slow && lat < a.cfg.HintThresholdNs &&
+		tier.PromoteOrReclaim(a.env, p, a.demoteToWatermark) {
+		a.stats.Promoted++
 	}
 }
 
@@ -145,35 +138,16 @@ func (a *AutoNUMA) Tick() {
 // passes make progress.
 func (a *AutoNUMA) demoteToWatermark() {
 	now := a.env.Now()
-	if now-a.lastScanNs < scanMinIntervalNs {
+	if !a.reclaim.Due(now) {
 		return
 	}
-	a.lastScanNs = now
-	m := a.env.Mem()
-	target := int(a.cfg.DemoteWatermark * float64(m.FastCap()))
+	target := int(a.cfg.DemoteWatermark * float64(a.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}
-	cutoff := now - a.cfg.AgeNs
-	// Two passes: first demote pages idle beyond the aging horizon; if
-	// that frees too little, tighten the horizon and continue.
-	for pass := 0; pass < 2 && m.FastFree() < target; pass++ {
-		visited := 0
-		last := a.demoCursor
-		m.ScanFastFrom(a.demoCursor, func(p mem.PageID) bool {
-			visited++
-			last = p
-			if a.env.LastAccess(p) < cutoff {
-				if a.env.Demote(p) == nil {
-					a.stats.Demoted++
-				}
-			}
-			return m.FastFree() < target
-		})
-		a.demoCursor = last + 1
-		a.env.Charge(float64(visited) * 20)
-		cutoff = now - a.cfg.AgeNs/8
-	}
+	// First demote pages idle beyond the aging horizon; if that frees too
+	// little, tighten the horizon and continue.
+	a.stats.Demoted += demoteIdle(&a.reclaim, a.env, now, target, [2]int64{a.cfg.AgeNs, a.cfg.AgeNs / 8})
 }
 
 // FaultBitmap implements tier.FaultBitmapped with the live unmapped bitmap.

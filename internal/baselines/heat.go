@@ -53,8 +53,7 @@ type Heat struct {
 	hist       [9]int64 // hist[b] = pages whose heat has bit-length b
 	thresh     uint8
 	coolCursor int
-	scanCursor mem.PageID
-	lastScanNs int64
+	reclaim    tier.Reclaimer
 	stats      HeatStats
 }
 
@@ -111,15 +110,9 @@ func (h *Heat) OnSamples(batch []tier.Sample) {
 				h.hist[nb]++
 			}
 		}
-		if s.Tier == mem.Slow && h.heat[p] >= h.thresh {
-			if err := h.env.Promote(p); err != nil {
-				h.demoteCold()
-				if h.env.Promote(p) == nil {
-					h.stats.Promoted++
-				}
-			} else {
-				h.stats.Promoted++
-			}
+		if s.Tier == mem.Slow && h.heat[p] >= h.thresh &&
+			tier.PromoteOrReclaim(h.env, p, h.demoteCold) {
+			h.stats.Promoted++
 		}
 	}
 }
@@ -179,27 +172,14 @@ func (h *Heat) retune() {
 // demoteCold walks the fast tier from the demotion cursor, demoting
 // below-threshold pages until the free watermark is met.
 func (h *Heat) demoteCold() {
-	now := h.env.Now()
-	if now-h.lastScanNs < scanMinIntervalNs {
+	if !h.reclaim.Due(h.env.Now()) {
 		return
 	}
-	h.lastScanNs = now
-	mm := h.env.Mem()
-	target := int(h.cfg.FreeWatermark*float64(mm.FastCap())) + 1
-	visited := 0
-	last := h.scanCursor
-	mm.ScanFastFrom(h.scanCursor, func(p mem.PageID) bool {
-		visited++
-		last = p
-		if h.heat[p] < h.thresh {
-			if h.env.Demote(p) == nil {
-				h.stats.Demoted++
-			}
-		}
-		return mm.FastFree() < target && visited < h.cfg.FastPages
+	target := int(h.cfg.FreeWatermark*float64(h.env.Mem().FastCap())) + 1
+	_, demoted := h.reclaim.Walk(h.env, target, 25, func(p mem.PageID) bool {
+		return h.heat[p] < h.thresh
 	})
-	h.scanCursor = last + 1
-	h.env.Charge(float64(visited) * 25)
+	h.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Heat is purely sample-driven

@@ -48,15 +48,14 @@ const perPageMetaBytes = 16
 // comes from halving every counter each cooling period — the lagging-EMA
 // behaviour §2.3.2 analyzes.
 type Memtis struct {
-	cfg        MemtisConfig
-	env        tier.Env
-	counts     []uint16
-	hist       [17]int64 // hist[b] = pages whose count has bit-length b
-	thresh     uint16
-	since      int
-	scanCursor mem.PageID
-	lastScanNs int64
-	stats      MemtisStats
+	cfg     MemtisConfig
+	env     tier.Env
+	counts  []uint16
+	hist    [17]int64 // hist[b] = pages whose count has bit-length b
+	thresh  uint16
+	since   int
+	reclaim tier.Reclaimer
+	stats   MemtisStats
 }
 
 // MemtisStats counts baseline activity.
@@ -134,15 +133,9 @@ func (m *Memtis) OnSamples(batch []tier.Sample) {
 			}
 		}
 
-		if s.Tier == mem.Slow && m.counts[p] >= m.thresh {
-			if err := m.env.Promote(p); err != nil {
-				m.demoteToWatermark()
-				if m.env.Promote(p) == nil {
-					m.stats.Promoted++
-				}
-			} else {
-				m.stats.Promoted++
-			}
+		if s.Tier == mem.Slow && m.counts[p] >= m.thresh &&
+			tier.PromoteOrReclaim(m.env, p, m.demoteToWatermark) {
+			m.stats.Promoted++
 		}
 
 		m.since++
@@ -205,31 +198,20 @@ func (m *Memtis) Tick() {
 	}
 }
 
+// demoteToWatermark demotes below-threshold fast pages until free space
+// reaches the demotion watermark.
 func (m *Memtis) demoteToWatermark() {
-	now := m.env.Now()
-	if now-m.lastScanNs < scanMinIntervalNs {
+	if !m.reclaim.Due(m.env.Now()) {
 		return
 	}
-	m.lastScanNs = now
-	mm := m.env.Mem()
-	target := int(m.cfg.DemoteWatermark * float64(mm.FastCap()))
+	target := int(m.cfg.DemoteWatermark * float64(m.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}
-	visited := 0
-	last := m.scanCursor
-	mm.ScanFastFrom(m.scanCursor, func(p mem.PageID) bool {
-		visited++
-		last = p
-		if m.counts[p] < m.thresh {
-			if m.env.Demote(p) == nil {
-				m.stats.Demoted++
-			}
-		}
-		return mm.FastFree() < target
+	_, demoted := m.reclaim.Walk(m.env, target, 25, func(p mem.PageID) bool {
+		return m.counts[p] < m.thresh
 	})
-	m.scanCursor = last + 1
-	m.env.Charge(float64(visited) * 25)
+	m.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Memtis is purely sample-driven

@@ -1,14 +1,34 @@
 // Package baselines implements the six comparison tiering systems from the
 // paper's evaluation (§5.2): Memtis (frequency histogram + cooling),
 // AutoNUMA (hint-fault recency), TPP (fault-driven CXL promotion), ARC and
-// TwoQ (caching algorithms adapted to tiering), plus an LRU policy and the
-// static placements used as bounds.
+// TwoQ (caching algorithms adapted to tiering), plus an LRU policy, the
+// memtierd-lineage Age and Heat policies, and the static placements used as
+// bounds.
 package baselines
 
-// scanMinIntervalNs bounds how often watermark-demotion scans may run: a
-// full fast tier with nothing demotable must not rescan on every failed
-// promotion.
-const scanMinIntervalNs = 1_000_000
+import (
+	"repro/internal/mem"
+	"repro/internal/tier"
+)
+
+// demoteIdle is the recency demotion AutoNUMA and TPP share: one walk per
+// horizon, each demoting fast pages not accessed within it, with the
+// second, tighter horizon walked only when the first freed too little. It
+// returns the pages demoted.
+func demoteIdle(r *tier.Reclaimer, env tier.Env, now int64, target int, horizons [2]int64) uint64 {
+	var demoted uint64
+	for _, h := range horizons {
+		if env.Mem().FastFree() >= target {
+			break
+		}
+		cutoff := now - h
+		_, d := r.Walk(env, target, 20, func(p mem.PageID) bool {
+			return env.LastAccess(p) < cutoff
+		})
+		demoted += d
+	}
+	return demoted
+}
 
 // pageLists is a set of intrusive doubly-linked lists over a dense page-id
 // space. Every page is on at most one list. All operations are O(1), which

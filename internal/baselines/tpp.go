@@ -45,8 +45,7 @@ type TPP struct {
 	armed       []uint64
 	lastFault   []int64
 	rearmCursor int
-	demoCursor  mem.PageID
-	lastScanNs  int64
+	reclaim     tier.Reclaimer
 	stats       TPPStats
 }
 
@@ -104,12 +103,7 @@ func (t *TPP) OnFault(p mem.PageID, tr mem.Tier) {
 		if prev := t.lastFault[p]; prev > 0 && now-prev < t.cfg.ActiveWindowNs {
 			// Second fault within the window: the page would be on the
 			// active list — promote.
-			if err := t.env.Promote(p); err != nil {
-				t.demoteToWatermark()
-				if t.env.Promote(p) == nil {
-					t.stats.Promoted++
-				}
-			} else {
+			if tier.PromoteOrReclaim(t.env, p, t.demoteToWatermark) {
 				t.stats.Promoted++
 			}
 		}
@@ -137,35 +131,17 @@ func (t *TPP) Tick() {
 // demoteToWatermark demotes the least-recently-faulted/accessed fast pages.
 func (t *TPP) demoteToWatermark() {
 	now := t.env.Now()
-	if now-t.lastScanNs < scanMinIntervalNs {
+	if !t.reclaim.Due(now) {
 		return
 	}
-	t.lastScanNs = now
-	m := t.env.Mem()
-	target := int(t.cfg.DemoteWatermark * float64(m.FastCap()))
+	target := int(t.cfg.DemoteWatermark * float64(t.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}
 	// LRU approximation: demote pages idle for over half the active
 	// window; tighten on a second pass if needed.
-	cutoff := now - t.cfg.ActiveWindowNs/2
-	for pass := 0; pass < 2 && m.FastFree() < target; pass++ {
-		visited := 0
-		last := t.demoCursor
-		m.ScanFastFrom(t.demoCursor, func(p mem.PageID) bool {
-			visited++
-			last = p
-			if t.env.LastAccess(p) < cutoff {
-				if t.env.Demote(p) == nil {
-					t.stats.Demoted++
-				}
-			}
-			return m.FastFree() < target
-		})
-		t.demoCursor = last + 1
-		t.env.Charge(float64(visited) * 20)
-		cutoff = now - t.cfg.ActiveWindowNs/8
-	}
+	w := t.cfg.ActiveWindowNs
+	t.stats.Demoted += demoteIdle(&t.reclaim, t.env, now, target, [2]int64{w / 2, w / 8})
 }
 
 // FaultBitmap implements tier.FaultBitmapped with the live arming bitmap.

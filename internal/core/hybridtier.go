@@ -130,9 +130,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// scanMinIntervalNs bounds how often the demotion scan may run.
-const scanMinIntervalNs = 1_000_000
-
 // secondChance records a marked page's frequency at mark time (§4.3).
 type secondChance struct {
 	markedAt int64
@@ -160,8 +157,7 @@ type HybridTier struct {
 
 	promoQueue []mem.PageID
 	marked     map[mem.PageID]secondChance
-	scanCursor mem.PageID
-	lastScanNs int64
+	reclaim    tier.Reclaimer
 
 	// metadata region offsets for cache modeling: [0, freqBytes) is the
 	// frequency CBF, then the momentum CBF.
@@ -425,55 +421,42 @@ func (h *HybridTier) Tick() {
 // DEMOTE_WMARK.
 func (h *HybridTier) demoteToWatermark() {
 	now := h.env.Now()
-	// Rate-limit address-space scans: a full fast tier with no demotable
-	// pages must not rescan on every promotion attempt.
-	if now-h.lastScanNs < scanMinIntervalNs {
+	if !h.reclaim.Due(now) {
 		return
 	}
-	h.lastScanNs = now
-	m := h.env.Mem()
-	target := int(h.cfg.DemoteWatermark * float64(m.FastCap()))
+	target := int(h.cfg.DemoteWatermark * float64(h.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}
-	visited := 0
-	last := h.scanCursor
-	m.ScanFastFrom(h.scanCursor, func(p mem.PageID) bool {
-		last = p
-		visited++
-		key := uint64(p)
-		f := h.freq.Get(key)
-		var mo uint32
-		if !h.cfg.DisableMomentum {
-			mo = h.mom.Get(key)
-		}
-		switch {
-		case mo >= h.cfg.MomentumThreshold:
-			// Recently active (possibly just promoted): leave alone.
-		case f >= h.freqThresh:
-			// High frequency, low momentum: second chance (§4.3), unless
-			// the ablation demotes such pages on the spot.
-			if h.cfg.DisableSecondChance {
-				if h.env.Demote(p) == nil {
-					h.stats.Demoted++
-				}
-				break
-			}
-			if _, ok := h.marked[p]; !ok {
-				h.marked[p] = secondChance{markedAt: now, freq: f}
-			}
-		default:
-			// Cold on both metrics: demote immediately.
-			if h.env.Demote(p) == nil {
-				h.stats.Demoted++
-			}
-		}
-		return m.FastFree() < target
-	})
-	h.scanCursor = last + 1
-	h.stats.ScanVisited += uint64(visited)
 	// Scan cost: one pagemap lookup + two CBF lookups per visited page.
-	h.env.Charge(float64(visited) * 30)
+	visited, demoted := h.reclaim.Walk(h.env, target, 30, func(p mem.PageID) bool {
+		return h.demotable(p, now)
+	})
+	h.stats.ScanVisited += uint64(visited)
+	h.stats.Demoted += demoted
+}
+
+// demotable is the Table 1 demotion matrix for fast page p: pages cold on
+// both metrics demote, recently active ones (possibly just promoted) stay,
+// and high-frequency/low-momentum pages are marked for a second chance
+// (§4.3) — or demoted on the spot under the DisableSecondChance ablation.
+func (h *HybridTier) demotable(p mem.PageID, now int64) bool {
+	key := uint64(p)
+	f := h.freq.Get(key)
+	var mo uint32
+	if !h.cfg.DisableMomentum {
+		mo = h.mom.Get(key)
+	}
+	switch {
+	case mo >= h.cfg.MomentumThreshold:
+		return false
+	case f >= h.freqThresh && !h.cfg.DisableSecondChance:
+		if _, ok := h.marked[p]; !ok {
+			h.marked[p] = secondChance{markedAt: now, freq: f}
+		}
+		return false
+	}
+	return true
 }
 
 // revisitMarked demotes marked pages whose frequency estimate did not grow
@@ -508,14 +491,6 @@ func (h *HybridTier) revisitMarked() {
 		delete(h.marked, p)
 	}
 	h.env.Charge(float64(len(h.marked)) * 10)
-}
-
-// HistSnapshot returns a copy of the internal hotness-histogram estimate
-// (diagnostics and tests).
-func (h *HybridTier) HistSnapshot() []int64 {
-	out := make([]int64, len(h.histEst))
-	copy(out, h.histEst)
-	return out
 }
 
 // RecencyFree implements tier.RecencyFree: HybridTier is sample-driven
