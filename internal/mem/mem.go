@@ -284,17 +284,13 @@ func (m *Memory) Demote(p PageID) error {
 	return nil
 }
 
-// ScanFast calls fn for each allocated fast-tier page in address order —
-// the linear virtual-address-space scan HybridTier performs via
-// /proc/PID/maps and /proc/PID/pagemaps (§4.3). fn returning false stops
-// the scan early. It returns the number of pages visited.
-func (m *Memory) ScanFast(fn func(PageID) bool) int {
-	return m.ScanFastFrom(0, fn)
-}
-
-// ScanFastFrom is ScanFast starting at page start and wrapping around the
-// address space, so repeated partial scans (kernel-style resumable walks)
-// treat all regions fairly instead of revisiting the lowest addresses.
+// ScanFastFrom calls fn for each allocated fast-tier page in address order,
+// starting at page start and wrapping around the address space — the
+// linear virtual-address-space scan HybridTier performs via /proc/PID/maps
+// and /proc/PID/pagemaps (§4.3), resumable so repeated partial scans
+// (kernel-style walks) treat all regions fairly instead of revisiting the
+// lowest addresses. fn returning false stops the scan early. It returns the
+// number of pages visited.
 func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
 	n := len(m.state)
 	if n == 0 {

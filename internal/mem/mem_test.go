@@ -191,7 +191,7 @@ func TestScanFastOrder(t *testing.T) {
 		m.Promote(p)
 	}
 	var got []PageID
-	n := m.ScanFast(func(p PageID) bool {
+	n := m.ScanFastFrom(0, func(p PageID) bool {
 		got = append(got, p)
 		return true
 	})
@@ -203,7 +203,7 @@ func TestScanFastOrder(t *testing.T) {
 		t.Errorf("scan order = %v, want [10 20 30]", got)
 	}
 	// Early stop.
-	n = m.ScanFast(func(PageID) bool { return false })
+	n = m.ScanFastFrom(0, func(PageID) bool { return false })
 	if n != 1 {
 		t.Errorf("early-stopped scan visited %d, want 1", n)
 	}

@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -524,12 +523,4 @@ func CDFBuckets(counts []uint8) [7]float64 {
 // CDFLabels returns the Fig. 16 x-axis labels matching CDFBuckets order.
 func CDFLabels() [7]string {
 	return [7]string{"0", "1-3", "4-6", "7-9", "10-12", "13-14", "15"}
-}
-
-// Ratio formats a/b as a "×" reduction string used in the experiment tables.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f×", a/b)
 }

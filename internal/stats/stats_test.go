@@ -345,12 +345,3 @@ func TestCDFBuckets(t *testing.T) {
 		t.Error("CDFBuckets(nil) should be all-zero")
 	}
 }
-
-func TestRatio(t *testing.T) {
-	if got := Ratio(10, 5); got != "2.0×" {
-		t.Errorf("Ratio = %q", got)
-	}
-	if got := Ratio(1, 0); got != "n/a" {
-		t.Errorf("Ratio/0 = %q", got)
-	}
-}
