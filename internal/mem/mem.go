@@ -14,6 +14,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // PageID identifies a page in the dense simulated address space
@@ -120,7 +121,10 @@ type Memory struct {
 	// state packs allocation and tier per page into one byte (see the
 	// state* constants): half the metadata footprint and half the cache
 	// traffic of separate tier and allocated arrays.
-	state    []uint8
+	state []uint8
+	// fast has bit p set exactly when page p is in the fast tier, so
+	// ScanFastFrom passes 64 slow pages per word it reads.
+	fast     []uint64
 	fastUsed int
 	allocs   int
 	stats    Stats
@@ -134,6 +138,7 @@ func New(cfg Config) (*Memory, error) {
 	return &Memory{
 		cfg:   cfg,
 		state: make([]uint8, cfg.NumPages),
+		fast:  make([]uint64, (cfg.NumPages+63)/64),
 	}, nil
 }
 
@@ -226,6 +231,7 @@ func (m *Memory) touchNew(p PageID) (Tier, error) {
 		m.stats.SlowAllocs++
 	}
 	m.state[p] = stateFromTier + uint8(t)
+	m.fast[p>>6] |= uint64(t) << (p & 63)
 	return t, nil
 }
 
@@ -264,6 +270,7 @@ func (m *Memory) Promote(p PageID) error {
 		m.allocs++
 	}
 	m.state[p] = stateFromTier + uint8(Fast)
+	m.fast[p>>6] |= 1 << (p & 63)
 	m.fastUsed++
 	m.stats.Promotions++
 	return nil
@@ -279,6 +286,7 @@ func (m *Memory) Demote(p PageID) error {
 		return nil
 	}
 	m.state[p] = stateFromTier + uint8(Slow)
+	m.fast[p>>6] &^= 1 << (p & 63)
 	m.fastUsed--
 	m.stats.Demotions++
 	return nil
@@ -290,7 +298,8 @@ func (m *Memory) Demote(p PageID) error {
 // and /proc/PID/pagemaps (§4.3), resumable so repeated partial scans
 // (kernel-style walks) treat all regions fairly instead of revisiting the
 // lowest addresses. fn returning false stops the scan early. It returns the
-// number of pages visited.
+// number of pages visited. fn may move pages; the walk sees each page's
+// tier as of the moment it reaches it.
 func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
 	n := len(m.state)
 	if n == 0 {
@@ -298,17 +307,21 @@ func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
 	}
 	visited := 0
 	s := int(start) % n
-	for k := 0; k < n; k++ {
-		i := s + k
-		if i >= n {
-			i -= n
-		}
-		if m.state[i] != stateFromTier+uint8(Fast) {
-			continue
-		}
-		visited++
-		if !fn(PageID(i)) {
-			break
+	// [s, n), then [0, s). Bits at or past n are never set.
+	for _, r := range [2][2]int{{s, n}, {0, s}} {
+		for i := r[0]; i < r[1]; i++ {
+			w := m.fast[i>>6] >> (i & 63) // read afresh: fn may move pages
+			if w == 0 {
+				i |= 63 // on to the next word
+				continue
+			}
+			if i += bits.TrailingZeros64(w); i >= r[1] {
+				break
+			}
+			visited++
+			if !fn(PageID(i)) {
+				return visited
+			}
 		}
 	}
 	return visited
@@ -319,12 +332,16 @@ func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
 func (m *Memory) CheckInvariants() error {
 	fast := 0
 	allocs := 0
-	for _, st := range m.state {
+	for p, st := range m.state {
+		isFast := st == stateFromTier+uint8(Fast)
 		if st != stateFree {
 			allocs++
-			if st == stateFromTier+uint8(Fast) {
+			if isFast {
 				fast++
 			}
+		}
+		if bit := m.fast[p>>6]>>(p&63)&1 != 0; bit != isFast {
+			return fmt.Errorf("mem: page %d is fast=%v but its bitmap bit is %v", p, isFast, bit)
 		}
 	}
 	if fast != m.fastUsed {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -291,4 +292,89 @@ func TestMigrationCost(t *testing.T) {
 	if huge <= one {
 		t.Error("2MB migration must cost more than 4KB")
 	}
+}
+
+// scanFastBytes is ScanFastFrom as it was before the fast-tier bitmap: one
+// state byte tested per page, read live as the walk reaches it.
+func scanFastBytes(m *Memory, start PageID, fn func(PageID) bool) int {
+	n := m.NumPages()
+	visited := 0
+	for k := 0; k < n; k++ {
+		i := PageID((int(start)%n + k) % n)
+		if m.TierOf(i) != Fast {
+			continue
+		}
+		visited++
+		if !fn(i) {
+			break
+		}
+	}
+	return visited
+}
+
+// FuzzScanFastMatchesBytes holds the bitmap walk to the byte scan. Two
+// memories replay one touch/promote/demote script; then, from every start
+// page, each is walked by its own scan: first in full, reading only; then,
+// from every start again, with a callback that stops after a drawn number
+// of visits and moves pages as it goes (demoting the visited page,
+// promoting one ahead of the walk), as a reclaim walk does. The visit
+// sequences, visited counts and final states must agree, and the bitmap
+// must agree with the tiers throughout (CheckInvariants).
+func FuzzScanFastMatchesBytes(f *testing.F) {
+	f.Add(uint16(100), uint8(10), uint8(0), []byte{0, 1, 2, 3, 64, 65, 99})
+	f.Add(uint16(64), uint8(64), uint8(1), []byte{63, 0, 127, 200})
+	f.Add(uint16(130), uint8(40), uint8(2), []byte{129, 128, 64, 63, 1, 255, 7, 9, 77})
+	f.Fuzz(func(t *testing.T, pages uint16, fastCap, alloc uint8, script []byte) {
+		cfg := Config{NumPages: 1 + int(pages%300), FastPages: int(fastCap), PageBytes: RegularPageBytes, Alloc: AllocMode(alloc % 3)}
+		a, b := MustNew(cfg), MustNew(cfg)
+		n := cfg.NumPages
+		for i, x := range script {
+			p := PageID((int(x) + i*61) % n)
+			for _, m := range []*Memory{a, b} {
+				switch x % 3 {
+				case 0:
+					m.Touch(p)
+				case 1:
+					m.Promote(p)
+				default:
+					m.Demote(p)
+				}
+			}
+		}
+		// Pass k < n reads only, in full; pass k >= n moves pages and stops.
+		for k := 0; k < 2*n; k++ {
+			start, stop := k%n, n+1
+			if k >= n {
+				stop = 1 + (start*7+len(script))%(n+1)
+			}
+			walk := func(m *Memory, scan func(*Memory, PageID, func(PageID) bool) int) ([]PageID, int) {
+				var seen []PageID
+				visited := scan(m, PageID(start), func(p PageID) bool {
+					seen = append(seen, p)
+					if stop > n {
+						return true
+					}
+					switch (int(p) + start) % 4 {
+					case 0:
+						m.Demote(p)
+					case 1:
+						m.Promote(PageID((int(p) + 1 + start%5) % n))
+					}
+					return len(seen) < stop
+				})
+				return seen, visited
+			}
+			gotSeen, got := walk(a, (*Memory).ScanFastFrom)
+			wantSeen, want := walk(b, scanFastBytes)
+			if got != want || !slices.Equal(gotSeen, wantSeen) {
+				t.Fatalf("start %d, stop %d: bitmap walk visited %d %v, byte scan %d %v", start, stop, got, gotSeen, want, wantSeen)
+			}
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("start %d: %v", start, err)
+			}
+			if a.Stats() != b.Stats() || a.FastUsed() != b.FastUsed() {
+				t.Fatalf("start %d: states diverged: %+v vs %+v", start, a.Stats(), b.Stats())
+			}
+		}
+	})
 }

@@ -34,11 +34,18 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestRunCanceledMidRun also passes the canceled run a Scratch that a
+// finished run filled, then reuses it for a reference cell: the canceled
+// run stopped inside an open window of latency counts, and none of them
+// may reach the next run's bytes.
 func TestRunCanceledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	sc := new(Scratch)
+	cell := refCell{workload: "zipf", policy: "FirstTouch", ops: 20_000, window: 100_000_000}
+	cell.check(t, sc)
 	cfg := cancelConfig(1_000_000)
-	cfg.Ctx = ctx
+	cfg.Ctx, cfg.Scratch = ctx, sc
 	cfg.Progress = func(done, total int64) {
 		if done >= progressEvery && done < total {
 			cancel()
@@ -52,6 +59,7 @@ func TestRunCanceledMidRun(t *testing.T) {
 	if ce.OpsDone <= 0 || ce.OpsDone >= cfg.Ops {
 		t.Errorf("cancellation should land mid-run: OpsDone = %d of %d", ce.OpsDone, cfg.Ops)
 	}
+	cell.check(t, sc)
 }
 
 func TestRunProgressReachesTotal(t *testing.T) {

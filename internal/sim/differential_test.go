@@ -32,7 +32,35 @@ func init() {
 		New: func(p registry.WorkloadParams) (trace.Source, error) {
 			return trace.NewShiftingZipfSource("shifting-zipf", p.Pages, 1.0, 0.1, p.Seed, 120_000, 2.0/3.0), nil
 		}})
+	registry.Workloads.MustRegister(registry.WorkloadEntry{Name: "long-ops",
+		New: func(p registry.WorkloadParams) (trace.Source, error) {
+			return &longOps{Source: trace.NewZipfSource("long-ops", p.Pages, 1.0, 0.1, p.Seed)}, nil
+		}})
 }
+
+// longOps is Zipf with every 50th op replaced by one of 1 000 accesses
+// spread over the page space. At default latencies such an op takes over
+// latHistMaxNs even when every access hits the fast tier, so it reaches
+// the histograms' top bucket through Run's direct-observe path, and under
+// a 1 ms series window many of them start in one window and end in the
+// next.
+type longOps struct {
+	trace.Source
+	op uint64
+}
+
+func (s *longOps) NextOp(dst []trace.Access) []trace.Access {
+	if s.op++; s.op%50 != 0 {
+		return s.Source.NextOp(dst)
+	}
+	n := uint64(s.NumPages())
+	for j := uint64(0); j < 1000; j++ {
+		dst = append(dst, trace.Access{Page: mem.PageID((s.op*131 + j*17) % n), Write: j%8 == 0})
+	}
+	return dst
+}
+
+func (s *longOps) ClockFree() bool { return true }
 
 // refParams sizes every workload a cell draws.
 var refParams = registry.WorkloadParams{
@@ -202,9 +230,10 @@ func (s *shortSource) NextBatch(dst []trace.Access, max int) []trace.Access {
 }
 
 // TestRunMatchesReference is the differential table: every registered
-// policy, all three tracker kinds, the five workload packages and both
-// synthetic sources, composed and shifting streams, huge pages, the cache
-// model and every fetch form, with one Scratch recycled through all rows —
+// policy, all three tracker kinds, the five workload packages and the
+// synthetic sources (long-ops reaching past the latency histograms'
+// bound), composed and shifting streams, huge pages, the cache model and
+// every fetch form, with one Scratch recycled through all rows —
 // a row inherits buffers from a different tracker, geometry and policy, and
 // none of it may reach its bytes. Rows on a scanning tracker run ≥ 200k ops
 // so they cross 20 ms scans, and must take samples, or their equality
@@ -231,9 +260,13 @@ func TestRunMatchesReference(t *testing.T) {
 		{name: "zipf-softdirty", workload: "zipf", policy: "Heat-Dirty", form: "v2", ops: 400_000},
 		{name: "social-dry-idlepage", workload: "social", policy: "Age-Idle", form: "dry", ops: 300_000},
 		{name: "huge-cache-idlepage", workload: "cdn", policy: "HybridTier@idlepage", huge: true, cache: true, ops: 200_000},
+		{name: "long-ops", workload: "long-ops", policy: "HybridTier", ops: 30_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := c.check(t, sc)
+			if c.workload == "long-ops" && res.P99LatNs < latHistMaxNs {
+				t.Errorf("p99 = %d ns: the long ops never reached the histogram bound %d", res.P99LatNs, latHistMaxNs)
+			}
 			if res.Tracker != "" && (c.ops < 200_000 || res.Pebs.Sampled == 0) {
 				t.Errorf("%s tracker sampled nothing in %d ops: the row never crosses a scan", res.Tracker, c.ops)
 			}
@@ -241,6 +274,23 @@ func TestRunMatchesReference(t *testing.T) {
 				t.Errorf("shift_ns = %d: the shift never fired after a tick, so no stamp was checked", res.ShiftNs)
 			}
 		})
+	}
+}
+
+// TestRunFoldsLatencyCountsEarly shrinks the op budget of a window's
+// latency counts so that Run folds them many times inside one window,
+// including on a source whose clock stops (the dry rows); the bytes must
+// not move.
+func TestRunFoldsLatencyCountsEarly(t *testing.T) {
+	defer func(n int64) { latFlushOps = n }(latFlushOps)
+	latFlushOps = 3
+	sc := new(Scratch)
+	for _, c := range []refCell{
+		{workload: "long-ops", policy: "HybridTier", ops: 20_000},
+		{workload: "zipf", policy: "FirstTouch", form: "dry", ops: 20_000, window: 100_000_000},
+		{workload: "social", policy: "TPP", form: "packed", ops: 20_000},
+	} {
+		c.check(t, sc)
 	}
 }
 
@@ -253,7 +303,7 @@ func FuzzRunMatchesReference(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint8(1), uint8(0), uint8(0), uint8(8), uint8(0b100), uint32(20_000))
 	f.Add(uint8(1), uint8(7), uint8(2), uint8(5), uint8(2), uint8(3), uint8(0b1011), uint32(15_000))
 	f.Add(uint8(8), uint8(0), uint8(4), uint8(9), uint8(3), uint8(15), uint8(0b10001), uint32(10_000))
-	leaves := []string{"zipf", "shifting-zipf", "cdn", "social", "silo", "bwaves", "roms", "xgboost", "bfs-kron", "cc-urand", "pr-kron"}
+	leaves := []string{"zipf", "shifting-zipf", "long-ops", "cdn", "social", "silo", "bwaves", "roms", "xgboost", "bfs-kron", "cc-urand", "pr-kron"}
 	shapes := []string{"%[1]s", "mix:0.6*%[1]s,0.4*%[2]s", "phases:%[1]s@5000,%[2]s",
 		"offset:%[1]s+100", "repeat:%[1]s@3000", "scale:%[1]s*2"}
 	policies := registry.Policies.Names()

@@ -6,10 +6,12 @@ package sim
 // model state — and it takes none of Run's fast paths: one NextOp per op,
 // every recency stamp stored, WantsFault asked on every access, the sampling
 // period counted per access, the drain condition checked after every op, the
-// slow-tier share observed access by access, nothing pooled. Every fast path
-// (batched and packed fetches, the hoisted countdown and its end-of-run
-// fold-back, mayDrain, recency elision, the inlined fault bitmap, the
-// per-window ObserveN fold, Scratch) is correct exactly while Run marshals
+// slow-tier share observed access by access, each op's latency observed as
+// it ends, tiers branched on, nothing pooled. Every fast path (batched and
+// packed fetches, the hoisted countdown and its end-of-run fold-back,
+// mayDrain, recency elision, the inlined fault bitmap, the per-window
+// ObserveN folds of the slow share and of latency counts, tier-indexed
+// accounting, Scratch) is correct exactly while Run marshals
 // to the bytes this produces. It also hosts the model invariants: after
 // every tick and at the end of the run it checks them and fails the run.
 
@@ -127,8 +129,8 @@ func reference(cfg Config) (*Result, error) {
 		metaBase: int64(pages)*cfg.PageBytes + 1<<40}
 	cfg.Policy.Attach(r)
 	faulting, _ := cfg.Policy.(tier.FaultDriven)
-	lat := stats.NewHistogram(0, cfg.LatHistMaxNs, 8192)
-	series := stats.NewTimeSeries(cfg.WindowNs, 0, cfg.LatHistMaxNs, 4096)
+	lat := stats.NewHistogram(0, latHistMaxNs, 8192)
+	series := stats.NewTimeSeries(cfg.WindowNs, 0, latHistMaxNs, 4096)
 	slowShare := stats.NewTimeSeries(cfg.WindowNs, 0, 1001, 2)
 	period := uint64(trk.Period())
 	var touched, faults uint64

@@ -74,8 +74,6 @@ type Config struct {
 	// slowdown through shared CPU, cache, and bandwidth resources. The
 	// accrued interference drains gradually, capped per op.
 	TieringInterference float64
-	// LatHistMaxNs bounds the op-latency histogram.
-	LatHistMaxNs int64
 	// Ctx, when non-nil, is polled in the op loop; cancellation stops the
 	// run promptly with a *CanceledError.
 	Ctx context.Context
@@ -98,6 +96,15 @@ const batchOps = 512
 // progressEvery is the Progress callback period in ops.
 const progressEvery = 65536
 
+// latHistMaxNs bounds the op-latency histograms; an op at or above it
+// lands in their top bucket.
+const latHistMaxNs = 50_000
+
+// latFlushOps is how many ops a window's uint32 latency counts may take
+// before Run folds them early, checked once per batch so none can wrap. A
+// variable so a test can make the early fold happen.
+var latFlushOps int64 = 1<<32 - 1 - batchOps
+
 // DefaultConfig returns simulation parameters for a workload and policy at
 // the given fast-tier capacity.
 func DefaultConfig(w trace.Source, p tier.Policy, fastPages int) Config {
@@ -118,7 +125,6 @@ func DefaultConfig(w trace.Source, p tier.Policy, fastPages int) Config {
 		FaultCostNs:         1000,
 		LLCMissPenaltyNs:    60,
 		TieringInterference: 0.2,
-		LatHistMaxNs:        50_000,
 	}
 }
 
@@ -299,26 +305,26 @@ func (s *simulator) updateUtilization() {
 }
 
 // Scratch holds the large per-run buffers — the access batch, the sample
-// batch, and the latency/series histograms — so repeated runs (sweep cells)
-// can reuse them instead of reallocating ~100 KB per cell. The zero value
-// is ready to use; a nil *Scratch is also valid everywhere and simply
-// allocates fresh. Reuse never leaks state between runs: slices are
-// truncated and histograms fully reset (layout mismatches allocate anew),
-// and everything a Result retains (series points) is freshly allocated.
+// batch, the latency counts and the latency/series histograms — so
+// repeated runs (sweep cells) can reuse them instead of reallocating
+// ~300 KB per cell. The zero value is ready to use; a nil *Scratch is also
+// valid everywhere and simply allocates fresh. Reuse never leaks state
+// between runs: slices are truncated, histograms fully reset (layout
+// mismatches allocate anew), latency counts come back zeroed, and
+// everything a Result retains (series points) is freshly allocated.
 type Scratch struct {
 	accs    []trace.Access
 	samples []tier.Sample
 	ring    []pebs.Sample
 	lastAcc []int64
+	latCnt  *[latHistMaxNs]uint32
 	latHist *stats.Histogram
 	series  *stats.TimeSeries
 	slow    *stats.TimeSeries
 }
 
 // ringBuf returns the pooled sample ring (nil is fine: the tracker then
-// allocates). The tracker scrubs the recycled contents on checkout — a
-// pooled ring holds another cell's samples, and stale entries must not be
-// able to leak into this cell's stats even through a buffer-handling bug.
+// allocates; pebs.NewBuffer scrubs a recycled one).
 func (sc *Scratch) ringBuf() []pebs.Sample {
 	if sc == nil {
 		return nil
@@ -335,6 +341,18 @@ func (sc *Scratch) lastAccessBuf(n int) []int64 {
 	la := sc.lastAcc[:n]
 	clear(la)
 	return la
+}
+
+// latCounts checks out the per-value latency count array, all zero: every
+// flush zeroes what it reads, and a run that stops early keeps the array
+// rather than return it.
+func (sc *Scratch) latCounts() *[latHistMaxNs]uint32 {
+	if sc == nil || sc.latCnt == nil {
+		return new([latHistMaxNs]uint32)
+	}
+	c := sc.latCnt
+	sc.latCnt = nil
+	return c
 }
 
 // accessBuf returns an empty access slice with at least the given capacity.
@@ -390,15 +408,29 @@ func (sc *Scratch) timeSeries(slowSlot bool, window, lo, hi int64, buckets int) 
 }
 
 // release stores the run's buffers back for the next reuse.
-func (sc *Scratch) release(accs []trace.Access, samples []tier.Sample, ring []pebs.Sample, lastAcc []int64) {
+func (sc *Scratch) release(accs []trace.Access, samples []tier.Sample, ring []pebs.Sample, lastAcc []int64, latCnt *[latHistMaxNs]uint32) {
 	if sc == nil {
 		return
 	}
+	sc.latCnt = latCnt
 	sc.accs = accs[:0]
 	sc.samples = samples[:0]
 	sc.ring = ring
 	if lastAcc != nil {
 		sc.lastAcc = lastAcc
+	}
+}
+
+// flushLatencies folds one window's latency counts in [lo, hi] into both
+// histograms, one ObserveN per distinct value stamped at a time inside the
+// window, and zeroes them. Histograms are multisets, so this is exact.
+func flushLatencies(cnt *[latHistMaxNs]uint32, lo, hi int, stamp int64, latHist *stats.Histogram, series *stats.TimeSeries) {
+	for v := lo; v <= hi; v++ {
+		if c := uint64(cnt[v]); c != 0 {
+			latHist.ObserveN(int64(v), c)
+			series.ObserveN(stamp, int64(v), c)
+			cnt[v] = 0
+		}
 	}
 }
 
@@ -457,8 +489,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	sc := cfg.Scratch
-	latHist := sc.histogram(0, cfg.LatHistMaxNs, 8192)
-	series := sc.timeSeries(false, cfg.WindowNs, 0, cfg.LatHistMaxNs, 4096)
+	latHist := sc.histogram(0, latHistMaxNs, 8192)
+	series := sc.timeSeries(false, cfg.WindowNs, 0, latHistMaxNs, 4096)
 	slowSeries := sc.timeSeries(true, cfg.WindowNs, 0, 1001, 2)
 	batch := sc.sampleBuf(cfg.BatchDrain * 2)
 
@@ -480,9 +512,14 @@ func Run(cfg Config) (*Result, error) {
 	// written back before every OnSamples/Tick/OnFault and reloaded after,
 	// so the sequence of float additions — and therefore every rounded
 	// intermediate — is identical to the unhoisted loop's.
-	latFast := cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
-	latSlow := cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
-	trafficScale := cfg.TrafficScale
+	// Per-access adds are indexed by tier, not branched on it (the next
+	// tier is a coin toss): a window sum gains 0 on the other tier's
+	// accesses, which leaves it exactly as it was (no sum is ever -0).
+	var lat [2]float64
+	lat[mem.Fast] = cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
+	lat[mem.Slow] = cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
+	var toSlow, toFast [2]float64
+	toSlow[mem.Slow], toFast[mem.Fast] = cfg.TrafficScale, cfg.TrafficScale
 	faultCost := cfg.FaultCostNs
 	appCache := cfg.AppCacheModel
 	batchDrain := cfg.BatchDrain
@@ -518,6 +555,15 @@ func Run(cfg Config) (*Result, error) {
 	var slowStamp int64     // first observation time of the open window
 	slowWinEnd := int64(-1) // exclusive end of the open window; -1 = none
 
+	// Op latencies fold the same way on the grid of op end times: an op
+	// below latHistMaxNs bumps its value's count (latLo..latHi spans those
+	// since the last flush), the rare op at or above it observes directly.
+	latCnt := sc.latCounts()
+	latLo, latHi := latHistMaxNs, -1
+	var latStamp int64     // first op end time of the open window
+	latWinEnd := int64(-1) // exclusive end of the open window; -1 = none
+	latFlushOp := int64(0) // op count at the last flush
+
 	// cancelCheckEvery bounds cancellation latency to a few thousand ops
 	// without putting a context poll on every operation; the countdown
 	// replaces the old per-op modulo check and is consumed at batch
@@ -527,6 +573,10 @@ func Run(cfg Config) (*Result, error) {
 
 	op := int64(0)
 	for op < cfg.Ops {
+		if op-latFlushOp > latFlushOps {
+			flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
+			latLo, latHi, latFlushOp = latHistMaxNs, -1, op
+		}
 		if cfg.Ctx != nil && cancelLeft <= 0 {
 			if err := cfg.Ctx.Err(); err != nil {
 				return nil, &CanceledError{OpsDone: op, Err: err}
@@ -568,7 +618,8 @@ func Run(cfg Config) (*Result, error) {
 		for i := 0; i < n; {
 			opLat := 0.0
 			now := s.now // constant until the op's end, like the clock itself
-			var nFast, nSlow uint64
+			opStart := i
+			var nFast uint64
 			for {
 				var a trace.Access
 				if pcur != nil {
@@ -589,15 +640,11 @@ func Run(cfg Config) (*Result, error) {
 				if lastAccess != nil {
 					lastAccess[page] = now
 				}
-				if t == mem.Fast {
-					winFast += trafficScale
-					opLat += latFast
-					nFast++
-				} else {
-					winSlow += trafficScale
-					opLat += latSlow
-					nSlow++
-				}
+				ti := t & 1
+				winSlow += toSlow[ti]
+				winFast += toFast[ti]
+				opLat += lat[ti]
+				nFast += uint64(ti)
 				if faultPolicy != nil {
 					armed := false
 					if faultBits != nil {
@@ -646,7 +693,7 @@ func Run(cfg Config) (*Result, error) {
 				slowStamp = now
 				slowWinEnd = now - now%windowNs + windowNs
 			}
-			slowC += nSlow
+			slowC += uint64(i-opStart) - nFast
 			fastC += nFast
 			// Interference from tiering work drains into application time
 			// at a bounded per-op rate, modeling shared-resource contention
@@ -660,9 +707,21 @@ func Run(cfg Config) (*Result, error) {
 				opLat += take
 				s.interference -= take
 			}
-			s.now += int64(opLat)
-			latHist.Observe(int64(opLat))
-			series.Observe(s.now, int64(opLat))
+			v := int64(opLat)
+			s.now += v
+			if s.now >= latWinEnd {
+				flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
+				latLo, latHi, latFlushOp = latHistMaxNs, -1, op
+				latStamp = s.now
+				latWinEnd = s.now - s.now%windowNs + windowNs
+			}
+			if uint64(v) < latHistMaxNs {
+				latCnt[v]++
+				latLo, latHi = min(latLo, int(v)), max(latHi, int(v))
+			} else {
+				latHist.Observe(v)
+				series.Observe(s.now, v)
+			}
 			op++
 			cancelLeft--
 
@@ -698,8 +757,8 @@ func Run(cfg Config) (*Result, error) {
 				}
 				winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
 				// Utilization moved; refresh the cached tier latencies.
-				latFast = cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
-				latSlow = cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
+				lat[mem.Fast] = cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
+				lat[mem.Slow] = cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
 			}
 			if progressLeft--; progressLeft <= 0 {
 				if cfg.Progress != nil && op < cfg.Ops {
@@ -711,7 +770,8 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	s.winBytes[mem.Slow], s.winBytes[mem.Fast] = winSlow, winFast
-	// Flush the final slow-share window before the series is read.
+	// Flush the final windows before the series are read.
+	flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
 	if slowC != 0 {
 		slowSeries.ObserveN(slowStamp, 1000, slowC)
 	}
@@ -719,7 +779,7 @@ func Run(cfg Config) (*Result, error) {
 		slowSeries.ObserveN(slowStamp, 0, fastC)
 	}
 	trk.ObserveSkipped(trackPeriod - trackLeft)
-	sc.release(buf, batch, trk.Ring(), s.lastAccess)
+	sc.release(buf, batch, trk.Ring(), s.lastAccess, latCnt)
 
 	// A final clock notification marks the end-of-run virtual time for
 	// stream observers — a trace capture's last time mark records the

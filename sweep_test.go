@@ -70,13 +70,16 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 
 // TestSweepRunsCellsConcurrently proves the worker pool overlaps cells: two
 // workload factories rendezvous at a barrier, which deadlocks (and times
-// out into a cell error) if the two cells were executed sequentially.
+// out into a cell error) if the two cells were executed sequentially. One
+// policy over two seeds gives each seed a single cell, so no seed shares
+// a stream and every factory call is a cell's own: only concurrent cells
+// can meet at the barrier.
 func TestSweepRunsCellsConcurrently(t *testing.T) {
 	var arrivals atomic.Int32
 	ready := make(chan struct{})
 	sw := &Sweep{
-		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
-		Seeds:    []uint64{1},
+		Policies: []PolicyName{PolicyHybridTier},
+		Seeds:    []uint64{1, 2},
 		Workers:  2,
 		Base: []Option{
 			WithOps(10_000),
