@@ -34,7 +34,6 @@ type Experiment struct {
 	tracker  string
 	windowNs int64
 	recordTo string
-	progress func(done, total int64)
 	// scratch supplies reusable simulation buffers; Sweep workers set it
 	// directly so cells on one worker recycle allocations.
 	scratch *sim.Scratch
@@ -196,13 +195,6 @@ func WithWindowNs(ns int64) Option {
 	return func(e *Experiment) { e.windowNs = ns }
 }
 
-// WithProgress installs a callback invoked from the simulation loop with
-// (done, total) operation counts. It must be cheap and, under Sweep,
-// concurrency-safe: cells running in parallel share it.
-func WithProgress(fn func(done, total int64)) Option {
-	return func(e *Experiment) { e.progress = fn }
-}
-
 // NewExperiment builds an experiment from options. Unset or zero-valued
 // knobs fall back to the defaults: HybridTier at a 1:8 split, one million
 // ops, seed 1.
@@ -328,7 +320,6 @@ func (e *Experiment) Run(ctx context.Context) (*Result, error) {
 		cfg.WindowNs = e.windowNs
 	}
 	cfg.Ctx = ctx
-	cfg.Progress = e.progress
 	cfg.Scratch = e.scratch
 	res, err := sim.Run(cfg)
 	if err == nil {

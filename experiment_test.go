@@ -3,10 +3,12 @@ package hybridtier
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestExperimentDefaults(t *testing.T) {
@@ -58,20 +60,20 @@ func TestExperimentRegistryWorkload(t *testing.T) {
 	}
 }
 
-// TestExperimentCancellation cancels mid-run via the progress callback and
+// TestExperimentCancellation cancels mid-run from the workload's fetch and
 // expects a prompt partial-result error.
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	const ops = 2_000_000
 	_, err := NewExperiment(
-		WithWorkload(Zipf("t", 1<<14, 1.0, 1)),
-		WithOps(ops),
-		WithProgress(func(done, total int64) {
-			if done > 0 && done < total {
-				cancel()
-			}
+		WithWorkload(&fetchCapSource{
+			BatchSource: trace.AsBatchSource(Zipf("t", 1<<14, 1.0, 1)),
+			limit:       math.MaxInt,
+			cancelAt:    1 << 16,
+			cancel:      cancel,
 		}),
+		WithOps(ops),
 	).Run(ctx)
 	if err == nil {
 		t.Fatal("canceled run must fail")

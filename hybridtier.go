@@ -4,8 +4,8 @@
 // registry-backed concepts:
 //
 //   - an Experiment: one workload × one policy × one capacity split,
-//     configured with functional options and run under a context.Context
-//     with optional progress reporting, and
+//     configured with functional options and run under a context.Context,
+//     and
 //   - a Sweep: the cross product of policies × ratios × seeds, executed
 //     concurrently across cores by a worker pool with deterministic
 //     per-cell seeding, so results are identical regardless of the worker

@@ -1,42 +1,45 @@
 package mem
 
-// LatencyModel converts tier placement and load into access latency. Idle
-// latencies and bandwidths default to the paper's §5.1 emulation setup; the
+// The latency model converts tier placement and load into access latency.
+// Idle latencies and bandwidths are the paper's §5.1 emulation setup; the
 // contention term models bandwidth-induced queueing so that saturating the
 // slow tier hurts more than saturating local DRAM, which is what makes
 // misplacing the hot set expensive.
-type LatencyModel struct {
-	// FastNs is the idle load-to-use latency of local DRAM.
-	FastNs float64
-	// SlowNs is the idle latency of CXL memory (124 ns in §5.1).
-	SlowNs float64
-	// FastGBs and SlowGBs are tier bandwidths in GB/s.
-	FastGBs float64
-	// SlowGBs defaults to 34 GB/s (§5.1).
-	SlowGBs float64
-	// MaxQueue caps the queueing multiplier so the model stays finite at
+const (
+	// fastNs is the idle load-to-use latency of local DRAM.
+	fastNs float64 = 80
+	// slowNs is the idle latency of CXL memory (124 ns in §5.1).
+	slowNs float64 = 124
+	// fastGBs and slowGBs are tier bandwidths in GB/s; the slow tier's is
+	// 34 GB/s (§5.1).
+	fastGBs float64 = 100
+	slowGBs float64 = 34
+	// maxQueue caps the queueing multiplier so the model stays finite at
 	// utilization 1.0.
-	MaxQueue float64
-}
+	maxQueue float64 = 8
+)
 
-// DefaultLatency returns the §5.1 emulation parameters.
-func DefaultLatency() LatencyModel {
-	return LatencyModel{
-		FastNs:   80,
-		SlowNs:   124,
-		FastGBs:  100,
-		SlowGBs:  34,
-		MaxQueue: 8,
-	}
-}
+// The migration model prices page migrations. A migration is a
+// kernel-mediated copy: fixed per-page software overhead (syscall
+// batching, page-table and TLB work) plus the copy itself at slow-tier
+// bandwidth, since one side of every migration is CXL memory. The costs
+// are calibrated to observed move_pages behaviour: roughly 1-2 µs per
+// 4 KB page end to end.
+const (
+	// perPageOverheadNs is the software cost per migrated page.
+	perPageOverheadNs float64 = 800
+	// batchOverheadNs is charged once per migration batch (one syscall for
+	// up to the whole batch, §4.3).
+	batchOverheadNs float64 = 2000
+)
 
 // AccessNs returns the latency of one access to tier t under the given
 // bandwidth utilization (0..1) using an M/M/1-style 1/(1-u) queueing factor
-// capped at MaxQueue.
-func (l LatencyModel) AccessNs(t Tier, utilization float64) float64 {
-	idle := l.SlowNs
+// capped at maxQueue.
+func AccessNs(t Tier, utilization float64) float64 {
+	idle := slowNs
 	if t == Fast {
-		idle = l.FastNs
+		idle = fastNs
 	}
 	if utilization <= 0 {
 		return idle
@@ -45,45 +48,27 @@ func (l LatencyModel) AccessNs(t Tier, utilization float64) float64 {
 		utilization = 0.99
 	}
 	q := 1 / (1 - utilization)
-	if q > l.MaxQueue {
-		q = l.MaxQueue
+	if q > maxQueue {
+		q = maxQueue
 	}
 	return idle * q
 }
 
 // Bandwidth returns tier t's bandwidth in bytes per nanosecond.
-func (l LatencyModel) Bandwidth(t Tier) float64 {
-	gbs := l.SlowGBs
+func Bandwidth(t Tier) float64 {
+	gbs := slowGBs
 	if t == Fast {
-		gbs = l.FastGBs
+		gbs = fastGBs
 	}
 	return gbs // 1 GB/s == 1 byte/ns
 }
 
-// MigrationModel prices page migrations. A migration is a kernel-mediated
-// copy: fixed per-page software overhead (syscall batching, page-table and
-// TLB work) plus the copy itself at slow-tier bandwidth, since one side of
-// every migration is CXL memory.
-type MigrationModel struct {
-	// PerPageOverheadNs is the software cost per migrated page.
-	PerPageOverheadNs float64
-	// BatchOverheadNs is charged once per migration batch (one syscall for
-	// up to the whole batch, §4.3).
-	BatchOverheadNs float64
-}
-
-// DefaultMigration returns migration costs calibrated to observed
-// move_pages behaviour: roughly 1-2 µs per 4 KB page end to end.
-func DefaultMigration() MigrationModel {
-	return MigrationModel{PerPageOverheadNs: 800, BatchOverheadNs: 2000}
-}
-
-// CostNs returns the cost of migrating pages pages of pageBytes each as one
-// batch under lat's slow-tier bandwidth.
-func (m MigrationModel) CostNs(pages int, pageBytes int64, lat LatencyModel) float64 {
+// MigrationCostNs returns the cost of migrating pages pages of pageBytes
+// each as one batch at the slow tier's bandwidth.
+func MigrationCostNs(pages int, pageBytes int64) float64 {
 	if pages <= 0 {
 		return 0
 	}
-	copyNs := float64(pageBytes) / lat.Bandwidth(Slow)
-	return m.BatchOverheadNs + float64(pages)*(m.PerPageOverheadNs+copyNs)
+	copyNs := float64(pageBytes) / Bandwidth(Slow)
+	return batchOverheadNs + float64(pages)*(perPageOverheadNs+copyNs)
 }

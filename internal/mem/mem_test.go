@@ -241,44 +241,40 @@ func TestRandomOpsInvariants(t *testing.T) {
 }
 
 func TestLatencyModelOrdering(t *testing.T) {
-	l := DefaultLatency()
-	if l.AccessNs(Fast, 0) >= l.AccessNs(Slow, 0) {
+	if AccessNs(Fast, 0) >= AccessNs(Slow, 0) {
 		t.Error("slow tier must be slower at idle")
 	}
 	// Figure 1: CXL adds 50-100ns over local DRAM at idle.
-	gap := l.AccessNs(Slow, 0) - l.AccessNs(Fast, 0)
+	gap := AccessNs(Slow, 0) - AccessNs(Fast, 0)
 	if gap < 30 || gap > 120 {
 		t.Errorf("idle latency gap = %v ns, want within CXL envelope", gap)
 	}
 	// Contention raises latency monotonically.
-	if l.AccessNs(Slow, 0.5) <= l.AccessNs(Slow, 0.1) {
+	if AccessNs(Slow, 0.5) <= AccessNs(Slow, 0.1) {
 		t.Error("higher utilization must raise latency")
 	}
 	// Saturation is capped.
-	if l.AccessNs(Slow, 1.5) > l.SlowNs*l.MaxQueue+1 {
+	if AccessNs(Slow, 1.5) > slowNs*maxQueue+1 {
 		t.Error("queueing multiplier must be capped")
 	}
 }
 
 func TestLatencyBandwidth(t *testing.T) {
-	l := DefaultLatency()
-	if l.Bandwidth(Fast) <= l.Bandwidth(Slow) {
+	if Bandwidth(Fast) <= Bandwidth(Slow) {
 		t.Error("fast tier must have more bandwidth")
 	}
-	if l.Bandwidth(Slow) != 34 {
-		t.Errorf("slow bandwidth = %v GB/s, want 34 (§5.1)", l.Bandwidth(Slow))
+	if Bandwidth(Slow) != 34 {
+		t.Errorf("slow bandwidth = %v GB/s, want 34 (§5.1)", Bandwidth(Slow))
 	}
 }
 
 func TestMigrationCost(t *testing.T) {
-	mm := DefaultMigration()
-	lat := DefaultLatency()
-	zero := mm.CostNs(0, RegularPageBytes, lat)
+	zero := MigrationCostNs(0, RegularPageBytes)
 	if zero != 0 {
 		t.Errorf("zero-page batch cost = %v, want 0", zero)
 	}
-	one := mm.CostNs(1, RegularPageBytes, lat)
-	ten := mm.CostNs(10, RegularPageBytes, lat)
+	one := MigrationCostNs(1, RegularPageBytes)
+	ten := MigrationCostNs(10, RegularPageBytes)
 	if one <= 0 || ten <= one {
 		t.Error("cost must grow with batch size")
 	}
@@ -288,7 +284,7 @@ func TestMigrationCost(t *testing.T) {
 		t.Errorf("batching must amortize: batch10=%v single×10=%v", ten, 10*one)
 	}
 	// Huge pages cost more per page (more bytes to copy).
-	huge := mm.CostNs(1, HugePageBytes, lat)
+	huge := MigrationCostNs(1, HugePageBytes)
 	if huge <= one {
 		t.Error("2MB migration must cost more than 4KB")
 	}

@@ -34,6 +34,31 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 	}
 }
 
+// cancelingSource hands out its source's ops and cancels once it has
+// handed out at least at of them, so the cancel fires from inside the op
+// loop's fetch at an op count the test knows: firedAt, the ops fetched
+// when it fired.
+type cancelingSource struct {
+	trace.BatchSource
+	at, served, firedAt int64
+	cancel              func()
+}
+
+func (c *cancelingSource) NextBatch(dst []trace.Access, max int) []trace.Access {
+	n := len(dst)
+	dst = c.BatchSource.NextBatch(dst, max)
+	for _, a := range dst[n:] {
+		if a.EndOp {
+			c.served++
+		}
+	}
+	if c.firedAt == 0 && c.served >= c.at {
+		c.firedAt = c.served
+		c.cancel()
+	}
+	return dst
+}
+
 // TestRunCanceledMidRun also passes the canceled run a Scratch that a
 // finished run filled, then reuses it for a reference cell: the canceled
 // run stopped inside an open window of latency counts, and none of them
@@ -45,43 +70,22 @@ func TestRunCanceledMidRun(t *testing.T) {
 	cell := refCell{workload: "zipf", policy: "FirstTouch", ops: 20_000, window: 100_000_000}
 	cell.check(t, sc)
 	cfg := cancelConfig(1_000_000)
-	cfg.Ctx, cfg.Scratch = ctx, sc
-	cfg.Progress = func(done, total int64) {
-		if done >= progressEvery && done < total {
-			cancel()
-		}
-	}
+	src := &cancelingSource{BatchSource: trace.AsBatchSource(cfg.Workload), at: 1 << 16, cancel: cancel}
+	cfg.Workload, cfg.Ctx, cfg.Scratch = src, ctx, sc
 	_, err := Run(cfg)
 	var ce *CanceledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want *CanceledError, got %v", err)
 	}
-	if ce.OpsDone <= 0 || ce.OpsDone >= cfg.Ops {
-		t.Errorf("cancellation should land mid-run: OpsDone = %d of %d", ce.OpsDone, cfg.Ops)
+	if src.firedAt == 0 {
+		t.Fatalf("the cancel never fired; OpsDone = %d of %d", ce.OpsDone, cfg.Ops)
+	}
+	// The batch whose fetch fired the cancel runs to its end, and the loop
+	// polls the context at the first batch boundary after cancelCheckEvery
+	// ops since its last poll.
+	if ce.OpsDone < src.firedAt || ce.OpsDone > src.firedAt+cancelCheckEvery+batchOps {
+		t.Errorf("run stopped after %d ops; the cancel fired at op %d, so it must stop within %d ops of it",
+			ce.OpsDone, src.firedAt, cancelCheckEvery+batchOps)
 	}
 	cell.check(t, sc)
-}
-
-func TestRunProgressReachesTotal(t *testing.T) {
-	cfg := cancelConfig(3*progressEvery + 1000)
-	var last, calls int64
-	cfg.Progress = func(done, total int64) {
-		if total != cfg.Ops {
-			t.Errorf("total = %d, want %d", total, cfg.Ops)
-		}
-		if done < last {
-			t.Errorf("progress went backwards: %d after %d", done, last)
-		}
-		last = done
-		calls++
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if last != cfg.Ops {
-		t.Errorf("final progress = %d, want %d", last, cfg.Ops)
-	}
-	if calls < 2 {
-		t.Errorf("progress called %d times, want periodic calls", calls)
-	}
 }

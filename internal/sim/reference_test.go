@@ -50,12 +50,12 @@ func (r *refSim) Demote(p mem.PageID) error     { return r.migrate(r.mem.Demote,
 
 func (r *refSim) Charge(ns float64) {
 	r.busy += ns
-	r.owed += ns * r.cfg.TieringInterference
+	r.owed += ns * tieringInterference
 }
 
 func (r *refSim) TouchMeta(off int64) {
 	if l1, llc := r.cache.Access(r.metaBase+off, cachesim.Tiering); !l1 && !llc {
-		r.owed += r.cfg.LLCMissPenaltyNs
+		r.owed += llcMissPenaltyNs
 	}
 	r.busy += 2
 }
@@ -66,7 +66,7 @@ func (r *refSim) migrate(move func(mem.PageID) error, p mem.PageID) error {
 	before := r.mem.Stats()
 	err := move(p)
 	if err == nil && r.mem.Stats() != before {
-		r.Charge(r.cfg.Migration.CostNs(1, r.cfg.PageBytes, r.cfg.Latency))
+		r.Charge(mem.MigrationCostNs(1, r.cfg.PageBytes))
 		r.bytes[mem.Slow] += float64(r.cfg.PageBytes)
 	}
 	return err
@@ -80,7 +80,7 @@ func (r *refSim) closeWindow() {
 		return
 	}
 	for t := range r.util {
-		u := min(r.bytes[t]/(r.cfg.Latency.Bandwidth(mem.Tier(t))*dt), 1)
+		u := min(r.bytes[t]/(mem.Bandwidth(mem.Tier(t))*dt), 1)
 		r.util[t] = 0.5*r.util[t] + 0.5*u
 		r.bytes[t] = 0
 	}
@@ -106,8 +106,8 @@ func (r *refSim) check(trk tracker.Tracker) error {
 	return nil
 }
 
-// reference simulates cfg the naive way. It ignores Ctx, Progress and
-// Scratch, which change how Run executes but never what it returns.
+// reference simulates cfg the naive way. It ignores Ctx and Scratch, which
+// change how Run executes but never what it returns.
 func reference(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func reference(cfg Config) (*Result, error) {
 	var touched, faults uint64
 	var accs []trace.Access
 	var samples []tier.Sample
-	nextTick := cfg.TickNs
+	nextTick := tickNs
 	for op := int64(0); op < cfg.Ops; op++ {
 		accs = cfg.Workload.NextOp(accs[:0])
 		if len(accs) == 0 { // the source ran dry: an empty op, clock unchanged
@@ -152,8 +152,8 @@ func reference(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("reference: page %d: %w", a.Page, err)
 			}
 			r.last[page] = start
-			r.bytes[t] += cfg.TrafficScale
-			opNs += cfg.Latency.AccessNs(t, r.util[t])
+			r.bytes[t] += trafficScale
+			opNs += mem.AccessNs(t, r.util[t])
 			if t == mem.Slow {
 				slowShare.Observe(start, 1000)
 			} else {
@@ -162,7 +162,7 @@ func reference(cfg Config) (*Result, error) {
 			if faulting != nil && faulting.WantsFault(page) {
 				faulting.OnFault(page, t)
 				faults++
-				opNs += cfg.FaultCostNs
+				opNs += faultCostNs
 			}
 			if touched++; touched%period == 0 {
 				trk.Observe(page, t, start, a.Write)
@@ -180,11 +180,11 @@ func reference(cfg Config) (*Result, error) {
 		r.now += int64(opNs)
 		lat.Observe(int64(opNs))
 		series.Observe(r.now, int64(opNs))
-		if trk.Pending() >= cfg.BatchDrain {
+		if trk.Pending() >= batchDrain {
 			samples = trk.Drain(samples[:0], 0)
 			cfg.Policy.OnSamples(samples)
 		}
-		for ; r.now >= nextTick; nextTick += cfg.TickNs {
+		for ; r.now >= nextTick; nextTick += tickNs {
 			r.Charge(trk.Sync(r.now))
 			cfg.Policy.Tick()
 			cfg.Workload.AdvanceTime(r.now)

@@ -37,50 +37,21 @@ type Config struct {
 	// Alloc is the first-touch placement (§5.2: ARC/TwoQ use AllocSlow;
 	// the all-fast bound uses AllocFast).
 	Alloc mem.AllocMode
-	// Latency and Migration price accesses and page moves.
-	Latency   mem.LatencyModel
-	Migration mem.MigrationModel
 	// Tracker selects and configures the access-observation facility:
 	// PEBS-style hardware sampling (the default), idlepage bitmap scans,
 	// or soft-dirty write tracking (internal/tracker).
 	Tracker tracker.Config
 	// Ops is the number of operations to run.
 	Ops int64
-	// TickNs is the policy tick period in virtual ns (cooling scans,
-	// watermark checks, AutoNUMA address-space scans).
-	TickNs int64
 	// WindowNs is the latency time-series window.
 	WindowNs int64
-	// BatchDrain delivers samples to the policy once this many are
-	// buffered (Algorithm 1's drain loop).
-	BatchDrain int
 	// AppCacheModel routes application accesses through the cache
 	// hierarchy too, enabling the Fig. 5/13 miss-fraction measurements.
 	// It roughly doubles run time, so performance experiments leave it off.
 	AppCacheModel bool
-	// TrafficScale converts one simulated access into bytes of memory
-	// traffic, modeling the 16-thread × memory-level-parallelism traffic
-	// of the real machine for bandwidth-utilization purposes.
-	TrafficScale float64
-	// FaultCostNs is the application-visible cost of one hint fault
-	// (recency-based systems take these on their critical path).
-	FaultCostNs float64
-	// LLCMissPenaltyNs is the interference each tiering-side LLC miss adds
-	// to application time (shared-cache and membandwidth contention,
-	// Observation 3).
-	LLCMissPenaltyNs float64
-	// TieringInterference is the fraction of tiering-thread work (cooling
-	// sweeps, page scans, migrations) that surfaces as application
-	// slowdown through shared CPU, cache, and bandwidth resources. The
-	// accrued interference drains gradually, capped per op.
-	TieringInterference float64
 	// Ctx, when non-nil, is polled in the op loop; cancellation stops the
 	// run promptly with a *CanceledError.
 	Ctx context.Context
-	// Progress, when non-nil, is called from the op loop with (done, total)
-	// operation counts every progressEvery ops and once at completion. It
-	// runs on the simulation goroutine and must be cheap.
-	Progress func(done, total int64)
 	// Scratch, when non-nil, supplies reusable buffers (access batches,
 	// histograms) so sweeps can recycle allocations across cells. A Scratch
 	// must not be shared by concurrent runs.
@@ -93,8 +64,39 @@ type Config struct {
 // reference_test.go fetches one op at a time and must agree byte for byte.
 const batchOps = 512
 
-// progressEvery is the Progress callback period in ops.
-const progressEvery = 65536
+// cancelCheckEvery bounds cancellation latency to a few thousand ops
+// without putting a context poll on every operation; the countdown is
+// consumed at batch granularity.
+const cancelCheckEvery = 1024
+
+// tickNs is the policy tick period in virtual ns (cooling scans,
+// watermark checks, AutoNUMA address-space scans): 10 virtual ms.
+const tickNs int64 = 10_000_000
+
+// batchDrain delivers samples to the policy once this many are buffered
+// (Algorithm 1's drain loop).
+const batchDrain = 256
+
+// trafficScale converts one simulated access into bytes of memory
+// traffic, modeling the 16-thread × memory-level-parallelism traffic of
+// the real machine for bandwidth-utilization purposes: ~20 GB/s at 10M
+// accesses/s.
+const trafficScale float64 = 2048
+
+// faultCostNs is the application-visible cost of one hint fault
+// (recency-based systems take these on their critical path).
+const faultCostNs float64 = 1000
+
+// llcMissPenaltyNs is the interference each tiering-side LLC miss adds to
+// application time (shared-cache and membandwidth contention,
+// Observation 3).
+const llcMissPenaltyNs float64 = 60
+
+// tieringInterference is the fraction of tiering-thread work (cooling
+// sweeps, page scans, migrations) that surfaces as application slowdown
+// through shared CPU, cache, and bandwidth resources. The accrued
+// interference drains gradually, capped per op.
+const tieringInterference float64 = 0.2
 
 // latHistMaxNs bounds the op-latency histograms; an op at or above it
 // lands in their top bucket.
@@ -109,22 +111,14 @@ var latFlushOps int64 = 1<<32 - 1 - batchOps
 // the given fast-tier capacity.
 func DefaultConfig(w trace.Source, p tier.Policy, fastPages int) Config {
 	return Config{
-		Workload:            w,
-		Policy:              p,
-		FastPages:           fastPages,
-		PageBytes:           mem.RegularPageBytes,
-		Alloc:               mem.AllocFastFirst,
-		Latency:             mem.DefaultLatency(),
-		Migration:           mem.DefaultMigration(),
-		Tracker:             tracker.DefaultConfig(),
-		Ops:                 2_000_000,
-		TickNs:              10_000_000,  // 10 virtual ms
-		WindowNs:            100_000_000, // 100 virtual ms
-		BatchDrain:          256,
-		TrafficScale:        2048, // 16 threads × deep MLP: ~20 GB/s at 10M accesses/s
-		FaultCostNs:         1000,
-		LLCMissPenaltyNs:    60,
-		TieringInterference: 0.2,
+		Workload:  w,
+		Policy:    p,
+		FastPages: fastPages,
+		PageBytes: mem.RegularPageBytes,
+		Alloc:     mem.AllocFastFirst,
+		Tracker:   tracker.DefaultConfig(),
+		Ops:       2_000_000,
+		WindowNs:  100_000_000, // 100 virtual ms
 	}
 }
 
@@ -136,14 +130,8 @@ func (c Config) Validate() error {
 	if c.Ops <= 0 {
 		return fmt.Errorf("sim: Ops must be positive, got %d", c.Ops)
 	}
-	if c.TickNs <= 0 || c.WindowNs <= 0 {
-		return fmt.Errorf("sim: TickNs and WindowNs must be positive")
-	}
-	if c.BatchDrain <= 0 {
-		return fmt.Errorf("sim: BatchDrain must be positive")
-	}
-	if c.TrafficScale <= 0 {
-		return fmt.Errorf("sim: TrafficScale must be positive")
+	if c.WindowNs <= 0 {
+		return fmt.Errorf("sim: WindowNs must be positive")
 	}
 	return nil
 }
@@ -241,13 +229,13 @@ func (e *env) Demote(p mem.PageID) error {
 
 func (e *env) Charge(ns float64) {
 	e.s.tieringBusy += ns
-	e.s.interference += ns * e.s.cfg.TieringInterference
+	e.s.interference += ns * tieringInterference
 }
 
 func (e *env) TouchMeta(off int64) {
 	l1Hit, llcHit := e.s.cache.Access(e.s.metaBase+off, cachesim.Tiering)
 	if !l1Hit && !llcHit {
-		e.s.interference += e.s.cfg.LLCMissPenaltyNs
+		e.s.interference += llcMissPenaltyNs
 	}
 	e.s.tieringBusy += 2 // the metadata op itself
 }
@@ -277,9 +265,9 @@ type simulator struct {
 // chargeMigration accounts one page move: tiering-thread time plus slow-
 // tier bandwidth consumption (one side of every move is CXL memory).
 func (s *simulator) chargeMigration(pages int) {
-	ns := s.cfg.Migration.CostNs(pages, s.cfg.PageBytes, s.cfg.Latency)
+	ns := mem.MigrationCostNs(pages, s.cfg.PageBytes)
 	s.tieringBusy += ns
-	s.interference += ns * s.cfg.TieringInterference
+	s.interference += ns * tieringInterference
 	s.winBytes[mem.Slow] += float64(s.cfg.PageBytes) * float64(pages)
 }
 
@@ -291,7 +279,7 @@ func (s *simulator) updateUtilization() {
 		return
 	}
 	for t := 0; t < 2; t++ {
-		bw := s.cfg.Latency.Bandwidth(mem.Tier(t))
+		bw := mem.Bandwidth(mem.Tier(t))
 		u := s.winBytes[t] / (bw * dt)
 		if u > 1 {
 			u = 1
@@ -492,7 +480,7 @@ func Run(cfg Config) (*Result, error) {
 	latHist := sc.histogram(0, latHistMaxNs, 8192)
 	series := sc.timeSeries(false, cfg.WindowNs, 0, latHistMaxNs, 4096)
 	slowSeries := sc.timeSeries(true, cfg.WindowNs, 0, 1001, 2)
-	batch := sc.sampleBuf(cfg.BatchDrain * 2)
+	batch := sc.sampleBuf(batchDrain * 2)
 
 	// Most workloads touch a handful of pages per op; the batch buffer is
 	// preallocated for that and grows (amortized, reused across batches and
@@ -516,14 +504,11 @@ func Run(cfg Config) (*Result, error) {
 	// tier is a coin toss): a window sum gains 0 on the other tier's
 	// accesses, which leaves it exactly as it was (no sum is ever -0).
 	var lat [2]float64
-	lat[mem.Fast] = cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
-	lat[mem.Slow] = cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
+	lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
+	lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
 	var toSlow, toFast [2]float64
-	toSlow[mem.Slow], toFast[mem.Fast] = cfg.TrafficScale, cfg.TrafficScale
-	faultCost := cfg.FaultCostNs
+	toSlow[mem.Slow], toFast[mem.Fast] = trafficScale, trafficScale
 	appCache := cfg.AppCacheModel
-	batchDrain := cfg.BatchDrain
-	tickNs := cfg.TickNs
 	nextTick := tickNs
 	lastAccess := s.lastAccess
 	winSlow, winFast := s.winBytes[mem.Slow], s.winBytes[mem.Fast]
@@ -538,11 +523,12 @@ func Run(cfg Config) (*Result, error) {
 	// mayDrain gates the drain check: Pending() can only have grown when
 	// the countdown fired (PEBS enqueues on Take) or a tick ran (scans
 	// enqueue in Sync), so checking it on other ops would spend an
-	// interface call per op to read an unchanged counter. The flag keeps
+	// interface call per op to read an unchanged counter. A tick needs no
+	// flag of its own: only the scanning trackers enqueue in Sync, and
+	// their period is 1, so the countdown fires on every access and the
+	// next op sets the flag before its drain check anyway. The flag keeps
 	// the drain schedule identical to an every-op check.
 	mayDrain := false
-
-	progressLeft := progressEvery
 
 	// The slow-tier share series receives only the values 0 and 1000, so a
 	// whole window collapses to two counts. The loop accumulates them here
@@ -564,11 +550,6 @@ func Run(cfg Config) (*Result, error) {
 	latWinEnd := int64(-1) // exclusive end of the open window; -1 = none
 	latFlushOp := int64(0) // op count at the last flush
 
-	// cancelCheckEvery bounds cancellation latency to a few thousand ops
-	// without putting a context poll on every operation; the countdown
-	// replaces the old per-op modulo check and is consumed at batch
-	// granularity.
-	const cancelCheckEvery = 1024
 	cancelLeft := int64(0)
 
 	op := int64(0)
@@ -607,12 +588,6 @@ func Run(cfg Config) (*Result, error) {
 			series.Observe(s.now, 0)
 			op++
 			cancelLeft--
-			if progressLeft--; progressLeft <= 0 {
-				if cfg.Progress != nil && op < cfg.Ops {
-					cfg.Progress(op, cfg.Ops)
-				}
-				progressLeft = progressEvery
-			}
 			continue
 		}
 		for i := 0; i < n; {
@@ -659,7 +634,7 @@ func Run(cfg Config) (*Result, error) {
 						faultPolicy.OnFault(page, t)
 						winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
 						s.faults++
-						opLat += faultCost
+						opLat += faultCostNs
 					}
 				}
 				if trackLeft--; trackLeft <= 0 {
@@ -747,8 +722,7 @@ func Run(cfg Config) (*Result, error) {
 					// next drain check.
 					if cost := trk.Sync(s.now); cost != 0 {
 						s.tieringBusy += cost
-						s.interference += cost * cfg.TieringInterference
-						mayDrain = true
+						s.interference += cost * tieringInterference
 					}
 					cfg.Policy.Tick()
 					cfg.Workload.AdvanceTime(s.now)
@@ -757,14 +731,8 @@ func Run(cfg Config) (*Result, error) {
 				}
 				winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
 				// Utilization moved; refresh the cached tier latencies.
-				lat[mem.Fast] = cfg.Latency.AccessNs(mem.Fast, s.util[mem.Fast])
-				lat[mem.Slow] = cfg.Latency.AccessNs(mem.Slow, s.util[mem.Slow])
-			}
-			if progressLeft--; progressLeft <= 0 {
-				if cfg.Progress != nil && op < cfg.Ops {
-					cfg.Progress(op, cfg.Ops)
-				}
-				progressLeft = progressEvery
+				lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
+				lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
 			}
 		}
 	}
@@ -787,9 +755,6 @@ func Run(cfg Config) (*Result, error) {
 	// behaviour after their last op.
 	cfg.Workload.AdvanceTime(s.now)
 
-	if cfg.Progress != nil {
-		cfg.Progress(cfg.Ops, cfg.Ops)
-	}
 	res := &Result{
 		Workload:       cfg.Workload.Name(),
 		Policy:         cfg.Policy.Name(),

@@ -175,9 +175,7 @@ func TestValidateErrors(t *testing.T) {
 		func(c *Config) { c.Workload = nil },
 		func(c *Config) { c.Policy = nil },
 		func(c *Config) { c.Ops = 0 },
-		func(c *Config) { c.TickNs = 0 },
-		func(c *Config) { c.BatchDrain = 0 },
-		func(c *Config) { c.TrafficScale = 0 },
+		func(c *Config) { c.WindowNs = 0 },
 	}
 	for i, mutate := range bad {
 		w := trace.NewZipfSource("z", 128, 1, 0, 1)

@@ -99,6 +99,8 @@ func TestIdlepageScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// sim.Run's drain gate relies on a scanning tracker's period being 1
+	// (see its mayDrain comment).
 	if trk.Period() != 1 {
 		t.Fatalf("Period = %d; want 1", trk.Period())
 	}
@@ -176,6 +178,9 @@ func TestSoftDirtyWriteOnly(t *testing.T) {
 	trk, err := New(cfg, 64, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if trk.Period() != 1 {
+		t.Fatalf("Period = %d; want 1", trk.Period())
 	}
 	trk.Observe(3, mem.Slow, 1, false) // read: invisible
 	trk.Observe(7, mem.Fast, 2, true)  // write: tracked

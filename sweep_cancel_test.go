@@ -11,6 +11,7 @@ package hybridtier
 import (
 	"context"
 	"errors"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -24,33 +25,43 @@ import (
 var canceledOps = regexp.MustCompile(`canceled after (\d+) ops`)
 
 // fetchCapSource hands out at most limit ops per NextBatch, so the op
-// loop's cancel and progress countdowns are consumed across short
-// fetches instead of full default-size batches. Embedding only the
-// BatchSource interface hides ClockFree, so every cell generates live.
+// loop's cancel countdown is consumed across short fetches instead of
+// full default-size batches. Once it has handed out cancelAt ops it calls
+// cancel on every fetch, so a test can fire a cancellation from inside
+// the op loop. Embedding only the BatchSource interface hides ClockFree,
+// so every cell generates live.
 type fetchCapSource struct {
 	trace.BatchSource
-	limit int
+	limit    int
+	cancelAt int64
+	cancel   func()
+	served   int64
 }
 
-func (f fetchCapSource) NextBatch(dst []trace.Access, max int) []trace.Access {
-	return f.BatchSource.NextBatch(dst, min(max, f.limit))
+func (f *fetchCapSource) NextBatch(dst []trace.Access, max int) []trace.Access {
+	n := len(dst)
+	dst = f.BatchSource.NextBatch(dst, min(max, f.limit))
+	for _, a := range dst[n:] {
+		if a.EndOp {
+			f.served++
+		}
+	}
+	if f.served >= f.cancelAt {
+		f.cancel()
+	}
+	return dst
 }
 
 func TestSweepMidCellCancellation(t *testing.T) {
 	const cellOps = 3_000_000
-	capped := func(limit int) Option {
-		return WithWorkloadFunc(func(seed uint64) (Workload, error) {
-			return fetchCapSource{trace.NewZipfSource("zipf", 4096, 1.0, 0.1, seed), limit}, nil
-		})
-	}
 	for _, tc := range []struct {
-		name     string
-		workload []Option
+		name  string
+		limit int
 	}{
-		{"batched-default", []Option{WithWorkloadName("zipf"), WithWorkloadParams(WorkloadParams{Pages: 4096})}},
-		{"batched-64", []Option{capped(64)}},
+		{"batched-default", math.MaxInt},
+		{"batched-64", 64},
 		// One op per fetch, the schedule the reference simulator runs.
-		{"single-op-reference", []Option{capped(1)}},
+		{"single-op-reference", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -63,16 +74,23 @@ func TestSweepMidCellCancellation(t *testing.T) {
 				Policies: []PolicyName{PolicyHybridTier, PolicyLRU, PolicyTPP},
 				Seeds:    []uint64{1},
 				Workers:  1,
-				Base: append(tc.workload,
-					WithOps(cellOps),
-					WithProgress(func(done, total int64) {
-						// Fires within each cell's op loop; arm the cancel
-						// partway through the SECOND cell.
-						if cellsDone == 1 && done >= cellOps/4 && done < cellOps {
-							cancel()
-						}
+				Base: []Option{
+					WithWorkloadFunc(func(seed uint64) (Workload, error) {
+						return &fetchCapSource{
+							BatchSource: trace.NewZipfSource("zipf", 4096, 1.0, 0.1, seed),
+							limit:       tc.limit,
+							// Fires within each cell's op loop; arm the
+							// cancel partway through the SECOND cell.
+							cancelAt: cellOps / 4,
+							cancel: func() {
+								if cellsDone == 1 {
+									cancel()
+								}
+							},
+						}, nil
 					}),
-				),
+					WithOps(cellOps),
+				},
 				Progress: func(done, total int) { cellsDone = done },
 			}
 			cells, err := sw.Run(ctx)
@@ -110,11 +128,10 @@ func TestSweepMidCellCancellation(t *testing.T) {
 			if opsDone <= 0 || opsDone >= cellOps {
 				t.Errorf("canceled op count %d not strictly mid-run (0, %d)", opsDone, cellOps)
 			}
-			// The cancel was armed at a quarter of the cell; the countdown
-			// checks may overshoot by at most one progress/batch interval,
-			// far less than the rest of the run.
+			// The cancel fired from the fetch that reached a quarter of the
+			// cell, and that fetch's ops all run before the next poll.
 			if opsDone < cellOps/4 {
-				t.Errorf("op count %d below the %d ops completed when cancel fired", opsDone, cellOps/4)
+				t.Errorf("op count %d below the %d ops fetched when cancel fired", opsDone, cellOps/4)
 			}
 
 			// Cell 2 never started and must say so.
