@@ -6,8 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/registry"
@@ -72,70 +70,6 @@ func WithWorkloadFunc(fn func(seed uint64) (Workload, error)) Option {
 // overridden by the run's seed.
 func WithWorkloadParams(p WorkloadParams) Option {
 	return func(e *Experiment) { e.params = p }
-}
-
-// MixPart is one tenant of a WithMix composition.
-type MixPart struct {
-	// Weight is the tenant's relative share of operations; any positive
-	// value works, shares are weight/sum(weights).
-	Weight float64
-	// Workload is the tenant's registry name — a plain generator, a
-	// trace:<path> replay, or itself a composition spec.
-	Workload string
-}
-
-// MixSpec renders parts as a composition spec ("mix:0.7*(cdn),0.3*(silo)",
-// docs/COMPOSITION.md) accepted anywhere a workload name is: WithMix,
-// Sweep bases, and the CLIs' -workload flag.
-func MixSpec(parts ...MixPart) string {
-	labels := make([]string, len(parts))
-	for i, p := range parts {
-		labels[i] = strconv.FormatFloat(p.Weight, 'g', -1, 64) + "*(" + p.Workload + ")"
-	}
-	return "mix:" + strings.Join(labels, ",")
-}
-
-// WithMix composes two or more tenants into the experiment's workload: a
-// deterministic weighted round-robin interleave with each tenant remapped
-// onto its own range of the combined page space, so tenants never alias.
-// Tenants are seeded per run from the experiment's seed, so WithMix
-// composes with Sweep like any named workload. Equivalent to
-// WithWorkloadName(MixSpec(parts...)).
-func WithMix(parts ...MixPart) Option {
-	return func(e *Experiment) { e.wname = MixSpec(parts...) }
-}
-
-// Phase is one stage of a WithPhases composition.
-type Phase struct {
-	// Workload is the stage's registry name — a plain generator, a
-	// trace:<path> replay, or itself a composition spec.
-	Workload string
-	// Ops is how many operations the stage runs before the next takes
-	// over; it must be positive for every stage but the last and zero for
-	// the last, which runs until the simulation ends.
-	Ops int64
-}
-
-// PhasesSpec renders stages as a composition spec
-// ("phases:(cdn)@1000000,(silo)", docs/COMPOSITION.md).
-func PhasesSpec(stages ...Phase) string {
-	labels := make([]string, len(stages))
-	for i, s := range stages {
-		labels[i] = "(" + s.Workload + ")"
-		if i < len(stages)-1 || s.Ops != 0 {
-			labels[i] += "@" + strconv.FormatInt(s.Ops, 10)
-		}
-	}
-	return "phases:" + strings.Join(labels, ",")
-}
-
-// WithPhases composes stages that run back to back on an op-count
-// schedule — the model of a phase-changing application. All stages share
-// one address space (the largest stage's), so a later phase revisits
-// pages an earlier one made hot. Equivalent to
-// WithWorkloadName(PhasesSpec(stages...)).
-func WithPhases(stages ...Phase) Option {
-	return func(e *Experiment) { e.wname = PhasesSpec(stages...) }
 }
 
 // WithTraceFile replays a recorded trace (docs/TRACE_FORMAT.md) as the

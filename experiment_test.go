@@ -127,25 +127,9 @@ func TestWorkloadRegistryListsPaperWorkloads(t *testing.T) {
 	}
 }
 
-func TestMixSpecAndPhasesSpecRender(t *testing.T) {
-	got := MixSpec(MixPart{0.7, "cdn"}, MixPart{0.3, "silo"})
-	if want := "mix:0.7*(cdn),0.3*(silo)"; got != want {
-		t.Errorf("MixSpec = %q, want %q", got, want)
-	}
-	got = PhasesSpec(Phase{"cdn", 50_000}, Phase{Workload: "silo"})
-	if want := "phases:(cdn)@50000,(silo)"; got != want {
-		t.Errorf("PhasesSpec = %q, want %q", got, want)
-	}
-	// Nested specs survive because every part is parenthesized.
-	nested := MixSpec(MixPart{0.5, PhasesSpec(Phase{"zipf", 10}, Phase{Workload: "zipf"})}, MixPart{0.5, "zipf"})
-	if err := ValidateWorkload(nested); err != nil {
-		t.Errorf("nested MixSpec %q does not validate: %v", nested, err)
-	}
-}
-
 func TestWithMixRunsAndRemapsTenants(t *testing.T) {
 	res, err := NewExperiment(
-		WithMix(MixPart{0.7, "zipf"}, MixPart{0.3, "zipf"}),
+		WithWorkloadName("mix:0.7*zipf,0.3*zipf"),
 		WithWorkloadParams(WorkloadParams{Pages: 1 << 10, Skew: 1.0}),
 		WithOps(5_000),
 	).Run(context.Background())
@@ -163,7 +147,7 @@ func TestWithMixRunsAndRemapsTenants(t *testing.T) {
 
 func TestWithPhasesRuns(t *testing.T) {
 	res, err := NewExperiment(
-		WithPhases(Phase{"zipf", 2_000}, Phase{Workload: "zipf"}),
+		WithWorkloadName("phases:zipf@2000,zipf"),
 		WithWorkloadParams(WorkloadParams{Pages: 1 << 10, Skew: 1.0}),
 		WithOps(5_000),
 	).Run(context.Background())
@@ -177,7 +161,7 @@ func TestWithPhasesRuns(t *testing.T) {
 
 func TestWithPhasesBadFinalStageFailsAtRun(t *testing.T) {
 	_, err := NewExperiment(
-		WithPhases(Phase{"zipf", 2_000}, Phase{Workload: "zipf", Ops: 10}),
+		WithWorkloadName("phases:zipf@2000,zipf@10"),
 		WithOps(1_000),
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "final phase") {

@@ -155,20 +155,6 @@ func (a *ARC) demote(y int32) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RecencyFree implements tier.RecencyFree: ARC tracks recency in its own
 // lists and never consults Env.LastAccess.
 func (a *ARC) RecencyFree() {}

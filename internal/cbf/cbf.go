@@ -378,9 +378,3 @@ func (b *blocked) TouchAddrs(key uint64, dst []int64) []int64 {
 	blk := int64(h1 % uint64(b.blocks))
 	return append(dst, blk*BlockBytes)
 }
-
-// BlockOf returns the block index key maps to; exported for tests asserting
-// the single-cache-line property.
-func (b *blocked) BlockOf(key uint64) int {
-	return int(xrand.Hash64Seed(key, b.seed) % uint64(b.blocks))
-}

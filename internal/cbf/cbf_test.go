@@ -202,23 +202,31 @@ func TestSizeForErrorPanics(t *testing.T) {
 
 func TestBlockedSingleCacheLine(t *testing.T) {
 	// The defining property of the blocked CBF: all k counters for any key
-	// live in one 64-byte block, so TouchAddrs returns exactly one line.
+	// live in the one 64-byte block TouchAddrs returns, the line the
+	// simulator charges.
 	f := MustNew(Params{K: 4, CounterBits: 4, Counters: 1 << 14, Blocked: true, Seed: 11})
 	b := f.(*blocked)
 	for k := uint64(0); k < 10000; k++ {
-		blk := b.BlockOf(k)
-		for i := 0; i < b.k; i++ {
-			slot := b.slot(k, i)
-			if slot/b.slotsPerBlk != blk {
-				t.Fatalf("key %d: slot %d escapes block %d", k, slot, blk)
-			}
-		}
 		addrs := f.TouchAddrs(k, nil)
 		if len(addrs) != 1 {
 			t.Fatalf("blocked TouchAddrs returned %d addresses, want 1", len(addrs))
 		}
-		if addrs[0] != int64(blk)*BlockBytes {
-			t.Fatalf("TouchAddrs = %d, want block base %d", addrs[0], int64(blk)*BlockBytes)
+		blk := int(addrs[0] / BlockBytes)
+		for i := 0; i < b.k; i++ {
+			if slot := b.slot(k, i); slot/b.slotsPerBlk != blk {
+				t.Fatalf("key %d: slot %d escapes block %d", k, slot, blk)
+			}
+		}
+		// IncrementGet hoists its own probe loop; on an empty filter every
+		// counter it bumps must sit in the same block.
+		if k%20 == 0 {
+			b.Reset()
+			b.IncrementGet(k)
+			for j := 0; j < b.blocks*b.slotsPerBlk; j++ {
+				if b.arr.get(j) != 0 && j/b.slotsPerBlk != blk {
+					t.Fatalf("key %d: IncrementGet bumped counter %d outside block %d", k, j, blk)
+				}
+			}
 		}
 	}
 }

@@ -265,9 +265,6 @@ func (h *HybridTier) FreqThreshold() uint32 { return h.freqThresh }
 // and Table 5 ground-truth comparisons).
 func (h *HybridTier) FreqEstimate(p mem.PageID) uint32 { return h.freq.Get(uint64(p)) }
 
-// MomentumEstimate returns the momentum tracker's estimate for p.
-func (h *HybridTier) MomentumEstimate(p mem.PageID) uint32 { return h.mom.Get(uint64(p)) }
-
 // MetadataBytes implements tier.Policy: both CBFs plus the second-chance
 // marks and the histogram.
 func (h *HybridTier) MetadataBytes() int64 {

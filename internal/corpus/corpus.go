@@ -389,16 +389,6 @@ func (s *Store) Put(r io.Reader) (Meta, bool, error) {
 	return m, true, nil
 }
 
-// PutFile stores the trace file at path, like Put but reading from disk.
-func (s *Store) PutFile(path string) (Meta, bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Meta{}, false, fmt.Errorf("corpus: %w", err)
-	}
-	defer f.Close()
-	return s.Put(f)
-}
-
 func (s *Store) tracePath(hash string) string {
 	return filepath.Join(s.dir, hash+".htrc")
 }

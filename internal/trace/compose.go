@@ -352,12 +352,6 @@ func NewPhases(name string, stages ...Stage) (Source, error) {
 	return promote(p, p.shifty), nil
 }
 
-// NewConcat is the two-stage shorthand: a's first aOps operations, then b
-// forever — "run source A for K ops, then B".
-func NewConcat(name string, a Source, aOps int64, b Source) (Source, error) {
-	return NewPhases(name, Stage{Source: a, Ops: aOps}, Stage{Source: b})
-}
-
 // advance moves to the next stage when the current one's quota is spent.
 // A stage whose source died (empty ops) never spends its quota, so a
 // failed trace replay pins the composition on the erroring stage and the

@@ -166,7 +166,7 @@ func TestPhasesSwitchAtExactOpCounts(t *testing.T) {
 func TestConcatIsTwoStagePhases(t *testing.T) {
 	a := NewScanSource("a", 4)
 	b := NewScanSource("b", 4)
-	c, err := NewConcat("", a, 3, b)
+	c, err := NewPhases("", Stage{a, 3}, Stage{Source: b})
 	if err != nil {
 		t.Fatal(err)
 	}

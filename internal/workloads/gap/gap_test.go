@@ -3,8 +3,15 @@ package gap
 import (
 	"testing"
 
+	"repro/internal/registry"
 	"repro/internal/trace"
 )
+
+// newSource builds kernel over a fresh graph of kind g, named as the
+// registry names it.
+func newSource(kernel Kind, g GraphKind, scale, degree int, seed uint64) *Source {
+	return NewSourceFromGraph(kernel, g.Build(scale, degree, seed), "gap-"+kernel.String()+"-"+g.String(), seed)
+}
 
 func TestBuildCSR(t *testing.T) {
 	pairs := [][2]uint32{{0, 1}, {1, 2}, {2, 0}, {3, 3}} // self-loop dropped
@@ -105,7 +112,7 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 }
 
 func TestBFSVisitsComponent(t *testing.T) {
-	src := NewSource(BFS, URand, 10, 8, 5)
+	src := newSource(BFS, URand, 10, 8, 5)
 	var buf []trace.Access
 	// Run enough ops to complete at least one full BFS.
 	for i := 0; i < 3000 && src.Trials() < 2; i++ {
@@ -124,7 +131,7 @@ func TestBFSVisitsComponent(t *testing.T) {
 func TestBFSRestartsChangeSource(t *testing.T) {
 	// With a uniform graph, different sources reach vertices in different
 	// orders; verify restarts occur and the queue refills.
-	src := NewSource(BFS, URand, 8, 6, 9)
+	src := newSource(BFS, URand, 8, 6, 9)
 	var buf []trace.Access
 	start := src.Trials()
 	for i := 0; i < 5000; i++ {
@@ -190,7 +197,7 @@ func TestPRConvergesToDegreeProportional(t *testing.T) {
 
 func TestOpAccessCap(t *testing.T) {
 	// Kronecker hubs have huge degree; ops must stay bounded.
-	src := NewSource(PR, Kron, 12, 16, 3)
+	src := newSource(PR, Kron, 12, 16, 3)
 	var buf []trace.Access
 	for i := 0; i < 20000; i++ {
 		buf = src.NextOp(buf[:0])
@@ -207,14 +214,22 @@ func TestKindStrings(t *testing.T) {
 	if Kron.String() != "kron" || URand.String() != "urand" {
 		t.Error("GraphKind strings wrong")
 	}
-	if NewSource(BFS, Kron, 8, 4, 1).Name() != "gap-bfs-kron" {
-		t.Error("source name wrong")
+	e, ok := registry.Workloads.Lookup("bfs-kron")
+	if !ok {
+		t.Fatal("bfs-kron is not registered")
+	}
+	src, err := e.New(registry.WorkloadParams{GraphScale: 8, GraphDegree: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.Name() != "gap-bfs-kron" {
+		t.Errorf("registered source name = %q, want gap-bfs-kron", src.Name())
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := NewSource(BFS, Kron, 10, 8, 42)
-	b := NewSource(BFS, Kron, 10, 8, 42)
+	a := newSource(BFS, Kron, 10, 8, 42)
+	b := newSource(BFS, Kron, 10, 8, 42)
 	var ba, bb []trace.Access
 	for i := 0; i < 2000; i++ {
 		ba = a.NextOp(ba[:0])
@@ -237,7 +252,7 @@ func BenchmarkKroneckerBuild(b *testing.B) {
 }
 
 func BenchmarkBFSOp(b *testing.B) {
-	src := NewSource(BFS, Kron, 14, 8, 1)
+	src := newSource(BFS, Kron, 14, 8, 1)
 	var buf []trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -246,7 +261,7 @@ func BenchmarkBFSOp(b *testing.B) {
 }
 
 func BenchmarkPROp(b *testing.B) {
-	src := NewSource(PR, Kron, 14, 8, 1)
+	src := newSource(PR, Kron, 14, 8, 1)
 	var buf []trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

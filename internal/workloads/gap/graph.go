@@ -10,7 +10,6 @@
 package gap
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/mem"
@@ -242,7 +241,3 @@ func (g GraphKind) Build(scale, degree int, seed uint64) *Graph {
 // operations. The kernel still processes all neighbors — the cap subsamples
 // which dereferences are *reported*, mirroring what hardware sampling sees.
 const maxAccessesPerOp = 48
-
-func fmtName(kernel Kind, graph GraphKind) string {
-	return fmt.Sprintf("gap-%s-%s", kernel, graph)
-}

@@ -39,12 +39,6 @@ type Source struct {
 
 var _ trace.Source = (*Source)(nil)
 
-// NewSource creates a kernel source over graph kind g built at scale/degree.
-func NewSource(kernel Kind, g GraphKind, scale, degree int, seed uint64) *Source {
-	graph := g.Build(scale, degree, seed)
-	return NewSourceFromGraph(kernel, graph, fmtName(kernel, g), seed)
-}
-
 // NewSourceFromGraph wraps an existing graph, allowing one expensive build
 // to be shared by several kernels.
 func NewSourceFromGraph(kernel Kind, graph *Graph, name string, seed uint64) *Source {

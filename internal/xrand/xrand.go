@@ -121,20 +121,6 @@ func (r *RNG) ShuffleUint64s(p []uint64) {
 	}
 }
 
-// NormFloat64 returns a normally distributed float64 (mean 0, stddev 1)
-// using the polar Box-Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}
-
 // Zipf samples ranks in [0, n) with probability proportional to
 // 1/(rank+1)^s for any s > 0, using Hörmann's rejection-inversion method.
 // Rank 0 is the most popular item. Instances are safe for sequential reuse

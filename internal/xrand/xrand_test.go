@@ -112,25 +112,6 @@ func TestPerm(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(11)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ≈ 0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ≈ 1", variance)
-	}
-}
-
 func TestZipfRange(t *testing.T) {
 	r := New(9)
 	for _, s := range []float64{0.5, 0.99, 1.0, 1.2, 2.0} {

@@ -52,7 +52,7 @@ type SweepSpec struct {
 	Cache bool `json:"cache,omitempty"`
 	// WindowNs overrides the latency time-series window (0 = default).
 	WindowNs int64 `json:"window_ns,omitempty"`
-	// Tracker forces one access tracker (Trackers()) on every cell.
+	// Tracker forces one access tracker (TrackerList()) on every cell.
 	// Canonicalization folds it into per-policy "Name@tracker" qualifiers
 	// and zeroes this field, so a forced tracker and the equivalent
 	// qualified spellings are the same spec — and pre-tracker specs,
@@ -277,12 +277,4 @@ func (s SweepSpec) CellSpec(c Cell) SweepSpec {
 	out.Ratios = []int{c.Ratio}
 	out.Seeds = []uint64{c.Seed}
 	return out
-}
-
-// NormalizeWorkload returns the canonical spelling of a workload name or
-// composition spec (registry normalization re-exported): whitespace
-// stripped, mix weights explicit, nesting parenthesized exactly once.
-// Two specs normalize equal iff they describe the same composition.
-func NormalizeWorkload(name string) (string, error) {
-	return registry.Workloads.Normalize(name)
 }

@@ -21,11 +21,8 @@ const (
 	TrackerSoftDirty = tracker.KindSoftDirty
 )
 
-// Trackers lists the known tracker kinds, sorted.
-func Trackers() []string { return tracker.Kinds() }
-
-// TrackerList returns (kind, one-line doc) pairs for CLI listings, in
-// Trackers() order.
+// TrackerList returns (kind, one-line doc) pairs for CLI listings, sorted
+// by kind.
 func TrackerList() [][2]string {
 	return [][2]string{
 		{TrackerIdlepage, "periodic scan-and-clear of per-page accessed bits (memtierd idlepage)"},
