@@ -12,6 +12,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -19,6 +22,7 @@ import (
 	"time"
 
 	hybridtier "repro"
+	"repro/internal/errfs"
 	"repro/internal/service"
 )
 
@@ -134,6 +138,67 @@ func TestDaemonServesAndDrainsOnSigterm(t *testing.T) {
 		if !strings.Contains(logs.String(), want) {
 			t.Errorf("log lacks %q:\n%s", want, logs.String())
 		}
+	}
+}
+
+// TestHealthzIntegrityBytes pins the /healthz integrity section's scrub
+// reports byte for byte (unix_ns aside): a results pass that adopts,
+// verifies and quarantines, and a traces pass, which has no "adopted" key.
+func TestHealthzIntegrityBytes(t *testing.T) {
+	cacheDir, corpusDir := t.TempDir(), t.TempDir()
+	write := func(dir, name, data string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := errfs.SumHex([]byte("spec"))
+	write(cacheDir, legacy+".json", "result") // no .sum: adopted
+	write(cacheDir, legacy+".spec.json", "spec")
+	rotten := errfs.SumHex([]byte("rotten"))
+	write(cacheDir, rotten+".json", "result")
+	write(cacheDir, rotten+".sum", errfs.SumHex([]byte("other")))
+	trace := errfs.SumHex([]byte("trace"))
+	write(corpusDir, trace+".htrc", "junk")
+	write(corpusDir, trace+".meta.json", `{"hash":"`+trace+`","size_bytes":4}`)
+
+	url, logs, wait := startDaemon(t, "-cache-dir", cacheDir, "-corpus-dir", corpusDir,
+		"-scrub-interval", "1h")
+	var integrity map[string]json.RawMessage
+	for deadline := time.Now().Add(10 * time.Second); integrity["traces"] == nil; {
+		if time.Now().After(deadline) {
+			t.Fatal("healthz never reported both scrub passes")
+		}
+		resp, err := http.Get(url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var health struct {
+			Integrity map[string]json.RawMessage `json:"integrity"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&health)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		integrity = health.Integrity
+		time.Sleep(10 * time.Millisecond)
+	}
+	stamp := regexp.MustCompile(`"unix_ns":[1-9][0-9]*}$`)
+	for key, want := range map[string]string{
+		"results": `{"scanned":3,"verified":1,"adopted":1,"quarantined":1,"unix_ns":0}`,
+		"traces":  `{"scanned":1,"verified":0,"quarantined":1,"unix_ns":0}`,
+	} {
+		if got := stamp.ReplaceAllString(string(integrity[key]), `"unix_ns":0}`); got != want {
+			t.Errorf("integrity.%s = %s, want %s", key, integrity[key], want)
+		}
+	}
+
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if code := wait(); code != 0 {
+		t.Fatalf("exit code %d after SIGTERM:\n%s", code, logs.String())
 	}
 }
 

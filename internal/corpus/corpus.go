@@ -26,27 +26,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
-	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/errfs"
 	"repro/internal/tracefile"
 )
-
-// hashPattern is the only accepted trace address: lowercase hex SHA-256.
-// Hashes become file names, so this is also the path-traversal guard.
-var hashPattern = regexp.MustCompile(`^[0-9a-f]{64}$`)
-
-// ValidHash reports whether s is a well-formed trace content hash.
-func ValidHash(s string) bool { return hashPattern.MatchString(s) }
-
-// QuarantineDir is the sidecar directory (under the store root) holding
-// entries that failed verification — preserved for diagnosis, invisible
-// to serving, skipped by every scan.
-const QuarantineDir = "quarantine"
 
 // Meta describes one stored trace: its address, size, and the decoded
 // header and counts, so listings and submit-time checks never reopen the
@@ -82,8 +67,8 @@ type Store struct {
 	// verified memoizes Path's full-content hash check per process: a
 	// trace that verified once cannot rot in the index's lifetime view
 	// without a scrub noticing, and replays open traces repeatedly.
-	verified  map[string]bool
-	lastScrub *ScrubReport
+	verified map[string]bool
+	errfs.ScrubLog
 }
 
 // Open opens (creating if needed) the store rooted at dir and indexes the
@@ -118,8 +103,8 @@ func OpenFS(dir string, fsys errfs.FS) (*Store, error) {
 			continue
 		}
 		name := e.Name()
-		hash, ok := strings.CutSuffix(name, ".meta.json")
-		if !ok || !ValidHash(hash) {
+		hash, ok := errfs.CutHash(name, ".meta.json")
+		if !ok {
 			continue
 		}
 		data, err := fsys.ReadFile(filepath.Join(dir, name))
@@ -138,7 +123,7 @@ func OpenFS(dir string, fsys errfs.FS) (*Store, error) {
 			// The cheap truncation check: the bytes on disk cannot hash to
 			// the address if even their length is wrong. Quarantine now
 			// rather than fail a replay later.
-			s.quarantine(hash)
+			errfs.Quarantine(s.fsys, s.dir, hash, entrySuffixes...)
 			continue
 		}
 		s.index[hash] = m
@@ -183,7 +168,7 @@ func (s *Store) List() []Meta {
 // replay can never run over silently corrupted trace bytes. Later calls
 // reuse the verification.
 func (s *Store) Path(hash string) (string, error) {
-	if !ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		return "", fmt.Errorf("corpus: invalid trace hash %q", hash)
 	}
 	s.mu.RLock()
@@ -193,69 +178,50 @@ func (s *Store) Path(hash string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("corpus: trace %s not in store", hash)
 	}
-	if done {
-		return s.tracePath(hash), nil
-	}
-	if err := s.verify(hash); err != nil {
-		return "", err
+	if !done {
+		ok, err := s.check(hash)
+		if err != nil {
+			return "", fmt.Errorf("corpus: read trace %s: %w", hash, err)
+		}
+		if !ok {
+			return "", fmt.Errorf("corpus: trace %s failed integrity verification and was quarantined; re-upload to heal", hash)
+		}
 	}
 	return s.tracePath(hash), nil
 }
 
-// verify re-hashes a stored trace against its address, memoizing success
-// and quarantining failure.
-func (s *Store) verify(hash string) error {
+// check re-hashes a stored trace against its address. A match is
+// memoized; a mismatch de-indexes the entry and quarantines it. err
+// reports only a failed read.
+func (s *Store) check(hash string) (ok bool, err error) {
 	data, err := s.fsys.ReadFile(s.tracePath(hash))
 	if err != nil {
-		return fmt.Errorf("corpus: read trace %s: %w", hash, err)
+		return false, err
 	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != hash {
+	if errfs.SumHex(data) != hash {
 		s.mu.Lock()
 		delete(s.index, hash)
 		delete(s.verified, hash)
 		s.mu.Unlock()
-		s.quarantine(hash)
-		return fmt.Errorf("corpus: trace %s failed integrity verification and was quarantined; re-upload to heal", hash)
+		errfs.Quarantine(s.fsys, s.dir, hash, entrySuffixes...)
+		return false, nil
 	}
 	s.mu.Lock()
 	s.verified[hash] = true
 	s.mu.Unlock()
-	return nil
+	return true, nil
 }
 
-// quarantine moves a damaged entry's files under quarantine/ —
-// best-effort, off the serving path, never silently deleted.
-func (s *Store) quarantine(hash string) {
-	qdir := filepath.Join(s.dir, QuarantineDir)
-	if err := s.fsys.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	for _, name := range []string{hash + ".htrc", hash + ".meta.json"} {
-		src := filepath.Join(s.dir, name)
-		if _, err := s.fsys.Stat(src); err != nil {
-			continue
-		}
-		_ = s.fsys.Rename(src, filepath.Join(qdir, name))
-	}
-	_ = s.fsys.SyncDir(s.dir)
-}
-
-// ScrubReport summarizes one integrity pass, JSON-shaped for /healthz.
-type ScrubReport struct {
-	Scanned     int   `json:"scanned"`
-	Verified    int   `json:"verified"`
-	Quarantined int   `json:"quarantined,omitempty"`
-	Errors      int   `json:"errors,omitempty"`
-	UnixNs      int64 `json:"unix_ns"`
-}
+// entrySuffixes name the files of one stored trace: the bytes and their
+// metadata sidecar.
+var entrySuffixes = []string{".htrc", ".meta.json"}
 
 // Scrub re-hashes every indexed trace against its address, quarantining
 // (and de-indexing) any that fail. The quarantine dir and non-store files
 // are never touched. Returns the pass's report, also retrievable via
 // LastScrub.
-func (s *Store) Scrub() ScrubReport {
-	var rep ScrubReport
+func (s *Store) Scrub() errfs.ScrubReport {
+	var rep errfs.ScrubReport
 	s.mu.RLock()
 	hashes := make([]string, 0, len(s.index))
 	for h := range s.index {
@@ -265,43 +231,18 @@ func (s *Store) Scrub() ScrubReport {
 	sort.Strings(hashes)
 	for _, h := range hashes {
 		rep.Scanned++
-		data, err := s.fsys.ReadFile(s.tracePath(h))
-		if err != nil {
+		switch ok, err := s.check(h); {
+		case err != nil:
 			if !os.IsNotExist(err) { // vanished = concurrent re-open raced
 				rep.Errors++
 			}
-			continue
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != h {
-			s.mu.Lock()
-			delete(s.index, h)
-			delete(s.verified, h)
-			s.mu.Unlock()
-			s.quarantine(h)
+		case ok:
+			rep.Verified++
+		default:
 			rep.Quarantined++
-			continue
 		}
-		s.mu.Lock()
-		s.verified[h] = true
-		s.mu.Unlock()
-		rep.Verified++
 	}
-	rep.UnixNs = time.Now().UnixNano()
-	s.mu.Lock()
-	s.lastScrub = &rep
-	s.mu.Unlock()
-	return rep
-}
-
-// LastScrub returns the most recent Scrub report, if any pass has run.
-func (s *Store) LastScrub() (ScrubReport, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.lastScrub == nil {
-		return ScrubReport{}, false
-	}
-	return *s.lastScrub, true
+	return s.RecordScrub(rep)
 }
 
 // Put stores the trace read from r, returning its metadata and whether

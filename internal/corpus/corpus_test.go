@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/errfs"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 )
@@ -43,7 +44,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !created {
 		t.Fatal("first Put reported an existing trace")
 	}
-	if !ValidHash(m.Hash) || m.Ops != 5 || m.Accesses != 10 || m.Workload != "rt" ||
+	if !errfs.ValidHash(m.Hash) || m.Ops != 5 || m.Accesses != 10 || m.Workload != "rt" ||
 		m.NumPages != 256 || m.Seed != 7 || m.SizeBytes != int64(len(data)) ||
 		m.FormatVersion != tracefile.Version {
 		t.Fatalf("meta %+v does not describe the upload", m)

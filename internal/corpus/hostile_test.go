@@ -49,7 +49,7 @@ func TestOpenQuarantinesTruncatedTrace(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("truncated trace indexed: %+v", s.List())
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, m.Hash+".htrc")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, m.Hash+".htrc")); err != nil {
 		t.Errorf("truncated trace not quarantined: %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -95,7 +95,7 @@ func TestPathQuarantinesBitRot(t *testing.T) {
 	if _, ok := s.Get(m.Hash); ok {
 		t.Error("rotten trace still in the index after quarantine")
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, m.Hash+".htrc")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, m.Hash+".htrc")); err != nil {
 		t.Errorf("rotten trace not quarantined: %v", err)
 	}
 }
@@ -140,7 +140,7 @@ func TestScrubDetectsRotAndSkipsQuarantine(t *testing.T) {
 	if _, err := s2.Path(good.Hash); err != nil {
 		t.Errorf("good trace stopped serving after scrub: %v", err)
 	}
-	qfile := filepath.Join(dir, QuarantineDir, bad.Hash+".htrc")
+	qfile := filepath.Join(dir, errfs.QuarantineDir, bad.Hash+".htrc")
 	qinfo, err := os.Stat(qfile)
 	if err != nil {
 		t.Fatalf("rotten trace not quarantined: %v", err)

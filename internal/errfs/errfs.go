@@ -16,13 +16,26 @@
 // skipping the directory sync risks the rename itself vanishing. Every
 // store writes through this helper so the discipline cannot drift
 // per-callsite.
+//
+// The read half lives here too, shared by the two content-addressed
+// stores (the result cache and the trace corpus): ValidHash, the one
+// address check and path-traversal guard; SumHex, the one content sum;
+// CutHash, the one "<hash><suffix>" name parser; Quarantine, the one
+// move of a corrupt entry under QuarantineDir; and ScrubReport with
+// ScrubLog, the one shape of an integrity pass and the one record of
+// the latest.
 package errfs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"time"
 )
 
 // File is the subset of *os.File the stores need: sequential writes,
@@ -124,4 +137,111 @@ func WriteAtomic(fsys FS, path string, data []byte) error {
 		return err
 	}
 	return fsys.SyncDir(filepath.Dir(path))
+}
+
+// ValidHash reports whether s is a well-formed content hash: exactly 64
+// lowercase hex digits. Keys become file names in the stores, so this is
+// also the path-traversal guard. It runs on every cache probe and on the
+// daemon's serving hot path, hence the hand-rolled byte scan instead of a
+// regexp (which costs an allocation and an order of magnitude in time
+// per call).
+func ValidHash(s string) bool {
+	if len(s) != 64 {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// SumHex is the stores' one spelling of a content sum: lowercase hex
+// SHA-256.
+func SumHex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// CutHash splits a "<hash><suffix>" store file name, rejecting anything
+// whose stem is not a well-formed content hash (temp files, stray drops).
+func CutHash(name, suffix string) (string, bool) {
+	hash, ok := strings.CutSuffix(name, suffix)
+	if !ok || !ValidHash(hash) {
+		return "", false
+	}
+	return hash, true
+}
+
+// QuarantineDir is the sidecar directory (under a store root) where
+// corrupt entries are moved instead of being served or deleted. Disk GC
+// and every scrub skip it.
+const QuarantineDir = "quarantine"
+
+// Quarantine moves each existing file dir/<hash><suffix> into dir's
+// QuarantineDir, then fsyncs dir: the entry leaves the serving path but
+// is preserved for diagnosis, never silently deleted. Best-effort: a
+// failing move must not turn detection into an error, since the caller
+// already treats the entry as corrupt.
+func Quarantine(fsys FS, dir, hash string, suffixes ...string) {
+	qdir := filepath.Join(dir, QuarantineDir)
+	if err := fsys.MkdirAll(qdir, 0o755); err != nil {
+		return
+	}
+	for _, suffix := range suffixes {
+		src := filepath.Join(dir, hash+suffix)
+		if _, err := fsys.Stat(src); err != nil {
+			continue
+		}
+		_ = fsys.Rename(src, filepath.Join(qdir, hash+suffix))
+	}
+	_ = fsys.SyncDir(dir)
+}
+
+// ScrubReport summarizes one integrity pass over a store, JSON-shaped for
+// the /healthz integrity section.
+type ScrubReport struct {
+	// Scanned counts entries examined; Verified those whose bytes matched
+	// their address or sidecar.
+	Scanned  int `json:"scanned"`
+	Verified int `json:"verified"`
+	// Adopted counts pre-integrity result entries that gained a .sum
+	// sidecar (the trace corpus has none, so it never sets it).
+	Adopted int `json:"adopted,omitempty"`
+	// Quarantined counts corrupt entries moved aside this pass.
+	Quarantined int `json:"quarantined,omitempty"`
+	// Errors counts I/O failures during the pass (distinct from corruption).
+	Errors int `json:"errors,omitempty"`
+	// UnixNs stamps when the pass finished.
+	UnixNs int64 `json:"unix_ns"`
+}
+
+// ScrubLog keeps a store's most recent ScrubReport. The zero value is
+// ready; the stores embed it, so LastScrub is a store method. Safe for
+// concurrent use.
+type ScrubLog struct {
+	mu   sync.Mutex
+	last *ScrubReport
+}
+
+// RecordScrub stamps rep with the current time, keeps it as the latest
+// pass, and returns it.
+func (l *ScrubLog) RecordScrub(rep ScrubReport) ScrubReport {
+	rep.UnixNs = time.Now().UnixNano()
+	l.mu.Lock()
+	l.last = &rep
+	l.mu.Unlock()
+	return rep
+}
+
+// LastScrub returns the most recent Scrub report, if any pass has run.
+func (l *ScrubLog) LastScrub() (ScrubReport, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.last == nil {
+		return ScrubReport{}, false
+	}
+	return *l.last, true
 }

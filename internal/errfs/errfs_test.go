@@ -151,3 +151,68 @@ func TestInjectorShortWriteTearsFile(t *testing.T) {
 		t.Fatalf("torn file holds %q, %v", got, err)
 	}
 }
+
+func TestValidHashAndCutHash(t *testing.T) {
+	h := SumHex([]byte("x"))
+	if !ValidHash(h) {
+		t.Fatalf("ValidHash rejects SumHex's own output %q", h)
+	}
+	for _, bad := range []string{"", h[:63], h + "0", strings.ToUpper(h), "../" + h[3:], h[:63] + "g"} {
+		if ValidHash(bad) {
+			t.Errorf("ValidHash(%q) = true", bad)
+		}
+	}
+	if got, ok := CutHash(h+".spec.json", ".spec.json"); !ok || got != h {
+		t.Errorf("CutHash(<hash>.spec.json) = %q, %v", got, ok)
+	}
+	for _, name := range []string{h + ".json", "journal.wal", ".atomic-123.json", h[1:] + ".spec.json"} {
+		if got, ok := CutHash(name, ".spec.json"); ok {
+			t.Errorf("CutHash(%q) = %q, want no match", name, got)
+		}
+	}
+}
+
+// TestQuarantineMovesOnlyTheEntry: the files of the entry that exist move
+// under QuarantineDir and the directory is synced; a missing suffix and
+// other entries are left alone; a failing mkdir moves nothing.
+func TestQuarantineMovesOnlyTheEntry(t *testing.T) {
+	dir := t.TempDir()
+	h, other := SumHex([]byte("a")), SumHex([]byte("b"))
+	for _, name := range []string{h + ".json", h + ".spec.json", other + ".json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := Inject(OS{}, Fault{Op: OpMkdirAll})
+	Quarantine(inj, dir, h, ".json", ".sum", ".spec.json")
+	if _, err := os.Stat(filepath.Join(dir, h+".json")); err != nil || inj.Count(OpRename) != 0 {
+		t.Fatalf("a failed mkdir still moved files (stat %v, %d renames)", err, inj.Count(OpRename))
+	}
+	Quarantine(inj, dir, h, ".json", ".sum", ".spec.json")
+	if inj.Count(OpRename) != 2 || inj.Count(OpSyncDir) != 1 {
+		t.Errorf("%d renames, %d dir syncs; want 2 and 1", inj.Count(OpRename), inj.Count(OpSyncDir))
+	}
+	for _, name := range []string{h + ".json", h + ".spec.json"} {
+		if got, err := os.ReadFile(filepath.Join(dir, QuarantineDir, name)); err != nil || string(got) != name {
+			t.Errorf("quarantined %s = %q, %v", name, got, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, other+".json")); err != nil {
+		t.Errorf("another entry was moved: %v", err)
+	}
+}
+
+func TestScrubLogKeepsTheLatestStampedReport(t *testing.T) {
+	var l ScrubLog
+	if _, ok := l.LastScrub(); ok {
+		t.Fatal("a fresh ScrubLog reports a pass")
+	}
+	l.RecordScrub(ScrubReport{Scanned: 1})
+	rep := l.RecordScrub(ScrubReport{Scanned: 2, Verified: 2})
+	if rep.UnixNs == 0 {
+		t.Error("RecordScrub did not stamp the report")
+	}
+	if got, ok := l.LastScrub(); !ok || got != rep {
+		t.Errorf("LastScrub = %+v, %v; want %+v", got, ok, rep)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	hybridtier "repro"
+	"repro/internal/errfs"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
@@ -146,7 +147,7 @@ func fabricError(w http.ResponseWriter, code int, msg string) {
 // recursing (jobs.Cache.SetRemote documents the contract).
 func serveLocalResult(w http.ResponseWriter, r *http.Request, cache *jobs.Cache) {
 	hash := r.PathValue("hash")
-	if !jobs.ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		fabricError(w, http.StatusBadRequest, "fabric: malformed result hash: want 64 lowercase hex digits")
 		return
 	}

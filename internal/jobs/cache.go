@@ -3,43 +3,15 @@ package jobs
 import (
 	"bytes"
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/errfs"
 )
-
-// ValidHash reports whether s is a well-formed content hash: exactly 64
-// lowercase hex digits. Keys become file names in the on-disk store, so
-// this is also the path-traversal guard — enforced here, not just at the
-// HTTP layer. It runs on every cache probe and on the daemon's serving
-// hot path, hence the hand-rolled byte scan instead of a regexp (which
-// costs an allocation and an order of magnitude in time per call).
-func ValidHash(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// QuarantineDir is the sidecar directory (under the store root) where
-// corrupt entries are moved instead of being served or deleted. Both the
-// jobs cache and the trace corpus use the same name; disk GC and the
-// scrubber skip it.
-const QuarantineDir = "quarantine"
 
 // Cache is a content-addressed result store: canonical result bytes keyed
 // by the canonical-spec SHA-256. Two tiers:
@@ -86,7 +58,7 @@ type Cache struct {
 	fsys         errfs.FS
 	maxDiskBytes int64 // 0 = unbounded
 	remote       func(hash string) ([]byte, bool)
-	lastScrub    *ScrubReport
+	errfs.ScrubLog
 }
 
 // cacheEntry is one resident result. etag is the entry's preformatted
@@ -160,7 +132,7 @@ func (c *Cache) GetLocal(hash string) ([]byte, bool) {
 }
 
 func (c *Cache) get(hash string, remoteOK bool) ([]byte, []string, bool) {
-	if !ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		return nil, nil, false
 	}
 	c.mu.Lock()
@@ -206,32 +178,16 @@ func (c *Cache) verifyResult(hash string, data []byte) bool {
 	if err != nil {
 		return true
 	}
-	if sha256Hex(data) == string(bytes.TrimSpace(sum)) {
+	if errfs.SumHex(data) == string(bytes.TrimSpace(sum)) {
 		return true
 	}
-	c.quarantineEntry(hash)
+	errfs.Quarantine(c.fsys, c.dir, hash, entrySuffixes...)
 	return false
 }
 
-// quarantineEntry moves every file of a corrupt entry into the
-// quarantine sidecar dir — off the serving path but preserved for
-// diagnosis, never silently deleted. Best-effort: a failing rename must
-// not turn detection into an error, the caller already treats the entry
-// as a miss.
-func (c *Cache) quarantineEntry(hash string) {
-	qdir := filepath.Join(c.dir, QuarantineDir)
-	if err := c.fsys.MkdirAll(qdir, 0o755); err != nil {
-		return
-	}
-	for _, name := range []string{hash + ".json", hash + ".sum", hash + ".spec.json"} {
-		src := filepath.Join(c.dir, name)
-		if _, err := c.fsys.Stat(src); err != nil {
-			continue
-		}
-		_ = c.fsys.Rename(src, filepath.Join(qdir, name))
-	}
-	_ = c.fsys.SyncDir(c.dir)
-}
+// entrySuffixes name the files of one stored entry: the result, its
+// integrity sidecar, and the canonical spec.
+var entrySuffixes = []string{".json", ".sum", ".spec.json"}
 
 // SetRemote installs fetch as the cache's remote read-through tier,
 // consulted only after both local tiers miss. In the sweep fabric this is
@@ -253,7 +209,7 @@ func (c *Cache) SetRemote(fetch func(hash string) ([]byte, bool)) {
 // JSON) is archived beside the result so an operator can tell what a hash
 // is without reversing it; it is not needed to serve Get.
 func (c *Cache) Put(hash string, result, spec []byte) error {
-	if !ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		return fmt.Errorf("jobs: invalid cache hash %q", hash)
 	}
 	c.mu.Lock()
@@ -268,7 +224,7 @@ func (c *Cache) Put(hash string, result, spec []byte) error {
 	// The integrity sidecar lands after the result: a crash between the
 	// two leaves a result with no sum, which reads as a legacy entry until
 	// the scrubber adopts it — degraded verification, never a false alarm.
-	if err := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(sha256Hex(result))); err != nil {
+	if err := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(errfs.SumHex(result))); err != nil {
 		return err
 	}
 	// The spec sidecar is best-effort metadata: its loss never loses a
@@ -280,31 +236,14 @@ func (c *Cache) Put(hash string, result, spec []byte) error {
 	return nil
 }
 
-// ScrubReport summarizes one integrity pass over a store, JSON-shaped for
-// the /healthz integrity section.
-type ScrubReport struct {
-	// Scanned counts entries examined; Verified those whose bytes matched
-	// their address or sidecar.
-	Scanned  int `json:"scanned"`
-	Verified int `json:"verified"`
-	// Adopted counts pre-integrity entries that gained a .sum sidecar.
-	Adopted int `json:"adopted,omitempty"`
-	// Quarantined counts corrupt entries moved aside this pass.
-	Quarantined int `json:"quarantined,omitempty"`
-	// Errors counts I/O failures during the pass (distinct from corruption).
-	Errors int `json:"errors,omitempty"`
-	// UnixNs stamps when the pass finished.
-	UnixNs int64 `json:"unix_ns"`
-}
-
 // Scrub walks the on-disk store verifying every entry: result bytes
 // against their .sum sidecar (adopting legacy entries that predate sums),
 // spec sidecars against the addressed hash directly. Corrupt entries are
 // quarantined. The quarantine dir and non-store files (the job journal,
 // stray temps) are skipped, never touched. Returns the pass's report,
 // also retrievable via LastScrub.
-func (c *Cache) Scrub() ScrubReport {
-	var rep ScrubReport
+func (c *Cache) Scrub() errfs.ScrubReport {
+	var rep errfs.ScrubReport
 	if c.dir != "" {
 		entries, err := c.fsys.ReadDir(c.dir)
 		if err != nil {
@@ -315,12 +254,12 @@ func (c *Cache) Scrub() ScrubReport {
 				continue // quarantine/ and anything else nested
 			}
 			name := e.Name()
-			if hash, ok := cutSuffixHash(name, ".spec.json"); ok {
+			if hash, ok := errfs.CutHash(name, ".spec.json"); ok {
 				rep.Scanned++
 				c.scrubSpec(hash, &rep)
 				continue
 			}
-			if hash, ok := cutSuffixHash(name, ".json"); ok {
+			if hash, ok := errfs.CutHash(name, ".json"); ok {
 				rep.Scanned++
 				c.scrubResult(hash, &rep)
 			}
@@ -328,24 +267,10 @@ func (c *Cache) Scrub() ScrubReport {
 			// files fail the hash-stem check and are left alone.
 		}
 	}
-	rep.UnixNs = time.Now().UnixNano()
-	c.mu.Lock()
-	c.lastScrub = &rep
-	c.mu.Unlock()
-	return rep
+	return c.RecordScrub(rep)
 }
 
-// LastScrub returns the most recent Scrub report, if any pass has run.
-func (c *Cache) LastScrub() (ScrubReport, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lastScrub == nil {
-		return ScrubReport{}, false
-	}
-	return *c.lastScrub, true
-}
-
-func (c *Cache) scrubResult(hash string, rep *ScrubReport) {
+func (c *Cache) scrubResult(hash string, rep *errfs.ScrubReport) {
 	data, err := c.fsys.ReadFile(c.resultPath(hash))
 	if err != nil {
 		if !os.IsNotExist(err) { // vanished = GC or quarantine raced the scan
@@ -360,7 +285,7 @@ func (c *Cache) scrubResult(hash string, rep *ScrubReport) {
 			// recording the sum of the bytes we have. If they were already
 			// rotten this blesses the rot — unavoidable without a second
 			// copy — but every later flip is caught.
-			if werr := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(sha256Hex(data))); werr != nil {
+			if werr := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(errfs.SumHex(data))); werr != nil {
 				rep.Errors++
 				return
 			}
@@ -370,15 +295,15 @@ func (c *Cache) scrubResult(hash string, rep *ScrubReport) {
 		rep.Errors++
 		return
 	}
-	if sha256Hex(data) != string(bytes.TrimSpace(sum)) {
-		c.quarantineEntry(hash)
+	if errfs.SumHex(data) != string(bytes.TrimSpace(sum)) {
+		errfs.Quarantine(c.fsys, c.dir, hash, entrySuffixes...)
 		rep.Quarantined++
 		return
 	}
 	rep.Verified++
 }
 
-func (c *Cache) scrubSpec(hash string, rep *ScrubReport) {
+func (c *Cache) scrubSpec(hash string, rep *errfs.ScrubReport) {
 	data, err := c.fsys.ReadFile(filepath.Join(c.dir, hash+".spec.json"))
 	if err != nil {
 		if !os.IsNotExist(err) { // vanished = GC or quarantine raced the scan
@@ -387,13 +312,8 @@ func (c *Cache) scrubSpec(hash string, rep *ScrubReport) {
 		return
 	}
 	// The spec's hash IS the address, so it verifies with no sidecar.
-	if sha256Hex(data) != hash {
-		qdir := filepath.Join(c.dir, QuarantineDir)
-		if c.fsys.MkdirAll(qdir, 0o755) == nil {
-			_ = c.fsys.Rename(filepath.Join(c.dir, hash+".spec.json"),
-				filepath.Join(qdir, hash+".spec.json"))
-			_ = c.fsys.SyncDir(c.dir)
-		}
+	if errfs.SumHex(data) != hash {
+		errfs.Quarantine(c.fsys, c.dir, hash, ".spec.json")
 		rep.Quarantined++
 		return
 	}
@@ -452,17 +372,17 @@ func (c *Cache) gcDisk() {
 		if err != nil {
 			continue
 		}
-		if _, ok := cutSuffixHash(name, ".spec.json"); ok {
+		if _, ok := errfs.CutHash(name, ".spec.json"); ok {
 			sidecar[name] = info.Size()
 			total += info.Size()
 			continue
 		}
-		if _, ok := cutSuffixHash(name, ".sum"); ok {
+		if _, ok := errfs.CutHash(name, ".sum"); ok {
 			sidecar[name] = info.Size()
 			total += info.Size()
 			continue
 		}
-		if hash, ok := cutSuffixHash(name, ".json"); ok {
+		if hash, ok := errfs.CutHash(name, ".json"); ok {
 			results = append(results, diskEntry{hash: hash, size: info.Size(), mtime: info.ModTime()})
 			total += info.Size()
 		}
@@ -489,16 +409,6 @@ func (c *Cache) gcDisk() {
 			}
 		}
 	}
-}
-
-// cutSuffixHash splits "<hash><suffix>" names, rejecting anything whose
-// stem is not a well-formed content hash (temp files, stray drops).
-func cutSuffixHash(name, suffix string) (string, bool) {
-	hash, ok := strings.CutSuffix(name, suffix)
-	if !ok || !ValidHash(hash) {
-		return "", false
-	}
-	return hash, true
 }
 
 // insert adds or refreshes a memory entry and evicts from the cold end
@@ -546,10 +456,4 @@ func (c *Cache) resultPath(hash string) string {
 // SHA-256 of the RESULT bytes (the hash itself addresses the spec).
 func (c *Cache) sumPath(hash string) string {
 	return filepath.Join(c.dir, hash+".sum")
-}
-
-// sha256Hex is the store's one spelling of a content sum.
-func sha256Hex(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }

@@ -56,7 +56,7 @@ func TestCacheCorruptResultQuarantinedNotServed(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, h+".json")); !os.IsNotExist(err) {
 		t.Errorf("corrupt result still on the serving path: %v", err)
 	}
-	qdata, err := os.ReadFile(filepath.Join(dir, QuarantineDir, h+".json"))
+	qdata, err := os.ReadFile(filepath.Join(dir, errfs.QuarantineDir, h+".json"))
 	if err != nil {
 		t.Fatalf("quarantined result missing: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestCacheScrubDetectsAndAdopts(t *testing.T) {
 	var good, bad, legacy string
 	for name, h := range map[string]*string{"good": &good, "bad": &bad, "legacy": &legacy} {
 		spec := []byte(`{"workload":"` + name + `"}`)
-		*h = sha256Hex(spec)
+		*h = errfs.SumHex(spec)
 		if err := c.Put(*h, []byte(`[{"h":"`+(*h)[:8]+`"}]`), spec); err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestCacheScrubDetectsAndAdopts(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Errorf("scrub errors: %+v", rep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, bad+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, bad+".json")); err != nil {
 		t.Errorf("corrupt entry not in quarantine: %v", err)
 	}
 	if sum, err := os.ReadFile(filepath.Join(dir, legacy+".sum")); err != nil || len(sum) != 64 {
@@ -131,7 +131,7 @@ func TestCacheScrubQuarantinesRottenSpecSidecar(t *testing.T) {
 	dir := t.TempDir()
 	c := freshDiskCache(t, dir)
 	spec := []byte(`{"workload":"zipf"}`)
-	h := sha256Hex(spec) // a REAL spec-addressed entry
+	h := errfs.SumHex(spec) // a REAL spec-addressed entry
 	if err := c.Put(h, []byte(`[]`), spec); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestCacheScrubQuarantinesRottenSpecSidecar(t *testing.T) {
 	if rep.Quarantined != 1 {
 		t.Fatalf("tampered spec sidecar not quarantined: %+v", rep)
 	}
-	if _, err := os.Stat(filepath.Join(dir, QuarantineDir, h+".spec.json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, h+".spec.json")); err != nil {
 		t.Errorf("spec sidecar not in quarantine: %v", err)
 	}
 	// The result itself is untouched and keeps serving.

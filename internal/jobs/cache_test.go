@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/errfs"
 )
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -128,7 +130,7 @@ func TestCacheRejectsMalformedHashes(t *testing.T) {
 			t.Errorf("Get(%q) served a malformed hash", h)
 		}
 	}
-	if !ValidHash(hashOf("x")) {
+	if !errfs.ValidHash(hashOf("x")) {
 		t.Error("ValidHash rejects a real hash")
 	}
 }
@@ -328,13 +330,13 @@ func TestCacheDiskGCRacesConcurrentPutGet(t *testing.T) {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if _, ok := cutSuffixHash(name, ".spec.json"); ok {
+		if _, ok := errfs.CutHash(name, ".spec.json"); ok {
 			continue
 		}
-		if _, ok := cutSuffixHash(name, ".json"); ok {
+		if _, ok := errfs.CutHash(name, ".json"); ok {
 			continue
 		}
-		if _, ok := cutSuffixHash(name, ".sum"); ok {
+		if _, ok := errfs.CutHash(name, ".sum"); ok {
 			continue
 		}
 		t.Errorf("stray file %q left in the store after concurrent GC", name)
@@ -353,7 +355,7 @@ func TestCacheDiskGCSkipsQuarantineAndJournal(t *testing.T) {
 	}
 	// A quarantined entry and a journal, both fat enough that counting
 	// them would blow any budget below.
-	qdir := filepath.Join(dir, QuarantineDir)
+	qdir := filepath.Join(dir, errfs.QuarantineDir)
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +376,7 @@ func TestCacheDiskGCSkipsQuarantineAndJournal(t *testing.T) {
 		// rather than quarantines the spec sidecar.
 		spec := []byte(fmt.Sprintf(`{"workload":"zipf","pad":%d}`, i))
 		specLen = len(spec)
-		h := sha256Hex(spec)
+		h := errfs.SumHex(spec)
 		hashes = append(hashes, h)
 		if err := c.Put(h, result, spec); err != nil {
 			t.Fatal(err)

@@ -135,7 +135,7 @@ func decodeLine(line []byte) (Record, bool) {
 	if crc32.Checksum(payload, crcTable) != want {
 		return rec, false
 	}
-	if json.Unmarshal(payload, &rec) != nil || rec.Type == "" || !ValidHash(rec.Hash) {
+	if json.Unmarshal(payload, &rec) != nil || rec.Type == "" || !errfs.ValidHash(rec.Hash) {
 		return rec, false
 	}
 	return rec, true

@@ -20,6 +20,7 @@ import (
 
 	hybridtier "repro"
 	"repro/internal/corpus"
+	"repro/internal/errfs"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 	"repro/internal/tracefile"
@@ -111,7 +112,7 @@ func TestCorpusUploadSubmitE2E(t *testing.T) {
 		t.Fatalf("upload status %d: %v", code, up)
 	}
 	hash, _ := up["hash"].(string)
-	if !corpus.ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		t.Fatalf("upload returned no hash: %v", up)
 	}
 	if spec, _ := up["workload_spec"].(string); spec != "corpus:"+hash {

@@ -32,6 +32,7 @@ import (
 
 	hybridtier "repro"
 	"repro/internal/corpus"
+	"repro/internal/errfs"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
@@ -476,7 +477,7 @@ func etagMatch(header, etag string) bool {
 // straight from the cache.
 func (h *handler) result(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if !jobs.ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		h.error(w, http.StatusBadRequest, "malformed result hash: want 64 lowercase hex digits")
 		return
 	}
@@ -565,7 +566,7 @@ func (h *handler) trace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := r.PathValue("hash")
-	if !corpus.ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		h.error(w, http.StatusBadRequest, "malformed trace hash: want 64 lowercase hex digits")
 		return
 	}
@@ -584,7 +585,7 @@ func (h *handler) traceBytes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	hash := r.PathValue("hash")
-	if !corpus.ValidHash(hash) {
+	if !errfs.ValidHash(hash) {
 		h.error(w, http.StatusBadRequest, "malformed trace hash: want 64 lowercase hex digits")
 		return
 	}

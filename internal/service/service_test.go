@@ -25,6 +25,7 @@ import (
 	"time"
 
 	hybridtier "repro"
+	"repro/internal/errfs"
 	"repro/internal/jobs"
 )
 
@@ -157,7 +158,7 @@ func TestSubmitStreamFetchByteIdentical(t *testing.T) {
 	}
 	id, _ := resp["id"].(string)
 	hash, _ := resp["hash"].(string)
-	if id == "" || !jobs.ValidHash(hash) {
+	if id == "" || !errfs.ValidHash(hash) {
 		t.Fatalf("submit response lacks id/hash: %v", resp)
 	}
 	wantHash, err := spec.Hash()
@@ -365,6 +366,37 @@ func TestSubmitRejectsBadSpecsWithExactMessages(t *testing.T) {
 	}
 	if cr.runs.Load() != 0 {
 		t.Errorf("invalid submissions executed %d runs", cr.runs.Load())
+	}
+}
+
+// TestSubmitRejectsOversizedCrossProduct: a spec spanning more cells than
+// one sweep may run is a 400 naming the count, and nothing is enqueued.
+func TestSubmitRejectsOversizedCrossProduct(t *testing.T) {
+	srv, cr, _ := newTestServer(t, "")
+	spec := testSpec()
+	spec.Ratios, spec.Seeds = nil, nil
+	for i := 1; i <= 300; i++ {
+		spec.Ratios = append(spec.Ratios, i)
+		spec.Seeds = append(spec.Seeds, uint64(i))
+	}
+	code, out := submit(t, srv, spec)
+	want := "hybridtier: spec spans 180000 cells (2 policies × 300 ratios × 300 seeds), more than the 65536 one sweep may run"
+	if code != http.StatusBadRequest || out["error"] != want {
+		t.Fatalf("submit = %d %v, want 400 %q", code, out, want)
+	}
+	resp, err := http.Get(srv.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var listing struct {
+		Jobs []jobs.Info `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
+		t.Fatal(err)
+	}
+	if len(listing.Jobs) != 0 || cr.runs.Load() != 0 {
+		t.Errorf("rejected spec left %d jobs and %d runs", len(listing.Jobs), cr.runs.Load())
 	}
 }
 

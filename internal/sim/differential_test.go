@@ -232,7 +232,7 @@ func (s *shortSource) NextBatch(dst []trace.Access, max int) []trace.Access {
 // TestRunMatchesReference is the differential table: every registered
 // policy, all three tracker kinds, the five workload packages and the
 // synthetic sources (long-ops reaching past the latency histograms'
-// bound), composed and shifting streams, huge pages, the cache model and
+// bound, and under a 5 µs window opening windows they outlast), composed and shifting streams, huge pages, the cache model and
 // every fetch form, with one Scratch recycled through all rows —
 // a row inherits buffers from a different tracker, geometry and policy, and
 // none of it may reach its bytes. Rows on a scanning tracker run ≥ 200k ops
@@ -261,6 +261,7 @@ func TestRunMatchesReference(t *testing.T) {
 		{name: "social-dry-idlepage", workload: "social", policy: "Age-Idle", form: "dry", ops: 300_000},
 		{name: "huge-cache-idlepage", workload: "cdn", policy: "HybridTier@idlepage", huge: true, cache: true, ops: 200_000},
 		{name: "long-ops", workload: "long-ops", policy: "HybridTier", ops: 30_000},
+		{name: "long-ops-5us", workload: "long-ops", policy: "HybridTier", ops: 30_000, window: 5_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := c.check(t, sc)

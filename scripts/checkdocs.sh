@@ -5,7 +5,8 @@
 #      examples/),
 #   2. an internal/* package is missing from docs/ARCHITECTURE.md,
 #   3. a relative markdown link in README.md or docs/*.md points at a file
-#      that does not exist, or
+#      that does not exist, or its #fragment (in-page links included)
+#      names no heading of its target, or
 #   4. examples/ is not gofmt-clean.
 # Run from anywhere; it operates on the repository that contains it.
 set -eu
@@ -50,19 +51,44 @@ for d in internal/*/; do
     fi
 done
 
-# 3. Relative markdown links must resolve. External URLs and in-page
-# anchors are skipped; "#section" suffixes are stripped before the check.
+# 3. Relative markdown links must resolve, and so must their fragments.
+# External URLs are skipped. A fragment must equal the GitHub slug of a
+# heading in the target file (the linking file itself for "#section"): the
+# heading lowercased, every character other than a letter, digit, space,
+# "-" or "_" dropped, and spaces turned into "-". Letters are ASCII here,
+# and headings inside code fences do not count.
+slugs() {
+    LC_ALL=C awk '/^```/ { fence = !fence; next }
+        !fence && /^#+ / {
+            h = tolower($0)
+            sub(/^#+ +/, "", h)
+            gsub(/[^a-z0-9 _-]/, "", h)
+            gsub(/ /, "-", h)
+            print h
+        }' "$1"
+}
 for f in README.md docs/*.md; do
     dir=$(dirname "$f")
     for target in $(grep -oE '\]\([^)]+\)' "$f" | sed 's/^](//; s/)$//'); do
         case "$target" in
-        http://* | https://* | mailto:* | \#*) continue ;;
+        http://* | https://* | mailto:*) continue ;;
         esac
         rel=${target%%#*}
-        if [ ! -e "$dir/$rel" ]; then
+        file=$dir/$rel
+        [ -n "$rel" ] || file=$f
+        if [ ! -e "$file" ]; then
             echo "checkdocs: dead link ($target) in $f" >&2
             fail=1
+            continue
         fi
+        case "$target" in
+        *#*)
+            if ! slugs "$file" | grep -qxF -- "${target#*#}"; then
+                echo "checkdocs: link ($target) in $f names no heading of $file" >&2
+                fail=1
+            fi
+            ;;
+        esac
     done
 done
 

@@ -70,6 +70,11 @@ const (
 	defaultSpecSeed  = 1
 )
 
+// maxSpecCells bounds a spec's policies × ratios × seeds. A job
+// enumerates and canonicalizes every cell of its spec, so an unbounded
+// cross product would let one request exhaust the daemon's memory.
+const maxSpecCells = 65_536
+
 // Canonical validates the spec and returns its canonical form: workload
 // normalized through the composition grammar, defaults made explicit,
 // ignored fields zeroed. Two specs describe the same sweep iff their
@@ -163,6 +168,17 @@ func (s SweepSpec) Canonical() (SweepSpec, error) {
 			return SweepSpec{}, fmt.Errorf("hybridtier: seed %d listed twice", sd)
 		}
 		seenS[sd] = true
+	}
+	// Built stepwise so the product never overflows: each factor is
+	// checked against what the bound leaves for it.
+	cells := len(c.Policies)
+	for _, n := range []int{len(c.Ratios), len(c.Seeds)} {
+		if n > maxSpecCells/cells {
+			return SweepSpec{}, fmt.Errorf("hybridtier: spec spans %.0f cells (%d policies × %d ratios × %d seeds), more than the %d one sweep may run",
+				float64(len(c.Policies))*float64(len(c.Ratios))*float64(len(c.Seeds)),
+				len(c.Policies), len(c.Ratios), len(c.Seeds), maxSpecCells)
+		}
+		cells *= n
 	}
 	if s.Ops < 0 {
 		return SweepSpec{}, fmt.Errorf("hybridtier: spec ops must be non-negative, got %d", s.Ops)

@@ -149,6 +149,40 @@ func TestSpecCanonicalErrors(t *testing.T) {
 	}
 }
 
+// TestSpecCanonicalBoundsCells: a spec may span at most maxSpecCells
+// cells; the bound is inclusive and the error names the product.
+func TestSpecCanonicalBoundsCells(t *testing.T) {
+	grid := func(policies []PolicyName, ratios, seeds int) SweepSpec {
+		s := validSpec()
+		s.Policies, s.Ratios, s.Seeds = policies, nil, nil
+		for i := 1; i <= ratios; i++ {
+			s.Ratios = append(s.Ratios, i)
+		}
+		for i := 1; i <= seeds; i++ {
+			s.Seeds = append(s.Seeds, uint64(i))
+		}
+		return s
+	}
+	c, err := grid([]PolicyName{PolicyLRU}, 256, 256).Canonical()
+	if err != nil {
+		t.Fatalf("1×256×256 spec rejected: %v", err)
+	}
+	if len(c.Ratios) != 256 || len(c.Seeds) != 256 {
+		t.Errorf("canonical spec spans %d ratios × %d seeds, want 256 × 256", len(c.Ratios), len(c.Seeds))
+	}
+	for _, c := range []struct {
+		spec SweepSpec
+		want string
+	}{
+		{grid([]PolicyName{PolicyLRU}, 256, 257), "hybridtier: spec spans 65792 cells (1 policies × 256 ratios × 257 seeds), more than the 65536 one sweep may run"},
+		{grid([]PolicyName{PolicyHybridTier, PolicyLRU}, 300, 300), "hybridtier: spec spans 180000 cells (2 policies × 300 ratios × 300 seeds), more than the 65536 one sweep may run"},
+	} {
+		if _, err := c.spec.Canonical(); err == nil || err.Error() != c.want {
+			t.Errorf("Canonical() error %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestSpecCanonicalJSONIsStable(t *testing.T) {
 	b1, err := validSpec().CanonicalJSON()
 	if err != nil {
