@@ -4,8 +4,7 @@
 // htiersim -replay or the "trace:<path>" workload name. Traces can be
 // large; use -ops to bound them, and a ".gz" -o suffix to compress v1
 // binary output. -format bin2 writes the columnar v2 container instead:
-// seekable (partial replays start mid-trace without decoding the prefix)
-// and packed for the batched hot path, at the cost of gzip framing.
+// packed for the batched hot path, at the cost of gzip framing.
 //
 // Usage:
 //

@@ -152,16 +152,7 @@ func (h *Heat) coolChunk() {
 // retune picks the smallest power-of-two threshold whose hot set fits
 // the fast tier (the same histogram walk Memtis uses, over byte heat).
 func (h *Heat) retune() {
-	budget := int64(h.cfg.FastPages)
-	var cum int64
-	bucket := len(h.hist) - 1
-	for b := len(h.hist) - 1; b >= 1; b-- {
-		cum += h.hist[b]
-		if cum > budget {
-			break
-		}
-		bucket = b
-	}
+	bucket := tier.HotThreshold(h.hist[:], 1, int64(h.cfg.FastPages))
 	t := uint8(1) << (bucket - 1)
 	if t < 2 {
 		t = 2

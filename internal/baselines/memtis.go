@@ -171,16 +171,7 @@ func (m *Memtis) cool() {
 // retune picks the smallest power-of-two threshold whose hot set fits the
 // fast tier, Memtis' histogram-driven threshold (§2.3.1).
 func (m *Memtis) retune() {
-	budget := int64(m.cfg.FastPages)
-	var cum int64
-	bucket := len(m.hist) - 1
-	for b := len(m.hist) - 1; b >= 1; b-- {
-		cum += m.hist[b]
-		if cum > budget {
-			break
-		}
-		bucket = b
-	}
+	bucket := tier.HotThreshold(m.hist[:], 1, int64(m.cfg.FastPages))
 	t := uint16(1) << (bucket - 1)
 	if t < 2 {
 		t = 2

@@ -360,16 +360,7 @@ func (h *HybridTier) coolFrequency() {
 // retuneThreshold picks the smallest frequency threshold whose hot set fits
 // the fast tier (§3.1, "similar to Memtis").
 func (h *HybridTier) retuneThreshold() {
-	budget := int64(h.cfg.FastPages)
-	var cum int64
-	thresh := uint32(len(h.histEst) - 1)
-	for c := len(h.histEst) - 1; c >= int(h.cfg.MinFreqThreshold); c-- {
-		cum += h.histEst[c]
-		if cum > budget {
-			break
-		}
-		thresh = uint32(c)
-	}
+	thresh := uint32(tier.HotThreshold(h.histEst, int(h.cfg.MinFreqThreshold), int64(h.cfg.FastPages)))
 	if thresh < h.cfg.MinFreqThreshold {
 		thresh = h.cfg.MinFreqThreshold
 	}

@@ -161,21 +161,6 @@ func fastPagesFor(footprint, ratio int) int {
 	return f
 }
 
-// runOne builds and executes one simulation through the public facade.
-func runOne(ctx context.Context, s Scale, workload, policy string, ratio int, ops int64, huge, appCache bool, seed uint64) (*sim.Result, error) {
-	e := hybridtier.NewExperiment(
-		hybridtier.WithWorkloadName(workload),
-		hybridtier.WithWorkloadParams(s.Params(seed)),
-		hybridtier.WithPolicy(hybridtier.PolicyName(policy)),
-		hybridtier.WithRatio(ratio),
-		hybridtier.WithOps(ops),
-		hybridtier.WithHugePages(huge),
-		hybridtier.WithCacheModel(appCache),
-		hybridtier.WithSeed(seed),
-	)
-	return e.Run(ctx)
-}
-
 // sweep runs the policies × ratios cross product for one workload
 // concurrently through the facade's worker pool and returns the per-cell
 // results keyed by (policy, ratio). Every cell shares the given seed so

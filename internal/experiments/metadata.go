@@ -76,7 +76,6 @@ func runTab5(_ context.Context, s Scale) (*Table, error) {
 	const threshold = 4
 
 	// Shared access stream: replay the same ops into every filter size.
-	type dec struct{ page mem.PageID }
 	var accesses []mem.PageID
 	var buf []trace.Access
 	for i := int64(0); i < s.Ops/2; i++ {
@@ -85,7 +84,6 @@ func runTab5(_ context.Context, s Scale) (*Table, error) {
 			accesses = append(accesses, a.Page)
 		}
 	}
-	_ = dec{}
 
 	for _, rel := range []struct {
 		label  string

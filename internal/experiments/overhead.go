@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	hybridtier "repro"
 	"repro/internal/cachesim"
 	"repro/internal/sim"
 )
@@ -26,7 +27,12 @@ func cacheRun(ctx context.Context, s Scale, policy string, huge bool) (*sim.Resu
 	if s.Ops < 400_000 {
 		s.Ops = 400_000
 	}
-	return runOne(ctx, s, "cdn", policy, 4, s.Ops, huge, true, 41)
+	grid, err := sweep(ctx, s, "cdn", []string{policy}, []int{4}, s.Ops, 41,
+		hybridtier.WithCacheModel(true), hybridtier.WithHugePages(huge))
+	if err != nil {
+		return nil, err
+	}
+	return grid[policy][4], nil
 }
 
 func missRow(res *sim.Result) (l1Frac, llcFrac float64, l1Abs, llcAbs uint64) {

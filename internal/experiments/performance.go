@@ -116,10 +116,11 @@ func runFig11(ctx context.Context, s Scale) (*Table, error) {
 	perRatio := map[int][]float64{}
 	workloads := append([]string{"cdn", "social"}, fig10Workloads()...)
 	for _, wl := range workloads {
-		base, err := runOne(ctx, s, wl, "AllFast", 4 /*ignored*/, s.Ops, false, false, 33)
+		allFast, err := sweep(ctx, s, wl, []string{"AllFast"}, []int{4} /*ignored*/, s.Ops, 33)
 		if err != nil {
 			return nil, err
 		}
+		base := allFast["AllFast"][4]
 		grid, err := sweep(ctx, s, wl, []string{"HybridTier"}, s.Ratios, s.Ops, 33)
 		if err != nil {
 			return nil, err

@@ -30,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/errfs"
 	"repro/internal/trace"
 )
 
@@ -356,7 +357,7 @@ func (r *WorkloadRegistry) validateNode(n specNode) error {
 			return nil
 		}
 		if hash, ok := strings.CutPrefix(n.name, CorpusScheme); ok {
-			if !isCorpusHash(hash) {
+			if !errfs.ValidHash(hash) {
 				return fmt.Errorf("%q needs a lowercase hex sha256 after the scheme", n.name)
 			}
 			// Shape only: whether the hash is actually in a store is a

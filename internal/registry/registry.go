@@ -27,6 +27,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/errfs"
 	"repro/internal/mem"
 	"repro/internal/tier"
 	"repro/internal/trace"
@@ -231,25 +232,6 @@ const TraceScheme = "trace:"
 // rejects trace paths.
 const CorpusScheme = "corpus:"
 
-// corpusHashLen is the length of a corpus address: lowercase hex SHA-256.
-const corpusHashLen = 64
-
-// isCorpusHash reports whether s is a well-formed corpus trace address.
-// Kept inline (rather than importing internal/corpus) so the registry
-// stays a leaf package.
-func isCorpusHash(s string) bool {
-	if len(s) != corpusHashLen {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // corpusResolver maps a corpus hash to a local trace file path. It is
 // process-global, like the registries themselves: the daemon installs its
 // store's lookup at startup, and every resolution path (experiments,
@@ -271,7 +253,7 @@ func SetCorpusResolver(fn func(hash string) (string, error)) {
 // ResolveCorpus maps a corpus hash to the trace file path backing it,
 // through the installed resolver.
 func ResolveCorpus(hash string) (string, error) {
-	if !isCorpusHash(hash) {
+	if !errfs.ValidHash(hash) {
 		return "", fmt.Errorf("registry: corpus hash %q is not a lowercase hex sha256", hash)
 	}
 	corpusMu.RLock()

@@ -90,9 +90,7 @@ func benchTracePathV2(b *testing.B, ops int) string {
 }
 
 // BenchmarkTraceReplayV2 pits the columnar reader against the v1
-// streaming numbers above: batched decode, the zero-copy packed view,
-// and seek cost (the operation v1 can only emulate by decoding and
-// discarding the prefix).
+// streaming numbers above: batched decode and the zero-copy packed view.
 func BenchmarkTraceReplayV2(b *testing.B) {
 	const ops = 1 << 14
 
@@ -133,45 +131,6 @@ func BenchmarkTraceReplayV2(b *testing.B) {
 		}
 		if r.Err() != nil {
 			b.Fatal(r.Err())
-		}
-	})
-
-	b.Run("seek", func(b *testing.B) {
-		r, err := OpenV2(benchTracePathV2(b, ops))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		total := r.Ops()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Stride through the trace so successive seeks land in
-			// different blocks rather than rewarming one page.
-			if err := r.SeekOp(int64(i*4099) % total); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	// The v1 equivalent of a seek: decode and throw away the prefix.
-	b.Run("seek-v1-discard", func(b *testing.B) {
-		path := benchTracePath(b, ops)
-		var buf []trace.Access
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r, err := Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			target := int64(i*4099) % int64(ops)
-			for k := int64(0); k < target; k++ {
-				if buf = r.NextOp(buf[:0]); len(buf) == 0 {
-					b.Fatal("trace ended early", r.Err())
-				}
-			}
-			r.Close()
 		}
 	})
 }

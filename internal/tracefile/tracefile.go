@@ -15,9 +15,9 @@
 // virtual-time marks, distribution-shift marks, and a terminating end
 // record whose op/access counts detect truncation. Version 2 bodies are
 // blocked and columnar — per-block mark sections followed by fixed-width
-// packed access words, with a block index footer — so a reader can seek to
-// any op offset (ReaderV2.SeekOp) and serve zero-copy packed batch views
-// without materializing the trace. Both versions replay identically.
+// packed access words, with a block index footer — so a reader serves
+// zero-copy packed batch views a block at a time without materializing the
+// trace. Both versions replay identically.
 //
 // Only the two bodies are version-specific. The header codec, the replay
 // state both readers keep (clock, shift marks, wrap-around, latched error),
@@ -40,7 +40,7 @@ import (
 const Magic = "HTRC"
 
 // Version is the original streamed format generation; Version2 (v2.go) is
-// the blocked, seekable generation. Readers must reject versions they do
+// the blocked, columnar generation. Readers must reject versions they do
 // not know: any incompatible change bumps the version byte.
 const Version = 1
 
@@ -193,8 +193,7 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // Replay is the read side of a trace file, any format version: a workload
 // source plus the replay-specific surface (header access, wrap counting,
 // latched errors). Open returns one; version-specific capabilities —
-// ReaderV2's SeekOp and zero-copy packed views — are reached by type
-// assertion.
+// ReaderV2's zero-copy packed views — are reached by type assertion.
 type Replay interface {
 	trace.Source
 	// ShiftTime reports the stream's shift marks (trace.ShiftSource).

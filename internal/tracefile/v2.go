@@ -10,14 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Version 2 is the blocked, seekable trace encoding (docs/TRACE_FORMAT.md
+// Version 2 is the blocked, columnar trace encoding (docs/TRACE_FORMAT.md
 // §Version 2). The header is byte-compatible with v1; the body is a
 // sequence of independently decodable blocks — each a small mark section
 // followed by a column of fixed-width packed access words — and the file
-// ends with a block index footer plus a fixed-size trailer, so a reader
-// can locate any op by file offset without streaming the whole body.
-// Version-2 bodies are never gzip-framed: compression would destroy the
-// random access the format exists to provide.
+// ends with a block index footer plus a fixed-size trailer, which locates
+// every block and proves the file complete. Version-2 bodies are never
+// gzip-framed: the reader needs random access to find the footer.
 const Version2 = 2
 
 // v2TrailerMagic ends every complete v2 file, after the footer-length
@@ -99,8 +98,8 @@ func NewWriterV2(w io.Writer, meta Meta) (*WriterV2, error) {
 }
 
 // CreateV2 opens path and starts a version-2 trace in it; Close then also
-// closes the file. A ".gz" suffix is rejected: v2 bodies are seekable by
-// construction and never gzip-framed.
+// closes the file. A ".gz" suffix is rejected: v2 bodies are read by
+// random access (the footer comes first) and never gzip-framed.
 func CreateV2(path string, meta Meta) (*WriterV2, error) {
 	if strings.HasSuffix(path, ".gz") {
 		return nil, fmt.Errorf("tracefile: v2 traces are seekable and never gzip-framed; drop the .gz suffix from %q", path)

@@ -163,74 +163,6 @@ func TestConvertPreservesReplay(t *testing.T) {
 	}
 }
 
-// TestV2SeekOp: seeking to op k must leave the reader in exactly the state
-// a reader that consumed ops 0..k-1 one at a time is in — remaining
-// stream, replay clock, and shift state all equal.
-func TestV2SeekOp(t *testing.T) {
-	dir := t.TempDir()
-	v1 := markedV1Trace(t, dir)
-	v2 := filepath.Join(dir, "seek.htrc")
-	if err := Convert(v1, v2, Version2); err != nil {
-		t.Fatal(err)
-	}
-	info, err := Stat(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int64{0, 1, 39, 40, 41, info.Ops - 1, info.Ops} {
-		slow, err := OpenV2(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow.wrap = false
-		for i := int64(0); i < k; i++ {
-			if op := slow.NextOp(nil); len(op) == 0 {
-				t.Fatalf("k=%d: slow path exhausted at %d", k, i)
-			}
-		}
-		fast, err := OpenV2(v2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fast.wrap = false
-		if err := fast.SeekOp(k); err != nil {
-			t.Fatalf("SeekOp(%d): %v", k, err)
-		}
-		for i := k; ; i++ {
-			opS := slow.NextOp(nil)
-			opF := fast.NextOp(nil)
-			if !reflect.DeepEqual(opS, opF) {
-				t.Fatalf("k=%d: op %d differs", k, i)
-			}
-			if slow.ShiftTime() != fast.ShiftTime() || slow.lastTime != fast.lastTime ||
-				slow.sawTime != fast.sawTime || slow.shifts != fast.shifts {
-				t.Fatalf("k=%d: op %d replay state diverged: shift %d/%d clock %d/%d",
-					k, i, slow.ShiftTime(), fast.ShiftTime(), slow.lastTime, fast.lastTime)
-			}
-			if len(opS) == 0 {
-				break
-			}
-		}
-		if slow.Err() != nil || fast.Err() != nil {
-			t.Fatalf("k=%d: errors %v / %v", k, slow.Err(), fast.Err())
-		}
-		slow.Close()
-		fast.Close()
-	}
-
-	r, err := OpenV2(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if err := r.SeekOp(info.Ops + 1); err == nil {
-		t.Fatal("SeekOp past the end succeeded")
-	}
-	if err := r.SeekOp(-1); err == nil {
-		t.Fatal("SeekOp(-1) succeeded")
-	}
-}
-
 // TestV2TruncationAndCorruption: the failure surface the format promises —
 // missing trailers read as truncated, damaged bytes as corrupt, and
 // nothing panics.
@@ -308,7 +240,8 @@ func TestV2TruncationAndCorruption(t *testing.T) {
 	}
 }
 
-// TestV2RejectsGzipPath: v2 files are seekable and never gzip-framed.
+// TestV2RejectsGzipPath: v2 files are never gzip-framed; the reader needs
+// random access to find the footer.
 func TestV2RejectsGzipPath(t *testing.T) {
 	if _, err := CreateV2(filepath.Join(t.TempDir(), "t.htrc.gz"), Meta{Name: "g", NumPages: 4}); err == nil {
 		t.Fatal("CreateV2 accepted a .gz path")

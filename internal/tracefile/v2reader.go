@@ -9,11 +9,11 @@ import (
 )
 
 // ReaderV2 replays a version-2 trace as a trace.Source. Decoding is
-// block-at-a-time: the footer's block index maps any global op number to a
-// file offset, so the reader loads one block's packed words into memory,
-// serves ops (or zero-copy packed views of whole op runs) out of it, and
-// seeks to the next block — the whole trace is never materialized. SeekOp
-// repositions the replay at any recorded op without streaming the body.
+// block-at-a-time: the footer's block index locates each block in the
+// file, so the reader loads one block's packed words into memory, serves
+// zero-copy packed views of whole op runs out of it, and moves on to the
+// next block — the whole trace is never materialized. NextOp and NextBatch
+// are decodes of NextPackedView, so there is one fetch path.
 //
 // Replay semantics match Reader exactly: the source is infinite (the
 // stream wraps around at the recorded end), AdvanceTime only consumes
@@ -23,7 +23,7 @@ type ReaderV2 struct {
 	replayState
 
 	index       []v2Block
-	firstOps    []int64 // prefix op sums per block, plus the total sentinel
+	ops         int64 // recorded op total, summed from the index
 	footerStart int64
 
 	// Loaded block state.
@@ -95,7 +95,6 @@ func (r *ReaderV2) parseFooter(size int64) error {
 		return fmt.Errorf("%w: bad block count in footer", ErrCorrupt)
 	}
 	index := make([]v2Block, 0, nBlocks)
-	firstOps := make([]int64, 1, nBlocks+1)
 	prevOff, ops := int64(0), int64(0)
 	for i := uint64(0); i < nBlocks; i++ {
 		d, err := binary.ReadUvarint(fr)
@@ -119,20 +118,19 @@ func (r *ReaderV2) parseFooter(size int64) error {
 		}
 		index = append(index, v2Block{off: off, ops: int64(bo), accesses: int64(ba)})
 		ops += int64(bo)
-		firstOps = append(firstOps, ops)
 		prevOff = off
 	}
 	if fr.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes in footer", ErrCorrupt, fr.Len())
 	}
 	r.index = index
-	r.firstOps = firstOps
+	r.ops = ops
 	r.footerStart = ftrStart
 	return nil
 }
 
 // Ops returns the recorded op count, from the footer — no body scan.
-func (r *ReaderV2) Ops() int64 { return r.firstOps[len(r.firstOps)-1] }
+func (r *ReaderV2) Ops() int64 { return r.ops }
 
 // blockEnd returns the file offset one past block i's last byte.
 func (r *ReaderV2) blockEnd(i int) int64 {
@@ -266,16 +264,11 @@ func (r *ReaderV2) loadBlock(i int) bool {
 // adaptation exactly like the live run reported it.
 func (r *ReaderV2) applyMarks(upTo int64) {
 	for ; r.markIdx < len(r.marks) && r.marks[r.markIdx].pos <= upTo; r.markIdx++ {
-		r.applyMark(r.marks[r.markIdx])
-	}
-}
-
-// applyMark applies one mark.
-func (r *ReaderV2) applyMark(m v2Mark) {
-	if m.kind == v2MarkTime {
-		r.markTime(m.ns)
-	} else {
-		r.markShift(m.ns)
+		if m := r.marks[r.markIdx]; m.kind == v2MarkTime {
+			r.markTime(m.ns)
+		} else {
+			r.markShift(m.ns)
+		}
 	}
 }
 
@@ -310,23 +303,6 @@ func (r *ReaderV2) ensureOp() bool {
 	}
 }
 
-// NextOp implements trace.Source: marks due before the op are applied, the
-// op's accesses are decoded, and a decode failure latches Err and returns
-// dst unchanged.
-func (r *ReaderV2) NextOp(dst []trace.Access) []trace.Access {
-	if !r.ensureOp() {
-		return dst
-	}
-	lo, hi := r.opStarts[r.opInBlk], r.opStarts[r.opInBlk+1]
-	for _, v := range r.words[lo:hi] {
-		dst = append(dst, trace.UnpackAccess(v))
-	}
-	// Single-op fetches leave EndOp false, per the Source contract.
-	dst[len(dst)-1].EndOp = false
-	r.opInBlk++
-	return dst
-}
-
 // AdvanceTime implements trace.Source: replay ignores the clock, but marks
 // due at the current position (including marks trailing the final op) are
 // consumed here, at the same point the live run reported them.
@@ -342,20 +318,32 @@ func (r *ReaderV2) AdvanceTime(int64) {
 	r.applyMarks(r.opInBlk)
 }
 
-// NextBatch implements trace.BatchSource: up to max whole ops per call,
-// each op's final access carrying EndOp (the packed words store the bit).
-// Marks interleaved with the batch are applied as the batch crosses them,
-// exactly like the v1 reader's decode loop.
+// NextOp implements trace.Source as a one-op NextBatch. The packed words
+// carry EndOp bits, but the Source contract says single-op fetches leave
+// EndOp false, so the final access's flag is cleared. A decode failure
+// latches Err and returns dst unchanged.
+func (r *ReaderV2) NextOp(dst []trace.Access) []trace.Access {
+	n := len(dst)
+	if dst = r.NextBatch(dst, 1); len(dst) > n {
+		dst[len(dst)-1].EndOp = false
+	}
+	return dst
+}
+
+// NextBatch implements trace.BatchSource as bulk decodes of packed views:
+// up to max whole ops, each op's final access carrying EndOp. It keeps
+// fetching across block boundaries until max ops or an empty view, so a
+// short batch means the replay has ended or failed.
 func (r *ReaderV2) NextBatch(dst []trace.Access, max int) []trace.Access {
-	for n := 0; n < max; n++ {
-		if !r.ensureOp() {
+	for max > 0 {
+		view := r.NextPackedView(max)
+		if len(view) == 0 {
 			break
 		}
-		lo, hi := r.opStarts[r.opInBlk], r.opStarts[r.opInBlk+1]
-		for _, v := range r.words[lo:hi] {
+		for _, v := range view {
 			dst = append(dst, trace.UnpackAccess(v))
+			max -= int(v >> 1 & 1)
 		}
-		r.opInBlk++
 	}
 	return dst
 }
@@ -363,8 +351,8 @@ func (r *ReaderV2) NextBatch(dst []trace.Access, max int) []trace.Access {
 // NextPackedView implements trace.PackedViewSource: up to max whole ops
 // returned as a read-only view of the loaded block's packed words — no
 // copy, no decode. A view never spans a block boundary (so it may hold
-// fewer than max ops), and an empty view means the replay has failed and
-// latched Err.
+// fewer than max ops), and an empty view means a one-pass scan has ended
+// or the replay has failed and latched Err.
 func (r *ReaderV2) NextPackedView(max int) []uint32 {
 	if max <= 0 || !r.ensureOp() {
 		return nil
@@ -379,95 +367,4 @@ func (r *ReaderV2) NextPackedView(max int) []uint32 {
 	lo, hi := r.opStarts[r.opInBlk], r.opStarts[r.opInBlk+take]
 	r.opInBlk += take
 	return r.words[lo:hi]
-}
-
-// SeekOp repositions the replay at global op n (0 ≤ n ≤ recorded ops)
-// without streaming the body: the block index locates n's block directly,
-// and only the mark sections of earlier blocks are read — never their
-// packed words — so the replay clock and shift state match a reader that
-// discarded n ops the slow way. Seeking resets wrap-around state; n equal
-// to the recorded op count positions the replay at the end (the next fetch
-// wraps).
-func (r *ReaderV2) SeekOp(n int64) error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.f == nil {
-		return fmt.Errorf("tracefile: SeekOp on a closed reader")
-	}
-	total := r.Ops()
-	if n < 0 || n > total {
-		return fmt.Errorf("tracefile: SeekOp(%d) outside [0,%d]", n, total)
-	}
-	r.lastTime, r.sawTime = 0, false
-	r.shiftAt, r.shifts = -1, 0
-	r.loops = 0
-	r.done = false
-	// Find the block holding op n (the last block when n == total, so
-	// trailing marks stay pending for the next fetch to apply).
-	b := 0
-	for b+1 < len(r.index) && r.firstOps[b+1] <= n {
-		b++
-	}
-	if len(r.index) == 0 {
-		r.blk = -1
-		return nil
-	}
-	// Marks in earlier blocks all precede op n; apply them in order from
-	// each block's mark section alone.
-	for i := 0; i < b; i++ {
-		marks, ok := r.readBlockMarks(i)
-		if !ok {
-			return r.err
-		}
-		for _, m := range marks {
-			r.applyMark(m)
-		}
-	}
-	if !r.loadBlock(b) {
-		return r.err
-	}
-	inBlk := n - r.firstOps[b]
-	// Marks strictly before op n apply now; marks at position n itself are
-	// pending, applied when op n is fetched — the same state a reader that
-	// consumed ops 0..n-1 one at a time would be in.
-	r.applyMarks(inBlk - 1)
-	r.opInBlk = inBlk
-	return nil
-}
-
-// readBlockMarks decodes block i's mark section without reading its packed
-// words: it reads a small prefix of the block and grows it only if the
-// mark section is unusually large, so a seek across many blocks stays
-// cheap. Failures latch on Err and report false.
-func (r *ReaderV2) readBlockMarks(i int) ([]v2Mark, bool) {
-	ent := r.index[i]
-	length := r.blockEnd(i) - ent.off
-	prefix := int64(4096)
-	for {
-		if prefix > length {
-			prefix = length
-		}
-		if int64(cap(r.buf)) < prefix {
-			r.buf = make([]byte, prefix)
-		}
-		buf := r.buf[:prefix]
-		if _, err := r.f.ReadAt(buf, ent.off); err != nil {
-			r.fail(fmt.Errorf("%w: reading block %d: %v", ErrCorrupt, i, err))
-			return nil, false
-		}
-		wordsAt, marks := r.parseBlockHeader(i, buf)
-		if wordsAt >= 0 {
-			return marks, true
-		}
-		if prefix == length {
-			// The whole block is in memory and still fails: truly corrupt.
-			return nil, false
-		}
-		// The mark section may extend past the prefix; the parse failure
-		// latched an error that retrying with more bytes may clear.
-		r.err = nil
-		r.done = false
-		prefix *= 8
-	}
 }

@@ -1,11 +1,8 @@
 package hybridtier_test
 
 // The v2 container's contract with the simulator: replaying a capture
-// through the columnar format — in full, or partially via seek — drives
-// the simulation to byte-identical results. Full replay is compared to
-// the v1 replay of the same capture; partial replay compares a
-// seek-to-op-k v2 reader against a v1 reader that discarded k ops the
-// slow way.
+// through the columnar format drives the simulation to byte-identical
+// results, compared with the v1 replay of the same capture.
 
 import (
 	"path/filepath"
@@ -40,48 +37,5 @@ func TestV2ReplayByteIdentical(t *testing.T) {
 	replayV2 := sweepJSON(t, traceSweep(hybridtier.WithTraceFile(v2)))
 	if string(replayV2) != string(live) {
 		t.Fatal("v2 replay differs from the live run")
-	}
-}
-
-// TestV2PartialReplayMatchesV1Discard: seeking a v2 trace to op k and
-// simulating the suffix is byte-identical to a v1 reader that reached op
-// k by decoding and discarding the prefix — the seek is a real replay
-// position, clock and shift state included.
-func TestV2PartialReplayMatchesV1Discard(t *testing.T) {
-	v1, v2, _ := captureV1V2(t, t.TempDir())
-	info, err := tracefile.Stat(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int64{1, info.Ops / 3, info.Ops - 1} {
-		suffix := info.Ops - k
-		slow := traceSweep(hybridtier.WithWorkloadFunc(func(seed uint64) (hybridtier.Workload, error) {
-			r, err := tracefile.Open(v1)
-			if err != nil {
-				return nil, err
-			}
-			for i := int64(0); i < k; i++ {
-				if op := r.NextOp(nil); len(op) == 0 {
-					r.Close()
-					return nil, r.Err()
-				}
-			}
-			return r, nil
-		}), hybridtier.WithOps(suffix))
-		fast := traceSweep(hybridtier.WithWorkloadFunc(func(seed uint64) (hybridtier.Workload, error) {
-			r, err := tracefile.OpenV2(v2)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.SeekOp(k); err != nil {
-				r.Close()
-				return nil, err
-			}
-			return r, nil
-		}), hybridtier.WithOps(suffix))
-		a, b := sweepJSON(t, slow), sweepJSON(t, fast)
-		if string(a) != string(b) {
-			t.Fatalf("k=%d: seeked v2 partial replay differs from v1 discard replay", k)
-		}
 	}
 }
