@@ -265,16 +265,17 @@ func parentHitRecords(hash string, spec []byte) []Record {
 	return []Record{{Type: recSubmit, Hash: hash, Spec: spec}, {Type: recDone, Hash: hash}}
 }
 
-// waitRecords polls until the journal holds n records: a job's terminal
-// record lands just after its terminal event.
-func waitRecords(t *testing.T, path string, n int) []Record {
+// waitTerminalRecord polls the journal at path until it holds hash's
+// terminal record of type typ, and returns the journal's records then.
+func waitTerminalRecord(t *testing.T, path, hash, typ string) []Record {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		if recs := readRecords(t, path); len(recs) >= n {
+		recs := readRecords(t, path)
+		if slices.ContainsFunc(recs, func(r Record) bool { return r.Hash == hash && r.Type == typ }) {
 			return recs
 		}
 	}
-	t.Fatalf("journal never reached %d records", n)
+	t.Fatalf("journal never got %s's %s record", hash, typ)
 	return nil
 }
 
@@ -299,7 +300,7 @@ func TestManagerRestartCacheHitJournal(t *testing.T) {
 			return []byte(`[]`), nil
 		}})
 	var ref []Record // the journal the two-record hit rule would have written
-	cold := func(hash string, spec []byte, want State) {
+	cold := func(hash string, spec []byte, want State, terminal string) {
 		t.Helper()
 		j, _, err := m.Submit(hash, spec)
 		if err != nil {
@@ -308,7 +309,9 @@ func TestManagerRestartCacheHitJournal(t *testing.T) {
 		if state := awaitTerminal(t, j); state != want {
 			t.Fatalf("cold job ended %s, want %s", state, want)
 		}
-		recs := waitRecords(t, path, len(ref)+3) // cold records are never skipped
+		// The job's state turns terminal before its record is journaled:
+		// wait for that record, or it may land during the next subtest.
+		recs := waitTerminalRecord(t, path, hash, terminal) // cold records are never skipped
 		ref = append(ref, recs[len(ref):]...)
 	}
 	hit := func(hash string, spec []byte) {
@@ -320,8 +323,8 @@ func TestManagerRestartCacheHitJournal(t *testing.T) {
 		ref = append(ref, parentHitRecords(hash, spec)...)
 	}
 	hDone, hFail, hNew := journalHash("done"), journalHash("fail"), journalHash("new")
-	cold(hDone, []byte(`"done"`), Done)
-	cold(hFail, []byte(`"fail"`), Failed)
+	cold(hDone, []byte(`"done"`), Done, recDone)
+	cold(hFail, []byte(`"fail"`), Failed, recFailed)
 
 	t.Run("hits on a done hash write nothing", func(t *testing.T) {
 		before, err := os.ReadFile(path)

@@ -1,6 +1,11 @@
 package trace
 
-import "repro/internal/mem"
+import (
+	"errors"
+	"sync"
+
+	"repro/internal/mem"
+)
 
 // BatchSource is the bulk form of Source: one call produces up to max whole
 // operations instead of one, amortizing the per-op interface dispatch the
@@ -58,151 +63,353 @@ type ClockFree interface {
 // AdvanceTime of the run replaying it and ends its fetch right before the
 // next mark, the schedule live generators keep (BatchSource), so the shift
 // time a replaying cell reports is the one live generation would.
+//
+// A stream may still be packing while it is read (StartReplaySource): it
+// grows in chunks of whole ops that never move once published, a view never
+// spans two chunks, and a fork that catches up with the packer waits for
+// the next chunk. A fork of a stream whose packing stopped short returns
+// empty views at the point it stopped, and Err says why.
 type ReplaySource struct {
+	s *packedStream
+	// The fork's copy of what the packer had published when the fork last
+	// looked; a fork of a complete stream never looks again.
+	chunks  []packedChunk
+	marks   []int32 // op index of each shift, ascending
+	ops     int     // ops in chunks
+	whole   bool    // chunks hold the whole stream
+	cur     packedChunk
+	end     int   // cur.end(): where the next view must start a chunk
+	ci      int   // index of the chunk after cur
+	pos     int   // current op index
+	next    int   // first mark not yet fired
+	now     int64 // last AdvanceTime
+	shiftAt int64 // stamp of the last mark fired, -1 before any
+}
+
+// packedStream is the state every fork of one stream shares: what the
+// packer has published so far, under mu.
+type packedStream struct {
 	name     string
 	numPages int
-	packed   []uint32 // bit0 write, bit1 end-of-op, bits 2+ page id
-	opStarts []int32  // packed index of each op's first access, plus end sentinel
-	marks    []int32  // op index of each shift, ascending
-	pos      int      // current op index
-	next     int      // first mark not yet fired
-	now      int64    // last AdvanceTime
-	shiftAt  int64    // stamp of the last mark fired, -1 before any
+	shifty   bool // the packed source is a ShiftSource
+	done     chan struct{}
+
+	mu       sync.Mutex
+	grew     sync.Cond // signaled on every publish and at the end
+	chunks   []packedChunk
+	marks    []int32
+	ops      int
+	accesses int
+	whole    bool
+	err      error
 }
+
+// packedChunk is a run of whole ops, packed.
+type packedChunk struct {
+	words  []uint32 // bit0 write, bit1 end-of-op, bits 2+ page id
+	starts []int32  // index in words of each op's first access, then len(words)
+	first  int      // stream index of the chunk's first op
+}
+
+// end is the stream index one past the chunk's last op.
+func (c *packedChunk) end() int { return c.first + len(c.starts) - 1 }
 
 // packedPageLimit is the largest page id the packed encoding carries;
 // larger page spaces fall back to live generation.
 const packedPageLimit = 1 << 30
 
+// chunkWords is the packed words a chunk holds, unless one op needs more:
+// 256 KB, so a 1M-op stream packs into 16 (one access per op) to some 40
+// (cdn) chunks and its forks start replaying within a few percent of its
+// packing time.
+const chunkWords = 1 << 16
+
+// ErrStreamTooLong is the Err of a stream that outgrew its maxAccesses.
+var ErrStreamTooLong = errors.New("trace: stream exceeds its access bound")
+
+// Reasons a stream does not pack, as its Err reports them.
+var (
+	errStreamDry      = errors.New("trace: source stopped before the stream's last op")
+	errStreamPages    = errors.New("trace: page id beyond the packed encoding")
+	errStreamRecorded = errors.New("trace: shift not stamped with the packing clock")
+)
+
 // NewReplaySource builds the shared immutable stream for a ReplaySource by
-// drawing ops whole operations from src (which should be clock-free). While
-// packing, the op index is src's clock: the BatchSource contract makes a
-// shifting op the first of its batch, so a ShiftTime that changed across a
-// batch is that op's index — for composites with several shifting children
-// and one-op adapters alike. The returned prototype is positioned at the
-// start; Fork cheap-copies it for concurrent consumers. It returns nil if
-// src stops producing early, a page id exceeds the packed encoding, a shift
-// is not stamped with the clock, or the stream would exceed maxAccesses —
-// callers then fall back to live generation.
+// drawing ops whole operations from src (which should be clock-free): it
+// starts packing (StartReplaySource) and waits until the stream is
+// complete. It returns nil when the stream does not pack — src stops
+// producing early, a page id exceeds the packed encoding, a shift is not
+// stamped with the packing clock, or the stream would exceed maxAccesses —
+// and callers then fall back to live generation.
 //
 // Arguments after maxAccesses are ignored; they are accepted only so that
 // callers passing a nil there keep compiling.
 func NewReplaySource(src Source, ops int64, maxAccesses int, _ ...*ReplaySource) *ReplaySource {
-	bs := AsBatchSource(src)
-	ss, _ := src.(ShiftSource)
-	packed := make([]uint32, 0, min(int64(maxAccesses), ops*4))
-	opStarts := make([]int32, 0, ops+1)
-	var marks []int32
-	// opStarts[i] is op i's first access; the op ends where the next one
-	// starts, so recording each op's end index after the leading 0 yields
-	// starts and the final sentinel in one pass.
-	opStarts = append(opStarts, 0)
-	var chunk []Access // generation staging, stays cache-hot
-	var generated int64
-	shiftAt := int64(-1)
-	sized := false
-	for generated < ops {
-		want := int64(4096)
-		if rem := ops - generated; rem < want {
-			want = rem
-		}
-		first := generated
-		bs.AdvanceTime(first)
-		chunk = bs.NextBatch(chunk[:0], int(want))
-		if ss != nil && ss.ShiftTime() != shiftAt {
-			if shiftAt = ss.ShiftTime(); shiftAt != first {
-				return nil // not a stamp of our clock: a recorded time
-			}
-			marks = append(marks, int32(first))
-		}
-		if len(chunk) == 0 || len(packed)+len(chunk) > maxAccesses ||
-			len(packed)+len(chunk) > (1<<31-2) {
-			return nil
-		}
-		// Bulk-extend, then index: the pack loop runs without per-element
-		// append bookkeeping.
-		base := len(packed)
-		if cap(packed)-base < len(chunk) {
-			grown := make([]uint32, base, (base+len(chunk))*2)
-			copy(grown, packed)
-			packed = grown
-		}
-		packed = packed[:base+len(chunk)]
-		out := packed[base:]
-		for j, a := range chunk {
-			if a.Page >= packedPageLimit {
-				return nil
-			}
-			v := uint32(a.Page) << 2
-			if a.Write {
-				v |= 1
-			}
-			if a.EndOp {
-				v |= 2
-				generated++
-				opStarts = append(opStarts, int32(base+j+1))
-			}
-			out[j] = v
-		}
-		// Size the stream once from the first batch's measured access
-		// density instead of paying repeated append-growth copies of a
-		// multi-MB slice; at most the small first batch is re-copied.
-		if !sized && generated > 0 {
-			sized = true
-			if generated < ops {
-				projected := int(float64(len(packed)) / float64(generated) * float64(ops) * 1.07)
-				if projected > maxAccesses {
-					projected = maxAccesses
-				}
-				if cap(packed) < projected {
-					grown := make([]uint32, len(packed), projected)
-					copy(grown, packed)
-					packed = grown
-				}
-			}
-		}
+	r := StartReplaySource(src, ops, maxAccesses)
+	if <-r.Done(); r.Err() != nil {
+		return nil
 	}
-	return &ReplaySource{
+	return r
+}
+
+// StartReplaySource starts packing ops whole operations from src in a
+// goroutine of its own and returns the stream's prototype at once,
+// positioned at the start; Fork cheap-copies it for concurrent consumers,
+// which may read the stream while it packs. src belongs to the packer until
+// Done. While packing, the op index is src's clock: the BatchSource
+// contract makes a shifting op the first of its batch, so a ShiftTime that
+// changed across a batch is that op's index — for composites with several
+// shifting children and one-op adapters alike.
+func StartReplaySource(src Source, ops int64, maxAccesses int) *ReplaySource {
+	return startReplay(src, ops, maxAccesses, chunkWords)
+}
+
+// startReplay is StartReplaySource with chunks of chunk words.
+func startReplay(src Source, ops int64, maxAccesses, chunk int) *ReplaySource {
+	_, shifty := src.(ShiftSource)
+	s := &packedStream{
 		name:     src.Name(),
 		numPages: src.NumPages(),
-		packed:   packed,
-		opStarts: opStarts,
-		marks:    marks,
-		shiftAt:  -1,
+		shifty:   shifty,
+		done:     make(chan struct{}),
+	}
+	s.grew.L = &s.mu
+	go s.pack(src, ops, maxAccesses, chunk)
+	return &ReplaySource{s: s, shiftAt: -1}
+}
+
+// pack is the one pack loop. A batch passes the source, shift and bound
+// checks before any of it is packed, each access the page check as it is
+// packed, and a chunk is published only once it is full, so every op forks
+// see has passed them all. Nothing is published before the first
+// batch has measured the stream's density, and nothing before the stream is
+// complete when that projects it past maxAccesses: forks wait rather than
+// replay a stream that is likely to be abandoned.
+func (s *packedStream) pack(src Source, ops int64, maxAccesses, chunk int) {
+	bs := AsBatchSource(src)
+	ss, _ := src.(ShiftSource)
+	var (
+		staging   []Access // generation staging, stays cache-hot
+		held      []packedChunk
+		marks     []int32
+		generated int
+		accesses  int // packed before this batch
+		shiftAt   = int64(-1)
+		hold      = true // until the first batch has measured the density
+		projected = int(min(int64(maxAccesses), ops*4))
+		perOp     = 1.0 // accesses per op; measured by the first batch
+	)
+	cur := newChunk(0, projected, chunk, perOp)
+	for int64(generated) < ops {
+		bs.AdvanceTime(int64(generated))
+		staging = bs.NextBatch(staging[:0], int(min(4096, ops-int64(generated))))
+		if ss != nil && ss.ShiftTime() != shiftAt {
+			if shiftAt = ss.ShiftTime(); shiftAt != int64(generated) {
+				s.fail(errStreamRecorded) // not a stamp of our clock: a recorded time
+				return
+			}
+			marks = append(marks, int32(generated))
+		}
+		switch {
+		case len(staging) == 0:
+			s.fail(errStreamDry)
+			return
+		case accesses+len(staging) > maxAccesses:
+			s.fail(ErrStreamTooLong)
+			return
+		}
+		for rest := staging; len(rest) > 0; {
+			n := fitOps(rest, cap(cur.words)-len(cur.words))
+			switch {
+			case n == 0 && len(cur.words) > 0:
+				// The next op does not fit: the chunk is full.
+				if held = append(held, cur); !hold {
+					s.publish(held, marks, false)
+					held = held[:0]
+				}
+				cur = newChunk(cur.end(), projected-accesses-(len(staging)-len(rest)), chunk, perOp)
+				continue
+			case n == 0:
+				// An op longer than a whole chunk gets a chunk of its size.
+				n = opLen(rest)
+				cur.words = make([]uint32, 0, n)
+			}
+			if !cur.pack(rest[:n]) {
+				s.fail(errStreamPages)
+				return
+			}
+			rest = rest[n:]
+		}
+		if accesses == 0 {
+			// Size the chunks from the first batch's measured access
+			// density, and hold back a stream that will not fit.
+			perOp = float64(len(staging)) / float64(cur.end())
+			projected = int(perOp * float64(ops) * 1.07)
+			if hold = projected > maxAccesses*107/100; !hold && len(held) > 0 {
+				s.publish(held, marks, false)
+				held = held[:0]
+			}
+		}
+		generated = cur.end()
+		accesses += len(staging)
+	}
+	if len(cur.starts) > 1 {
+		held = append(held, cur)
+	}
+	s.publish(held, marks, true)
+}
+
+// newChunk returns an empty chunk for about want more accesses, and at most
+// chunk, starting at op first, with room for the op starts of perOp
+// accesses per op.
+func newChunk(first, want, chunk int, perOp float64) packedChunk {
+	size := max(chunk/64, min(want, chunk))
+	starts := make([]int32, 1, int(float64(size)/perOp)+2)
+	return packedChunk{words: make([]uint32, 0, size), starts: starts, first: first}
+}
+
+// fitOps returns the length of the longest leading run of whole operations
+// in ops that holds at most room accesses.
+func fitOps(ops []Access, room int) int {
+	if len(ops) <= room {
+		return len(ops)
+	}
+	for room > 0 && !ops[room-1].EndOp {
+		room--
+	}
+	return room
+}
+
+// opLen returns the length of the first operation in ops.
+func opLen(ops []Access) int {
+	for i, a := range ops {
+		if a.EndOp {
+			return i + 1
+		}
+	}
+	return len(ops)
+}
+
+// pack appends run, whole operations, to the chunk; it reports false, with
+// the chunk in an unspecified state, for a page the encoding cannot carry.
+func (c *packedChunk) pack(run []Access) bool {
+	// Bulk-extend, then index, on locals: the pack loop runs without
+	// per-element append bookkeeping on the words.
+	base := len(c.words)
+	words, starts := c.words[:base+len(run)], c.starts
+	out := words[base:]
+	for j, a := range run {
+		if a.Page >= packedPageLimit {
+			return false
+		}
+		v := uint32(a.Page) << 2
+		if a.Write {
+			v |= 1
+		}
+		if a.EndOp {
+			v |= 2
+			starts = append(starts, int32(base+j+1))
+		}
+		out[j] = v
+	}
+	c.words, c.starts = words, starts
+	return true
+}
+
+// publish hands full chunks and the marks found so far to the forks; with
+// whole, they complete the stream.
+func (s *packedStream) publish(chunks []packedChunk, marks []int32, whole bool) {
+	s.mu.Lock()
+	for _, c := range chunks {
+		s.chunks = append(s.chunks, c)
+		s.ops = c.end()
+		s.accesses += len(c.words)
+	}
+	s.marks = marks
+	s.whole = whole
+	s.mu.Unlock()
+	s.grew.Broadcast()
+	if whole {
+		close(s.done)
 	}
 }
 
-// Fork returns an independent cursor over the same shared stream. It is a
-// ShiftSource exactly when the stream carries marks — interface presence is
-// what AsBatchSource, the trace recorder and the simulator key on (compose.go
-// follows the same rule) — so a mark-free replay looks like a plain source.
+// fail ends packing short: forks read what was published, then nothing.
+func (s *packedStream) fail(err error) {
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
+	s.grew.Broadcast()
+	close(s.done)
+}
+
+// Done returns a channel that is closed once packing has ended, complete or
+// not.
+func (r *ReplaySource) Done() <-chan struct{} { return r.s.done }
+
+// Err reports why packing stopped short of the whole stream
+// (ErrStreamTooLong, for one); it is nil while the stream packs and once it
+// is complete. A run whose workload reports an Err fails, so a simulation
+// over an abandoned stream never passes for a result.
+func (r *ReplaySource) Err() error {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	return r.s.err
+}
+
+// look copies what the packer has published into the fork's view of the
+// stream — with wait, once that is more than the fork has or packing ended.
+func (r *ReplaySource) look(wait bool) {
+	s := r.s
+	s.mu.Lock()
+	for wait && s.ops == r.ops && !s.whole && s.err == nil {
+		s.grew.Wait()
+	}
+	r.chunks, r.marks, r.ops, r.whole = s.chunks, s.marks, s.ops, s.whole
+	s.mu.Unlock()
+}
+
+// Fork returns an independent cursor over the same shared stream, which
+// may still be packing. It is a ShiftSource exactly when the packed source
+// is one — interface presence is what AsBatchSource, the trace recorder and
+// the simulator key on (compose.go follows the same rule), and it must not
+// depend on how far packing has got — and reports -1 until a mark fires.
 func (r *ReplaySource) Fork() Source {
-	cp := *r
-	cp.pos, cp.next, cp.now, cp.shiftAt = 0, 0, 0, -1
-	if len(cp.marks) == 0 {
-		return &cp
+	cp := &ReplaySource{s: r.s, shiftAt: -1}
+	cp.look(false)
+	if r.s.shifty {
+		return shiftReplay{cp}
 	}
-	return shiftReplay{&cp}
+	return cp
 }
 
-// shiftReplay is a fork of a stream with shift marks.
+// shiftReplay is a fork of a stream packed from a ShiftSource.
 type shiftReplay struct{ *ReplaySource }
 
 // ShiftTime implements ShiftSource with the replaying run's own stamp.
 func (s shiftReplay) ShiftTime() int64 { return s.shiftAt }
 
-// Ops returns the number of operations in the shared stream.
-func (r *ReplaySource) Ops() int64 { return int64(len(r.opStarts)) - 1 }
+// Ops returns the number of operations published so far: the whole
+// stream's once it is complete.
+func (r *ReplaySource) Ops() int64 {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	return int64(r.s.ops)
+}
 
-// Accesses returns the number of packed accesses the shared stream holds —
-// its memory cost, at 4 bytes each.
-func (r *ReplaySource) Accesses() int { return len(r.packed) }
+// Accesses returns the number of packed accesses published so far — the
+// stream's memory cost, at 4 bytes each.
+func (r *ReplaySource) Accesses() int {
+	r.s.mu.Lock()
+	defer r.s.mu.Unlock()
+	return r.s.accesses
+}
 
 // Name implements Source with the recorded source's name.
-func (r *ReplaySource) Name() string { return r.name }
+func (r *ReplaySource) Name() string { return r.s.name }
 
 // NumPages implements Source.
-func (r *ReplaySource) NumPages() int { return r.numPages }
+func (r *ReplaySource) NumPages() int { return r.s.numPages }
 
 // AdvanceTime implements Source: the clock only stamps marks.
 func (r *ReplaySource) AdvanceTime(now int64) { r.now = now }
@@ -220,8 +427,10 @@ func UnpackAccess(v uint32) Access {
 // Access contract says single-op fetches leave EndOp false, so the final
 // access's flag is cleared.
 func (r *ReplaySource) NextOp(dst []Access) []Access {
-	dst = r.NextBatch(dst, 1)
-	dst[len(dst)-1].EndOp = false
+	n := len(dst)
+	if dst = r.NextBatch(dst, 1); len(dst) > n {
+		dst[len(dst)-1].EndOp = false
+	}
 	return dst
 }
 
@@ -247,14 +456,14 @@ type PackedViewSource interface {
 }
 
 // NextPackedView implements PackedViewSource: the returned batch aliases
-// the shared stream. A view never spans the wrap-around or a pending mark,
-// so it may hold fewer than max ops.
+// the shared stream. A view never spans the wrap-around, a pending mark or
+// a chunk boundary, so it may hold fewer than max ops; at the packer's
+// frontier it waits for the next chunk.
 func (r *ReplaySource) NextPackedView(max int) []uint32 {
-	n := int(r.Ops())
-	take := max
-	if rem := n - r.pos; take > rem {
-		take = rem
+	if r.pos == r.end && !r.nextChunk() {
+		return nil
 	}
+	take := min(max, r.end-r.pos)
 	if r.next < len(r.marks) {
 		// The op at a mark is the first of its view, so every earlier op's
 		// ticks have been delivered: now is the shift's time.
@@ -266,11 +475,32 @@ func (r *ReplaySource) NextPackedView(max int) []uint32 {
 			take = int(r.marks[r.next]) - r.pos
 		}
 	}
-	lo, hi := r.opStarts[r.pos], r.opStarts[r.pos+take]
-	if r.pos += take; r.pos == n {
-		r.pos = 0
+	lo, hi := r.cur.starts[r.pos-r.cur.first], r.cur.starts[r.pos+take-r.cur.first]
+	r.pos += take
+	return r.cur.words[lo:hi]
+}
+
+// nextChunk moves the cursor, which has reached the end of its chunk, into
+// the next one: after the fork's view of the stream, once the packer has
+// published it, or back to the first at the end of a complete stream. It
+// reports false when there is none: packing stopped short, or the stream
+// is empty.
+func (r *ReplaySource) nextChunk() bool {
+	if r.pos == r.ops {
+		if !r.whole {
+			r.look(true) // the fork caught up with the packer
+		}
+		if r.pos == r.ops {
+			if !r.whole || r.ops == 0 {
+				return false
+			}
+			r.pos, r.ci = 0, 0
+		}
 	}
-	return r.packed[lo:hi]
+	r.cur = r.chunks[r.ci]
+	r.end = r.cur.end()
+	r.ci++
+	return true
 }
 
 // AsBatchSource returns src as a BatchSource. Sources with a native

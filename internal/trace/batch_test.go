@@ -273,12 +273,14 @@ func (d *replayDriver) fetch(t *testing.T, how byte, n int) []Access {
 	return out
 }
 
-// FuzzReplayShiftMarks: a fork of a packed stream and a fresh live source,
-// driven by the same interleaving of NextOp / NextBatch(n) /
-// NextPackedView(n) / AdvanceTime(t) calls, emit the same accesses and
-// report the same ShiftTime after every call — the shift at op 0, at the
-// last op, under composites and behind the one-op adapter — and a fork of a
-// mark-free stream is not a ShiftSource at all.
+// FuzzReplayShiftMarks: a fork of a packed stream — taken while the stream
+// still packs — and a fresh live source, driven by the same interleaving of
+// NextOp / NextBatch(n) / NextPackedView(n) / AdvanceTime(t) calls, emit the
+// same accesses and report the same ShiftTime after every call — the shift
+// at op 0, at the last op, under composites and behind the one-op adapter;
+// the fork is a ShiftSource exactly when the live source is, so a
+// mark-free stream's fork reports -1 as the live source does. Bits 1-2 of
+// shape pick the chunk size, down to one word.
 func FuzzReplayShiftMarks(f *testing.F) {
 	f.Add(uint16(64), uint16(300), uint8(0), uint16(0), uint16(0), uint16(0), uint8(0), []byte{1, 9, 3, 200, 2, 64})
 	f.Add(uint16(64), uint16(300), uint8(1), uint16(100), uint16(0), uint16(0), uint8(0), []byte{1, 250, 3, 5, 2, 250, 0, 0})
@@ -289,19 +291,21 @@ func FuzzReplayShiftMarks(f *testing.F) {
 	// A later phase whose first op shifts: found by this target, when
 	// phases still ran a batch across the stage boundary.
 	f.Add(uint16(101), uint16(259), uint8(2), uint16(162), uint16(0), uint16(0), uint8(1), []byte("00"))
+	// Chunks of 1, 7 and 64 words: views end at many chunk boundaries.
+	f.Add(uint16(64), uint16(300), uint8(1), uint16(100), uint16(0), uint16(0), uint8(2), []byte{1, 250, 3, 5, 2, 250, 0, 0})
+	f.Add(uint16(512), uint16(900), uint8(2), uint16(10), uint16(200), uint16(0), uint8(4), []byte{2, 100, 3, 3, 1, 100, 0, 0})
+	f.Add(uint16(512), uint16(900), uint8(3), uint16(1), uint16(250), uint16(299), uint8(7), []byte{1, 255, 2, 255, 3, 77, 2, 255})
 	f.Fuzz(func(t *testing.T, pages, ops uint16, nShifts uint8, s1, s2, s3 uint16, shape uint8, script []byte) {
 		total := int64(ops)%2000 + 1
 		shifts := []int64{int64(s1), int64(s2), int64(s3)}[:nShifts%4]
 		build := func() Source { return shiftedSource(t, int(pages)%4096+4, shifts, shape, total) }
-		rs := NewReplaySource(build(), total, 1<<20)
-		if rs == nil {
-			t.Fatal("stream did not pack")
-		}
+		chunk := []int{chunkWords, 1, 7, 64}[shape>>1&3]
+		rs := startReplay(build(), total, 1<<20, chunk)
 		live, fork := &replayDriver{src: build()}, &replayDriver{src: rs.Fork()}
 		liveShift, _ := live.src.(ShiftSource)
 		forkShift, marked := fork.src.(ShiftSource)
-		if marked != (len(rs.marks) > 0) || marked && liveShift == nil {
-			t.Fatalf("fork is a ShiftSource: %v, with %d marks", marked, len(rs.marks))
+		if marked != (liveShift != nil) {
+			t.Fatalf("fork is a ShiftSource: %v; live source: %v", marked, liveShift != nil)
 		}
 		for i := 0; i+1 < len(script) && live.consumed < total; i += 2 {
 			how, arg := script[i]%4, int(script[i+1])
@@ -325,8 +329,8 @@ func FuzzReplayShiftMarks(f *testing.F) {
 					i/2, forkShift.ShiftTime(), liveShift.ShiftTime())
 			}
 		}
-		if !marked && liveShift != nil && liveShift.ShiftTime() != -1 {
-			t.Fatalf("live source shifted at %d but the stream carries no mark", liveShift.ShiftTime())
+		if <-rs.Done(); rs.Err() != nil {
+			t.Fatalf("stream did not pack: %v", rs.Err())
 		}
 	})
 }

@@ -372,7 +372,9 @@ type Info struct {
 // Stat scans path end to end and summarizes it, whatever its version.
 // Unlike Open's replay mode it never wraps around, and it decodes every
 // op, so every page is bounds-checked; a truncated or corrupt body yields
-// Clean == false, the counts seen so far, and the decode error.
+// Clean == false, the counts seen so far, and the decode error. A v2 trace
+// is scanned through its packed views: ops are counted as end-of-op bits
+// and accesses as view lengths, with no access decoded.
 func Stat(path string) (Info, error) {
 	r, err := openReplay(path)
 	if err != nil {
@@ -387,16 +389,22 @@ func Stat(path string) (Info, error) {
 		Compressed: s.hdr.flags&FlagGzip != 0,
 		EndNs:      -1,
 	}
-	var buf []trace.Access
-	for {
-		// Empty ops are unrepresentable, so an empty result means the end
-		// of the stream (or a latched error) stopped the scan; marks
-		// trailing the final op were consumed on the way there.
-		if buf = r.NextOp(buf[:0]); len(buf) == 0 {
-			break
+	// Empty ops are unrepresentable, so an empty fetch means the end of
+	// the stream (or a latched error) stopped the scan; marks trailing the
+	// final op were consumed on the way there.
+	if pv, ok := r.(trace.PackedViewSource); ok {
+		for view := pv.NextPackedView(4096); len(view) > 0; view = pv.NextPackedView(4096) {
+			info.Accesses += int64(len(view))
+			for _, v := range view {
+				info.Ops += int64(v >> 1 & 1)
+			}
 		}
-		info.Ops++
-		info.Accesses += int64(len(buf))
+	} else {
+		var buf []trace.Access
+		for buf = r.NextOp(buf[:0]); len(buf) > 0; buf = r.NextOp(buf[:0]) {
+			info.Ops++
+			info.Accesses += int64(len(buf))
+		}
 	}
 	info.Shifts, info.ShiftNs = s.shifts, s.shiftAt
 	if s.sawTime {

@@ -3,6 +3,7 @@ package tracefile
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -284,5 +285,97 @@ func TestV2TrailingMarks(t *testing.T) {
 	}
 	if r.Err() != nil {
 		t.Fatal(r.Err())
+	}
+}
+
+// statByNextOp is Stat as it scanned before v2 traces were scanned through
+// packed views: one NextOp at a time, for either version.
+func statByNextOp(path string) (Info, error) {
+	r, err := openReplay(path)
+	if err != nil {
+		return Info{}, err
+	}
+	defer r.Close()
+	s := r.state()
+	s.wrap = false
+	info := Info{
+		Meta:       s.hdr.meta,
+		Version:    int(s.hdr.version),
+		Compressed: s.hdr.flags&FlagGzip != 0,
+		EndNs:      -1,
+	}
+	var buf []trace.Access
+	for buf = r.NextOp(buf[:0]); len(buf) > 0; buf = r.NextOp(buf[:0]) {
+		info.Ops++
+		info.Accesses += int64(len(buf))
+	}
+	info.Shifts, info.ShiftNs = s.shifts, s.shiftAt
+	if s.sawTime {
+		info.EndNs = s.lastTime
+	}
+	info.Clean = s.done && s.err == nil
+	return info, s.err
+}
+
+// TestStatPackedScanMatchesNextOp: on v2 traces — random ops at several
+// block sizes, a capture with time and shift marks converted from v1, one
+// with marks trailing its final op — and on every truncation of them and
+// on bit flips through them, Stat's packed-view scan reports the Info and
+// the error a NextOp scan does.
+func TestStatPackedScanMatchesNextOp(t *testing.T) {
+	dir := t.TempDir()
+	fixtures := map[string]string{}
+	for _, c := range containersOf(Version2) {
+		fixtures[c.name] = c.write(t, Meta{Name: "s", NumPages: 1 << 10}, randomOps(21, 60, 1<<10))
+	}
+	marked := filepath.Join(dir, "marked.v2.htrc")
+	if err := Convert(markedV1Trace(t, dir), marked, Version2); err != nil {
+		t.Fatal(err)
+	}
+	fixtures["marked"] = marked
+	trail := filepath.Join(dir, "trail.htrc")
+	w, err := CreateV2(trail, Meta{Name: "tr", NumPages: 64, Shift: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.blockOps = 2
+	for i := range 5 {
+		w.WriteOp([]trace.Access{{Page: mem.PageID(i)}, {Page: 7, Write: true}})
+	}
+	w.MarkTime(900)
+	w.MarkShift(950)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fixtures["trailing-marks"] = trail
+
+	for name, path := range fixtures {
+		base, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, b []byte) {
+			p := filepath.Join(dir, "probe.htrc")
+			if err := os.WriteFile(p, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, gotErr := Stat(p)
+			want, wantErr := statByNextOp(p)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s, %s:\n Stat      %+v, %v\n NextOp    %+v, %v", name, what, got, gotErr, want, wantErr)
+			}
+		}
+		check("clean", base)
+		if info, err := Stat(path); err != nil || !info.Clean || info.Version != Version2 {
+			t.Fatalf("%s: fixture is not a clean v2 trace: %+v, %v", name, info, err)
+		}
+		for n := range len(base) {
+			check(fmt.Sprintf("truncated to %d bytes", n), base[:n])
+		}
+		for i := 0; i < len(base); i += 3 {
+			b := append([]byte(nil), base...)
+			b[i] ^= 1 << (i % 8)
+			check(fmt.Sprintf("bit %d of byte %d flipped", i%8, i), b)
+		}
 	}
 }

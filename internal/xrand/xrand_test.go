@@ -240,13 +240,3 @@ func BenchmarkUint64(b *testing.B) {
 	}
 	_ = sink
 }
-
-func BenchmarkZipfNext(b *testing.B) {
-	r := New(1)
-	z := NewZipf(r, 0.99, 1<<20)
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= z.Next()
-	}
-	_ = sink
-}

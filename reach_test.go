@@ -25,11 +25,12 @@ import (
 // reason each one stays.
 var keptExports = map[string]string{
 	// bench/ is a module of its own and compiles against these.
-	"repro.WithWorkload":                "bench/traced.go builds its experiments from Workload values; tests do too",
-	"repro/internal/service.CellRunner": "bench/daemon.go builds its coordinator's local executor with it",
-	"repro/internal/stats.Percentile":   "bench/ reports its timing percentiles with it",
-	"repro/internal/tracefile.OpenV2":   "bench/drives.go decodes v2 traces with it; the v2 tests open files with it",
-	"repro/internal/tracker.Kinds":      "KnownKinds calls it in the same file; bench/drives.go walks the kinds with it",
+	"repro.WithWorkload":                   "bench/traced.go builds its experiments from Workload values; tests do too",
+	"repro/internal/service.CellRunner":    "bench/daemon.go builds its coordinator's local executor with it",
+	"repro/internal/stats.Percentile":      "bench/ reports its timing percentiles with it",
+	"repro/internal/tracefile.OpenV2":      "bench/drives.go decodes v2 traces with it; the v2 tests open files with it",
+	"repro/internal/trace.NewReplaySource": "bench/traced.go packs its shared stream with it, synchronously; the trace and sim tests do too",
+	"repro/internal/tracker.Kinds":         "KnownKinds calls it in the same file; bench/drives.go walks the kinds with it",
 
 	// Test seams.
 	"repro/internal/errfs.Inject":                        "the disk-fault injector the corpus, jobs, fabric and service tests drive",

@@ -3,6 +3,7 @@ package hybridtier
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/registry"
@@ -52,21 +53,26 @@ func (e *Experiment) streamKey() (streamKey, bool) {
 // streamEntry is one key's slot in the cache.
 type streamEntry struct {
 	key streamKey
-	// ready closes when the generating sweep has finished, either way.
+	// ready closes once the sweep that starts the stream has built its
+	// workload and started packing, or found it does not share.
 	ready chan struct{}
-	// rs, once ready, is the packed stream — or nil: the key does not share
-	// (the workload is not clock-free, or its stream does not pack), which
-	// is remembered so no later sweep regenerates it to find out.
+	// rs, once ready, is the stream — still packing until it is linked —
+	// or nil: the key does not share (the workload is not clock-free, or
+	// its stream does not pack), which is remembered so no later sweep
+	// regenerates it to find out.
 	rs *trace.ReplaySource
-	// elem is the entry's place in the LRU list; nil while generating and
-	// again once evicted.
+	// limit is the access bound rs packs under.
+	limit int
+	// elem is the entry's place in the LRU list; nil until the stream is
+	// complete, and again once evicted.
 	elem *list.Element
 }
 
 // streamCache retains packed op streams across sweeps, keyed by identity:
 // a fleet worker's shards of one sweep, a later sweep over the same
 // workload with other policies, and a resumed sweep all replay the stream
-// the first of them generated. It holds at most budget accesses, evicting
+// the first of them generated — from the moment it starts packing, not
+// only once it is complete. It holds at most budget accesses, evicting
 // least recently used streams first. Streams in use are pinned by their
 // forks, not by the cache: eviction only unlinks, and the garbage collector
 // reclaims an evicted stream once no running sweep's forks read it.
@@ -85,42 +91,44 @@ func newStreamCache(budget int) *streamCache {
 // streams is the process-wide cache every Sweep shares.
 var streams = newStreamCache(maxSharedStreamAccesses)
 
-// generator packs one stream. A nil stream with a nil error means the key
-// does not share; an error means nothing was learned (the workload failed
-// to build, the sweep was canceled) and the next sweep should try again.
-type generator func() (*trace.ReplaySource, error)
+// generator builds a workload and starts packing its stream under an
+// access bound. A nil stream with a nil error means the key does not share;
+// an error means nothing was learned (the workload failed to build) and the
+// next sweep should try again.
+type generator func(limit int) (*trace.ReplaySource, error)
 
-// get returns key's stream, running gen at most once however many sweeps
-// ask at the same time: the first generates, the rest wait for it. A nil
+// get returns key's stream, complete or still packing, and whether this
+// call started it — then its caller settles the entry once packing has
+// ended. However many sweeps ask at the same time, gen runs at most once:
+// the first starts it and the rest attach to the stream it packs. A nil
 // stream means the cells generate live.
 //
-// An entry in the map is either being generated (elem nil, ready open) or
-// linked into the LRU list; one whose generation learned nothing, or that
-// was evicted, is in neither — so a sweep that waited looks the key up
-// again rather than trust the entry it waited on.
-func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) *trace.ReplaySource {
+// The stream never holds more than limit accesses: gen packs under that
+// bound, and a stream that another sweep packs under a larger one is waited
+// for and measured first.
+func (c *streamCache) get(ctx context.Context, key streamKey, limit int, gen generator) (rs *trace.ReplaySource, mine bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		e := c.entries[key]
-		if e == nil {
-			e = &streamEntry{key: key, ready: make(chan struct{})}
+		switch {
+		case e == nil:
+			e = &streamEntry{key: key, ready: make(chan struct{}), limit: limit}
 			c.entries[key] = e
 			c.mu.Unlock()
-			made, err := gen()
+			made, err := gen(limit)
 			c.mu.Lock()
 			close(e.ready)
 			if err != nil {
 				delete(c.entries, key)
-				return nil
+				return nil, false
 			}
-			e.rs = made
-			e.elem = c.lru.PushFront(e)
-			if made != nil {
-				c.retained += made.Accesses()
+			if e.rs = made; made == nil {
+				c.linkLocked(e)
 			}
-			c.evictLocked()
-		} else if e.elem == nil {
+			return made, made != nil
+		case e.elem == nil && e.rs == nil:
+			// Another sweep is building the workload.
 			c.mu.Unlock()
 			select {
 			case <-e.ready:
@@ -128,13 +136,64 @@ func (c *streamCache) get(ctx context.Context, key streamKey, gen generator) *tr
 			}
 			c.mu.Lock()
 			if ctx.Err() != nil {
-				return nil
+				return nil, false
 			}
-			continue
+		case e.elem == nil:
+			// Another sweep's stream is packing.
+			packing := e.rs
+			if e.limit <= limit {
+				return packing, false
+			}
+			c.mu.Unlock()
+			select {
+			case <-packing.Done():
+			case <-ctx.Done():
+			}
+			c.mu.Lock()
+			if ctx.Err() != nil || packing.Err() != nil || packing.Accesses() > limit {
+				return nil, false
+			}
+			return packing, false
+		default:
+			c.lru.MoveToFront(e.elem)
+			if e.rs != nil && e.rs.Accesses() > limit {
+				return nil, false
+			}
+			return e.rs, false
 		}
-		c.lru.MoveToFront(e.elem)
-		return e.rs
 	}
+}
+
+// settle records how a stream this cache's get started has ended: a
+// complete stream is retained, one that does not pack is remembered as not
+// sharing — except when the packing sweep abandoned it for reasons of its
+// own: it was canceled, or the stream outgrew a bound below the cache's
+// (what the sweep's other streams left of it), which says nothing of the
+// stream itself.
+func (c *streamCache) settle(ctx context.Context, key streamKey, rs *trace.ReplaySource) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	if e == nil || e.rs != rs {
+		return
+	}
+	switch err := rs.Err(); {
+	case err == nil:
+		c.retained += rs.Accesses()
+	case ctx.Err() != nil || errors.Is(err, trace.ErrStreamTooLong) && e.limit < c.budget:
+		delete(c.entries, key)
+		return
+	default:
+		e.rs = nil
+	}
+	c.linkLocked(e)
+}
+
+// linkLocked makes a settled entry the most recently used one and evicts
+// down to the cache's bounds.
+func (c *streamCache) linkLocked(e *streamEntry) {
+	e.elem = c.lru.PushFront(e)
+	c.evictLocked()
 }
 
 // evictLocked unlinks least recently used entries until the cache is
@@ -151,14 +210,11 @@ func (c *streamCache) evictLocked() {
 	}
 }
 
-// ctxSource ends its stream once ctx is done, which NewReplaySource treats
-// as a source that ran dry: generation stops within one batch of a cancel.
-// shift is the workload's ShiftSource face, nil when it has none: the
-// embedded BatchSource may be an adapter that hides it.
+// ctxSource ends its stream once ctx is done, which the packer takes for a
+// source that ran dry: generation stops within one batch of a cancel.
 type ctxSource struct {
 	trace.BatchSource
-	shift trace.ShiftSource
-	ctx   context.Context
+	ctx context.Context
 }
 
 func (s ctxSource) NextBatch(dst []trace.Access, max int) []trace.Access {
@@ -168,11 +224,23 @@ func (s ctxSource) NextBatch(dst []trace.Access, max int) []trace.Access {
 	return s.BatchSource.NextBatch(dst, max)
 }
 
-// ShiftTime implements trace.ShiftSource so the packed stream keeps the
-// workload's shift marks.
-func (s ctxSource) ShiftTime() int64 {
-	if s.shift == nil {
-		return -1
+// shiftCtxSource is the ctxSource of a workload with a ShiftSource face,
+// which the embedded BatchSource may be an adapter that hides: it keeps
+// the face, so the packed stream keeps the workload's shift marks and its
+// forks are ShiftSources.
+type shiftCtxSource struct {
+	ctxSource
+	shift trace.ShiftSource
+}
+
+func (s shiftCtxSource) ShiftTime() int64 { return s.shift.ShiftTime() }
+
+// newCtxSource wraps w to end its stream once ctx is done, with the same
+// ShiftSource face.
+func newCtxSource(ctx context.Context, w trace.Source) trace.Source {
+	src := ctxSource{trace.AsBatchSource(w), ctx}
+	if shift, ok := w.(trace.ShiftSource); ok {
+		return shiftCtxSource{src, shift}
 	}
-	return s.shift.ShiftTime()
+	return src
 }

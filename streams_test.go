@@ -13,7 +13,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,7 +23,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/registry/registrytest"
 	"repro/internal/trace"
-	"repro/internal/tracefile"
 	"repro/internal/workloads/cachelib"
 )
 
@@ -293,7 +294,7 @@ func TestStreamCacheNeverRetainsOpaqueStreams(t *testing.T) {
 }
 
 // TestStreamCacheConcurrentSweepsGenerateOnce: sweeps racing for one key
-// wait for the first to generate.
+// attach to the stream the first one packs.
 func TestStreamCacheConcurrentSweepsGenerateOnce(t *testing.T) {
 	freshStreams(t, maxSharedStreamAccesses)
 	sw := countSweep(threePolicies, 1, 20_000, WorkloadParams{Pages: 2048})
@@ -427,13 +428,139 @@ func TestStreamCacheOverBudgetStreamIsAttemptedOnce(t *testing.T) {
 	}
 }
 
+// TestStreamAbandonedMidPackRerunsItsCells: a stream that outgrows the
+// cache's budget only after it has published its first chunk — 270k
+// one-access ops, then denser CacheLib ops — has cells replaying it when it
+// is abandoned. They have reported nothing, run again on live generation,
+// and the sweep marshals to the bytes of an all-live run; the cache
+// remembers the key as not sharing.
+func TestStreamAbandonedMidPackRerunsItsCells(t *testing.T) {
+	const ops = 280_000
+	freshStreams(t, ops)
+	params := WorkloadParams{Pages: 2048, CacheObjects: 500}
+	sw := &Sweep{
+		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Workers:  2,
+		Base: []Option{
+			WithWorkloadName("phases:count-zipf@270000,cdn"),
+			WithWorkloadParams(params),
+			WithOps(ops),
+		},
+	}
+	// The scenario: packing publishes, then outgrows the budget.
+	w, _, err := NewExperiment(append(sw.Base[:3:3], WithSeed(1))...).buildWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := trace.StartReplaySource(w, ops, streams.budget)
+	if <-probe.Done(); !errors.Is(probe.Err(), trace.ErrStreamTooLong) || probe.Accesses() == 0 {
+		t.Fatalf("test wiring: stream published %d accesses and ended with %v; want some, then ErrStreamTooLong",
+			probe.Accesses(), probe.Err())
+	}
+	want := liveCells(t, sw)
+	countZipf.builds.Store(0)
+	if got := runJSON(t, sw); !bytes.Equal(got, want) {
+		t.Error("a sweep whose stream was abandoned mid-pack differs from live generation")
+	}
+	wantBuilds(t, "the abandoned stream and both cells live", 3)
+	if got := runJSON(t, sw); !bytes.Equal(got, want) {
+		t.Error("the second sweep differs from live generation")
+	}
+	wantBuilds(t, "the same sweep again (the key does not share)", 2)
+}
+
+// gatedZipf is a Zipf source whose packing, for the seed-1 instance, stops
+// after its first batch until gate closes.
+type gatedZipf struct {
+	*trace.ZipfSource
+	gate    chan struct{}
+	batches int
+}
+
+func (g *gatedZipf) NextBatch(dst []trace.Access, max int) []trace.Access {
+	if g.batches++; g.batches == 2 && g.gate != nil {
+		<-g.gate
+	}
+	return g.ZipfSource.NextBatch(dst, max)
+}
+
+// TestSweepMeasuresAStreamPackedUnderALargerBound: a sweep whose earlier
+// seed already pins part of the budget does not attach to another sweep's
+// stream while it packs under the whole budget — it could outgrow what is
+// left. It waits for that stream, measures it, and here, where it does not
+// fit, generates the seed live.
+func TestSweepMeasuresAStreamPackedUnderALargerBound(t *testing.T) {
+	const ops = 20_000 // one access per op
+	freshStreams(t, ops+ops/2)
+	gate := make(chan struct{})
+	registrytest.WithWorkloads(t, registry.WorkloadEntry{
+		Name: "gated-zipf", Doc: "test: Zipf whose seed-1 packing waits on a gate",
+		New: counted(func(p registry.WorkloadParams) (trace.Source, error) {
+			g := &gatedZipf{ZipfSource: trace.NewZipfSource("gated-zipf", 2048, 1.0, 0.1, p.Seed)}
+			if p.Seed == 1 {
+				g.gate = gate
+			}
+			return g, nil
+		}),
+	})
+	sweep := func(seeds ...uint64) *Sweep {
+		return &Sweep{Policies: []PolicyName{PolicyHybridTier, PolicyLRU}, Seeds: seeds, Workers: 2,
+			Base: []Option{WithWorkloadName("gated-zipf"), WithOps(ops)}}
+	}
+	first, second := sweep(1), sweep(2, 1)
+	close(gate)
+	wantFirst, wantSecond := liveCells(t, first), liveCells(t, second)
+	gate = make(chan struct{})
+	countZipf.builds.Store(0)
+
+	firstDone := make(chan []byte)
+	go func() {
+		cells, err := first.Run(context.Background())
+		if err != nil {
+			t.Error(err)
+		}
+		b, _ := json.Marshal(cells)
+		firstDone <- b
+	}()
+	// until reports whether the cache holds seed's entry in the state
+	// test asks for, once it does.
+	until := func(seed uint64, test func(e *streamEntry) bool) {
+		key := streamKey{"gated-zipf", WorkloadParams{Seed: seed}, ops}
+		for {
+			streams.mu.Lock()
+			e := streams.entries[key]
+			ok := e != nil && test(e)
+			streams.mu.Unlock()
+			if ok {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
+	until(1, func(e *streamEntry) bool { return e.rs != nil && e.elem == nil }) // packing
+	secondDone := make(chan []byte)
+	go func() { secondDone <- runJSON(t, second) }()
+	// The second sweep packs and settles seed 2's stream, then turns to
+	// seed 1's; only then may that one complete (and, being the newer
+	// entry, evict seed 2's rather than be evicted).
+	until(2, func(e *streamEntry) bool { return e.elem != nil })
+	close(gate)
+	if got := <-firstDone; !bytes.Equal(got, wantFirst) {
+		t.Error("the first sweep differs from live generation")
+	}
+	if got := <-secondDone; !bytes.Equal(got, wantSecond) {
+		t.Error("the second sweep differs from live generation")
+	}
+	wantBuilds(t, "seed 1's stream, seed 2's stream, and seed 1 live in the second sweep's two cells", 4)
+}
+
 // TestStreamCacheEntryBound: "does not share" entries cost no accesses,
 // so the entry count has a bound of its own.
 func TestStreamCacheEntryBound(t *testing.T) {
 	freshStreams(t, maxSharedStreamAccesses)
 	for i := range maxStreamEntries + 10 {
 		key := streamKey{workload: fmt.Sprintf("w%d", i)}
-		streams.get(context.Background(), key, func() (*trace.ReplaySource, error) {
+		streams.get(context.Background(), key, streams.budget, func(int) (*trace.ReplaySource, error) {
 			return nil, nil
 		})
 	}
@@ -598,22 +725,26 @@ func TestSweepPinsNoMoreThanTheStreamBudget(t *testing.T) {
 	}
 }
 
-// TestMarkFreeReplayLooksLikeAPlainSource: a stream without shift marks —
+// TestMarkFreeReplayKeepsTheGeneratorsFace: a stream without shift marks —
 // here from a ShiftSource whose shift never fires — replays through a fork
-// that is no ShiftSource, so Result bytes (shift_ns -1) and a recording's
-// header are what they were before replay could carry marks; its packed
-// views are uncapped and allocate nothing.
-func TestMarkFreeReplayLooksLikeAPlainSource(t *testing.T) {
+// that is a ShiftSource like its generator, whatever packing has reached
+// when it is forked, and reports -1 as the generator does: Result bytes
+// (shift_ns -1) and a recording of the fork are byte for byte those of live
+// generation; its packed views are uncapped and allocate nothing.
+func TestMarkFreeReplayKeepsTheGeneratorsFace(t *testing.T) {
 	const ops = 5_000
 	gen := func() Workload {
 		return trace.NewShiftingZipfSource("never", 2048, 1.0, 0.1, 1, 2*ops, 0.5)
 	}
-	rs := trace.NewReplaySource(gen(), ops, 1<<20)
-	if rs == nil {
-		t.Fatal("stream did not pack")
+	rs := trace.StartReplaySource(gen(), ops, 1<<20)
+	early := rs.Fork()
+	if <-rs.Done(); rs.Err() != nil {
+		t.Fatalf("stream did not pack: %v", rs.Err())
 	}
-	if _, shifty := rs.Fork().(trace.ShiftSource); shifty {
-		t.Fatal("a fork of a mark-free stream must not be a ShiftSource")
+	for _, fork := range []Workload{early, rs.Fork()} {
+		if ss, shifty := fork.(trace.ShiftSource); !shifty || ss.ShiftTime() != -1 {
+			t.Fatal("a fork of a ShiftSource's stream must be a ShiftSource reporting -1")
+		}
 	}
 	run := func(w Workload, extra ...Option) []byte {
 		res, err := NewExperiment(append([]Option{WithWorkload(w), WithOps(ops)}, extra...)...).Run(context.Background())
@@ -625,16 +756,13 @@ func TestMarkFreeReplayLooksLikeAPlainSource(t *testing.T) {
 		}
 		return mustJSON(t, res)
 	}
-	path := filepath.Join(t.TempDir(), "fork.htrc")
-	if live, replayed := run(gen()), run(rs.Fork(), WithRecordTo(path)); !bytes.Equal(live, replayed) {
+	dir := t.TempDir()
+	livePath, forkPath := filepath.Join(dir, "live.htrc"), filepath.Join(dir, "fork.htrc")
+	if live, replayed := run(gen(), WithRecordTo(livePath)), run(early, WithRecordTo(forkPath)); !bytes.Equal(live, replayed) {
 		t.Error("a mark-free replay differs from live generation")
 	}
-	info, err := tracefile.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shift || info.Shifts != 0 {
-		t.Errorf("recorded fork: header Shift %v, %d shift marks; want none", info.Shift, info.Shifts)
+	if live, fork := readFile(t, livePath), readFile(t, forkPath); !bytes.Equal(live, fork) {
+		t.Error("the recorded fork differs from the recorded live generation")
 	}
 	pv := rs.Fork().(trace.PackedViewSource)
 	if n := len(pv.NextPackedView(512)); n != 512 {
@@ -643,6 +771,15 @@ func TestMarkFreeReplayLooksLikeAPlainSource(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { pv.NextPackedView(64) }); allocs != 0 {
 		t.Errorf("NextPackedView allocates %v times per call", allocs)
 	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestLocalClockedJobsBuildOncePerSeed: the benchmark's local_clocked jobs —

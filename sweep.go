@@ -108,18 +108,49 @@ func (s *Sweep) experimentFor(c Cell, extra []Option, sc *sim.Scratch) *Experime
 // errCellNotRun marks cells the sweep never started before cancellation.
 const errCellNotRun = "sweep canceled before this cell ran"
 
-// sharedStreams returns, by seed, the op streams the cells at idxs replay; a
-// seed without one generates live in every cell. A seed shares when the
-// SWEEP — not this call's subset of it — has at least two cells of it (a
-// recording sweep has one) and its workload instance declares itself
-// clock-free. A stream with an identity (streamKey) comes from the
-// process-wide cache, looked up before any workload is built; one without
-// is generated here when at least two of the seed's cells run now. Streams
-// in use are pinned by their forks, not by the cache, so a sweep pins no
-// more than the cache's budget: the first seed that fails to share or does
-// not fit ends the search, and it and the seeds after it generate live —
-// where the per-cell path surfaces any failure consistently.
-func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, baseExtra []Option) map[uint64]*trace.ReplaySource {
+// seedStream is the sharing decision for one seed's cells.
+type seedStream struct {
+	ready chan struct{}       // closed once rs is decided
+	rs    *trace.ReplaySource // nil: the seed's cells generate live
+	// ctx is what the seed's cells replay under; stop cancels it when
+	// the stream is abandoned, so they stop reading it at once.
+	ctx  context.Context
+	stop context.CancelFunc
+}
+
+// stream waits for the seed's decision and returns its stream, nil when
+// the cells generate live or ctx ends first.
+func (sl *seedStream) stream(ctx context.Context) *trace.ReplaySource {
+	if sl == nil {
+		return nil
+	}
+	select {
+	case <-sl.ready:
+		return sl.rs
+	case <-ctx.Done():
+		return nil
+	}
+}
+
+// sharedStreams decides, by seed, the op streams the cells at idxs replay,
+// in a goroutine of its own, and returns at once: each cell waits for its
+// own seed's decision only, and then replays the stream while it packs. A
+// seed without a stream generates live in every cell. wait returns once
+// the decisions are done and every stream this sweep started has settled.
+//
+// A seed shares when the SWEEP — not this call's subset of it — has at
+// least two cells of it (a recording sweep has one) and its workload
+// instance declares itself clock-free. A stream with an identity
+// (streamKey) comes from the process-wide cache, looked up before any
+// workload is built; one without is generated here when at least two of
+// the seed's cells run now. Streams in use are pinned by their forks, not
+// by the cache, and a sweep never pins more than the cache's budget: each
+// seed's stream packs under what the seeds before it left of the budget,
+// so the next starts only once this one is complete. The first seed that
+// fails to share, does not fit or is abandoned ends the search, and it and
+// the seeds after it generate live — where the per-cell path surfaces any
+// failure consistently.
+func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, baseExtra []Option) (shared map[uint64]*seedStream, wait func()) {
 	cache := streams
 	inSweep, running := map[uint64]int{}, map[uint64]int{}
 	for _, c := range cells {
@@ -128,8 +159,14 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 	for _, idx := range idxs {
 		running[cells[idx].Seed]++
 	}
-	shared := map[uint64]*trace.ReplaySource{}
-	pinned := 0
+	type plan struct {
+		slot  *seedStream
+		key   streamKey
+		keyed bool
+		gen   generator
+	}
+	var plans []plan
+	shared = map[uint64]*seedStream{}
 	for _, idx := range idxs {
 		seed := cells[idx].Seed
 		if shared[seed] != nil || inSweep[seed] < 2 {
@@ -140,43 +177,91 @@ func (s *Sweep) sharedStreams(ctx context.Context, cells []Cell, idxs []int, bas
 		if !keyed && running[seed] < 2 {
 			continue
 		}
-		gen := func() (*trace.ReplaySource, error) {
+		sl := &seedStream{ready: make(chan struct{})}
+		sl.ctx, sl.stop = context.WithCancel(ctx)
+		shared[seed] = sl
+		plans = append(plans, plan{sl, key, keyed, func(limit int) (*trace.ReplaySource, error) {
 			w, owned, err := proto.buildWorkload()
 			if err != nil {
 				return nil, err
 			}
-			if owned {
-				if c, ok := w.(io.Closer); ok {
-					defer c.Close()
-				}
+			closer, _ := w.(io.Closer)
+			if !owned {
+				closer = nil
 			}
 			if cf, ok := w.(trace.ClockFree); !ok || !cf.ClockFree() {
+				if closer != nil {
+					closer.Close()
+				}
 				return nil, nil
 			}
-			shift, _ := w.(trace.ShiftSource)
-			src := ctxSource{trace.AsBatchSource(w), shift, ctx}
-			rs := trace.NewReplaySource(src, proto.ops, cache.budget)
-			if rs == nil {
-				// Canceled mid-generation, or a stream that does not pack.
-				return nil, ctx.Err()
+			rs := trace.StartReplaySource(newCtxSource(ctx, w), proto.ops, limit)
+			if closer != nil {
+				go func() {
+					<-rs.Done()
+					closer.Close()
+				}()
 			}
 			return rs, nil
-		}
-		var rs *trace.ReplaySource
-		if keyed {
-			rs = cache.get(ctx, key, gen)
-		} else {
-			rs, _ = gen()
-		}
-		if rs != nil {
+		}})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pinned := 0
+		for i, p := range plans {
+			limit := cache.budget - pinned
+			var rs *trace.ReplaySource
+			mine := true
+			if p.keyed {
+				rs, mine = cache.get(ctx, p.key, limit, p.gen)
+			} else {
+				rs, _ = p.gen(limit)
+			}
+			p.slot.rs = rs
+			close(p.slot.ready)
+			if rs != nil {
+				if mine {
+					// Bounded even when canceled: generation stops
+					// within a batch (ctxSource).
+					<-rs.Done()
+					if p.keyed {
+						cache.settle(ctx, p.key, rs)
+					}
+				} else {
+					select {
+					case <-rs.Done():
+					case <-ctx.Done():
+					}
+				}
+			}
+			if rs == nil || ctx.Err() != nil || rs.Err() != nil {
+				p.slot.stop()
+				for _, rest := range plans[i+1:] {
+					close(rest.slot.ready)
+				}
+				return
+			}
 			pinned += rs.Accesses()
 		}
-		if rs == nil || pinned > cache.budget {
-			break
+	}()
+	return shared, func() { <-done }
+}
+
+// runCell runs one cell, replaying its seed's stream when it has one. A
+// cell reads exactly the stream's ops, so it can finish only after the
+// stream is complete: when the stream is abandoned partway instead, the
+// cell has reported nothing, and it runs again on live generation.
+func (s *Sweep) runCell(ctx context.Context, c Cell, baseExtra []Option, sc *sim.Scratch, sl *seedStream) (*Result, error) {
+	if rs := sl.stream(ctx); rs != nil && rs.Err() == nil {
+		e := s.experimentFor(c, baseExtra, sc)
+		e.workload = rs.Fork()
+		res, err := e.Run(sl.ctx)
+		if rs.Err() == nil {
+			return res, err
 		}
-		shared[seed] = rs
 	}
-	return shared
+	return s.experimentFor(c, baseExtra, sc).Run(ctx)
 }
 
 // Run executes every cell and returns results in Cells order. Per-cell
@@ -272,9 +357,16 @@ func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) 
 	// every cell that shares their seed, so each seed's stream is generated
 	// once — per process, not per call: see streamCache — and each cell gets
 	// a cheap in-memory replay cursor, skipping regeneration (graph
-	// traversals, Zipf draws, B-tree descents) entirely. The streams are
+	// traversals, Zipf draws, B-tree descents) entirely. Cells start at
+	// once and replay a stream while it is still packing. The streams are
 	// bounded, so a huge run falls back to live generation.
-	shared := s.sharedStreams(ctx, cells, idxs, baseExtra)
+	shared, wait := s.sharedStreams(ctx, cells, idxs, baseExtra)
+	defer func() {
+		wait()
+		for _, sl := range shared {
+			sl.stop()
+		}
+	}()
 
 	workers := s.Workers
 	if workers <= 0 {
@@ -299,11 +391,7 @@ func (s *Sweep) RunCells(ctx context.Context, idxs []int) ([]CellResult, error) 
 			defer scratchPool.Put(sc)
 			for k := range jobs {
 				c := results[k].Cell
-				e := s.experimentFor(c, baseExtra, sc)
-				if rs := shared[c.Seed]; rs != nil {
-					e.workload = rs.Fork()
-				}
-				res, err := e.Run(ctx)
+				res, err := s.runCell(ctx, c, baseExtra, sc, shared[c.Seed])
 				cr := CellResult{Cell: c, Result: res}
 				if err != nil {
 					cr.Result = nil
