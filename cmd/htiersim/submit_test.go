@@ -19,20 +19,23 @@ import (
 	"repro/internal/service"
 )
 
-// startServiceServer spins a full daemon handler (manager, cache,
-// production runner) on httptest.
-func startServiceServer(t *testing.T) *httptest.Server {
+// newDaemon assembles a full daemon through service.NewDaemon, as
+// htiersimd does, and drains and closes it when the test ends.
+func newDaemon(t *testing.T) *service.Daemon {
 	t.Helper()
-	cache, err := jobs.NewCache(16<<20, "")
+	d, err := service.NewDaemon(service.DaemonConfig{Jobs: 1, SweepWorkers: 2, CacheMB: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: service.Runner(2), Cache: cache})
-	srv := httptest.NewServer(service.NewHandler(service.Config{Manager: m}))
-	t.Cleanup(func() {
-		srv.Close()
-		service.Drain(m, 30*time.Second)
-	})
+	t.Cleanup(func() { d.Drain(30 * time.Second); d.Close() })
+	return d
+}
+
+// startServiceServer serves a newDaemon on httptest.
+func startServiceServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(newDaemon(t).Handler())
+	t.Cleanup(srv.Close)
 	return srv
 }
 
@@ -131,13 +134,7 @@ func TestSubmitRejectionsAndConflicts(t *testing.T) {
 // backoff, and the submission carries through to a normal exit-0 run —
 // with the schedule's first two steps pinned at 200ms and 400ms.
 func TestSubmitRetriesConnectionRefusedThenSucceeds(t *testing.T) {
-	cache, err := jobs.NewCache(16<<20, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: service.Runner(2), Cache: cache})
-	t.Cleanup(func() { service.Drain(m, 30*time.Second) })
-	handler := service.NewHandler(service.Config{Manager: m})
+	handler := newDaemon(t).Handler()
 
 	// Reserve an address, then free it: until the "restart" below, every
 	// dial is refused.
@@ -194,7 +191,8 @@ func recordSleeps(t *testing.T) *[]time.Duration {
 
 // drainingHandler builds a REAL daemon handler whose manager has been
 // drained: its POST /jobs answers the production 503 "daemon is draining"
-// that the retry loop classifies as transient.
+// that the retry loop classifies as transient. A handler fixture, not a
+// daemon: it never runs a job, so it is assembled by hand.
 func drainingHandler(t *testing.T) http.Handler {
 	t.Helper()
 	cache, err := jobs.NewCache(1<<20, "")

@@ -252,9 +252,6 @@ func (h *HybridTier) Name() string {
 // Attach implements tier.Policy.
 func (h *HybridTier) Attach(env tier.Env) { h.env = env }
 
-// Config returns the policy configuration.
-func (h *HybridTier) Config() Config { return h.cfg }
-
 // Stats returns a copy of the activity counters.
 func (h *HybridTier) Stats() Stats { return h.stats }
 

@@ -162,9 +162,6 @@ func (j *Job) appendEvent(e Event) {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Hash returns the content hash of the job's canonical spec.
-func (j *Job) Hash() string { return j.hash }
-
 // Info snapshots the job.
 func (j *Job) Info() Info {
 	j.mu.Lock()

@@ -151,9 +151,6 @@ func MustNew(cfg Config) *Memory {
 	return m
 }
 
-// Config returns the instance configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // NumPages returns the page-space size.
 func (m *Memory) NumPages() int { return m.cfg.NumPages }
 

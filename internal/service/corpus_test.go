@@ -22,34 +22,8 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/errfs"
 	"repro/internal/jobs"
-	"repro/internal/registry"
 	"repro/internal/tracefile"
 )
-
-// newCorpusServer is newTestServer plus a trace corpus, with the resolver
-// installed for the lifetime of the test (the global the daemon sets at
-// startup).
-func newCorpusServer(t *testing.T) (*httptest.Server, *countingRunner, *corpus.Store) {
-	t.Helper()
-	store, err := corpus.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	registry.SetCorpusResolver(store.Path)
-	t.Cleanup(func() { registry.SetCorpusResolver(nil) })
-	cache, err := jobs.NewCache(64<<20, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := &countingRunner{}
-	m := jobs.NewManager(jobs.Config{Workers: 2, Run: cr.runner(), Cache: cache})
-	srv := httptest.NewServer(NewHandler(Config{Manager: m, Corpus: store}))
-	t.Cleanup(func() {
-		srv.Close()
-		Drain(m, 30*time.Second)
-	})
-	return srv, cr, store
-}
 
 // recordTestTrace captures a small single-cell run to a v1 trace file and
 // returns its path and recorded op count.
@@ -103,7 +77,7 @@ func uploadFile(t *testing.T, srv *httptest.Server, path string) (int, map[strin
 // is served from the cache with zero cells executed, and the served JSON
 // is byte-identical to a local trace:<path> run of the same capture.
 func TestCorpusUploadSubmitE2E(t *testing.T) {
-	srv, cr, store := newCorpusServer(t)
+	srv, cr, d := newTestServer(t, DaemonConfig{})
 	path, recordedOps := recordTestTrace(t, t.TempDir())
 
 	// Upload. First time grows the store (201)...
@@ -125,8 +99,8 @@ func TestCorpusUploadSubmitE2E(t *testing.T) {
 	if code, again := uploadFile(t, srv, path); code != http.StatusOK || again["hash"] != hash {
 		t.Fatalf("re-upload: status %d, %v", code, again)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("store holds %d traces after duplicate upload", store.Len())
+	if d.corpus.Len() != 1 {
+		t.Fatalf("store holds %d traces after duplicate upload", d.corpus.Len())
 	}
 
 	spec := hybridtier.SweepSpec{
@@ -189,7 +163,7 @@ func TestCorpusUploadSubmitE2E(t *testing.T) {
 // TestTraceEndpoints covers the read side: listing, metadata, immutable
 // bytes with ETag, and the 4xx surface.
 func TestTraceEndpoints(t *testing.T) {
-	srv, _, _ := newCorpusServer(t)
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	path, _ := recordTestTrace(t, t.TempDir())
 	_, up := uploadFile(t, srv, path)
 	hash := up["hash"].(string)
@@ -268,14 +242,7 @@ func TestTraceEndpoints(t *testing.T) {
 // TestTraceUploadRejections: damaged uploads and over-limit bodies never
 // enter the corpus.
 func TestTraceUploadRejections(t *testing.T) {
-	store, err := corpus.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, _ := jobs.NewCache(1<<20, "")
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: Runner(1), Cache: cache})
-	srv := httptest.NewServer(NewHandler(Config{Manager: m, Corpus: store, MaxTraceBytes: 512}))
-	t.Cleanup(func() { srv.Close(); Drain(m, time.Second) })
+	srv, _, d := newTestServer(t, DaemonConfig{MaxTraceMB: 1})
 
 	post := func(body []byte) int {
 		resp, err := http.Post(srv.URL+"/traces", "application/octet-stream", bytes.NewReader(body))
@@ -288,18 +255,18 @@ func TestTraceUploadRejections(t *testing.T) {
 	if code := post([]byte("junk, not a trace")); code != http.StatusBadRequest {
 		t.Errorf("junk upload status %d, want 400", code)
 	}
-	if code := post(bytes.Repeat([]byte("x"), 1024)); code != http.StatusRequestEntityTooLarge {
+	if code := post(bytes.Repeat([]byte("x"), 1<<20+1)); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversized upload status %d, want 413", code)
 	}
-	if store.Len() != 0 {
-		t.Fatalf("rejected uploads entered the store: %d", store.Len())
+	if d.corpus.Len() != 0 {
+		t.Fatalf("rejected uploads entered the store: %d", d.corpus.Len())
 	}
 }
 
 // TestCorpusSubmitChecks: corpus specs against a daemon without that hash
 // (or without a corpus at all) fail at submit time with a 400/503.
 func TestCorpusSubmitChecks(t *testing.T) {
-	srv, cr, _ := newCorpusServer(t)
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	spec := hybridtier.SweepSpec{
 		Workload: "corpus:" + strings.Repeat("ab", 32),
 		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier},
@@ -321,15 +288,13 @@ func TestCorpusSubmitChecks(t *testing.T) {
 		t.Errorf("multi-seed corpus spec: status %d, want 400", code)
 	}
 
-	// A daemon with no corpus: the trace API 503s and corpus specs 400.
-	bare, _, _ := func() (*httptest.Server, *countingRunner, *jobs.Manager) {
-		cache, _ := jobs.NewCache(1<<20, "")
-		cr := &countingRunner{}
-		m := jobs.NewManager(jobs.Config{Workers: 1, Run: cr.runner(), Cache: cache})
-		s := httptest.NewServer(NewHandler(Config{Manager: m}))
-		t.Cleanup(func() { s.Close(); Drain(m, time.Second) })
-		return s, cr, m
-	}()
+	// A handler with no corpus: the trace API 503s and corpus specs 400.
+	// Every daemon NewDaemon builds has a corpus, so this one is built by
+	// hand, as bench/'s handler drive builds its own.
+	cache, _ := jobs.NewCache(1<<20, "")
+	m := jobs.NewManager(jobs.Config{Workers: 1, Run: Runner(1), Cache: cache})
+	bare := httptest.NewServer(NewHandler(Config{Manager: m}))
+	t.Cleanup(func() { bare.Close(); Drain(m, time.Second) })
 	resp2, err := http.Get(bare.URL + "/traces")
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +312,7 @@ func TestCorpusSubmitChecks(t *testing.T) {
 // trace uploads, lists with format_version 2, and runs to the same result
 // as its v1 twin (which hashes differently but replays identically).
 func TestUploadedV2TraceRuns(t *testing.T) {
-	srv, _, _ := newCorpusServer(t)
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	dir := t.TempDir()
 	v1, recordedOps := recordTestTrace(t, dir)
 	v2 := filepath.Join(dir, "cap.v2.htrc")

@@ -95,7 +95,7 @@ func inmCases(etag string) []struct {
 }
 
 func TestResultIfNoneMatchMatrix(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	_, resp := submit(t, srv, testSpec())
 	streamEvents(t, srv, resp["id"].(string))
 	hash := resp["hash"].(string)
@@ -121,7 +121,7 @@ func TestResultIfNoneMatchMatrix(t *testing.T) {
 }
 
 func TestTraceBytesIfNoneMatchMatrix(t *testing.T) {
-	srv, _, _ := newCorpusServer(t)
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	path, _ := recordTestTrace(t, t.TempDir())
 	_, up := uploadFile(t, srv, path)
 	hash := up["hash"].(string)

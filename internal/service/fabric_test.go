@@ -3,31 +3,14 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/jobs"
 )
 
 func TestServiceMountsFabricAndReportsFleet(t *testing.T) {
-	cache, err := jobs.NewCache(1<<20, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord := fabric.NewCoordinator(fabric.Config{Cache: cache, Cells: fabric.LocalCells(1)})
-	m := jobs.NewManager(jobs.Config{Workers: 1, Run: coord.Runner(), Cache: cache})
-	srv := httptest.NewServer(NewHandler(Config{
-		Manager: m,
-		Fabric:  coord.Handler(),
-		Fleet:   func() any { return coord.Status() },
-	}))
-	t.Cleanup(func() {
-		srv.Close()
-		Drain(m, 30*time.Second)
-	})
+	srv, _, d := newTestServer(t, DaemonConfig{})
 
 	// Registration travels through the daemon's real mux to the mounted
 	// fabric handler.
@@ -61,7 +44,7 @@ func TestServiceMountsFabricAndReportsFleet(t *testing.T) {
 	// too — from LOCAL tiers, pinned by the shared serveLocalResult path.
 	// A worker's remote tier is the client of that endpoint.
 	hash := strings.Repeat("a", 64)
-	if err := cache.Put(hash, []byte(`{"x":1}`), nil); err != nil {
+	if err := d.cache.Put(hash, []byte(`{"x":1}`), nil); err != nil {
 		t.Fatal(err)
 	}
 	wk := fabric.NewWorker(fabric.WorkerConfig{

@@ -1,20 +1,17 @@
-// Package service is the HTTP layer of the experiment daemon
-// (cmd/htiersimd): it translates between the REST+streaming API described
-// in docs/SERVICE.md and the jobs subsystem (internal/jobs). Jobs execute
-// on the cell engine in internal/fabric; what lives here beside the
-// handler is Runner, the plain Sweep.Run reference the engine's output is
-// tested against.
+// Package service is the experiment daemon (cmd/htiersimd) short of its
+// flags, listener and signals: NewDaemon (daemon.go) assembles the result
+// cache, trace corpus, job journal, the cell engine of internal/fabric,
+// the job manager of internal/jobs and the integrity scrubber behind the
+// HTTP handler, which translates the REST+streaming API described in
+// docs/SERVICE.md. Beside them lives Runner, the plain Sweep.Run
+// reference the engine's output is tested against. Living in internal/
+// keeps the daemon constructible by tests without exporting a server API
+// from the facade.
 //
 // The API's central guarantee is inherited, not implemented, here: a
-// sweep's JSON is a pure function of its canonical spec, so the bytes
-// served from /results/{hash} are byte-identical to what an in-process
-// Sweep.Run of the same spec marshals — whether they were computed by
-// this request, an earlier one, or read back from the on-disk store. The
-// end-to-end tests pin that identity.
-//
-// Living in internal/ keeps the handler constructible by tests
-// (httptest) and by cmd/htiersimd without exporting a server API from the
-// facade.
+// sweep's JSON is a pure function of its canonical spec, so /results/{hash}
+// serves what an in-process Sweep.Run of the spec marshals, however it was
+// computed or stored. The end-to-end tests pin that identity.
 package service
 
 import (
@@ -51,18 +48,12 @@ type Config struct {
 	Corpus *corpus.Store
 	// MaxTraceBytes bounds one trace upload (0 = defaultMaxTraceBytes).
 	MaxTraceBytes int64
-	// Fabric, when non-nil, is mounted under /fabric/ — the coordinator's
-	// or worker's side of the sweep fabric protocol (internal/fabric). The
-	// fabric handler registers full /fabric/... patterns, so no prefix is
-	// stripped.
+	// Fabric, when non-nil, serves /fabric/... (full patterns, no prefix
+	// stripped): a coordinator's or worker's side of internal/fabric.
 	Fabric http.Handler
 	// Fleet, when non-nil, contributes a "fleet" section to /healthz —
 	// the coordinator's fabric.FleetStatus snapshot.
 	Fleet func() any
-	// Integrity, when non-nil, contributes an "integrity" section to
-	// /healthz: the latest store scrub reports and the job journal's
-	// health (cmd/htiersimd wires integrityStatus; see docs/DURABILITY.md).
-	Integrity func() any
 	// Log receives one line per request outcome; nil silences.
 	Log *log.Logger
 }
@@ -72,14 +63,11 @@ type Config struct {
 // one stray upload cannot fill a disk.
 const defaultMaxTraceBytes = 1 << 30
 
-// Runner returns the reference jobs.Runner: unmarshal the canonical spec,
-// rebuild the Sweep, run it whole with sweepWorkers concurrent cells, and
-// marshal the cells exactly as the golden tests do (encoding/json,
-// compact). Per-cell failures are data, not job failures — the cells carry
-// their "error" fields, matching the CLI. No daemon runs jobs on it — they
-// run on the cell engine (CellRunner, internal/fabric), which probes,
-// stores and merges cell by cell; Runner is what every byte-identity test
-// compares that engine's output against, so it stays this plain.
+// Runner returns the reference jobs.Runner: the canonical spec's Sweep run
+// whole with sweepWorkers concurrent cells, marshaled as the golden tests
+// do (encoding/json, compact); per-cell failures are data in the cells'
+// "error" fields, as in the CLI. No daemon runs jobs on it: every
+// byte-identity test compares the cell engine against it, so it stays plain.
 func Runner(sweepWorkers int) jobs.Runner {
 	return func(ctx context.Context, canonical []byte, progress func(done, total int)) ([]byte, error) {
 		var spec hybridtier.SweepSpec
@@ -125,14 +113,17 @@ type handler struct {
 //	GET    /traces/{hash}        one trace's metadata
 //	GET    /traces/{hash}/bytes  the stored trace bytes, verbatim
 //	       /fabric/...           sweep-fabric protocol, when Config.Fabric is set (docs/FABRIC.md)
-func NewHandler(cfg Config) http.Handler {
+func NewHandler(cfg Config) http.Handler { return newHandler(cfg, nil) }
+
+// newHandler is NewHandler plus the daemon's /healthz "integrity" section.
+func newHandler(cfg Config, integrity func() any) http.Handler {
 	maxTrace := cfg.MaxTraceBytes
 	if maxTrace <= 0 {
 		maxTrace = defaultMaxTraceBytes
 	}
 	h := &handler{
 		m: cfg.Manager, corpus: cfg.Corpus, maxTrace: maxTrace,
-		fleet: cfg.Fleet, integrity: cfg.Integrity, log: cfg.Log,
+		fleet: cfg.Fleet, integrity: integrity, log: cfg.Log,
 	}
 	mux := http.NewServeMux()
 	if cfg.Fabric != nil {
@@ -605,9 +596,9 @@ func (h *handler) traceBytes(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, path)
 }
 
-// Drain performs the daemon's graceful shutdown of job execution,
-// bounded by timeout. It exists here (thinly over jobs.Manager.Drain) so
-// cmd/htiersimd needs no direct dependency on internal/jobs semantics.
+// Drain performs the graceful shutdown of m's job execution, bounded by
+// timeout: Daemon.Drain calls it, and so do bench/'s in-process daemons,
+// which assemble their own managers.
 func Drain(m *jobs.Manager, timeout time.Duration) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()

@@ -1,7 +1,7 @@
 package service
 
 // The daemon's end-to-end suite, run against httptest servers wrapping
-// the real handler, manager, cache, and sweep runner. The two acceptance
+// daemons that NewDaemon assembles as htiersimd does. The two acceptance
 // criteria live here:
 //
 //   - submit → stream progress → fetch result yields bytes identical to
@@ -19,6 +19,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,40 +30,42 @@ import (
 	"repro/internal/jobs"
 )
 
-// countingRunner wraps the production Runner, counting executions and
+// countingRunner wraps the daemon's cell engine, counting executions and
 // cells so tests can assert "ran zero cells" literally.
 type countingRunner struct {
 	runs  atomic.Int32
 	cells atomic.Int32
 }
 
-func (c *countingRunner) runner() jobs.Runner {
-	inner := Runner(2)
+func (c *countingRunner) wrap(inner jobs.Runner) jobs.Runner {
 	return func(ctx context.Context, spec []byte, progress func(done, total int)) ([]byte, error) {
 		c.runs.Add(1)
 		return inner(ctx, spec, func(done, total int) {
-			c.cells.Add(1) // progress fires once per completed cell
+			c.cells.Add(1) // the engine reports once per committed cell
 			progress(done, total)
 		})
 	}
 }
 
-// newTestServer assembles a full daemon over httptest. cacheDir "" keeps
-// the cache memory-only.
-func newTestServer(t *testing.T, cacheDir string) (*httptest.Server, *countingRunner, *jobs.Manager) {
+// newTestServer assembles a full daemon through NewDaemon and serves it
+// over httptest: two jobs of two cells each, a 64 MB cache, and cfg's
+// directories, limits and filesystem. No CacheDir keeps the cache
+// memory-only; the corpus is a private temp dir unless CorpusDir is set.
+func newTestServer(t *testing.T, cfg DaemonConfig) (*httptest.Server, *countingRunner, *Daemon) {
 	t.Helper()
-	cache, err := jobs.NewCache(64<<20, cacheDir)
+	cr := &countingRunner{}
+	cfg.Jobs, cfg.SweepWorkers, cfg.CacheMB, cfg.wrapRun = 2, 2, 64, cr.wrap
+	d, err := NewDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := &countingRunner{}
-	m := jobs.NewManager(jobs.Config{Workers: 2, Run: cr.runner(), Cache: cache})
-	srv := httptest.NewServer(NewHandler(Config{Manager: m}))
+	srv := httptest.NewServer(d.Handler())
 	t.Cleanup(func() {
 		srv.Close()
-		Drain(m, 30*time.Second)
+		d.Drain(30 * time.Second)
+		d.Close()
 	})
-	return srv, cr, m
+	return srv, cr, d
 }
 
 // testSpec is the grid every e2e test submits: small enough to run in
@@ -149,7 +152,7 @@ func fetchResult(t *testing.T, srv *httptest.Server, hash string) []byte {
 // the full service path serves exactly the bytes an in-process run of
 // the same spec produces.
 func TestSubmitStreamFetchByteIdentical(t *testing.T) {
-	srv, cr, _ := newTestServer(t, "")
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	spec := testSpec()
 
 	code, resp := submit(t, srv, spec)
@@ -214,7 +217,7 @@ func TestSubmitStreamFetchByteIdentical(t *testing.T) {
 // TestSecondSubmitIsCacheHitRunningZeroCells: an identical resubmission —
 // even spelled differently — completes instantly from the cache.
 func TestSecondSubmitIsCacheHitRunningZeroCells(t *testing.T) {
-	srv, cr, _ := newTestServer(t, "")
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	spec := testSpec()
 
 	code, first := submit(t, srv, spec)
@@ -263,18 +266,19 @@ func TestSecondSubmitIsCacheHitRunningZeroCells(t *testing.T) {
 // cache directory serves prior results without re-running them.
 func TestResultsSurviveRestartViaDiskStore(t *testing.T) {
 	dir := t.TempDir()
-	srv1, cr1, m1 := newTestServer(t, dir)
+	srv1, cr1, d1 := newTestServer(t, DaemonConfig{CacheDir: dir})
 	spec := testSpec()
 	_, resp := submit(t, srv1, spec)
 	streamEvents(t, srv1, resp["id"].(string))
 	served1 := fetchResult(t, srv1, resp["hash"].(string))
 	srv1.Close()
-	Drain(m1, 10*time.Second)
+	d1.Drain(10 * time.Second)
+	d1.Close() // releases the journal the restarted daemon opens
 	if cr1.runs.Load() != 1 {
 		t.Fatalf("first daemon ran %d jobs", cr1.runs.Load())
 	}
 
-	srv2, cr2, _ := newTestServer(t, dir)
+	srv2, cr2, _ := newTestServer(t, DaemonConfig{CacheDir: dir})
 	code, resp2 := submit(t, srv2, spec)
 	if code != http.StatusOK {
 		t.Fatalf("restarted daemon submit status %d, want 200 cache hit", code)
@@ -292,7 +296,7 @@ func TestResultsSurviveRestartViaDiskStore(t *testing.T) {
 }
 
 func TestSubmitRejectsBadSpecsWithExactMessages(t *testing.T) {
-	srv, cr, _ := newTestServer(t, "")
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	cases := []struct {
 		name string
 		body string
@@ -372,7 +376,7 @@ func TestSubmitRejectsBadSpecsWithExactMessages(t *testing.T) {
 // TestSubmitRejectsOversizedCrossProduct: a spec spanning more cells than
 // one sweep may run is a 400 naming the count, and nothing is enqueued.
 func TestSubmitRejectsOversizedCrossProduct(t *testing.T) {
-	srv, cr, _ := newTestServer(t, "")
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	spec := testSpec()
 	spec.Ratios, spec.Seeds = nil, nil
 	for i := 1; i <= 300; i++ {
@@ -401,7 +405,7 @@ func TestSubmitRejectsOversizedCrossProduct(t *testing.T) {
 }
 
 func TestNotFoundAndMalformedRoutes(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	get := func(path string) int {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -437,7 +441,7 @@ func TestNotFoundAndMalformedRoutes(t *testing.T) {
 }
 
 func TestHealthzAndWorkloads(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -474,9 +478,45 @@ func TestHealthzAndWorkloads(t *testing.T) {
 	}
 }
 
+// TestHealthzReportsUnhealthyJournal: a journal write that fails latches
+// its error, the job still completes from memory, and /healthz's integrity
+// section says so — healthy:false with the latched text.
+func TestHealthzReportsUnhealthyJournal(t *testing.T) {
+	dir := t.TempDir()
+	inj := errfs.Inject(errfs.OS{}, errfs.Fault{Op: errfs.OpWrite, Path: "journal.wal", Err: errors.New("disk full")})
+	srv, _, _ := newTestServer(t, DaemonConfig{CacheDir: dir, FS: inj})
+	journal := func() string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var health struct {
+			Integrity struct{ Journal json.RawMessage } `json:"integrity"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+			t.Fatal(err)
+		}
+		return string(health.Integrity.Journal)
+	}
+	path := filepath.Join(dir, "journal.wal")
+	if got, want := journal(), `{"healthy":true,"path":"`+path+`"}`; got != want {
+		t.Fatalf("fresh journal = %s, want %s", got, want)
+	}
+	_, resp := submit(t, srv, testSpec())
+	if events := streamEvents(t, srv, resp["id"].(string)); events[len(events)-1].State != jobs.Done {
+		t.Errorf("job ended %+v, want done despite the journal", events[len(events)-1])
+	}
+	want := `{"error":"jobs: journal append: disk full","healthy":false,"path":"` + path + `"}`
+	if got := journal(); got != want {
+		t.Errorf("journal after a failed write = %s, want %s", got, want)
+	}
+}
+
 // TestEventsSSEFormat: the same stream in SSE framing when asked for.
 func TestEventsSSEFormat(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	_, resp := submit(t, srv, testSpec())
 	id := resp["id"].(string)
 
@@ -508,7 +548,7 @@ func TestEventsSSEFormat(t *testing.T) {
 // TestEventsResumeFrom: ?from=N replays only the suffix — the reconnect
 // path.
 func TestEventsResumeFrom(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	_, resp := submit(t, srv, testSpec())
 	id := resp["id"].(string)
 	all := streamEvents(t, srv, id)
@@ -539,13 +579,13 @@ func TestEventsResumeFrom(t *testing.T) {
 // sees a clean 404 (the ID is forgotten, the result hash still serves),
 // while resuming a RETAINED terminal job from past its last event gets an
 // empty 200 stream — the terminal state already happened, nothing blocks.
+// RetainJobs has no flag, so this manager is assembled by hand.
 func TestEventsReplayAcrossEviction(t *testing.T) {
 	cache, err := jobs.NewCache(64<<20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr := &countingRunner{}
-	m := jobs.NewManager(jobs.Config{Workers: 1, RetainJobs: 1, Run: cr.runner(), Cache: cache})
+	m := jobs.NewManager(jobs.Config{Workers: 1, RetainJobs: 1, Run: Runner(2), Cache: cache})
 	srv := httptest.NewServer(NewHandler(Config{Manager: m}))
 	t.Cleanup(func() {
 		srv.Close()
@@ -604,7 +644,7 @@ func TestEventsReplayAcrossEviction(t *testing.T) {
 // TestCancelRunningJobOverHTTP: DELETE /jobs/{id} lands a canceled
 // terminal state and the sweep's partial work is discarded, not cached.
 func TestCancelRunningJobOverHTTP(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	spec := testSpec()
 	spec.Ops = 5_000_000 // long enough to catch mid-flight
 	spec.Seeds = []uint64{1, 2, 3, 4}
@@ -663,11 +703,11 @@ func TestCancelRunningJobOverHTTP(t *testing.T) {
 // TestDrainRejectsNewSubmissions: after Drain begins, submissions get 503
 // and running work still completes — the SIGTERM contract.
 func TestDrainRejectsNewSubmissions(t *testing.T) {
-	srv, _, m := newTestServer(t, "")
+	srv, _, d := newTestServer(t, DaemonConfig{})
 	_, resp := submit(t, srv, testSpec())
 	streamEvents(t, srv, resp["id"].(string))
 
-	Drain(m, 30*time.Second)
+	d.Drain(30 * time.Second)
 	code, errResp := submit(t, srv, testSpec())
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("post-drain submit: %d (%v), want 503", code, errResp)
@@ -680,7 +720,7 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 
 // TestJobsListing: /jobs reflects submission order and terminal states.
 func TestJobsListing(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	specA := testSpec()
 	specB := testSpec()
 	specB.Ops = 12_000 // distinct experiment
@@ -718,7 +758,7 @@ func TestJobsListing(t *testing.T) {
 
 // TestResultETag: immutable content addresses get strong validators.
 func TestResultETag(t *testing.T) {
-	srv, _, _ := newTestServer(t, "")
+	srv, _, _ := newTestServer(t, DaemonConfig{})
 	_, resp := submit(t, srv, testSpec())
 	streamEvents(t, srv, resp["id"].(string))
 	hash := resp["hash"].(string)
@@ -752,7 +792,7 @@ func TestResultETag(t *testing.T) {
 // the spec hash cannot cover, so the service refuses to cache them —
 // submissions are 400s, top-level and nested alike, and nothing runs.
 func TestTraceSpecsRejected(t *testing.T) {
-	srv, cr, _ := newTestServer(t, "")
+	srv, cr, _ := newTestServer(t, DaemonConfig{})
 	for _, workload := range []string{
 		"trace:/data/run.htrc",
 		"mix:0.5*zipf,0.5*(trace:/data/run.htrc)",
@@ -779,7 +819,8 @@ func TestTraceSpecsRejected(t *testing.T) {
 // per-cell failure is DATA — the job completes and the cells carry
 // their "error" fields. (With trace specs rejected up front, every
 // spec-expressible configuration error is a 400, so the job-failure
-// plane is exercised with an injected runner fault.)
+// plane is exercised with an injected runner fault, on a hand-assembled
+// manager: no daemon flag makes the runner fail.)
 func TestFailureSemantics(t *testing.T) {
 	// Job plane: a runner that fails after canonicalization.
 	cache, err := jobs.NewCache(1<<20, "")
@@ -825,7 +866,7 @@ func TestFailureSemantics(t *testing.T) {
 	// canonical e2e test above; here assert the failed hash can be
 	// resubmitted and (with a healthy runner) is NOT poisoned by the
 	// earlier failure.
-	srv2, _, _ := newTestServer(t, "")
+	srv2, _, _ := newTestServer(t, DaemonConfig{})
 	code, resp2 := submit(t, srv2, testSpec())
 	if code != http.StatusAccepted {
 		t.Fatalf("resubmit on healthy daemon: %d", code)

@@ -76,12 +76,6 @@ func (s *Source) AdvanceTime(int64) {}
 // Trials returns the number of completed kernel runs.
 func (s *Source) Trials() int64 { return s.trials }
 
-// Graph returns the underlying graph.
-func (s *Source) Graph() *Graph { return s.graph }
-
-// Layout returns the page layout.
-func (s *Source) Layout() *Layout { return s.lay }
-
 // NextOp implements trace.Source.
 func (s *Source) NextOp(dst []trace.Access) []trace.Access {
 	switch s.kernel {

@@ -26,7 +26,9 @@ import (
 var keptExports = map[string]string{
 	// bench/ is a module of its own and compiles against these.
 	"repro.WithWorkload":                   "bench/traced.go builds its experiments from Workload values; tests do too",
+	"repro/internal/jobs.NewCache":         "bench/daemon.go and bench/drives.go build their caches with it; NewDaemon calls NewCacheFS; tests call it",
 	"repro/internal/service.CellRunner":    "bench/daemon.go builds its coordinator's local executor with it",
+	"repro/internal/service.NewHandler":    "bench/daemon.go and bench/drives.go serve their own managers through it; NewDaemon calls newHandler",
 	"repro/internal/stats.Percentile":      "bench/ reports its timing percentiles with it",
 	"repro/internal/tracefile.OpenV2":      "bench/drives.go decodes v2 traces with it; the v2 tests open files with it",
 	"repro/internal/trace.NewReplaySource": "bench/traced.go packs its shared stream with it, synchronously; the trace and sim tests do too",
@@ -39,8 +41,6 @@ var keptExports = map[string]string{
 	"repro/internal/trace.NewScanSource":                 "the sequential fixture source of the trace and sim tests",
 
 	// Called in their own file.
-	"repro/internal/corpus.OpenFS":               "Open calls it; the corpus fault tests pass an injecting filesystem",
-	"repro/internal/jobs.NewCacheFS":             "NewCache calls it; the jobs, fabric and service fault tests pass an injecting filesystem",
 	"repro/internal/registry.NewPolicyRegistry":  "builds the Policies registry in the same file",
 	"repro/internal/tracefile.NewWriter":         "Create calls it; tests write v1 traces into buffers with it",
 	"repro/internal/tracefile.NewWriterV2":       "CreateV2 calls it; tests write v2 traces into buffers with it",

@@ -25,18 +25,13 @@ type PolicyRegistry = registry.PolicyRegistry
 // (registry.WorkloadRegistry re-exported).
 type WorkloadRegistry = registry.WorkloadRegistry
 
-// PolicyEntry is one registered tiering system.
-type PolicyEntry = registry.PolicyEntry
-
-// WorkloadEntry is one registered workload generator.
-type WorkloadEntry = registry.WorkloadEntry
-
 // WorkloadParams sizes a registry-constructed workload instance.
 type WorkloadParams = registry.WorkloadParams
 
 // DefaultPolicies returns the process-wide policy registry. The built-in
-// systems self-register into it; callers may Register additional entries
-// and resolve them through WithPolicy and Sweep like any built-in.
+// systems self-register into it; callers in this module may Register
+// additional registry.PolicyEntry values and resolve them through
+// WithPolicy and Sweep like any built-in.
 func DefaultPolicies() *PolicyRegistry { return registry.Policies }
 
 // DefaultWorkloads returns the process-wide workload registry. The paper's

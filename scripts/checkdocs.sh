@@ -7,7 +7,8 @@
 #   3. a relative markdown link in README.md or docs/*.md points at a file
 #      that does not exist, or its #fragment (in-page links included)
 #      names no heading of its target, or
-#   4. examples/ is not gofmt-clean.
+#   4. examples/ is not gofmt-clean, or
+#   5. a flag cmd/htiersimd defines is not documented.
 # Run from anywhere; it operates on the repository that contains it.
 set -eu
 cd "$(dirname "$0")/.."
@@ -99,5 +100,17 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     fail=1
 fi
+
+# 5. Every htiersimd flag is documented: each name cmd/htiersimd/main.go
+# defines must open an inline code span (`-name` or `-name <arg>`) in one
+# of the daemon's guides. A flag mentioned only inside another flag's span
+# (`-worker -join <url>`) does not count.
+for name in $(grep -oE 'fs\.[A-Za-z0-9]+\((&[A-Za-z.]+, )?"[a-z-]+"' cmd/htiersimd/main.go |
+    sed -E 's/.*"([a-z-]+)"$/\1/'); do
+    if ! grep -qE "\`-$name[\` ]" docs/SERVICE.md docs/FABRIC.md docs/DURABILITY.md; then
+        echo "checkdocs: htiersimd flag -$name is not documented as \`-$name\` in docs/SERVICE.md, FABRIC.md or DURABILITY.md" >&2
+        fail=1
+    fi
+done
 
 exit "$fail"
