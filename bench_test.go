@@ -125,7 +125,7 @@ func benchPolicy(b *testing.B, name hybridtier.PolicyName) {
 	const pages = 1 << 14
 	for i := 0; i < b.N; i++ {
 		res, err := hybridtier.NewExperiment(
-			hybridtier.WithWorkload(hybridtier.Zipf("bench", pages, 1.0, 7)),
+			hybridtier.WithWorkload(trace.NewZipfSource("bench", pages, 1.0, 0, 7)),
 			hybridtier.WithPolicy(name),
 			hybridtier.WithRatio(8),
 			hybridtier.WithOps(100_000),
@@ -141,15 +141,15 @@ func BenchmarkPolicyHybridTier(b *testing.B) { benchPolicy(b, hybridtier.PolicyH
 func BenchmarkPolicyMemtis(b *testing.B)     { benchPolicy(b, hybridtier.PolicyMemtis) }
 func BenchmarkPolicyAutoNUMA(b *testing.B)   { benchPolicy(b, hybridtier.PolicyAutoNUMA) }
 func BenchmarkPolicyTPP(b *testing.B)        { benchPolicy(b, hybridtier.PolicyTPP) }
-func BenchmarkPolicyARC(b *testing.B)        { benchPolicy(b, hybridtier.PolicyARC) }
-func BenchmarkPolicyTwoQ(b *testing.B)       { benchPolicy(b, hybridtier.PolicyTwoQ) }
+func BenchmarkPolicyARC(b *testing.B)        { benchPolicy(b, "ARC") }
+func BenchmarkPolicyTwoQ(b *testing.B)       { benchPolicy(b, "TwoQ") }
 
 // Huge-page mode end to end.
 func BenchmarkHugePageMode(b *testing.B) {
 	const pages = 1 << 16
 	for i := 0; i < b.N; i++ {
 		if _, err := hybridtier.NewExperiment(
-			hybridtier.WithWorkload(hybridtier.Zipf("bench-huge", pages, 1.0, 7)),
+			hybridtier.WithWorkload(trace.NewZipfSource("bench-huge", pages, 1.0, 0, 7)),
 			hybridtier.WithHugePages(true),
 			hybridtier.WithRatio(8),
 			hybridtier.WithOps(100_000),

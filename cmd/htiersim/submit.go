@@ -101,8 +101,6 @@ func submitToDaemon(base string, spec hybridtier.SweepSpec, jsonOut, series bool
 	}
 	var sub struct {
 		ID        string `json:"id"`
-		Hash      string `json:"hash"`
-		State     jobs.State
 		CacheHit  bool   `json:"cache_hit"`
 		EventsURL string `json:"events_url"`
 		ResultURL string `json:"result_url"`

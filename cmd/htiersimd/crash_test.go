@@ -53,8 +53,9 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// startChildDaemon spawns the re-exec'd daemon and waits for its address.
-func startChildDaemon(t *testing.T, workDir string, args ...string) (*exec.Cmd, string) {
+// startChildDaemon spawns the re-exec'd daemon, with tmpDir as its TMPDIR,
+// and waits for its address.
+func startChildDaemon(t *testing.T, workDir, tmpDir string, args ...string) (*exec.Cmd, string) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -71,6 +72,7 @@ func startChildDaemon(t *testing.T, workDir string, args ...string) (*exec.Cmd, 
 		"HTIERSIMD_CRASH_CHILD=1",
 		"HTIERSIMD_CRASH_ARGS="+string(argv),
 		"HTIERSIMD_CRASH_ADDRFILE="+addrFile,
+		"TMPDIR="+tmpDir,
 	)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
@@ -94,7 +96,7 @@ func startChildDaemon(t *testing.T, workDir string, args ...string) (*exec.Cmd, 
 func crashSpec() hybridtier.SweepSpec {
 	return hybridtier.SweepSpec{
 		Workload: "zipf",
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Ratios:   []int{8},
 		Seeds:    []uint64{1, 2},
 		Ops:      3_000_000,
@@ -149,9 +151,11 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cacheDir := t.TempDir()
-	daemonArgs := []string{"-cache-dir", cacheDir, "-jobs", "1", "-sweep-workers", "1"}
-	cmd1, url1 := startChildDaemon(t, cacheDir, daemonArgs...)
+	// Every directory the daemons write lives under the test's temp dir:
+	// the store, the corpus, and TMPDIR, which must stay empty.
+	cacheDir, corpusDir, tmpDir := t.TempDir(), t.TempDir(), t.TempDir()
+	daemonArgs := []string{"-cache-dir", cacheDir, "-corpus-dir", corpusDir, "-jobs", "1", "-sweep-workers", "1"}
+	cmd1, url1 := startChildDaemon(t, cacheDir, tmpDir, daemonArgs...)
 	defer cmd1.Process.Kill()
 
 	body, err := json.Marshal(spec)
@@ -213,7 +217,7 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 
 	// Restart on the same directories. The journal resubmits the lost
 	// sweep with no client involvement; poll the result straight away.
-	cmd2, url2 := startChildDaemon(t, cacheDir, append(daemonArgs, "-scrub-interval", "100ms")...)
+	cmd2, url2 := startChildDaemon(t, cacheDir, tmpDir, append(daemonArgs, "-scrub-interval", "100ms")...)
 	defer cmd2.Process.Kill()
 
 	var got []byte
@@ -303,5 +307,8 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("restarted daemon did not exit on SIGTERM")
+	}
+	if left, err := os.ReadDir(tmpDir); err != nil || len(left) > 0 {
+		t.Errorf("the daemons left %d entries in TMPDIR (%v)", len(left), err)
 	}
 }

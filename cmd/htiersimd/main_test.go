@@ -249,7 +249,7 @@ func TestDaemonFleetShardsSweepAcrossRealSockets(t *testing.T) {
 	spec := hybridtier.SweepSpec{
 		Workload: "zipf",
 		Params:   &hybridtier.WorkloadParams{Pages: 1024},
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Ratios:   []int{8},
 		Seeds:    []uint64{1, 2},
 		Ops:      2_000,
@@ -346,8 +346,11 @@ func TestDaemonBadFlagsExitTwo(t *testing.T) {
 func TestDaemonBadCacheDirExitsOne(t *testing.T) {
 	logs := &lockedBuffer{}
 	// A cache dir nested under a regular file cannot be created.
-	if code := run([]string{"-cache-dir", "/dev/null/sub"}, logs, nil); code != 1 {
+	if code := run([]string{"-addr", "127.0.0.1:0", "-cache-dir", "/dev/null/sub"}, logs, nil); code != 1 {
 		t.Errorf("impossible cache dir exit %d, want 1:\n%s", code, logs.String())
+	}
+	if !strings.Contains(logs.String(), "cache dir: mkdir /dev/null") {
+		t.Errorf("the log does not name the cache dir failure:\n%s", logs.String())
 	}
 }
 

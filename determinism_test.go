@@ -14,6 +14,7 @@ import (
 	hybridtier "repro"
 
 	"repro/internal/registry"
+	"repro/internal/trace"
 )
 
 // goldenParams sizes the workloads small enough for the test suite.
@@ -136,7 +137,7 @@ func TestTrackerAccountingExact(t *testing.T) {
 	const ops = 200_003
 	for _, pol := range []hybridtier.PolicyName{"Memtis", "Heat-Idle", "LRU@softdirty"} {
 		res, err := hybridtier.NewExperiment(
-			hybridtier.WithWorkload(hybridtier.Zipf("acct", 1<<12, 1.0, 7)),
+			hybridtier.WithWorkload(trace.NewZipfSource("acct", 1<<12, 1.0, 0, 7)),
 			hybridtier.WithPolicy(pol),
 			hybridtier.WithOps(ops),
 		).Run(context.Background())

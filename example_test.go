@@ -108,11 +108,12 @@ func ExampleDefaultWorkloads() {
 }
 
 // ExampleNewExperiment_withWorkload runs HybridTier over a caller-built
-// skewed workload at a 1:8 fast:slow capacity split and checks that the hot
-// set was promoted into the fast tier.
+// skewed workload that rotates half its hot set halfway through, at a 1:8
+// fast:slow capacity split, and checks that hot pages were promoted into the
+// fast tier.
 func ExampleNewExperiment_withWorkload() {
 	res, err := hybridtier.NewExperiment(
-		hybridtier.WithWorkload(hybridtier.Zipf("example", 1<<14, 1.0, 7)),
+		hybridtier.WithWorkload(hybridtier.ShiftingZipf("example", 1<<14, 1.0, 7, 50_000, 0.5)),
 		hybridtier.WithPolicy(hybridtier.PolicyHybridTier),
 		hybridtier.WithRatio(8),
 		hybridtier.WithOps(100_000),

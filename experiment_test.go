@@ -12,7 +12,7 @@ import (
 )
 
 func TestExperimentDefaults(t *testing.T) {
-	e := NewExperiment(WithWorkload(Zipf("t", 4096, 1.0, 1)))
+	e := NewExperiment(WithWorkload(trace.NewZipfSource("t", 4096, 1.0, 0, 1)))
 	if e.policy != PolicyHybridTier || e.ratio != 8 || e.ops != 1_000_000 || e.seed != 1 {
 		t.Errorf("defaults = %+v", e)
 	}
@@ -38,7 +38,7 @@ func TestExperimentUnknownNames(t *testing.T) {
 		t.Errorf("unknown workload must fail with its name, got %v", err)
 	}
 	_, err = NewExperiment(
-		WithWorkload(Zipf("t", 1024, 1.0, 1)),
+		WithWorkload(trace.NewZipfSource("t", 1024, 1.0, 0, 1)),
 		WithPolicy("no-such-policy"), WithOps(100),
 	).Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "no-such-policy") {
@@ -68,7 +68,7 @@ func TestExperimentCancellation(t *testing.T) {
 	const ops = 2_000_000
 	_, err := NewExperiment(
 		WithWorkload(&fetchCapSource{
-			BatchSource: trace.AsBatchSource(Zipf("t", 1<<14, 1.0, 1)),
+			BatchSource: trace.AsBatchSource(trace.NewZipfSource("t", 1<<14, 1.0, 0, 1)),
 			limit:       math.MaxInt,
 			cancelAt:    1 << 16,
 			cancel:      cancel,
@@ -100,9 +100,9 @@ func TestPoliciesListsRegistry(t *testing.T) {
 		seen[n] = true
 	}
 	for _, want := range []PolicyName{
-		PolicyHybridTier, PolicyHybridTierCBF, PolicyHybridTierOnlyFreq,
-		PolicyMemtis, PolicyAutoNUMA, PolicyTPP, PolicyARC, PolicyTwoQ,
-		PolicyLRU, PolicyFirstTouch, PolicyAllFast,
+		PolicyHybridTier, "HybridTier-CBF", "HybridTier-onlyFreq",
+		PolicyMemtis, PolicyAutoNUMA, PolicyTPP, "ARC", "TwoQ",
+		"LRU", PolicyFirstTouch, "AllFast",
 	} {
 		if !seen[want] {
 			t.Errorf("registry missing %q", want)

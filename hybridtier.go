@@ -58,19 +58,14 @@ import (
 // PolicyName selects a tiering system by registry name.
 type PolicyName string
 
-// The systems evaluated in the paper (§5.2) plus the bounds.
+// Named systems of the paper (§5.2); Policies lists every registered one,
+// and any registered name converts to a PolicyName.
 const (
-	PolicyHybridTier         PolicyName = "HybridTier"
-	PolicyHybridTierCBF      PolicyName = "HybridTier-CBF"      // unblocked-CBF variant
-	PolicyHybridTierOnlyFreq PolicyName = "HybridTier-onlyFreq" // momentum disabled
-	PolicyMemtis             PolicyName = "Memtis"
-	PolicyAutoNUMA           PolicyName = "AutoNUMA"
-	PolicyTPP                PolicyName = "TPP"
-	PolicyARC                PolicyName = "ARC"
-	PolicyTwoQ               PolicyName = "TwoQ"
-	PolicyLRU                PolicyName = "LRU"
-	PolicyFirstTouch         PolicyName = "FirstTouch"
-	PolicyAllFast            PolicyName = "AllFast"
+	PolicyHybridTier PolicyName = "HybridTier"
+	PolicyMemtis     PolicyName = "Memtis"
+	PolicyAutoNUMA   PolicyName = "AutoNUMA"
+	PolicyTPP        PolicyName = "TPP"
+	PolicyFirstTouch PolicyName = "FirstTouch"
 )
 
 // Policies lists every registered policy name, sorted.
@@ -118,13 +113,8 @@ func tierCapacity(numPages, ratio int, huge bool) (polPages, polFast int) {
 	return polPages, polFast
 }
 
-// Zipf returns a single-page-per-op workload with Zipf(s) popularity over n
-// pages — the simplest way to drive the simulator.
-func Zipf(name string, n int, s float64, seed uint64) Workload {
-	return trace.NewZipfSource(name, n, s, 0, seed)
-}
-
-// ShiftingZipf is Zipf with a one-time rotation of frac of the hot set
+// ShiftingZipf returns a single-page-per-op workload with Zipf(s)
+// popularity over n pages and a one-time rotation of frac of the hot set
 // after shiftAfterOps operations (the §2.3.2 adaptation scenario).
 func ShiftingZipf(name string, n int, s float64, seed uint64, shiftAfterOps int64, frac float64) Workload {
 	return trace.NewShiftingZipfSource(name, n, s, 0, seed, shiftAfterOps, frac)

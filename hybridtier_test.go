@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/trace"
 )
 
 func TestSimulateDefaults(t *testing.T) {
-	w := Zipf("t", 4096, 1.0, 1)
+	w := trace.NewZipfSource("t", 4096, 1.0, 0, 1)
 	res, err := NewExperiment(WithWorkload(w), WithOps(50_000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestSimulateRequiresWorkload(t *testing.T) {
 }
 
 func TestSimulateUnknownPolicy(t *testing.T) {
-	w := Zipf("t", 1024, 1.0, 1)
+	w := trace.NewZipfSource("t", 1024, 1.0, 0, 1)
 	if _, err := NewExperiment(WithWorkload(w), WithPolicy("nope"), WithOps(100)).Run(context.Background()); err == nil {
 		t.Error("unknown policy must fail")
 	}
@@ -36,7 +37,7 @@ func TestSimulateUnknownPolicy(t *testing.T) {
 
 func TestEveryPolicySimulates(t *testing.T) {
 	for _, name := range Policies() {
-		w := Zipf("t", 4096, 1.0, 1)
+		w := trace.NewZipfSource("t", 4096, 1.0, 0, 1)
 		res, err := NewExperiment(WithWorkload(w), WithPolicy(name), WithOps(30_000)).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -48,7 +49,7 @@ func TestEveryPolicySimulates(t *testing.T) {
 }
 
 func TestSimulateHugePages(t *testing.T) {
-	w := Zipf("t", 1<<15, 1.0, 1)
+	w := trace.NewZipfSource("t", 1<<15, 1.0, 0, 1)
 	res, err := NewExperiment(WithWorkload(w), WithHugePages(true), WithOps(30_000)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +74,7 @@ func TestShiftingZipfFacade(t *testing.T) {
 
 func TestNewPolicyAllocModes(t *testing.T) {
 	// §5.2: ARC and TwoQ start with everything in the slow tier.
-	for _, name := range []PolicyName{PolicyARC, PolicyTwoQ, PolicyLRU} {
+	for _, name := range []PolicyName{"ARC", "TwoQ", "LRU"} {
 		_, alloc, err := NewPolicy(name, 1024, 128, false)
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +83,7 @@ func TestNewPolicyAllocModes(t *testing.T) {
 			t.Errorf("%s: alloc = %v, want AllocSlow", name, alloc)
 		}
 	}
-	_, alloc, err := NewPolicy(PolicyAllFast, 1024, 128, false)
+	_, alloc, err := NewPolicy("AllFast", 1024, 128, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,9 +83,6 @@ func (a *Age) Attach(env tier.Env) { a.env = env }
 // MetadataBytes implements tier.Policy: one 8 B timestamp per page.
 func (a *Age) MetadataBytes() int64 { return int64(a.cfg.NumPages) * 8 }
 
-// Stats returns a copy of the activity counters.
-func (a *Age) Stats() AgeStats { return a.stats }
-
 // OnSamples implements tier.Policy: refresh the page's age and promote
 // anything the tracker saw on the slow tier, evicting idle pages when the
 // fast tier has no room.

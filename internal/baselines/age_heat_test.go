@@ -18,14 +18,14 @@ func TestAgePromotesSampledSlowPages(t *testing.T) {
 	if m.TierOf(5) != mem.Fast {
 		t.Fatal("sampled slow page was not promoted")
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.Samples != 1 || st.Promoted != 1 || st.Demoted != 0 {
 		t.Fatalf("stats = %+v, want 1 sample / 1 promotion", st)
 	}
 	// A sample already on the fast tier refreshes its age but is not
 	// re-promoted.
 	a.OnSamples([]tier.Sample{{Page: 5, Tier: mem.Fast, Time: 2000}})
-	if st := a.Stats(); st.Promoted != 1 {
+	if st := a.stats; st.Promoted != 1 {
 		t.Fatalf("fast-tier sample changed promotions: %+v", st)
 	}
 }
@@ -50,7 +50,7 @@ func TestAgeEvictsIdlePagesToMakeRoom(t *testing.T) {
 	if m.TierOf(10) != mem.Fast {
 		t.Fatal("hot page not promoted after idle sweep")
 	}
-	st := a.Stats()
+	st := a.stats
 	if st.Promoted != 5 || st.Demoted == 0 || st.Sweeps != 1 {
 		t.Fatalf("stats = %+v, want 5 promotions, >0 demotions, 1 sweep", st)
 	}
@@ -89,7 +89,7 @@ func TestAgeTickSweepSkipsFreshPages(t *testing.T) {
 			t.Fatalf("fresh page %d was demoted", p)
 		}
 	}
-	if st := a.Stats(); st.Demoted != 1 || st.Sweeps != 1 {
+	if st := a.stats; st.Demoted != 1 || st.Sweeps != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 demotion in 1 sweep", st)
 	}
 	if env.Charged == 0 {
@@ -111,7 +111,7 @@ func TestAgeSweepRateLimited(t *testing.T) {
 	// must not run, so the promotion stays failed.
 	m.Touch(9)
 	a.OnSamples([]tier.Sample{{Page: 9, Tier: mem.Slow, Time: tier.ReclaimIntervalNs - 1}})
-	if st := a.Stats(); st.Sweeps != 0 {
+	if st := a.stats; st.Sweeps != 0 {
 		t.Fatalf("sweep ran inside the rate-limit window: %+v", st)
 	}
 	if m.TierOf(9) != mem.Slow {
@@ -141,8 +141,8 @@ func TestHeatPromotesAtThreshold(t *testing.T) {
 	m, env := newEnv(128, 8)
 	h := NewHeat(DefaultHeatConfig(128, 8))
 	h.Attach(env)
-	if h.Threshold() != 2 {
-		t.Fatalf("initial threshold = %d, want 2", h.Threshold())
+	if h.thresh != 2 {
+		t.Fatalf("initial threshold = %d, want 2", h.thresh)
 	}
 	m.Touch(5)
 	h.OnSamples(samples(5))
@@ -153,7 +153,7 @@ func TestHeatPromotesAtThreshold(t *testing.T) {
 	if m.TierOf(5) != mem.Fast {
 		t.Fatal("not promoted at threshold")
 	}
-	if st := h.Stats(); st.Samples != 2 || st.Promoted != 1 {
+	if st := h.stats; st.Samples != 2 || st.Promoted != 1 {
 		t.Fatalf("stats = %+v, want 2 samples / 1 promotion", st)
 	}
 }
@@ -175,7 +175,7 @@ func TestHeatCoolsAndEvictsColdPages(t *testing.T) {
 	for i := 0; i < 2*(DefaultHeatConfig(128, 4).CoolTicks+2); i++ {
 		h.Tick()
 	}
-	if st := h.Stats(); st.Cooled == 0 {
+	if st := h.stats; st.Cooled == 0 {
 		t.Fatalf("cooling cycles recorded no cooled pages: %+v", st)
 	}
 	// A newly hot page now displaces a cooled resident.
@@ -185,7 +185,7 @@ func TestHeatCoolsAndEvictsColdPages(t *testing.T) {
 	if m.TierOf(10) != mem.Fast {
 		t.Fatal("hot page not promoted after cold eviction")
 	}
-	if st := h.Stats(); st.Demoted == 0 {
+	if st := h.stats; st.Demoted == 0 {
 		t.Fatalf("no resident was demoted: %+v", st)
 	}
 }
@@ -202,8 +202,8 @@ func TestHeatRetuneRaisesThresholdWhenHotSetOverflows(t *testing.T) {
 		}
 	}
 	h.Tick()
-	if h.Threshold() <= 2 {
-		t.Fatalf("threshold = %d after 8 hot pages vs 2 fast slots, want > 2", h.Threshold())
+	if h.thresh <= 2 {
+		t.Fatalf("threshold = %d after 8 hot pages vs 2 fast slots, want > 2", h.thresh)
 	}
 }
 

@@ -53,12 +53,6 @@ func (a *ARC) Attach(env tier.Env) { a.env = env }
 // MetadataBytes implements tier.Policy.
 func (a *ARC) MetadataBytes() int64 { return a.lists.metadataBytes() }
 
-// Stats returns a copy of the activity counters.
-func (a *ARC) Stats() ARCStats { return a.stats }
-
-// Target returns the adaptive T1 target (test hook).
-func (a *ARC) Target() int { return a.p }
-
 // Tick implements tier.Policy; ARC acts purely per request.
 func (a *ARC) Tick() {}
 

@@ -86,9 +86,6 @@ func (a *AutoNUMA) MetadataBytes() int64 {
 	return int64(len(a.unmapped))*8 + int64(len(a.windowTime))*8 + int64(a.cfg.NumPages)*2
 }
 
-// Stats returns a copy of the activity counters.
-func (a *AutoNUMA) Stats() AutoNUMAStats { return a.stats }
-
 // OnSamples implements tier.Policy. AutoNUMA does not consume hardware
 // samples — it is entirely fault-driven.
 func (a *AutoNUMA) OnSamples([]tier.Sample) {}

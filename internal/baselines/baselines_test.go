@@ -9,10 +9,13 @@ import (
 )
 
 func newEnv(numPages, fastPages int) (*mem.Memory, *tier.NopEnv) {
-	m := mem.MustNew(mem.Config{
+	m, err := mem.New(mem.Config{
 		NumPages: numPages, FastPages: fastPages,
 		PageBytes: mem.RegularPageBytes, Alloc: mem.AllocSlow,
 	})
+	if err != nil {
+		panic(err)
+	}
 	return m, &tier.NopEnv{M: m, Accesses: map[mem.PageID]int64{}}
 }
 
@@ -37,11 +40,11 @@ func TestPageListsBasics(t *testing.T) {
 	if l.on(3) != 1 || l.on(5) != 2 || l.on(7) != 0 {
 		t.Fatal("membership wrong")
 	}
-	if l.back(1) != 3 {
-		t.Fatalf("back = %d, want 3 (FIFO order)", l.back(1))
+	if l.tail[1] != 3 {
+		t.Fatalf("back = %d, want 3 (FIFO order)", l.tail[1])
 	}
 	l.moveFront(1, 3)
-	if l.back(1) != 4 {
+	if l.tail[1] != 4 {
 		t.Fatal("moveFront did not rotate")
 	}
 	if got := l.popBack(1); got != 4 {
@@ -115,7 +118,7 @@ func TestMemtisPromotesAtThreshold(t *testing.T) {
 		PromoWatermark: 0.02, DemoteWatermark: 0.08})
 	mt.Attach(env)
 	m.Touch(5)
-	th := int(mt.Threshold())
+	th := int(mt.thresh)
 	for i := 0; i < th-1; i++ {
 		mt.OnSamples(samples(5))
 	}
@@ -137,19 +140,19 @@ func TestMemtisCooling(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		mt.OnSamples(samples(3))
 	}
-	if mt.Count(3) != 9 {
-		t.Fatalf("count = %d, want 9", mt.Count(3))
+	if mt.counts[3] != 9 {
+		t.Fatalf("count = %d, want 9", mt.counts[3])
 	}
 	mt.OnSamples(samples(3)) // 10th sample triggers cooling after counting
-	if got := mt.Count(3); got != 5 {
+	if got := mt.counts[3]; got != 5 {
 		t.Fatalf("cooled count = %d, want 5 (10>>1)", got)
 	}
-	if mt.Stats().Coolings != 1 {
+	if mt.stats.Coolings != 1 {
 		t.Error("cooling not counted")
 	}
 	// Histogram mass must be conserved.
 	var sum int64
-	for _, n := range mt.Hist() {
+	for _, n := range mt.hist {
 		sum += n
 	}
 	if sum != 128 {
@@ -376,13 +379,13 @@ func TestARCGhostHitAdapts(t *testing.T) {
 	if a.lists.size(arcB1) == 0 {
 		t.Fatal("setup: B1 ghost list should be populated after the miss stream")
 	}
-	p0 := a.Target()
+	p0 := a.p
 	// Hit a ghost: target must grow.
 	grew := false
 	for p := mem.PageID(10); p < 60; p++ {
 		if a.lists.on(int32(p)) == arcB1 {
 			a.OnSamples(samples(p))
-			if a.Target() > p0 {
+			if a.p > p0 {
 				grew = true
 			}
 			break
@@ -457,8 +460,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if m.TierOf(2) != mem.Slow || m.TierOf(1) != mem.Fast || m.TierOf(3) != mem.Fast {
 		t.Errorf("LRU state wrong: t1=%v t2=%v t3=%v", m.TierOf(1), m.TierOf(2), m.TierOf(3))
 	}
-	if l.Stats().Hits != 1 {
-		t.Errorf("hits = %d, want 1", l.Stats().Hits)
+	if l.stats.Hits != 1 {
+		t.Errorf("hits = %d, want 1", l.stats.Hits)
 	}
 }
 

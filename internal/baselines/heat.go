@@ -88,12 +88,6 @@ func (h *Heat) Attach(env tier.Env) { h.env = env }
 // MetadataBytes implements tier.Policy: one heat byte per page.
 func (h *Heat) MetadataBytes() int64 { return int64(h.cfg.NumPages) }
 
-// Stats returns a copy of the activity counters.
-func (h *Heat) Stats() HeatStats { return h.stats }
-
-// Threshold returns the current hot threshold (test hook).
-func (h *Heat) Threshold() uint8 { return h.thresh }
-
 // OnSamples implements tier.Policy: heat the page and promote it once it
 // crosses the hot threshold.
 func (h *Heat) OnSamples(batch []tier.Sample) {

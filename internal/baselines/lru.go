@@ -42,9 +42,6 @@ func (l *LRU) Attach(env tier.Env) { l.env = env }
 // MetadataBytes implements tier.Policy.
 func (l *LRU) MetadataBytes() int64 { return l.lists.metadataBytes() }
 
-// Stats returns a copy of the activity counters.
-func (l *LRU) Stats() LRUStats { return l.stats }
-
 // Tick implements tier.Policy.
 func (l *LRU) Tick() {}
 

@@ -90,19 +90,6 @@ func (m *Memtis) MetadataBytes() int64 {
 	return int64(m.cfg.NumPages) * perPageMetaBytes
 }
 
-// Stats returns a copy of the activity counters.
-func (m *Memtis) Stats() MemtisStats { return m.stats }
-
-// Threshold returns the current hot threshold (test hook).
-func (m *Memtis) Threshold() uint16 { return m.thresh }
-
-// Count returns the exact counter for p (test hook and the Fig. 3b cooling
-// accuracy experiment, which inspects the histogram Memtis builds).
-func (m *Memtis) Count(p mem.PageID) uint16 { return m.counts[p] }
-
-// Hist returns a copy of the log2 hotness histogram.
-func (m *Memtis) Hist() [17]int64 { return m.hist }
-
 // OnSamples implements tier.Policy: Algorithm 1 with an exact table. Each
 // sample costs a page-table walk plus a 16 B metadata update — the poor
 // locality §3.3 identifies (4 entries per cache line vs the CBF's 32+

@@ -108,9 +108,6 @@ func (l *pageLists) moveFront(id uint8, p int32) {
 	l.pushFront(id, p)
 }
 
-// back returns the LRU entry of list id, or -1 when empty.
-func (l *pageLists) back(id uint8) int32 { return l.tail[id] }
-
 // popBack removes and returns the LRU entry of list id, or -1 when empty.
 func (l *pageLists) popBack(id uint8) int32 {
 	p := l.tail[id]

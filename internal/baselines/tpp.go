@@ -82,9 +82,6 @@ func (t *TPP) MetadataBytes() int64 {
 	return int64(len(t.lastFault))*8 + int64(len(t.armed))*8
 }
 
-// Stats returns a copy of the activity counters.
-func (t *TPP) Stats() TPPStats { return t.stats }
-
 // OnSamples implements tier.Policy; TPP is fault-driven.
 func (t *TPP) OnSamples([]tier.Sample) {}
 

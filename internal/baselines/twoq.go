@@ -49,9 +49,6 @@ func (t *TwoQ) Attach(env tier.Env) { t.env = env }
 // MetadataBytes implements tier.Policy.
 func (t *TwoQ) MetadataBytes() int64 { return t.lists.metadataBytes() }
 
-// Stats returns a copy of the activity counters.
-func (t *TwoQ) Stats() TwoQStats { return t.stats }
-
 // Tick implements tier.Policy; 2Q acts purely per request.
 func (t *TwoQ) Tick() {}
 

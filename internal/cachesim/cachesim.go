@@ -163,10 +163,3 @@ func (h *Hierarchy) L1() Stats { return h.l1.stats }
 
 // LLC returns a copy of the LLC statistics.
 func (h *Hierarchy) LLC() Stats { return h.llc.stats }
-
-// ResetStats zeroes the counters while keeping cache contents warm, so
-// time-windowed experiments can measure per-interval miss fractions.
-func (h *Hierarchy) ResetStats() {
-	h.l1.stats = Stats{}
-	h.llc.stats = Stats{}
-}

@@ -112,18 +112,6 @@ func TestMissFractionEmpty(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsContents(t *testing.T) {
-	h := tiny()
-	h.Access(0, App)
-	h.ResetStats()
-	if h.L1().TotalAccesses() != 0 {
-		t.Error("ResetStats must zero counters")
-	}
-	if l1, _ := h.Access(0, App); !l1 {
-		t.Error("ResetStats must keep cache contents warm")
-	}
-}
-
 func TestDefaultConfigShape(t *testing.T) {
 	l1, llc := DefaultConfig()
 	if l1.SizeBytes != 48<<10 || l1.Ways != 12 {
@@ -305,11 +293,6 @@ func (h *refHierarchy) Access(addr int64, a Actor) (l1Hit, llcHit bool) {
 	return false, h.llc.access(line, a)
 }
 
-func (h *refHierarchy) ResetStats() {
-	h.l1.stats = Stats{}
-	h.llc.stats = Stats{}
-}
-
 // pair drives the kernel and the reference with one access sequence.
 type pair struct {
 	got *Hierarchy
@@ -340,11 +323,12 @@ func (p *pair) stats() error {
 	return nil
 }
 
-// checkReset compares the counters, then zeroes them on both sides.
+// checkReset compares the counters, then zeroes them on both sides and
+// keeps the contents.
 func (p *pair) checkReset() error {
 	err := p.stats()
-	p.got.ResetStats()
-	p.ref.ResetStats()
+	p.got.l1.stats, p.got.llc.stats = Stats{}, Stats{}
+	p.ref.l1.stats, p.ref.llc.stats = Stats{}, Stats{}
 	return err
 }
 

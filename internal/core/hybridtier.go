@@ -229,15 +229,6 @@ func New(cfg Config) (*HybridTier, error) {
 	return h, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *HybridTier {
-	h, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Name implements tier.Policy.
 func (h *HybridTier) Name() string {
 	if h.cfg.DisableMomentum {
@@ -251,16 +242,6 @@ func (h *HybridTier) Name() string {
 
 // Attach implements tier.Policy.
 func (h *HybridTier) Attach(env tier.Env) { h.env = env }
-
-// Stats returns a copy of the activity counters.
-func (h *HybridTier) Stats() Stats { return h.stats }
-
-// FreqThreshold returns the current auto-tuned frequency threshold.
-func (h *HybridTier) FreqThreshold() uint32 { return h.freqThresh }
-
-// FreqEstimate returns the frequency tracker's estimate for p (test hook
-// and Table 5 ground-truth comparisons).
-func (h *HybridTier) FreqEstimate(p mem.PageID) uint32 { return h.freq.Get(uint64(p)) }
 
 // MetadataBytes implements tier.Policy: both CBFs plus the second-chance
 // marks and the histogram.

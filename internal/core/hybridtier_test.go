@@ -7,6 +7,15 @@ import (
 	"repro/internal/tier"
 )
 
+// mustNew is New for a configuration known to be valid.
+func mustNew(cfg Config) *HybridTier {
+	h, err := New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // testSetup builds a small slow-allocated memory and an attached policy.
 func testSetup(t *testing.T, mutate func(*Config)) (*HybridTier, *mem.Memory, *tier.NopEnv) {
 	t.Helper()
@@ -19,11 +28,14 @@ func testSetup(t *testing.T, mutate func(*Config)) (*HybridTier, *mem.Memory, *t
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	h := MustNew(cfg)
-	m := mem.MustNew(mem.Config{
+	h := mustNew(cfg)
+	m, err := mem.New(mem.Config{
 		NumPages: 256, FastPages: cfg.FastPages,
 		PageBytes: mem.RegularPageBytes, Alloc: mem.AllocSlow,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	env := &tier.NopEnv{M: m}
 	h.Attach(env)
 	return h, m, env
@@ -72,7 +84,7 @@ func TestPromotionByFrequency(t *testing.T) {
 	if m.TierOf(7) != mem.Fast {
 		t.Fatal("page with frequency ≥ threshold must be promoted")
 	}
-	if h.Stats().Promoted == 0 {
+	if h.stats.Promoted == 0 {
 		t.Error("promotion not counted")
 	}
 }
@@ -107,7 +119,7 @@ func TestFastPageSamplesDoNotQueue(t *testing.T) {
 	m.Promote(3)
 	sampleN(h, 3, mem.Fast, 10)
 	// Already fast: no promotions issued by the policy.
-	if h.Stats().Promoted != 0 {
+	if h.stats.Promoted != 0 {
 		t.Error("fast-tier samples must not trigger promotions")
 	}
 }
@@ -150,7 +162,7 @@ func TestWatermarkDemotion(t *testing.T) {
 	if m.FastFree() < 6 {
 		t.Errorf("FastFree after demotion = %d, want ≥ 6", m.FastFree())
 	}
-	if h.Stats().Demoted == 0 {
+	if h.stats.Demoted == 0 {
 		t.Error("demotions not counted")
 	}
 }
@@ -200,7 +212,7 @@ func TestSecondChance(t *testing.T) {
 	if m.TierOf(1) != mem.Slow {
 		t.Error("unaccessed marked page must be demoted at revisit (§4.3)")
 	}
-	if h.Stats().SecondChanceOut == 0 {
+	if h.stats.SecondChanceOut == 0 {
 		t.Error("second-chance demotion not counted")
 	}
 }
@@ -212,7 +224,7 @@ func TestSecondChanceSurvivesReaccess(t *testing.T) {
 	})
 	m.Touch(1)
 	sampleN(h, 1, mem.Slow, 3)
-	h.marked[1] = secondChance{markedAt: 100, freq: h.FreqEstimate(1)}
+	h.marked[1] = secondChance{markedAt: 100, freq: h.freq.Get(1)}
 	// Re-access the page after marking: frequency estimate grows.
 	sampleN(h, 1, mem.Fast, 2)
 	env.Clock = 5_000
@@ -220,7 +232,7 @@ func TestSecondChanceSurvivesReaccess(t *testing.T) {
 	if m.TierOf(1) != mem.Fast {
 		t.Error("re-accessed marked page must survive the revisit")
 	}
-	if h.Stats().SecondChanceHit == 0 {
+	if h.stats.SecondChanceHit == 0 {
 		t.Error("second-chance survival not counted")
 	}
 }
@@ -240,11 +252,11 @@ func TestCoolingRetunesThreshold(t *testing.T) {
 			h.OnSamples([]tier.Sample{{Page: p, Tier: mem.Slow}})
 		}
 	}
-	if h.Stats().FreqCoolings == 0 {
+	if h.stats.FreqCoolings == 0 {
 		t.Fatal("cooling never fired")
 	}
-	if h.FreqThreshold() <= 2 {
-		t.Errorf("threshold = %d; with 50 hot pages and 2 fast pages it must rise", h.FreqThreshold())
+	if h.freqThresh <= 2 {
+		t.Errorf("threshold = %d; with 50 hot pages and 2 fast pages it must rise", h.freqThresh)
 	}
 }
 
@@ -252,17 +264,17 @@ func TestCoolingHalvesEstimates(t *testing.T) {
 	h, m, _ := testSetup(t, func(c *Config) { c.FreqCoolSamples = 1 << 20 })
 	m.Touch(11)
 	sampleN(h, 11, mem.Slow, 8)
-	before := h.FreqEstimate(11)
+	before := h.freq.Get(11)
 	h.coolFrequency()
-	after := h.FreqEstimate(11)
+	after := h.freq.Get(11)
 	if after != before/2 {
 		t.Errorf("cooling: estimate %d → %d, want halved", before, after)
 	}
 }
 
 func TestMetadataScalesWithFastTier(t *testing.T) {
-	small := MustNew(DefaultConfig(1000))
-	large := MustNew(DefaultConfig(8000))
+	small := mustNew(DefaultConfig(1000))
+	large := mustNew(DefaultConfig(8000))
 	// The frequency CBF scales linearly with fast pages; the momentum CBF
 	// has a constant active-window floor, so the total grows ≥ 4× for an
 	// 8× larger fast tier.
@@ -271,24 +283,24 @@ func TestMetadataScalesWithFastTier(t *testing.T) {
 			small.MetadataBytes(), large.MetadataBytes())
 	}
 	// The momentum CBF must be ~128× smaller than the frequency CBF.
-	h := MustNew(DefaultConfig(100_000))
+	h := mustNew(DefaultConfig(100_000))
 	if h.mom.SizeBytes()*64 > h.freq.SizeBytes() {
 		t.Errorf("momentum CBF too large: %d vs freq %d", h.mom.SizeBytes(), h.freq.SizeBytes())
 	}
 }
 
 func TestNames(t *testing.T) {
-	if MustNew(DefaultConfig(10)).Name() != "HybridTier" {
+	if mustNew(DefaultConfig(10)).Name() != "HybridTier" {
 		t.Error("default name wrong")
 	}
 	c := DefaultConfig(10)
 	c.DisableMomentum = true
-	if MustNew(c).Name() != "HybridTier-onlyFreq" {
+	if mustNew(c).Name() != "HybridTier-onlyFreq" {
 		t.Error("onlyFreq name wrong")
 	}
 	c = DefaultConfig(10)
 	c.Blocked = false
-	if MustNew(c).Name() != "HybridTier-CBF" {
+	if mustNew(c).Name() != "HybridTier-CBF" {
 		t.Error("unblocked name wrong")
 	}
 }

@@ -115,8 +115,8 @@ func TestInjectorCrashFreezesMutations(t *testing.T) {
 	if err := inj.Rename(keep, filepath.Join(dir, "moved")); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("crash fault returned %v", err)
 	}
-	if !inj.Crashed() {
-		t.Fatal("Crashed() false after the fault fired")
+	if !inj.crashed {
+		t.Fatal("crashed is false after the fault fired")
 	}
 	if err := inj.Remove(keep); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("post-crash mutation = %v, want ErrCrashed", err)

@@ -89,13 +89,6 @@ func (inj *Injector) Count(op Op) int {
 	return inj.counts[op]
 }
 
-// Crashed reports whether a Crash fault has fired.
-func (inj *Injector) Crashed() bool {
-	inj.mu.Lock()
-	defer inj.mu.Unlock()
-	return inj.crashed
-}
-
 // check counts the operation and returns the injected error (and, for
 // writes, the short-byte count) if a rule fires.
 func (inj *Injector) check(op Op, path string) (error, int) {

@@ -426,7 +426,7 @@ func TestChaosStormStaysByteIdentical(t *testing.T) {
 // specially.
 func TestChaosTrackerSpecStaysByteIdentical(t *testing.T) {
 	s := testSpec()
-	s.Policies = []hybridtier.PolicyName{"Heat-Idle", hybridtier.PolicyLRU, "Memtis"}
+	s.Policies = []hybridtier.PolicyName{"Heat-Idle", "LRU", "Memtis"}
 	s.Tracker = "idlepage" // folds: Heat-Idle stays bare, LRU and Memtis gain @idlepage
 	s.Seeds = []uint64{1}
 	spec := canonical(t, s)
@@ -631,7 +631,7 @@ func waitTerminal(t *testing.T, j *jobs.Job) jobs.State {
 	defer cancel()
 	from := 0
 	for {
-		events, terminal, err := j.Next(ctx, from)
+		events, _, terminal, err := j.NextRaw(ctx, from)
 		if err != nil {
 			t.Fatalf("event stream: %v", err)
 		}

@@ -213,7 +213,7 @@ func TestFailedCellIsMergedButNeverStored(t *testing.T) {
 	})
 	spec := canonical(t, hybridtier.SweepSpec{
 		Workload: "odd-seeds-only",
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Seeds:    []uint64{1, 2},
 		Ops:      4_000,
 	})

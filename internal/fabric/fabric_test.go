@@ -24,7 +24,7 @@ func testSpec() hybridtier.SweepSpec {
 	return hybridtier.SweepSpec{
 		Workload: "zipf",
 		Params:   &hybridtier.WorkloadParams{Pages: 2048},
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Ratios:   []int{8, 16},
 		Seeds:    []uint64{1, 2},
 		Ops:      8_000,

@@ -117,7 +117,7 @@ func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
 	}).Handler()
 	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
 
-	three := groupSpec(t, hybridtier.PolicyHybridTier, hybridtier.PolicyMemtis, hybridtier.PolicyLRU)
+	three := groupSpec(t, hybridtier.PolicyHybridTier, hybridtier.PolicyMemtis, "LRU")
 	want := singletonRun(t, three)
 	groupBuilds.Store(0)
 	if got := postShards(t, h, three); !bytes.Equal(got, want) {
@@ -130,7 +130,7 @@ func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
 		t.Errorf("12 executed cells cost %d renames, want %d (one Put each)", n, 12*perPut)
 	}
 
-	four := groupSpec(t, hybridtier.PolicyHybridTier, hybridtier.PolicyMemtis, hybridtier.PolicyLRU, hybridtier.PolicyARC)
+	four := groupSpec(t, hybridtier.PolicyHybridTier, hybridtier.PolicyMemtis, "LRU", "ARC")
 	want = singletonRun(t, four)
 	groupBuilds.Store(0)
 	if got := postShards(t, h, four); !bytes.Equal(got, want) {

@@ -433,20 +433,6 @@ func (c *Cache) insert(hash string, data []byte) *cacheEntry {
 	return e
 }
 
-// Len returns the number of in-memory entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the in-memory result footprint.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // resultPath is the on-disk location of a hash's result bytes.
 func (c *Cache) resultPath(hash string) string {
 	return filepath.Join(c.dir, hash+".json")

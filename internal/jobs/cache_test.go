@@ -13,6 +13,13 @@ import (
 	"repro/internal/errfs"
 )
 
+// inMemory returns the number and total size of c's in-memory entries.
+func inMemory(c *Cache) (entries int, bytes int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len(), c.bytes
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	c, err := NewCache(100, "")
 	if err != nil {
@@ -33,8 +40,8 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Errorf("entry %s evicted while within budget", h[:8])
 		}
 	}
-	if c.Len() != 2 || c.Bytes() != 80 {
-		t.Errorf("Len=%d Bytes=%d, want 2/80", c.Len(), c.Bytes())
+	if n, bytes := inMemory(c); n != 2 || bytes != 80 {
+		t.Errorf("entries=%d bytes=%d, want 2/80", n, bytes)
 	}
 	// Recency: touch h2, insert h4 — h3 (now coldest) goes.
 	c.Get(h2)
@@ -92,7 +99,7 @@ func TestCacheDiskStoreRoundTrip(t *testing.T) {
 	if !ok || string(got) != `[{"cell":1}]` {
 		t.Fatalf("disk read-through = %q, %v", got, ok)
 	}
-	if c2.Len() != 1 {
+	if n, _ := inMemory(c2); n != 1 {
 		t.Error("disk hit was not promoted into memory")
 	}
 	// No leftover temp files from atomic writes.

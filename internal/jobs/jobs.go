@@ -181,21 +181,15 @@ func (j *Job) Info() Info {
 	return info
 }
 
-// Next returns the job's events with Seq >= from, blocking until at
+// NextRaw returns the job's events with Seq >= from, blocking until at
 // least one is available or ctx is done. terminal reports that the
 // returned slice ends the stream (its last event is a terminal state), so
-// a subscriber loops on Next until terminal and never polls. The returned
-// slice is shared history: callers must not modify it.
-func (j *Job) Next(ctx context.Context, from int) (events []Event, terminal bool, err error) {
-	events, _, terminal, err = j.NextRaw(ctx, from)
-	return events, terminal, err
-}
-
-// NextRaw is Next returning, alongside the events, each one's
-// preformatted compact-JSON encoding: raw[i] encodes events[i], marshaled
-// once at append time and shared by every subscriber. Streaming handlers
-// write these bytes directly instead of re-marshaling per connection.
-// Both slices are shared history: callers must not modify them.
+// a subscriber loops on NextRaw until terminal and never polls. Alongside
+// the events it returns each one's preformatted compact-JSON encoding:
+// raw[i] encodes events[i], marshaled once at append time and shared by
+// every subscriber. Streaming handlers write these bytes directly instead
+// of re-marshaling per connection. Both slices are shared history:
+// callers must not modify them.
 func (j *Job) NextRaw(ctx context.Context, from int) (events []Event, raw [][]byte, terminal bool, err error) {
 	if from < 0 {
 		from = 0
@@ -536,16 +530,9 @@ func (m *Manager) Jobs() []Info {
 	return out
 }
 
-// Result fetches a cached result by content hash.
-func (m *Manager) Result(hash string) ([]byte, bool) {
-	if m.cfg.Cache == nil {
-		return nil, false
-	}
-	return m.cfg.Cache.Get(hash)
-}
-
-// ResultTagged is Result plus the entry's preformatted strong-ETag header
-// value (see Cache.GetTagged) — the serving hot path's lookup.
+// ResultTagged fetches a cached result by content hash, with the entry's
+// preformatted strong-ETag header value (see Cache.GetTagged) — the
+// serving hot path's lookup.
 func (m *Manager) ResultTagged(hash string) (data []byte, etag []string, ok bool) {
 	if m.cfg.Cache == nil {
 		return nil, nil, false

@@ -26,7 +26,7 @@ func waitTerminal(t *testing.T, j *Job) []Event {
 	defer cancel()
 	var all []Event
 	for {
-		events, terminal, err := j.Next(ctx, len(all))
+		events, _, terminal, err := j.NextRaw(ctx, len(all))
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
@@ -134,7 +134,7 @@ func TestSubmitCacheHitRunsNothing(t *testing.T) {
 	if events[len(events)-1].Result != h {
 		t.Error("cache-hit terminal event must carry the result hash")
 	}
-	if got, ok := m.Result(h); !ok || string(got) != "result" {
+	if got, _, ok := m.ResultTagged(h); !ok || string(got) != "result" {
 		t.Errorf("Result(%s) = %q, %v", h, got, ok)
 	}
 }
@@ -383,7 +383,7 @@ func TestRetainJobsBoundsMemory(t *testing.T) {
 		t.Error("newest job was pruned")
 	}
 	// Evicted jobs' results still serve by content hash.
-	if _, ok := m.Result(hashOf("retain-0")); !ok {
+	if _, _, ok := m.ResultTagged(hashOf("retain-0")); !ok {
 		t.Error("evicted job's cached result lost")
 	}
 	// Cache-hit resubmissions (terminal at birth) are pruned too, so a
@@ -443,7 +443,7 @@ func TestEventReplayOutlivesJobEviction(t *testing.T) {
 	// stream, delivered terminal in one call.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	replay, terminal, err := j.Next(ctx, 0)
+	replay, _, terminal, err := j.NextRaw(ctx, 0)
 	if err != nil || !terminal {
 		t.Fatalf("replay after eviction: terminal=%v err=%v", terminal, err)
 	}
@@ -452,12 +452,12 @@ func TestEventReplayOutlivesJobEviction(t *testing.T) {
 	}
 	// Resuming PAST the end of a terminal stream ends cleanly: no events,
 	// terminal true, no error, no block.
-	past, terminal, err := j.Next(ctx, len(history)+50)
+	past, _, terminal, err := j.NextRaw(ctx, len(history)+50)
 	if len(past) != 0 || !terminal || err != nil {
 		t.Errorf("Next past the end = (%v, %v, %v), want (none, true, nil)", past, terminal, err)
 	}
 	// The evicted job's result is still addressable by content.
-	if data, ok := m.Result(hashOf("evicted")); !ok || string(data) != `["evict-me"]` {
+	if data, _, ok := m.ResultTagged(hashOf("evicted")); !ok || string(data) != `["evict-me"]` {
 		t.Errorf("evicted job's result = %q, %v; want the cached bytes", data, ok)
 	}
 }
@@ -478,7 +478,7 @@ func TestNextHonorsContext(t *testing.T) {
 	defer cancel()
 	// Skip far past the available events; the job never terminates on its
 	// own, so only ctx can release us.
-	if _, _, err := j.Next(ctx, 100); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, _, err := j.NextRaw(ctx, 100); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Next past the stream end = %v, want DeadlineExceeded", err)
 	}
 	m.Cancel(j.ID())

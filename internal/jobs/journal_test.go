@@ -37,7 +37,7 @@ func awaitTerminal(t *testing.T, j *Job) State {
 	defer cancel()
 	from := 0
 	for {
-		events, terminal, err := j.Next(ctx, from)
+		events, _, terminal, err := j.NextRaw(ctx, from)
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
@@ -326,7 +326,7 @@ func TestManagerRestartResumesLiveJobs(t *testing.T) {
 	if got := byHash[hDone]; got.State != Done {
 		t.Fatalf("finished job re-listed as %s", got.State)
 	}
-	if _, ok := m2.Result(hDone); !ok {
+	if _, _, ok := m2.ResultTagged(hDone); !ok {
 		t.Fatal("finished job's result missing from restarted cache")
 	}
 	// The live jobs: resubmitted and completing.

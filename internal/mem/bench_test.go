@@ -7,7 +7,7 @@ import "testing"
 // striding access pattern.
 func BenchmarkMemTouch(b *testing.B) {
 	const pages = 1 << 16
-	m := MustNew(Config{NumPages: pages, FastPages: pages / 8, PageBytes: RegularPageBytes})
+	m := newMem(b, Config{NumPages: pages, FastPages: pages / 8, PageBytes: RegularPageBytes})
 	for p := 0; p < pages; p++ {
 		if _, err := m.Touch(PageID(p)); err != nil {
 			b.Fatal(err)
@@ -29,7 +29,7 @@ func BenchmarkMemTouchFirst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i += pages {
 		b.StopTimer()
-		m := MustNew(Config{NumPages: pages, FastPages: pages / 8, PageBytes: RegularPageBytes})
+		m := newMem(b, Config{NumPages: pages, FastPages: pages / 8, PageBytes: RegularPageBytes})
 		b.StartTimer()
 		n := pages
 		if rem := b.N - i; rem < n {

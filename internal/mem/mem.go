@@ -142,18 +142,6 @@ func New(cfg Config) (*Memory, error) {
 	}, nil
 }
 
-// MustNew is New that panics on error; for tests and static configs.
-func MustNew(cfg Config) *Memory {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// NumPages returns the page-space size.
-func (m *Memory) NumPages() int { return m.cfg.NumPages }
-
 // FastCap returns the fast-tier capacity in pages.
 func (m *Memory) FastCap() int { return m.cfg.FastPages }
 
@@ -167,9 +155,6 @@ func (m *Memory) FastFree() int {
 	}
 	return m.cfg.FastPages - m.fastUsed
 }
-
-// Allocated reports how many pages have been touched at least once.
-func (m *Memory) Allocated() int { return m.allocs }
 
 // Stats returns a copy of the migration statistics.
 func (m *Memory) Stats() Stats { return m.stats }
@@ -240,11 +225,6 @@ func (m *Memory) TierOf(p PageID) Tier {
 		return Slow
 	}
 	return Tier(m.state[p] - stateFromTier)
-}
-
-// IsAllocated reports whether p has been touched.
-func (m *Memory) IsAllocated(p PageID) bool {
-	return int(p) < len(m.state) && m.state[p] != stateFree
 }
 
 // Promote moves p to the fast tier. Promoting an already-fast page is a

@@ -13,6 +13,15 @@ func testCfg() Config {
 	return Config{NumPages: 100, FastPages: 10, PageBytes: RegularPageBytes, Alloc: AllocFastFirst}
 }
 
+func newMem(tb testing.TB, cfg Config) *Memory {
+	tb.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := testCfg()
 	if err := good.Validate(); err != nil {
@@ -34,7 +43,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFirstTouchFastFirst(t *testing.T) {
-	m := MustNew(testCfg())
+	m := newMem(t, testCfg())
 	// First 10 touches land fast, the rest slow.
 	for i := 0; i < 20; i++ {
 		tier, err := m.Touch(PageID(i))
@@ -61,7 +70,7 @@ func TestFirstTouchFastFirst(t *testing.T) {
 func TestAllocSlow(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocSlow
-	m := MustNew(cfg)
+	m := newMem(t, cfg)
 	tier, _ := m.Touch(3)
 	if tier != Slow {
 		t.Error("AllocSlow must place first touches in slow tier")
@@ -75,7 +84,7 @@ func TestAllocFastUnbounded(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocFast
 	cfg.FastPages = 1
-	m := MustNew(cfg)
+	m := newMem(t, cfg)
 	for i := 0; i < 50; i++ {
 		tier, _ := m.Touch(PageID(i))
 		if tier != Fast {
@@ -88,22 +97,22 @@ func TestAllocFastUnbounded(t *testing.T) {
 }
 
 func TestRepeatTouchKeepsTier(t *testing.T) {
-	m := MustNew(testCfg())
+	m := newMem(t, testCfg())
 	m.Touch(5)
 	m.Demote(5)
 	tier, _ := m.Touch(5)
 	if tier != Slow {
 		t.Error("repeat touch must not reallocate")
 	}
-	if m.Allocated() != 1 {
-		t.Errorf("Allocated = %d, want 1", m.Allocated())
+	if m.allocs != 1 {
+		t.Errorf("allocated pages = %d, want 1", m.allocs)
 	}
 }
 
 func TestPromoteDemote(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocSlow
-	m := MustNew(cfg)
+	m := newMem(t, cfg)
 	m.Touch(1)
 	if err := m.Promote(1); err != nil {
 		t.Fatal(err)
@@ -137,7 +146,7 @@ func TestPromoteFullFastTier(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocSlow
 	cfg.FastPages = 2
-	m := MustNew(cfg)
+	m := newMem(t, cfg)
 	for i := PageID(0); i < 3; i++ {
 		m.Touch(i)
 	}
@@ -158,17 +167,17 @@ func TestPromoteFullFastTier(t *testing.T) {
 }
 
 func TestPromoteAllocatesUntouched(t *testing.T) {
-	m := MustNew(testCfg())
+	m := newMem(t, testCfg())
 	if err := m.Promote(42); err != nil {
 		t.Fatal(err)
 	}
-	if !m.IsAllocated(42) || m.TierOf(42) != Fast {
+	if m.state[42] == stateFree || m.TierOf(42) != Fast {
 		t.Error("promoting an untouched page must allocate it fast")
 	}
 }
 
 func TestBadPage(t *testing.T) {
-	m := MustNew(testCfg())
+	m := newMem(t, testCfg())
 	if _, err := m.Touch(1000); !errors.Is(err, ErrBadPage) {
 		t.Error("Touch out of range must fail")
 	}
@@ -186,7 +195,7 @@ func TestBadPage(t *testing.T) {
 func TestScanFastOrder(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocSlow
-	m := MustNew(cfg)
+	m := newMem(t, cfg)
 	for _, p := range []PageID{30, 10, 20} {
 		m.Touch(p)
 		m.Promote(p)
@@ -220,7 +229,7 @@ func TestTierString(t *testing.T) {
 func TestRandomOpsInvariants(t *testing.T) {
 	f := func(seed uint64, ops []uint16) bool {
 		cfg := Config{NumPages: 64, FastPages: 8, PageBytes: RegularPageBytes, Alloc: AllocFastFirst}
-		m := MustNew(cfg)
+		m := newMem(t, cfg)
 		rng := xrand.New(seed)
 		for _, op := range ops {
 			p := PageID(op % 64)
@@ -293,7 +302,7 @@ func TestMigrationCost(t *testing.T) {
 // scanFastBytes is ScanFastFrom as it was before the fast-tier bitmap: one
 // state byte tested per page, read live as the walk reaches it.
 func scanFastBytes(m *Memory, start PageID, fn func(PageID) bool) int {
-	n := m.NumPages()
+	n := m.cfg.NumPages
 	visited := 0
 	for k := 0; k < n; k++ {
 		i := PageID((int(start)%n + k) % n)
@@ -322,7 +331,7 @@ func FuzzScanFastMatchesBytes(f *testing.F) {
 	f.Add(uint16(130), uint8(40), uint8(2), []byte{129, 128, 64, 63, 1, 255, 7, 9, 77})
 	f.Fuzz(func(t *testing.T, pages uint16, fastCap, alloc uint8, script []byte) {
 		cfg := Config{NumPages: 1 + int(pages%300), FastPages: int(fastCap), PageBytes: RegularPageBytes, Alloc: AllocMode(alloc % 3)}
-		a, b := MustNew(cfg), MustNew(cfg)
+		a, b := newMem(t, cfg), newMem(t, cfg)
 		n := cfg.NumPages
 		for i, x := range script {
 			p := PageID((int(x) + i*61) % n)

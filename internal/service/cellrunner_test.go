@@ -301,7 +301,7 @@ func TestCellRunnerResumeBoundsCellsInFlight(t *testing.T) {
 	registerInflight(t)
 	spec := hybridtier.SweepSpec{
 		Workload: "inflight-zipf",
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Seeds:    []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		Ops:      2_000,
 	}
@@ -402,7 +402,7 @@ func testEachResultIsStoredOnce(t *testing.T, runner func(*jobs.Cache) jobs.Runn
 			t.Fatal(err)
 		}
 		for from := 0; ; {
-			events, terminal, err := j.Next(context.Background(), from)
+			events, _, terminal, err := j.NextRaw(context.Background(), from)
 			if err != nil {
 				t.Fatal(err)
 			}

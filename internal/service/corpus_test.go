@@ -105,7 +105,7 @@ func TestCorpusUploadSubmitE2E(t *testing.T) {
 
 	spec := hybridtier.SweepSpec{
 		Workload: "corpus:" + hash,
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Ratios:   []int{8},
 		Seeds:    []uint64{1},
 		Ops:      recordedOps,

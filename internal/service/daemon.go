@@ -3,6 +3,7 @@ package service
 import (
 	"cmp"
 	"context"
+	"errors"
 	"io"
 	"log"
 	"net/http"
@@ -58,6 +59,9 @@ type Daemon struct {
 // corpus: resolver, so at most one daemon per process is live at a time;
 // Close uninstalls it. On error everything built so far is released.
 func NewDaemon(cfg DaemonConfig) (_ *Daemon, err error) {
+	if (cfg.Worker || cfg.Join != "") && (cfg.Join == "" || cfg.Advertise == "") {
+		return nil, errors.New("service: a worker needs both Join and Advertise")
+	}
 	logger := cfg.Log
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)

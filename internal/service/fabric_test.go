@@ -55,3 +55,23 @@ func TestServiceMountsFabricAndReportsFleet(t *testing.T) {
 		t.Errorf("probe via service mux = %q, %v; want cached bytes", data, ok)
 	}
 }
+
+// TestWorkerDaemonNeedsJoinAndAdvertise: a worker-mode config that lacks
+// the coordinator or its own URL is a construction error, not a panic
+// inside the fabric, and builds nothing.
+func TestWorkerDaemonNeedsJoinAndAdvertise(t *testing.T) {
+	for name, cfg := range map[string]DaemonConfig{
+		"worker alone":        {Worker: true},
+		"worker without join": {Worker: true, Advertise: "http://127.0.0.1:1"},
+		"join without self":   {Join: "http://127.0.0.1:1"},
+	} {
+		cfg.CacheMB, cfg.CorpusDir = 1, t.TempDir()
+		d, err := NewDaemon(cfg)
+		if err == nil {
+			d.Close()
+			t.Errorf("%s: NewDaemon succeeded, want an error", name)
+		} else if !strings.Contains(err.Error(), "Join and Advertise") {
+			t.Errorf("%s: error %q does not name Join and Advertise", name, err)
+		}
+	}
+}

@@ -74,7 +74,7 @@ func testSpec() hybridtier.SweepSpec {
 	return hybridtier.SweepSpec{
 		Workload: "zipf",
 		Params:   &hybridtier.WorkloadParams{Pages: 2048},
-		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, hybridtier.PolicyLRU},
+		Policies: []hybridtier.PolicyName{hybridtier.PolicyHybridTier, "LRU"},
 		Ratios:   []int{8},
 		Seeds:    []uint64{1, 2},
 		Ops:      10_000,
@@ -799,7 +799,7 @@ func TestTraceSpecsRejected(t *testing.T) {
 	} {
 		spec := hybridtier.SweepSpec{
 			Workload: workload,
-			Policies: []hybridtier.PolicyName{hybridtier.PolicyLRU},
+			Policies: []hybridtier.PolicyName{"LRU"},
 		}
 		code, resp := submit(t, srv, spec)
 		if code != http.StatusBadRequest {

@@ -50,7 +50,7 @@ func miniWorkloads(t *testing.T) []trace.Source {
 // policyFactories builds every policy family for a given layout.
 func policyFactories(numPages, fast int) map[string]func() tier.Policy {
 	return map[string]func() tier.Policy{
-		"HybridTier": func() tier.Policy { return core.MustNew(core.DefaultConfig(fast)) },
+		"HybridTier": func() tier.Policy { return hybridFor(fast) },
 		"Memtis": func() tier.Policy {
 			return baselines.NewMemtis(baselines.DefaultMemtisConfig(numPages, fast))
 		},
@@ -156,7 +156,7 @@ func TestHugePageGranularity(t *testing.T) {
 	}
 	ccfg := core.DefaultConfig(fast)
 	ccfg.CounterBits = 16 // §4.4
-	p := core.MustNew(ccfg)
+	p := newHybridTier(ccfg)
 	cfg := DefaultConfig(w, p, fast)
 	cfg.PageBytes = 2 << 20
 	cfg.Ops = 60_000

@@ -11,8 +11,17 @@ import (
 	"repro/internal/tracker"
 )
 
+// newHybridTier is core.New for a configuration known to be valid.
+func newHybridTier(cfg core.Config) *core.HybridTier {
+	h, err := core.New(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func hybridFor(fast int) *core.HybridTier {
-	return core.MustNew(core.DefaultConfig(fast))
+	return newHybridTier(core.DefaultConfig(fast))
 }
 
 func TestRunHybridTierBasic(t *testing.T) {

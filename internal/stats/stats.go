@@ -193,9 +193,6 @@ func (h *Histogram) Layout() (min, max int64, buckets int) {
 // Count returns the number of observed values.
 func (h *Histogram) Count() uint64 { return h.total }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Mean returns the mean of observed values, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if h.total == 0 {

@@ -106,7 +106,7 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	h.Observe(5)
 	h.Reset()
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 || h.sum != 0 {
 		t.Error("Reset did not clear counts")
 	}
 	if h.Median() != 0 {

@@ -28,10 +28,13 @@ func (e *countingEnv) Promote(p mem.PageID) error {
 // exactly the given pages.
 func newReclaimEnv(t *testing.T, fast ...mem.PageID) *countingEnv {
 	t.Helper()
-	m := mem.MustNew(mem.Config{
+	m, err := mem.New(mem.Config{
 		NumPages: 16, FastPages: 4,
 		PageBytes: mem.RegularPageBytes, Alloc: mem.AllocSlow,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range fast {
 		m.Touch(p)
 		if err := m.Promote(p); err != nil {

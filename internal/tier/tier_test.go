@@ -8,10 +8,13 @@ import (
 )
 
 func TestNopEnv(t *testing.T) {
-	m := mem.MustNew(mem.Config{
+	m, err := mem.New(mem.Config{
 		NumPages: 16, FastPages: 2,
 		PageBytes: mem.RegularPageBytes, Alloc: mem.AllocSlow,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := &NopEnv{M: m, Clock: 42, Accesses: map[mem.PageID]int64{3: 7}}
 
 	if e.Mem() != m {

@@ -389,14 +389,6 @@ type shiftReplay struct{ *ReplaySource }
 // ShiftTime implements ShiftSource with the replaying run's own stamp.
 func (s shiftReplay) ShiftTime() int64 { return s.shiftAt }
 
-// Ops returns the number of operations published so far: the whole
-// stream's once it is complete.
-func (r *ReplaySource) Ops() int64 {
-	r.s.mu.Lock()
-	defer r.s.mu.Unlock()
-	return int64(r.s.ops)
-}
-
 // Accesses returns the number of packed accesses published so far — the
 // stream's memory cost, at 4 bytes each.
 func (r *ReplaySource) Accesses() int {

@@ -88,8 +88,8 @@ func TestForksReadWhilePacking(t *testing.T) {
 			if rs.Err() != nil {
 				t.Fatalf("packing failed: %v", rs.Err())
 			}
-			if rs.Ops() != ops {
-				t.Fatalf("Ops = %d, want %d", rs.Ops(), ops)
+			if publishedOps(rs) != ops {
+				t.Fatalf("Ops = %d, want %d", publishedOps(rs), ops)
 			}
 			want := readViews(t, rs.Fork(), 2*ops, 99)
 			if len(want) != 2*rs.Accesses() {

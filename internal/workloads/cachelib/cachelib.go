@@ -157,15 +157,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Cache {
-	c, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func shuffle32(rng *xrand.RNG, p []uint32) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
@@ -178,9 +169,6 @@ func (c *Cache) Name() string { return c.cfg.Name }
 
 // NumPages implements trace.Source.
 func (c *Cache) NumPages() int { return c.numPages }
-
-// IndexPages returns the size of the index region in pages.
-func (c *Cache) IndexPages() int { return c.indexPgs }
 
 // NextOp implements trace.Source: one GET or SET.
 func (c *Cache) NextOp(dst []trace.Access) []trace.Access {
@@ -276,9 +264,6 @@ func (c *Cache) AdvanceTime(now int64) { c.lastNow = now }
 
 // ShiftTime implements trace.ShiftSource; -1 until the bulk shift fires.
 func (c *Cache) ShiftTime() int64 { return c.shiftedAt }
-
-// Ops returns the number of operations generated so far.
-func (c *Cache) Ops() int64 { return c.ops }
 
 // ClockFree implements trace.ClockFree: churn and the bulk shift are
 // op-count-driven, and the clock only timestamps the shift.

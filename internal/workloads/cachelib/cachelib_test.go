@@ -19,6 +19,15 @@ func smallCfg() Config {
 	}
 }
 
+func newCache(t *testing.T, cfg Config) *Cache {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestValidate(t *testing.T) {
 	if err := smallCfg().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -43,15 +52,15 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLayoutDisjoint(t *testing.T) {
-	c := MustNew(smallCfg())
-	if c.IndexPages() <= 0 {
+	c := newCache(t, smallCfg())
+	if c.indexPgs <= 0 {
 		t.Fatal("index region empty")
 	}
 	// Objects must occupy disjoint extents after the index region.
 	seen := make([]bool, c.NumPages())
 	for i, base := range c.objBase {
 		size := int(c.objPages[i])
-		if int(base) < c.IndexPages() {
+		if int(base) < c.indexPgs {
 			t.Fatalf("object %d overlaps index region", i)
 		}
 		for p := 0; p < size; p++ {
@@ -64,7 +73,7 @@ func TestLayoutDisjoint(t *testing.T) {
 }
 
 func TestOpShape(t *testing.T) {
-	c := MustNew(smallCfg())
+	c := newCache(t, smallCfg())
 	var buf []trace.Access
 	for i := 0; i < 5000; i++ {
 		buf = c.NextOp(buf[:0])
@@ -72,9 +81,9 @@ func TestOpShape(t *testing.T) {
 			t.Fatalf("op %d has %d accesses, want ≥ 2 (index + data)", i, len(buf))
 		}
 		// First access is the index probe.
-		if int(buf[0].Page) >= c.IndexPages() {
+		if int(buf[0].Page) >= c.indexPgs {
 			t.Fatalf("first access (page %d) outside index region (%d pages)",
-				buf[0].Page, c.IndexPages())
+				buf[0].Page, c.indexPgs)
 		}
 		for _, a := range buf {
 			if int(a.Page) >= c.NumPages() {
@@ -82,15 +91,15 @@ func TestOpShape(t *testing.T) {
 			}
 		}
 	}
-	if c.Ops() != 5000 {
-		t.Errorf("Ops = %d, want 5000", c.Ops())
+	if c.ops != 5000 {
+		t.Errorf("Ops = %d, want 5000", c.ops)
 	}
 }
 
 func TestSetsRewriteWholeObject(t *testing.T) {
 	cfg := smallCfg()
 	cfg.ReadFrac = 0 // all SETs
-	c := MustNew(cfg)
+	c := newCache(t, cfg)
 	var buf []trace.Access
 	for i := 0; i < 200; i++ {
 		buf = c.NextOp(buf[:0])
@@ -104,7 +113,7 @@ func TestSetsRewriteWholeObject(t *testing.T) {
 }
 
 func TestSkewedPopularity(t *testing.T) {
-	c := MustNew(smallCfg())
+	c := newCache(t, smallCfg())
 	counts := map[mem.PageID]int{}
 	var buf []trace.Access
 	const ops = 50000
@@ -132,7 +141,7 @@ func TestBulkShiftRotatesHotSet(t *testing.T) {
 	cfg.ShiftAfterOps = 30000
 	cfg.ShiftFrac = 2.0 / 3.0
 	cfg.ChurnEveryOps = 0
-	c := MustNew(cfg)
+	c := newCache(t, cfg)
 	hotBefore := hotObjects(c, 25000, 50)
 	// Cross the shift boundary.
 	var buf []trace.Access
@@ -186,7 +195,7 @@ func hotObjects(c *Cache, ops, k int) map[mem.PageID]bool {
 func TestChurnKeepsRunning(t *testing.T) {
 	cfg := smallCfg()
 	cfg.ChurnEveryOps = 10
-	c := MustNew(cfg)
+	c := newCache(t, cfg)
 	var buf []trace.Access
 	for i := 0; i < 1000; i++ {
 		buf = c.NextOp(buf[:0])
@@ -225,7 +234,7 @@ func TestProfilesConstruct(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, b := MustNew(smallCfg()), MustNew(smallCfg())
+	a, b := newCache(t, smallCfg()), newCache(t, smallCfg())
 	var ba, bb []trace.Access
 	for i := 0; i < 2000; i++ {
 		ba = a.NextOp(ba[:0])

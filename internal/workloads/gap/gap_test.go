@@ -13,6 +13,11 @@ func newSource(kernel Kind, g GraphKind, scale, degree int, seed uint64) *Source
 	return NewSourceFromGraph(kernel, g.Build(scale, degree, seed), "gap-"+kernel.String()+"-"+g.String(), seed)
 }
 
+// neighbors returns v's adjacency slice.
+func neighbors(g *Graph, v uint32) []uint32 {
+	return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
+}
+
 func TestBuildCSR(t *testing.T) {
 	pairs := [][2]uint32{{0, 1}, {1, 2}, {2, 0}, {3, 3}} // self-loop dropped
 	g := BuildCSR(4, pairs)
@@ -22,9 +27,9 @@ func TestBuildCSR(t *testing.T) {
 	if g.Degree(0) != 2 || g.Degree(1) != 2 || g.Degree(2) != 2 || g.Degree(3) != 0 {
 		t.Errorf("degrees wrong: %d %d %d %d", g.Degree(0), g.Degree(1), g.Degree(2), g.Degree(3))
 	}
-	n0 := g.Neighbors(0)
+	n0 := neighbors(g, 0)
 	if len(n0) != 2 || n0[0] != 1 || n0[1] != 2 {
-		t.Errorf("Neighbors(0) = %v, want [1 2] (sorted)", n0)
+		t.Errorf("neighbors(0) = %v, want [1 2] (sorted)", n0)
 	}
 }
 
@@ -32,9 +37,9 @@ func TestCSRSymmetry(t *testing.T) {
 	g := Kronecker(10, 4, 7)
 	// Every edge (u,v) must have a reverse edge (v,u).
 	for u := uint32(0); int(u) < g.N; u++ {
-		for _, v := range g.Neighbors(u) {
+		for _, v := range neighbors(g, u) {
 			found := false
-			for _, w := range g.Neighbors(v) {
+			for _, w := range neighbors(g, v) {
 				if w == u {
 					found = true
 					break
@@ -115,7 +120,7 @@ func TestBFSVisitsComponent(t *testing.T) {
 	src := newSource(BFS, URand, 10, 8, 5)
 	var buf []trace.Access
 	// Run enough ops to complete at least one full BFS.
-	for i := 0; i < 3000 && src.Trials() < 2; i++ {
+	for i := 0; i < 3000 && src.trials < 2; i++ {
 		buf = src.NextOp(buf[:0])
 		for _, a := range buf {
 			if int(a.Page) >= src.NumPages() {
@@ -123,7 +128,7 @@ func TestBFSVisitsComponent(t *testing.T) {
 			}
 		}
 	}
-	if src.Trials() < 2 {
+	if src.trials < 2 {
 		t.Fatal("BFS never completed a traversal")
 	}
 }
@@ -133,11 +138,11 @@ func TestBFSRestartsChangeSource(t *testing.T) {
 	// orders; verify restarts occur and the queue refills.
 	src := newSource(BFS, URand, 8, 6, 9)
 	var buf []trace.Access
-	start := src.Trials()
+	start := src.trials
 	for i := 0; i < 5000; i++ {
 		buf = src.NextOp(buf[:0])
 	}
-	if src.Trials() == start {
+	if src.trials == start {
 		t.Error("BFS should restart with new sources over 5000 ops on a 256-vertex graph")
 	}
 }
@@ -160,7 +165,7 @@ func TestCCConverges(t *testing.T) {
 	if !converged {
 		t.Fatal("CC never converged")
 	}
-	l := src.Labels()
+	l := src.labels
 	if !(l[0] == l[1] && l[1] == l[2]) {
 		t.Errorf("component {0,1,2} labels: %v", l[:3])
 	}
@@ -181,7 +186,7 @@ func TestPRConvergesToDegreeProportional(t *testing.T) {
 	for i := 0; i < 5*9; i++ { // 9 full sweeps of 5 vertices
 		buf = src.NextOp(buf[:0])
 	}
-	r := src.Ranks()
+	r := src.rank
 	if r[0] <= r[1] {
 		t.Errorf("hub rank %v must exceed leaf rank %v", r[0], r[1])
 	}

@@ -29,11 +29,6 @@ func (g *Graph) Degree(v uint32) int {
 	return int(g.Offsets[v+1] - g.Offsets[v])
 }
 
-// Neighbors returns v's adjacency slice (aliasing internal storage).
-func (g *Graph) Neighbors(v uint32) []uint32 {
-	return g.Edges[g.Offsets[v]:g.Offsets[v+1]]
-}
-
 // NumEdges returns the number of stored (directed) edges.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 

@@ -73,9 +73,6 @@ func (s *Source) NumPages() int { return s.lay.NumPages() }
 // AdvanceTime implements trace.Source.
 func (s *Source) AdvanceTime(int64) {}
 
-// Trials returns the number of completed kernel runs.
-func (s *Source) Trials() int64 { return s.trials }
-
 // NextOp implements trace.Source.
 func (s *Source) NextOp(dst []trace.Access) []trace.Access {
 	switch s.kernel {
@@ -212,9 +209,6 @@ func (s *Source) ccOp(dst []trace.Access) []trace.Access {
 	return dst
 }
 
-// Labels exposes the current component labels (for correctness tests).
-func (s *Source) Labels() []uint32 { return s.labels }
-
 // --- PageRank ---
 
 const (
@@ -266,9 +260,6 @@ func (s *Source) prOp(dst []trace.Access) []trace.Access {
 	dst = append(dst, trace.Access{Page: s.lay.NextRankPage(u), Write: true})
 	return dst
 }
-
-// Ranks exposes the current rank vector (for correctness tests).
-func (s *Source) Ranks() []float64 { return s.rank }
 
 // ClockFree implements trace.ClockFree: kernels ignore AdvanceTime.
 func (s *Source) ClockFree() bool { return true }

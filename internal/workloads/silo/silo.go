@@ -140,15 +140,6 @@ func New(cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *DB {
-	db, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return db
-}
-
 // bulkLoad builds leaves over the sorted key space, then stacks inner
 // levels until a single root remains.
 func (db *DB) bulkLoad() {
@@ -317,15 +308,6 @@ func (db *DB) NextBatch(dst []trace.Access, max int) []trace.Access {
 	}
 	return dst
 }
-
-// Height returns the tree height (levels including the leaf level).
-func (db *DB) Height() int { return db.height }
-
-// IndexPages returns the number of pages occupied by tree nodes.
-func (db *DB) IndexPages() int { return int(db.recBase) }
-
-// Counts returns the (reads, updates) issued so far.
-func (db *DB) Counts() (reads, updates uint64) { return db.reads, db.updates }
 
 // ClockFree implements trace.ClockFree: YCSB generation ignores the clock.
 func (db *DB) ClockFree() bool { return true }

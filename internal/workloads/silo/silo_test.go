@@ -10,6 +10,15 @@ func smallCfg() Config {
 	return Config{Name: "t", Records: 10_000, Mix: YCSBC, ZipfS: 0.99, Seed: 1}
 }
 
+func newDB(tb testing.TB, cfg Config) *DB {
+	tb.Helper()
+	db, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Records: 10, ZipfS: 0.99}); err == nil {
 		t.Error("too-few records must fail")
@@ -20,34 +29,34 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestTreeShape(t *testing.T) {
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	// 10k records / 256 per leaf = 40 leaves; 40 leaves / 256 → 1 root.
-	if db.Height() != 2 {
-		t.Errorf("Height = %d, want 2", db.Height())
+	if db.height != 2 {
+		t.Errorf("Height = %d, want 2", db.height)
 	}
-	if db.IndexPages() != 41 {
-		t.Errorf("IndexPages = %d, want 41 (40 leaves + root)", db.IndexPages())
+	if int(db.recBase) != 41 {
+		t.Errorf("index pages = %d, want 41 (40 leaves + root)", db.recBase)
 	}
 	// 10k records × 1 KB / 4 KB = 2500 record pages.
-	if got := db.NumPages() - db.IndexPages(); got != 2500 {
+	if got := db.NumPages() - int(db.recBase); got != 2500 {
 		t.Errorf("record pages = %d, want 2500", got)
 	}
 }
 
 func TestGetFindsEveryKey(t *testing.T) {
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	for key := uint64(0); key < 10_000; key += 97 {
 		acc, ok := db.Get(key, nil)
 		if !ok {
 			t.Fatalf("key %d not found", key)
 		}
 		// Root→leaf walk + record touch.
-		if len(acc) != db.Height()+1 {
-			t.Fatalf("key %d: %d accesses, want height+1 = %d", key, len(acc), db.Height()+1)
+		if len(acc) != db.height+1 {
+			t.Fatalf("key %d: %d accesses, want height+1 = %d", key, len(acc), db.height+1)
 		}
 		// Final access is a record page in the heap region.
 		last := acc[len(acc)-1]
-		if int(last.Page) < db.IndexPages() || int(last.Page) >= db.NumPages() {
+		if int(last.Page) < int(db.recBase) || int(last.Page) >= db.NumPages() {
 			t.Fatalf("record access outside heap region: page %d", last.Page)
 		}
 		if last.Write {
@@ -57,14 +66,14 @@ func TestGetFindsEveryKey(t *testing.T) {
 }
 
 func TestGetMissingKey(t *testing.T) {
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	if _, ok := db.Get(999_999, nil); ok {
 		t.Error("lookup beyond key space must miss")
 	}
 }
 
 func TestUpdateWritesRecord(t *testing.T) {
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	acc, ok := db.Update(42, nil)
 	if !ok {
 		t.Fatal("update of existing key failed")
@@ -81,12 +90,12 @@ func TestUpdateWritesRecord(t *testing.T) {
 }
 
 func TestYCSBCMixAllReads(t *testing.T) {
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	var buf []trace.Access
 	for i := 0; i < 5000; i++ {
 		buf = db.NextOp(buf[:0])
 	}
-	reads, updates := db.Counts()
+	reads, updates := db.reads, db.updates
 	if updates != 0 || reads != 5000 {
 		t.Errorf("YCSB-C: reads=%d updates=%d, want 5000/0", reads, updates)
 	}
@@ -95,12 +104,12 @@ func TestYCSBCMixAllReads(t *testing.T) {
 func TestYCSBBMix(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Mix = YCSBB
-	db := MustNew(cfg)
+	db := newDB(t, cfg)
 	var buf []trace.Access
 	for i := 0; i < 10_000; i++ {
 		buf = db.NextOp(buf[:0])
 	}
-	reads, updates := db.Counts()
+	reads, updates := db.reads, db.updates
 	frac := float64(updates) / float64(reads+updates)
 	if frac < 0.03 || frac > 0.08 {
 		t.Errorf("YCSB-B update fraction = %v, want ≈ 0.05", frac)
@@ -110,7 +119,7 @@ func TestYCSBBMix(t *testing.T) {
 func TestScrambledZipfSpreadsHotKeys(t *testing.T) {
 	// Hot records must not all share leaf pages: hashed key selection
 	// spreads them across the key space.
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	var buf []trace.Access
 	leafPages := map[int64]int{}
 	for i := 0; i < 20_000; i++ {
@@ -126,7 +135,7 @@ func TestScrambledZipfSpreadsHotKeys(t *testing.T) {
 func TestStationaryDistribution(t *testing.T) {
 	// YCSB keys stay equally hot: the top page set of the first half of a
 	// run must strongly overlap the second half's (no shift).
-	db := MustNew(smallCfg())
+	db := newDB(t, smallCfg())
 	first := topRecordPages(db, 30_000, 30)
 	second := topRecordPages(db, 30_000, 30)
 	overlap := 0
@@ -174,8 +183,8 @@ func TestMixStrings(t *testing.T) {
 func TestDefaultBuilds(t *testing.T) {
 	cfg := Default(1)
 	cfg.Records = 1 << 16 // shrink for test speed
-	db := MustNew(cfg)
-	if db.Height() < 2 {
+	db := newDB(t, cfg)
+	if db.height < 2 {
 		t.Error("default tree too shallow")
 	}
 	var buf []trace.Access
@@ -186,7 +195,7 @@ func TestDefaultBuilds(t *testing.T) {
 }
 
 func BenchmarkGet(b *testing.B) {
-	db := MustNew(smallCfg())
+	db := newDB(b, smallCfg())
 	var buf []trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -195,7 +204,7 @@ func BenchmarkGet(b *testing.B) {
 }
 
 func BenchmarkNextOp(b *testing.B) {
-	db := MustNew(smallCfg())
+	db := newDB(b, smallCfg())
 	var buf []trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -112,15 +112,6 @@ func New(cfg Config) (*Trainer, error) {
 	return t, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(cfg Config) *Trainer {
-	t, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // newRound samples the feature subset and row window for the next tree.
 func (t *Trainer) newRound() {
 	t.round++
@@ -144,12 +135,6 @@ func (t *Trainer) NumPages() int { return t.numPages }
 
 // AdvanceTime implements trace.Source.
 func (t *Trainer) AdvanceTime(int64) {}
-
-// Round returns the number of boosting rounds started.
-func (t *Trainer) Round() int64 { return t.round }
-
-// ActiveFeatures returns the feature ids sampled for the current round.
-func (t *Trainer) ActiveFeatures() []int { return t.activeCols }
 
 func (t *Trainer) featurePage(feature, row int) mem.PageID {
 	return mem.PageID(feature*t.colPages + row/mem.RegularPageBytes)

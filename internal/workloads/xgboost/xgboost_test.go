@@ -20,6 +20,15 @@ func smallCfg() Config {
 	}
 }
 
+func newTrainer(tb testing.TB, cfg Config) *Trainer {
+	tb.Helper()
+	tr, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
 func TestValidate(t *testing.T) {
 	if err := smallCfg().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -42,7 +51,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestLayout(t *testing.T) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(t, smallCfg())
 	// 64Ki rows → 16 pages per column × 16 features = 256 feature pages;
 	// gradients 64Ki × 8 B = 128 pages; 16 histogram pages.
 	if tr.colPages != 16 {
@@ -60,7 +69,7 @@ func TestLayout(t *testing.T) {
 }
 
 func TestOpsStayInBounds(t *testing.T) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(t, smallCfg())
 	var buf []trace.Access
 	for i := 0; i < 20_000; i++ {
 		buf = tr.NextOp(buf[:0])
@@ -81,29 +90,29 @@ func TestOpsStayInBounds(t *testing.T) {
 }
 
 func TestRoundsAdvance(t *testing.T) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(t, smallCfg())
 	var buf []trace.Access
-	start := tr.Round()
+	start := tr.round
 	// One round = NodesPerRound × activeCols × (rowSpan/BlockRows) ops
 	// = 3 × 8 × 204 ≈ 4900 ops.
 	for i := 0; i < 15_000; i++ {
 		buf = tr.NextOp(buf[:0])
 	}
-	if tr.Round() < start+2 {
-		t.Errorf("rounds did not advance: %d → %d", start, tr.Round())
+	if tr.round < start+2 {
+		t.Errorf("rounds did not advance: %d → %d", start, tr.round)
 	}
 }
 
 func TestFeatureSubsetShifts(t *testing.T) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(t, smallCfg())
 	var buf []trace.Access
-	prev := append([]int(nil), tr.ActiveFeatures()...)
+	prev := append([]int(nil), tr.activeCols...)
 	changed := false
 	for round := 0; round < 5 && !changed; round++ {
 		for i := 0; i < 6000; i++ {
 			buf = tr.NextOp(buf[:0])
 		}
-		cur := tr.ActiveFeatures()
+		cur := tr.activeCols
 		if !sameSet(prev, cur) {
 			changed = true
 		}
@@ -131,7 +140,7 @@ func sameSet(a, b []int) bool {
 }
 
 func TestHotPagesFollowActiveColumns(t *testing.T) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(t, smallCfg())
 	var buf []trace.Access
 	touched := map[int]bool{} // feature id of touched feature pages
 	for i := 0; i < 3000; i++ {
@@ -143,7 +152,7 @@ func TestHotPagesFollowActiveColumns(t *testing.T) {
 		}
 	}
 	active := map[int]bool{}
-	for _, f := range tr.ActiveFeatures() {
+	for _, f := range tr.activeCols {
 		active[f] = true
 	}
 	for f := range touched {
@@ -166,7 +175,7 @@ func TestDefaultConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Rows = 1 << 16 // shrink for test
-	tr := MustNew(cfg)
+	tr := newTrainer(t, cfg)
 	var buf []trace.Access
 	buf = tr.NextOp(buf[:0])
 	if len(buf) == 0 {
@@ -176,7 +185,7 @@ func TestDefaultConfig(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, b := MustNew(smallCfg()), MustNew(smallCfg())
+	a, b := newTrainer(t, smallCfg()), newTrainer(t, smallCfg())
 	var ba, bb []trace.Access
 	for i := 0; i < 3000; i++ {
 		ba = a.NextOp(ba[:0])
@@ -193,7 +202,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func BenchmarkNextOp(b *testing.B) {
-	tr := MustNew(smallCfg())
+	tr := newTrainer(b, smallCfg())
 	var buf []trace.Access
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -348,12 +348,6 @@ func (z *Zipf) Next() uint64 {
 	}
 }
 
-// N returns the sampler's domain size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// S returns the sampler's exponent.
-func (z *Zipf) S() float64 { return z.s }
-
 // Hash64 mixes a 64-bit value (splitmix64 finalizer). Used wherever a cheap
 // stateless hash of a page number or key is needed.
 func Hash64(x uint64) uint64 {

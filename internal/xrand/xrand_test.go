@@ -188,13 +188,6 @@ func TestZipfPanics(t *testing.T) {
 	}
 }
 
-func TestZipfAccessors(t *testing.T) {
-	z := NewZipf(New(1), 0.8, 42)
-	if z.N() != 42 || z.S() != 0.8 {
-		t.Errorf("accessors: N=%d S=%v", z.N(), z.S())
-	}
-}
-
 func TestHash64Avalanche(t *testing.T) {
 	// Flipping one input bit should flip roughly half the output bits.
 	total := 0

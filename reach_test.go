@@ -1,18 +1,34 @@
 package hybridtier_test
 
-// A guard against exported API that nothing uses. Every exported
-// package-level function of the module must be named by some other
-// non-test file (cmd/ and examples/ count as callers), or be listed in
-// keptExports with the reason it stays. The check is by name only, with
-// no type-checker: a dead function that shares its name with a live one
-// slips through, but a live function is never flagged.
+// A guard against code that nothing outside tests uses. It type-checks the
+// module, with the bench module loaded as one more user (like cmd/ and
+// examples/), and finds for every package-level func, type, var and const,
+// every method and every field of a named struct type the files that use
+// it. A declaration of a non-test file must be used by some non-test file;
+// one that only tests reach stays only if keptExports lists it with the
+// reason. A declaration of a test file must be used by something.
+//
+// Three kinds of use are invisible to the type-checker, so these count as
+// used: a method through which a type implements an interface of the
+// program (the standard library's included: fmt calls String, errors.Is
+// calls Unwrap), an embedded field, and a field with a struct tag
+// (encoding/json reads it). Fields of anonymous struct types are not
+// checked: two identical literals declare distinct field objects.
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"sort"
@@ -20,128 +36,468 @@ import (
 	"testing"
 )
 
-// keptExports lists the exported functions whose name no other non-test
-// file of the module mentions, keyed by import path and name, with the
-// reason each one stays.
+// keptExports lists the declarations of non-test files that only tests
+// use, keyed as the guard prints them, with the reason each one stays:
+// each is a seam a test drives, a reference a test compares against, or
+// an observer of state no Result shows.
 var keptExports = map[string]string{
-	// bench/ is a module of its own and compiles against these.
-	"repro.WithWorkload":                   "bench/traced.go builds its experiments from Workload values; tests do too",
-	"repro/internal/jobs.NewCache":         "bench/daemon.go and bench/drives.go build their caches with it; NewDaemon calls NewCacheFS; tests call it",
-	"repro/internal/service.CellRunner":    "bench/daemon.go builds its coordinator's local executor with it",
-	"repro/internal/service.NewHandler":    "bench/daemon.go and bench/drives.go serve their own managers through it; NewDaemon calls newHandler",
-	"repro/internal/stats.Percentile":      "bench/ reports its timing percentiles with it",
-	"repro/internal/tracefile.OpenV2":      "bench/drives.go decodes v2 traces with it; the v2 tests open files with it",
-	"repro/internal/trace.NewReplaySource": "bench/traced.go packs its shared stream with it, synchronously; the trace and sim tests do too",
-	"repro/internal/tracker.Kinds":         "KnownKinds calls it in the same file; bench/drives.go walks the kinds with it",
-
-	// Test seams.
-	"repro/internal/errfs.Inject":                        "the disk-fault injector the corpus, jobs, fabric and service tests drive",
-	"repro/internal/fabric.NewChaos":                     "the seeded faulty transport of the fabric chaos tests",
-	"repro/internal/registry/registrytest.WithWorkloads": "test-helper package: swaps in extra workloads until the test ends",
-	"repro/internal/trace.NewScanSource":                 "the sequential fixture source of the trace and sim tests",
-
-	// Called in their own file.
-	"repro/internal/registry.NewPolicyRegistry":  "builds the Policies registry in the same file",
-	"repro/internal/tracefile.NewWriter":         "Create calls it; tests write v1 traces into buffers with it",
-	"repro/internal/tracefile.NewWriterV2":       "CreateV2 calls it; tests write v2 traces into buffers with it",
-	"repro/internal/workloads/gap.BuildCSR":      "Kronecker and UniformRandom call it; the graph tests build small graphs with it",
-	"repro/internal/workloads/gap.Kronecker":     "GraphKind.Build calls it",
-	"repro/internal/workloads/gap.UniformRandom": "GraphKind.Build calls it",
+	"repro/internal/cbf.blocked.slot":                    "the reference probe TestBlockedSingleCacheLine holds the hoisted probe loops to",
+	"repro/internal/errfs.Inject":                        "the disk-fault seam of the errfs, jobs, corpus, fabric and service suites",
+	"repro/internal/errfs.Injector.Count":                "TestJournalSkipFailureSemantics counts the journal's writes through it",
+	"repro/internal/fabric.NewChaos":                     "the seeded faulty transport of TestChaosStormStaysByteIdentical",
+	"repro/internal/fabric.Chaos.Faults":                 "TestChaosStormStaysByteIdentical proves with it that the storm injected faults",
+	"repro/internal/mem.Memory.CheckInvariants":          "the mem, baselines and sim reference suites check page-state consistency with it",
+	"repro/internal/registry/registrytest.WithWorkloads": "the stream-sharing tests of the root package and the fabric engine tests register extra workloads with it",
+	"repro/internal/service.Runner":                      "the reference runner TestCellRunnerMatchesRunnerAndPopulatesCache holds the cell engine to",
+	"repro/internal/trace.NewScanSource":                 "the sequential fixture source of the trace and sim suites",
 }
 
-// moduleFile is one parsed non-test source file.
-type moduleFile struct {
-	pkg    string              // import path of its package
-	funcs  []string            // exported package-level functions it declares
-	idents map[string]struct{} // every identifier it names
-}
+// reach says which kind of file uses a declaration; a higher reach hides
+// a lower one.
+type reach int
 
-func TestExportedFuncsHaveCallers(t *testing.T) {
-	files, err := parseModule(".", "repro")
+const (
+	unreached reach = iota
+	byTests
+	byBench
+	byProgram
+)
+
+func TestDeclarationsHaveUsers(t *testing.T) {
+	l, err := loadModules(module{".", "repro"}, module{"bench", "repro/bench"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// uses counts, per name, the files that mention it.
-	uses := make(map[string]int)
-	for _, f := range files {
-		for id := range f.idents {
-			uses[id]++
-		}
-	}
-	uncalled := make(map[string]bool)
-	for _, f := range files {
-		for _, fn := range f.funcs {
-			// The declaring file names fn itself, so one use is its own.
-			if uses[fn] <= 1 {
-				uncalled[f.pkg+"."+fn] = true
+	found := l.reaches()
+	var benchOnly, failures []string
+	flagged := make(map[string]bool)
+	for _, d := range l.decls {
+		r := found[d.obj]
+		switch {
+		case d.test && r == unreached:
+			failures = append(failures, fmt.Sprintf("%s: test code that nothing uses; delete it", d.pos))
+		case d.test || r == byProgram:
+		case r == byBench:
+			benchOnly = append(benchOnly, d.key)
+		default:
+			flagged[d.key] = true
+			if reason, ok := keptExports[d.key]; ok {
+				t.Logf("kept %s: %s", d.key, reason)
+				continue
 			}
-		}
-	}
-	var missing, stale []string
-	for key := range uncalled {
-		if _, ok := keptExports[key]; !ok {
-			missing = append(missing, key)
+			what := "nothing uses it"
+			if r == byTests {
+				what = "only tests use it"
+			}
+			failures = append(failures, fmt.Sprintf("%s: %s: %s; delete it, or add it to keptExports with the reason it stays", d.pos, d.key, what))
 		}
 	}
 	for key := range keptExports {
-		if !uncalled[key] {
-			stale = append(stale, key)
+		if !flagged[key] {
+			failures = append(failures, fmt.Sprintf("keptExports lists %s, which is gone or has a non-test user now; remove the entry", key))
 		}
 	}
-	sort.Strings(missing)
-	sort.Strings(stale)
-	for _, key := range missing {
-		t.Errorf("%s: exported, but no other non-test file names it; delete it, or add it to keptExports with the reason it stays", key)
+	sort.Strings(benchOnly)
+	for _, key := range benchOnly {
+		t.Logf("only bench/ uses %s", key)
 	}
-	for _, key := range stale {
-		t.Errorf("keptExports lists %s, which is gone or has a caller now; remove the entry", key)
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
 	}
 }
 
-// parseModule parses every non-test Go file under root that belongs to the
-// module modPath, skipping what the go command skips (testdata and
-// directories starting with "." or "_") and nested modules.
-func parseModule(root, modPath string) ([]moduleFile, error) {
-	fset := token.NewFileSet()
-	var files []moduleFile
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
+// decl is one checked declaration.
+type decl struct {
+	obj  types.Object
+	key  string // import path, then receiver or struct type, then name
+	pos  token.Position
+	test bool // declared in a _test.go file
+}
+
+// loader type-checks the packages of a set of modules from source, and
+// the standard library from the export data the go command built.
+type loader struct {
+	fset    *token.FileSet
+	dirs    map[string]*build.Package // module import path -> its files
+	gc      types.Importer
+	pkgs    map[string]*types.Package
+	info    *types.Info
+	files   []*ast.File
+	kinds   map[*token.File]reach // which kind of file each one is
+	decls   []decl
+	ifaces  map[string][]*types.Interface // method name -> interfaces declaring it
+	within  map[types.Object]ast.Node     // a declaration's own extent
+	skipIDs map[*ast.Ident]bool           // receiver types, which are no use
+}
+
+// module is a module's directory and path.
+type module struct{ dir, path string }
+
+// loadModules loads every package of mods with its test files.
+func loadModules(mods ...module) (*loader, error) {
+	l := &loader{
+		fset:    token.NewFileSet(),
+		dirs:    make(map[string]*build.Package),
+		pkgs:    make(map[string]*types.Package),
+		kinds:   make(map[*token.File]reach),
+		ifaces:  make(map[string][]*types.Interface),
+		within:  make(map[types.Object]ast.Node),
+		skipIDs: make(map[*ast.Ident]bool),
+		info: &types.Info{
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		},
+	}
+	for _, m := range mods {
+		if err := l.findPackages(m); err != nil {
+			return nil, err
+		}
+	}
+	exports, err := l.listExports()
+	if err != nil {
+		return nil, err
+	}
+	l.gc = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(file)
+	})
+	paths := make([]string, 0, len(l.dirs))
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := l.Import(p); err != nil {
+			return nil, err
+		}
+	}
+	// External test packages import the rest, so nothing imports them.
+	for _, p := range paths {
+		if bp := l.dirs[p]; len(bp.XTestGoFiles) > 0 {
+			pkg, err := l.check(p+"_test", bp.Dir, bp.XTestGoFiles)
+			if err != nil {
+				return nil, err
+			}
+			l.pkgs[p+"_test"] = pkg
+		}
+	}
+	l.collectIfaces()
+	return l, nil
+}
+
+// findPackages records every package directory of m, skipping what the go
+// command skips (testdata, directories starting with "." or "_", and
+// nested modules).
+func (l *loader) findPackages(m module) error {
+	return filepath.WalkDir(m.dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
+		if p != m.dir {
 			name := d.Name()
-			if p == root {
-				return nil
-			}
 			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}
 			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
-			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		af, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		rel, err := filepath.Rel(m.dir, p)
 		if err != nil {
 			return err
 		}
-		f := moduleFile{pkg: path.Join(modPath, filepath.ToSlash(filepath.Dir(p))), idents: make(map[string]struct{})}
-		for _, decl := range af.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
-				f.funcs = append(f.funcs, fn.Name.Name)
+		if bp, err := build.ImportDir(p, 0); err == nil && len(bp.GoFiles) > 0 {
+			l.dirs[path.Join(m.path, filepath.ToSlash(rel))] = bp
+		}
+		return nil
+	})
+}
+
+// listExports returns the export data files of every package outside the
+// modules that their files import, and of those packages' dependencies,
+// building what the build cache lacks.
+func (l *loader) listExports() (map[string]string, error) {
+	args := []string{"list", "-export", "-deps", "-json=ImportPath,Export"}
+	seen := make(map[string]bool)
+	for _, bp := range l.dirs {
+		for _, imps := range [][]string{bp.Imports, bp.TestImports, bp.XTestImports} {
+			for _, p := range imps {
+				if l.dirs[p] == nil && !seen[p] {
+					seen[p] = true
+					args = append(args, p)
+				}
 			}
 		}
-		ast.Inspect(af, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				f.idents[id.Name] = struct{}{}
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	exports := make(map[string]string)
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct{ ImportPath, Export string }
+		if err := dec.Decode(&p); err != nil {
+			return nil, err
+		}
+		exports[p.ImportPath] = p.Export
+	}
+	return exports, nil
+}
+
+// Import returns a module package checked from source together with its
+// in-package test files, so one object stands for a declaration in every
+// file that uses it; any other package comes from export data.
+func (l *loader) Import(p string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[p]; ok {
+		return pkg, nil
+	}
+	bp, ok := l.dirs[p]
+	if !ok {
+		return l.gc.Import(p)
+	}
+	pkg, err := l.check(p, bp.Dir, append(bp.GoFiles, bp.TestGoFiles...))
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// check parses the named files of dir and type-checks them as package p.
+func (l *loader) check(p, dir string, names []string) (*types.Package, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(p, l.fset, files, l.info)
+	if err != nil {
+		return nil, fmt.Errorf("type-checking %s: %v", p, err)
+	}
+	l.files = append(l.files, files...)
+	for _, f := range files {
+		tf := l.fset.File(f.Package)
+		switch {
+		case strings.HasSuffix(tf.Name(), "_test.go"):
+			l.kinds[tf] = byTests
+		case strings.HasPrefix(p, "repro/bench"):
+			l.kinds[tf] = byBench
+			continue // bench/ is a user, not checked itself
+		default:
+			l.kinds[tf] = byProgram
+		}
+		l.declare(f, l.kinds[tf] == byTests)
+	}
+	return pkg, nil
+}
+
+// declare records the declarations of f the guard checks, each one's
+// extent, and the receiver type names of its methods.
+func (l *loader) declare(f *ast.File, test bool) {
+	add := func(id *ast.Ident, scope string) {
+		if id.Name == "_" {
+			return
+		}
+		obj := l.info.Defs[id]
+		key := obj.Pkg().Path() + "." + scope + id.Name
+		l.decls = append(l.decls, decl{obj: obj, key: key, pos: l.fset.Position(id.Pos()), test: test})
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			obj := l.info.Defs[d.Name].(*types.Func)
+			l.within[obj] = d
+			recv := obj.Signature().Recv()
+			if recv == nil {
+				if !entryPoint(d.Name.Name, test) {
+					add(d.Name, "")
+				}
+				continue
+			}
+			ast.Inspect(d.Recv, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					l.skipIDs[id] = true
+				}
+				return true
+			})
+			rt := recv.Type()
+			if ptr, ok := rt.(*types.Pointer); ok {
+				rt = ptr.Elem()
+			}
+			add(d.Name, rt.(*types.Named).Obj().Name()+".")
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					l.within[l.info.Defs[s.Name]] = s
+					add(s.Name, "")
+					st, ok := s.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						if fld.Tag != nil {
+							continue
+						}
+						for _, id := range fld.Names { // none for an embedded field
+							add(id, s.Name.Name+".")
+						}
+					}
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add(id, "")
+					}
+				}
+			}
+		}
+	}
+}
+
+// entryPoint reports whether the go command or the runtime calls the
+// package-level function name.
+func entryPoint(name string, test bool) bool {
+	if name == "main" || name == "init" {
+		return true
+	}
+	if !test {
+		return false
+	}
+	for _, p := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// collectIfaces records every interface of the program: the ones its
+// packages and the packages they import declare, the ones it writes as
+// literals, and error.
+func (l *loader) collectIfaces() {
+	seen := make(map[*types.Interface]bool)
+	add := func(t types.Type) {
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[it] || !it.IsMethodSet() {
+			return
+		}
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			l.ifaces[name] = append(l.ifaces[name], it)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	visited := make(map[*types.Package]bool)
+	var visit func(*types.Package)
+	visit = func(pkg *types.Package) {
+		if visited[pkg] {
+			return
+		}
+		visited[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
+				add(tn.Type())
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range l.pkgs {
+		visit(pkg)
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					if len(m.Names) > 0 { // else an embedded interface
+						add(l.info.Defs[m.Names[0]].(*types.Func).Signature().Recv().Type())
+					}
+				}
 			}
 			return true
 		})
-		files = append(files, f)
-		return nil
-	})
-	return files, err
+	}
+}
+
+// implemented marks as used by the program every method through which a
+// named type of the modules implements an interface of the program. A
+// generic type's methods count if any interface declares their name.
+// errors.Is and errors.As call Unwrap, Is and As through interfaces local
+// to their function bodies, which export data does not carry, so those
+// names count on any type.
+func (l *loader) implemented(found map[types.Object]reach) {
+	for _, pkg := range l.pkgs {
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || types.IsInterface(n) {
+				continue
+			}
+			for _, t := range []types.Type{n, types.NewPointer(n)} {
+				ms := types.NewMethodSet(t)
+				for i := 0; i < ms.Len(); i++ {
+					m := ms.At(i).Obj().(*types.Func)
+					switch m.Name() {
+					case "Unwrap", "Is", "As":
+						found[m.Origin()] = byProgram
+						continue
+					}
+					for _, it := range l.ifaces[m.Name()] {
+						if n.TypeParams().Len() > 0 || types.Implements(t, it) {
+							found[m.Origin()] = byProgram
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// reaches finds, for each checked declaration, the widest kind of file
+// that uses it. A use inside the declaration itself does not count.
+func (l *loader) reaches() map[types.Object]reach {
+	found := make(map[types.Object]reach)
+	use := func(pos token.Pos, obj types.Object) {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if n, ok := l.within[obj]; ok && n.Pos() <= pos && pos < n.End() {
+			return
+		}
+		if kind := l.kinds[l.fset.File(pos)]; kind > found[obj] {
+			found[obj] = kind
+		}
+	}
+	for id, obj := range l.info.Uses {
+		if !l.skipIDs[id] {
+			use(id.Pos(), obj)
+		}
+	}
+	for sel, s := range l.info.Selections {
+		use(sel.Sel.Pos(), s.Obj())
+	}
+	l.implemented(found)
+	return found
 }

@@ -11,7 +11,7 @@ func validSpec() SweepSpec {
 	return SweepSpec{
 		Workload: "zipf",
 		Params:   &WorkloadParams{Pages: 2048},
-		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Policies: []PolicyName{PolicyHybridTier, "LRU"},
 		Ratios:   []int{16, 4},
 		Seeds:    []uint64{1, 2},
 		Ops:      20_000,
@@ -19,7 +19,7 @@ func validSpec() SweepSpec {
 }
 
 func TestSpecCanonicalAppliesDefaults(t *testing.T) {
-	c, err := SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU}}.Canonical()
+	c, err := SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU"}}.Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +29,10 @@ func TestSpecCanonicalAppliesDefaults(t *testing.T) {
 	}
 	// Explicit defaults and omitted fields are the same spec.
 	explicit := SweepSpec{
-		Workload: "zipf", Policies: []PolicyName{PolicyLRU},
+		Workload: "zipf", Policies: []PolicyName{"LRU"},
 		Ratios: []int{8}, Seeds: []uint64{1}, Ops: 1_000_000,
 	}
-	h1, err := SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU}}.Hash()
+	h1, err := SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU"}}.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestSpecHashInvariants(t *testing.T) {
 	diff := []func(*SweepSpec){
 		func(s *SweepSpec) { s.Workload = "cdn" },
 		func(s *SweepSpec) { s.Params.Pages = 4096 },
-		func(s *SweepSpec) { s.Policies = []PolicyName{PolicyLRU, PolicyHybridTier} }, // order = cell order
+		func(s *SweepSpec) { s.Policies = []PolicyName{"LRU", PolicyHybridTier} }, // order = cell order
 		func(s *SweepSpec) { s.Ratios = []int{4, 16} },
 		func(s *SweepSpec) { s.Seeds = []uint64{2, 1} },
 		func(s *SweepSpec) { s.Ops = 30_000 },
@@ -97,8 +97,8 @@ func TestSpecHashInvariants(t *testing.T) {
 
 	// Composed specs normalize before hashing: implicit and explicit mix
 	// weights are the same experiment.
-	a := SweepSpec{Workload: "mix:zipf,zipf", Policies: []PolicyName{PolicyLRU}}
-	b := SweepSpec{Workload: "mix:1*zipf,1*zipf", Policies: []PolicyName{PolicyLRU}}
+	a := SweepSpec{Workload: "mix:zipf,zipf", Policies: []PolicyName{"LRU"}}
+	b := SweepSpec{Workload: "mix:1*zipf,1*zipf", Policies: []PolicyName{"LRU"}}
 	if hash(a) != hash(b) {
 		t.Error("normalized composition specs hash differently")
 	}
@@ -112,7 +112,7 @@ func TestSpecCanonicalErrors(t *testing.T) {
 	}{
 		{"no policies", func(s *SweepSpec) { s.Policies = nil }, "at least one policy"},
 		{"unknown policy", func(s *SweepSpec) { s.Policies = []PolicyName{"Nope"} }, `"Nope"`},
-		{"duplicate policy", func(s *SweepSpec) { s.Policies = []PolicyName{PolicyLRU, PolicyLRU} }, "twice"},
+		{"duplicate policy", func(s *SweepSpec) { s.Policies = []PolicyName{"LRU", "LRU"} }, "twice"},
 		{"bad workload", func(s *SweepSpec) { s.Workload = "nope" }, `"nope"`},
 		{"bad grammar", func(s *SweepSpec) { s.Workload = "mix:zipf" }, "at least two"},
 		// Trace replays are path references, so the hash cannot cover the
@@ -163,7 +163,7 @@ func TestSpecCanonicalBoundsCells(t *testing.T) {
 		}
 		return s
 	}
-	c, err := grid([]PolicyName{PolicyLRU}, 256, 256).Canonical()
+	c, err := grid([]PolicyName{"LRU"}, 256, 256).Canonical()
 	if err != nil {
 		t.Fatalf("1×256×256 spec rejected: %v", err)
 	}
@@ -174,8 +174,8 @@ func TestSpecCanonicalBoundsCells(t *testing.T) {
 		spec SweepSpec
 		want string
 	}{
-		{grid([]PolicyName{PolicyLRU}, 256, 257), "hybridtier: spec spans 65792 cells (1 policies × 256 ratios × 257 seeds), more than the 65536 one sweep may run"},
-		{grid([]PolicyName{PolicyHybridTier, PolicyLRU}, 300, 300), "hybridtier: spec spans 180000 cells (2 policies × 300 ratios × 300 seeds), more than the 65536 one sweep may run"},
+		{grid([]PolicyName{"LRU"}, 256, 257), "hybridtier: spec spans 65792 cells (1 policies × 256 ratios × 257 seeds), more than the 65536 one sweep may run"},
+		{grid([]PolicyName{PolicyHybridTier, "LRU"}, 300, 300), "hybridtier: spec spans 180000 cells (2 policies × 300 ratios × 300 seeds), more than the 65536 one sweep may run"},
 	} {
 		if _, err := c.spec.Canonical(); err == nil || err.Error() != c.want {
 			t.Errorf("Canonical() error %v, want %q", err, c.want)

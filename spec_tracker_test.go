@@ -60,17 +60,17 @@ func TestSpecTrackerFold(t *testing.T) {
 		return c
 	}
 	base := func() SweepSpec {
-		return SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU}, Ops: 10_000}
+		return SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU"}, Ops: 10_000}
 	}
 
 	// A redundant qualifier and a redundant forced tracker both fold away.
 	for name, s := range map[string]SweepSpec{
 		"explicit pebs qualifier": {Workload: "zipf", Policies: []PolicyName{"LRU@pebs"}, Ops: 10_000},
-		"forced pebs tracker":     {Workload: "zipf", Policies: []PolicyName{PolicyLRU}, Tracker: TrackerPEBS, Ops: 10_000},
+		"forced pebs tracker":     {Workload: "zipf", Policies: []PolicyName{"LRU"}, Tracker: TrackerPEBS, Ops: 10_000},
 		"empty qualifier":         {Workload: "zipf", Policies: []PolicyName{"LRU@"}, Ops: 10_000},
 	} {
 		c := canon(s)
-		if len(c.Policies) != 1 || c.Policies[0] != PolicyLRU || c.Tracker != "" {
+		if len(c.Policies) != 1 || c.Policies[0] != "LRU" || c.Tracker != "" {
 			t.Errorf("%s: canonical %+v, want bare LRU with empty Tracker", name, c)
 		}
 		h1, _ := s.Hash()
@@ -113,12 +113,12 @@ func TestSpecTrackerFold(t *testing.T) {
 
 	// Duplicates are detected after folding: "LRU" and "LRU@pebs" are the
 	// same cell, so listing both is the same error as listing LRU twice.
-	dup := SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU, "LRU@pebs"}, Ops: 10_000}
+	dup := SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU", "LRU@pebs"}, Ops: 10_000}
 	if _, err := dup.Canonical(); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("post-fold duplicate not rejected: %v", err)
 	}
 	// ...but the same policy under two trackers is two distinct cells.
-	two := SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU, "LRU@idlepage"}, Ops: 10_000}
+	two := SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU", "LRU@idlepage"}, Ops: 10_000}
 	if _, err := two.Canonical(); err != nil {
 		t.Errorf("same policy under two trackers rejected: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestSpecTrackerExactErrors(t *testing.T) {
 	}{
 		{
 			"unknown forced tracker",
-			SweepSpec{Workload: "zipf", Policies: []PolicyName{PolicyLRU}, Tracker: "nope"},
+			SweepSpec{Workload: "zipf", Policies: []PolicyName{"LRU"}, Tracker: "nope"},
 			`hybridtier: unknown tracker "nope" (known: idlepage, pebs, softdirty)`,
 		},
 		{

@@ -101,7 +101,7 @@ func countSweep(policies []PolicyName, seed uint64, ops int64, params WorkloadPa
 	}
 }
 
-var threePolicies = []PolicyName{PolicyHybridTier, PolicyMemtis, PolicyLRU}
+var threePolicies = []PolicyName{PolicyHybridTier, PolicyMemtis, "LRU"}
 
 // liveCells runs every cell of sw as an Experiment of its own — live
 // generation, no stream shared or cached — and returns the JSON a
@@ -223,7 +223,7 @@ func TestStreamCacheKeyedReuse(t *testing.T) {
 	}
 	wantBuilds(t, "a 12-cell sweep run as six groups", 1)
 
-	wider := countSweep(append(threePolicies[:3:3], PolicyARC), 1, 20_000, params)
+	wider := countSweep(append(threePolicies[:3:3], "ARC"), 1, 20_000, params)
 	wantWider := liveCells(t, wider)
 	countZipf.builds.Store(0)
 	if got := runJSON(t, wider); !bytes.Equal(got, wantWider) {
@@ -439,7 +439,7 @@ func TestStreamAbandonedMidPackRerunsItsCells(t *testing.T) {
 	freshStreams(t, ops)
 	params := WorkloadParams{Pages: 2048, CacheObjects: 500}
 	sw := &Sweep{
-		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Policies: []PolicyName{PolicyHybridTier, "LRU"},
 		Workers:  2,
 		Base: []Option{
 			WithWorkloadName("phases:count-zipf@270000,cdn"),
@@ -504,7 +504,7 @@ func TestSweepMeasuresAStreamPackedUnderALargerBound(t *testing.T) {
 		}),
 	})
 	sweep := func(seeds ...uint64) *Sweep {
-		return &Sweep{Policies: []PolicyName{PolicyHybridTier, PolicyLRU}, Seeds: seeds, Workers: 2,
+		return &Sweep{Policies: []PolicyName{PolicyHybridTier, "LRU"}, Seeds: seeds, Workers: 2,
 			Base: []Option{WithWorkloadName("gated-zipf"), WithOps(ops)}}
 	}
 	first, second := sweep(1), sweep(2, 1)
@@ -601,7 +601,7 @@ func TestStreamCacheBuildFailureIsNotRemembered(t *testing.T) {
 // count-shift, whose shift fires after shiftAfter of its own ops.
 func shiftSweep(workload string, shiftAfter int, seeds []uint64) *Sweep {
 	return &Sweep{
-		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Policies: []PolicyName{PolicyHybridTier, "LRU"},
 		Seeds:    seeds,
 		Workers:  2,
 		Base: []Option{

@@ -71,7 +71,7 @@ func TestSweepMidCellCancellation(t *testing.T) {
 			// deterministic coverage of all three partial-result kinds.
 			var cellsDone int
 			sw := &Sweep{
-				Policies: []PolicyName{PolicyHybridTier, PolicyLRU, PolicyTPP},
+				Policies: []PolicyName{PolicyHybridTier, "LRU", PolicyTPP},
 				Seeds:    []uint64{1},
 				Workers:  1,
 				Base: []Option{

@@ -8,11 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func testSweep(workers int) *Sweep {
 	return &Sweep{
-		Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+		Policies: []PolicyName{PolicyHybridTier, "LRU"},
 		Ratios:   []int{16, 4},
 		Seeds:    []uint64{1, 2},
 		Workers:  workers,
@@ -34,7 +36,7 @@ func TestSweepCellsOrder(t *testing.T) {
 	if cells[0] != want {
 		t.Errorf("cells[0] = %+v, want %+v", cells[0], want)
 	}
-	want = Cell{Index: 7, Policy: PolicyLRU, Ratio: 4, Seed: 2}
+	want = Cell{Index: 7, Policy: "LRU", Ratio: 4, Seed: 2}
 	if cells[7] != want {
 		t.Errorf("cells[7] = %+v, want %+v", cells[7], want)
 	}
@@ -92,7 +94,7 @@ func TestSweepRunsCellsConcurrently(t *testing.T) {
 				case <-time.After(10 * time.Second):
 					return nil, errors.New("cells did not run concurrently")
 				}
-				return Zipf("conc", 2048, 1.0, seed), nil
+				return trace.NewZipfSource("conc", 2048, 1.0, 0, seed), nil
 			}),
 		},
 	}
@@ -144,7 +146,7 @@ func TestSweepProgressStrictlyIncreasing(t *testing.T) {
 		}
 		var calls []int
 		sw := &Sweep{
-			Policies: []PolicyName{PolicyHybridTier, PolicyLRU},
+			Policies: []PolicyName{PolicyHybridTier, "LRU"},
 			Ratios:   []int{8, 4},
 			Seeds:    seeds,
 			Workers:  16,
@@ -181,7 +183,7 @@ func TestSweepProgressStrictlyIncreasing(t *testing.T) {
 func TestSweepRejectsSharedWorkloadInstance(t *testing.T) {
 	sw := &Sweep{
 		Policies: []PolicyName{PolicyHybridTier},
-		Base:     []Option{WithWorkload(Zipf("t", 1024, 1.0, 1))},
+		Base:     []Option{WithWorkload(trace.NewZipfSource("t", 1024, 1.0, 0, 1))},
 	}
 	_, err := sw.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "WithWorkloadName") {
