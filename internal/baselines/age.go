@@ -15,8 +15,6 @@ import (
 type AgeConfig struct {
 	// NumPages is the total page space (8 B of last-seen metadata each).
 	NumPages int
-	// FastPages is the fast-tier capacity.
-	FastPages int
 	// IdleNs demotes a fast page once the tracker has not reported it for
 	// this long. memtierd's IdleDurationGuess defaults to a few scan
 	// periods; the default here is likewise a small multiple of the
@@ -33,10 +31,9 @@ type AgeConfig struct {
 }
 
 // DefaultAgeConfig returns the memtierd-proportioned setup.
-func DefaultAgeConfig(numPages, fastPages int) AgeConfig {
+func DefaultAgeConfig(numPages int) AgeConfig {
 	return AgeConfig{
 		NumPages:      numPages,
-		FastPages:     fastPages,
 		IdleNs:        50_000_000, // 2.5 idlepage scan periods
 		FreeWatermark: 0.02,
 	}
@@ -51,15 +48,6 @@ type Age struct {
 	env      tier.Env
 	lastSeen []int64 // virtual ns of the page's last tracker report
 	reclaim  tier.Reclaimer
-	stats    AgeStats
-}
-
-// AgeStats counts policy activity.
-type AgeStats struct {
-	Samples  uint64
-	Promoted uint64
-	Demoted  uint64
-	Sweeps   uint64
 }
 
 var _ tier.Policy = (*Age)(nil)
@@ -88,13 +76,11 @@ func (a *Age) MetadataBytes() int64 { return int64(a.cfg.NumPages) * 8 }
 // fast tier has no room.
 func (a *Age) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		a.stats.Samples++
 		p := s.Page
 		a.env.TouchMeta(int64(p) * 8)
 		a.lastSeen[p] = s.Time
-		if s.Tier == mem.Slow &&
-			tier.PromoteOrReclaim(a.env, p, func() { a.sweepIdle(s.Time) }) {
-			a.stats.Promoted++
+		if s.Tier == mem.Slow {
+			tier.PromoteOrReclaim(a.env, p, func() { a.sweepIdle(s.Time) })
 		}
 	}
 }
@@ -117,12 +103,10 @@ func (a *Age) sweepIdle(now int64) {
 	if !a.reclaim.Due(now) {
 		return
 	}
-	a.stats.Sweeps++
 	target := int(a.cfg.FreeWatermark*float64(a.env.Mem().FastCap())) + 1
-	_, demoted := a.reclaim.Walk(a.env, target, 25, func(p mem.PageID) bool {
+	a.reclaim.Walk(a.env, target, 25, func(p mem.PageID) bool {
 		return now-a.lastSeen[p] > a.cfg.IdleNs
 	})
-	a.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Age keeps its own timestamps

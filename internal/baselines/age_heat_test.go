@@ -11,28 +11,28 @@ import (
 
 func TestAgePromotesSampledSlowPages(t *testing.T) {
 	m, env := newEnv(128, 8)
-	a := NewAge(DefaultAgeConfig(128, 8))
+	a := NewAge(DefaultAgeConfig(128))
 	a.Attach(env)
 	m.Touch(5)
 	a.OnSamples([]tier.Sample{{Page: 5, Tier: mem.Slow, Time: 1000}})
 	if m.TierOf(5) != mem.Fast {
 		t.Fatal("sampled slow page was not promoted")
 	}
-	st := a.stats
-	if st.Samples != 1 || st.Promoted != 1 || st.Demoted != 0 {
-		t.Fatalf("stats = %+v, want 1 sample / 1 promotion", st)
+	st := m.Stats()
+	if len(env.Touches) != 1 || st.Promotions != 1 || st.Demotions != 0 {
+		t.Fatalf("%d samples, stats = %+v, want 1 sample / 1 promotion", len(env.Touches), st)
 	}
 	// A sample already on the fast tier refreshes its age but is not
 	// re-promoted.
 	a.OnSamples([]tier.Sample{{Page: 5, Tier: mem.Fast, Time: 2000}})
-	if st := a.stats; st.Promoted != 1 {
-		t.Fatalf("fast-tier sample changed promotions: %+v", st)
+	if st := m.Stats(); st.Promotions != 1 || a.lastSeen[5] != 2000 {
+		t.Fatalf("fast-tier sample changed promotions or kept its age: %+v, last seen %d", st, a.lastSeen[5])
 	}
 }
 
 func TestAgeEvictsIdlePagesToMakeRoom(t *testing.T) {
 	m, env := newEnv(128, 4)
-	cfg := DefaultAgeConfig(128, 4)
+	cfg := DefaultAgeConfig(128)
 	cfg.IdleNs = 10_000_000
 	a := NewAge(cfg)
 	a.Attach(env)
@@ -50,9 +50,10 @@ func TestAgeEvictsIdlePagesToMakeRoom(t *testing.T) {
 	if m.TierOf(10) != mem.Fast {
 		t.Fatal("hot page not promoted after idle sweep")
 	}
-	st := a.stats
-	if st.Promoted != 5 || st.Demoted == 0 || st.Sweeps != 1 {
-		t.Fatalf("stats = %+v, want 5 promotions, >0 demotions, 1 sweep", st)
+	// One sweep, which frees the one slot it needs at its first page.
+	st := m.Stats()
+	if st.Promotions != 5 || st.Demotions == 0 || env.Charged != 25 {
+		t.Fatalf("stats = %+v, charged %v ns, want 5 promotions, >0 demotions, 1 sweep of 1 page", st, env.Charged)
 	}
 	slow := 0
 	for p := mem.PageID(0); p < 4; p++ {
@@ -60,14 +61,14 @@ func TestAgeEvictsIdlePagesToMakeRoom(t *testing.T) {
 			slow++
 		}
 	}
-	if int(st.Demoted) != slow {
-		t.Fatalf("Demoted = %d but %d resident pages are slow", st.Demoted, slow)
+	if int(st.Demotions) != slow {
+		t.Fatalf("Demotions = %d but %d resident pages are slow", st.Demotions, slow)
 	}
 }
 
 func TestAgeTickSweepSkipsFreshPages(t *testing.T) {
 	m, env := newEnv(128, 4)
-	a := NewAge(DefaultAgeConfig(128, 4)) // IdleNs 50 ms
+	a := NewAge(DefaultAgeConfig(128)) // IdleNs 50 ms
 	a.Attach(env)
 	for p := mem.PageID(0); p < 4; p++ {
 		m.Touch(p)
@@ -89,17 +90,17 @@ func TestAgeTickSweepSkipsFreshPages(t *testing.T) {
 			t.Fatalf("fresh page %d was demoted", p)
 		}
 	}
-	if st := a.stats; st.Demoted != 1 || st.Sweeps != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 demotion in 1 sweep", st)
+	if st := m.Stats(); st.Demotions != 1 {
+		t.Fatalf("stats = %+v, want exactly 1 demotion", st)
 	}
-	if env.Charged == 0 {
-		t.Fatal("sweep did not charge the tiering thread")
+	if env.Charged != 4*25 {
+		t.Fatalf("charged %v ns, want 1 sweep over the 4 fast pages", env.Charged)
 	}
 }
 
 func TestAgeSweepRateLimited(t *testing.T) {
 	m, env := newEnv(64, 2)
-	cfg := DefaultAgeConfig(64, 2)
+	cfg := DefaultAgeConfig(64)
 	cfg.IdleNs = 1
 	a := NewAge(cfg)
 	a.Attach(env)
@@ -111,8 +112,8 @@ func TestAgeSweepRateLimited(t *testing.T) {
 	// must not run, so the promotion stays failed.
 	m.Touch(9)
 	a.OnSamples([]tier.Sample{{Page: 9, Tier: mem.Slow, Time: tier.ReclaimIntervalNs - 1}})
-	if st := a.stats; st.Sweeps != 0 {
-		t.Fatalf("sweep ran inside the rate-limit window: %+v", st)
+	if env.Charged != 0 {
+		t.Fatalf("sweep ran inside the rate-limit window: charged %v ns", env.Charged)
 	}
 	if m.TierOf(9) != mem.Slow {
 		t.Fatal("page promoted without room")
@@ -120,14 +121,14 @@ func TestAgeSweepRateLimited(t *testing.T) {
 }
 
 func TestAgeAccessors(t *testing.T) {
-	a := NewAge(DefaultAgeConfig(128, 8))
+	a := NewAge(DefaultAgeConfig(128))
 	if a.Name() != "Age" {
 		t.Fatalf("Name = %q", a.Name())
 	}
 	if a.MetadataBytes() != 128*8 {
 		t.Fatalf("MetadataBytes = %d, want 8 B/page", a.MetadataBytes())
 	}
-	cfg := DefaultAgeConfig(128, 8)
+	cfg := DefaultAgeConfig(128)
 	cfg.Label = "Age-Idle"
 	if got := NewAge(cfg).Name(); got != "Age-Idle" {
 		t.Fatalf("labelled Name = %q", got)
@@ -153,8 +154,8 @@ func TestHeatPromotesAtThreshold(t *testing.T) {
 	if m.TierOf(5) != mem.Fast {
 		t.Fatal("not promoted at threshold")
 	}
-	if st := h.stats; st.Samples != 2 || st.Promoted != 1 {
-		t.Fatalf("stats = %+v, want 2 samples / 1 promotion", st)
+	if st := m.Stats(); len(env.Touches) != 2 || st.Promotions != 1 {
+		t.Fatalf("%d samples, stats = %+v, want 2 samples / 1 promotion", len(env.Touches), st)
 	}
 }
 
@@ -175,8 +176,10 @@ func TestHeatCoolsAndEvictsColdPages(t *testing.T) {
 	for i := 0; i < 2*(DefaultHeatConfig(128, 4).CoolTicks+2); i++ {
 		h.Tick()
 	}
-	if st := h.stats; st.Cooled == 0 {
-		t.Fatalf("cooling cycles recorded no cooled pages: %+v", st)
+	for p := mem.PageID(0); p < 4; p++ {
+		if h.heat[p] != 0 {
+			t.Fatalf("cooling cycles left resident %d at heat %d", p, h.heat[p])
+		}
 	}
 	// A newly hot page now displaces a cooled resident.
 	env.Clock = 2_000_000
@@ -185,7 +188,7 @@ func TestHeatCoolsAndEvictsColdPages(t *testing.T) {
 	if m.TierOf(10) != mem.Fast {
 		t.Fatal("hot page not promoted after cold eviction")
 	}
-	if st := h.stats; st.Demoted == 0 {
+	if st := m.Stats(); st.Demotions == 0 {
 		t.Fatalf("no resident was demoted: %+v", st)
 	}
 }

@@ -24,15 +24,6 @@ type ARC struct {
 	lists *pageLists
 	c     int // fast-tier capacity in pages
 	p     int // adaptive target size of T1
-	stats ARCStats
-}
-
-// ARCStats counts policy activity.
-type ARCStats struct {
-	Samples  uint64
-	Hits     uint64
-	Promoted uint64
-	Demoted  uint64
 }
 
 var _ tier.Policy = (*ARC)(nil)
@@ -59,7 +50,6 @@ func (a *ARC) Tick() {}
 // OnSamples implements tier.Policy: each sample is one cache request.
 func (a *ARC) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		a.stats.Samples++
 		a.env.TouchMeta(int64(s.Page) * 9) // list-node update
 		a.request(int32(s.Page))
 	}
@@ -70,7 +60,6 @@ func (a *ARC) request(x int32) {
 	switch l.on(x) {
 	case arcT1, arcT2:
 		// Case I: cache hit.
-		a.stats.Hits++
 		l.moveFront(arcT2, x)
 	case arcB1:
 		// Case II: ghost hit in B1 — recency is winning; grow T1's target.
@@ -137,17 +126,9 @@ func (a *ARC) replace(inB2 bool) {
 	}
 }
 
-func (a *ARC) promote(x int32) {
-	if err := a.env.Promote(mem.PageID(x)); err == nil {
-		a.stats.Promoted++
-	}
-}
+func (a *ARC) promote(x int32) { a.env.Promote(mem.PageID(x)) }
 
-func (a *ARC) demote(y int32) {
-	if err := a.env.Demote(mem.PageID(y)); err == nil {
-		a.stats.Demoted++
-	}
-}
+func (a *ARC) demote(y int32) { a.env.Demote(mem.PageID(y)) }
 
 // RecencyFree implements tier.RecencyFree: ARC tracks recency in its own
 // lists and never consults Env.LastAccess.

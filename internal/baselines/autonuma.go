@@ -50,15 +50,6 @@ type AutoNUMA struct {
 	windowTime []int64  // unmap time per scan window
 	cursor     int      // next page to unmap
 	reclaim    tier.Reclaimer
-	stats      AutoNUMAStats
-}
-
-// AutoNUMAStats counts baseline activity.
-type AutoNUMAStats struct {
-	Faults   uint64
-	Promoted uint64
-	Demoted  uint64
-	Scans    uint64
 }
 
 var _ tier.FaultDriven = (*AutoNUMA)(nil)
@@ -99,20 +90,17 @@ func (a *AutoNUMA) WantsFault(p mem.PageID) bool {
 // promote slow-tier pages with recent faults — even if this is the page's
 // only access ever (requirement-1 failure the paper identifies).
 func (a *AutoNUMA) OnFault(p mem.PageID, t mem.Tier) {
-	a.stats.Faults++
 	a.unmapped[p>>6] &^= 1 << (p & 63)
 	w := int(p) / a.cfg.ScanWindowPages
 	lat := a.env.Now() - a.windowTime[w]
-	if t == mem.Slow && lat < a.cfg.HintThresholdNs &&
-		tier.PromoteOrReclaim(a.env, p, a.demoteToWatermark) {
-		a.stats.Promoted++
+	if t == mem.Slow && lat < a.cfg.HintThresholdNs {
+		tier.PromoteOrReclaim(a.env, p, a.demoteToWatermark)
 	}
 }
 
 // Tick implements tier.Policy: unmap the next scan window and run the
 // watermark demotion check.
 func (a *AutoNUMA) Tick() {
-	a.stats.Scans++
 	now := a.env.Now()
 	start := a.cursor
 	for i := 0; i < a.cfg.ScanWindowPages; i++ {
@@ -144,7 +132,7 @@ func (a *AutoNUMA) demoteToWatermark() {
 	}
 	// First demote pages idle beyond the aging horizon; if that frees too
 	// little, tighten the horizon and continue.
-	a.stats.Demoted += demoteIdle(&a.reclaim, a.env, now, target, [2]int64{a.cfg.AgeNs, a.cfg.AgeNs / 8})
+	demoteIdle(&a.reclaim, a.env, now, target, [2]int64{a.cfg.AgeNs, a.cfg.AgeNs / 8})
 }
 
 // FaultBitmap implements tier.FaultBitmapped with the live unmapped bitmap.

@@ -54,15 +54,6 @@ type Heat struct {
 	thresh     uint8
 	coolCursor int
 	reclaim    tier.Reclaimer
-	stats      HeatStats
-}
-
-// HeatStats counts policy activity.
-type HeatStats struct {
-	Samples  uint64
-	Promoted uint64
-	Demoted  uint64
-	Cooled   uint64 // pages cooled (not cycles: cooling is incremental)
 }
 
 var _ tier.Policy = (*Heat)(nil)
@@ -92,7 +83,6 @@ func (h *Heat) MetadataBytes() int64 { return int64(h.cfg.NumPages) }
 // crosses the hot threshold.
 func (h *Heat) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		h.stats.Samples++
 		p := s.Page
 		h.env.TouchMeta(int64(p))
 		old := h.heat[p]
@@ -104,9 +94,8 @@ func (h *Heat) OnSamples(batch []tier.Sample) {
 				h.hist[nb]++
 			}
 		}
-		if s.Tier == mem.Slow && h.heat[p] >= h.thresh &&
-			tier.PromoteOrReclaim(h.env, p, h.demoteCold) {
-			h.stats.Promoted++
+		if s.Tier == mem.Slow && h.heat[p] >= h.thresh {
+			tier.PromoteOrReclaim(h.env, p, h.demoteCold)
 		}
 	}
 }
@@ -138,7 +127,6 @@ func (h *Heat) coolChunk() {
 		h.heat[p] = old >> 1
 		h.hist[bits.Len8(old)]--
 		h.hist[bits.Len8(old>>1)]++
-		h.stats.Cooled++
 	}
 	h.env.Charge(float64(n) / 64)
 }
@@ -161,10 +149,9 @@ func (h *Heat) demoteCold() {
 		return
 	}
 	target := int(h.cfg.FreeWatermark*float64(h.env.Mem().FastCap())) + 1
-	_, demoted := h.reclaim.Walk(h.env, target, 25, func(p mem.PageID) bool {
+	h.reclaim.Walk(h.env, target, 25, func(p mem.PageID) bool {
 		return h.heat[p] < h.thresh
 	})
-	h.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Heat is purely sample-driven

@@ -15,15 +15,6 @@ type LRU struct {
 	env   tier.Env
 	lists *pageLists
 	c     int
-	stats LRUStats
-}
-
-// LRUStats counts policy activity.
-type LRUStats struct {
-	Samples  uint64
-	Hits     uint64
-	Promoted uint64
-	Demoted  uint64
 }
 
 var _ tier.Policy = (*LRU)(nil)
@@ -48,25 +39,19 @@ func (l *LRU) Tick() {}
 // OnSamples implements tier.Policy.
 func (l *LRU) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		l.stats.Samples++
 		l.env.TouchMeta(int64(s.Page) * 9)
 		x := int32(s.Page)
 		if l.lists.on(x) == lruList {
-			l.stats.Hits++
 			l.lists.moveFront(lruList, x)
 			continue
 		}
 		if l.lists.size(lruList) >= l.c {
 			if y := l.lists.popBack(lruList); y >= 0 {
-				if l.env.Demote(mem.PageID(y)) == nil {
-					l.stats.Demoted++
-				}
+				l.env.Demote(mem.PageID(y))
 			}
 		}
 		l.lists.pushFront(lruList, x)
-		if l.env.Promote(mem.PageID(x)) == nil {
-			l.stats.Promoted++
-		}
+		l.env.Promote(mem.PageID(x))
 	}
 }
 

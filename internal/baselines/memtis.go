@@ -55,15 +55,6 @@ type Memtis struct {
 	thresh  uint16
 	since   int
 	reclaim tier.Reclaimer
-	stats   MemtisStats
-}
-
-// MemtisStats counts baseline activity.
-type MemtisStats struct {
-	Samples  uint64
-	Promoted uint64
-	Demoted  uint64
-	Coolings uint64
 }
 
 var _ tier.Policy = (*Memtis)(nil)
@@ -96,7 +87,6 @@ func (m *Memtis) MetadataBytes() int64 {
 // pages per line).
 func (m *Memtis) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		m.stats.Samples++
 		p := s.Page
 
 		// Per-sample metadata references, following htmm_core.c's update
@@ -120,9 +110,8 @@ func (m *Memtis) OnSamples(batch []tier.Sample) {
 			}
 		}
 
-		if s.Tier == mem.Slow && m.counts[p] >= m.thresh &&
-			tier.PromoteOrReclaim(m.env, p, m.demoteToWatermark) {
-			m.stats.Promoted++
+		if s.Tier == mem.Slow && m.counts[p] >= m.thresh {
+			tier.PromoteOrReclaim(m.env, p, m.demoteToWatermark)
 		}
 
 		m.since++
@@ -137,7 +126,6 @@ func (m *Memtis) OnSamples(batch []tier.Sample) {
 // observes growing with memory size (§6.1).
 func (m *Memtis) cool() {
 	m.since = 0
-	m.stats.Coolings++
 	for i := range m.counts {
 		m.counts[i] >>= 1
 	}
@@ -186,10 +174,9 @@ func (m *Memtis) demoteToWatermark() {
 	if target < 1 {
 		target = 1
 	}
-	_, demoted := m.reclaim.Walk(m.env, target, 25, func(p mem.PageID) bool {
+	m.reclaim.Walk(m.env, target, 25, func(p mem.PageID) bool {
 		return m.counts[p] < m.thresh
 	})
-	m.stats.Demoted += demoted
 }
 
 // RecencyFree implements tier.RecencyFree: Memtis is purely sample-driven

@@ -13,21 +13,17 @@ import (
 
 // demoteIdle is the recency demotion AutoNUMA and TPP share: one walk per
 // horizon, each demoting fast pages not accessed within it, with the
-// second, tighter horizon walked only when the first freed too little. It
-// returns the pages demoted.
-func demoteIdle(r *tier.Reclaimer, env tier.Env, now int64, target int, horizons [2]int64) uint64 {
-	var demoted uint64
+// second, tighter horizon walked only when the first freed too little.
+func demoteIdle(r *tier.Reclaimer, env tier.Env, now int64, target int, horizons [2]int64) {
 	for _, h := range horizons {
 		if env.Mem().FastFree() >= target {
 			break
 		}
 		cutoff := now - h
-		_, d := r.Walk(env, target, 20, func(p mem.PageID) bool {
+		r.Walk(env, target, 20, func(p mem.PageID) bool {
 			return env.LastAccess(p) < cutoff
 		})
-		demoted += d
 	}
-	return demoted
 }
 
 // pageLists is a set of intrusive doubly-linked lists over a dense page-id

@@ -53,8 +53,8 @@ func init() {
 	registry.Policies.MustRegister(registry.PolicyEntry{
 		Name: "Age-Idle", Doc: "memtierd-style age policy over idle-page bitmap scans",
 		Tracker: tracker.KindIdlepage,
-		New: func(numPages, fastPages int, _ bool) (tier.Policy, mem.AllocMode, error) {
-			cfg := DefaultAgeConfig(numPages, fastPages)
+		New: func(numPages, _ int, _ bool) (tier.Policy, mem.AllocMode, error) {
+			cfg := DefaultAgeConfig(numPages)
 			cfg.Label = "Age-Idle"
 			return NewAge(cfg), mem.AllocFastFirst, nil
 		},

@@ -46,14 +46,6 @@ type TPP struct {
 	lastFault   []int64
 	rearmCursor int
 	reclaim     tier.Reclaimer
-	stats       TPPStats
-}
-
-// TPPStats counts baseline activity.
-type TPPStats struct {
-	Faults   uint64
-	Promoted uint64
-	Demoted  uint64
 }
 
 var _ tier.FaultDriven = (*TPP)(nil)
@@ -93,16 +85,13 @@ func (t *TPP) WantsFault(p mem.PageID) bool {
 
 // OnFault implements tier.FaultDriven.
 func (t *TPP) OnFault(p mem.PageID, tr mem.Tier) {
-	t.stats.Faults++
 	t.armed[p>>6] &^= 1 << (p & 63)
 	now := t.env.Now()
 	if tr == mem.Slow {
 		if prev := t.lastFault[p]; prev > 0 && now-prev < t.cfg.ActiveWindowNs {
 			// Second fault within the window: the page would be on the
 			// active list — promote.
-			if tier.PromoteOrReclaim(t.env, p, t.demoteToWatermark) {
-				t.stats.Promoted++
-			}
+			tier.PromoteOrReclaim(t.env, p, t.demoteToWatermark)
 		}
 	}
 	t.lastFault[p] = now
@@ -138,7 +127,7 @@ func (t *TPP) demoteToWatermark() {
 	// LRU approximation: demote pages idle for over half the active
 	// window; tighten on a second pass if needed.
 	w := t.cfg.ActiveWindowNs
-	t.stats.Demoted += demoteIdle(&t.reclaim, t.env, now, target, [2]int64{w / 2, w / 8})
+	demoteIdle(&t.reclaim, t.env, now, target, [2]int64{w / 2, w / 8})
 }
 
 // FaultBitmap implements tier.FaultBitmapped with the live arming bitmap.

@@ -20,15 +20,6 @@ type TwoQ struct {
 	lists    *pageLists
 	c        int
 	kin, kou int
-	stats    TwoQStats
-}
-
-// TwoQStats counts policy activity.
-type TwoQStats struct {
-	Samples  uint64
-	Hits     uint64
-	Promoted uint64
-	Demoted  uint64
 }
 
 var _ tier.Policy = (*TwoQ)(nil)
@@ -55,7 +46,6 @@ func (t *TwoQ) Tick() {}
 // OnSamples implements tier.Policy.
 func (t *TwoQ) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		t.stats.Samples++
 		t.env.TouchMeta(int64(s.Page) * 9)
 		t.request(int32(s.Page))
 	}
@@ -65,28 +55,22 @@ func (t *TwoQ) request(x int32) {
 	l := t.lists
 	switch l.on(x) {
 	case twoqAm:
-		t.stats.Hits++
 		l.moveFront(twoqAm, x)
 	case twoqA1in:
 		// 2Q leaves A1in pages where they are: only a re-reference after
 		// eviction proves reuse.
-		t.stats.Hits++
 	case twoqA1out:
 		// Reuse after eviction: graduate to Am.
 		t.reclaim()
 		l.remove(x)
 		l.pushFront(twoqAm, x)
-		if t.env.Promote(mem.PageID(x)) == nil {
-			t.stats.Promoted++
-		}
+		t.env.Promote(mem.PageID(x))
 	default:
 		// Cold miss: straight into the cache via A1in — the direct
 		// promotion on first sample that §6.1 finds too aggressive.
 		t.reclaim()
 		l.pushFront(twoqA1in, x)
-		if t.env.Promote(mem.PageID(x)) == nil {
-			t.stats.Promoted++
-		}
+		t.env.Promote(mem.PageID(x))
 	}
 }
 
@@ -113,11 +97,7 @@ func (t *TwoQ) reclaim() {
 	}
 }
 
-func (t *TwoQ) demote(y int32) {
-	if t.env.Demote(mem.PageID(y)) == nil {
-		t.stats.Demoted++
-	}
-}
+func (t *TwoQ) demote(y int32) { t.env.Demote(mem.PageID(y)) }
 
 // RecencyFree implements tier.RecencyFree: TwoQ tracks recency in its own
 // queues and never consults Env.LastAccess.

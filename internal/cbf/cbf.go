@@ -127,7 +127,6 @@ type counterArray struct {
 	slotMask  int  // slots per word - 1
 	coolMask  uint64
 	max       uint32
-	n         int
 	words     []uint64
 }
 
@@ -137,7 +136,6 @@ func newCounterArray(bits, n int) *counterArray {
 	c := &counterArray{
 		bits:  bits,
 		max:   uint32(1)<<bits - 1,
-		n:     n,
 		words: make([]uint64, words),
 	}
 	switch bits {

@@ -164,21 +164,6 @@ type HybridTier struct {
 	momMetaBase int64
 
 	touchScratch []int64
-
-	stats Stats
-}
-
-// Stats counts HybridTier activity.
-type Stats struct {
-	Samples         uint64
-	Promoted        uint64
-	PromoSkipped    uint64 // wanted promotion but fast tier stayed full
-	Demoted         uint64
-	SecondChanceHit uint64 // marked pages that survived (re-accessed)
-	SecondChanceOut uint64 // marked pages demoted after revisit
-	FreqCoolings    uint64
-	MomCoolings     uint64
-	ScanVisited     uint64
 }
 
 var _ tier.Policy = (*HybridTier)(nil)
@@ -256,7 +241,6 @@ func (h *HybridTier) MetadataBytes() int64 {
 // updates replacing the per-page table of prior systems (§3.3).
 func (h *HybridTier) OnSamples(batch []tier.Sample) {
 	for _, s := range batch {
-		h.stats.Samples++
 		key := uint64(s.Page)
 
 		// Metadata traffic: one cache line for the blocked frequency CBF,
@@ -302,7 +286,6 @@ func (h *HybridTier) OnSamples(batch []tier.Sample) {
 			if h.samplesSinceMomCool >= h.cfg.MomCoolSamples {
 				h.mom.Cool()
 				h.samplesSinceMomCool = 0
-				h.stats.MomCoolings++
 				// Cooling sweeps the momentum array once.
 				h.env.Charge(float64(h.mom.SizeBytes()) / 64)
 			}
@@ -325,7 +308,6 @@ func (h *HybridTier) histShift(a, b uint32) {
 func (h *HybridTier) coolFrequency() {
 	h.freq.Cool()
 	h.samplesSinceFreqCool = 0
-	h.stats.FreqCoolings++
 	cooled := make([]int64, len(h.histEst))
 	for c, n := range h.histEst {
 		cooled[c/2] += n
@@ -356,17 +338,11 @@ func (h *HybridTier) flushPromotions() {
 	}
 	retried := false
 	for _, p := range h.promoQueue {
-		err := h.env.Promote(p)
-		if err != nil && !retried {
+		if h.env.Promote(p) != nil && !retried {
 			retried = true
 			h.demoteToWatermark()
-			err = h.env.Promote(p)
+			h.env.Promote(p)
 		}
-		if err != nil {
-			h.stats.PromoSkipped++
-			continue
-		}
-		h.stats.Promoted++
 	}
 	h.promoQueue = h.promoQueue[:0]
 }
@@ -395,11 +371,9 @@ func (h *HybridTier) demoteToWatermark() {
 		target = 1
 	}
 	// Scan cost: one pagemap lookup + two CBF lookups per visited page.
-	visited, demoted := h.reclaim.Walk(h.env, target, 30, func(p mem.PageID) bool {
+	h.reclaim.Walk(h.env, target, 30, func(p mem.PageID) bool {
 		return h.demotable(p, now)
 	})
-	h.stats.ScanVisited += uint64(visited)
-	h.stats.Demoted += demoted
 }
 
 // demotable is the Table 1 demotion matrix for fast page p: pages cold on
@@ -447,12 +421,7 @@ func (h *HybridTier) revisitMarked() {
 		// estimate slightly. A genuinely re-hot page also shows momentum.
 		stale := cur <= mark.freq+1 && mo < h.cfg.MomentumThreshold
 		if stale && m.TierOf(p) == mem.Fast {
-			if h.env.Demote(p) == nil {
-				h.stats.Demoted++
-				h.stats.SecondChanceOut++
-			}
-		} else {
-			h.stats.SecondChanceHit++
+			h.env.Demote(p)
 		}
 		delete(h.marked, p)
 	}

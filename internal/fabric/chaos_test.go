@@ -104,7 +104,6 @@ func (c *countRunner) wrap(inner jobs.Runner) jobs.Runner {
 // testWorker is one fleet member under test.
 type testWorker struct {
 	host    string
-	w       *Worker
 	mesh    *mesh
 	cells   atomic.Int32 // cells fully executed
 	started atomic.Int32 // cell executions begun
@@ -247,7 +246,6 @@ func newFleet(t *testing.T, nWorkers int, plan *ChaosPlan, heartbeat bool, tweak
 			Interval:    2 * time.Millisecond,
 		})
 		wcache.SetRemote(w.ProbeCoordinator)
-		tw.w = w
 		ms.add(tw.host, w.Handler())
 		f.wks = append(f.wks, tw)
 		if heartbeat {

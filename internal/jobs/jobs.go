@@ -450,19 +450,22 @@ func (m *Manager) Submit(hash string, spec []byte) (j *Job, created bool, err er
 		return live, false, nil
 	}
 	j = newJob(m.nextID(), hash, spec)
-	select {
-	case m.queue <- j:
-	default:
+	// Only Submit sends to the queue once NewManager returns, always under
+	// m.mu, and workers only take from it: room seen here is still there
+	// at the send below.
+	if len(m.queue) == cap(m.queue) {
 		return nil, false, ErrBusy
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j)
 	m.inflight[hash] = j
-	// Journaled under m.mu: the fsync serializes submissions, which is the
-	// price of "an acknowledged submit survives a crash". A worker may
-	// still race its start record ahead of this one — replayRecords folds
-	// records order-tolerantly, so that interleaving is harmless.
+	// Journaled under m.mu, whose fsync serializes submissions: the price
+	// of "an acknowledged submit survives a crash". And journaled before
+	// the job is queued, so no worker's start or done record can land
+	// ahead of it: the fold would read a submit after a done as a new
+	// generation, and a restart would run the finished job again.
 	m.journal(Record{Type: recSubmit, Hash: hash, Spec: spec})
+	m.queue <- j
 	return j, true, nil
 }
 

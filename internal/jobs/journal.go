@@ -266,11 +266,13 @@ type foldState struct {
 }
 
 // step folds one record into a hash's state — the single transition rule
-// replayRecords and Journal.Append share. Records of one job can
-// interleave slightly out of lifecycle order across goroutines (submit
-// and start race into the file), so the fold is a tolerant state machine:
-// a submit after a terminal record opens a new generation of the same
-// hash; within a generation the strongest state wins.
+// replayRecords and Journal.Append share. A submit after a terminal record
+// opens a new generation of the same hash; within a generation the
+// strongest state wins. The first rule needs each job's submit record
+// ahead of its worker's records, which Manager.Submit guarantees by
+// journaling before it queues: a submit landing after its own job's done
+// would open a generation nobody submitted, and a restart would run the
+// finished job again.
 func (st foldState) step(rec Record) foldState {
 	st.hasSpec = st.hasSpec || len(rec.Spec) > 0
 	switch rec.Type {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -554,4 +555,97 @@ func TestManagerCanceledWhileQueuedIsJournaled(t *testing.T) {
 		}
 	}
 	t.Fatal("canceled job missing from restarted listing")
+}
+
+// submitInstantJobs submits n distinct specs to m one at a time, each
+// once the last one's worker is done with it, so every submit finds a
+// worker idle and racing it to the journal.
+func submitInstantJobs(t *testing.T, m *Manager, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		spec := fmt.Sprintf(`"instant-%d"`, i)
+		j, _, err := m.Submit(journalHash(spec), []byte(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state := awaitTerminal(t, j); state != Done {
+			t.Fatalf("job %s ended %s", j.Info().Hash, state)
+		}
+		// The worker forgets the job last, after journaling its end.
+		for busy := true; busy; time.Sleep(50 * time.Microsecond) {
+			m.mu.Lock()
+			busy = len(m.inflight) > 0
+			m.mu.Unlock()
+		}
+	}
+}
+
+// TestSubmitJournalsBeforeRun: a job's submit record is on disk before
+// its run starts, ahead of every other record of its hash: a worker's
+// start or done record never precedes it.
+func TestSubmitJournalsBeforeRun(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	jnl, recs, err := OpenJournal(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	var early atomic.Int32
+	var read int64 // the journal bytes earlier runs decoded; one worker runs them in turn
+	m := NewManager(Config{Journal: jnl, Resume: recs,
+		Run: func(_ context.Context, spec []byte, _ func(int, int)) ([]byte, error) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Error(err)
+				return nil, err
+			}
+			// Every record of this job's hash lies past what earlier runs read.
+			recs, intact := decodeRecords(data[read:])
+			read += intact
+			hash := journalHash(string(spec))
+			if i := slices.IndexFunc(recs, func(r Record) bool { return r.Hash == hash }); i < 0 || recs[i].Type != recSubmit {
+				early.Add(1)
+			}
+			return []byte(`[]`), nil
+		}})
+	submitInstantJobs(t, m, 200)
+	drainAll(t, m)
+	if n := early.Load(); n != 0 {
+		t.Fatalf("%d of 200 jobs started before their submit record was journaled", n)
+	}
+}
+
+// TestManagerRestartRunsNoFinishedJob: jobs that finished before a clean
+// shutdown stay finished across a restart, even with nothing cached: the
+// journal alone says they are done.
+func TestManagerRestartRunsNoFinishedJob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.wal")
+	var runs atomic.Int32
+	run := func(context.Context, []byte, func(int, int)) ([]byte, error) {
+		runs.Add(1)
+		return []byte(`[]`), nil
+	}
+	start := func() (*Manager, *Journal) {
+		jnl, recs, err := OpenJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache, err := NewCache(1<<20, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewManager(Config{Journal: jnl, Resume: recs, Cache: cache, Run: run}), jnl
+	}
+	m, jnl := start()
+	submitInstantJobs(t, m, 200)
+	drainAll(t, m)
+	jnl.Close()
+	before := runs.Load()
+
+	m, jnl = start()
+	defer jnl.Close()
+	drainAll(t, m)
+	if after := runs.Load(); after != before {
+		t.Fatalf("a restart ran %d of the %d finished jobs again", after-before, before)
+	}
 }

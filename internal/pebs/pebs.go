@@ -25,8 +25,6 @@ type Sample struct {
 	Tier mem.Tier
 	// Time is the virtual time of the access in nanoseconds.
 	Time int64
-	// Write reports stores (sampled via a separate counter on real HW).
-	Write bool
 }
 
 // Config controls PEBS sampling.

@@ -22,7 +22,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestSampleContents(t *testing.T) {
 	b := NewBuffer(nil, 8)
-	want := Sample{Page: 2, Tier: mem.Slow, Time: 200, Write: true}
+	want := Sample{Page: 2, Tier: mem.Slow, Time: 200}
 	b.Take(want)
 	got := b.Drain(nil, 0)
 	if len(got) != 1 || got[0] != want {
@@ -107,7 +107,7 @@ func driveAgainstReference(t *testing.T, script []byte) {
 		}
 		r := make([]Sample, int(script[2])%(2*size+1))
 		for i := range r {
-			r[i] = Sample{Page: 999, Tier: mem.Slow, Time: 42, Write: true}
+			r[i] = Sample{Page: 999, Tier: mem.Slow, Time: 42}
 		}
 		return r
 	}
@@ -140,7 +140,7 @@ func driveAgainstReference(t *testing.T, script []byte) {
 	}
 	take := func(arg byte) {
 		accesses++
-		s := Sample{Page: mem.PageID(accesses), Tier: mem.Tier(arg & 1), Time: int64(step), Write: arg&2 != 0}
+		s := Sample{Page: mem.PageID(accesses), Tier: mem.Tier(arg & 1), Time: int64(step)}
 		buf.Take(s)
 		ref.take(s)
 	}

@@ -79,14 +79,12 @@ func percentileSorted(sorted []float64, p float64) float64 {
 // what the simulator uses for median-latency time series without retaining
 // every sample.
 type Histogram struct {
-	min, max  int64
-	width     int64
-	recip     uint64 // ceil(2^64/width) when the reciprocal fast path applies, else 0
-	counts    []uint64
-	total     uint64
-	sum       int64
-	underflow uint64
-	overflow  uint64
+	min, max int64
+	width    int64
+	recip    uint64 // ceil(2^64/width) when the reciprocal fast path applies, else 0
+	counts   []uint64
+	total    uint64
+	sum      int64
 	// minSeen/maxSeen start at the extreme sentinels so Observe needs no
 	// first-observation branch; they are only read when total > 0.
 	minSeen int64
@@ -147,10 +145,8 @@ func (h *Histogram) Observe(v int64) {
 	}
 	switch {
 	case v < h.min:
-		h.underflow++
 		h.counts[0]++
 	case v >= h.max:
-		h.overflow++
 		h.counts[len(h.counts)-1]++
 	default:
 		h.counts[h.bucket(v)]++
@@ -174,10 +170,8 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	}
 	switch {
 	case v < h.min:
-		h.underflow += n
 		h.counts[0] += n
 	case v >= h.max:
-		h.overflow += n
 		h.counts[len(h.counts)-1] += n
 	default:
 		h.counts[h.bucket(v)] += n
@@ -242,7 +236,7 @@ func (h *Histogram) Reset() {
 	for i := range h.counts {
 		h.counts[i] = 0
 	}
-	h.total, h.sum, h.underflow, h.overflow = 0, 0, 0, 0
+	h.total, h.sum = 0, 0
 	h.minSeen, h.maxSeen = math.MaxInt64, math.MinInt64
 }
 

@@ -32,29 +32,27 @@ func (r *Reclaimer) Due(now int64) bool {
 // demoting each page cold reports, and stops once target pages are free
 // (checked after each visit, so a walk visits at least one page when any
 // is fast). It charges visited×nsPerPage to the tiering thread in one
-// Env.Charge and returns the pages visited and demoted.
-func (r *Reclaimer) Walk(env Env, target int, nsPerPage float64, cold func(mem.PageID) bool) (visited int, demoted uint64) {
+// Env.Charge.
+func (r *Reclaimer) Walk(env Env, target int, nsPerPage float64, cold func(mem.PageID) bool) {
 	m := env.Mem()
 	last := r.cursor
-	m.ScanFastFrom(r.cursor, func(p mem.PageID) bool {
-		visited++
+	visited := m.ScanFastFrom(r.cursor, func(p mem.PageID) bool {
 		last = p
-		if cold(p) && env.Demote(p) == nil {
-			demoted++
+		if cold(p) {
+			env.Demote(p)
 		}
 		return m.FastFree() < target
 	})
 	r.cursor = last + 1
 	env.Charge(float64(visited) * nsPerPage)
-	return visited, demoted
 }
 
 // PromoteOrReclaim promotes p; when that fails it calls reclaim once to
-// make room and retries. It reports whether p was promoted.
-func PromoteOrReclaim(env Env, p mem.PageID, reclaim func()) bool {
+// make room and retries.
+func PromoteOrReclaim(env Env, p mem.PageID, reclaim func()) {
 	if env.Promote(p) == nil {
-		return true
+		return
 	}
 	reclaim()
-	return env.Promote(p) == nil
+	env.Promote(p)
 }

@@ -51,8 +51,9 @@ func TestReclaimerResumesAndWraps(t *testing.T) {
 	keep := func(p mem.PageID) bool { order = append(order, p); return false }
 	// A target of 0 is met after every visit: each walk visits one page.
 	for i := 0; i < 6; i++ {
-		if v, d := r.Walk(env, 0, 1, keep); v != 1 || d != 0 {
-			t.Fatalf("walk %d: visited %d demoted %d, want 1 and 0", i, v, d)
+		r.Walk(env, 0, 1, keep)
+		if v, d := len(order), env.M.Stats().Demotions; v != i+1 || d != 0 {
+			t.Fatalf("walk %d: visited %d demoted %d in all, want %d and 0", i, v, d, i+1)
 		}
 	}
 	if want := []mem.PageID{2, 5, 9, 13, 2, 5}; !reflect.DeepEqual(order, want) {
@@ -76,9 +77,10 @@ func TestReclaimerDueOncePerInterval(t *testing.T) {
 func TestReclaimerWalkStopsAtTarget(t *testing.T) {
 	env := newReclaimEnv(t, 2, 5, 9, 13)
 	var r Reclaimer
-	cold := func(mem.PageID) bool { return true }
-	visited, demoted := r.Walk(env, 2, 1, cold)
-	if visited != 2 || demoted != 2 || env.M.FastFree() != 2 {
+	visited := 0
+	cold := func(mem.PageID) bool { visited++; return true }
+	r.Walk(env, 2, 1, cold)
+	if demoted := env.M.Stats().Demotions; visited != 2 || demoted != 2 || env.M.FastFree() != 2 {
 		t.Fatalf("visited %d demoted %d free %d, want 2, 2, 2", visited, demoted, env.M.FastFree())
 	}
 	if env.M.TierOf(2) != mem.Slow || env.M.TierOf(5) != mem.Slow || env.M.TierOf(9) != mem.Fast {
@@ -91,7 +93,8 @@ func TestReclaimerChargesOncePerWalk(t *testing.T) {
 	var r Reclaimer
 	// Nothing is cold, so the walk covers the whole tier without meeting
 	// its target.
-	visited, _ := r.Walk(env, 4, 7.5, func(mem.PageID) bool { return false })
+	visited := 0
+	r.Walk(env, 4, 7.5, func(mem.PageID) bool { visited++; return false })
 	if visited != 4 {
 		t.Fatalf("visited %d, want 4", visited)
 	}
@@ -100,8 +103,10 @@ func TestReclaimerChargesOncePerWalk(t *testing.T) {
 	}
 	// An empty fast tier still makes its one (zero) charge.
 	empty := newReclaimEnv(t)
-	if v, _ := r.Walk(empty, 1, 7.5, func(mem.PageID) bool { return true }); v != 0 {
-		t.Fatalf("empty tier: visited %d", v)
+	visited = 0
+	r.Walk(empty, 1, 7.5, func(mem.PageID) bool { visited++; return true })
+	if visited != 0 {
+		t.Fatalf("empty tier: visited %d", visited)
 	}
 	if want := []float64{0}; !reflect.DeepEqual(empty.charges, want) {
 		t.Fatalf("empty tier charges %v, want %v", empty.charges, want)
@@ -113,8 +118,9 @@ func TestPromoteOrReclaim(t *testing.T) {
 	env := newReclaimEnv(t, 2)
 	env.M.Touch(7)
 	reclaims := 0
-	if !PromoteOrReclaim(env, 7, func() { reclaims++ }) || reclaims != 0 || env.promotes != 1 {
-		t.Fatalf("reclaims %d promotes %d, want 0 and 1", reclaims, env.promotes)
+	PromoteOrReclaim(env, 7, func() { reclaims++ })
+	if env.M.TierOf(7) != mem.Fast || reclaims != 0 || env.promotes != 1 {
+		t.Fatalf("tier %v reclaims %d promotes %d, want fast, 0 and 1", env.M.TierOf(7), reclaims, env.promotes)
 	}
 
 	// Full tier: reclaim once, retry once.
@@ -122,7 +128,8 @@ func TestPromoteOrReclaim(t *testing.T) {
 	env.M.Touch(7)
 	reclaims = 0
 	freeOne := func() { reclaims++; env.Demote(2) }
-	if !PromoteOrReclaim(env, 7, freeOne) || reclaims != 1 || env.promotes != 2 {
+	PromoteOrReclaim(env, 7, freeOne)
+	if reclaims != 1 || env.promotes != 2 {
 		t.Fatalf("reclaims %d promotes %d, want 1 and 2", reclaims, env.promotes)
 	}
 	if env.M.TierOf(7) != mem.Fast {
@@ -133,7 +140,8 @@ func TestPromoteOrReclaim(t *testing.T) {
 	env = newReclaimEnv(t, 2, 5, 9, 13)
 	env.M.Touch(7)
 	reclaims = 0
-	if PromoteOrReclaim(env, 7, func() { reclaims++ }) || reclaims != 1 || env.promotes != 2 {
-		t.Fatalf("reclaims %d promotes %d, want 1 and 2", reclaims, env.promotes)
+	PromoteOrReclaim(env, 7, func() { reclaims++ })
+	if env.M.TierOf(7) != mem.Slow || reclaims != 1 || env.promotes != 2 {
+		t.Fatalf("tier %v reclaims %d promotes %d, want slow, 1 and 2", env.M.TierOf(7), reclaims, env.promotes)
 	}
 }

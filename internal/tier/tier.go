@@ -94,8 +94,8 @@ type FaultDriven interface {
 	OnFault(p mem.PageID, t mem.Tier)
 }
 
-// NopEnv is an Env that applies migrations to a Memory and ignores costs;
-// useful in unit tests and examples exercising a policy in isolation.
+// NopEnv is an Env that applies migrations to a Memory and only sums
+// costs: the Env of unit tests that exercise a policy in isolation.
 type NopEnv struct {
 	M        *mem.Memory
 	Clock    int64

@@ -10,8 +10,7 @@ import (
 // scanTracker is the shared machinery of the bitmap trackers: per-page
 // marked bits set on Observe, a last-seen-tier bitmap, and a periodic
 // scan-and-clear that turns set bits into samples. The two concrete
-// trackers differ only in which accesses set bits and how the emitted
-// sample is flagged.
+// trackers differ only in which accesses set bits.
 type scanTracker struct {
 	buffered
 	marked   []uint64 // bit set when the page was accessed since the last scan
@@ -19,22 +18,17 @@ type scanTracker struct {
 	scanNs   int64
 	costNs   float64 // full-footprint scan cost
 	nextScan int64
-	// emitWrite is the Write flag stamped on scan samples: false for
-	// idlepage (accessed bits carry no read/write information), true for
-	// soft-dirty (only writes set bits).
-	emitWrite bool
 }
 
-func newScanTracker(cfg Config, numPages int, recycled []pebs.Sample, emitWrite bool) scanTracker {
+func newScanTracker(cfg Config, numPages int, recycled []pebs.Sample) scanTracker {
 	words := (numPages + 63) >> 6
 	return scanTracker{
-		buffered:  buffered{Buffer: pebs.NewBuffer(recycled, cfg.BufferSize)},
-		marked:    make([]uint64, words),
-		slowBits:  make([]uint64, words),
-		scanNs:    cfg.ScanNs,
-		costNs:    float64(numPages) * cfg.ScanCostPerPageNs,
-		nextScan:  cfg.ScanNs,
-		emitWrite: emitWrite,
+		buffered: buffered{Buffer: pebs.NewBuffer(recycled, cfg.BufferSize)},
+		marked:   make([]uint64, words),
+		slowBits: make([]uint64, words),
+		scanNs:   cfg.ScanNs,
+		costNs:   float64(numPages) * cfg.ScanCostPerPageNs,
+		nextScan: cfg.ScanNs,
 	}
 }
 
@@ -80,12 +74,7 @@ func (t *scanTracker) Sync(now int64) float64 {
 			if slow&(1<<tz) != 0 {
 				tier = mem.Slow
 			}
-			t.Take(pebs.Sample{
-				Page:  base + mem.PageID(tz),
-				Tier:  tier,
-				Time:  now,
-				Write: t.emitWrite,
-			})
+			t.Take(pebs.Sample{Page: base + mem.PageID(tz), Tier: tier, Time: now})
 		}
 	}
 	return t.costNs
@@ -115,7 +104,7 @@ func (t *idlepage) Observe(page mem.PageID, tier mem.Tier, now int64, write bool
 
 // softDirty reproduces memtierd's soft-dirty tracker: only writes set
 // the page's dirty bit (reads are invisible), and the periodic scan
-// emits write samples. It is the cheapest tracker on read-heavy
+// emits one sample per dirtied page. It is the cheapest tracker on read-heavy
 // workloads and the blindest — a read-hot page never produces a sample —
 // which is precisely the trade-off worth simulating.
 type softDirty struct {

@@ -166,9 +166,9 @@ func New(cfg Config, numPages int, ring []pebs.Sample) (Tracker, error) {
 			period:   norm.Pebs.Period,
 		}, nil
 	case KindIdlepage:
-		return &idlepage{newScanTracker(norm, numPages, ring, false)}, nil
+		return &idlepage{newScanTracker(norm, numPages, ring)}, nil
 	case KindSoftDirty:
-		return &softDirty{newScanTracker(norm, numPages, ring, true)}, nil
+		return &softDirty{newScanTracker(norm, numPages, ring)}, nil
 	}
 	panic("unreachable: Normalize admitted kind " + kind)
 }
@@ -201,9 +201,9 @@ type pebsTracker struct {
 func (t *pebsTracker) Kind() string { return KindPEBS }
 func (t *pebsTracker) Period() int  { return t.period }
 
-func (t *pebsTracker) Observe(page mem.PageID, tier mem.Tier, now int64, write bool) {
+func (t *pebsTracker) Observe(page mem.PageID, tier mem.Tier, now int64, _ bool) {
 	t.accesses += uint64(t.period)
-	t.Take(pebs.Sample{Page: page, Tier: tier, Time: now, Write: write})
+	t.Take(pebs.Sample{Page: page, Tier: tier, Time: now})
 }
 
 func (t *pebsTracker) Sync(int64) float64 { return 0 }

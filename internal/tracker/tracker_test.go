@@ -186,7 +186,7 @@ func TestSoftDirtyWriteOnly(t *testing.T) {
 	trk.Observe(7, mem.Fast, 2, true)  // write: tracked
 	trk.Sync(1000)
 	got := trk.Drain(nil, 0)
-	want := []pebs.Sample{{Page: 7, Tier: mem.Fast, Time: 1000, Write: true}}
+	want := []pebs.Sample{{Page: 7, Tier: mem.Fast, Time: 1000}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("samples = %+v; want %+v", got, want)
 	}
@@ -251,7 +251,7 @@ func newRingHarness(t *testing.T, kind string, size, recycledLen int) *ringHarne
 	t.Helper()
 	var recycled []pebs.Sample
 	for i := 0; i < recycledLen; i++ {
-		recycled = append(recycled, pebs.Sample{Page: 999, Tier: mem.Slow, Time: 42, Write: true})
+		recycled = append(recycled, pebs.Sample{Page: 999, Tier: mem.Slow, Time: 42})
 	}
 	cfg := DefaultConfig()
 	cfg.Kind = kind

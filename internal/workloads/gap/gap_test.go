@@ -116,19 +116,34 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 	}
 }
 
+// parentWrites counts the parent-word writes in accesses. One traversal
+// writes each vertex's parent word at most once, so more than a graph's
+// vertex count of them proves the BFS restarted.
+func parentWrites(accesses []trace.Access) int {
+	n := 0
+	for _, a := range accesses {
+		if a.Write {
+			n++
+		}
+	}
+	return n
+}
+
 func TestBFSVisitsComponent(t *testing.T) {
 	src := newSource(BFS, URand, 10, 8, 5)
 	var buf []trace.Access
 	// Run enough ops to complete at least one full BFS.
-	for i := 0; i < 3000 && src.trials < 2; i++ {
+	writes := 0
+	for i := 0; i < 3000 && writes <= src.graph.N; i++ {
 		buf = src.NextOp(buf[:0])
 		for _, a := range buf {
 			if int(a.Page) >= src.NumPages() {
 				t.Fatalf("access outside page space: %d", a.Page)
 			}
 		}
+		writes += parentWrites(buf)
 	}
-	if src.trials < 2 {
+	if writes <= src.graph.N {
 		t.Fatal("BFS never completed a traversal")
 	}
 }
@@ -138,11 +153,12 @@ func TestBFSRestartsChangeSource(t *testing.T) {
 	// orders; verify restarts occur and the queue refills.
 	src := newSource(BFS, URand, 8, 6, 9)
 	var buf []trace.Access
-	start := src.trials
+	writes := 0
 	for i := 0; i < 5000; i++ {
 		buf = src.NextOp(buf[:0])
+		writes += parentWrites(buf)
 	}
-	if src.trials == start {
+	if writes <= src.graph.N {
 		t.Error("BFS should restart with new sources over 5000 ops on a 256-vertex graph")
 	}
 }

@@ -125,7 +125,6 @@ func UniformRandom(scale, degree int, seed uint64) *Graph {
 // kernels share the graph regions; each has its own vertex-data region so a
 // single layout serves any kernel.
 type Layout struct {
-	g *Graph
 	// Region base pages.
 	offsetsBase mem.PageID
 	edgesBase   mem.PageID
@@ -138,7 +137,7 @@ type Layout struct {
 
 // NewLayout computes the page layout for g.
 func NewLayout(g *Graph) *Layout {
-	l := &Layout{g: g}
+	l := &Layout{}
 	next := mem.PageID(0)
 	alloc := func(bytes int64) mem.PageID {
 		base := next

@@ -33,8 +33,6 @@ type Source struct {
 	rank, next []float64
 	prCursor   int
 	prIter     int
-
-	trials int64
 }
 
 var _ trace.Source = (*Source)(nil)
@@ -107,7 +105,6 @@ func (s *Source) NextBatch(dst []trace.Access, max int) []trace.Access {
 
 func (s *Source) restartBFS() {
 	s.epoch++
-	s.trials++
 	src := uint32(s.rng.Intn(s.graph.N))
 	// Prefer a source inside the giant component: retry until the source
 	// has neighbors (isolated vertices end trials instantly).
@@ -155,7 +152,6 @@ func (s *Source) bfsOp(dst []trace.Access) []trace.Access {
 // --- Connected components (label propagation) ---
 
 func (s *Source) restartCC() {
-	s.trials++
 	s.ccCursor = 0
 	s.ccChanged = false
 	s.ccInit = true
@@ -217,7 +213,6 @@ const (
 )
 
 func (s *Source) restartPR() {
-	s.trials++
 	s.prCursor = 0
 	s.prIter = 0
 	init := 1.0 / float64(s.graph.N)

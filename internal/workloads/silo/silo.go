@@ -109,12 +109,9 @@ type DB struct {
 	zipf     *xrand.Zipf
 	nodes    []node
 	root     int32
-	height   int
 	keyToRec []int32 // dense key space: key i -> record id
 	recBase  mem.PageID
 	numPages int
-	reads    uint64
-	updates  uint64
 }
 
 var _ trace.Source = (*DB)(nil)
@@ -173,7 +170,6 @@ func (db *DB) bulkLoad() {
 		}
 		level = append(level, id)
 	}
-	db.height = 1
 
 	// Inner levels.
 	for len(level) > 1 {
@@ -193,7 +189,6 @@ func (db *DB) bulkLoad() {
 			up = append(up, id)
 		}
 		level = up
-		db.height++
 	}
 	db.root = level[0]
 
@@ -290,10 +285,8 @@ func (db *DB) NextOp(dst []trace.Access) []trace.Access {
 	rank := db.zipf.Next()
 	key := xrand.Hash64Seed(rank, db.cfg.Seed) % uint64(db.cfg.Records)
 	if db.rng.Float64() < db.cfg.Mix.readFrac() {
-		db.reads++
 		dst, _ = db.Get(key, dst)
 	} else {
-		db.updates++
 		dst, _ = db.Update(key, dst)
 	}
 	return dst

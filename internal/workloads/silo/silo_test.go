@@ -19,6 +19,30 @@ func newDB(tb testing.TB, cfg Config) *DB {
 	return db
 }
 
+// height counts the tree's levels along its leftmost path.
+func height(db *DB) int {
+	h := 1
+	for id := db.root; len(db.nodes[id].kids) > 0; id = db.nodes[id].kids[0] {
+		h++
+	}
+	return h
+}
+
+// countMix runs ops operations and splits them by their record access:
+// an update writes the record page, a read does not.
+func countMix(db *DB, ops int) (reads, updates int) {
+	var buf []trace.Access
+	for i := 0; i < ops; i++ {
+		buf = db.NextOp(buf[:0])
+		if buf[len(buf)-1].Write {
+			updates++
+		} else {
+			reads++
+		}
+	}
+	return reads, updates
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Records: 10, ZipfS: 0.99}); err == nil {
 		t.Error("too-few records must fail")
@@ -31,8 +55,8 @@ func TestNewValidation(t *testing.T) {
 func TestTreeShape(t *testing.T) {
 	db := newDB(t, smallCfg())
 	// 10k records / 256 per leaf = 40 leaves; 40 leaves / 256 → 1 root.
-	if db.height != 2 {
-		t.Errorf("Height = %d, want 2", db.height)
+	if h := height(db); h != 2 {
+		t.Errorf("Height = %d, want 2", h)
 	}
 	if int(db.recBase) != 41 {
 		t.Errorf("index pages = %d, want 41 (40 leaves + root)", db.recBase)
@@ -51,8 +75,8 @@ func TestGetFindsEveryKey(t *testing.T) {
 			t.Fatalf("key %d not found", key)
 		}
 		// Root→leaf walk + record touch.
-		if len(acc) != db.height+1 {
-			t.Fatalf("key %d: %d accesses, want height+1 = %d", key, len(acc), db.height+1)
+		if len(acc) != height(db)+1 {
+			t.Fatalf("key %d: %d accesses, want height+1 = %d", key, len(acc), height(db)+1)
 		}
 		// Final access is a record page in the heap region.
 		last := acc[len(acc)-1]
@@ -91,11 +115,7 @@ func TestUpdateWritesRecord(t *testing.T) {
 
 func TestYCSBCMixAllReads(t *testing.T) {
 	db := newDB(t, smallCfg())
-	var buf []trace.Access
-	for i := 0; i < 5000; i++ {
-		buf = db.NextOp(buf[:0])
-	}
-	reads, updates := db.reads, db.updates
+	reads, updates := countMix(db, 5000)
 	if updates != 0 || reads != 5000 {
 		t.Errorf("YCSB-C: reads=%d updates=%d, want 5000/0", reads, updates)
 	}
@@ -105,11 +125,7 @@ func TestYCSBBMix(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Mix = YCSBB
 	db := newDB(t, cfg)
-	var buf []trace.Access
-	for i := 0; i < 10_000; i++ {
-		buf = db.NextOp(buf[:0])
-	}
-	reads, updates := db.reads, db.updates
+	reads, updates := countMix(db, 10_000)
 	frac := float64(updates) / float64(reads+updates)
 	if frac < 0.03 || frac > 0.08 {
 		t.Errorf("YCSB-B update fraction = %v, want ≈ 0.05", frac)
@@ -184,7 +200,7 @@ func TestDefaultBuilds(t *testing.T) {
 	cfg := Default(1)
 	cfg.Records = 1 << 16 // shrink for test speed
 	db := newDB(t, cfg)
-	if db.height < 2 {
+	if height(db) < 2 {
 		t.Error("default tree too shallow")
 	}
 	var buf []trace.Access

@@ -148,14 +148,13 @@ func (r *RNG) ShuffleUint64s(p []uint64) {
 // never for s == 1, where the exact inverse is a single exp and the table
 // gains nothing.
 type Zipf struct {
-	rng              *RNG
-	n                uint64
-	s                float64
-	oneMinusS        float64
-	oneOverOneMinusS float64
-	hIntegralX1      float64
-	hIntegralN       float64
-	sDiv             float64
+	rng         *RNG
+	n           uint64
+	s           float64
+	oneMinusS   float64
+	hIntegralX1 float64
+	hIntegralN  float64
+	sDiv        float64
 	// untilTable counts the draws left before the table is built; it never
 	// reaches zero when no table is to be built.
 	untilTable int
@@ -194,9 +193,6 @@ func NewZipf(rng *RNG, s float64, n uint64) *Zipf {
 	}
 	z := &Zipf{rng: rng, n: n, s: s}
 	z.oneMinusS = 1 - s
-	if z.oneMinusS != 0 {
-		z.oneOverOneMinusS = 1 / z.oneMinusS
-	}
 	z.hIntegralX1 = z.hIntegral(1.5) - 1
 	z.hIntegralN = z.hIntegral(float64(n) + 0.5)
 	z.sDiv = 2 - z.hIntegralInverse(z.hIntegral(2.5)-z.h(2))

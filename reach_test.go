@@ -8,6 +8,14 @@ package hybridtier_test
 // one that only tests reach stays only if keptExports lists it with the
 // reason. A declaration of a test file must be used by something.
 //
+// A use that only stores is no use: the target of =, op=, ++ and --, a
+// key of a struct literal, and the field or var a write passes through
+// when it goes through a struct value or an array element (a.st.n++
+// stores to st too). Taking an address, passing a value and a method
+// value all read. The fields of a struct type that keys a map or is
+// compared with == or != count as read. A blank assertion (var _ I = T{})
+// uses nothing.
+//
 // Three kinds of use are invisible to the type-checker, so these count as
 // used: a method through which a type implements an interface of the
 // program (the standard library's included: fmt calls String, errors.Is
@@ -49,7 +57,10 @@ var keptExports = map[string]string{
 	"repro/internal/mem.Memory.CheckInvariants":          "the mem, baselines and sim reference suites check page-state consistency with it",
 	"repro/internal/registry/registrytest.WithWorkloads": "the stream-sharing tests of the root package and the fabric engine tests register extra workloads with it",
 	"repro/internal/service.Runner":                      "the reference runner TestCellRunnerMatchesRunnerAndPopulatesCache holds the cell engine to",
+	"repro/internal/tier.NopEnv":                         "the cost-free Env the tier, core and baselines suites drive single policies through",
+	"repro/internal/tier.NopEnv.Charged":                 "the tier and baselines suites read from it the tiering-thread time a policy charged",
 	"repro/internal/trace.NewScanSource":                 "the sequential fixture source of the trace and sim suites",
+	"repro/internal/workloads/xgboost.Trainer.round":     "TestRoundsAdvance counts boosting rounds with it; no emitted access marks a round boundary",
 }
 
 // reach says which kind of file uses a declaration; a higher reach hides
@@ -128,7 +139,7 @@ type loader struct {
 	decls   []decl
 	ifaces  map[string][]*types.Interface // method name -> interfaces declaring it
 	within  map[types.Object]ast.Node     // a declaration's own extent
-	skipIDs map[*ast.Ident]bool           // receiver types, which are no use
+	skipIDs map[*ast.Ident]bool           // receiver types, stores and blank assertions: no use
 }
 
 // module is a module's directory and path.
@@ -145,6 +156,7 @@ func loadModules(mods ...module) (*loader, error) {
 		within:  make(map[types.Object]ast.Node),
 		skipIDs: make(map[*ast.Ident]bool),
 		info: &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
 			Defs:       make(map[*ast.Ident]types.Object),
 			Uses:       make(map[*ast.Ident]types.Object),
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
@@ -490,14 +502,88 @@ func (l *loader) reaches() map[types.Object]reach {
 			found[obj] = kind
 		}
 	}
+	l.skipNonReads(use)
 	for id, obj := range l.info.Uses {
 		if !l.skipIDs[id] {
 			use(id.Pos(), obj)
 		}
 	}
 	for sel, s := range l.info.Selections {
-		use(sel.Sel.Pos(), s.Obj())
+		if !l.skipIDs[sel.Sel] {
+			use(sel.Sel.Pos(), s.Obj())
+		}
 	}
 	l.implemented(found)
 	return found
+}
+
+// skipNonReads adds to skipIDs the identifiers that only store and those
+// inside blank assertions, and reports through use the fields that a map
+// key's hash or an == or != comparison reads.
+func (l *loader) skipNonReads(use func(token.Pos, types.Object)) {
+	var store func(ast.Expr)
+	store = func(e ast.Expr) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			l.skipIDs[e] = true
+		case *ast.SelectorExpr:
+			l.skipIDs[e.Sel] = true
+			if s := l.info.Selections[e]; s != nil && s.Kind() == types.FieldVal && !s.Indirect() {
+				store(e.X) // a write into a struct value
+			}
+		case *ast.IndexExpr:
+			if _, ok := l.info.Types[e.X].Type.Underlying().(*types.Array); ok {
+				store(e.X) // a write into an array element
+			}
+		}
+	}
+	var compared func(pos token.Pos, t types.Type)
+	compared = func(pos token.Pos, t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				use(pos, u.Field(i))
+				compared(pos, u.Field(i).Type())
+			}
+		case *types.Array:
+			compared(pos, u.Elem())
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					store(e)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+			case *ast.CompositeLit:
+				if _, ok := l.info.Types[n].Type.Underlying().(*types.Struct); ok {
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							store(kv.Key)
+						}
+					}
+				}
+			case *ast.MapType:
+				compared(n.Key.Pos(), l.info.Types[n.Key].Type)
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					compared(n.Pos(), l.info.Types[n.X].Type)
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == 1 && n.Names[0].Name == "_" {
+					ast.Inspect(n, func(n ast.Node) bool {
+						if id, ok := n.(*ast.Ident); ok {
+							l.skipIDs[id] = true
+						}
+						return true
+					})
+					return false
+				}
+			}
+			return true
+		})
+	}
 }
