@@ -175,7 +175,7 @@ func (m *Memory) Touch(p PageID) (Tier, error) {
 // allocated — the overwhelmingly common case — or false when the caller
 // must fall back to Touch for first-touch placement or a bad page id.
 func (m *Memory) TouchTier(p PageID) (Tier, bool) {
-	if int(p) < len(m.state) {
+	if p < PageID(len(m.state)) {
 		if st := m.state[p]; st != stateFree {
 			return Tier(st - stateFromTier), true
 		}
@@ -183,13 +183,19 @@ func (m *Memory) TouchTier(p PageID) (Tier, bool) {
 	return Slow, false
 }
 
+// PageStates returns the page-state bytes for a caller's own copy of
+// TouchTier's test: 0 is an untouched page and 1+tier an allocated one.
+// It is read-only, and the slice stays the same for the Memory's lifetime,
+// so a hot loop may hold it across Touch, Promote and Demote.
+func (m *Memory) PageStates() []uint8 { return m.state }
+
 // touchNew performs the first-touch placement for p (and rejects bad page
 // ids). Kept out of Touch — and out of Touch's callers — so the allocated
 // fast path stays under the inlining budget.
 //
 //go:noinline
 func (m *Memory) touchNew(p PageID) (Tier, error) {
-	if int(p) >= len(m.state) {
+	if p >= PageID(len(m.state)) {
 		return Slow, ErrBadPage
 	}
 	m.allocs++
@@ -221,7 +227,7 @@ func (m *Memory) touchNew(p PageID) (Tier, error) {
 // report Slow (they would fault in wherever the AllocMode dictates, but a
 // policy asking about an untouched page treats it as not-fast).
 func (m *Memory) TierOf(p PageID) Tier {
-	if int(p) >= len(m.state) || m.state[p] == stateFree {
+	if p >= PageID(len(m.state)) || m.state[p] == stateFree {
 		return Slow
 	}
 	return Tier(m.state[p] - stateFromTier)
@@ -232,7 +238,7 @@ func (m *Memory) TierOf(p PageID) Tier {
 // paper promotes on sampled addresses, which are touched by definition, but
 // policies replayed on traces may race with allocation).
 func (m *Memory) Promote(p PageID) error {
-	if int(p) >= len(m.state) {
+	if p >= PageID(len(m.state)) {
 		return ErrBadPage
 	}
 	st := m.state[p]
@@ -256,7 +262,7 @@ func (m *Memory) Promote(p PageID) error {
 // Demote moves p to the slow tier. Demoting a slow or untouched page is a
 // no-op.
 func (m *Memory) Demote(p PageID) error {
-	if int(p) >= len(m.state) {
+	if p >= PageID(len(m.state)) {
 		return ErrBadPage
 	}
 	if m.state[p] != stateFromTier+uint8(Fast) {
@@ -270,11 +276,11 @@ func (m *Memory) Demote(p PageID) error {
 }
 
 // ScanFastFrom calls fn for each allocated fast-tier page in address order,
-// starting at page start and wrapping around the address space — the
-// linear virtual-address-space scan HybridTier performs via /proc/PID/maps
-// and /proc/PID/pagemaps (§4.3), resumable so repeated partial scans
-// (kernel-style walks) treat all regions fairly instead of revisiting the
-// lowest addresses. fn returning false stops the scan early. It returns the
+// starting at page start (modulo the page count) and wrapping around the
+// address space — the linear virtual-address-space scan HybridTier
+// performs via /proc/PID/maps and /proc/PID/pagemaps (§4.3), resumable so
+// repeated partial scans (kernel-style walks) treat all regions fairly
+// instead of revisiting the lowest addresses. fn returning false stops the scan early. It returns the
 // number of pages visited. fn may move pages; the walk sees each page's
 // tier as of the moment it reaches it.
 func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
@@ -283,7 +289,7 @@ func (m *Memory) ScanFastFrom(start PageID, fn func(PageID) bool) int {
 		return 0
 	}
 	visited := 0
-	s := int(start) % n
+	s := int(start % PageID(n))
 	// [s, n), then [0, s). Bits at or past n are never set.
 	for _, r := range [2][2]int{{s, n}, {0, s}} {
 		for i := r[0]; i < r[1]; i++ {

@@ -192,6 +192,37 @@ func TestBadPage(t *testing.T) {
 	}
 }
 
+// TestBadPageAboveInt covers page ids that a signed int cannot hold, such
+// as page 0's predecessor: each call reports a bad page instead of
+// indexing out of range.
+func TestBadPageAboveInt(t *testing.T) {
+	m := newMem(t, testCfg())
+	m.Touch(3)
+	for _, p := range []PageID{1 << 63, ^PageID(0)} {
+		if _, err := m.Touch(p); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Touch(%d) = %v, want ErrBadPage", p, err)
+		}
+		if tier, ok := m.TouchTier(p); tier != Slow || ok {
+			t.Errorf("TouchTier(%d) = %v, %v, want slow, false", p, tier, ok)
+		}
+		if m.TierOf(p) != Slow {
+			t.Errorf("TierOf(%d) != Slow", p)
+		}
+		if err := m.Promote(p); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Promote(%d) = %v, want ErrBadPage", p, err)
+		}
+		if err := m.Demote(p); !errors.Is(err, ErrBadPage) {
+			t.Errorf("Demote(%d) = %v, want ErrBadPage", p, err)
+		}
+		if n := m.ScanFastFrom(p, func(PageID) bool { return true }); n != 1 {
+			t.Errorf("ScanFastFrom(%d) visited %d pages, want 1", p, n)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestScanFastOrder(t *testing.T) {
 	cfg := testCfg()
 	cfg.Alloc = AllocSlow

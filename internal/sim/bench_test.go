@@ -77,3 +77,26 @@ func benchTrackerLoop(b *testing.B, kind string) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSimOpLoopPacked is BenchmarkSimOpLoopZipf replayed the way a
+// sweep's cells replay a shared stream: a trace.ReplaySource fork, whose
+// packed views the loop decodes in place. Generation is done before the
+// timer starts, so ns/access is the loop's own cost per access.
+func BenchmarkSimOpLoopPacked(b *testing.B) {
+	const pages = 1 << 14
+	ops := max(int64(b.N), 1024)
+	rs := trace.NewReplaySource(trace.NewZipfSource("bench-zipf", pages, 1.0, 0.1, 7), ops, 1<<26)
+	if rs == nil {
+		b.Fatal("the Zipf stream does not pack")
+	}
+	w := rs.Fork()
+	cfg := DefaultConfig(w, baselines.NewStatic("FirstTouch"), pages/9)
+	cfg.Ops = ops
+	b.ReportAllocs()
+	b.ResetTimer()
+	res, err := Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(res.Pebs.Accesses), "ns/access")
+}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/registry"
+	"repro/internal/tier"
 	"repro/internal/trace"
 	"repro/internal/tracefile"
 	"repro/internal/tracker"
@@ -81,7 +82,69 @@ type refCell struct {
 	huge, cache                  bool
 	ops, window                  int64
 	seed                         uint64
+	// wrap, when set, puts the registered policy behind a test wrapper.
+	wrap func(tier.Policy) tier.Policy
 }
+
+// askFaults hides a fault-driven policy's arming bitmap, so the simulator
+// must ask WantsFault on every access — the shape of a policy that keeps
+// no bitmap, or of one behind a timing shim.
+func askFaults(p tier.Policy) tier.Policy {
+	return struct{ tier.FaultDriven }{p.(tier.FaultDriven)}
+}
+
+// nilBitmap claims an arming bitmap but returns none, which the simulator
+// must treat like no bitmap at all.
+type nilBitmap struct{ tier.FaultDriven }
+
+func (nilBitmap) FaultBitmap() []uint64 { return nil }
+
+func dropBitmap(p tier.Policy) tier.Policy { return nilBitmap{p.(tier.FaultDriven)} }
+
+// meddler is a fault-driven policy that reaches what the registered ones
+// leave alone, so that the order of the work around a fault shows in the
+// result bytes. On every fault it touches metadata (meeting the cache
+// model's application lines) and promotes the pages on either side, which
+// may hold a sample not yet delivered, or may never have been touched, so
+// that their recency stamp is whatever the recycled array held. It adds
+// the slow-tier samples it is handed, their times and the faulting page's
+// recency stamp into its metadata footprint, so that a sample or a stamp
+// taken at the wrong time shows too.
+type meddler struct {
+	tier.FaultBitmapped
+	env  tier.Env
+	seen int64
+}
+
+func meddle(p tier.Policy) tier.Policy {
+	return &meddler{FaultBitmapped: p.(tier.FaultBitmapped)}
+}
+
+func (p *meddler) Attach(env tier.Env) {
+	p.env = env
+	p.FaultBitmapped.Attach(env)
+}
+
+func (p *meddler) OnFault(page mem.PageID, t mem.Tier) {
+	p.seen += p.env.LastAccess(page)
+	p.env.TouchMeta(int64(page) * 64)
+	p.FaultBitmapped.OnFault(page, t)
+	if page > 0 {
+		_ = p.env.Promote(page - 1)
+	}
+	_ = p.env.Promote(page + 1) // past the last page, a no-op
+}
+
+func (p *meddler) OnSamples(batch []tier.Sample) {
+	for _, x := range batch {
+		if p.seen += x.Time; x.Tier == mem.Slow {
+			p.seen++
+		}
+	}
+	p.FaultBitmapped.OnSamples(batch)
+}
+
+func (p *meddler) MetadataBytes() int64 { return p.FaultBitmapped.MetadataBytes() + p.seen }
 
 // config builds the cell's simulation over w, sized like the facade sizes a
 // 1:ratio split.
@@ -101,6 +164,9 @@ func (c refCell) config(t *testing.T, w trace.Source) Config {
 	p, alloc, err := entry.New(pages, fast, c.huge)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.wrap != nil {
+		p = c.wrap(p)
 	}
 	cfg := DefaultConfig(w, p, fast)
 	cfg.Ops, cfg.Alloc, cfg.AppCacheModel, cfg.Tracker.Kind = c.ops, alloc, c.cache, kind
@@ -262,6 +328,24 @@ func TestRunMatchesReference(t *testing.T) {
 		{name: "huge-cache-idlepage", workload: "cdn", policy: "HybridTier@idlepage", huge: true, cache: true, ops: 200_000},
 		{name: "long-ops", workload: "long-ops", policy: "HybridTier", ops: 30_000},
 		{name: "long-ops-5us", workload: "long-ops", policy: "HybridTier", ops: 30_000, window: 5_000},
+		// 2^31 4 KB pages, one zipf page per huge page: a v1 trace or live
+		// generation holds the space, packed batches carry its 4 KB page
+		// ids past 2^30 in 64-bit words, and the cache model, at faults
+		// too, sees the 4 KB ones.
+		{name: "huge-past-2^30-v1", workload: "scale:zipf*524288", policy: "HybridTier", huge: true, cache: true, form: "v1", ratio: 8191, ops: 30_000},
+		{name: "huge-past-2^30-fault-lines", workload: "scale:zipf*524288", policy: "TPP", huge: true, cache: true, ratio: 8191, ops: 200_000},
+		// Packed replays, each named after the kernel stop it exercises.
+		{name: "stop-at-fault-bitmap", workload: "cdn", policy: "AutoNUMA", form: "packed", ops: 300_000},
+		{name: "stop-at-fault-tpp", workload: "social", policy: "TPP", form: "packed", ops: 100_000},
+		{name: "stop-at-every-access-unbitmapped", workload: "social", policy: "TPP", form: "packed", ops: 100_000, wrap: askFaults},
+		{name: "stop-at-every-access-nil-bitmap", workload: "cdn", policy: "AutoNUMA", form: "packed", ops: 100_000, wrap: dropBitmap},
+		{name: "stop-when-period-1-samples-may-drain", workload: "cdn", policy: "Heat-Idle", form: "packed", ops: 200_000},
+		{name: "stop-at-tick-inside-a-window", workload: "silo", policy: "HybridTier", form: "packed", ops: 100_000, window: 100_000_000},
+		{name: "stop-at-long-op", workload: "long-ops", policy: "HybridTier", form: "packed", ops: 30_000},
+		{name: "stop-with-app-cache-lines", workload: "silo", policy: "Memtis", cache: true, form: "packed", ops: 30_000},
+		// After the TPP rows the recycled recency array holds their stamps;
+		// a page the meddler promotes untouched must read 0, not those.
+		{name: "stop-at-fault-meddled", workload: "social", policy: "TPP", cache: true, form: "packed", ops: 100_000, wrap: meddle},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			res := c.check(t, sc)

@@ -12,6 +12,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cachesim"
 	"repro/internal/mem"
@@ -65,8 +66,8 @@ type Config struct {
 const batchOps = 512
 
 // cancelCheckEvery bounds cancellation latency to a few thousand ops
-// without putting a context poll on every operation; the countdown is
-// consumed at batch granularity.
+// without putting a context poll on every operation; the op count is
+// checked at batch granularity.
 const cancelCheckEvery = 1024
 
 // tickNs is the policy tick period in virtual ns (cooling scans,
@@ -260,6 +261,39 @@ type simulator struct {
 	util     [2]float64
 
 	faults uint64
+
+	// The kernel's state (see kernel), which Run reads and writes between
+	// kernel calls.
+	i            int        // the next access in the batch
+	state        []uint8    // memory's page states (mem.Memory.PageStates)
+	faultBits    []uint64   // armed pages: a FaultBitmapped policy's bitmap, all ones for other FaultDriven ones
+	wordShift    uint       // packed entry to simulated page id
+	lat          [2]float64 // access latency per tier at the current utilization
+	op           int64      // ops completed
+	opLat        float64    // the open op's latency so far
+	v            int64      // latency of the op the kernel stopped at the end of
+	fastAccs     uint64     // accesses served by the fast tier
+	stopAt       int64      // the kernel stops at the first op end at or after this time
+	latCnt       *[latHistMaxNs]uint32
+	latLo, latHi int // latCnt's nonzero values lie in [latLo, latHi]
+	// The tracker countdown, the ns samples it took that Run has not yet
+	// delivered, and how many it may take before Pending can reach
+	// batchDrain; the na application cache accesses not yet fed to cache.
+	period, left, ns, room, na int
+	appCache                   bool
+	runBufs
+}
+
+// runBufs are a run's reusable buffers, which Scratch pools. Run writes
+// every entry it reads, except in the all-ones fault bitmap, which nothing
+// writes.
+type runBufs struct {
+	accs     []trace.Access // the live batch
+	packed   []uint64       // the live batch, packed
+	samples  []sample       // the kernel's samples
+	drained  []tier.Sample  // the drained samples
+	appAddrs []int64        // the kernel's cache lines
+	ones     []uint64       // the fault bitmap of a policy without one
 }
 
 // chargeMigration accounts one page move: tiering-thread time plus slow-
@@ -292,8 +326,8 @@ func (s *simulator) updateUtilization() {
 	s.winStart = s.now
 }
 
-// Scratch holds the large per-run buffers — the access batch, the sample
-// batch, the latency counts and the latency/series histograms — so
+// Scratch holds the large per-run buffers — the access and sample
+// batches, the latency counts and the latency/series histograms — so
 // repeated runs (sweep cells) can reuse them instead of reallocating
 // ~300 KB per cell. The zero value is ready to use; a nil *Scratch is also
 // valid everywhere and simply allocates fresh. Reuse never leaks state
@@ -301,8 +335,7 @@ func (s *simulator) updateUtilization() {
 // mismatches allocate anew), latency counts come back zeroed, and
 // everything a Result retains (series points) is freshly allocated.
 type Scratch struct {
-	accs    []trace.Access
-	samples []tier.Sample
+	bufs    runBufs
 	ring    []pebs.Sample
 	lastAcc []int64
 	latCnt  *[latHistMaxNs]uint32
@@ -343,22 +376,6 @@ func (sc *Scratch) latCounts() *[latHistMaxNs]uint32 {
 	return c
 }
 
-// accessBuf returns an empty access slice with at least the given capacity.
-func (sc *Scratch) accessBuf(capacity int) []trace.Access {
-	if sc == nil || cap(sc.accs) < capacity {
-		return make([]trace.Access, 0, capacity)
-	}
-	return sc.accs[:0]
-}
-
-// sampleBuf returns an empty sample slice with at least the given capacity.
-func (sc *Scratch) sampleBuf(capacity int) []tier.Sample {
-	if sc == nil || cap(sc.samples) < capacity {
-		return make([]tier.Sample, 0, capacity)
-	}
-	return sc.samples[:0]
-}
-
 // histogram returns a reset histogram with the requested layout, reusing
 // the pooled one when its layout matches.
 func (sc *Scratch) histogram(lo, hi int64, buckets int) *stats.Histogram {
@@ -396,16 +413,13 @@ func (sc *Scratch) timeSeries(slowSlot bool, window, lo, hi int64, buckets int) 
 }
 
 // release stores the run's buffers back for the next reuse.
-func (sc *Scratch) release(accs []trace.Access, samples []tier.Sample, ring []pebs.Sample, lastAcc []int64, latCnt *[latHistMaxNs]uint32) {
+func (sc *Scratch) release(s *simulator, ring []pebs.Sample) {
 	if sc == nil {
 		return
 	}
-	sc.latCnt = latCnt
-	sc.accs = accs[:0]
-	sc.samples = samples[:0]
-	sc.ring = ring
-	if lastAcc != nil {
-		sc.lastAcc = lastAcc
+	sc.latCnt, sc.bufs, sc.ring = s.latCnt, s.runBufs, ring
+	if s.lastAccess != nil {
+		sc.lastAcc = s.lastAccess
 	}
 }
 
@@ -420,6 +434,144 @@ func flushLatencies(cnt *[latHistMaxNs]uint32, lo, hi int, stamp int64, latHist 
 			cnt[v] = 0
 		}
 	}
+}
+
+// appAddr is the application cache-line address of an access to 4 KB page
+// page in op op. The line offset within the page is hash-derived, so hot
+// pages span several lines as real objects do; the 4 KB page id keeps
+// cache behaviour independent of the simulated page size.
+func appAddr(page uint64, op int64) int64 {
+	return int64(page)*mem.RegularPageBytes + int64(xrand.Hash64(page^uint64(op))&0xfc0)
+}
+
+// pack appends batch to dst as packed stream entries (trace.UnpackAccess's
+// encoding) widened to 64 bits, so that any 4 KB page id of a page space
+// mem can hold fits. It stops at the first access to a simulated page
+// (page>>shift) of n or more, a bad page, and returns its index, or -1.
+func pack(dst []uint64, batch []trace.Access, shift uint, n mem.PageID) ([]uint64, int) {
+	for i, a := range batch {
+		if a.Page>>shift >= n {
+			return dst, i
+		}
+		w := uint64(a.Page) << 2
+		if a.Write {
+			w |= 1
+		}
+		if a.EndOp {
+			w |= 2
+		}
+		dst = append(dst, w)
+	}
+	return dst, -1
+}
+
+// surface drains interference from tiering work into an op's latency, up
+// to half the op's own time, modeling shared-resource contention without
+// attributing a whole cooling sweep to a single unlucky op.
+func surface(opLat, owed float64) (float64, float64) {
+	if owed > 0 {
+		take := opLat * 0.5
+		if take > owed {
+			take = owed
+		}
+		opLat += take
+		owed -= take
+	}
+	return opLat, owed
+}
+
+// sample is an access the tracker countdown picked: its op's start time
+// and its packed entry.
+type sample struct {
+	now int64
+	w   uint64
+}
+
+// Why the kernel stopped.
+const (
+	exitTouch = iota // the returned entry, words[s.i], is a first touch or a bad page
+	exitFault        // the returned entry, words[s.i-1], hit an armed bit: its fault, sample, cache access and op end are Run's
+	exitOpEnd        // an op ended (interference and clock done, latency v unrecorded) with work for Run
+)
+
+// kernel runs the batch words from s.i through the common case of an
+// access and of an op end, and stops where one needs a call. It makes no
+// calls, so its state stays in registers: Go saves none across a call. The
+// common access is to an allocated, unarmed page; the common op end
+// records its latency in latCnt and opens the next op. Run handles
+// whatever stopped the kernel in the order the access or op end would
+// have, then re-enters. A packed view (uint32) and a packed live batch
+// (uint64) carry 4 KB page ids in the same encoding, so one body serves
+// both.
+//
+// Three kinds of per-access work are only counted or buffered here, each
+// exact for its own reason:
+//   - Window bytes: fastAccs and the access count stand in for the
+//     per-tier traffic sums, which Run folds in before a tick reads them.
+//     Every addend (trafficScale, a migration's pages) is a multiple of
+//     2048, and no sum in one tick window reaches 2^53, so the float sums
+//     are exact in any order.
+//   - Samples: Observe only appends a sample stamped with its op's start
+//     time, and only op ends read the tracker (Pending, Drain, Sync), so
+//     Run delivers them in access order when the kernel stops at an op end
+//     or a fault. Observe adds at most one sample to Pending, so no drain
+//     can be due before room samples are taken.
+//   - Application cache accesses: hits never feed latency, and the tiering
+//     side (TouchMeta) reaches the cache only from callbacks, which run
+//     after Run has fed it the buffered addresses.
+func kernel[W uint32 | uint64](s *simulator, words []W) (why int, w uint64) {
+	i, state, sh := s.i, s.state, s.wordShift&63
+	opLat, fastAccs, left := s.opLat, s.fastAccs, s.left
+	// Only what every access uses is held in locals, so that none spills;
+	// the rest is read through s. The masked shift is one instruction.
+	rare := s.lastAccess != nil || s.faultBits != nil || s.appCache
+	why = exitOpEnd
+	for {
+		w = uint64(words[i])
+		page := mem.PageID(w >> sh)
+		if page >= mem.PageID(len(state)) || state[page] == 0 {
+			why = exitTouch
+			break
+		}
+		ti := (uint64(state[page]) - 1) & 1
+		i++
+		fastAccs += ti
+		opLat += s.lat[ti]
+		if rare {
+			if s.lastAccess != nil {
+				s.lastAccess[page] = s.now
+			}
+			if s.faultBits != nil && s.faultBits[page>>6]&(1<<(page&63)) != 0 {
+				why = exitFault
+				break
+			}
+			if s.appCache {
+				s.appAddrs[s.na] = appAddr(w>>2, s.op)
+				s.na++
+			}
+		}
+		if left--; left <= 0 {
+			s.samples[s.ns] = sample{s.now, w}
+			s.ns++
+			left = s.period
+		}
+		if w&2 == 0 {
+			continue
+		}
+		opLat, s.interference = surface(opLat, s.interference)
+		v := int64(opLat)
+		s.now += v
+		if s.now >= s.stopAt || uint64(v) >= latHistMaxNs || s.ns >= s.room || i == len(words) {
+			s.v = v
+			break
+		}
+		s.latCnt[v]++
+		s.latLo, s.latHi = min(s.latLo, int(v)), max(s.latHi, int(v))
+		s.op++
+		opLat = 0
+	}
+	s.i, s.opLat, s.fastAccs, s.left = i, opLat, fastAccs, left
+	return why, w
 }
 
 // Run executes the simulation and returns its metrics.
@@ -451,134 +603,121 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sample-driven policies declare (via tier.RecencyFree) that they never
-	// read Env.LastAccess, which lets the loop skip the per-access recency
-	// store — a random 8-byte write per touch — and the array entirely.
-	_, recencyFree := cfg.Policy.(tier.RecencyFree)
+	// The tracker countdown's unfired remainder is folded back at the end.
+	// The scanning trackers' period is 1: they subsample at scan time.
 	s := &simulator{
 		cfg:    cfg,
 		memory: memory,
 		cache:  cachesim.NewDefault(),
 		// Metadata lives far from application data in the modeled address
 		// space so the two contend only through cache capacity.
-		metaBase: int64(numPages)*cfg.PageBytes + (1 << 40),
+		metaBase:  int64(numPages)*cfg.PageBytes + (1 << 40),
+		state:     memory.PageStates(),
+		wordShift: 2 + pageShift,
+		appCache:  cfg.AppCacheModel,
+		period:    trk.Period(),
+		left:      trk.Period(),
+		latLo:     latHistMaxNs,
+		latHi:     -1,
+		room:      batchDrain,
 	}
-	if !recencyFree {
+	if cfg.Scratch != nil {
+		s.runBufs = cfg.Scratch.bufs
+	}
+	// Sample-driven policies declare (via tier.RecencyFree) that they never
+	// read Env.LastAccess, which lets the kernel skip the per-access recency
+	// store — a random 8-byte write per touch — and the array entirely.
+	if _, recencyFree := cfg.Policy.(tier.RecencyFree); !recencyFree {
 		s.lastAccess = cfg.Scratch.lastAccessBuf(numPages)
 	}
 	e := &env{s: s}
 	cfg.Policy.Attach(e)
+	// A policy exposing its arming bitmap lets the kernel test faults with
+	// one inline load; any other fault-driven policy is asked WantsFault on
+	// every access, so an all-ones bitmap stops the kernel at each.
 	faultPolicy, _ := cfg.Policy.(tier.FaultDriven)
-	// A policy exposing its arming bitmap lets the loop test faults with
-	// one inline load instead of a WantsFault interface call per access.
-	var faultBits []uint64
 	if fb, ok := cfg.Policy.(tier.FaultBitmapped); ok {
-		faultBits = fb.FaultBitmap()
+		s.faultBits = fb.FaultBitmap()
+	}
+	bitmapped := s.faultBits != nil
+	if n := (numPages + 63) / 64; !bitmapped && faultPolicy != nil {
+		if len(s.ones) < n {
+			s.ones = slices.Repeat([]uint64{^uint64(0)}, n)
+		}
+		s.faultBits = s.ones[:n]
 	}
 
 	sc := cfg.Scratch
 	latHist := sc.histogram(0, latHistMaxNs, 8192)
 	series := sc.timeSeries(false, cfg.WindowNs, 0, latHistMaxNs, 4096)
 	slowSeries := sc.timeSeries(true, cfg.WindowNs, 0, 1001, 2)
-	batch := sc.sampleBuf(batchDrain * 2)
 
-	// Most workloads touch a handful of pages per op; the batch buffer is
-	// preallocated for that and grows (amortized, reused across batches and
-	// — via Scratch — across runs) for denser ops.
-	buf := sc.accessBuf(batchOps * 4)
 	src := trace.AsBatchSource(cfg.Workload)
-	// A PackedViewSource (in-memory replay) hands out batches as read-only
-	// slices of its own packed storage; the loop decodes entries straight
-	// into registers, so replay pays neither a copy into the scratch buffer
-	// nor an []Access materialization.
+	// A PackedViewSource (in-memory replay, v2 trace files) hands out
+	// batches as read-only slices of its own packed storage. Other sources'
+	// batches are packed into the same encoding first, in 64-bit words.
 	packedSrc, _ := src.(trace.PackedViewSource)
 
-	// Hot-loop state is hoisted into locals: the per-tier access latency is
-	// constant between utilization updates (ticks), and the cfg fields and
-	// simulator arrays would otherwise be reloaded per access. State a
-	// policy callback can observe or mutate (winBytes via migrations) is
-	// written back before every OnSamples/Tick/OnFault and reloaded after,
-	// so the sequence of float additions — and therefore every rounded
-	// intermediate — is identical to the unhoisted loop's.
-	// Per-access adds are indexed by tier, not branched on it (the next
-	// tier is a coin toss): a window sum gains 0 on the other tier's
-	// accesses, which leaves it exactly as it was (no sum is ever -0).
-	var lat [2]float64
-	lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
-	lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
-	var toSlow, toFast [2]float64
-	toSlow[mem.Slow], toFast[mem.Fast] = trafficScale, trafficScale
-	appCache := cfg.AppCacheModel
+	s.lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
+	s.lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
 	nextTick := tickNs
-	lastAccess := s.lastAccess
-	winSlow, winFast := s.winBytes[mem.Slow], s.winBytes[mem.Fast]
-	// The tracker's skip countdown lives in a register here rather than in
-	// the tracker, so the between-samples cost is one decrement; the
-	// unfired remainder is folded back at the end so access statistics
-	// stay exact. PEBS runs at its sampling period; the scanning trackers
-	// return period 1 (they must see every access to maintain their
-	// bitmaps — their subsampling happens at scan time).
-	trackPeriod := trk.Period()
-	trackLeft := trackPeriod
-	// mayDrain gates the drain check: Pending() can only have grown when
-	// the countdown fired (PEBS enqueues on Take) or a tick ran (scans
-	// enqueue in Sync), so checking it on other ops would spend an
-	// interface call per op to read an unchanged counter. A tick needs no
-	// flag of its own: only the scanning trackers enqueue in Sync, and
-	// their period is 1, so the countdown fires on every access and the
-	// next op sets the flag before its drain check anyway. The flag keeps
-	// the drain schedule identical to an every-op check.
-	mayDrain := false
+	// accs counts the accesses of earlier batches; with s.i and s.fastAccs
+	// it gives the run's per-tier access totals.
+	var accs uint64
+	tierAccs := func() (slow, fast uint64) { return accs + uint64(s.i) - s.fastAccs, s.fastAccs }
+	var wSlow, wFast uint64 // totals at the last window-bytes fold
 
-	// The slow-tier share series receives only the values 0 and 1000, so a
-	// whole window collapses to two counts. The loop accumulates them here
-	// and flushes one ObserveN pair per window — identical to per-op
-	// observation because a window's histogram is a multiset: the stamp
-	// passed at flush lies inside the window (its first observation time),
-	// and the window-boundary arithmetic mirrors TimeSeries.advance exactly.
-	windowNs := cfg.WindowNs
-	var slowC, fastC uint64 // counts accumulated for the open window
-	var slowStamp int64     // first observation time of the open window
-	slowWinEnd := int64(-1) // exclusive end of the open window; -1 = none
-
-	// Op latencies fold the same way on the grid of op end times: an op
-	// below latHistMaxNs bumps its value's count (latLo..latHi spans those
-	// since the last flush), the rare op at or above it observes directly.
-	latCnt := sc.latCounts()
-	latLo, latHi := latHistMaxNs, -1
-	var latStamp int64     // first op end time of the open window
-	latWinEnd := int64(-1) // exclusive end of the open window; -1 = none
-	latFlushOp := int64(0) // op count at the last flush
-
-	cancelLeft := int64(0)
-
-	op := int64(0)
-	for op < cfg.Ops {
-		if op-latFlushOp > latFlushOps {
-			flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
-			latLo, latHi, latFlushOp = latHistMaxNs, -1, op
+	// Both series fold a window into counts flushed with one stamp inside
+	// it — exact, as a window's histogram is a multiset and the boundary
+	// arithmetic mirrors TimeSeries.advance. A window rolls over at the
+	// first op end at or past its end: that op's latency opens the new
+	// latency window; its accesses, stamped with its start, close the
+	// slow-share one. An op below latHistMaxNs bumps its value's count
+	// (latLo..latHi spans those since the last flush), the rare op at or
+	// above it observes directly; the slow-share series receives only the
+	// values 0 and 1000, so it folds into the two access totals.
+	var stamp int64               // first op end time of the open window, 0 for the first
+	winEnd := cfg.WindowNs        // exclusive end of the open window
+	var slowSnap, fastSnap uint64 // totals at the last flush
+	latFlushOp := int64(0)        // op count at the last flush
+	s.latCnt = sc.latCounts()
+	flush := func() {
+		flushLatencies(s.latCnt, s.latLo, s.latHi, stamp, latHist, series)
+		s.latLo, s.latHi, latFlushOp = latHistMaxNs, -1, s.op
+		slow, fast := tierAccs()
+		if slow != slowSnap {
+			slowSeries.ObserveN(stamp, 1000, slow-slowSnap)
 		}
-		if cfg.Ctx != nil && cancelLeft <= 0 {
+		if fast != fastSnap {
+			slowSeries.ObserveN(stamp, 0, fast-fastSnap)
+		}
+		slowSnap, fastSnap = slow, fast
+	}
+
+	cancelAt := int64(0)
+	for s.op < cfg.Ops {
+		if s.op-latFlushOp > latFlushOps {
+			flush()
+		}
+		if cfg.Ctx != nil && s.op >= cancelAt {
 			if err := cfg.Ctx.Err(); err != nil {
-				return nil, &CanceledError{OpsDone: op, Err: err}
+				return nil, &CanceledError{OpsDone: s.op, Err: err}
 			}
-			cancelLeft = cancelCheckEvery
+			cancelAt = s.op + cancelCheckEvery
 		}
-		want := batchOps
-		if rem := cfg.Ops - op; rem < int64(want) {
-			want = int(rem)
-		}
-		var pcur []uint32
-		cur := buf
+		want := int(min(batchOps, cfg.Ops-s.op))
+		var view []uint32
+		n := 0
 		if packedSrc != nil {
-			pcur = packedSrc.NextPackedView(want)
+			view = packedSrc.NextPackedView(want)
+			n = len(view)
 		} else {
-			buf = src.NextBatch(buf[:0], want)
-			cur = buf
-		}
-		n := len(cur)
-		if packedSrc != nil {
-			n = len(pcur)
+			s.accs = src.NextBatch(s.accs[:0], want)
+			var bad int
+			if s.packed, bad = pack(s.packed[:0], s.accs, pageShift, mem.PageID(numPages)); bad >= 0 {
+				return nil, fmt.Errorf("sim: workload %q touched bad page %d: %w", cfg.Workload.Name(), s.accs[bad].Page, mem.ErrBadPage)
+			}
+			n = len(s.packed)
 		}
 		if n == 0 {
 			// The source can produce no more ops — only failed trace
@@ -586,133 +725,97 @@ func Run(cfg Config) (*Result, error) {
 			// would be: zero latency observed, clock unchanged.
 			latHist.Observe(0)
 			series.Observe(s.now, 0)
-			op++
-			cancelLeft--
+			s.op++
 			continue
 		}
-		for i := 0; i < n; {
-			opLat := 0.0
-			now := s.now // constant until the op's end, like the clock itself
-			opStart := i
-			var nFast uint64
-			for {
-				var a trace.Access
-				if pcur != nil {
-					a = trace.UnpackAccess(pcur[i])
-				} else {
-					a = cur[i]
-				}
-				i++
-				page := a.Page >> pageShift
-				t, ok := memory.TouchTier(page)
-				if !ok {
-					var err error
-					if t, err = memory.Touch(page); err != nil {
-						return nil, fmt.Errorf("sim: workload %q touched bad page %d: %w",
-							cfg.Workload.Name(), a.Page, err)
-					}
-				}
-				if lastAccess != nil {
-					lastAccess[page] = now
-				}
-				ti := t & 1
-				winSlow += toSlow[ti]
-				winFast += toFast[ti]
-				opLat += lat[ti]
-				nFast += uint64(ti)
-				if faultPolicy != nil {
-					armed := false
-					if faultBits != nil {
-						armed = faultBits[page>>6]&(1<<(page&63)) != 0
-					} else {
-						armed = faultPolicy.WantsFault(page)
-					}
-					if armed {
-						// The handler may promote, charging migration bytes,
-						// so the hoisted window counters sync around it.
-						s.winBytes[mem.Slow], s.winBytes[mem.Fast] = winSlow, winFast
-						faultPolicy.OnFault(page, t)
-						winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
-						s.faults++
-						opLat += faultCostNs
-					}
-				}
-				if trackLeft--; trackLeft <= 0 {
-					trk.Observe(page, t, now, a.Write)
-					trackLeft = trackPeriod
-					mayDrain = true
-				}
-				if appCache {
-					// Within-page line offset: hash-derived so hot pages span
-					// multiple lines, as real objects do. Use the 4 KB page id
-					// so cache behaviour is granularity-independent.
-					off := int64(xrand.Hash64(uint64(a.Page)^uint64(op)) & 0xfc0)
-					s.cache.Access(int64(a.Page)*mem.RegularPageBytes+off, cachesim.App)
-				}
-				if a.EndOp {
-					break
-				}
+		// The kernel stops at the batch's end, so its buffers need room for
+		// one batch: a sample per period accesses, an address per access.
+		if k := n/s.period + 1; len(s.samples) < k {
+			s.samples = make([]sample, 2*k)
+		}
+		if s.appCache && len(s.appAddrs) < n {
+			s.appAddrs = make([]int64, 2*n)
+		}
+		for s.i < n {
+			why, w := exitOpEnd, uint64(0)
+			if view != nil {
+				why, w = kernel(s, view)
+			} else {
+				why, w = kernel(s, s.packed)
 			}
-			// Slow-tier share bookkeeping: flush the previous window when
-			// this op's timestamp leaves it, then accumulate. All of an
-			// op's accesses share one timestamp, so per-op is exact.
-			if now >= slowWinEnd {
-				if slowC != 0 {
-					slowSeries.ObserveN(slowStamp, 1000, slowC)
-					slowC = 0
+			if why == exitTouch {
+				if _, err := memory.Touch(mem.PageID(w >> s.wordShift)); err != nil {
+					return nil, fmt.Errorf("sim: workload %q touched bad page %d: %w", cfg.Workload.Name(), w>>2, err)
 				}
-				if fastC != 0 {
-					slowSeries.ObserveN(slowStamp, 0, fastC)
-					fastC = 0
+				continue
+			}
+			// What the kernel buffered goes out before any callback: the
+			// samples (their pages' tiers are still the ones that served
+			// them) and the application cache accesses.
+			for _, x := range s.samples[:s.ns] {
+				page := mem.PageID(x.w >> s.wordShift)
+				trk.Observe(page, memory.TierOf(page), x.now, x.w&1 != 0)
+			}
+			for _, a := range s.appAddrs[:s.na] {
+				s.cache.Access(a, cachesim.App)
+			}
+			s.ns, s.na = 0, 0
+			if why == exitFault {
+				// The access's remaining work, in order: the fault, whose
+				// handler may migrate (charging window bytes and
+				// interference), then the sample, then the cache access.
+				page := mem.PageID(w >> s.wordShift)
+				t := memory.TierOf(page)
+				if bitmapped || faultPolicy.WantsFault(page) {
+					faultPolicy.OnFault(page, t)
+					s.faults++
+					s.opLat += faultCostNs
 				}
-				slowStamp = now
-				slowWinEnd = now - now%windowNs + windowNs
-			}
-			slowC += uint64(i-opStart) - nFast
-			fastC += nFast
-			// Interference from tiering work drains into application time
-			// at a bounded per-op rate, modeling shared-resource contention
-			// without attributing a whole cooling sweep to a single unlucky
-			// op.
-			if s.interference > 0 {
-				take := opLat * 0.5
-				if take > s.interference {
-					take = s.interference
+				if s.left--; s.left <= 0 {
+					trk.Observe(page, t, s.now, w&1 != 0)
+					s.left = s.period
 				}
-				opLat += take
-				s.interference -= take
+				if s.appCache {
+					s.cache.Access(appAddr(w>>2, s.op), cachesim.App)
+				}
+				s.room = batchDrain - trk.Pending()
+				if w&2 == 0 {
+					continue
+				}
+				s.opLat, s.interference = surface(s.opLat, s.interference)
+				s.v = int64(s.opLat)
+				s.now += s.v
 			}
-			v := int64(opLat)
-			s.now += v
-			if s.now >= latWinEnd {
-				flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
-				latLo, latHi, latFlushOp = latHistMaxNs, -1, op
-				latStamp = s.now
-				latWinEnd = s.now - s.now%windowNs + windowNs
+
+			// The op's end, in full.
+			if s.now >= winEnd {
+				flush()
+				stamp, winEnd = s.now, s.now-s.now%cfg.WindowNs+cfg.WindowNs
 			}
-			if uint64(v) < latHistMaxNs {
-				latCnt[v]++
-				latLo, latHi = min(latLo, int(v)), max(latHi, int(v))
+			if v := s.v; uint64(v) < latHistMaxNs {
+				s.latCnt[v]++
+				s.latLo, s.latHi = min(s.latLo, int(v)), max(s.latHi, int(v))
 			} else {
 				latHist.Observe(v)
 				series.Observe(s.now, v)
 			}
-			op++
-			cancelLeft--
-
-			if mayDrain {
-				mayDrain = false
-				if trk.Pending() >= batchDrain {
-					// Sample handling can migrate pages, charging window
-					// bytes.
-					s.winBytes[mem.Slow], s.winBytes[mem.Fast] = winSlow, winFast
-					batch = trk.Drain(batch[:0], 0)
-					cfg.Policy.OnSamples(batch)
-					winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
-				}
+			s.op++
+			// The drain check, at every op end the kernel stops at, drains
+			// where a check after each sampling op would: the kernel stops
+			// at the op whose samples may bring Pending to batchDrain, and
+			// an op that samples nothing cannot, unless a scanning tracker's
+			// Sync did, and those sample every access.
+			if trk.Pending() >= batchDrain {
+				// Sample handling can migrate pages, charging window
+				// bytes and interference.
+				s.drained = trk.Drain(s.drained[:0], 0)
+				cfg.Policy.OnSamples(s.drained)
 			}
 			if s.now >= nextTick {
-				s.winBytes[mem.Slow], s.winBytes[mem.Fast] = winSlow, winFast
+				slow, fast := tierAccs()
+				s.winBytes[mem.Slow] += float64(slow-wSlow) * trafficScale
+				s.winBytes[mem.Fast] += float64(fast-wFast) * trafficScale
+				wSlow, wFast = slow, fast
 				for s.now >= nextTick {
 					// Periodic tracker work (bitmap scan-and-clear) runs on
 					// the tiering thread at tick boundaries, like memtierd
@@ -729,25 +832,21 @@ func Run(cfg Config) (*Result, error) {
 					s.updateUtilization()
 					nextTick += tickNs
 				}
-				winSlow, winFast = s.winBytes[mem.Slow], s.winBytes[mem.Fast]
 				// Utilization moved; refresh the cached tier latencies.
-				lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
-				lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
+				s.lat[mem.Fast] = mem.AccessNs(mem.Fast, s.util[mem.Fast])
+				s.lat[mem.Slow] = mem.AccessNs(mem.Slow, s.util[mem.Slow])
 			}
+			s.opLat = 0
+			s.stopAt = min(winEnd, nextTick)
+			s.room = batchDrain - trk.Pending()
 		}
+		accs, s.i = accs+uint64(s.i), 0
 	}
 
-	s.winBytes[mem.Slow], s.winBytes[mem.Fast] = winSlow, winFast
 	// Flush the final windows before the series are read.
-	flushLatencies(latCnt, latLo, latHi, latStamp, latHist, series)
-	if slowC != 0 {
-		slowSeries.ObserveN(slowStamp, 1000, slowC)
-	}
-	if fastC != 0 {
-		slowSeries.ObserveN(slowStamp, 0, fastC)
-	}
-	trk.ObserveSkipped(trackPeriod - trackLeft)
-	sc.release(buf, batch, trk.Ring(), s.lastAccess, latCnt)
+	flush()
+	trk.ObserveSkipped(s.period - s.left)
+	sc.release(s, trk.Ring())
 
 	// A final clock notification marks the end-of-run virtual time for
 	// stream observers — a trace capture's last time mark records the

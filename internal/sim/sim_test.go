@@ -249,3 +249,41 @@ func TestTrackersConserveSamples(t *testing.T) {
 		}
 	}
 }
+
+// pageList replays a fixed page sequence, one access per op.
+type pageList struct {
+	pages []mem.PageID
+	next  int
+}
+
+func (s *pageList) Name() string      { return "pages" }
+func (s *pageList) NumPages() int     { return 64 }
+func (s *pageList) AdvanceTime(int64) {}
+func (s *pageList) NextOp(dst []trace.Access) []trace.Access {
+	p := s.pages[s.next%len(s.pages)]
+	s.next++
+	return append(dst, trace.Access{Page: p})
+}
+
+// TestRunReportsTheFirstBadPage runs sources that name pages outside their
+// page space, including ones too large for the 30-bit and the 64-bit packed
+// encodings the op loop runs on: each run fails naming the first bad page
+// in access order.
+func TestRunReportsTheFirstBadPage(t *testing.T) {
+	for _, c := range []struct {
+		pages []mem.PageID
+		want  string
+	}{
+		{[]mem.PageID{1, 2, 64, 3}, `sim: workload "pages" touched bad page 64: mem: page id out of range`},
+		{[]mem.PageID{1, 70, 1 << 31}, `sim: workload "pages" touched bad page 70: mem: page id out of range`},
+		{[]mem.PageID{1, 1 << 31, 70}, `sim: workload "pages" touched bad page 2147483648: mem: page id out of range`},
+		{[]mem.PageID{5, 1 << 62, 70}, `sim: workload "pages" touched bad page 4611686018427387904: mem: page id out of range`},
+		{[]mem.PageID{5, ^mem.PageID(0)}, `sim: workload "pages" touched bad page 18446744073709551615: mem: page id out of range`},
+	} {
+		cfg := DefaultConfig(&pageList{pages: c.pages}, baselines.NewStatic("FirstTouch"), 8)
+		cfg.Ops = 10
+		if _, err := Run(cfg); err == nil || err.Error() != c.want {
+			t.Errorf("pages %v: err = %v, want %s", c.pages, err, c.want)
+		}
+	}
+}

@@ -123,7 +123,8 @@ type Tracker interface {
 	// folds the unfired remainder back via ObserveSkipped. Scanning
 	// trackers return 1 — they must see every access to set bits.
 	Period() int
-	// Observe feeds one (subsampled) access.
+	// Observe feeds one (subsampled) access; it adds at most one sample
+	// to Pending (the simulator relies on that to defer its drain checks).
 	Observe(page mem.PageID, tier mem.Tier, now int64, write bool)
 	// ObserveSkipped accounts accesses observed by the caller's hoisted
 	// countdown without reaching the period, keeping Stats().Accesses
