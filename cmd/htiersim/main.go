@@ -379,7 +379,7 @@ func printSingle(w io.Writer, c hybridtier.CellResult, ratio string, huge, cache
 	fmt.Fprintf(w, "tiering busy  %.2f virtual ms\n", res.TieringBusyNs/1e6)
 	if cache {
 		fmt.Fprintf(w, "cache         tiering share of misses: L1 %.1f%%  LLC %.1f%%\n",
-			100*res.L1.MissFraction(1), 100*res.LLC.MissFraction(1))
+			100*res.L1.TieringMissFraction(), 100*res.LLC.TieringMissFraction())
 	}
 	if series {
 		fmt.Fprintln(w, "\ntime(ms)  p50(ns)  mean(ns)  slow-share")

@@ -57,7 +57,7 @@ func main() {
 		}
 		res := c.Result
 		adapt := "n/a"
-		if ns, ok := res.AdaptationNs(10, 0.05); ok {
+		if ns, ok := res.AdaptationNs(); ok {
 			adapt = fmt.Sprintf("%.1f", float64(ns)/1e6)
 		}
 		fmt.Printf("%-10s  %7d  %8.0f  %8d  %7d  %s\n",

@@ -59,7 +59,7 @@ func main() {
 	st := byPolicy[hybridtier.PolicyFirstTouch]
 	fmt.Printf("\nHybridTier mean-latency speedup over first-touch: %.2f×\n",
 		st.MeanLatNs/ht.MeanLatNs)
-	if adapt, ok := ht.AdaptationNs(10, 0.05); ok {
+	if adapt, ok := ht.AdaptationNs(); ok {
 		fmt.Printf("HybridTier re-converged %.1f virtual ms after the shift\n",
 			float64(adapt)/1e6)
 	}

@@ -117,5 +117,5 @@ func tierCapacity(numPages, ratio int, huge bool) (polPages, polFast int) {
 // popularity over n pages and a one-time rotation of frac of the hot set
 // after shiftAfterOps operations (the §2.3.2 adaptation scenario).
 func ShiftingZipf(name string, n int, s float64, seed uint64, shiftAfterOps int64, frac float64) Workload {
-	return trace.NewShiftingZipfSource(name, n, s, 0, seed, shiftAfterOps, frac)
+	return trace.NewShiftingZipfSource(name, n, s, seed, shiftAfterOps, frac)
 }

@@ -21,9 +21,6 @@ type AgeConfig struct {
 	// tracker's 20 ms scan — short enough that a standard 1M-op run
 	// (~90 virtual ms) ages out its cold allocations.
 	IdleNs int64
-	// FreeWatermark is the fast-tier free fraction under which sampling-
-	// time promotions trigger an idle sweep to make room.
-	FreeWatermark float64
 	// Label overrides the policy's display name ("Age" when empty), so a
 	// registration bound to a specific tracker can report that binding in
 	// results ("Age-Idle").
@@ -33,9 +30,8 @@ type AgeConfig struct {
 // DefaultAgeConfig returns the memtierd-proportioned setup.
 func DefaultAgeConfig(numPages int) AgeConfig {
 	return AgeConfig{
-		NumPages:      numPages,
-		IdleNs:        50_000_000, // 2.5 idlepage scan periods
-		FreeWatermark: 0.02,
+		NumPages: numPages,
+		IdleNs:   50_000_000, // 2.5 idlepage scan periods
 	}
 }
 
@@ -90,7 +86,7 @@ func (a *Age) OnSamples(batch []tier.Sample) {
 // promotions.
 func (a *Age) Tick() {
 	mm := a.env.Mem()
-	if float64(mm.FastFree()) < a.cfg.FreeWatermark*float64(mm.FastCap()) {
+	if float64(mm.FastFree()) < promoWatermark*float64(mm.FastCap()) {
 		a.sweepIdle(a.env.Now())
 	}
 }
@@ -103,7 +99,7 @@ func (a *Age) sweepIdle(now int64) {
 	if !a.reclaim.Due(now) {
 		return
 	}
-	target := int(a.cfg.FreeWatermark*float64(a.env.Mem().FastCap())) + 1
+	target := int(promoWatermark*float64(a.env.Mem().FastCap())) + 1
 	a.reclaim.Walk(a.env, target, 25, func(p mem.PageID) bool {
 		return now-a.lastSeen[p] > a.cfg.IdleNs
 	})

@@ -173,7 +173,7 @@ func TestHeatCoolsAndEvictsColdPages(t *testing.T) {
 	// Cool with the clock pinned at 0: the per-tick watermark demotion is
 	// rate-limited away, so ticks only halve heat chunk by chunk. Two
 	// full cooling cycles take every resident from heat 2 to 0.
-	for i := 0; i < 2*(DefaultHeatConfig(128, 4).CoolTicks+2); i++ {
+	for i := 0; i < 2*(heatCoolTicks+2); i++ {
 		h.Tick()
 	}
 	for p := mem.PageID(0); p < 4; p++ {

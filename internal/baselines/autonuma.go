@@ -19,9 +19,6 @@ type AutoNUMAConfig struct {
 	// AgeNs is the MGLRU demotion age: fast-tier pages idle longer than
 	// this are demotion candidates.
 	AgeNs int64
-	// PromoWatermark / DemoteWatermark mirror kernel watermarks.
-	PromoWatermark  float64
-	DemoteWatermark float64
 }
 
 // DefaultAutoNUMAConfig returns kernel-like defaults scaled to virtual time.
@@ -35,8 +32,6 @@ func DefaultAutoNUMAConfig(numPages int) AutoNUMAConfig {
 		ScanWindowPages: w,
 		HintThresholdNs: 50_000_000,  // scaled 1 s
 		AgeNs:           100_000_000, // scaled MGLRU aging horizon
-		PromoWatermark:  0.02,
-		DemoteWatermark: 0.08,
 	}
 }
 
@@ -113,7 +108,7 @@ func (a *AutoNUMA) Tick() {
 	a.env.Charge(float64(a.cfg.ScanWindowPages)*5 + 2000)
 
 	m := a.env.Mem()
-	if float64(m.FastFree()) < a.cfg.PromoWatermark*float64(m.FastCap()) {
+	if float64(m.FastFree()) < promoWatermark*float64(m.FastCap()) {
 		a.demoteToWatermark()
 	}
 }
@@ -126,7 +121,7 @@ func (a *AutoNUMA) demoteToWatermark() {
 	if !a.reclaim.Due(now) {
 		return
 	}
-	target := int(a.cfg.DemoteWatermark * float64(a.env.Mem().FastCap()))
+	target := int(demoteWatermark * float64(a.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}

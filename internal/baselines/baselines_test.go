@@ -114,8 +114,7 @@ func TestPageListsConsistency(t *testing.T) {
 
 func TestMemtisPromotesAtThreshold(t *testing.T) {
 	m, env := newEnv(128, 8)
-	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 8, CoolSamples: 1 << 20,
-		PromoWatermark: 0.02, DemoteWatermark: 0.08})
+	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 8, CoolSamples: 1 << 20})
 	mt.Attach(env)
 	m.Touch(5)
 	th := int(mt.thresh)
@@ -133,8 +132,7 @@ func TestMemtisPromotesAtThreshold(t *testing.T) {
 
 func TestMemtisCooling(t *testing.T) {
 	m, env := newEnv(128, 8)
-	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 8, CoolSamples: 10,
-		PromoWatermark: 0.02, DemoteWatermark: 0.08})
+	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 8, CoolSamples: 10})
 	mt.Attach(env)
 	m.Touch(3)
 	for i := 0; i < 9; i++ {
@@ -161,18 +159,19 @@ func TestMemtisCooling(t *testing.T) {
 }
 
 func TestMemtisDemotesOnWatermark(t *testing.T) {
-	m, env := newEnv(128, 4)
-	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 4, CoolSamples: 1 << 20,
-		PromoWatermark: 0.5, DemoteWatermark: 0.75})
+	m, env := newEnv(128, 50)
+	mt := NewMemtis(MemtisConfig{NumPages: 128, FastPages: 50, CoolSamples: 1 << 20})
 	mt.Attach(env)
-	for p := mem.PageID(0); p < 4; p++ {
+	for p := mem.PageID(0); p < 50; p++ {
 		m.Touch(p)
 		m.Promote(p)
 	}
 	env.Clock = 10_000_000 // past the scan rate limiter
 	mt.Tick()
-	if m.FastFree() < 3 {
-		t.Errorf("FastFree = %d after watermark demotion, want ≥ 3", m.FastFree())
+	// A full tier is under the promotion watermark (0.02 × 50 = 1 page);
+	// demotion frees up to the demotion watermark (0.08 × 50 = 4 pages).
+	if m.FastFree() < 4 {
+		t.Errorf("FastFree = %d after watermark demotion, want ≥ 4", m.FastFree())
 	}
 }
 
@@ -249,14 +248,12 @@ func TestAutoNUMAStaleFaultNotPromoted(t *testing.T) {
 }
 
 func TestAutoNUMADemotionByAge(t *testing.T) {
-	m, env := newEnv(1024, 4)
+	m, env := newEnv(1024, 50)
 	cfg := DefaultAutoNUMAConfig(1024)
-	cfg.PromoWatermark = 0.5
-	cfg.DemoteWatermark = 0.75
 	cfg.AgeNs = 1000
 	an := NewAutoNUMA(cfg)
 	an.Attach(env)
-	for p := mem.PageID(0); p < 4; p++ {
+	for p := mem.PageID(0); p < 50; p++ {
 		m.Touch(p)
 		m.Promote(p)
 		env.Accesses[p] = 100 // last touched long ago (clock far ahead)
@@ -267,8 +264,8 @@ func TestAutoNUMADemotionByAge(t *testing.T) {
 	if m.TierOf(0) != mem.Fast {
 		t.Error("recently used page should survive demotion")
 	}
-	if m.FastFree() < 3 {
-		t.Errorf("FastFree = %d, want ≥ 3", m.FastFree())
+	if m.FastFree() < 4 { // the demotion watermark: 0.08 × 50 pages
+		t.Errorf("FastFree = %d, want ≥ 4", m.FastFree())
 	}
 }
 
@@ -276,8 +273,7 @@ func TestAutoNUMADemotionByAge(t *testing.T) {
 
 func TestTPPSecondFaultPromotes(t *testing.T) {
 	m, env := newEnv(512, 8)
-	cfg := DefaultTPPConfig(512)
-	tp := NewTPP(cfg)
+	tp := NewTPP(512)
 	tp.Attach(env)
 	m.Touch(7)
 	if !tp.WantsFault(7) {
@@ -301,15 +297,13 @@ func TestTPPSecondFaultPromotes(t *testing.T) {
 
 func TestTPPStaleSecondFault(t *testing.T) {
 	m, env := newEnv(512, 8)
-	cfg := DefaultTPPConfig(512)
-	cfg.ActiveWindowNs = 1000
-	tp := NewTPP(cfg)
+	tp := NewTPP(512)
 	tp.Attach(env)
 	m.Touch(7)
 	env.Clock = 1000
 	tp.OnFault(7, mem.Slow)
 	tp.Tick()
-	env.Clock = 100_000 // far outside the window
+	env.Clock = 1000 + 2*tppActiveWindowNs // far outside the window
 	tp.OnFault(7, mem.Slow)
 	if m.TierOf(7) != mem.Slow {
 		t.Error("faults far apart must not promote")
@@ -486,7 +480,7 @@ func TestStaticNoops(t *testing.T) {
 func TestPoliciesImplementInterfaces(t *testing.T) {
 	var _ tier.Policy = NewMemtis(MemtisConfig{NumPages: 10, FastPages: 2})
 	var _ tier.FaultDriven = NewAutoNUMA(DefaultAutoNUMAConfig(64))
-	var _ tier.FaultDriven = NewTPP(DefaultTPPConfig(64))
+	var _ tier.FaultDriven = NewTPP(64)
 	var _ tier.Policy = NewARC(10, 2)
 	var _ tier.Policy = NewTwoQ(10, 2)
 	var _ tier.Policy = NewLRU(10, 2)

@@ -19,14 +19,6 @@ type HeatConfig struct {
 	NumPages int
 	// FastPages is the fast-tier capacity, used for threshold tuning.
 	FastPages int
-	// CoolTicks is the number of policy ticks a full cooling cycle is
-	// spread over: each tick halves the heat of 1/CoolTicks of the page
-	// space, so cooling cost is amortized instead of arriving as the
-	// periodic full-sweep spike Memtis pays.
-	CoolTicks int
-	// FreeWatermark is the fast-tier free fraction under which demotion
-	// sweeps run.
-	FreeWatermark float64
 	// Label overrides the policy's display name ("Heat" when empty), so a
 	// registration bound to a specific tracker can report that binding in
 	// results ("Heat-Idle", "Heat-Dirty").
@@ -36,10 +28,8 @@ type HeatConfig struct {
 // DefaultHeatConfig returns the memtierd-proportioned setup.
 func DefaultHeatConfig(numPages, fastPages int) HeatConfig {
 	return HeatConfig{
-		NumPages:      numPages,
-		FastPages:     fastPages,
-		CoolTicks:     32, // one full cooling cycle ≈ 16 idlepage scans
-		FreeWatermark: 0.02,
+		NumPages:  numPages,
+		FastPages: fastPages,
 	}
 }
 
@@ -107,14 +97,20 @@ func (h *Heat) Tick() {
 	h.coolChunk()
 	h.retune()
 	mm := h.env.Mem()
-	if float64(mm.FastFree()) < h.cfg.FreeWatermark*float64(mm.FastCap()) {
+	if float64(mm.FastFree()) < promoWatermark*float64(mm.FastCap()) {
 		h.demoteCold()
 	}
 }
 
-// coolChunk halves the heat of the next 1/CoolTicks slice of pages.
+// heatCoolTicks is the number of policy ticks a full cooling cycle is
+// spread over: each tick halves the heat of 1/heatCoolTicks of the page
+// space, so cooling cost is amortized instead of arriving as the periodic
+// full-sweep spike Memtis pays. One full cycle ≈ 16 idlepage scans.
+const heatCoolTicks = 32
+
+// coolChunk halves the heat of the next 1/heatCoolTicks slice of pages.
 func (h *Heat) coolChunk() {
-	n := h.cfg.NumPages/h.cfg.CoolTicks + 1
+	n := h.cfg.NumPages/heatCoolTicks + 1
 	for i := 0; i < n; i++ {
 		p := h.coolCursor
 		if h.coolCursor++; h.coolCursor >= h.cfg.NumPages {
@@ -148,7 +144,7 @@ func (h *Heat) demoteCold() {
 	if !h.reclaim.Due(h.env.Now()) {
 		return
 	}
-	target := int(h.cfg.FreeWatermark*float64(h.env.Mem().FastCap())) + 1
+	target := int(promoWatermark*float64(h.env.Mem().FastCap())) + 1
 	h.reclaim.Walk(h.env, target, 25, func(p mem.PageID) bool {
 		return h.heat[p] < h.thresh
 	})

@@ -20,9 +20,6 @@ type MemtisConfig struct {
 	// CoolSamples is the EMA cooling period in samples (§2.3.2; the paper
 	// studies 2M-25M real samples — scaled to simulator rates).
 	CoolSamples int
-	// PromoWatermark / DemoteWatermark mirror the kernel watermarks.
-	PromoWatermark  float64
-	DemoteWatermark float64
 }
 
 // DefaultMemtisConfig returns the baseline configuration for a memory
@@ -30,11 +27,9 @@ type MemtisConfig struct {
 // by the same factor as HybridTier's trackers.
 func DefaultMemtisConfig(numPages, fastPages int) MemtisConfig {
 	return MemtisConfig{
-		NumPages:        numPages,
-		FastPages:       fastPages,
-		CoolSamples:     60_000,
-		PromoWatermark:  0.02,
-		DemoteWatermark: 0.08,
+		NumPages:    numPages,
+		FastPages:   fastPages,
+		CoolSamples: 60_000,
 	}
 }
 
@@ -159,7 +154,7 @@ func (m *Memtis) retune() {
 func (m *Memtis) Tick() {
 	m.retune()
 	mm := m.env.Mem()
-	if float64(mm.FastFree()) < m.cfg.PromoWatermark*float64(mm.FastCap()) {
+	if float64(mm.FastFree()) < promoWatermark*float64(mm.FastCap()) {
 		m.demoteToWatermark()
 	}
 }
@@ -170,7 +165,7 @@ func (m *Memtis) demoteToWatermark() {
 	if !m.reclaim.Due(m.env.Now()) {
 		return
 	}
-	target := int(m.cfg.DemoteWatermark * float64(m.env.Mem().FastCap()))
+	target := int(demoteWatermark * float64(m.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}

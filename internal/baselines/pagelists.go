@@ -11,6 +11,17 @@ import (
 	"repro/internal/tier"
 )
 
+// The kernel's fast-tier watermarks, as fractions of its capacity:
+// demotion starts when free space falls below promoWatermark and stops
+// once it exceeds demoteWatermark (Memtis, AutoNUMA). TPP decouples its
+// demotion watermark higher; Age and Heat sweep while free space is below
+// promoWatermark.
+const (
+	promoWatermark     = 0.02
+	demoteWatermark    = 0.08
+	tppDemoteWatermark = 0.10
+)
+
 // demoteIdle is the recency demotion AutoNUMA and TPP share: one walk per
 // horizon, each demoting fast pages not accessed within it, with the
 // second, tighter horizon walked only when the first freed too little.

@@ -29,7 +29,7 @@ func init() {
 	registry.Policies.MustRegister(registry.PolicyEntry{
 		Name: "TPP", Doc: "Meta's transparent page placement (fault-driven NUMA balancing)",
 		New: func(numPages, fastPages int, _ bool) (tier.Policy, mem.AllocMode, error) {
-			return NewTPP(DefaultTPPConfig(numPages)), mem.AllocFastFirst, nil
+			return NewTPP(numPages), mem.AllocFastFirst, nil
 		},
 	})
 	registry.Policies.MustRegister(registry.PolicyEntry{

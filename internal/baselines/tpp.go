@@ -5,42 +5,22 @@ import (
 	"repro/internal/tier"
 )
 
-// TPPConfig parameterizes the TPP baseline (Maruf et al., ASPLOS'23):
-// transparent page placement for CXL memory, which promotes CXL pages on
-// NUMA hint faults when the page is already on the kernel's active list
-// (i.e. faulted again within a short window) and demotes from the inactive
-// LRU under fast-tier pressure.
-type TPPConfig struct {
-	// NumPages is the page-space size.
-	NumPages int
-	// ActiveWindowNs: a second fault within this window marks the page
-	// active and triggers promotion.
-	ActiveWindowNs int64
-	// PromoWatermark / DemoteWatermark mirror TPP's decoupled allocation
-	// and demotion watermarks.
-	PromoWatermark  float64
-	DemoteWatermark float64
-}
-
-// DefaultTPPConfig returns scaled defaults.
-func DefaultTPPConfig(numPages int) TPPConfig {
-	return TPPConfig{
-		NumPages:        numPages,
-		ActiveWindowNs:  60_000_000,
-		PromoWatermark:  0.02,
-		DemoteWatermark: 0.10,
-	}
-}
+// tppActiveWindowNs: a second fault within this window marks the page
+// active and triggers promotion.
+const tppActiveWindowNs = 60_000_000
 
 // rearmSlices is the number of ticks one full re-protection sweep takes.
 const rearmSlices = 8
 
-// TPP implements tier.FaultDriven. Slow-tier (CXL) pages are hint-fault
-// armed in rotating slices; a page promoting requires two faults within the
+// TPP is the TPP baseline (Maruf et al., ASPLOS'23): transparent page
+// placement for CXL memory, which promotes CXL pages on NUMA hint faults
+// when the page is already on the kernel's active list (i.e. faulted again
+// within a short window) and demotes from the inactive LRU under fast-tier
+// pressure. It implements tier.FaultDriven. Slow-tier (CXL) pages are
+// hint-fault armed in rotating slices; a page promoting requires two faults within the
 // active window, TPP's active-list check. Demotion evicts the least-
 // recently-used fast pages.
 type TPP struct {
-	cfg         TPPConfig
 	env         tier.Env
 	armed       []uint64
 	lastFault   []int64
@@ -50,12 +30,12 @@ type TPP struct {
 
 var _ tier.FaultDriven = (*TPP)(nil)
 
-// NewTPP constructs the baseline with every page armed.
-func NewTPP(cfg TPPConfig) *TPP {
+// NewTPP constructs the baseline over numPages pages with every page
+// armed.
+func NewTPP(numPages int) *TPP {
 	t := &TPP{
-		cfg:       cfg,
-		armed:     make([]uint64, (cfg.NumPages+63)/64),
-		lastFault: make([]int64, cfg.NumPages),
+		armed:     make([]uint64, (numPages+63)/64),
+		lastFault: make([]int64, numPages),
 	}
 	for i := range t.armed {
 		t.armed[i] = ^uint64(0)
@@ -88,7 +68,7 @@ func (t *TPP) OnFault(p mem.PageID, tr mem.Tier) {
 	t.armed[p>>6] &^= 1 << (p & 63)
 	now := t.env.Now()
 	if tr == mem.Slow {
-		if prev := t.lastFault[p]; prev > 0 && now-prev < t.cfg.ActiveWindowNs {
+		if prev := t.lastFault[p]; prev > 0 && now-prev < tppActiveWindowNs {
 			// Second fault within the window: the page would be on the
 			// active list — promote.
 			tier.PromoteOrReclaim(t.env, p, t.demoteToWatermark)
@@ -107,9 +87,9 @@ func (t *TPP) Tick() {
 		t.armed[(start+i)%len(t.armed)] = ^uint64(0)
 	}
 	t.rearmCursor = (start + slice) % len(t.armed)
-	t.env.Charge(float64(t.cfg.NumPages) * 2 / rearmSlices)
+	t.env.Charge(float64(len(t.lastFault)) * 2 / rearmSlices)
 	m := t.env.Mem()
-	if float64(m.FastFree()) < t.cfg.PromoWatermark*float64(m.FastCap()) {
+	if float64(m.FastFree()) < promoWatermark*float64(m.FastCap()) {
 		t.demoteToWatermark()
 	}
 }
@@ -120,14 +100,13 @@ func (t *TPP) demoteToWatermark() {
 	if !t.reclaim.Due(now) {
 		return
 	}
-	target := int(t.cfg.DemoteWatermark * float64(t.env.Mem().FastCap()))
+	target := int(tppDemoteWatermark * float64(t.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}
 	// LRU approximation: demote pages idle for over half the active
 	// window; tighten on a second pass if needed.
-	w := t.cfg.ActiveWindowNs
-	demoteIdle(&t.reclaim, t.env, now, target, [2]int64{w / 2, w / 8})
+	demoteIdle(&t.reclaim, t.env, now, target, [2]int64{tppActiveWindowNs / 2, tppActiveWindowNs / 8})
 }
 
 // FaultBitmap implements tier.FaultBitmapped with the live arming bitmap.

@@ -65,14 +65,15 @@ func (s Stats) TotalMisses() uint64 {
 	return t
 }
 
-// MissFraction returns actor a's share of all misses at this level, the
-// quantity plotted in Figures 5 and 13. Returns 0 when there are no misses.
-func (s Stats) MissFraction(a Actor) float64 {
+// TieringMissFraction returns the tiering thread's share of all misses at
+// this level, the quantity plotted in Figures 5 and 13. Returns 0 when
+// there are no misses.
+func (s Stats) TieringMissFraction() float64 {
 	t := s.TotalMisses()
 	if t == 0 {
 		return 0
 	}
-	return float64(s.Misses[a]) / float64(t)
+	return float64(s.Misses[Tiering]) / float64(t)
 }
 
 // level is one set-associative cache with true-LRU replacement per set. A

@@ -100,14 +100,14 @@ func TestActorAttribution(t *testing.T) {
 	if l1.Misses[App] != 1 || l1.Misses[Tiering] != 2 {
 		t.Errorf("misses = %+v", l1.Misses)
 	}
-	if got := l1.MissFraction(Tiering); got < 0.6 || got > 0.7 {
+	if got := l1.TieringMissFraction(); got < 0.6 || got > 0.7 {
 		t.Errorf("tiering miss fraction = %v, want 2/3", got)
 	}
 }
 
 func TestMissFractionEmpty(t *testing.T) {
 	var s Stats
-	if s.MissFraction(App) != 0 {
+	if s.TieringMissFraction() != 0 {
 		t.Error("empty stats should report 0 miss fraction")
 	}
 }

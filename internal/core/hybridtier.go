@@ -20,27 +20,41 @@ import (
 	"repro/internal/tier"
 )
 
+// HybridTier's fixed parameters (§4 and §7).
+const (
+	// sizingFactor scales the CBF's tracked-key budget relative to the
+	// fast-tier capacity; > 1 leaves headroom for churn through the hot
+	// set. 3.4 reproduces the paper's Table 4 metadata fractions.
+	sizingFactor = 3.4
+	// cbfHashes is the CBF hash count K (paper: 4).
+	cbfHashes = 4
+	// cbfErrorRate is the CBF tracking-error target p (paper: 0.001).
+	cbfErrorRate = 0.001
+	// momentumDivisor shrinks the momentum CBF relative to the frequency
+	// CBF (paper: 128× less memory).
+	momentumDivisor = 128
+	// minFreqThreshold floors the auto-tuned frequency threshold.
+	minFreqThreshold = 2
+	// promoWatermark: demotion starts when fast free space falls below
+	// this fraction of capacity (PROMO_WMARK).
+	promoWatermark = 0.02
+	// demoteWatermark: demotion stops once free space exceeds this
+	// fraction (DEMOTE_WMARK).
+	demoteWatermark = 0.08
+	// cbfSeed differentiates the CBF hash streams ("HYRT").
+	cbfSeed = 0x48595254
+)
+
 // Config parameterizes HybridTier. DefaultConfig values follow §4 and §7.
 type Config struct {
 	// FastPages is the fast-tier capacity in pages; CBF sizing (§4.2) uses
-	// n = SizingFactor × FastPages.
+	// n = sizingFactor × FastPages.
 	FastPages int
-	// SizingFactor scales the CBF's tracked-key budget relative to the
-	// fast-tier capacity; > 1 leaves headroom for churn through the hot
-	// set. 3.4 reproduces the paper's Table 4 metadata fractions.
-	SizingFactor float64
-	// K is the CBF hash count (paper: 4).
-	K int
-	// ErrorRate is the CBF tracking-error target p (paper: 0.001).
-	ErrorRate float64
 	// CounterBits is the CBF counter width: 4 for regular pages, 16 for
 	// huge pages (§4.4).
 	CounterBits int
 	// Blocked selects the cache-line-blocked CBF layout (§4.2).
 	Blocked bool
-	// MomentumDivisor shrinks the momentum CBF relative to the frequency
-	// CBF (paper: 128× less memory).
-	MomentumDivisor int
 	// FreqCoolSamples is the frequency tracker's cooling period in
 	// processed samples (high period: captures long-term distribution).
 	FreqCoolSamples int
@@ -50,17 +64,9 @@ type Config struct {
 	// MomentumThreshold is the promotion threshold on the momentum metric
 	// (paper default: 3; sensitivity in Fig. 17).
 	MomentumThreshold uint32
-	// MinFreqThreshold floors the auto-tuned frequency threshold.
-	MinFreqThreshold uint32
 	// PromoBatch is the number of samples per promotion batch (§4.3:
 	// 100,000 in the paper, scaled to simulated sampling rates).
 	PromoBatch int
-	// PromoWatermark: demotion starts when fast free space falls below
-	// this fraction of capacity (PROMO_WMARK).
-	PromoWatermark float64
-	// DemoteWatermark: demotion stops once free space exceeds this
-	// fraction (DEMOTE_WMARK). Must be ≥ PromoWatermark.
-	DemoteWatermark float64
 	// SecondChanceNs is the revisit delay for second-chance pages
 	// (paper: 1 minute, scaled to virtual time).
 	SecondChanceNs int64
@@ -71,8 +77,6 @@ type Config struct {
 	// immediately instead of marking and revisiting them — the ablation
 	// for the §4.3 second-chance design choice.
 	DisableSecondChance bool
-	// Seed differentiates the CBF hash streams.
-	Seed uint64
 }
 
 // DefaultConfig returns the paper's configuration scaled to the simulator's
@@ -80,21 +84,13 @@ type Config struct {
 func DefaultConfig(fastPages int) Config {
 	return Config{
 		FastPages:         fastPages,
-		SizingFactor:      3.4,
-		K:                 4,
-		ErrorRate:         0.001,
 		CounterBits:       4,
 		Blocked:           true,
-		MomentumDivisor:   128,
 		FreqCoolSamples:   60_000,
 		MomCoolSamples:    2_000,
 		MomentumThreshold: 3,
-		MinFreqThreshold:  2,
 		PromoBatch:        512,
-		PromoWatermark:    0.02,
-		DemoteWatermark:   0.08,
 		SecondChanceNs:    30_000_000, // 30 virtual ms ≈ the paper's 1 min, scaled
-		Seed:              0x48595254, // "HYRT"
 	}
 }
 
@@ -103,29 +99,16 @@ func (c Config) Validate() error {
 	if c.FastPages <= 0 {
 		return fmt.Errorf("core: FastPages must be positive, got %d", c.FastPages)
 	}
-	if c.SizingFactor <= 0 {
-		return fmt.Errorf("core: SizingFactor must be positive, got %v", c.SizingFactor)
-	}
-	if c.K <= 0 || c.ErrorRate <= 0 || c.ErrorRate >= 1 {
-		return fmt.Errorf("core: bad CBF parameters K=%d p=%v", c.K, c.ErrorRate)
-	}
 	switch c.CounterBits {
 	case 4, 8, 16:
 	default:
 		return fmt.Errorf("core: CounterBits must be 4, 8, or 16, got %d", c.CounterBits)
-	}
-	if c.MomentumDivisor <= 0 {
-		return fmt.Errorf("core: MomentumDivisor must be positive")
 	}
 	if c.FreqCoolSamples <= 0 || c.MomCoolSamples <= 0 {
 		return fmt.Errorf("core: cooling periods must be positive")
 	}
 	if c.PromoBatch <= 0 {
 		return fmt.Errorf("core: PromoBatch must be positive")
-	}
-	if c.DemoteWatermark < c.PromoWatermark {
-		return fmt.Errorf("core: DemoteWatermark %v < PromoWatermark %v",
-			c.DemoteWatermark, c.PromoWatermark)
 	}
 	return nil
 }
@@ -173,31 +156,31 @@ func New(cfg Config) (*HybridTier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := int(cfg.SizingFactor * float64(cfg.FastPages))
-	freqCounters := cbf.SizeForError(n, cfg.ErrorRate, cfg.K)
+	n := int(sizingFactor * float64(cfg.FastPages))
+	freqCounters := cbf.SizeForError(n, cbfErrorRate, cbfHashes)
 	// The momentum CBF only needs to hold the pages active within one
 	// momentum cooling window (§4.2: "the number of pages stored at a
 	// given moment is significantly less than that of the frequency CBF").
 	// At datacenter scale that works out to the paper's 128× size
 	// reduction; at simulated scale the active-window bound is what keeps
 	// the filter accurate, so take whichever is larger.
-	momCounters := cbf.SizeForError(2*cfg.MomCoolSamples, cfg.ErrorRate, cfg.K)
-	if floor := freqCounters / cfg.MomentumDivisor; momCounters < floor {
+	momCounters := cbf.SizeForError(2*cfg.MomCoolSamples, cbfErrorRate, cbfHashes)
+	if floor := freqCounters / momentumDivisor; momCounters < floor {
 		momCounters = floor
 	}
 	if momCounters < 64 {
 		momCounters = 64
 	}
 	freq, err := cbf.New(cbf.Params{
-		K: cfg.K, CounterBits: cfg.CounterBits, Counters: freqCounters,
-		Blocked: cfg.Blocked, Seed: cfg.Seed,
+		K: cbfHashes, CounterBits: cfg.CounterBits, Counters: freqCounters,
+		Blocked: cfg.Blocked, Seed: cbfSeed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	mom, err := cbf.New(cbf.Params{
-		K: cfg.K, CounterBits: cfg.CounterBits, Counters: momCounters,
-		Blocked: cfg.Blocked, Seed: cfg.Seed ^ 0x6d6f6d, // independent hash stream
+		K: cbfHashes, CounterBits: cfg.CounterBits, Counters: momCounters,
+		Blocked: cfg.Blocked, Seed: cbfSeed ^ 0x6d6f6d, // independent hash stream
 	})
 	if err != nil {
 		return nil, err
@@ -207,7 +190,7 @@ func New(cfg Config) (*HybridTier, error) {
 		freq:        freq,
 		mom:         mom,
 		histEst:     make([]int64, int(freq.MaxCount())+1),
-		freqThresh:  cfg.MinFreqThreshold,
+		freqThresh:  minFreqThreshold,
 		marked:      make(map[mem.PageID]secondChance),
 		momMetaBase: freq.SizeBytes(),
 	}
@@ -320,9 +303,9 @@ func (h *HybridTier) coolFrequency() {
 // retuneThreshold picks the smallest frequency threshold whose hot set fits
 // the fast tier (§3.1, "similar to Memtis").
 func (h *HybridTier) retuneThreshold() {
-	thresh := uint32(tier.HotThreshold(h.histEst, int(h.cfg.MinFreqThreshold), int64(h.cfg.FastPages)))
-	if thresh < h.cfg.MinFreqThreshold {
-		thresh = h.cfg.MinFreqThreshold
+	thresh := uint32(tier.HotThreshold(h.histEst, minFreqThreshold, int64(h.cfg.FastPages)))
+	if thresh < minFreqThreshold {
+		thresh = minFreqThreshold
 	}
 	h.freqThresh = thresh
 }
@@ -352,7 +335,7 @@ func (h *HybridTier) flushPromotions() {
 func (h *HybridTier) Tick() {
 	h.retuneThreshold()
 	m := h.env.Mem()
-	if float64(m.FastFree()) < h.cfg.PromoWatermark*float64(m.FastCap()) {
+	if float64(m.FastFree()) < promoWatermark*float64(m.FastCap()) {
 		h.demoteToWatermark()
 	}
 	h.revisitMarked()
@@ -366,7 +349,7 @@ func (h *HybridTier) demoteToWatermark() {
 	if !h.reclaim.Due(now) {
 		return
 	}
-	target := int(h.cfg.DemoteWatermark * float64(h.env.Mem().FastCap()))
+	target := int(demoteWatermark * float64(h.env.Mem().FastCap()))
 	if target < 1 {
 		target = 1
 	}

@@ -23,7 +23,6 @@ func testSetup(t *testing.T, mutate func(*Config)) (*HybridTier, *mem.Memory, *t
 	cfg.PromoBatch = 1 // immediate flush for deterministic tests
 	cfg.FreqCoolSamples = 1 << 20
 	cfg.MomCoolSamples = 1 << 20
-	cfg.MinFreqThreshold = 3
 	cfg.SecondChanceNs = 1000
 	if mutate != nil {
 		mutate(&cfg)
@@ -53,14 +52,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bad := []func(*Config){
 		func(c *Config) { c.FastPages = 0 },
-		func(c *Config) { c.SizingFactor = 0 },
-		func(c *Config) { c.K = 0 },
-		func(c *Config) { c.ErrorRate = 0 },
 		func(c *Config) { c.CounterBits = 7 },
-		func(c *Config) { c.MomentumDivisor = 0 },
 		func(c *Config) { c.FreqCoolSamples = 0 },
 		func(c *Config) { c.PromoBatch = 0 },
-		func(c *Config) { c.DemoteWatermark = 0.01; c.PromoWatermark = 0.5 },
 	}
 	for i, mutate := range bad {
 		c := DefaultConfig(100)
@@ -75,11 +69,11 @@ func TestPromotionByFrequency(t *testing.T) {
 	h, m, _ := testSetup(t, func(c *Config) { c.DisableMomentum = true })
 	m.Touch(7)
 	// Below threshold: no promotion yet.
-	sampleN(h, 7, mem.Slow, 2)
+	sampleN(h, 7, mem.Slow, 1)
 	if m.TierOf(7) != mem.Slow {
 		t.Fatal("promoted before reaching the frequency threshold")
 	}
-	// Third sample reaches MinFreqThreshold=3.
+	// The second sample reaches minFreqThreshold.
 	sampleN(h, 7, mem.Slow, 1)
 	if m.TierOf(7) != mem.Fast {
 		t.Fatal("page with frequency ≥ threshold must be promoted")
@@ -90,24 +84,22 @@ func TestPromotionByFrequency(t *testing.T) {
 }
 
 func TestPromotionByMomentum(t *testing.T) {
-	// Frequency threshold unreachable (min 15); momentum threshold 3.
-	h, m, _ := testSetup(t, func(c *Config) {
-		c.MinFreqThreshold = 15
-		c.MomentumThreshold = 3
-	})
+	// One sample stays under the frequency threshold (2) but reaches a
+	// momentum threshold of 1.
+	h, m, _ := testSetup(t, func(c *Config) { c.MomentumThreshold = 1 })
 	m.Touch(9)
-	sampleN(h, 9, mem.Slow, 3)
+	sampleN(h, 9, mem.Slow, 1)
 	if m.TierOf(9) != mem.Fast {
 		t.Fatal("page with momentum ≥ threshold must be promoted (Table 1)")
 	}
 
-	// Same scenario with momentum disabled: never promoted.
+	// Same scenario with momentum disabled: not promoted.
 	h2, m2, _ := testSetup(t, func(c *Config) {
-		c.MinFreqThreshold = 15
+		c.MomentumThreshold = 1
 		c.DisableMomentum = true
 	})
 	m2.Touch(9)
-	sampleN(h2, 9, mem.Slow, 10)
+	sampleN(h2, 9, mem.Slow, 1)
 	if m2.TierOf(9) != mem.Slow {
 		t.Fatal("onlyFreq variant must not promote on momentum")
 	}
@@ -127,7 +119,6 @@ func TestFastPageSamplesDoNotQueue(t *testing.T) {
 func TestBatchedPromotion(t *testing.T) {
 	h, m, _ := testSetup(t, func(c *Config) {
 		c.PromoBatch = 8
-		c.MinFreqThreshold = 2
 	})
 	m.Touch(5)
 	// Two samples qualify the page, but the batch has not filled.
@@ -144,12 +135,9 @@ func TestBatchedPromotion(t *testing.T) {
 }
 
 func TestWatermarkDemotion(t *testing.T) {
-	h, m, env := testSetup(t, func(c *Config) {
-		c.PromoWatermark = 0.5
-		c.DemoteWatermark = 0.75
-	})
-	// Fill the 8-page fast tier with cold pages (no samples → freq 0).
-	for p := mem.PageID(0); p < 8; p++ {
+	h, m, env := testSetup(t, func(c *Config) { c.FastPages = 50 })
+	// Fill the 50-page fast tier with cold pages (no samples → freq 0).
+	for p := mem.PageID(0); p < 50; p++ {
 		m.Touch(p)
 		m.Promote(p)
 	}
@@ -158,9 +146,9 @@ func TestWatermarkDemotion(t *testing.T) {
 	}
 	env.Clock = 10_000_000 // past the scan rate limiter
 	h.Tick()
-	// Free space must reach the demote watermark (0.75 × 8 = 6 pages).
-	if m.FastFree() < 6 {
-		t.Errorf("FastFree after demotion = %d, want ≥ 6", m.FastFree())
+	// Free space must reach the demote watermark (0.08 × 50 = 4 pages).
+	if m.FastFree() < 4 {
+		t.Errorf("FastFree after demotion = %d, want ≥ 4", m.FastFree())
 	}
 	if m.Stats().Demotions == 0 {
 		t.Error("demotions not counted")
@@ -169,9 +157,7 @@ func TestWatermarkDemotion(t *testing.T) {
 
 func TestSecondChance(t *testing.T) {
 	h, m, env := testSetup(t, func(c *Config) {
-		c.PromoWatermark = 0.5
-		c.DemoteWatermark = 0.75
-		c.MinFreqThreshold = 2
+		c.FastPages = 50
 		c.SecondChanceNs = 1000
 	})
 	// Page 1 is hot (freq ≥ threshold) and resident fast; fill the rest of
@@ -181,7 +167,7 @@ func TestSecondChance(t *testing.T) {
 	if m.TierOf(1) != mem.Fast {
 		t.Fatal("setup: page 1 should be fast")
 	}
-	for p := mem.PageID(2); p < 10; p++ {
+	for p := mem.PageID(2); p <= 50; p++ {
 		m.Touch(p)
 		m.Promote(p)
 	}
@@ -219,10 +205,7 @@ func TestSecondChance(t *testing.T) {
 }
 
 func TestSecondChanceSurvivesReaccess(t *testing.T) {
-	h, m, env := testSetup(t, func(c *Config) {
-		c.MinFreqThreshold = 2
-		c.SecondChanceNs = 1000
-	})
+	h, m, env := testSetup(t, func(c *Config) { c.SecondChanceNs = 1000 })
 	m.Touch(1)
 	sampleN(h, 1, mem.Slow, 3)
 	h.marked[1] = secondChance{markedAt: 100, freq: h.freq.Get(1)}
@@ -241,7 +224,6 @@ func TestSecondChanceSurvivesReaccess(t *testing.T) {
 func TestCoolingRetunesThreshold(t *testing.T) {
 	h, m, _ := testSetup(t, func(c *Config) {
 		c.FreqCoolSamples = 100
-		c.MinFreqThreshold = 2
 		c.FastPages = 2 // tiny fast tier → threshold must rise
 	})
 	// Make many pages hot so the hot set exceeds the fast tier.
@@ -321,13 +303,9 @@ func TestMetaTouchesEmitted(t *testing.T) {
 }
 
 func TestPromotionFullTierTriggersDemotion(t *testing.T) {
-	h, m, env := testSetup(t, func(c *Config) {
-		c.MinFreqThreshold = 2
-		c.PromoWatermark = 0.1
-		c.DemoteWatermark = 0.25
-	})
+	h, m, env := testSetup(t, func(c *Config) { c.FastPages = 50 })
 	// Fill fast with cold pages.
-	for p := mem.PageID(100); p < 108; p++ {
+	for p := mem.PageID(100); p < 150; p++ {
 		m.Touch(p)
 		m.Promote(p)
 	}

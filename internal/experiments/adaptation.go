@@ -69,7 +69,7 @@ func fig4(ctx context.Context, s Scale, run shiftRunner) (*Table, error) {
 		if res.ShiftNs > 0 {
 			shiftNs = res.ShiftNs
 		}
-		if adapt, ok := res.AdaptationNs(10, 0.05); ok {
+		if adapt, ok := res.AdaptationNs(); ok {
 			t.Notes = append(t.Notes,
 				fmt.Sprintf("%s adapted %.1f ms after the shift", pol, float64(adapt)/1e6))
 		} else {
@@ -132,7 +132,7 @@ func tab3(ctx context.Context, s Scale, run shiftRunner) (*Table, error) {
 			var memtisNs, hybridNs float64
 			for _, pol := range policies {
 				res := results[pol][ratio]
-				if adapt, ok := res.AdaptationNs(10, 0.05); ok {
+				if adapt, ok := res.AdaptationNs(); ok {
 					vals[pol] = fmt.Sprintf("%.1f", float64(adapt)/1e6)
 					if pol == "Memtis" {
 						memtisNs = float64(adapt)

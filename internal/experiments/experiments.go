@@ -30,7 +30,6 @@ type Scale struct {
 	AdaptOps        int64 // ops for adaptation-timeline experiments
 	CacheLibObjects int
 	GapScale        int
-	GapDegree       int
 	SpecCells       int
 	SiloRecords     int
 	XGBRows         int
@@ -45,7 +44,6 @@ var Quick = Scale{
 	AdaptOps:        1_500_000,
 	CacheLibObjects: 4_000,
 	GapScale:        13,
-	GapDegree:       8,
 	SpecCells:       1 << 16,
 	SiloRecords:     1 << 15,
 	XGBRows:         1 << 17,
@@ -62,7 +60,6 @@ var Tiny = Scale{
 	AdaptOps:        120_000,
 	CacheLibObjects: 1_500,
 	GapScale:        11,
-	GapDegree:       8,
 	SpecCells:       1 << 14,
 	SiloRecords:     1 << 15,
 	XGBRows:         1 << 15,
@@ -77,7 +74,6 @@ var Full = Scale{
 	AdaptOps:        6_000_000,
 	CacheLibObjects: 30_000,
 	GapScale:        17,
-	GapDegree:       8,
 	SpecCells:       1 << 21,
 	SiloRecords:     1 << 20,
 	XGBRows:         1 << 20,
@@ -95,6 +91,9 @@ func WorkloadNames() []string {
 	}
 }
 
+// gapDegree is the average vertex degree of every scale's GAP graphs.
+const gapDegree = 8
+
 // Params converts this scale's sizing knobs into the registry's workload
 // parameters for one seeded instance.
 func (s Scale) Params(seed uint64) registry.WorkloadParams {
@@ -102,7 +101,7 @@ func (s Scale) Params(seed uint64) registry.WorkloadParams {
 		Seed:         seed,
 		CacheObjects: s.CacheLibObjects,
 		GraphScale:   s.GapScale,
-		GraphDegree:  s.GapDegree,
+		GraphDegree:  gapDegree,
 		Cells:        s.SpecCells,
 		Records:      s.SiloRecords,
 		Rows:         s.XGBRows,
@@ -145,10 +144,9 @@ func PolicyNames() []string {
 
 // Policy constructs the named tiering system through the policy registry
 // for a page space and fast-tier capacity, returning the policy and the
-// first-touch allocation mode §5.2 prescribes for it. huge selects
-// 2 MB-granularity configurations (§4.4).
-func Policy(name string, numPages, fastPages int, huge bool) (tier.Policy, mem.AllocMode, error) {
-	return registry.Policies.New(name, numPages, fastPages, huge)
+// first-touch allocation mode §5.2 prescribes for it, at 4 KB granularity.
+func Policy(name string, numPages, fastPages int) (tier.Policy, mem.AllocMode, error) {
+	return registry.Policies.New(name, numPages, fastPages, false)
 }
 
 // fastPagesFor returns the fast-tier capacity for a 1:N ratio over a

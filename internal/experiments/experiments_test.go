@@ -34,7 +34,7 @@ func TestAllPoliciesConstruct(t *testing.T) {
 	names := append(PolicyNames(),
 		"HybridTier-CBF", "HybridTier-onlyFreq", "LRU", "FirstTouch", "AllFast")
 	for _, name := range names {
-		p, _, err := Policy(name, 10_000, 1_000, false)
+		p, _, err := Policy(name, 10_000, 1_000)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -42,7 +42,7 @@ func TestAllPoliciesConstruct(t *testing.T) {
 			t.Errorf("%s: empty display name", name)
 		}
 	}
-	if _, _, err := Policy("nope", 10, 5, false); err == nil {
+	if _, _, err := Policy("nope", 10, 5); err == nil {
 		t.Error("unknown policy must fail")
 	}
 }

@@ -38,11 +38,11 @@ func runTab4(_ context.Context, s Scale) (*Table, error) {
 	totalBytes := float64(totalPages) * mem.RegularPageBytes
 	for _, ratio := range s.Ratios {
 		fast := fastPagesFor(totalPages, ratio)
-		mt, _, err := Policy("Memtis", totalPages, fast, false)
+		mt, _, err := Policy("Memtis", totalPages, fast)
 		if err != nil {
 			return nil, err
 		}
-		ht, _, err := Policy("HybridTier", totalPages, fast, false)
+		ht, _, err := Policy("HybridTier", totalPages, fast)
 		if err != nil {
 			return nil, err
 		}

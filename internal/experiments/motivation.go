@@ -125,7 +125,7 @@ func topDecile(counts map[mem.PageID]int) map[mem.PageID]bool {
 // score must lag the raw access rate for ~9 minutes after the page cools.
 func runFig3a(context.Context, Scale) (*Table, error) {
 	const minute = int64(60_000_000_000)
-	e := stats.NewEMA(2, 2*minute)
+	var e stats.EMA // halves every 2 minutes
 	t := &Table{
 		ID:      "fig3a",
 		Title:   "EMA score of a page that turns cold at minute 10",
@@ -138,7 +138,7 @@ func runFig3a(context.Context, Scale) (*Table, error) {
 		if m < 10 {
 			acc = 50
 			for i := 0; i < 50; i++ {
-				e.Add(m*minute, 1)
+				e.Add(m * minute)
 			}
 		}
 		score := e.Score(m * minute)

@@ -36,7 +36,7 @@ func cacheRun(ctx context.Context, s Scale, policy string, huge bool) (*sim.Resu
 }
 
 func missRow(res *sim.Result) (l1Frac, llcFrac float64, l1Abs, llcAbs uint64) {
-	return res.L1.MissFraction(cachesim.Tiering), res.LLC.MissFraction(cachesim.Tiering),
+	return res.L1.TieringMissFraction(), res.LLC.TieringMissFraction(),
 		res.L1.Misses[cachesim.Tiering], res.LLC.Misses[cachesim.Tiering]
 }
 

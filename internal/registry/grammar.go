@@ -450,7 +450,7 @@ func (r *WorkloadRegistry) buildNode(n specNode, p WorkloadParams, ctr *uint64) 
 			srcs = append(srcs, src)
 			parts = append(parts, trace.Weighted{Source: src, Weight: n.weights[i]})
 		}
-		m, err := trace.NewMix("", parts...)
+		m, err := trace.NewMix(parts...)
 		if err != nil {
 			closeSources(srcs)
 		}
@@ -467,7 +467,7 @@ func (r *WorkloadRegistry) buildNode(n specNode, p WorkloadParams, ctr *uint64) 
 			srcs = append(srcs, src)
 			stages = append(stages, trace.Stage{Source: src, Ops: n.ops[i]})
 		}
-		ph, err := trace.NewPhases("", stages...)
+		ph, err := trace.NewPhases(stages...)
 		if err != nil {
 			closeSources(srcs)
 		}
@@ -477,7 +477,7 @@ func (r *WorkloadRegistry) buildNode(n specNode, p WorkloadParams, ctr *uint64) 
 		if err != nil {
 			return nil, err
 		}
-		rep, err := trace.NewRepeat("", src, n.ops)
+		rep, err := trace.NewRepeat(src, n.ops)
 		if err != nil {
 			closeSources([]trace.Source{src})
 		}
@@ -487,7 +487,7 @@ func (r *WorkloadRegistry) buildNode(n specNode, p WorkloadParams, ctr *uint64) 
 		if err != nil {
 			return nil, err
 		}
-		off, err := trace.NewOffset("", src, n.pages)
+		off, err := trace.NewOffset(src, n.pages)
 		if err != nil {
 			closeSources([]trace.Source{src})
 		}
@@ -497,7 +497,7 @@ func (r *WorkloadRegistry) buildNode(n specNode, p WorkloadParams, ctr *uint64) 
 		if err != nil {
 			return nil, err
 		}
-		sc, err := trace.NewScale("", src, n.factor)
+		sc, err := trace.NewScale(src, n.factor)
 		if err != nil {
 			closeSources([]trace.Source{src})
 		}

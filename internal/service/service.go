@@ -261,10 +261,12 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		h.error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	// 200 means a cache hit. A fresh job the workers finish before this
+	// read is Done too, but it was accepted, not served from the cache.
 	info := job.Info()
 	code := http.StatusAccepted
-	if info.State == jobs.Done {
-		code = http.StatusOK // cache hit: the result is ready now
+	if info.CacheHit {
+		code = http.StatusOK
 	}
 	h.logf("submit %s hash=%s created=%v state=%s", info.ID, hash[:12], created, info.State)
 	h.reply(w, code, submitResponse{

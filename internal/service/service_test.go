@@ -21,6 +21,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -259,6 +260,77 @@ func TestSecondSubmitIsCacheHitRunningZeroCells(t *testing.T) {
 	events := streamEvents(t, srv, second["id"].(string))
 	if last := events[len(events)-1]; last.State != jobs.Done {
 		t.Errorf("cache-hit stream ends %+v", last)
+	}
+}
+
+// TestFreshSubmitIsAcceptedWhenDoneAtOnce: 200 means a cache hit, so a
+// fresh spec answers 202 even when an engine that finishes at once has
+// completed the job before the handler reads its state. Concurrent
+// clients keep the workers busy, which widens that window.
+func TestFreshSubmitIsAcceptedWhenDoneAtOnce(t *testing.T) {
+	cache, err := jobs.NewCache(1<<20, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := jobs.NewManager(jobs.Config{
+		Workers: 4,
+		Cache:   cache,
+		Run: func(context.Context, []byte, func(done, total int)) ([]byte, error) {
+			return []byte("{}\n"), nil
+		},
+	})
+	srv := httptest.NewServer(NewHandler(Config{Manager: m}))
+	t.Cleanup(func() {
+		srv.Close()
+		Drain(m, 10*time.Second)
+	})
+	const clients, each = 16, 60
+	codes := make(chan string, clients*each)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec := testSpec()
+			for i := range each {
+				spec.Seeds = []uint64{uint64(100 + c*each + i)}
+				body, _ := json.Marshal(spec)
+				resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
+				if err != nil {
+					codes <- err.Error()
+					continue
+				}
+				resp.Body.Close()
+				codes <- resp.Status
+			}
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	wrong := 0
+	for code := range codes {
+		if code != "202 Accepted" {
+			wrong++
+			t.Errorf("fresh submit answered %s, want 202 Accepted", code)
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d fresh submits were not 202", wrong, clients*each)
+	}
+	spec := testSpec()
+	spec.Seeds = []uint64{100}
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 100 { // the job finishes at once; wait for its result
+		if _, ok := cache.Get(hash); ok {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code, resp := submit(t, srv, spec); code != http.StatusOK || resp["cache_hit"] != true {
+		t.Errorf("resubmit: status %d %v, want a 200 cache hit", code, resp)
 	}
 }
 

@@ -31,7 +31,7 @@ func init() {
 		}})
 	registry.Workloads.MustRegister(registry.WorkloadEntry{Name: "shifting-zipf",
 		New: func(p registry.WorkloadParams) (trace.Source, error) {
-			return trace.NewShiftingZipfSource("shifting-zipf", p.Pages, 1.0, 0.1, p.Seed, 120_000, 2.0/3.0), nil
+			return trace.NewShiftingZipfSource("shifting-zipf", p.Pages, 1.0, p.Seed, 120_000, 2.0/3.0), nil
 		}})
 	registry.Workloads.MustRegister(registry.WorkloadEntry{Name: "long-ops",
 		New: func(p registry.WorkloadParams) (trace.Source, error) {

@@ -24,7 +24,7 @@ func miniWorkloads(t *testing.T) []trace.Source {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := silo.New(silo.Config{Name: "silo", Records: 1 << 13, Mix: silo.YCSBB, ZipfS: 0.99, Seed: 1})
+	db, err := silo.New(silo.Config{Records: 1 << 13, Mix: silo.YCSBB, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func policyFactories(numPages, fast int) map[string]func() tier.Policy {
 		"AutoNUMA": func() tier.Policy {
 			return baselines.NewAutoNUMA(baselines.DefaultAutoNUMAConfig(numPages))
 		},
-		"TPP":  func() tier.Policy { return baselines.NewTPP(baselines.DefaultTPPConfig(numPages)) },
+		"TPP":  func() tier.Policy { return baselines.NewTPP(numPages) },
 		"ARC":  func() tier.Policy { return baselines.NewARC(numPages, fast) },
 		"TwoQ": func() tier.Policy { return baselines.NewTwoQ(numPages, fast) },
 	}
@@ -77,7 +77,7 @@ func TestEveryWorkloadEveryPolicy(t *testing.T) {
 			fast = 16
 		}
 		for name, mk := range policyFactories(numPages, fast) {
-			t.Run(fmt.Sprintf("%s/%s", w.Name(), name), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/%s", family(w), name), func(t *testing.T) {
 				cfg := DefaultConfig(freshClone(t, w), mk(), fast)
 				cfg.Ops = 30_000
 				res, err := Run(cfg)
@@ -99,11 +99,20 @@ func TestEveryWorkloadEveryPolicy(t *testing.T) {
 	}
 }
 
+// family names a mini workload's family: its Name, but "silo" for the
+// silo DB, whose Name reports its YCSB mix.
+func family(w trace.Source) string {
+	if _, ok := w.(*silo.DB); ok {
+		return "silo"
+	}
+	return w.Name()
+}
+
 // freshClone rebuilds a workload of the same family so each policy sees an
 // identical, unconsumed stream.
 func freshClone(t *testing.T, w trace.Source) trace.Source {
 	t.Helper()
-	switch w.Name() {
+	switch family(w) {
 	case "cachelib-cdn":
 		cdn := cachelib.CDN(1)
 		cdn.Objects = 1000
@@ -121,7 +130,7 @@ func freshClone(t *testing.T, w trace.Source) trace.Source {
 		bw.Cells = 1 << 13
 		return speccpu.New(bw)
 	case "silo":
-		db, err := silo.New(silo.Config{Name: "silo", Records: 1 << 13, Mix: silo.YCSBB, ZipfS: 0.99, Seed: 1})
+		db, err := silo.New(silo.Config{Records: 1 << 13, Mix: silo.YCSBB, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

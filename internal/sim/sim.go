@@ -884,19 +884,17 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// AdaptationNs measures how long the run took to return to within tol of
-// the steady-state latency after the workload's distribution shift
-// (Table 3's metric). It uses the windowed mean latency: the shift displaces
-// the slow-tier tail of the distribution, which the mean tracks directly.
-// steadyWindows is how many trailing windows define steady state. The
-// boolean is false when no shift fired or the run never converged.
-func (r *Result) AdaptationNs(steadyWindows int, tol float64) (int64, bool) {
+// AdaptationNs measures how long the run took to return to its
+// steady-state latency after the workload's distribution shift (Table 3's
+// metric, by stats.AdaptTime's rule). It uses the windowed mean latency:
+// the shift displaces the slow-tier tail of the distribution, which the
+// mean tracks directly. The boolean is false when no shift fired or the
+// run never converged.
+func (r *Result) AdaptationNs() (int64, bool) {
 	if r.ShiftNs < 0 {
 		return 0, false
 	}
-	smoothed := stats.Smooth(r.SlowSeries, 3)
-	steady := stats.MeanSteadyState(smoothed, steadyWindows)
-	at, ok := stats.MeanAdaptTime(smoothed, r.ShiftNs, steady, tol)
+	at, ok := stats.AdaptTime(r.SlowSeries, r.ShiftNs)
 	if !ok {
 		return 0, false
 	}

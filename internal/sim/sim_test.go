@@ -113,7 +113,7 @@ func TestFaultDrivenPolicies(t *testing.T) {
 	const pages = 4096
 	policies := []tier.Policy{
 		baselines.NewAutoNUMA(baselines.DefaultAutoNUMAConfig(pages)),
-		baselines.NewTPP(baselines.DefaultTPPConfig(pages)),
+		baselines.NewTPP(pages),
 	}
 	for _, p := range policies {
 		w := trace.NewZipfSource("zipf", pages, 1.1, 0, 3)
@@ -134,7 +134,7 @@ func TestFaultDrivenPolicies(t *testing.T) {
 
 func TestShiftAdaptationMeasured(t *testing.T) {
 	const pages = 8192
-	w := trace.NewShiftingZipfSource("shift", pages, 1.1, 0, 5, 100_000, 2.0/3.0)
+	w := trace.NewShiftingZipfSource("shift", pages, 1.1, 5, 100_000, 2.0/3.0)
 	fast := pages / 9
 	cfg := DefaultConfig(w, hybridFor(fast), fast)
 	cfg.Ops = 400_000
@@ -150,7 +150,7 @@ func TestShiftAdaptationMeasured(t *testing.T) {
 	}
 	// Adaptation should be measurable (may or may not converge to 1%, but
 	// the call must not panic and steady state must be positive).
-	if ns, ok := res.AdaptationNs(5, 0.05); ok && ns < 0 {
+	if ns, ok := res.AdaptationNs(); ok && ns < 0 {
 		t.Errorf("negative adaptation time %d", ns)
 	}
 }
@@ -173,7 +173,7 @@ func TestAppCacheModel(t *testing.T) {
 		t.Error("tiering cache accesses missing")
 	}
 	// Tiering's share of misses must be a sane fraction.
-	frac := res.LLC.MissFraction(1)
+	frac := res.LLC.TieringMissFraction()
 	if frac < 0 || frac > 1 {
 		t.Errorf("tiering miss fraction = %v", frac)
 	}

@@ -242,32 +242,21 @@ func (h *Histogram) Reset() {
 
 // EMA is an exponential-moving-average access score with period-based
 // cooling, the freshness mechanism used by frequency-based tiering systems
-// (Memtis, HeMem): every cooling period the score is divided by the decay
-// factor (2 by default, implementable as a bit shift in kernel code).
+// (Memtis, HeMem): every emaPeriodNs of virtual time the score halves
+// (a bit shift in kernel code). The zero value is an empty score.
 type EMA struct {
 	score      float64
-	decay      float64
-	period     int64 // cooling period in virtual ns
 	lastCooled int64
 }
 
-// NewEMA returns an EMA cooled by decay every period nanoseconds of virtual
-// time. decay must be > 1; period must be > 0.
-func NewEMA(decay float64, period int64) *EMA {
-	if decay <= 1 {
-		panic("stats: NewEMA requires decay > 1")
-	}
-	if period <= 0 {
-		panic("stats: NewEMA requires period > 0")
-	}
-	return &EMA{decay: decay, period: period}
-}
+// emaPeriodNs is the EMA cooling period: Fig. 3a's two virtual minutes.
+const emaPeriodNs = 2 * 60_000_000_000
 
-// Add records weight w at virtual time now, applying any cooling steps due
-// since the last event first.
-func (e *EMA) Add(now int64, w float64) {
+// Add records one access at virtual time now, applying any cooling steps
+// due since the last event first.
+func (e *EMA) Add(now int64) {
 	e.coolTo(now)
-	e.score += w
+	e.score++
 }
 
 // Score returns the score at virtual time now, cooled as of now.
@@ -280,19 +269,19 @@ func (e *EMA) coolTo(now int64) {
 	if now <= e.lastCooled {
 		return
 	}
-	steps := (now - e.lastCooled) / e.period
+	steps := (now - e.lastCooled) / emaPeriodNs
 	if steps <= 0 {
 		return
 	}
 	// Cap the loop: beyond ~64 halvings the score is zero for any float64.
-	if steps > 64 && e.decay >= 2 {
+	if steps > 64 {
 		e.score = 0
 	} else {
 		for i := int64(0); i < steps; i++ {
-			e.score /= e.decay
+			e.score /= 2
 		}
 	}
-	e.lastCooled += steps * e.period
+	e.lastCooled += steps * emaPeriodNs
 }
 
 // TimeSeries accumulates (time, value) observations into fixed-duration
@@ -400,17 +389,33 @@ func (t *TimeSeries) Reset() {
 	t.started = false
 }
 
-// Smooth returns a copy of points whose Mean fields are replaced by a
-// centered moving average over 2k+1 windows, damping per-window noise
-// before convergence detection.
-func Smooth(points []SeriesPoint, k int) []SeriesPoint {
+// Table 3's convergence rule over a window-mean series: smooth each mean
+// over adaptSmooth windows on either side, take steady state as the mean
+// of the last adaptSteadyWindows smoothed windows, and call the series
+// adapted once every later window stays within adaptTol above it.
+const (
+	adaptSmooth        = 3
+	adaptSteadyWindows = 10
+	adaptTol           = 0.05
+)
+
+// AdaptTime returns the first window time ≥ after from which the series
+// has adapted by Table 3's rule. The boolean is false when the series
+// never converges. Adaptation experiments use window means because the
+// mean is sensitive to the slow-tier tail a distribution shift displaces.
+func AdaptTime(points []SeriesPoint, after int64) (int64, bool) {
+	smoothed := smooth(points)
+	return meanAdaptTime(smoothed, after, meanSteadyState(smoothed))
+}
+
+// smooth returns a copy of points whose Mean fields are replaced by a
+// centered moving average over 2·adaptSmooth+1 windows, damping
+// per-window noise before convergence detection.
+func smooth(points []SeriesPoint) []SeriesPoint {
 	out := make([]SeriesPoint, len(points))
 	copy(out, points)
-	if k <= 0 {
-		return out
-	}
 	for i := range points {
-		lo, hi := i-k, i+k
+		lo, hi := i-adaptSmooth, i+adaptSmooth
 		if lo < 0 {
 			lo = 0
 		}
@@ -426,13 +431,13 @@ func Smooth(points []SeriesPoint, k int) []SeriesPoint {
 	return out
 }
 
-// MeanSteadyState returns the average of the window means of the last n
-// windows; adaptation experiments use the mean because it is sensitive to
-// the slow-tier tail that a distribution shift displaces.
-func MeanSteadyState(points []SeriesPoint, n int) float64 {
+// meanSteadyState returns the average of the window means of the last
+// adaptSteadyWindows windows.
+func meanSteadyState(points []SeriesPoint) float64 {
 	if len(points) == 0 {
 		return 0
 	}
+	n := adaptSteadyWindows
 	if n > len(points) {
 		n = len(points)
 	}
@@ -443,14 +448,14 @@ func MeanSteadyState(points []SeriesPoint, n int) float64 {
 	return sum / float64(n)
 }
 
-// MeanAdaptTime returns the first time ≥ after at which the series' window
-// mean stays within tol (fractional, e.g. 0.01 for 1%) of steady for the
-// remainder of the series, mirroring Table 3's "reach within 1% of the
-// steady-state latency". The boolean is false when the series never
-// converges. The test is one-sided: a disturbance pushes the metric above
-// its steady level, so a window is unconverged only while it remains more
-// than tol above steady — dips below steady are not failures.
-func MeanAdaptTime(points []SeriesPoint, after int64, steady, tol float64) (int64, bool) {
+// meanAdaptTime returns the first time ≥ after at which the series' window
+// mean stays within adaptTol of steady for the remainder of the series,
+// mirroring Table 3's "reach within 1% of the steady-state latency". The
+// boolean is false when the series never converges. The test is
+// one-sided: a disturbance pushes the metric above its steady level, so a
+// window is unconverged only while it remains more than adaptTol above
+// steady — dips below steady are not failures.
+func meanAdaptTime(points []SeriesPoint, after int64, steady float64) (int64, bool) {
 	if steady <= 0 {
 		return 0, false
 	}
@@ -461,7 +466,7 @@ func MeanAdaptTime(points []SeriesPoint, after int64, steady, tol float64) (int6
 			continue
 		}
 		found = true
-		if (p.Mean-steady)/steady > tol {
+		if (p.Mean-steady)/steady > adaptTol {
 			lastBad = p.Time
 		}
 	}

@@ -159,10 +159,10 @@ func TestEMACooling(t *testing.T) {
 	// Reproduces the Fig. 3a scenario: 50 accesses/min for 10 minutes, then
 	// silence; cooling halves the score every 2 minutes.
 	const minute = int64(60_000_000_000)
-	e := NewEMA(2, 2*minute)
+	var e EMA
 	for m := int64(0); m < 10; m++ {
 		for i := 0; i < 50; i++ {
-			e.Add(m*minute, 1)
+			e.Add(m * minute)
 		}
 	}
 	peak := e.Score(10 * minute)
@@ -193,26 +193,12 @@ func TestEMACooling(t *testing.T) {
 }
 
 func TestEMALongGap(t *testing.T) {
-	e := NewEMA(2, 100)
-	e.Add(0, 1000)
-	if s := e.Score(100 * 200); s != 0 {
-		t.Errorf("score after 200 periods = %v, want 0", s)
+	var e EMA
+	for i := 0; i < 1000; i++ {
+		e.Add(0)
 	}
-}
-
-func TestEMAPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewEMA(1, 100) },
-		func() { NewEMA(2, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
+	if s := e.Score(200 * emaPeriodNs); s != 0 {
+		t.Errorf("score after 200 periods = %v, want 0", s)
 	}
 }
 
@@ -249,15 +235,18 @@ func TestTimeSeriesGap(t *testing.T) {
 }
 
 func TestSteadyState(t *testing.T) {
-	pts := []SeriesPoint{{Mean: 10}, {Mean: 20}, {Mean: 30}, {Mean: 40}}
-	if got := MeanSteadyState(pts, 2); got != 35 {
-		t.Errorf("MeanSteadyState = %v, want 35", got)
+	var pts []SeriesPoint
+	for i := 1; i <= 12; i++ {
+		pts = append(pts, SeriesPoint{Mean: float64(i)})
 	}
-	if got := MeanSteadyState(pts, 100); got != 25 {
-		t.Errorf("MeanSteadyState clamps n: got %v, want 25", got)
+	if got := meanSteadyState(pts); got != 7.5 {
+		t.Errorf("meanSteadyState = %v, want 7.5 (the last 10 windows)", got)
 	}
-	if got := MeanSteadyState(nil, 3); got != 0 {
-		t.Errorf("MeanSteadyState(nil) = %v, want 0", got)
+	if got := meanSteadyState(pts[:4]); got != 2.5 {
+		t.Errorf("meanSteadyState clamps to the series: got %v, want 2.5", got)
+	}
+	if got := meanSteadyState(nil); got != 0 {
+		t.Errorf("meanSteadyState(nil) = %v, want 0", got)
 	}
 }
 
@@ -268,36 +257,49 @@ func TestAdaptTime(t *testing.T) {
 		{Time: 100, Mean: 300},
 		{Time: 200, Mean: 250},
 		{Time: 300, Mean: 150},
-		{Time: 400, Mean: 101},
+		{Time: 400, Mean: 104},
 		{Time: 500, Mean: 100},
 		{Time: 600, Mean: 100},
 	}
-	got, ok := MeanAdaptTime(pts, 100, 100, 0.01)
+	got, ok := meanAdaptTime(pts, 100, 100)
 	if !ok || got != 400 {
-		t.Errorf("MeanAdaptTime = %v, %v; want 400, true", got, ok)
+		t.Errorf("meanAdaptTime = %v, %v; want 400, true", got, ok)
 	}
 	// The tolerance is one-sided: an overshoot below steady on the way
 	// down (t=500) is converged, where a two-sided test would wait for 600.
 	dip := append([]SeriesPoint{}, pts...)
 	dip[5].Mean = 60
-	if got, ok := MeanAdaptTime(dip, 100, 100, 0.01); !ok || got != 400 {
-		t.Errorf("MeanAdaptTime with a dip below steady = %v, %v; want 400, true", got, ok)
+	if got, ok := meanAdaptTime(dip, 100, 100); !ok || got != 400 {
+		t.Errorf("meanAdaptTime with a dip below steady = %v, %v; want 400, true", got, ok)
 	}
 	// Never converging within tolerance.
-	_, ok = MeanAdaptTime([]SeriesPoint{{Time: 100, Mean: 300}}, 0, 100, 0.01)
+	_, ok = meanAdaptTime([]SeriesPoint{{Time: 100, Mean: 300}}, 0, 100)
 	if ok {
-		t.Error("MeanAdaptTime should not converge when the last point is off-steady")
+		t.Error("meanAdaptTime should not converge when the last point is off-steady")
 	}
-	if _, ok := MeanAdaptTime(pts, 100, 0, 0.01); ok {
-		t.Error("MeanAdaptTime with steady=0 must fail")
+	if _, ok := meanAdaptTime(pts, 100, 0); ok {
+		t.Error("meanAdaptTime with steady=0 must fail")
 	}
-	if _, ok := MeanAdaptTime(pts, 700, 100, 0.01); ok {
-		t.Error("MeanAdaptTime with no window at or after the disturbance must fail")
+	if _, ok := meanAdaptTime(pts, 700, 100); ok {
+		t.Error("meanAdaptTime with no window at or after the disturbance must fail")
+	}
+	// The whole rule: a step that settles back to its level adapts once
+	// the smoothing window has passed the step.
+	var series []SeriesPoint
+	for i := int64(0); i < 30; i++ {
+		m := 100.0
+		if i >= 10 && i < 12 {
+			m = 400
+		}
+		series = append(series, SeriesPoint{Time: i * 10, Mean: m})
+	}
+	if got, ok := AdaptTime(series, 100); !ok || got != 150 {
+		t.Errorf("AdaptTime = %v, %v; want 150, true", got, ok)
 	}
 }
 
-// TestSmooth: a centered moving average over 2k+1 windows whose window is
-// clamped at both ends of the series (3, 4, 5, 4, 3 points wide for k=2
+// TestSmooth: a centered moving average over 2·adaptSmooth+1 windows whose
+// window is clamped at both ends of the series (4, 5, 5, 5, 4 points wide
 // over five windows), touching Mean only and never its input.
 func TestSmooth(t *testing.T) {
 	pts := []SeriesPoint{
@@ -308,21 +310,18 @@ func TestSmooth(t *testing.T) {
 		{Time: 40, Median: 7, Mean: 80, Count: 1},
 	}
 	orig := append([]SeriesPoint{}, pts...)
-	got := Smooth(pts, 2)
-	want := []float64{90.0 / 3, 120.0 / 4, 200.0 / 5, 190.0 / 4, 170.0 / 3}
+	got := smooth(pts)
+	want := []float64{120.0 / 4, 200.0 / 5, 200.0 / 5, 200.0 / 5, 190.0 / 4}
 	for i, p := range got {
 		if math.Abs(p.Mean-want[i]) > 1e-9 {
-			t.Errorf("Smooth(k=2)[%d].Mean = %v, want %v", i, p.Mean, want[i])
+			t.Errorf("smooth[%d].Mean = %v, want %v", i, p.Mean, want[i])
 		}
 		if p.Time != orig[i].Time || p.Median != 7 || p.Count != 1 {
-			t.Errorf("Smooth changed more than Mean at %d: %+v", i, p)
+			t.Errorf("smooth changed more than Mean at %d: %+v", i, p)
 		}
 	}
 	if !reflect.DeepEqual(pts, orig) {
-		t.Error("Smooth modified its input")
-	}
-	if got := Smooth(pts, 0); !reflect.DeepEqual(got, orig) || &got[0] == &pts[0] {
-		t.Errorf("Smooth(k=0) must return an unsmoothed copy, got %+v", got)
+		t.Error("smooth modified its input")
 	}
 }
 

@@ -47,8 +47,8 @@ func TestNextBatchMatchesNextOp(t *testing.T) {
 		return []Source{
 			NewZipfSource("z", 1024, 1.0, 0.2, 3),
 			NewScanSource("s", 100),
-			mustMix(t, "m", Weighted{NewZipfSource("a", 512, 1.0, 0, 1), 0.7}, Weighted{NewScanSource("b", 512), 0.3}),
-			NewShiftingZipfSource("sh", 1024, 1.0, 0.1, 3, 70, 0.5),
+			mustMix(t, Weighted{NewZipfSource("a", 512, 1.0, 0, 1), 0.7}, Weighted{NewScanSource("b", 512), 0.3}),
+			NewShiftingZipfSource("sh", 1024, 1.0, 3, 70, 0.5),
 		}
 	}
 	ref, batched := mk(), mk()
@@ -72,7 +72,7 @@ func TestNextBatchMatchesNextOp(t *testing.T) {
 // TestShiftingBatchEndsBeforeShift asserts the shift-alignment contract: a
 // batch never spans the shifting op, which must open its own batch.
 func TestShiftingBatchEndsBeforeShift(t *testing.T) {
-	s := NewShiftingZipfSource("sh", 1024, 1.0, 0, 3, 100, 0.5)
+	s := NewShiftingZipfSource("sh", 1024, 1.0, 3, 100, 0.5)
 	got := s.NextBatch(nil, 256)
 	if len(got) != 99 {
 		t.Fatalf("first batch = %d ops, want 99 (capped before the shift op)", len(got))
@@ -90,7 +90,7 @@ func TestShiftingBatchEndsBeforeShift(t *testing.T) {
 // unknown shift-capable sources to one op per call.
 func TestAdapterSingleOpForShiftSources(t *testing.T) {
 	type hidden struct{ ShiftSource }
-	src := hidden{NewShiftingZipfSource("sh", 256, 1.0, 0, 3, 50, 0.5)}
+	src := hidden{NewShiftingZipfSource("sh", 256, 1.0, 3, 50, 0.5)}
 	bs := AsBatchSource(src)
 	if got := bs.NextBatch(nil, 64); len(got) != 1 {
 		t.Fatalf("adapter batch for a ShiftSource = %d ops, want 1", len(got))
@@ -189,8 +189,8 @@ func TestClockFreeMarkers(t *testing.T) {
 	for i, src := range []Source{
 		NewZipfSource("z", 64, 1.0, 0, 1),
 		NewScanSource("s", 64),
-		NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5),
-		NewReplaySource(NewShiftingZipfSource("sh", 64, 1.0, 0, 1, 10, 0.5), 20, 1<<10).Fork(),
+		NewShiftingZipfSource("sh", 64, 1.0, 1, 10, 0.5),
+		NewReplaySource(NewShiftingZipfSource("sh", 64, 1.0, 1, 10, 0.5), 20, 1<<10).Fork(),
 	} {
 		if cf, ok := src.(ClockFree); !ok || !cf.ClockFree() {
 			t.Errorf("case %d (%s): not clock-free", i, src.Name())
@@ -207,7 +207,7 @@ func TestClockFreeMarkers(t *testing.T) {
 func shiftedSource(t testing.TB, pages int, shifts []int64, shape uint8, total int64) Source {
 	var kids []Source
 	for i, at := range shifts {
-		kids = append(kids, NewShiftingZipfSource("sh", pages, 1.0, 0.3, uint64(i+1), at, 0.5))
+		kids = append(kids, NewShiftingZipfSource("sh", pages, 1.0, uint64(i+1), at, 0.5))
 	}
 	switch {
 	case len(kids) == 0:
@@ -224,14 +224,14 @@ func shiftedSource(t testing.TB, pages int, shifts []int64, shape uint8, total i
 		for i, k := range kids {
 			parts[i] = Weighted{k, float64(i + 1)}
 		}
-		src, err = NewMix("", parts...)
+		src, err = NewMix(parts...)
 	} else {
 		stages := make([]Stage, len(kids))
 		for i, k := range kids {
 			stages[i] = Stage{Source: k, Ops: total/int64(len(kids)) + 1}
 		}
 		stages[len(kids)-1].Ops = 0
-		src, err = NewPhases("", stages...)
+		src, err = NewPhases(stages...)
 	}
 	if err != nil {
 		t.Fatal(err)

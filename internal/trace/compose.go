@@ -181,8 +181,8 @@ type mixSource struct {
 // and each tenant's pages are remapped into a private range of the
 // combined page space (tenant i occupies [sum of earlier NumPages, +own)),
 // so tenants never alias and the composite models true multi-tenancy.
-// An empty name synthesizes "mix(w*child,...)" from the children.
-func NewMix(name string, parts ...Weighted) (Source, error) {
+// Its name is "mix(w*child,...)".
+func NewMix(parts ...Weighted) (Source, error) {
 	if len(parts) < 2 {
 		return nil, fmt.Errorf("trace: a mix needs at least two tenants, got %d", len(parts))
 	}
@@ -211,15 +211,12 @@ func NewMix(name string, parts ...Weighted) (Source, error) {
 		}
 		pages += n
 	}
-	if name == "" {
-		labels := make([]string, len(srcs))
-		for i := range srcs {
-			labels[i] = strconv.FormatFloat(w[i], 'g', -1, 64) + "*" + srcs[i].Name()
-		}
-		name = "mix(" + strings.Join(labels, ",") + ")"
+	labels := make([]string, len(srcs))
+	for i := range srcs {
+		labels[i] = strconv.FormatFloat(w[i], 'g', -1, 64) + "*" + srcs[i].Name()
 	}
 	m := &mixSource{
-		multiBase: newMultiBase(name, srcs, pages),
+		multiBase: newMultiBase("mix("+strings.Join(labels, ",")+")", srcs, pages),
 		w:         w,
 		cur:       make([]float64, len(parts)),
 		wsum:      wsum,
@@ -305,9 +302,9 @@ type phasesSource struct {
 // changing application (compute phase, then serving phase, ...). All
 // stages share one address space: the composite's page space is the
 // largest child's, and pages are not remapped, so a later phase revisits
-// the same addresses a hotness tracker learned in an earlier one. An
-// empty name synthesizes "phases(child@ops,...,child)".
-func NewPhases(name string, stages ...Stage) (Source, error) {
+// the same addresses a hotness tracker learned in an earlier one. Its
+// name is "phases(child@ops,...,child)".
+func NewPhases(stages ...Stage) (Source, error) {
 	if len(stages) < 2 {
 		return nil, fmt.Errorf("trace: phases need at least two stages, got %d", len(stages))
 	}
@@ -333,18 +330,15 @@ func NewPhases(name string, stages ...Stage) (Source, error) {
 			pages = n
 		}
 	}
-	if name == "" {
-		parts := make([]string, len(stages))
-		for i, st := range stages {
-			parts[i] = st.Source.Name()
-			if i < len(stages)-1 {
-				parts[i] += "@" + strconv.FormatInt(st.Ops, 10)
-			}
+	parts := make([]string, len(stages))
+	for i, st := range stages {
+		parts[i] = st.Source.Name()
+		if i < len(stages)-1 {
+			parts[i] += "@" + strconv.FormatInt(st.Ops, 10)
 		}
-		name = "phases(" + strings.Join(parts, ",") + ")"
 	}
 	p := &phasesSource{
-		multiBase: newMultiBase(name, srcs, pages),
+		multiBase: newMultiBase("phases("+strings.Join(parts, ",")+")", srcs, pages),
 		bs:        bs,
 		quota:     quota,
 		rem:       quota[0],
@@ -429,20 +423,17 @@ type repeatSource struct {
 // and replays them in a loop forever after — a deterministic way to turn
 // a long generator into a short periodic working set (and the composition
 // analogue of a trace replay's wrap-around). The capture buffer holds the
-// whole prefix in memory; size ops accordingly. An empty name synthesizes
+// whole prefix in memory; size ops accordingly. Its name is
 // "repeat(child@ops)".
-func NewRepeat(name string, src Source, ops int64) (Source, error) {
+func NewRepeat(src Source, ops int64) (Source, error) {
 	if src == nil {
 		return nil, fmt.Errorf("trace: repeat needs a source")
 	}
 	if ops <= 0 {
 		return nil, fmt.Errorf("trace: repeat needs a positive op count, got %d", ops)
 	}
-	if name == "" {
-		name = "repeat(" + src.Name() + "@" + strconv.FormatInt(ops, 10) + ")"
-	}
 	r := &repeatSource{
-		multiBase: newMultiBase(name, []Source{src}, src.NumPages()),
+		multiBase: newMultiBase("repeat("+src.Name()+"@"+strconv.FormatInt(ops, 10)+")", []Source{src}, src.NumPages()),
 		loop:      ops,
 		starts:    []int{0},
 	}
@@ -528,9 +519,9 @@ type transformSource struct {
 
 // NewOffset shifts every page of src up by pages, growing the page space
 // by the same amount — the building block for placing tenants at chosen
-// addresses when Mix's automatic remapping is not wanted. An empty name
-// synthesizes "offset(child+pages)".
-func NewOffset(name string, src Source, pages int64) (Source, error) {
+// addresses when Mix's automatic remapping is not wanted. Its name is
+// "offset(child+pages)".
+func NewOffset(src Source, pages int64) (Source, error) {
 	if src == nil {
 		return nil, fmt.Errorf("trace: offset needs a source")
 	}
@@ -540,11 +531,8 @@ func NewOffset(name string, src Source, pages int64) (Source, error) {
 	if int64(src.NumPages()) > math.MaxInt-pages {
 		return nil, fmt.Errorf("trace: offset %d overflows the page space", pages)
 	}
-	if name == "" {
-		name = "offset(" + src.Name() + "+" + strconv.FormatInt(pages, 10) + ")"
-	}
 	t := &transformSource{
-		multiBase: newMultiBase(name, []Source{src}, src.NumPages()+int(pages)),
+		multiBase: newMultiBase("offset("+src.Name()+"+"+strconv.FormatInt(pages, 10)+")", []Source{src}, src.NumPages()+int(pages)),
 		bs:        AsBatchSource(src),
 		mul:       1,
 		add:       mem.PageID(pages),
@@ -556,8 +544,8 @@ func NewOffset(name string, src Source, pages int64) (Source, error) {
 // growing the page space factor-fold — the same access pattern spread
 // over a larger, sparser footprint, which is how huge-page and metadata
 // scaling studies stress capacity without changing locality structure.
-// An empty name synthesizes "scale(factor*child)".
-func NewScale(name string, src Source, factor int64) (Source, error) {
+// Its name is "scale(factor*child)".
+func NewScale(src Source, factor int64) (Source, error) {
 	if src == nil {
 		return nil, fmt.Errorf("trace: scale needs a source")
 	}
@@ -567,11 +555,8 @@ func NewScale(name string, src Source, factor int64) (Source, error) {
 	if n := int64(src.NumPages()); n > math.MaxInt/factor {
 		return nil, fmt.Errorf("trace: scale factor %d overflows the page space", factor)
 	}
-	if name == "" {
-		name = "scale(" + strconv.FormatInt(factor, 10) + "*" + src.Name() + ")"
-	}
 	t := &transformSource{
-		multiBase: newMultiBase(name, []Source{src}, src.NumPages()*int(factor)),
+		multiBase: newMultiBase("scale("+strconv.FormatInt(factor, 10)+"*"+src.Name()+")", []Source{src}, src.NumPages()*int(factor)),
 		bs:        AsBatchSource(src),
 		mul:       mem.PageID(factor),
 		add:       0,

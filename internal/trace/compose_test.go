@@ -88,9 +88,9 @@ func streamsEqual(a, b []Access) bool {
 }
 
 // mustMix builds a mix or fails the test.
-func mustMix(t *testing.T, name string, parts ...Weighted) Source {
+func mustMix(t *testing.T, parts ...Weighted) Source {
 	t.Helper()
-	m, err := NewMix(name, parts...)
+	m, err := NewMix(parts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMixScheduleIsDeterministicWRR(t *testing.T) {
 	// Weights 3:1 over two scans yields the smooth-WRR cycle A A B A.
 	a := NewScanSource("a", 4)
 	b := NewScanSource("b", 8)
-	m := mustMix(t, "", Weighted{a, 3}, Weighted{b, 1})
+	m := mustMix(t, Weighted{a, 3}, Weighted{b, 1})
 	if m.NumPages() != 12 {
 		t.Fatalf("NumPages = %d, want 12 (4+8)", m.NumPages())
 	}
@@ -125,7 +125,7 @@ func TestMixRemapsTenantsDisjointly(t *testing.T) {
 	a := NewZipfSource("a", 100, 1.0, 0, 1)
 	b := NewZipfSource("b", 200, 1.0, 0, 2)
 	c := NewZipfSource("c", 50, 1.0, 0, 3)
-	m := mustMix(t, "", Weighted{a, 1}, Weighted{b, 1}, Weighted{c, 1})
+	m := mustMix(t, Weighted{a, 1}, Weighted{b, 1}, Weighted{c, 1})
 	if m.NumPages() != 350 {
 		t.Fatalf("NumPages = %d, want 350", m.NumPages())
 	}
@@ -145,7 +145,7 @@ func TestMixRemapsTenantsDisjointly(t *testing.T) {
 func TestPhasesSwitchAtExactOpCounts(t *testing.T) {
 	a := NewScanSource("a", 4)
 	b := NewScanSource("b", 16)
-	p, err := NewPhases("", Stage{a, 5}, Stage{b, 0})
+	p, err := NewPhases(Stage{a, 5}, Stage{b, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestPhasesSwitchAtExactOpCounts(t *testing.T) {
 func TestConcatIsTwoStagePhases(t *testing.T) {
 	a := NewScanSource("a", 4)
 	b := NewScanSource("b", 4)
-	c, err := NewPhases("", Stage{a, 3}, Stage{Source: b})
+	c, err := NewPhases(Stage{a, 3}, Stage{Source: b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestConcatIsTwoStagePhases(t *testing.T) {
 
 func TestRepeatLoopsCapturedPrefix(t *testing.T) {
 	s := NewScanSource("s", 10)
-	r, err := NewRepeat("", s, 3)
+	r, err := NewRepeat(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestRepeatLoopsCapturedPrefix(t *testing.T) {
 }
 
 func TestOffsetAndScaleTransformPages(t *testing.T) {
-	o, err := NewOffset("", NewScanSource("s", 4), 100)
+	o, err := NewOffset(NewScanSource("s", 4), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestOffsetAndScaleTransformPages(t *testing.T) {
 		t.Fatalf("offset first page = %d, want 100", buf[0].Page)
 	}
 
-	sc, err := NewScale("", NewScanSource("s", 4), 8)
+	sc, err := NewScale(NewScanSource("s", 4), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +231,14 @@ func TestCombinatorConstructorErrors(t *testing.T) {
 		name string
 		err  error
 	}{
-		{"one-tenant mix", func() error { _, err := NewMix("", Weighted{z, 1}); return err }()},
-		{"zero weight", func() error { _, err := NewMix("", Weighted{z, 0}, Weighted{z, 1}); return err }()},
-		{"one-stage phases", func() error { _, err := NewPhases("", Stage{z, 0}); return err }()},
-		{"zero mid quota", func() error { _, err := NewPhases("", Stage{z, 0}, Stage{z, 0}); return err }()},
-		{"final with quota", func() error { _, err := NewPhases("", Stage{z, 5}, Stage{z, 5}); return err }()},
-		{"zero repeat", func() error { _, err := NewRepeat("", z, 0); return err }()},
-		{"negative offset", func() error { _, err := NewOffset("", z, -1); return err }()},
-		{"zero scale", func() error { _, err := NewScale("", z, 0); return err }()},
+		{"one-tenant mix", func() error { _, err := NewMix(Weighted{z, 1}); return err }()},
+		{"zero weight", func() error { _, err := NewMix(Weighted{z, 0}, Weighted{z, 1}); return err }()},
+		{"one-stage phases", func() error { _, err := NewPhases(Stage{z, 0}); return err }()},
+		{"zero mid quota", func() error { _, err := NewPhases(Stage{z, 0}, Stage{z, 0}); return err }()},
+		{"final with quota", func() error { _, err := NewPhases(Stage{z, 5}, Stage{z, 5}); return err }()},
+		{"zero repeat", func() error { _, err := NewRepeat(z, 0); return err }()},
+		{"negative offset", func() error { _, err := NewOffset(z, -1); return err }()},
+		{"zero scale", func() error { _, err := NewScale(z, 0); return err }()},
 	}
 	for _, c := range cases {
 		if c.err == nil {
@@ -257,33 +257,33 @@ func TestClockFreePropagation(t *testing.T) {
 	}
 	z1 := NewZipfSource("z1", 64, 1.0, 0, 1)
 	z2 := NewZipfSource("z2", 64, 1.0, 0, 2)
-	shift := NewShiftingZipfSource("sh", 64, 1.0, 0, 3, 100, 0.5)
+	shift := NewShiftingZipfSource("sh", 64, 1.0, 3, 100, 0.5)
 	unmarked := struct{ Source }{NewZipfSource("tr", 64, 1.0, 0, 4)}
 
-	if m := mustMix(t, "", Weighted{z1, 1}, Weighted{z2, 1}); !cf(m) {
+	if m := mustMix(t, Weighted{z1, 1}, Weighted{z2, 1}); !cf(m) {
 		t.Error("mix of clock-free tenants must be clock-free")
 	}
-	if m := mustMix(t, "", Weighted{z1, 1}, Weighted{shift, 1}); !cf(m) {
+	if m := mustMix(t, Weighted{z1, 1}, Weighted{shift, 1}); !cf(m) {
 		t.Error("mix with a shifting tenant must be clock-free")
 	}
-	if m := mustMix(t, "", Weighted{shift, 1}, Weighted{unmarked, 1}); cf(m) {
+	if m := mustMix(t, Weighted{shift, 1}, Weighted{unmarked, 1}); cf(m) {
 		t.Error("mix with an unmarked tenant must not be clock-free")
 	}
-	p, _ := NewPhases("", Stage{z1, 10}, Stage{z2, 0})
+	p, _ := NewPhases(Stage{z1, 10}, Stage{z2, 0})
 	if !cf(p) {
 		t.Error("phases over clock-free stages must be clock-free")
 	}
-	if p, _ := NewPhases("", Stage{z1, 10}, Stage{unmarked, 0}); cf(p) {
+	if p, _ := NewPhases(Stage{z1, 10}, Stage{unmarked, 0}); cf(p) {
 		t.Error("phases with an unmarked stage must not be clock-free")
 	}
-	o, _ := NewOffset("", shift, 10)
+	o, _ := NewOffset(shift, 10)
 	if !cf(o) {
 		t.Error("offset of a shifting source must be clock-free")
 	}
-	if o, _ := NewOffset("", unmarked, 10); cf(o) {
+	if o, _ := NewOffset(unmarked, 10); cf(o) {
 		t.Error("offset of an unmarked source must not be clock-free")
 	}
-	r, _ := NewRepeat("", z1, 10)
+	r, _ := NewRepeat(z1, 10)
 	if !cf(r) {
 		t.Error("repeat of a clock-free source must be clock-free")
 	}
@@ -291,13 +291,13 @@ func TestClockFreePropagation(t *testing.T) {
 
 func TestShiftSourcePromotion(t *testing.T) {
 	z := NewZipfSource("z", 64, 1.0, 0, 1)
-	shift := NewShiftingZipfSource("sh", 64, 1.0, 0, 3, 10, 0.5)
+	shift := NewShiftingZipfSource("sh", 64, 1.0, 3, 10, 0.5)
 
-	plain := mustMix(t, "", Weighted{z, 1}, Weighted{NewZipfSource("y", 64, 1.0, 0, 2), 1})
+	plain := mustMix(t, Weighted{z, 1}, Weighted{NewZipfSource("y", 64, 1.0, 0, 2), 1})
 	if _, ok := plain.(ShiftSource); ok {
 		t.Error("mix without shifting tenants must not implement ShiftSource")
 	}
-	m := mustMix(t, "", Weighted{z, 1}, Weighted{shift, 1})
+	m := mustMix(t, Weighted{z, 1}, Weighted{shift, 1})
 	ss, ok := m.(ShiftSource)
 	if !ok {
 		t.Fatal("mix with a shifting tenant must implement ShiftSource")
@@ -306,12 +306,12 @@ func TestShiftSourcePromotion(t *testing.T) {
 		t.Fatalf("ShiftTime before any shift = %d, want -1", got)
 	}
 	// Deep nesting keeps the interface: offset(phases(mix(shift,...),...)).
-	inner := mustMix(t, "", Weighted{shift, 1}, Weighted{z, 1})
-	ph, err := NewPhases("", Stage{inner, 100}, Stage{NewZipfSource("t", 64, 1.0, 0, 9), 0})
+	inner := mustMix(t, Weighted{shift, 1}, Weighted{z, 1})
+	ph, err := NewPhases(Stage{inner, 100}, Stage{NewZipfSource("t", 64, 1.0, 0, 9), 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := NewOffset("", ph, 7)
+	off, err := NewOffset(ph, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestErrAndClosePropagate(t *testing.T) {
 	stubErr := errors.New("stream broke")
 	stub := &erringSource{err: stubErr}
 	z := NewZipfSource("z", 64, 1.0, 0, 1)
-	m := mustMix(t, "", Weighted{z, 1}, Weighted{stub, 1})
+	m := mustMix(t, Weighted{z, 1}, Weighted{stub, 1})
 	es, ok := m.(interface{ Err() error })
 	if !ok {
 		t.Fatal("combinators must expose Err()")
@@ -363,8 +363,8 @@ func TestErrAndClosePropagate(t *testing.T) {
 // must be fetched one op per call, so its op-count-triggered shift
 // observes the virtual clock on exactly the single-op schedule.
 func TestAsBatchSourceDegradesUnknownShiftCombinators(t *testing.T) {
-	shift := NewShiftingZipfSource("sh", 256, 1.0, 0, 5, 500, 0.5)
-	m := mustMix(t, "", Weighted{shift, 1}, Weighted{NewZipfSource("z", 256, 1.0, 0, 6), 1})
+	shift := NewShiftingZipfSource("sh", 256, 1.0, 5, 500, 0.5)
+	m := mustMix(t, Weighted{shift, 1}, Weighted{NewZipfSource("z", 256, 1.0, 0, 6), 1})
 	bs := AsBatchSource(hide(m))
 	for call := 0; call < 10; call++ {
 		got := bs.NextBatch(nil, 50)
@@ -382,7 +382,7 @@ func TestAsBatchSourceDegradesUnknownShiftCombinators(t *testing.T) {
 func TestCombinatorBatchingMatchesSingleOp(t *testing.T) {
 	const ops = 4_000
 	newShift := func(seed uint64) Source {
-		return NewShiftingZipfSource("sh", 512, 1.0, 0.1, seed, 1_200, 2.0/3.0)
+		return NewShiftingZipfSource("sh", 512, 1.0, seed, 1_200, 2.0/3.0)
 	}
 	newZipf := func(seed uint64) Source {
 		return NewZipfSource("z", 512, 0.9, 0, seed)
@@ -392,49 +392,49 @@ func TestCombinatorBatchingMatchesSingleOp(t *testing.T) {
 		build func() Source
 	}{
 		{"mix/clockfree", func() Source {
-			return mustMix(t, "", Weighted{newZipf(1), 0.7}, Weighted{newZipf(2), 0.3})
+			return mustMix(t, Weighted{newZipf(1), 0.7}, Weighted{newZipf(2), 0.3})
 		}},
 		{"mix/shift", func() Source {
-			return mustMix(t, "", Weighted{newShift(3), 0.6}, Weighted{newZipf(4), 0.4})
+			return mustMix(t, Weighted{newShift(3), 0.6}, Weighted{newZipf(4), 0.4})
 		}},
 		{"phases/shift-then-zipf", func() Source {
-			p, err := NewPhases("", Stage{newShift(5), 2_500}, Stage{newZipf(6), 0})
+			p, err := NewPhases(Stage{newShift(5), 2_500}, Stage{newZipf(6), 0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		}},
 		{"repeat/shift", func() Source {
-			r, err := NewRepeat("", newShift(7), 2_000)
+			r, err := NewRepeat(newShift(7), 2_000)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return r
 		}},
 		{"offset/shift", func() Source {
-			o, err := NewOffset("", newShift(8), 333)
+			o, err := NewOffset(newShift(8), 333)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return o
 		}},
 		{"scale/shift", func() Source {
-			s, err := NewScale("", newShift(9), 3)
+			s, err := NewScale(newShift(9), 3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}},
 		{"deep/mix(offset(phases(shift,zipf)),zipf)", func() Source {
-			p, err := NewPhases("", Stage{newShift(10), 1_800}, Stage{newZipf(11), 0})
+			p, err := NewPhases(Stage{newShift(10), 1_800}, Stage{newZipf(11), 0})
 			if err != nil {
 				t.Fatal(err)
 			}
-			o, err := NewOffset("", p, 64)
+			o, err := NewOffset(p, 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return mustMix(t, "", Weighted{o, 0.5}, Weighted{newZipf(12), 0.5})
+			return mustMix(t, Weighted{o, 0.5}, Weighted{newZipf(12), 0.5})
 		}},
 	}
 	for _, b := range builders {
@@ -461,32 +461,28 @@ func TestCombinatorBatchingMatchesSingleOp(t *testing.T) {
 func TestCombinatorNamesSynthesize(t *testing.T) {
 	z := NewZipfSource("zipf-a", 64, 1.0, 0, 1)
 	y := NewZipfSource("zipf-b", 64, 1.0, 0, 2)
-	m := mustMix(t, "", Weighted{z, 0.7}, Weighted{y, 0.3})
+	m := mustMix(t, Weighted{z, 0.7}, Weighted{y, 0.3})
 	if want := "mix(0.7*zipf-a,0.3*zipf-b)"; m.Name() != want {
 		t.Fatalf("mix Name = %q, want %q", m.Name(), want)
 	}
-	r, _ := NewRepeat("", z, 42)
+	r, _ := NewRepeat(z, 42)
 	if want := "repeat(zipf-a@42)"; r.Name() != want {
 		t.Fatalf("repeat Name = %q, want %q", r.Name(), want)
 	}
-	o, _ := NewOffset("", z, 9)
+	o, _ := NewOffset(z, 9)
 	if want := "offset(zipf-a+9)"; o.Name() != want {
 		t.Fatalf("offset Name = %q, want %q", o.Name(), want)
 	}
-	s, _ := NewScale("", z, 4)
+	s, _ := NewScale(z, 4)
 	if want := "scale(4*zipf-a)"; s.Name() != want {
 		t.Fatalf("scale Name = %q, want %q", s.Name(), want)
-	}
-	named := mustMix(t, "custom", Weighted{z, 1}, Weighted{y, 1})
-	if named.Name() != "custom" {
-		t.Fatalf("explicit name lost: %q", named.Name())
 	}
 }
 
 func ExampleNewMix() {
 	a := NewZipfSource("tenant-a", 1<<10, 1.0, 0, 1)
 	b := NewZipfSource("tenant-b", 1<<10, 0.8, 0, 2)
-	m, _ := NewMix("", Weighted{Source: a, Weight: 0.7}, Weighted{Source: b, Weight: 0.3})
+	m, _ := NewMix(Weighted{Source: a, Weight: 0.7}, Weighted{Source: b, Weight: 0.3})
 	fmt.Println(m.Name(), m.NumPages())
 	// Output: mix(0.7*tenant-a,0.3*tenant-b) 2048
 }

@@ -95,11 +95,11 @@ type ShiftingZipfSource struct {
 	done       bool
 }
 
-// NewShiftingZipfSource creates a Zipf source that rotates frac of its hot
-// set after shiftAfter operations.
-func NewShiftingZipfSource(name string, n int, s, writeFrac float64, seed uint64, shiftAfter int64, frac float64) *ShiftingZipfSource {
+// NewShiftingZipfSource creates a read-only Zipf source that rotates frac
+// of its hot set after shiftAfter operations.
+func NewShiftingZipfSource(name string, n int, s float64, seed uint64, shiftAfter int64, frac float64) *ShiftingZipfSource {
 	return &ShiftingZipfSource{
-		ZipfSource: NewZipfSource(name, n, s, writeFrac, seed),
+		ZipfSource: NewZipfSource(name, n, s, 0, seed),
 		shiftAfter: shiftAfter,
 		frac:       frac,
 		shiftedAt:  -1,

@@ -107,7 +107,7 @@ func topPages(src Source, ops, k int) map[mem.PageID]bool {
 }
 
 func TestShiftingZipfTriggersOnce(t *testing.T) {
-	src := NewShiftingZipfSource("s", 1000, 1.0, 0, 3, 100, 0.5)
+	src := NewShiftingZipfSource("s", 1000, 1.0, 3, 100, 0.5)
 	if src.ShiftTime() != -1 {
 		t.Error("ShiftTime must be -1 before the shift")
 	}

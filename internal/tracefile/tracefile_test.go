@@ -377,7 +377,7 @@ func TestStat(t *testing.T) {
 func TestRecorderTee(t *testing.T) {
 	const n, opCount = 1 << 12, 2000
 	mk := func() trace.ShiftSource {
-		return trace.NewShiftingZipfSource("tee", n, 1.0, 0.2, 11, 600, 0.5)
+		return trace.NewShiftingZipfSource("tee", n, 1.0, 11, 600, 0.5)
 	}
 	live, recorded := mk(), mk()
 	path := filepath.Join(t.TempDir(), "tee.htrc")
@@ -476,7 +476,7 @@ func testZeroOpTrace(t *testing.T, cs []container) {
 // ShiftNs).
 func TestShiftOnFinalOp(t *testing.T) {
 	const n, opCount = 1 << 10, 100
-	src := trace.NewShiftingZipfSource("edge", n, 1.0, 0, 21, opCount, 0.5)
+	src := trace.NewShiftingZipfSource("edge", n, 1.0, 21, opCount, 0.5)
 	path := filepath.Join(t.TempDir(), "edge.htrc")
 	w, err := Create(path, MetaOf(src, 21))
 	if err != nil {

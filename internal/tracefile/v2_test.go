@@ -89,7 +89,7 @@ func TestV2Batches(t *testing.T) {
 func markedV1Trace(t *testing.T, dir string) string {
 	t.Helper()
 	const n, opCount = 1 << 10, 120
-	src := trace.NewShiftingZipfSource("marks", n, 1.0, 0, 17, 40, 0.5)
+	src := trace.NewShiftingZipfSource("marks", n, 1.0, 17, 40, 0.5)
 	path := filepath.Join(dir, "marks.htrc")
 	w, err := Create(path, MetaOf(src, 17))
 	if err != nil {

@@ -27,7 +27,7 @@ func newScanTracker(cfg Config, numPages int, recycled []pebs.Sample) scanTracke
 		marked:   make([]uint64, words),
 		slowBits: make([]uint64, words),
 		scanNs:   cfg.ScanNs,
-		costNs:   float64(numPages) * cfg.ScanCostPerPageNs,
+		costNs:   float64(numPages) * scanCostPerPageNs,
 		nextScan: cfg.ScanNs,
 	}
 }

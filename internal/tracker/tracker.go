@@ -71,21 +71,21 @@ type Config struct {
 	// BufferSize bounds the scanning trackers' sample ring (same drop
 	// semantics as pebs.Config.BufferSize).
 	BufferSize int
-	// ScanCostPerPageNs is the tiering-thread cost of scanning one page's
-	// bit — the sequential bitmap read that makes idlepage cheap per page
-	// but proportional to the whole footprint per scan.
-	ScanCostPerPageNs float64
 }
+
+// scanCostPerPageNs is the tiering-thread cost of scanning one page's bit
+// — the sequential bitmap read that makes idlepage cheap per page but
+// proportional to the whole footprint per scan.
+const scanCostPerPageNs = 0.5
 
 // DefaultConfig returns the default tracker setup: PEBS sampling with the
 // scanning parameters ready should the kind be switched.
 func DefaultConfig() Config {
 	return Config{
-		Kind:              KindPEBS,
-		Pebs:              pebs.DefaultConfig(),
-		ScanNs:            20_000_000, // 20 virtual ms per full-footprint scan
-		BufferSize:        1 << 16,
-		ScanCostPerPageNs: 0.5,
+		Kind:       KindPEBS,
+		Pebs:       pebs.DefaultConfig(),
+		ScanNs:     20_000_000, // 20 virtual ms per full-footprint scan
+		BufferSize: 1 << 16,
 	}
 }
 
@@ -103,9 +103,6 @@ func (c Config) Validate() error {
 	}
 	if c.BufferSize <= 0 {
 		return fmt.Errorf("tracker: BufferSize must be positive, got %d", c.BufferSize)
-	}
-	if c.ScanCostPerPageNs < 0 {
-		return fmt.Errorf("tracker: ScanCostPerPageNs must be non-negative, got %g", c.ScanCostPerPageNs)
 	}
 	return nil
 }

@@ -46,7 +46,6 @@ func TestValidate(t *testing.T) {
 		{Kind: KindPEBS, Pebs: pebs.Config{Period: 0, BufferSize: 1}},
 		{Kind: KindIdlepage, ScanNs: 0, BufferSize: 8},
 		{Kind: KindSoftDirty, ScanNs: 100, BufferSize: 0},
-		{Kind: KindIdlepage, ScanNs: 100, BufferSize: 8, ScanCostPerPageNs: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -94,7 +93,6 @@ func TestIdlepageScan(t *testing.T) {
 	cfg.Kind = KindIdlepage
 	cfg.ScanNs = 1000
 	cfg.BufferSize = 16
-	cfg.ScanCostPerPageNs = 2
 	trk, err := New(cfg, 200, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +114,7 @@ func TestIdlepageScan(t *testing.T) {
 		t.Fatalf("scan fired before deadline: cost %g pending %d", cost, trk.Pending())
 	}
 	cost := trk.Sync(1000)
-	if want := float64(200) * 2; cost != want {
+	if want := float64(200) * 0.5; cost != want {
 		t.Fatalf("scan cost = %g; want %g", cost, want)
 	}
 	got := trk.Drain(nil, 0)

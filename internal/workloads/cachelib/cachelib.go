@@ -32,10 +32,10 @@ type Config struct {
 	Objects int
 	// ZipfS is the popularity skew exponent.
 	ZipfS float64
-	// MinPages and MaxPages bound object sizes in 4 KB pages. Sizes are
-	// drawn from a truncated geometric distribution over this range, giving
-	// the heavy-tailed size profiles CacheBench uses.
-	MinPages, MaxPages int
+	// MaxPages bounds object sizes in 4 KB pages. Sizes are drawn from a
+	// truncated geometric distribution over [1, MaxPages], giving the
+	// heavy-tailed size profiles CacheBench uses.
+	MaxPages int
 	// ReadFrac is the fraction of GET operations; the rest are SETs that
 	// rewrite every page of the object.
 	ReadFrac float64
@@ -60,8 +60,8 @@ func (c Config) Validate() error {
 	if c.ZipfS <= 0 {
 		return fmt.Errorf("cachelib: ZipfS must be positive, got %v", c.ZipfS)
 	}
-	if c.MinPages <= 0 || c.MaxPages < c.MinPages {
-		return fmt.Errorf("cachelib: bad size range [%d, %d]", c.MinPages, c.MaxPages)
+	if c.MaxPages < 1 {
+		return fmt.Errorf("cachelib: bad size range [1, %d]", c.MaxPages)
 	}
 	if c.ReadFrac < 0 || c.ReadFrac > 1 {
 		return fmt.Errorf("cachelib: ReadFrac must be in [0,1], got %v", c.ReadFrac)
@@ -76,7 +76,6 @@ func CDN(seed uint64) Config {
 		Name:          "cachelib-cdn",
 		Objects:       30_000,
 		ZipfS:         0.9,
-		MinPages:      1,
 		MaxPages:      24,
 		ReadFrac:      0.95,
 		ChurnEveryOps: 10_000,
@@ -91,7 +90,6 @@ func SocialGraph(seed uint64) Config {
 		Name:          "cachelib-social",
 		Objects:       180_000,
 		ZipfS:         1.05,
-		MinPages:      1,
 		MaxPages:      3,
 		ReadFrac:      0.9,
 		ChurnEveryOps: 8_000,
@@ -139,11 +137,10 @@ func New(cfg Config) (*Cache, error) {
 
 	c.indexPgs = (cfg.Objects*indexEntryBytes + mem.RegularPageBytes - 1) / mem.RegularPageBytes
 	next := uint32(c.indexPgs)
-	span := cfg.MaxPages - cfg.MinPages
 	for i := range c.objBase {
-		size := cfg.MinPages
-		if span > 0 {
-			// Truncated geometric: most objects near MinPages, a heavy
+		size := 1
+		if cfg.MaxPages > 1 {
+			// Truncated geometric: most objects of one page, a heavy
 			// tail up to MaxPages.
 			for size < cfg.MaxPages && rng.Float64() < 0.55 {
 				size++

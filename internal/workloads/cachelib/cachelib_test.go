@@ -12,7 +12,6 @@ func smallCfg() Config {
 		Name:     "test",
 		Objects:  2000,
 		ZipfS:    1.0,
-		MinPages: 1,
 		MaxPages: 4,
 		ReadFrac: 0.9,
 		Seed:     1,
@@ -35,7 +34,6 @@ func TestValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Objects = 0 },
 		func(c *Config) { c.ZipfS = 0 },
-		func(c *Config) { c.MinPages = 0 },
 		func(c *Config) { c.MaxPages = 0 },
 		func(c *Config) { c.ReadFrac = 1.5 },
 	}

@@ -14,6 +14,7 @@ package silo
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -68,16 +69,15 @@ func (m Mix) readFrac() float64 {
 	}
 }
 
+// zipfS is the key-popularity exponent (YCSB's default).
+const zipfS = 0.99
+
 // Config parameterizes the database workload.
 type Config struct {
-	// Name labels the workload.
-	Name string
 	// Records is the number of loaded keys.
 	Records int
 	// Mix is the YCSB operation mix.
 	Mix Mix
-	// ZipfS is the key-popularity exponent (YCSB default 0.99).
-	ZipfS float64
 	// Seed makes the instance deterministic.
 	Seed uint64
 }
@@ -85,10 +85,8 @@ type Config struct {
 // Default returns the paper's configuration: YCSB-C over a loaded store.
 func Default(seed uint64) Config {
 	return Config{
-		Name:    "silo-ycsbc",
 		Records: 1 << 21, // 2M records ≈ 2 GB of records + index
 		Mix:     YCSBC,
-		ZipfS:   0.99,
 		Seed:    seed,
 	}
 }
@@ -124,14 +122,11 @@ func New(cfg Config) (*DB, error) {
 	if cfg.Records < LeafKeys {
 		return nil, fmt.Errorf("silo: need at least %d records, got %d", LeafKeys, cfg.Records)
 	}
-	if cfg.ZipfS <= 0 {
-		return nil, fmt.Errorf("silo: ZipfS must be positive, got %v", cfg.ZipfS)
-	}
 	rng := xrand.New(cfg.Seed)
 	db := &DB{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: xrand.NewZipf(rng, cfg.ZipfS, uint64(cfg.Records)),
+		zipf: xrand.NewZipf(rng, zipfS, uint64(cfg.Records)),
 	}
 	db.bulkLoad()
 	return db, nil
@@ -269,8 +264,8 @@ func searchGT(keys []uint64, key uint64) int {
 	return lo
 }
 
-// Name implements trace.Source.
-func (db *DB) Name() string { return db.cfg.Name }
+// Name implements trace.Source: "silo-ycsbc" for the paper's mix.
+func (db *DB) Name() string { return "silo-" + strings.ReplaceAll(db.cfg.Mix.String(), "-", "") }
 
 // NumPages implements trace.Source.
 func (db *DB) NumPages() int { return db.numPages }

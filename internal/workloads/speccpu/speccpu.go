@@ -27,14 +27,9 @@ type Config struct {
 	Cells int
 	// Arrays is the number of state arrays (bwaves: 5, roms: 7).
 	Arrays int
-	// BlockCells is the number of cells one operation processes.
-	BlockCells int
 	// Planes emulates roms' plane-sweep ordering when true; otherwise the
 	// sweep is linear with periodic direction alternation (bwaves).
 	Planes bool
-	// HotFrac is a small fraction of cells revisited every op (solver
-	// workspace/boundary arrays), giving SPEC its modest skew.
-	HotFrac float64
 	// Seed makes the instance deterministic.
 	Seed uint64
 }
@@ -43,12 +38,10 @@ type Config struct {
 // swept by a blocked tridiagonal-style solver.
 func Bwaves(seed uint64) Config {
 	return Config{
-		Name:       "spec-bwaves",
-		Cells:      1 << 21, // 2M cells × 5 arrays × 8B = 80 MB
-		Arrays:     5,
-		BlockCells: 64,
-		HotFrac:    0.01,
-		Seed:       seed,
+		Name:   "spec-bwaves",
+		Cells:  1 << 21, // 2M cells × 5 arrays × 8B = 80 MB
+		Arrays: 5,
+		Seed:   seed,
 	}
 }
 
@@ -56,17 +49,21 @@ func Bwaves(seed uint64) Config {
 // updated plane by plane.
 func Roms(seed uint64) Config {
 	return Config{
-		Name:       "spec-roms",
-		Cells:      3 << 20, // 3M cells × 7 arrays × 8B = 168 MB
-		Arrays:     7,
-		BlockCells: 64,
-		Planes:     true,
-		HotFrac:    0.01,
-		Seed:       seed,
+		Name:   "spec-roms",
+		Cells:  3 << 20, // 3M cells × 7 arrays × 8B = 168 MB
+		Arrays: 7,
+		Planes: true,
+		Seed:   seed,
 	}
 }
 
-const cellBytes = 8
+const (
+	cellBytes  = 8
+	blockCells = 64 // cells one operation processes
+	// hotFrac is the small fraction of cells revisited every op (solver
+	// workspace/boundary arrays), giving SPEC its modest skew.
+	hotFrac = 0.01
+)
 
 // Proxy is the stencil-sweep workload; it implements trace.Source.
 type Proxy struct {
@@ -107,7 +104,7 @@ func New(cfg Config) *Proxy {
 		p.planeStride = 1
 	}
 	// Workspace pages: the small always-hot solver state.
-	nHot := int(cfg.HotFrac * float64(p.numPages))
+	nHot := int(hotFrac * float64(p.numPages))
 	if nHot < 1 {
 		nHot = 1
 	}
@@ -148,7 +145,7 @@ func (p *Proxy) NextOp(dst []trace.Access) []trace.Access {
 	for a := 0; a < p.cfg.Arrays; a++ {
 		dst = append(dst, trace.Access{Page: p.cellPage(a, c)})
 	}
-	prev := c - p.cfg.BlockCells
+	prev := c - blockCells
 	if prev < 0 {
 		prev = 0
 	}
@@ -178,7 +175,7 @@ func (p *Proxy) advanceCursor() {
 		// Plane order: sweep within a plane, then jump to a strided plane —
 		// consecutive k-planes of a 3D ocean grid are far apart in linear
 		// memory, so the page stream jumps between regions.
-		p.cursor += p.cfg.BlockCells
+		p.cursor += blockCells
 		if p.cursor%p.planeLen == 0 || p.cursor >= p.cfg.Cells {
 			numPlanes := p.cfg.Cells / p.planeLen
 			p.plane = (p.plane + p.planeStride) % numPlanes
@@ -186,9 +183,9 @@ func (p *Proxy) advanceCursor() {
 		}
 		return
 	}
-	p.cursor += p.direction * p.cfg.BlockCells
+	p.cursor += p.direction * blockCells
 	if p.cursor >= p.cfg.Cells {
-		p.cursor = p.cfg.Cells - p.cfg.BlockCells
+		p.cursor = p.cfg.Cells - blockCells
 		p.direction = -1
 	} else if p.cursor < 0 {
 		p.cursor = 0

@@ -24,26 +24,21 @@ import (
 	"repro/internal/xrand"
 )
 
-// gradBytes is the per-row gradient+hessian footprint (two float32s).
-const gradBytes = 8
+// The boosting shape of the paper's Criteo run.
+const (
+	gradBytes     = 8   // per-row gradient+hessian footprint (two float32s)
+	colSample     = 0.4 // fraction of features sampled per boosting round
+	rowSample     = 0.8 // fraction of rows visited per round
+	blockRows     = 512 // rows one operation scans
+	nodesPerRound = 15  // tree nodes whose histograms one round builds (depth 4)
+)
 
 // Config sizes the training proxy.
 type Config struct {
-	// Name labels the workload.
-	Name string
 	// Rows is the number of training examples.
 	Rows int
 	// Features is the number of feature columns.
 	Features int
-	// ColSample is the fraction of features sampled per boosting round.
-	ColSample float64
-	// RowSample is the fraction of rows visited per round.
-	RowSample float64
-	// BlockRows is the number of rows one operation scans.
-	BlockRows int
-	// NodesPerRound approximates the number of tree nodes whose histograms
-	// are built in one round (depth-wise growth).
-	NodesPerRound int
 	// Seed makes the instance deterministic.
 	Seed uint64
 }
@@ -51,14 +46,9 @@ type Config struct {
 // Default returns a proxy proportioned like the paper's Criteo run.
 func Default(seed uint64) Config {
 	return Config{
-		Name:          "xgboost",
-		Rows:          1 << 21, // 2M rows
-		Features:      64,      // 2M × 64 × 1B = 128 MB of feature bins
-		ColSample:     0.4,
-		RowSample:     0.8,
-		BlockRows:     512,
-		NodesPerRound: 15, // a depth-4 tree
-		Seed:          seed,
+		Rows:     1 << 21, // 2M rows
+		Features: 64,      // 2M × 64 × 1B = 128 MB of feature bins
+		Seed:     seed,
 	}
 }
 
@@ -66,12 +56,6 @@ func Default(seed uint64) Config {
 func (c Config) Validate() error {
 	if c.Rows <= 0 || c.Features <= 0 {
 		return fmt.Errorf("xgboost: Rows and Features must be positive")
-	}
-	if c.ColSample <= 0 || c.ColSample > 1 || c.RowSample <= 0 || c.RowSample > 1 {
-		return fmt.Errorf("xgboost: sample fractions must be in (0,1]")
-	}
-	if c.BlockRows <= 0 {
-		return fmt.Errorf("xgboost: BlockRows must be positive")
 	}
 	return nil
 }
@@ -107,7 +91,7 @@ func New(cfg Config) (*Trainer, error) {
 	t.histBase = t.gradBase + gradPages
 	histPages := cfg.Features // one histogram page per feature (256 bins × 16 B)
 	t.numPages = t.histBase + histPages
-	t.rowSpan = int(cfg.RowSample * float64(cfg.Rows))
+	t.rowSpan = int(rowSample * float64(cfg.Rows))
 	t.newRound()
 	return t, nil
 }
@@ -115,7 +99,7 @@ func New(cfg Config) (*Trainer, error) {
 // newRound samples the feature subset and row window for the next tree.
 func (t *Trainer) newRound() {
 	t.round++
-	k := int(t.cfg.ColSample * float64(t.cfg.Features))
+	k := int(colSample * float64(t.cfg.Features))
 	if k < 1 {
 		k = 1
 	}
@@ -128,7 +112,7 @@ func (t *Trainer) newRound() {
 }
 
 // Name implements trace.Source.
-func (t *Trainer) Name() string { return t.cfg.Name }
+func (t *Trainer) Name() string { return "xgboost" }
 
 // NumPages implements trace.Source.
 func (t *Trainer) NumPages() int { return t.numPages }
@@ -153,26 +137,26 @@ func (t *Trainer) NextOp(dst []trace.Access) []trace.Access {
 
 	// One block spans at most two feature pages and a few gradient pages.
 	dst = append(dst, trace.Access{Page: t.featurePage(feature, row)})
-	endRow := row + t.cfg.BlockRows - 1
+	endRow := row + blockRows - 1
 	if endRow/mem.RegularPageBytes != row/mem.RegularPageBytes {
 		dst = append(dst, trace.Access{Page: t.featurePage(feature, endRow%t.cfg.Rows)})
 	}
-	// Gradient pages for the block (8 B per row → BlockRows*8 bytes).
-	for b := 0; b < t.cfg.BlockRows*gradBytes; b += mem.RegularPageBytes {
+	// Gradient pages for the block (8 B per row → blockRows*8 bytes).
+	for b := 0; b < blockRows*gradBytes; b += mem.RegularPageBytes {
 		dst = append(dst, trace.Access{Page: t.gradPage((row + b/gradBytes) % t.cfg.Rows)})
 	}
 	// Histogram accumulation (read-modify-write).
 	dst = append(dst, trace.Access{Page: mem.PageID(t.histBase + feature), Write: true})
 
 	// Advance: rows → features → nodes → rounds.
-	t.rowCursor += t.cfg.BlockRows
+	t.rowCursor += blockRows
 	if t.rowCursor >= t.rowSpan {
 		t.rowCursor = 0
 		t.colCursor++
 		if t.colCursor >= len(t.activeCols) {
 			t.colCursor = 0
 			t.node++
-			if t.node >= t.cfg.NodesPerRound {
+			if t.node >= nodesPerRound {
 				t.newRound()
 			}
 		}

@@ -8,16 +8,7 @@ import (
 )
 
 func smallCfg() Config {
-	return Config{
-		Name:          "t",
-		Rows:          1 << 16,
-		Features:      16,
-		ColSample:     0.5,
-		RowSample:     0.8,
-		BlockRows:     256,
-		NodesPerRound: 3,
-		Seed:          1,
-	}
+	return Config{Rows: 1 << 16, Features: 16, Seed: 1}
 }
 
 func newTrainer(tb testing.TB, cfg Config) *Trainer {
@@ -36,10 +27,6 @@ func TestValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Rows = 0 },
 		func(c *Config) { c.Features = 0 },
-		func(c *Config) { c.ColSample = 0 },
-		func(c *Config) { c.ColSample = 1.5 },
-		func(c *Config) { c.RowSample = 0 },
-		func(c *Config) { c.BlockRows = 0 },
 	}
 	for i, mutate := range bad {
 		c := smallCfg()
@@ -93,9 +80,9 @@ func TestRoundsAdvance(t *testing.T) {
 	tr := newTrainer(t, smallCfg())
 	var buf []trace.Access
 	start := tr.round
-	// One round = NodesPerRound × activeCols × (rowSpan/BlockRows) ops
-	// = 3 × 8 × 204 ≈ 4900 ops.
-	for i := 0; i < 15_000; i++ {
+	// One round = nodesPerRound × activeCols × (rowSpan/blockRows) ops
+	// = 15 × 6 × 103 ≈ 9300 ops.
+	for i := 0; i < 30_000; i++ {
 		buf = tr.NextOp(buf[:0])
 	}
 	if tr.round < start+2 {

@@ -41,6 +41,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -74,11 +75,26 @@ const (
 	byProgram
 )
 
-func TestDeclarationsHaveUsers(t *testing.T) {
-	l, err := loadModules(module{".", "repro"}, module{"bench", "repro/bench"})
-	if err != nil {
-		t.Fatal(err)
+var (
+	programOnce sync.Once
+	program     *loader
+	programErr  error
+)
+
+// loadProgram type-checks this module and the bench module once for every
+// guard of the package.
+func loadProgram(t *testing.T) *loader {
+	programOnce.Do(func() {
+		program, programErr = loadModules(module{".", "repro"}, module{"bench", "repro/bench"})
+	})
+	if programErr != nil {
+		t.Fatal(programErr)
 	}
+	return program
+}
+
+func TestDeclarationsHaveUsers(t *testing.T) {
+	l := loadProgram(t)
 	found := l.reaches()
 	var benchOnly, failures []string
 	flagged := make(map[string]bool)
@@ -245,6 +261,9 @@ func (l *loader) listExports() (map[string]string, error) {
 				}
 			}
 		}
+	}
+	if len(seen) == 0 {
+		return nil, nil // go list with no package would list the current one
 	}
 	var stderr bytes.Buffer
 	cmd := exec.Command("go", args...)
@@ -452,6 +471,14 @@ func (l *loader) collectIfaces() {
 // to their function bodies, which export data does not carry, so those
 // names count on any type.
 func (l *loader) implemented(found map[types.Object]reach) {
+	for m := range l.ifaceMethods() {
+		found[m] = byProgram
+	}
+}
+
+// ifaceMethods returns the methods implemented describes.
+func (l *loader) ifaceMethods() map[types.Object]bool {
+	methods := make(map[types.Object]bool)
 	for _, pkg := range l.pkgs {
 		scope := pkg.Scope()
 		for _, name := range scope.Names() {
@@ -469,12 +496,12 @@ func (l *loader) implemented(found map[types.Object]reach) {
 					m := ms.At(i).Obj().(*types.Func)
 					switch m.Name() {
 					case "Unwrap", "Is", "As":
-						found[m.Origin()] = byProgram
+						methods[m.Origin()] = true
 						continue
 					}
 					for _, it := range l.ifaces[m.Name()] {
 						if n.TypeParams().Len() > 0 || types.Implements(t, it) {
-							found[m.Origin()] = byProgram
+							methods[m.Origin()] = true
 							break
 						}
 					}
@@ -482,6 +509,7 @@ func (l *loader) implemented(found map[types.Object]reach) {
 			}
 		}
 	}
+	return methods
 }
 
 // reaches finds, for each checked declaration, the widest kind of file
@@ -586,4 +614,350 @@ func (l *loader) skipNonReads(use func(token.Pos, types.Object)) {
 			return true
 		})
 	}
+}
+
+// keptKnobs lists the knobs TestKnobsVary finds that stay settable, keyed as
+// it prints them, with the test or ROADMAP item that needs each one.
+var keptKnobs = map[string]string{
+	"repro.ShiftingZipf(frac)":                                "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro.ShiftingZipf(n)":                                   "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro.ShiftingZipf(name)":                                "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro.ShiftingZipf(s)":                                   "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro.ShiftingZipf(shiftAfterOps)":                       "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro/internal/baselines.AgeConfig.IdleNs":               "item 13 derives this (Age's aging clock)",
+	"repro/internal/baselines.AutoNUMAConfig.AgeNs":           "item 13 derives this",
+	"repro/internal/baselines.AutoNUMAConfig.HintThresholdNs": "item 13 derives this",
+	"repro/internal/baselines.MemtisConfig.CoolSamples":       "item 13 derives this",
+	"repro/internal/core.Config.FreqCoolSamples":              "item 13 derives this",
+	"repro/internal/core.Config.MomCoolSamples":               "item 13 derives this",
+	"repro/internal/core.Config.PromoBatch":                   "item 13 derives this",
+	"repro/internal/core.Config.SecondChanceNs":               "item 13 derives this",
+	"repro/internal/fabric.Config.HeartbeatTTL":               "a seam: TestHeartbeatTTLExpiresAndRejoinRevives shortens it to 30 ms",
+	"repro/internal/fabric.Config.MaxShardCells":              "a seam: newFleet's 2-cell shards give TestChaosStormStaysByteIdentical its failure windows",
+	"repro/internal/fabric.Config.ShardTimeout":               "a seam: TestStragglerCellIsStolenAndLateCommitDropped shortens it to 250 ms",
+	"repro/internal/fabric.Config.StealAfter":                 "a seam: TestStragglerCellIsStolenAndLateCommitDropped shortens it to 15 ms",
+	"repro/internal/fabric.WorkerConfig.Interval":             "a seam: newFleet's 2 ms heartbeats revive the workers TestChaosStormStaysByteIdentical presumes dead",
+	"repro/internal/jobs.Config.RetainJobs":                   "a seam: TestRetainJobsBoundsMemory and TestManagerReplayRespectsRetainJobs evict past 2 and 4 jobs",
+	"repro/internal/pebs.Config.BufferSize":                   "a seam: TestTrackersConserveSamples and TestPEBSAdapter shrink the ring until it drops",
+	"repro/internal/pebs.Config.Period":                       "item 13 derives this",
+	"repro/internal/trace.NewZipfSource(writeFrac)":           "TestTrackersConserveSamples and the soft-dirty tracker tests need the stores it draws",
+	"repro/internal/tracker.Config.BufferSize":                "a seam: TestTrackersConserveSamples and TestSoftDirtyWriteOnly shrink the ring until it drops",
+	"repro/internal/tracker.Config.ScanNs":                    "item 13 derives this",
+	"repro/internal/workloads/silo.Config.Mix":                "TestYCSBBMix and the sim integration suite's YCSB-B silo need the update mix",
+}
+
+// A knob guard. A knob is a parameter of an exported function or method, or
+// an exported field of a named struct type, declared in a non-test file. The
+// program (cmd/, examples/ and bench/ included, tests not) sets it through
+// its calls and stores; a knob the program only ever sets to one constant is
+// no knob, so the guard fails on it unless keptKnobs lists it. A knob whose
+// constant bench/ also passes is logged instead: bench/ is changed only
+// with the benchmark.
+func TestKnobsVary(t *testing.T) {
+	failures, flagged := checkKnobs(t, loadProgram(t).knobs())
+	for key := range keptKnobs {
+		if !flagged[key] {
+			failures = append(failures, fmt.Sprintf("keptKnobs lists %s, which is gone or varies now; remove the entry", key))
+		}
+	}
+	sort.Strings(failures)
+	for _, f := range failures {
+		t.Error(f)
+	}
+}
+
+// TestKnobGuardFlagsFixture runs the knob analysis over testdata/knobs,
+// loaded as a module of its own, and expects exactly its two knobs: an
+// always-"" parameter and a config field set once and varied only in a
+// test. A parameter given two constants and a tagged field pass.
+func TestKnobGuardFlagsFixture(t *testing.T) {
+	l, err := loadModules(module{filepath.Join("testdata", "knobs"), "knobs"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, k := range l.knobs() {
+		got = append(got, k.key+" = "+k.val)
+	}
+	want := []string{"knobs.Config.Level = 3", `knobs.NewThing(name) = ""`}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("knobs found:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// checkKnobs logs the bench-held and kept knobs of found and returns the
+// failures of the others and which keys it flagged.
+func checkKnobs(t *testing.T, found []knob) (failures []string, flagged map[string]bool) {
+	flagged = make(map[string]bool)
+	for _, k := range found {
+		switch reason, kept := keptKnobs[k.key]; {
+		case k.bench:
+			t.Logf("bench/ holds %s at %s", k.key, k.val)
+		case kept:
+			flagged[k.key] = true
+			t.Logf("kept %s: %s", k.key, reason)
+		default:
+			flagged[k.key] = true
+			failures = append(failures, fmt.Sprintf("%s: %s: the program only ever sets it to %s; inline the constant, or add it to keptKnobs with the test or item that needs it", k.pos, k.key, k.val))
+		}
+	}
+	return failures, flagged
+}
+
+// knob is a knob the program sets to one constant.
+type knob struct {
+	key   string
+	pos   token.Position
+	val   string // the constant
+	bench bool   // bench/ sets it too
+}
+
+// setting collects what the program sets one knob to.
+type setting struct {
+	key    string
+	pos    token.Position
+	vals   map[string]string // exact value -> as Go writes it
+	set    bool              // some call or store names it
+	varies bool              // some call or store is not constant
+	bench  bool
+}
+
+// give records that a call or store of a file of kind sets s to tv.
+func (s *setting) give(tv types.TypeAndValue, kind reach) {
+	switch {
+	case tv.Value != nil:
+		s.vals[tv.Value.ExactString()] = tv.Value.String()
+	case tv.IsNil():
+		s.vals["nil"] = "nil"
+	default:
+		s.varies = true
+	}
+	s.set = true
+	s.bench = s.bench || kind == byBench
+}
+
+// zero records that a struct literal leaves s unset, so at the zero value
+// of t. A literal of bench/ that leaves a field out does not hold it.
+func (s *setting) zero(t types.Type) {
+	v := "the zero value"
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsBoolean != 0:
+			v = "false"
+		case b.Info()&types.IsString != 0:
+			v = `""`
+		case b.Info()&types.IsNumeric != 0:
+			v = "0"
+		}
+	} else if types.Comparable(t) && !types.IsInterface(t) {
+		if _, ok := t.Underlying().(*types.Pointer); ok {
+			v = "nil"
+		}
+	}
+	s.vals[v] = v
+}
+
+// knobs returns the knobs of the checked files that the program sets to
+// one constant, sorted by key. A parameter counts only if every program
+// use of its function calls it directly: a function value or a method
+// called through an interface hides its arguments. A variadic parameter
+// is not checked. A field counts the values of its assignments and struct
+// literals, a keyed literal that leaves it out setting it to zero; an
+// increment or an address taken varies it.
+func (l *loader) knobs() []knob {
+	inIface := l.ifaceMethods()
+	settings := make(map[types.Object]*setting)
+	params := make(map[*types.Func][]*setting) // nil entries for unchecked ones
+	for _, d := range l.decls {
+		if d.test || !d.obj.Exported() {
+			continue
+		}
+		switch obj := d.obj.(type) {
+		case *types.Func:
+			if inIface[obj] {
+				continue
+			}
+			params[obj] = l.paramSettings(d.key, obj, settings)
+		case *types.Var:
+			settings[obj] = &setting{key: d.key, pos: d.pos, vals: make(map[string]string)}
+		case *types.TypeName:
+			it, ok := obj.Type().Underlying().(*types.Interface)
+			for i := 0; ok && i < it.NumExplicitMethods(); i++ {
+				m := it.ExplicitMethod(i)
+				params[m] = l.paramSettings(d.key+"."+m.Name(), m, settings)
+			}
+		}
+	}
+	defaulted := make(map[*setting]bool)
+	field := func(e ast.Expr) *setting {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if s := l.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				return settings[s.Obj().(*types.Var).Origin()]
+			}
+		}
+		return nil
+	}
+	vary := func(s *setting) {
+		if s != nil {
+			s.set, s.varies = true, true
+		}
+	}
+	funcs := make(map[*ast.Ident]*types.Func) // every use of a function or method
+	for id, obj := range l.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			funcs[id] = fn.Origin()
+		}
+	}
+	for sel, s := range l.info.Selections {
+		if fn, ok := s.Obj().(*types.Func); ok {
+			funcs[sel.Sel] = fn.Origin()
+		}
+	}
+	called := make(map[*ast.Ident]bool)
+	for _, f := range l.files {
+		kind := l.kinds[l.fset.File(f.Package)]
+		if kind == byTests {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				id := calleeIdent(n.Fun)
+				if id == nil {
+					return true
+				}
+				called[id] = true
+				ps := params[funcs[id]]
+				tuple := len(n.Args) == 1 && len(ps) > 1
+				for i, s := range ps {
+					switch {
+					case s == nil:
+					case tuple:
+						vary(s)
+					default:
+						s.give(l.info.Types[n.Args[i]], kind)
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := l.info.Types[n].Type.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				given := make(map[*types.Var]bool)
+				for i, elt := range n.Elts {
+					fv := st.Field(i)
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						fv, elt = l.info.Uses[kv.Key.(*ast.Ident)].(*types.Var), kv.Value
+					}
+					given[fv] = true
+					if s := settings[fv.Origin()]; s != nil {
+						s.give(l.info.Types[elt], kind)
+					}
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					if fv := st.Field(i); !given[fv] && settings[fv.Origin()] != nil {
+						settings[fv.Origin()].zero(fv.Type())
+					}
+				}
+			case *ast.AssignStmt:
+				for i, e := range n.Lhs {
+					s := field(e)
+					switch {
+					case s == nil:
+					case n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs):
+						s.give(l.info.Types[n.Rhs[i]], kind)
+					default:
+						vary(s)
+					}
+				}
+			case *ast.IfStmt:
+				// if c.F <= 0 { c.F = d } makes d F's zero value.
+				cond, ok := n.Cond.(*ast.BinaryExpr)
+				if !ok {
+					return true
+				}
+				below := cond.Op == token.EQL || cond.Op == token.LEQ || cond.Op == token.LSS
+				if s := field(cond.X); s != nil && below && isZero(l.info.Types[cond.Y]) {
+					for _, st := range n.Body.List {
+						if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && field(as.Lhs[0]) == s {
+							defaulted[s] = true
+						}
+					}
+				}
+			case *ast.IncDecStmt:
+				vary(field(n.X))
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					vary(field(n.X))
+				}
+			case *ast.RangeStmt:
+				vary(field(n.Key))
+				if n.Value != nil {
+					vary(field(n.Value))
+				}
+			}
+			return true
+		})
+	}
+	// A function the program uses other than by calling it may be called
+	// with anything.
+	for id, fn := range funcs {
+		if !called[id] && l.kinds[l.fset.File(id.Pos())] != byTests {
+			for _, s := range params[fn] {
+				vary(s)
+			}
+		}
+	}
+	var found []knob
+	for _, s := range settings {
+		if defaulted[s] {
+			delete(s.vals, "0")
+		}
+		if !s.set || s.varies || len(s.vals) != 1 {
+			continue
+		}
+		for _, v := range s.vals {
+			found = append(found, knob{key: s.key, pos: s.pos, val: v, bench: s.bench})
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return found[i].key < found[j].key })
+	return found
+}
+
+// paramSettings returns a setting for each checked parameter of fn, nil
+// for the others, and records them in settings. A variadic or unnamed
+// parameter is not checked.
+func (l *loader) paramSettings(key string, fn *types.Func, settings map[types.Object]*setting) []*setting {
+	sig := fn.Signature()
+	ps := make([]*setting, sig.Params().Len())
+	for i := range ps {
+		p := sig.Params().At(i)
+		if p.Name() == "" || p.Name() == "_" || (sig.Variadic() && i == len(ps)-1) {
+			continue
+		}
+		ps[i] = &setting{key: fmt.Sprintf("%s(%s)", key, p.Name()), pos: l.fset.Position(p.Pos()), vals: make(map[string]string)}
+		settings[p] = ps[i]
+	}
+	return ps
+}
+
+// isZero reports whether tv is the constant 0.
+func isZero(tv types.TypeAndValue) bool {
+	return tv.Value != nil && tv.Value.ExactString() == "0"
+}
+
+// calleeIdent returns the identifier naming the function a call's fun
+// expression denotes, or nil.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return f
+	case *ast.SelectorExpr:
+		return f.Sel
+	case *ast.IndexExpr:
+		return calleeIdent(f.X)
+	case *ast.IndexListExpr:
+		return calleeIdent(f.X)
+	}
+	return nil
 }

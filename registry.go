@@ -78,7 +78,7 @@ func init() {
 				s = 1.0
 			}
 			return trace.NewShiftingZipfSource(fmt.Sprintf("shifting-zipf-%d-%.2f", n, s),
-				n, s, 0, p.Seed, 333_333, 2.0/3.0), nil
+				n, s, p.Seed, 333_333, 2.0/3.0), nil
 		},
 	})
 }

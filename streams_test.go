@@ -72,7 +72,7 @@ func freshStreams(t *testing.T, budget int) {
 		// before the shift: 0 shifts on the very first op.
 		Name: "count-shift", Doc: "test: shifting Zipf that counts its constructions",
 		New: counted(func(p registry.WorkloadParams) (trace.Source, error) {
-			return trace.NewShiftingZipfSource("count-shift", pages(p), 1.0, 0.1, p.Seed, int64(p.Records), 2.0/3.0), nil
+			return trace.NewShiftingZipfSource("count-shift", pages(p), 1.0, p.Seed, int64(p.Records), 2.0/3.0), nil
 		}),
 	})
 	old := streams
@@ -734,7 +734,7 @@ func TestSweepPinsNoMoreThanTheStreamBudget(t *testing.T) {
 func TestMarkFreeReplayKeepsTheGeneratorsFace(t *testing.T) {
 	const ops = 5_000
 	gen := func() Workload {
-		return trace.NewShiftingZipfSource("never", 2048, 1.0, 0.1, 1, 2*ops, 0.5)
+		return trace.NewShiftingZipfSource("never", 2048, 1.0, 1, 2*ops, 0.5)
 	}
 	rs := trace.StartReplaySource(gen(), ops, 1<<20)
 	early := rs.Fork()
