@@ -619,11 +619,11 @@ func (l *loader) skipNonReads(use func(token.Pos, types.Object)) {
 // keptKnobs lists the knobs TestKnobsVary finds that stay settable, keyed as
 // it prints them, with the test or ROADMAP item that needs each one.
 var keptKnobs = map[string]string{
-	"repro.ShiftingZipf(frac)":                                "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
-	"repro.ShiftingZipf(n)":                                   "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
-	"repro.ShiftingZipf(name)":                                "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
-	"repro.ShiftingZipf(s)":                                   "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
-	"repro.ShiftingZipf(shiftAfterOps)":                       "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes",
+	"repro.ShiftingZipf(frac)":                                facadeWorkload,
+	"repro.ShiftingZipf(n)":                                   facadeWorkload,
+	"repro.ShiftingZipf(name)":                                facadeWorkload,
+	"repro.ShiftingZipf(s)":                                   facadeWorkload,
+	"repro.ShiftingZipf(shiftAfterOps)":                       facadeWorkload,
 	"repro/internal/baselines.AgeConfig.IdleNs":               "item 13 derives this (Age's aging clock)",
 	"repro/internal/baselines.AutoNUMAConfig.AgeNs":           "item 13 derives this",
 	"repro/internal/baselines.AutoNUMAConfig.HintThresholdNs": "item 13 derives this",
@@ -646,6 +646,9 @@ var keptKnobs = map[string]string{
 	"repro/internal/workloads/silo.Config.Mix":                "TestYCSBBMix and the sim integration suite's YCSB-B silo need the update mix",
 }
 
+// facadeWorkload is why ShiftingZipf keeps its parameters.
+const facadeWorkload = "the facade's one workload constructor: ExampleNewExperiment_withWorkload and TestShiftingZipfFacade build it at other shapes"
+
 // A knob guard. A knob is a parameter of an exported function or method, or
 // an exported field of a named struct type, declared in a non-test file. The
 // program (cmd/, examples/ and bench/ included, tests not) sets it through
@@ -654,7 +657,20 @@ var keptKnobs = map[string]string{
 // constant bench/ also passes is logged instead: bench/ is changed only
 // with the benchmark.
 func TestKnobsVary(t *testing.T) {
-	failures, flagged := checkKnobs(t, loadProgram(t).knobs())
+	var failures []string
+	flagged := make(map[string]bool)
+	for _, k := range loadProgram(t).knobs() {
+		if k.bench {
+			t.Logf("bench/ holds %s at %s", k.key, k.val)
+			continue
+		}
+		flagged[k.key] = true
+		if reason, ok := keptKnobs[k.key]; ok {
+			t.Logf("kept %s: %s", k.key, reason)
+			continue
+		}
+		failures = append(failures, fmt.Sprintf("%s: %s: the program only ever sets it to %s; inline the constant, or add it to keptKnobs with the test or item that needs it", k.pos, k.key, k.val))
+	}
 	for key := range keptKnobs {
 		if !flagged[key] {
 			failures = append(failures, fmt.Sprintf("keptKnobs lists %s, which is gone or varies now; remove the entry", key))
@@ -683,25 +699,6 @@ func TestKnobGuardFlagsFixture(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("knobs found:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-}
-
-// checkKnobs logs the bench-held and kept knobs of found and returns the
-// failures of the others and which keys it flagged.
-func checkKnobs(t *testing.T, found []knob) (failures []string, flagged map[string]bool) {
-	flagged = make(map[string]bool)
-	for _, k := range found {
-		switch reason, kept := keptKnobs[k.key]; {
-		case k.bench:
-			t.Logf("bench/ holds %s at %s", k.key, k.val)
-		case kept:
-			flagged[k.key] = true
-			t.Logf("kept %s: %s", k.key, reason)
-		default:
-			flagged[k.key] = true
-			failures = append(failures, fmt.Sprintf("%s: %s: the program only ever sets it to %s; inline the constant, or add it to keptKnobs with the test or item that needs it", k.pos, k.key, k.val))
-		}
-	}
-	return failures, flagged
 }
 
 // knob is a knob the program sets to one constant.
@@ -740,19 +737,18 @@ func (s *setting) give(tv types.TypeAndValue, kind reach) {
 // of t. A literal of bench/ that leaves a field out does not hold it.
 func (s *setting) zero(t types.Type) {
 	v := "the zero value"
-	if b, ok := t.Underlying().(*types.Basic); ok {
+	switch u := t.Underlying().(type) {
+	case *types.Basic:
 		switch {
-		case b.Info()&types.IsBoolean != 0:
+		case u.Info()&types.IsBoolean != 0:
 			v = "false"
-		case b.Info()&types.IsString != 0:
+		case u.Info()&types.IsString != 0:
 			v = `""`
-		case b.Info()&types.IsNumeric != 0:
+		case u.Info()&types.IsNumeric != 0:
 			v = "0"
 		}
-	} else if types.Comparable(t) && !types.IsInterface(t) {
-		if _, ok := t.Underlying().(*types.Pointer); ok {
-			v = "nil"
-		}
+	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Signature, *types.Interface:
+		v = "nil"
 	}
 	s.vals[v] = v
 }
