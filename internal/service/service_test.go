@@ -285,16 +285,23 @@ func TestFreshSubmitIsAcceptedWhenDoneAtOnce(t *testing.T) {
 		Drain(m, 10*time.Second)
 	})
 	const clients, each = 16, 60
-	codes := make(chan string, clients*each)
+	bodies := make([][]byte, clients*each)
+	for i := range bodies {
+		spec := testSpec()
+		spec.Seeds = []uint64{uint64(100 + i)}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = body
+	}
+	codes := make(chan string, len(bodies))
 	var wg sync.WaitGroup
 	for c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			spec := testSpec()
-			for i := range each {
-				spec.Seeds = []uint64{uint64(100 + c*each + i)}
-				body, _ := json.Marshal(spec)
+			for _, body := range bodies[c*each : (c+1)*each] {
 				resp, err := http.Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
 				if err != nil {
 					codes <- err.Error()
@@ -315,7 +322,7 @@ func TestFreshSubmitIsAcceptedWhenDoneAtOnce(t *testing.T) {
 		}
 	}
 	if wrong > 0 {
-		t.Fatalf("%d of %d fresh submits were not 202", wrong, clients*each)
+		t.Fatalf("%d of %d fresh submits were not 202", wrong, len(bodies))
 	}
 	spec := testSpec()
 	spec.Seeds = []uint64{100}
@@ -323,11 +330,10 @@ func TestFreshSubmitIsAcceptedWhenDoneAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range 100 { // the job finishes at once; wait for its result
-		if _, ok := cache.Get(hash); ok {
-			break
+	for _, info := range m.Jobs() {
+		if info.Hash == hash {
+			streamEvents(t, srv, info.ID) // to its terminal state
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if code, resp := submit(t, srv, spec); code != http.StatusOK || resp["cache_hit"] != true {
 		t.Errorf("resubmit: status %d %v, want a 200 cache hit", code, resp)
