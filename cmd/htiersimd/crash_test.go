@@ -172,7 +172,7 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	// Wait for the first cell's write-through (its .sum sidecar) to land,
+	// Wait for the first cell's write-through (its .entry file) to land,
 	// then SIGKILL — no drain, no flush, the crash the journal exists for.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
@@ -185,7 +185,7 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 		}
 		landed := 0
 		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".sum") {
+			if strings.HasSuffix(e.Name(), ".entry") {
 				landed++
 			}
 		}
@@ -200,15 +200,15 @@ func TestDaemonSIGKILLMidSweepResumesByteIdentical(t *testing.T) {
 	cmd1.Wait()
 
 	preContents, preMtimes := cellFiles(t, cacheDir)
-	sums := 0
+	stored := 0
 	for name := range preContents {
-		if strings.HasSuffix(name, ".sum") {
-			sums++
+		if strings.HasSuffix(name, ".entry") {
+			stored++
 		}
 	}
-	t.Logf("killed with %d/4 cells on disk", sums)
-	if sums == 0 || sums >= 4 {
-		t.Fatalf("kill landed outside the sweep (%d cells cached); the resume claim needs a partial store", sums)
+	t.Logf("killed with %d/4 cells on disk", stored)
+	if stored == 0 || stored >= 4 {
+		t.Fatalf("kill landed outside the sweep (%d cells cached); the resume claim needs a partial store", stored)
 	}
 
 	// File mtimes must be distinguishable across the restart even on a

@@ -144,6 +144,9 @@ func TestDaemonServesAndDrainsOnSigterm(t *testing.T) {
 // TestHealthzIntegrityBytes pins the /healthz integrity section's scrub
 // reports byte for byte (unix_ns aside): a results pass that adopts,
 // verifies and quarantines, and a traces pass, which has no "adopted" key.
+// The results store starts in the earlier three-file layout, so the
+// first pass folds in the open's conversion: the sum-less entry is
+// adopted, then verified as an entry file; the rotten one is quarantined.
 func TestHealthzIntegrityBytes(t *testing.T) {
 	cacheDir, corpusDir := t.TempDir(), t.TempDir()
 	write := func(dir, name, data string) {

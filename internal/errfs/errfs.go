@@ -207,8 +207,9 @@ type ScrubReport struct {
 	// their address or sidecar.
 	Scanned  int `json:"scanned"`
 	Verified int `json:"verified"`
-	// Adopted counts pre-integrity result entries that gained a .sum
-	// sidecar (the trace corpus has none, so it never sets it).
+	// Adopted counts legacy result entries with no sum that were
+	// converted with the sum of their current bytes (the trace corpus
+	// has none, so it never sets it).
 	Adopted int `json:"adopted,omitempty"`
 	// Quarantined counts corrupt entries moved aside this pass.
 	Quarantined int `json:"quarantined,omitempty"`

@@ -30,11 +30,11 @@ func widerSpec(t *testing.T) []byte {
 	return canonical(t, wider)
 }
 
-// TestFleetCommitNeverWritesCacheHitsBack counts the renames (three per
+// TestFleetCommitNeverWritesCacheHitsBack counts the renames (one per
 // Cache.Put) on a coordinator's store while live workers run its sweeps:
 // a cell is written through when it is computed, and a cell read out of
 // the cache is not written again — which a coordinator with workers used
-// to do for every hit, 36 renames for the second sweep here.
+// to do for every hit, 12 extra Puts for the second sweep here.
 func TestFleetCommitNeverWritesCacheHitsBack(t *testing.T) {
 	fsys := errfs.Inject(errfs.OS{})
 	cache, err := jobs.NewCacheFS(64<<20, t.TempDir(), fsys)
@@ -42,7 +42,7 @@ func TestFleetCommitNeverWritesCacheHitsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newFleet(t, 2, nil, false, func(c *Config) { c.Cache = cache })
-	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
+	const perPut = 1 // one entry file, one atomic rename
 
 	f.runFleet(t, canonical(t, testSpec()))
 	if got := fsys.Count(errfs.OpRename); got != 8*perPut {

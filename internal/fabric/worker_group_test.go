@@ -115,7 +115,7 @@ func TestWorkerShardsShareOneStreamAndStoreEachCellOnce(t *testing.T) {
 		Self: "http://self", Coordinator: "http://coord",
 		Cells: LocalCells(1), Cache: cache,
 	}).Handler()
-	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
+	const perPut = 1 // one entry file, one atomic rename
 
 	three := groupSpec(t, hybridtier.PolicyHybridTier, hybridtier.PolicyMemtis, "LRU")
 	want := singletonRun(t, three)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,20 +20,19 @@ import (
 //
 //   - an in-memory LRU bounded by MaxBytes, the hot tier every Get
 //     consults first;
-//   - optionally, an on-disk store (one <hash>.json per result, plus the
-//     canonical spec as <hash>.spec.json for operators and a <hash>.sum
-//     integrity sidecar holding the result bytes' own SHA-256) that is
-//     written through on Put and consulted on memory misses, so results
-//     survive restarts and memory eviction. SetMaxDiskBytes bounds it,
-//     evicting oldest-written entries first.
+//   - optionally, an on-disk store, written through on Put and consulted
+//     on memory misses, so results survive restarts and memory eviction.
+//     SetMaxDiskBytes bounds it, evicting oldest-written entries first.
 //
-// The cache key is the spec's hash, not the result's, so the result bytes
-// cannot be checked against their own file name; the .sum sidecar closes
-// that gap. A disk read whose bytes no longer match the sidecar is
-// quarantined (moved under quarantine/, never served, never silently
-// deleted) and reported as a miss, so the daemon recomputes the result on
-// the next request instead of serving a flipped bit forever. Scrub walks
-// the whole store applying the same checks proactively.
+// Each stored result is one self-verifying file, <hash>.entry: a header
+// line "htr1 <sum> <len(spec)>\n", the canonical spec, then the result,
+// where <sum> is the SHA-256 of everything after it. A disk read whose
+// bytes fail the sum, or that finds a torn or unknown-version file,
+// quarantines the entry (moved under quarantine/, never served, never
+// silently deleted) and reports a miss, so the daemon recomputes the
+// result instead of serving a flipped bit forever. Scrub applies the
+// same check to the whole store. NewCacheFS converts a store of the
+// earlier three-file layout (<hash>.json, .sum, .spec.json) on open.
 //
 // All disk I/O goes through an errfs.FS (fsync-on-write, fsync-on-rename
 // via errfs.WriteAtomic), so tests can prove crash-safety by injection.
@@ -58,6 +59,7 @@ type Cache struct {
 	fsys         errfs.FS
 	maxDiskBytes int64 // 0 = unbounded
 	remote       func(hash string) ([]byte, bool)
+	converted    errfs.ScrubReport // the open's legacy conversion, folded into the next Scrub
 	errfs.ScrubLog
 }
 
@@ -82,7 +84,8 @@ func NewCache(maxBytes int64, dir string) (*Cache, error) {
 }
 
 // NewCacheFS is NewCache with an explicit filesystem — the fault-injection
-// seam. nil fsys means the real disk.
+// seam. nil fsys means the real disk. An existing store of the earlier
+// three-file layout is converted before NewCacheFS returns.
 func NewCacheFS(maxBytes int64, dir string, fsys errfs.FS) (*Cache, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("jobs: cache MaxBytes must be positive, got %d", maxBytes)
@@ -90,24 +93,26 @@ func NewCacheFS(maxBytes int64, dir string, fsys errfs.FS) (*Cache, error) {
 	if fsys == nil {
 		fsys = errfs.OS{}
 	}
-	if dir != "" {
-		if err := fsys.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("jobs: cache dir: %w", err)
-		}
-	}
-	return &Cache{
+	c := &Cache{
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    map[string]*list.Element{},
 		dir:      dir,
 		fsys:     fsys,
-	}, nil
+	}
+	if dir != "" {
+		if err := fsys.MkdirAll(dir, 0o755); err != nil {
+			return nil, fmt.Errorf("jobs: cache dir: %w", err)
+		}
+		c.convertLegacy()
+	}
+	return c, nil
 }
 
 // Get returns the result stored under hash, consulting every tier:
-// memory (hits refresh recency), then the disk store (hits verify against
-// the integrity sidecar and promote back into memory), then the remote
-// tier installed by SetRemote (hits promote into memory only).
+// memory (hits refresh recency), then the disk store (hits verify their
+// entry file and promote back into memory), then the remote tier
+// installed by SetRemote (hits promote into memory only).
 func (c *Cache) Get(hash string) ([]byte, bool) {
 	data, _, ok := c.get(hash, true)
 	return data, ok
@@ -145,15 +150,16 @@ func (c *Cache) get(hash string, remoteOK bool) ([]byte, []string, bool) {
 	remote := c.remote
 	c.mu.Unlock()
 	if c.dir != "" {
-		if data, err := c.fsys.ReadFile(c.resultPath(hash)); err == nil {
-			if c.verifyResult(hash, data) {
+		if data, err := c.fsys.ReadFile(c.entryPath(hash)); err == nil {
+			if _, result, ok := decodeEntry(data); ok {
 				c.mu.Lock()
-				e := c.insert(hash, data)
+				e := c.insert(hash, result)
 				c.mu.Unlock()
-				return data, e.etag, true
+				return result, e.etag, true
 			}
-			// Verification failed: the entry was quarantined; fall through
-			// to the remote tier (or a miss, which recomputes on resubmit).
+			// Verification failed: quarantine, then fall through to the
+			// remote tier (or a miss, which recomputes on resubmit).
+			errfs.Quarantine(c.fsys, c.dir, hash, entrySuffix)
 		}
 	}
 	// The remote fetch runs outside mu — it is a network round trip — so
@@ -169,25 +175,35 @@ func (c *Cache) get(hash string, remoteOK bool) ([]byte, []string, bool) {
 	return nil, nil, false
 }
 
-// verifyResult checks disk-read result bytes against the .sum sidecar.
-// A missing sidecar is accepted (entries written before sums existed;
-// Scrub adopts them); a mismatching one means the result or the sidecar
-// rotted, and the entry is quarantined rather than served.
-func (c *Cache) verifyResult(hash string, data []byte) bool {
-	sum, err := c.fsys.ReadFile(c.sumPath(hash))
-	if err != nil {
-		return true
-	}
-	if errfs.SumHex(data) == string(bytes.TrimSpace(sum)) {
-		return true
-	}
-	errfs.Quarantine(c.fsys, c.dir, hash, entrySuffixes...)
-	return false
+// entrySuffix names a stored entry's one file; entryVersion opens its
+// header. A file of any other version reads as corrupt.
+const (
+	entrySuffix  = ".entry"
+	entryVersion = "htr1 "
+)
+
+// encodeEntry lays out one entry file: "htr1 <sum> <len(spec)>\n", the
+// spec, the result, where <sum> covers everything after itself.
+func encodeEntry(result, spec []byte) []byte {
+	tail := slices.Concat([]byte(strconv.Itoa(len(spec))+"\n"), spec, result)
+	return slices.Concat([]byte(entryVersion+errfs.SumHex(tail)+" "), tail)
 }
 
-// entrySuffixes name the files of one stored entry: the result, its
-// integrity sidecar, and the canonical spec.
-var entrySuffixes = []string{".json", ".sum", ".spec.json"}
+// decodeEntry splits an entry file into spec and result, reporting ok only
+// when the header's sum matches the bytes after it. The slices alias data.
+func decodeEntry(data []byte) (spec, result []byte, ok bool) {
+	const sumEnd = len(entryVersion) + 64
+	if len(data) <= sumEnd || string(data[:len(entryVersion)]) != entryVersion || data[sumEnd] != ' ' ||
+		errfs.SumHex(data[sumEnd+1:]) != string(data[len(entryVersion):sumEnd]) {
+		return nil, nil, false
+	}
+	size, body, found := bytes.Cut(data[sumEnd+1:], []byte("\n"))
+	n, err := strconv.Atoi(string(size))
+	if !found || err != nil || n < 0 || n > len(body) {
+		return nil, nil, false
+	}
+	return body[:n], body[n:], true
+}
 
 // SetRemote installs fetch as the cache's remote read-through tier,
 // consulted only after both local tiers miss. In the sweep fabric this is
@@ -203,11 +219,10 @@ func (c *Cache) SetRemote(fetch func(hash string) ([]byte, bool)) {
 
 // Put stores result under hash, writing through to the disk store when
 // one is configured. The memory insert always succeeds; the returned
-// error reports only a disk-store failure. Each on-disk write is atomic
-// and fsync'd (file and directory), so a crash leaves either the old
-// store or the new entry, never a torn file. spec (the canonical spec
-// JSON) is archived beside the result so an operator can tell what a hash
-// is without reversing it; it is not needed to serve Get.
+// error reports only a disk-store failure. spec, the canonical spec JSON
+// that hash addresses, is stored with the result (so an operator can tell
+// what a hash is) in one atomic, fsync'd write (file and directory): a
+// crash leaves either the old store or the new entry, never a torn file.
 func (c *Cache) Put(hash string, result, spec []byte) error {
 	if !errfs.ValidHash(hash) {
 		return fmt.Errorf("jobs: invalid cache hash %q", hash)
@@ -218,112 +233,126 @@ func (c *Cache) Put(hash string, result, spec []byte) error {
 	if c.dir == "" {
 		return nil
 	}
-	if err := errfs.WriteAtomic(c.fsys, c.resultPath(hash), result); err != nil {
-		return err
-	}
-	// The integrity sidecar lands after the result: a crash between the
-	// two leaves a result with no sum, which reads as a legacy entry until
-	// the scrubber adopts it — degraded verification, never a false alarm.
-	if err := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(errfs.SumHex(result))); err != nil {
-		return err
-	}
-	// The spec sidecar is best-effort metadata: its loss never loses a
-	// result, so its write shares the result's error but not its fate.
-	if err := errfs.WriteAtomic(c.fsys, filepath.Join(c.dir, hash+".spec.json"), spec); err != nil {
+	if err := errfs.WriteAtomic(c.fsys, c.entryPath(hash), encodeEntry(result, spec)); err != nil {
 		return err
 	}
 	c.gcDisk()
 	return nil
 }
 
-// Scrub walks the on-disk store verifying every entry: result bytes
-// against their .sum sidecar (adopting legacy entries that predate sums),
-// spec sidecars against the addressed hash directly. Corrupt entries are
-// quarantined. The quarantine dir and non-store files (the job journal,
-// stray temps) are skipped, never touched. Returns the pass's report,
-// also retrievable via LastScrub.
+// Scrub verifies every entry file of the on-disk store, quarantining
+// corrupt ones; the quarantine dir and non-store files (the job journal,
+// stray temps) are never touched. The first pass after an open also
+// counts the legacy entries the open converted or quarantined. Returns
+// the pass's report, also retrievable via LastScrub.
 func (c *Cache) Scrub() errfs.ScrubReport {
-	var rep errfs.ScrubReport
+	c.mu.Lock()
+	rep := c.converted
+	c.converted = errfs.ScrubReport{}
+	c.mu.Unlock()
 	if c.dir != "" {
 		entries, err := c.fsys.ReadDir(c.dir)
 		if err != nil {
 			rep.Errors++
 		}
 		for _, e := range entries {
-			if e.IsDir() {
-				continue // quarantine/ and anything else nested
+			hash, ok := errfs.CutHash(e.Name(), entrySuffix)
+			if !ok || e.IsDir() {
+				continue // quarantine/, the journal, temp files
 			}
-			name := e.Name()
-			if hash, ok := errfs.CutHash(name, ".spec.json"); ok {
-				rep.Scanned++
-				c.scrubSpec(hash, &rep)
-				continue
+			rep.Scanned++
+			data, err := c.fsys.ReadFile(c.entryPath(hash))
+			_, _, ok = decodeEntry(data)
+			switch {
+			case err != nil:
+				if !os.IsNotExist(err) { // vanished = GC or quarantine raced the scan
+					rep.Errors++
+				}
+			case !ok:
+				errfs.Quarantine(c.fsys, c.dir, hash, entrySuffix)
+				rep.Quarantined++
+			default:
+				rep.Verified++
 			}
-			if hash, ok := errfs.CutHash(name, ".json"); ok {
-				rep.Scanned++
-				c.scrubResult(hash, &rep)
-			}
-			// .sum sidecars are checked with their result; journal and temp
-			// files fail the hash-stem check and are left alone.
 		}
 	}
 	return c.RecordScrub(rep)
 }
 
-func (c *Cache) scrubResult(hash string, rep *errfs.ScrubReport) {
-	data, err := c.fsys.ReadFile(c.resultPath(hash))
+// legacySuffixes name the files of one entry in the earlier three-file
+// layout — the result, its sum sidecar, the spec — in the order
+// convertLegacy removes them.
+var legacySuffixes = []string{".json", ".sum", ".spec.json"}
+
+// convertLegacy rewrites each entry of the three-file layout as one entry
+// file, then removes the old files, result first, so a crash leaves a
+// store the next open finishes: a surviving result converts again, and
+// sidecars without their result are removed. A result with no sum is
+// adopted with the sum of its bytes, and one whose sum mismatches is
+// quarantined. A spec that does not hash to the address is quarantined
+// alone, as the three-file scrub did, and its result converts without it.
+func (c *Cache) convertLegacy() {
+	entries, err := c.fsys.ReadDir(c.dir)
 	if err != nil {
-		if !os.IsNotExist(err) { // vanished = GC or quarantine raced the scan
-			rep.Errors++
-		}
+		c.converted.Errors++
 		return
 	}
-	sum, err := c.fsys.ReadFile(c.sumPath(hash))
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Legacy entry from before integrity sidecars: adopt it by
-			// recording the sum of the bytes we have. If they were already
-			// rotten this blesses the rot — unavoidable without a second
-			// copy — but every later flip is caught.
-			if werr := errfs.WriteAtomic(c.fsys, c.sumPath(hash), []byte(errfs.SumHex(data))); werr != nil {
-				rep.Errors++
-				return
+	legacy := map[string]bool{}
+	for _, e := range entries {
+		for _, suffix := range legacySuffixes {
+			if hash, ok := errfs.CutHash(e.Name(), suffix); ok && !e.IsDir() {
+				legacy[hash] = true
 			}
-			rep.Adopted++
+		}
+	}
+	for hash := range legacy {
+		c.convertEntry(hash, &c.converted)
+	}
+}
+
+// convertEntry converts one legacy entry (see convertLegacy).
+func (c *Cache) convertEntry(hash string, rep *errfs.ScrubReport) {
+	path := func(suffix string) string { return filepath.Join(c.dir, hash+suffix) }
+	result, err := c.fsys.ReadFile(path(".json"))
+	if err == nil {
+		rep.Scanned++
+		spec, specErr := c.fsys.ReadFile(path(".spec.json"))
+		sum, sumErr := c.fsys.ReadFile(path(".sum"))
+		switch {
+		case sumErr != nil && !os.IsNotExist(sumErr), specErr != nil && !os.IsNotExist(specErr):
+			rep.Errors++ // unreadable, not corrupt: the next open retries
+			return
+		case sumErr == nil && errfs.SumHex(result) != string(bytes.TrimSpace(sum)):
+			errfs.Quarantine(c.fsys, c.dir, hash, legacySuffixes...)
+			rep.Quarantined++
+			return
+		case specErr == nil && errfs.SumHex(spec) != hash:
+			errfs.Quarantine(c.fsys, c.dir, hash, ".spec.json")
+			rep.Quarantined++
+			spec = nil
+		}
+		if err := errfs.WriteAtomic(c.fsys, c.entryPath(hash), encodeEntry(result, spec)); err != nil {
+			rep.Errors++
 			return
 		}
+		if sumErr != nil {
+			rep.Adopted++
+		} else {
+			rep.Verified++
+		}
+	} else if !os.IsNotExist(err) {
 		rep.Errors++
 		return
 	}
-	if errfs.SumHex(data) != string(bytes.TrimSpace(sum)) {
-		errfs.Quarantine(c.fsys, c.dir, hash, entrySuffixes...)
-		rep.Quarantined++
-		return
+	for _, suffix := range legacySuffixes {
+		_ = c.fsys.Remove(path(suffix)) // a failure leaves work for the next open
 	}
-	rep.Verified++
 }
 
-func (c *Cache) scrubSpec(hash string, rep *errfs.ScrubReport) {
-	data, err := c.fsys.ReadFile(filepath.Join(c.dir, hash+".spec.json"))
-	if err != nil {
-		if !os.IsNotExist(err) { // vanished = GC or quarantine raced the scan
-			rep.Errors++
-		}
-		return
-	}
-	// The spec's hash IS the address, so it verifies with no sidecar.
-	if errfs.SumHex(data) != hash {
-		errfs.Quarantine(c.fsys, c.dir, hash, ".spec.json")
-		rep.Quarantined++
-		return
-	}
-	rep.Verified++
-}
-
-// SetMaxDiskBytes bounds the on-disk store to n bytes of results plus
-// sidecars, evicting oldest-written entries first once Put overflows it.
-// Zero (the default) leaves the store unbounded. The newest entry always
-// survives, so a single oversized result still persists and serves.
+// SetMaxDiskBytes bounds the on-disk store to n bytes of entry files,
+// evicting oldest-written entries first once Put overflows it. Zero (the
+// default) leaves the store unbounded. The newest entry always survives,
+// so a single oversized result still persists and serves.
 func (c *Cache) SetMaxDiskBytes(n int64) {
 	c.mu.Lock()
 	c.maxDiskBytes = n
@@ -331,8 +360,8 @@ func (c *Cache) SetMaxDiskBytes(n int64) {
 	c.gcDisk()
 }
 
-// diskEntry is one stored result during a GC scan: the hash, the combined
-// size of result and sidecar, and the result's write time.
+// diskEntry is one stored entry during a GC scan: the hash, the entry
+// file's size and its write time.
 type diskEntry struct {
 	hash  string
 	size  int64
@@ -341,11 +370,11 @@ type diskEntry struct {
 
 // gcDisk enforces the disk budget. The scan walks the store directory
 // fresh each time rather than tracking a running total: eviction is rare
-// (only on overflow), crash-leftover temp files and hand-deleted results
+// (only on overflow), crash-leftover temp files and hand-deleted entries
 // would drift any in-memory ledger, and the directory holds at most a few
-// thousand entries. Only hash-named store files are counted or removed:
-// the quarantine dir, the job journal, and stray temps are invisible to
-// GC by construction.
+// thousand entries. Only entry files are counted or removed: the
+// quarantine dir, the job journal, and stray temps are invisible to GC by
+// construction.
 func (c *Cache) gcDisk() {
 	c.mu.Lock()
 	budget := c.maxDiskBytes
@@ -359,54 +388,31 @@ func (c *Cache) gcDisk() {
 		return
 	}
 	var (
-		results []diskEntry
-		total   int64
-		sidecar = map[string]int64{} // by full file name
+		stored []diskEntry
+		total  int64
 	)
 	for _, e := range entries {
-		if e.IsDir() {
+		hash, ok := errfs.CutHash(e.Name(), entrySuffix)
+		if !ok || e.IsDir() {
 			continue
 		}
-		name := e.Name()
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		if _, ok := errfs.CutHash(name, ".spec.json"); ok {
-			sidecar[name] = info.Size()
-			total += info.Size()
-			continue
-		}
-		if _, ok := errfs.CutHash(name, ".sum"); ok {
-			sidecar[name] = info.Size()
-			total += info.Size()
-			continue
-		}
-		if hash, ok := errfs.CutHash(name, ".json"); ok {
-			results = append(results, diskEntry{hash: hash, size: info.Size(), mtime: info.ModTime()})
-			total += info.Size()
-		}
+		stored = append(stored, diskEntry{hash: hash, size: info.Size(), mtime: info.ModTime()})
+		total += info.Size()
 	}
 	if total <= budget {
 		return
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].mtime.Before(results[j].mtime) })
-	for _, r := range results[:max(len(results)-1, 0)] { // the newest always stays
+	sort.Slice(stored, func(i, j int) bool { return stored[i].mtime.Before(stored[j].mtime) })
+	for _, r := range stored[:max(len(stored)-1, 0)] { // the newest always stays
 		if total <= budget {
 			break
 		}
-		// Remove the result first: once it is gone the entry cannot be
-		// served, so a crash between the removes leaks only sidecars,
-		// which the next GC scan still counts and retries.
-		if err := c.fsys.Remove(c.resultPath(r.hash)); err != nil {
-			continue
-		}
-		total -= r.size
-		for _, suffix := range []string{".spec.json", ".sum"} {
-			name := r.hash + suffix
-			if err := c.fsys.Remove(filepath.Join(c.dir, name)); err == nil {
-				total -= sidecar[name]
-			}
+		if err := c.fsys.Remove(c.entryPath(r.hash)); err == nil {
+			total -= r.size
 		}
 	}
 }
@@ -433,13 +439,7 @@ func (c *Cache) insert(hash string, data []byte) *cacheEntry {
 	return e
 }
 
-// resultPath is the on-disk location of a hash's result bytes.
-func (c *Cache) resultPath(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
-}
-
-// sumPath is the on-disk location of a hash's integrity sidecar: the hex
-// SHA-256 of the RESULT bytes (the hash itself addresses the spec).
-func (c *Cache) sumPath(hash string) string {
-	return filepath.Join(c.dir, hash+".sum")
+// entryPath is the on-disk location of a hash's entry file.
+func (c *Cache) entryPath(hash string) string {
+	return filepath.Join(c.dir, hash+entrySuffix)
 }

@@ -10,16 +10,16 @@ import (
 	"repro/internal/errfs"
 )
 
-// corruptResult flips bytes in a stored result file without updating its
-// integrity sidecar — the bit-rot model.
-func corruptResult(t *testing.T, dir, hash string) {
+// corruptEntry flips the byte at offset off from the end of a stored
+// entry file (1 is the result's last byte) — the bit-rot model.
+func corruptEntry(t *testing.T, dir, hash string, off int) {
 	t.Helper()
-	path := filepath.Join(dir, hash+".json")
+	path := filepath.Join(dir, hash+".entry")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)/2] ^= 0xff
+	data[len(data)-off] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -41,31 +41,35 @@ func freshDiskCache(t *testing.T, dir string) *Cache {
 // reports a miss — the daemon recomputes instead of serving rot.
 func TestCacheCorruptResultQuarantinedNotServed(t *testing.T) {
 	dir := t.TempDir()
-	h := hashOf("rot")
+	h, spec := addressed("rot")
 	result := []byte(`[{"cell":1,"hits":42}]`)
-	if err := freshDiskCache(t, dir).Put(h, result, []byte(`{}`)); err != nil {
+	if err := freshDiskCache(t, dir).Put(h, result, spec); err != nil {
 		t.Fatal(err)
 	}
-	corruptResult(t, dir, h)
+	good, err := os.ReadFile(filepath.Join(dir, h+".entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptEntry(t, dir, h, len(result)/2)
 
 	c := freshDiskCache(t, dir)
 	if data, ok := c.Get(h); ok {
 		t.Fatalf("corrupt entry served: %q", data)
 	}
 	// The evidence moved, intact, into quarantine; the serving path is clean.
-	if _, err := os.Stat(filepath.Join(dir, h+".json")); !os.IsNotExist(err) {
-		t.Errorf("corrupt result still on the serving path: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, h+".entry")); !os.IsNotExist(err) {
+		t.Errorf("corrupt entry still on the serving path: %v", err)
 	}
-	qdata, err := os.ReadFile(filepath.Join(dir, errfs.QuarantineDir, h+".json"))
+	qdata, err := os.ReadFile(filepath.Join(dir, errfs.QuarantineDir, h+".entry"))
 	if err != nil {
-		t.Fatalf("quarantined result missing: %v", err)
+		t.Fatalf("quarantined entry missing: %v", err)
 	}
-	if bytes.Equal(qdata, result) {
-		t.Error("quarantined bytes equal the good result; the corruption vanished")
+	if bytes.Equal(qdata, good) {
+		t.Error("quarantined bytes equal the good entry; the corruption vanished")
 	}
 
 	// Healing: a re-run Puts the true bytes back; the entry serves again.
-	if err := c.Put(h, result, []byte(`{}`)); err != nil {
+	if err := c.Put(h, result, spec); err != nil {
 		t.Fatal(err)
 	}
 	if data, ok := freshDiskCache(t, dir).Get(h); !ok || !bytes.Equal(data, result) {
@@ -73,84 +77,78 @@ func TestCacheCorruptResultQuarantinedNotServed(t *testing.T) {
 	}
 }
 
-// TestCacheScrubDetectsAndAdopts: Scrub quarantines corrupt entries,
-// verifies good ones, and adopts legacy entries that predate .sum
-// sidecars by writing one.
+// TestCacheScrubDetectsAndAdopts: Scrub quarantines corrupt entries and
+// verifies good ones, and its first pass after an open also reports the
+// legacy entries that open adopted: a three-file entry with no sum
+// sidecar converts with the sum of its current bytes.
 func TestCacheScrubDetectsAndAdopts(t *testing.T) {
 	dir := t.TempDir()
 	c := freshDiskCache(t, dir)
-	// Entries are spec-addressed in production (hash = sha256 of the spec
-	// sidecar's bytes); the scrubber leans on that, so honor it here.
-	var good, bad, legacy string
-	for name, h := range map[string]*string{"good": &good, "bad": &bad, "legacy": &legacy} {
-		spec := []byte(`{"workload":"` + name + `"}`)
-		*h = errfs.SumHex(spec)
+	var good, bad string
+	for name, h := range map[string]*string{"good": &good, "bad": &bad} {
+		var spec []byte
+		*h, spec = addressed(name)
 		if err := c.Put(*h, []byte(`[{"h":"`+(*h)[:8]+`"}]`), spec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	corruptResult(t, dir, bad)
-	if err := os.Remove(filepath.Join(dir, legacy+".sum")); err != nil {
-		t.Fatal(err)
-	}
+	corruptEntry(t, dir, bad, 2)
+	legacy, spec := addressed("legacy")
+	writeLegacy(t, dir, legacy, []byte(`[{"legacy":1}]`), spec, nil)
 
+	c = freshDiskCache(t, dir)
 	rep := c.Scrub()
-	if rep.Quarantined != 1 {
-		t.Errorf("scrub quarantined %d entries, want 1: %+v", rep.Quarantined, rep)
+	want := errfs.ScrubReport{Scanned: 4, Verified: 2, Adopted: 1, Quarantined: 1, UnixNs: rep.UnixNs}
+	if rep != want {
+		t.Errorf("first scrub = %+v, want %+v (the open's conversion, then good, legacy and bad)", rep, want)
 	}
-	if rep.Adopted != 1 {
-		t.Errorf("scrub adopted %d legacy entries, want 1: %+v", rep.Adopted, rep)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("scrub errors: %+v", rep)
-	}
-	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, bad+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, bad+".entry")); err != nil {
 		t.Errorf("corrupt entry not in quarantine: %v", err)
 	}
-	if sum, err := os.ReadFile(filepath.Join(dir, legacy+".sum")); err != nil || len(sum) != 64 {
-		t.Errorf("adopted sidecar = %d bytes, %v", len(sum), err)
-	}
-	if got, ok := c.LastScrub(); !ok || got.Quarantined != rep.Quarantined {
+	if got, ok := c.LastScrub(); !ok || got != rep {
 		t.Error("LastScrub does not reflect the pass")
 	}
 
-	// A second pass over the now-clean store verifies everything: results
-	// and spec sidecars for good+legacy, nothing quarantined.
+	// A second pass over the now-clean store verifies the two entries left
+	// and reports nothing of the open.
 	rep2 := c.Scrub()
-	if rep2.Quarantined != 0 || rep2.Adopted != 0 || rep2.Errors != 0 {
-		t.Errorf("second scrub not clean: %+v", rep2)
+	if want := (errfs.ScrubReport{Scanned: 2, Verified: 2, UnixNs: rep2.UnixNs}); rep2 != want {
+		t.Errorf("second scrub = %+v, want %+v", rep2, want)
 	}
-	if rep2.Verified != 4 {
-		t.Errorf("second scrub verified %d, want 4 (2 results + 2 specs)", rep2.Verified)
+	if data, ok := c.Get(legacy); !ok || string(data) != `[{"legacy":1}]` {
+		t.Errorf("adopted legacy entry = %q, %v", data, ok)
 	}
 }
 
-// TestCacheScrubQuarantinesRottenSpecSidecar: spec sidecars verify
-// directly against their addressed hash.
+// TestCacheScrubQuarantinesRottenSpecSidecar: the spec, once a sidecar,
+// is part of the entry file under the entry's one sum, so a flipped spec
+// byte quarantines the whole entry — on read and by Scrub — and the
+// result is recomputed rather than served beside a wrong spec.
 func TestCacheScrubQuarantinesRottenSpecSidecar(t *testing.T) {
-	dir := t.TempDir()
-	c := freshDiskCache(t, dir)
-	spec := []byte(`{"workload":"zipf"}`)
-	h := errfs.SumHex(spec) // a REAL spec-addressed entry
-	if err := c.Put(h, []byte(`[]`), spec); err != nil {
-		t.Fatal(err)
-	}
-	if rep := c.Scrub(); rep.Quarantined != 0 || rep.Verified != 2 {
-		t.Fatalf("scrub over a true spec-addressed entry: %+v", rep)
-	}
-	if err := os.WriteFile(filepath.Join(dir, h+".spec.json"), []byte(`{"tampered":1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep := c.Scrub()
-	if rep.Quarantined != 1 {
-		t.Fatalf("tampered spec sidecar not quarantined: %+v", rep)
-	}
-	if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, h+".spec.json")); err != nil {
-		t.Errorf("spec sidecar not in quarantine: %v", err)
-	}
-	// The result itself is untouched and keeps serving.
-	if _, ok := c.Get(h); !ok {
-		t.Error("result stopped serving over a spec-sidecar problem")
+	h, spec := addressed("zipf")
+	result := []byte(`[]`)
+	for _, scrub := range []bool{false, true} {
+		dir := t.TempDir()
+		c := freshDiskCache(t, dir)
+		if err := c.Put(h, result, spec); err != nil {
+			t.Fatal(err)
+		}
+		if rep := c.Scrub(); rep.Quarantined != 0 || rep.Verified != 1 {
+			t.Fatalf("scrub over a true spec-addressed entry: %+v", rep)
+		}
+		corruptEntry(t, dir, h, len(result)+3) // inside the spec
+		c = freshDiskCache(t, dir)
+		if scrub {
+			if rep := c.Scrub(); rep.Quarantined != 1 {
+				t.Fatalf("tampered spec not quarantined by Scrub: %+v", rep)
+			}
+		}
+		if data, ok := c.Get(h); ok {
+			t.Errorf("entry with a tampered spec served: %q", data)
+		}
+		if _, err := os.Stat(filepath.Join(dir, errfs.QuarantineDir, h+".entry")); err != nil {
+			t.Errorf("entry not in quarantine (scrub=%v): %v", scrub, err)
+		}
 	}
 }
 
@@ -158,7 +156,8 @@ func TestCacheScrubQuarantinesRottenSpecSidecar(t *testing.T) {
 // sync, and rename failures: each failing stage must surface an error and
 // leave the previous on-disk state fully intact and served.
 func TestCachePutFaultsNeverTearStore(t *testing.T) {
-	h := hashOf("durable")
+	h, spec := addressed("durable")
+	other, otherSpec := addressed("other")
 	v1 := []byte(`[{"v":1}]`)
 	for _, fault := range []errfs.Fault{
 		{Op: errfs.OpWrite, Path: ".atomic-"},
@@ -173,7 +172,7 @@ func TestCachePutFaultsNeverTearStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := seed.Put(h, v1, []byte(`{}`)); err != nil {
+			if err := seed.Put(h, v1, spec); err != nil {
 				t.Fatal(err)
 			}
 			inj := errfs.Inject(errfs.OS{}, fault)
@@ -181,7 +180,7 @@ func TestCachePutFaultsNeverTearStore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Put(hashOf("other"), []byte(`[{"v":2}]`), []byte(`{}`)); err == nil {
+			if err := c.Put(other, []byte(`[{"v":2}]`), otherSpec); err == nil {
 				t.Fatal("faulted Put reported success")
 			}
 			// The pre-existing entry is untouched and still verifies.
@@ -207,11 +206,11 @@ func TestCachePutFaultsNeverTearStore(t *testing.T) {
 // entry.
 func TestCacheGetSurvivesReadFaults(t *testing.T) {
 	dir := t.TempDir()
-	h := hashOf("flaky-disk")
-	if err := freshDiskCache(t, dir).Put(h, []byte(`[]`), []byte(`{}`)); err != nil {
+	h, spec := addressed("flaky-disk")
+	if err := freshDiskCache(t, dir).Put(h, []byte(`[]`), spec); err != nil {
 		t.Fatal(err)
 	}
-	inj := errfs.Inject(errfs.OS{}, errfs.Fault{Op: errfs.OpReadFile, Path: h + ".json"})
+	inj := errfs.Inject(errfs.OS{}, errfs.Fault{Op: errfs.OpReadFile, Path: h + ".entry"})
 	c, err := NewCacheFS(1<<20, dir, inj)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestCacheGetSurvivesReadFaults(t *testing.T) {
 	if _, ok := c.Get(h); !ok {
 		t.Fatal("healthy entry lost after a transient read failure")
 	}
-	if _, err := os.Stat(filepath.Join(dir, h+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, h+".entry")); err != nil {
 		t.Fatalf("transient read failure quarantined a healthy entry: %v", err)
 	}
 }

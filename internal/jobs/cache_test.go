@@ -13,6 +13,13 @@ import (
 	"repro/internal/errfs"
 )
 
+// addressed returns a spec and the hash that addresses it, paired the
+// way the program's Puts always pair them.
+func addressed(name string) (hash string, spec []byte) {
+	spec = []byte(`{"workload":"` + name + `"}`)
+	return errfs.SumHex(spec), spec
+}
+
 // inMemory returns the number and total size of c's in-memory entries.
 func inMemory(c *Cache) (entries int, bytes int64) {
 	c.mu.Lock()
@@ -78,16 +85,13 @@ func TestCacheDiskStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := hashOf("disk")
-	if err := c.Put(h, []byte(`[{"cell":1}]`), []byte(`{"workload":"zipf"}`)); err != nil {
+	h, spec := addressed("zipf")
+	if err := c.Put(h, []byte(`[{"cell":1}]`), spec); err != nil {
 		t.Fatal(err)
 	}
-	// Both files land, atomically named.
-	if _, err := os.Stat(filepath.Join(dir, h+".json")); err != nil {
-		t.Errorf("result file missing: %v", err)
-	}
-	if spec, err := os.ReadFile(filepath.Join(dir, h+".spec.json")); err != nil || !strings.Contains(string(spec), "zipf") {
-		t.Errorf("spec sidecar missing or wrong: %q, %v", spec, err)
+	// One entry file lands, carrying the spec for operators.
+	if entry, err := os.ReadFile(filepath.Join(dir, h+".entry")); err != nil || !strings.Contains(string(entry), "zipf") {
+		t.Errorf("entry file missing or without its spec: %q, %v", entry, err)
 	}
 	// A fresh cache over the same dir serves from disk (restart survival)
 	// and promotes the entry into memory.
@@ -102,14 +106,14 @@ func TestCacheDiskStoreRoundTrip(t *testing.T) {
 	if n, _ := inMemory(c2); n != 1 {
 		t.Error("disk hit was not promoted into memory")
 	}
-	// No leftover temp files from atomic writes.
+	// Nothing else is left: no sidecars, no temp files from atomic writes.
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".atomic-") {
-			t.Errorf("leftover temp file %s", e.Name())
+		if e.Name() != h+".entry" {
+			t.Errorf("stray file %s beside the entry", e.Name())
 		}
 	}
 }
@@ -156,8 +160,8 @@ func TestNewCacheValidation(t *testing.T) {
 	}
 }
 
-// TestCacheDiskGC: the disk budget evicts oldest-written result+sidecar
-// pairs, never the newest entry, and an unbounded cache removes nothing.
+// TestCacheDiskGC: the disk budget evicts oldest-written entry files,
+// never the newest entry, and an unbounded cache removes nothing.
 func TestCacheDiskGC(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(1<<20, dir)
@@ -165,10 +169,9 @@ func TestCacheDiskGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	result := bytes.Repeat([]byte("r"), 100)
-	spec := []byte(`{"workload":"zipf"}`)
 	var hashes []string
 	for i := 0; i < 5; i++ {
-		h := hashOf(strings.Repeat("x", i+1))
+		h, spec := addressed(fmt.Sprint("gc-", i))
 		hashes = append(hashes, h)
 		if err := c.Put(h, result, spec); err != nil {
 			t.Fatal(err)
@@ -176,14 +179,8 @@ func TestCacheDiskGC(t *testing.T) {
 		// Distinct mtimes so oldest-first is well defined even on coarse
 		// filesystem clocks.
 		old := time.Now().Add(time.Duration(i-10) * time.Hour)
-		for _, p := range []string{
-			filepath.Join(dir, h+".json"),
-			filepath.Join(dir, h+".spec.json"),
-			filepath.Join(dir, h+".sum"),
-		} {
-			if err := os.Chtimes(p, old, old); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.Chtimes(filepath.Join(dir, h+".entry"), old, old); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// A stray temp file must neither count toward the budget nor be removed.
@@ -203,20 +200,22 @@ func TestCacheDiskGC(t *testing.T) {
 		}
 		return out
 	}
-	if got := onDisk(); len(got) != 16 { // 5 result+spec+sum trios + stray
-		t.Fatalf("precondition: %d files on disk, want 16", len(got))
+	if got := onDisk(); len(got) != 6 { // 5 entries + stray
+		t.Fatalf("precondition: %d files on disk, want 6", len(got))
 	}
 
-	// Budget for two trios: the three oldest must go, newest stays. The
-	// .sum sidecar is 64 hex bytes.
-	trio := int64(len(result)+len(spec)) + 64
-	c.SetMaxDiskBytes(2 * trio)
+	// Budget for two entries: the three oldest must go, newest stays.
+	info, err := os.Stat(filepath.Join(dir, hashes[0]+".entry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetMaxDiskBytes(2 * info.Size())
 	got := onDisk()
 	if !got[stray[len(dir)+1:]] {
 		t.Error("GC removed a non-cache file")
 	}
 	for _, h := range hashes[:3] {
-		if got[h+".json"] || got[h+".spec.json"] || got[h+".sum"] {
+		if got[h+".entry"] {
 			t.Errorf("oldest entry %s survived eviction", h[:12])
 		}
 		if _, ok := c.Get(h); !ok {
@@ -224,35 +223,29 @@ func TestCacheDiskGC(t *testing.T) {
 		}
 	}
 	for _, h := range hashes[3:] {
-		if !got[h+".json"] || !got[h+".spec.json"] || !got[h+".sum"] {
+		if !got[h+".entry"] {
 			t.Errorf("entry %s inside the budget was evicted", h[:12])
 		}
 	}
 
 	// Put enforces the budget as it writes: adding a sixth entry evicts
 	// again, down to the two newest.
-	h6 := hashOf("sixth")
-	if err := c.Put(h6, result, spec); err != nil {
+	h6, spec6 := addressed("gc-6")
+	if err := c.Put(h6, result, spec6); err != nil {
 		t.Fatal(err)
 	}
 	got = onDisk()
-	if !got[h6+".json"] {
+	if !got[h6+".entry"] {
 		t.Fatal("freshly put entry evicted itself")
 	}
-	var pairs int
-	for name := range got {
-		if strings.HasSuffix(name, ".json") && !strings.HasSuffix(name, ".spec.json") {
-			pairs++
-		}
-	}
-	if pairs > 2 {
-		t.Fatalf("%d results on disk after Put, budget holds 2", pairs)
+	if n := len(got) - 1; n > 2 { // less the stray
+		t.Fatalf("%d entries on disk after Put, budget holds 2", n)
 	}
 
 	// An oversized single entry still persists: the newest never goes.
 	c.SetMaxDiskBytes(1)
 	got = onDisk()
-	if !got[h6+".json"] {
+	if !got[h6+".entry"] {
 		t.Fatal("the newest entry must survive any budget")
 	}
 }
@@ -273,13 +266,14 @@ func TestCacheDiskGCRacesConcurrentPutGet(t *testing.T) {
 	}
 	const nHashes = 8
 	hashes := make([]string, nHashes)
+	specs := make([][]byte, nHashes)
 	payloads := make([][]byte, nHashes)
 	for i := range hashes {
-		hashes[i] = hashOf(fmt.Sprint("race-", i))
+		hashes[i], specs[i] = addressed(fmt.Sprint("race-", i))
 		payloads[i] = []byte(fmt.Sprintf(`[{"cell":%d,"pad":%q}]`, i, strings.Repeat("p", 50+i)))
 	}
-	pair := int64(len(payloads[0]) + 2)
-	c.SetMaxDiskBytes(2 * pair) // budget for ~2 entries: every Put overflows
+	entry := int64(len(encodeEntry(payloads[0], specs[0])))
+	c.SetMaxDiskBytes(2 * entry) // budget for ~2 entries: every Put overflows
 
 	const iters = 150
 	var wg sync.WaitGroup
@@ -289,7 +283,7 @@ func TestCacheDiskGCRacesConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := (i + g) % nHashes
-				if err := c.Put(hashes[k], payloads[k], []byte("{}")); err != nil {
+				if err := c.Put(hashes[k], payloads[k], specs[k]); err != nil {
 					t.Errorf("concurrent Put: %v", err)
 					return
 				}
@@ -315,16 +309,17 @@ func TestCacheDiskGCRacesConcurrentPutGet(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/10; i++ {
-			c.SetMaxDiskBytes(pair)
-			c.SetMaxDiskBytes(4 * pair)
+			c.SetMaxDiskBytes(entry)
+			c.SetMaxDiskBytes(4 * entry)
 		}
 	}()
 	wg.Wait()
 
 	// The store settles coherent: re-put entries serve their exact bytes,
-	// and the directory holds only well-formed names (no temp leaks).
+	// and the directory holds only entry files (no temp leaks and nothing
+	// quarantined).
 	for i, h := range hashes {
-		if err := c.Put(h, payloads[i], []byte("{}")); err != nil {
+		if err := c.Put(h, payloads[i], specs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,17 +331,9 @@ func TestCacheDiskGCRacesConcurrentPutGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if _, ok := errfs.CutHash(name, ".spec.json"); ok {
-			continue
+		if _, ok := errfs.CutHash(e.Name(), ".entry"); !ok {
+			t.Errorf("stray file %q left in the store after concurrent GC", e.Name())
 		}
-		if _, ok := errfs.CutHash(name, ".json"); ok {
-			continue
-		}
-		if _, ok := errfs.CutHash(name, ".sum"); ok {
-			continue
-		}
-		t.Errorf("stray file %q left in the store after concurrent GC", name)
 	}
 }
 
@@ -366,7 +353,7 @@ func TestCacheDiskGCSkipsQuarantineAndJournal(t *testing.T) {
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	quarantined := filepath.Join(qdir, hashOf("rotten")+".json")
+	quarantined := filepath.Join(qdir, hashOf("rotten")+".entry")
 	if err := os.WriteFile(quarantined, bytes.Repeat([]byte("q"), 4096), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -377,28 +364,22 @@ func TestCacheDiskGCSkipsQuarantineAndJournal(t *testing.T) {
 
 	result := bytes.Repeat([]byte("r"), 100)
 	var hashes []string
-	var specLen int
+	var entry int64
 	for i := 0; i < 3; i++ {
-		// Spec-addressed, as in production, so the scrub below verifies
-		// rather than quarantines the spec sidecar.
-		spec := []byte(fmt.Sprintf(`{"workload":"zipf","pad":%d}`, i))
-		specLen = len(spec)
-		h := errfs.SumHex(spec)
+		h, spec := addressed(fmt.Sprint("zipf-", i))
 		hashes = append(hashes, h)
+		entry = int64(len(encodeEntry(result, spec)))
 		if err := c.Put(h, result, spec); err != nil {
 			t.Fatal(err)
 		}
 		old := time.Now().Add(time.Duration(i-10) * time.Hour)
-		for _, suffix := range []string{".json", ".spec.json", ".sum"} {
-			if err := os.Chtimes(filepath.Join(dir, h+suffix), old, old); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.Chtimes(filepath.Join(dir, h+".entry"), old, old); err != nil {
+			t.Fatal(err)
 		}
 	}
-	trio := int64(len(result)+specLen) + 64
-	// Budget fits one trio only if the journal and quarantine bytes are
+	// Budget fits one entry only if the journal and quarantine bytes are
 	// NOT counted; if GC counted them it would evict everything evictable.
-	c.SetMaxDiskBytes(trio)
+	c.SetMaxDiskBytes(entry)
 
 	if _, err := os.Stat(quarantined); err != nil {
 		t.Errorf("GC touched the quarantine dir: %v", err)
@@ -406,20 +387,20 @@ func TestCacheDiskGCSkipsQuarantineAndJournal(t *testing.T) {
 	if data, err := os.ReadFile(journal); err != nil || len(data) != 4096 {
 		t.Errorf("GC touched the journal: %d bytes, %v", len(data), err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, hashes[2]+".json")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, hashes[2]+".entry")); err != nil {
 		t.Errorf("newest entry evicted: %v", err)
 	}
 	for _, h := range hashes[:2] {
-		if _, err := os.Stat(filepath.Join(dir, h+".json")); err == nil {
-			t.Errorf("entry %s survived a one-trio budget, so GC counted foreign bytes", h[:12])
+		if _, err := os.Stat(filepath.Join(dir, h+".entry")); err == nil {
+			t.Errorf("entry %s survived a one-entry budget, so GC counted foreign bytes", h[:12])
 		}
 	}
 
 	// The scrubber likewise walks past both: nothing quarantined twice,
 	// nothing scanned that is not a store entry.
 	rep := c.Scrub()
-	if rep.Scanned != 2 { // surviving result + its spec sidecar
-		t.Errorf("scrub scanned %d entries, want 2 (journal/quarantine must be skipped)", rep.Scanned)
+	if rep.Scanned != 1 { // the surviving entry
+		t.Errorf("scrub scanned %d entries, want 1 (journal/quarantine must be skipped)", rep.Scanned)
 	}
 	if rep.Quarantined != 0 || rep.Errors != 0 {
 		t.Errorf("scrub over a healthy store: %+v", rep)

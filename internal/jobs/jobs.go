@@ -610,6 +610,14 @@ func (m *Manager) runJob(j *Job) {
 	result, err := m.cfg.Run(ctx, spec, func(done, total int) {
 		j.appendLockedUnlocked(Event{Type: "progress", Done: done, Total: total})
 	})
+	if err == nil && m.cfg.Cache != nil {
+		// Put inserts into memory unconditionally; only the on-disk copy
+		// can fail, and a run that completed must not be reported lost
+		// over it — the result still serves from memory. It runs before
+		// j.mu is taken, so readers of the job never wait on its fsyncs,
+		// and before the Done event, so a client told Done finds the result.
+		_ = m.cfg.Cache.Put(j.hash, result, spec)
+	}
 
 	j.mu.Lock()
 	j.cancel = nil
@@ -617,12 +625,6 @@ func (m *Manager) runJob(j *Job) {
 	var term Record
 	switch {
 	case err == nil:
-		if m.cfg.Cache != nil {
-			// Put inserts into memory unconditionally; only the on-disk
-			// copy can fail, and a run that completed must not be reported
-			// lost over it — the result still serves from memory.
-			_ = m.cfg.Cache.Put(j.hash, result, spec)
-		}
 		j.appendEvent(Event{Type: "state", State: Done, Result: j.hash})
 		term = Record{Type: recDone, Hash: j.hash}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):

@@ -6,10 +6,14 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/errfs"
 )
 
 // hashOf mints a valid content hash from any string.
@@ -483,4 +487,65 @@ func TestNextHonorsContext(t *testing.T) {
 	}
 	m.Cancel(j.ID())
 	m.Drain(context.Background())
+}
+
+// blockingFS parks every CreateTemp — the first step of a store write —
+// until release closes, signalling entered as it does: a disk whose
+// fsyncs take as long as the test wants.
+type blockingFS struct {
+	errfs.OS
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b blockingFS) CreateTemp(dir, pattern string) (errfs.File, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
+	<-b.release
+	return b.OS.CreateTemp(dir, pattern)
+}
+
+// TestRunJobStoresResultOutsideJobLock: a finished run's durable Put
+// happens before the job's lock is taken, so a reader of the job (GET
+// /jobs/{id}, an event stream, Cancel) never waits behind its fsyncs, and
+// before the Done event, so a job seen Done has its result on disk.
+func TestRunJobStoresResultOutsideJobLock(t *testing.T) {
+	dir := t.TempDir()
+	fsys := blockingFS{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	cache, err := NewCacheFS(1<<20, dir, fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Config{Workers: 1, Cache: cache,
+		Run: func(context.Context, []byte, func(int, int)) ([]byte, error) { return []byte(`[1]`), nil }})
+	defer drainAll(t, m)
+	release := sync.OnceFunc(func() { close(fsys.release) })
+	defer release()
+
+	spec := []byte(`{"workload":"zipf"}`)
+	hash := errfs.SumHex(spec)
+	j, _, err := m.Submit(hash, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-fsys.entered // the result's Put is parked in its disk write
+	infos := make(chan Info, 1)
+	go func() { infos <- j.Info() }()
+	select {
+	case info := <-infos:
+		if info.State != Running {
+			t.Errorf("job is %s while its result is being stored, want running", info.State)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Info blocked behind the result's disk write")
+	}
+	release()
+	if events := waitTerminal(t, j); events[len(events)-1].State != Done {
+		t.Fatalf("job ended %+v", events[len(events)-1])
+	}
+	if _, err := os.Stat(filepath.Join(dir, hash+".entry")); err != nil {
+		t.Errorf("job is Done but its result is not on disk: %v", err)
+	}
 }

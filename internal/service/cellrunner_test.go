@@ -172,8 +172,8 @@ func TestCellRunnerResumesFromPartialCache(t *testing.T) {
 			grew++
 		}
 	}
-	if grew != preSeedFiles+6 { // 2 new trios
-		t.Errorf("resume left %d files, want %d (the 2 missing cells' trios)", grew, preSeedFiles+6)
+	if grew != preSeedFiles+2 { // 2 new entry files
+		t.Errorf("resume left %d files, want %d (the 2 missing cells' entries)", grew, preSeedFiles+2)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestCellRunnerResumeBoundsCellsInFlight(t *testing.T) {
 }
 
 // TestEachResultIsStoredOncePerDaemon counts the store's renames (one per
-// atomic write, three per Cache.Put) under a job manager running the cell
+// atomic write, one per Cache.Put) under a job manager running the cell
 // engine: every cell of a sweep is written through exactly once and the
 // merged result once; a one-cell sweep — whose cell address IS the sweep's
 // — is stored by the manager alone, not by the runner first. The claim
@@ -414,7 +414,7 @@ func testEachResultIsStoredOnce(t *testing.T, runner func(*jobs.Cache) jobs.Runn
 			t.Fatalf("job ended %s: %s", st, j.Info().Error)
 		}
 	}
-	const perPut = 3 // result, .sum and .spec.json, one atomic rename each
+	const perPut = 1 // one entry file, one atomic rename
 
 	one := testSpec()
 	one.Policies, one.Seeds = one.Policies[:1], one.Seeds[:1]
