@@ -49,6 +49,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -179,6 +180,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, "bad -seed: %v", err)
 	}
+	single := len(policies) == 1 && len(ratios) == 1 && len(seeds) == 1
+	out := view{json: *jsonOut, series: *series, single: single, huge: *huge, cache: *cache, ratio: *ratio}
 
 	if *submit != "" {
 		if *record != "" || *replay != "" {
@@ -213,13 +216,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 				spec.Ops = recordedOps
 			}
 		}
-		return submitToDaemon(*submit, spec, *jsonOut, *series, *ratio, *huge, *cache, stdout, stderr)
+		return submitToDaemon(*submit, spec, out, stdout, stderr)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	single := len(policies) == 1 && len(ratios) == 1 && len(seeds) == 1
 	// -replay and the "trace:<path>" workload-name form are the same
 	// thing; normalize so both get the replay defaults.
 	tracePath := *replay
@@ -279,6 +281,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil && len(cells) == 0 {
 		return fail(1, "%v", err)
 	}
+	raw, merr := json.Marshal(cells)
+	if merr != nil {
+		return fail(1, "%v", merr)
+	}
+	return out.report(raw, err, stdout, stderr)
+}
+
+// view holds the flags that shape how a sweep's cells print.
+type view struct {
+	json, series, single, huge, cache bool
+	ratio                             string
+}
+
+// report prints a sweep's cells from their JSON, the bytes a local run
+// marshals and the daemon serves, so both print alike: one stderr line
+// per failed cell, then the -json bytes, the single-run report or the
+// sweep table — completed cells are always emitted, failed ones carry
+// their "error" field in JSON and drop out of the tables. runErr, a local
+// sweep's own failure (cancellation), is reported last. It returns the
+// exit code.
+func (v view) report(raw []byte, runErr error, stdout, stderr io.Writer) int {
+	fail := func(code int, format string, args ...any) int {
+		fmt.Fprintf(stderr, "htiersim: "+format+"\n", args...)
+		return code
+	}
+	var cells []hybridtier.CellResult
+	if err := json.Unmarshal(raw, &cells); err != nil {
+		return fail(1, "result decode: %v", err)
+	}
 	failed := 0
 	for _, c := range cells {
 		if c.Err != "" {
@@ -286,26 +317,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "htiersim: %s 1:%d seed %d: %s\n", c.Policy, c.Ratio, c.Seed, c.Err)
 		}
 	}
-
-	// Completed cells are always emitted, even when some failed: JSON
-	// carries per-cell errors in its "error" field, the table prints the
-	// successful rows.
 	switch {
-	case *jsonOut:
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(cells); err != nil {
+	case v.json:
+		// Indenting the bytes rather than re-marshaling the decoded cells
+		// keeps every literal as it was marshaled.
+		var out bytes.Buffer
+		if err := json.Indent(&out, raw, "", "  "); err != nil {
 			return fail(1, "%v", err)
 		}
-	case single:
+		out.WriteByte('\n')
+		stdout.Write(out.Bytes())
+	case v.single && len(cells) == 1:
 		if failed == 0 {
-			printSingle(stdout, cells[0], *ratio, *huge, *cache, *series)
+			printSingle(stdout, cells[0], v.ratio, v.huge, v.cache, v.series)
 		}
 	default:
 		printSweep(stdout, cells)
 	}
-	if err != nil {
-		return fail(1, "%v", err)
+	if runErr != nil {
+		return fail(1, "%v", runErr)
 	}
 	if failed > 0 {
 		return fail(1, "%d of %d cells failed", failed, len(cells))

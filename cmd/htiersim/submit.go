@@ -84,7 +84,7 @@ func postJob(base string, body []byte, stderr io.Writer) (*http.Response, error)
 // mirror the local path: 0 success, 1 run/transport failure, 2 when the
 // daemon rejects the spec (the 400 body carries the validator's exact
 // message).
-func submitToDaemon(base string, spec hybridtier.SweepSpec, jsonOut, series bool, ratio string, huge, cache bool, stdout, stderr io.Writer) int {
+func submitToDaemon(base string, spec hybridtier.SweepSpec, out view, stdout, stderr io.Writer) int {
 	fail := func(code int, format string, args ...any) int {
 		fmt.Fprintf(stderr, "htiersim: "+format+"\n", args...)
 		return code
@@ -124,7 +124,7 @@ func submitToDaemon(base string, spec hybridtier.SweepSpec, jsonOut, series bool
 
 	// Tail the event stream to the job's terminal state, mirroring the
 	// local sweep's progress line on stderr.
-	final, err := tailEvents(base+sub.EventsURL, jsonOut, stderr)
+	final, err := tailEvents(base+sub.EventsURL, out.json, stderr)
 	if err != nil {
 		return fail(1, "progress stream: %v", err)
 	}
@@ -146,39 +146,7 @@ func submitToDaemon(base string, spec hybridtier.SweepSpec, jsonOut, series bool
 		return fail(1, "result fetch: status %s, %v", res.Status, rerr)
 	}
 
-	var cells []hybridtier.CellResult
-	if err := json.Unmarshal(raw, &cells); err != nil {
-		return fail(1, "result decode: %v", err)
-	}
-	failed := 0
-	for _, c := range cells {
-		if c.Err != "" {
-			failed++
-			fmt.Fprintf(stderr, "htiersim: %s 1:%d seed %d: %s\n", c.Policy, c.Ratio, c.Seed, c.Err)
-		}
-	}
-	switch {
-	case jsonOut:
-		// Re-indenting the served bytes (rather than re-marshaling the
-		// decoded structs) keeps the output byte-identical to a local
-		// `-json` run: json.Indent preserves every literal.
-		var out bytes.Buffer
-		if err := json.Indent(&out, raw, "", "  "); err != nil {
-			return fail(1, "%v", err)
-		}
-		out.WriteByte('\n')
-		stdout.Write(out.Bytes())
-	case len(cells) == 1:
-		if failed == 0 {
-			printSingle(stdout, cells[0], ratio, huge, cache, series)
-		}
-	default:
-		printSweep(stdout, cells)
-	}
-	if failed > 0 {
-		return fail(1, "%d of %d cells failed", failed, len(cells))
-	}
-	return 0
+	return out.report(raw, nil, stdout, stderr)
 }
 
 // uploadTrace streams a local trace file into the daemon's corpus and

@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/errfs"
 	"repro/internal/tracefile"
@@ -71,12 +72,13 @@ type Store struct {
 	errfs.ScrubLog
 }
 
-// Open opens (creating if needed) the store rooted at dir and indexes the
-// traces already present. A sidecar whose hash does not match its file
-// name or fails to parse is skipped; an indexed trace whose file size
-// disagrees with its sidecar (a truncated or padded .htrc) is quarantined
-// instead of indexed — the store stays usable; the damaged entry is just
-// invisible until re-uploaded.
+// Open opens (creating if needed) the store rooted at dir, deletes the
+// staged uploads and temp files a crash left there (those unmodified for
+// staleTemp), and indexes the traces already present. A sidecar whose hash
+// does not match its file name or fails to parse is skipped; an indexed
+// trace whose file size disagrees with its sidecar (a truncated or padded
+// .htrc) is quarantined instead of indexed — the store stays usable; the
+// damaged entry is just invisible until re-uploaded.
 func Open(dir string) (*Store, error) {
 	return OpenFS(dir, nil)
 }
@@ -93,6 +95,7 @@ func OpenFS(dir string, fsys errfs.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("corpus: store dir: %w", err)
 	}
+	errfs.RemoveTemps(fsys, dir, staleTemp, uploadPrefix)
 	s := &Store{dir: dir, fsys: fsys, index: map[string]Meta{}, verified: map[string]bool{}}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
@@ -216,6 +219,14 @@ func (s *Store) check(hash string) (ok bool, err error) {
 // metadata sidecar.
 var entrySuffixes = []string{".htrc", ".meta.json"}
 
+// uploadPrefix begins the names of Put's staged uploads.
+const uploadPrefix = ".upload-"
+
+// staleTemp is how long a temp file must sit unmodified before Open takes
+// it for a crash's leftover. Other processes may upload into the same
+// directory, and a live upload rewrites its temp file as the bytes arrive.
+const staleTemp = time.Hour
+
 // Scrub re-hashes every indexed trace against its address, quarantining
 // (and de-indexing) any that fail. The quarantine dir and non-store files
 // are never touched. Returns the pass's report, also retrievable via
@@ -253,7 +264,7 @@ func (s *Store) Scrub() errfs.ScrubReport {
 // — corrupt or truncated uploads never enter the index, and a crash at
 // any point leaves either the old store or the complete new entry.
 func (s *Store) Put(r io.Reader) (Meta, bool, error) {
-	tmp, err := s.fsys.CreateTemp(s.dir, ".upload-*")
+	tmp, err := s.fsys.CreateTemp(s.dir, uploadPrefix+"*")
 	if err != nil {
 		return Meta{}, false, fmt.Errorf("corpus: stage upload: %w", err)
 	}

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/errfs"
 )
@@ -245,8 +247,11 @@ func TestPutFaultsNeverPublishTornTrace(t *testing.T) {
 			if s.Len() != 1 {
 				t.Fatalf("store indexes %d traces after faulted Put, want the 1 prior", s.Len())
 			}
+			if left := temps(t, dir); len(left) > 0 {
+				t.Errorf("faulted Put leaked temp files %v", left)
+			}
 			// A fresh handle over the real disk sees only the prior trace,
-			// whole; no torn upload published, no temp leaked.
+			// whole; no torn upload published.
 			clean, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -257,14 +262,74 @@ func TestPutFaultsNeverPublishTornTrace(t *testing.T) {
 			if _, err := clean.Path(prior.Hash); err != nil {
 				t.Errorf("prior trace damaged by faulted Put: %v", err)
 			}
-			entries, err := os.ReadDir(dir)
+		})
+	}
+}
+
+// temps lists the staged uploads and atomic-write temp files in dir.
+func temps(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".upload-") || strings.HasPrefix(e.Name(), ".atomic-") {
+			names = append(names, e.Name())
+		}
+	}
+	return names
+}
+
+// TestOpenRemovesTempsACrashLeft freezes the disk in the middle of a Put
+// (halfway through the staged upload, and at the rename that publishes its
+// metadata sidecar), so that Put cannot remove its temp file. A reopen
+// keeps it while it could still be a live peer's upload, and deletes it
+// once it has sat unmodified for staleTemp; the store serves what it held
+// before throughout.
+func TestOpenRemovesTempsACrashLeft(t *testing.T) {
+	for _, fault := range []errfs.Fault{
+		{Op: errfs.OpWrite, Path: ".upload-", Short: 8, Crash: true},
+		{Op: errfs.OpRename, Path: ".meta.json", Crash: true},
+	} {
+		t.Run(string(fault.Op), func(t *testing.T) {
+			dir := t.TempDir()
+			prior := seedStore(t, dir, "prior")
+			s, err := OpenFS(dir, errfs.Inject(errfs.OS{}, fault))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range entries {
-				if strings.HasPrefix(e.Name(), ".upload-") || strings.HasPrefix(e.Name(), ".atomic-") {
-					t.Errorf("temp file %s leaked", e.Name())
+			if _, _, err := s.Put(bytes.NewReader(traceBytes(t, "frozen", 4))); err == nil {
+				t.Fatal("Put through a crash reported success")
+			}
+			left := temps(t, dir)
+			if len(left) == 0 {
+				t.Fatal("the crash left no temp file behind")
+			}
+			reopen := func() {
+				t.Helper()
+				s, err := Open(dir)
+				if err != nil {
+					t.Fatal(err)
 				}
+				if _, err := s.Path(prior.Hash); err != nil || s.Len() != 1 {
+					t.Errorf("reopened store: %d traces, prior trace %v; want 1, served", s.Len(), err)
+				}
+			}
+			reopen()
+			if got := temps(t, dir); !slices.Equal(got, left) {
+				t.Errorf("a reopen right after the crash left %v, want the fresh %v kept", got, left)
+			}
+			old := time.Now().Add(-staleTemp - time.Minute)
+			for _, name := range left {
+				if err := os.Chtimes(filepath.Join(dir, name), old, old); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reopen()
+			if got := temps(t, dir); len(got) > 0 {
+				t.Errorf("a reopen after staleTemp left %v", got)
 			}
 		})
 	}

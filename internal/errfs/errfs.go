@@ -33,6 +33,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -109,12 +110,39 @@ func (OS) SyncDir(dir string) error {
 	return err
 }
 
+// atomicPrefix begins the names of WriteAtomic's temp files.
+const atomicPrefix = ".atomic-"
+
+// RemoveTemps deletes the temp files a crash left in dir between
+// CreateTemp and Rename: WriteAtomic's, and those whose names begin with
+// one of prefixes. Nothing else removes them, and no scrub, conversion or
+// disk budget counts them. A store calls it on open, before its first
+// write. Files modified less than idle ago are spared: in a directory that
+// other processes write into, those may be a live writer's.
+func RemoveTemps(fsys FS, dir string, idle time.Duration, prefixes ...string) {
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		return // the store's own scan of dir reports it
+	}
+	prefixes = append(slices.Clip(prefixes), atomicPrefix)
+	cutoff := time.Now().Add(-idle)
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			continue
+		}
+		if info, err := e.Info(); idle <= 0 || err == nil && info.ModTime().Before(cutoff) {
+			fsys.Remove(filepath.Join(dir, name))
+		}
+	}
+}
+
 // WriteAtomic durably replaces path with data: temp file in the same
 // directory, write, fsync, close, rename, directory fsync. On any error
 // the temp file is removed and path is untouched — a reader never
 // observes a torn or half-written file, before or after a crash.
 func WriteAtomic(fsys FS, path string, data []byte) error {
-	tmp, err := fsys.CreateTemp(filepath.Dir(path), ".atomic-*")
+	tmp, err := fsys.CreateTemp(filepath.Dir(path), atomicPrefix+"*")
 	if err != nil {
 		return err
 	}

@@ -84,8 +84,9 @@ func NewCache(maxBytes int64, dir string) (*Cache, error) {
 }
 
 // NewCacheFS is NewCache with an explicit filesystem — the fault-injection
-// seam. nil fsys means the real disk. An existing store of the earlier
-// three-file layout is converted before NewCacheFS returns.
+// seam. nil fsys means the real disk. The temp files a crash left in the
+// store are deleted, and an existing store of the earlier three-file
+// layout is converted, before NewCacheFS returns.
 func NewCacheFS(maxBytes int64, dir string, fsys errfs.FS) (*Cache, error) {
 	if maxBytes <= 0 {
 		return nil, fmt.Errorf("jobs: cache MaxBytes must be positive, got %d", maxBytes)
@@ -104,6 +105,8 @@ func NewCacheFS(maxBytes int64, dir string, fsys errfs.FS) (*Cache, error) {
 		if err := fsys.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("jobs: cache dir: %w", err)
 		}
+		// The store has one owner, which has written nothing yet.
+		errfs.RemoveTemps(fsys, dir, 0)
 		c.convertLegacy()
 	}
 	return c, nil

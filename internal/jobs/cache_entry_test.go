@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/errfs"
@@ -88,9 +87,9 @@ func legacyStore(t *testing.T, dir string) map[string][]byte {
 	return want
 }
 
-// checkConverted opens dir and asserts it then holds only entry files,
-// quarantine/ and the temp files a crash can leave mid-write, and serves
-// or misses each hash as want says.
+// checkConverted opens dir and asserts it then holds only entry files and
+// quarantine/ (the open deletes the temp files a crash left mid-write),
+// and serves or misses each hash as want says.
 func checkConverted(t *testing.T, dir string, want map[string][]byte) {
 	t.Helper()
 	c := freshDiskCache(t, dir)
@@ -100,7 +99,7 @@ func checkConverted(t *testing.T, dir string, want map[string][]byte) {
 	}
 	for _, e := range entries {
 		_, ok := errfs.CutHash(e.Name(), ".entry")
-		if !ok && e.Name() != errfs.QuarantineDir && !strings.HasPrefix(e.Name(), ".atomic-") {
+		if !ok && e.Name() != errfs.QuarantineDir {
 			t.Errorf("legacy or stray file %s left after conversion", e.Name())
 		}
 	}

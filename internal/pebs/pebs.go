@@ -3,18 +3,14 @@
 // period, a buffer of records each holding the virtual address of a sampled
 // load or store; tiering runtimes drain that buffer in batches (Algorithm 1
 // in the paper). This package is that contract's data: the Sample record,
-// the sampling Config, the Stats counters, and Buffer — the one bounded
-// buffer that drops records under overload and is drained in batches. Who
-// decides which accesses become samples (every Period-th one, or a bitmap
-// scan) is internal/tracker's business; every tracker kind embeds a Buffer,
+// the Stats counters, and Buffer — the one bounded buffer that drops
+// records under overload and is drained in batches. Who decides which
+// accesses become samples (every Period-th one, or a bitmap scan), and
+// how large the buffer is, is internal/tracker's business; every tracker kind embeds a Buffer,
 // so policies see one drain protocol whatever feeds it.
 package pebs
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // Sample is one sampled memory access.
 type Sample struct {
@@ -25,36 +21,6 @@ type Sample struct {
 	Tier mem.Tier
 	// Time is the virtual time of the access in nanoseconds.
 	Time int64
-}
-
-// Config controls PEBS sampling.
-type Config struct {
-	// Period is the sampling period: one sample is taken every Period
-	// accesses. Real deployments use periods in the hundreds to thousands
-	// to bound overhead; the default mirrors that scaled to simulated
-	// footprints.
-	Period int
-	// BufferSize is the capacity of the sample ring buffer. When the
-	// consumer falls behind, new samples are dropped (as the hardware
-	// does), and the drop is counted.
-	BufferSize int
-}
-
-// DefaultConfig returns a sampling setup proportionate to the simulator's
-// scaled-down footprints.
-func DefaultConfig() Config {
-	return Config{Period: 13, BufferSize: 1 << 16}
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Period <= 0 {
-		return fmt.Errorf("pebs: Period must be positive, got %d", c.Period)
-	}
-	if c.BufferSize <= 0 {
-		return fmt.Errorf("pebs: BufferSize must be positive, got %d", c.BufferSize)
-	}
-	return nil
 }
 
 // Stats counts sampling activity.

@@ -8,18 +8,6 @@ import (
 	"repro/internal/mem"
 )
 
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config invalid: %v", err)
-	}
-	bad := []Config{{Period: 0, BufferSize: 10}, {Period: 10, BufferSize: 0}}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("Validate(%+v) should fail", c)
-		}
-	}
-}
-
 func TestSampleContents(t *testing.T) {
 	b := NewBuffer(nil, 8)
 	want := Sample{Page: 2, Tier: mem.Slow, Time: 200}

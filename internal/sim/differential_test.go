@@ -86,20 +86,23 @@ type refCell struct {
 	wrap func(tier.Policy) tier.Policy
 }
 
-// askFaults hides a fault-driven policy's arming bitmap, so the simulator
-// must ask WantsFault on every access — the shape of a policy that keeps
-// no bitmap, or of one behind a timing shim.
+// askFaults hides a fault-driven policy's arming bitmap: the shape of a
+// policy that keeps none, which Run rejects.
 func askFaults(p tier.Policy) tier.Policy {
 	return struct{ tier.FaultDriven }{p.(tier.FaultDriven)}
 }
 
-// nilBitmap claims an arming bitmap but returns none, which the simulator
-// must treat like no bitmap at all.
-type nilBitmap struct{ tier.FaultDriven }
+// fixedBitmap claims an arming bitmap but returns its own words in place
+// of the policy's.
+type fixedBitmap struct {
+	tier.FaultDriven
+	words []uint64
+}
 
-func (nilBitmap) FaultBitmap() []uint64 { return nil }
+func (p fixedBitmap) FaultBitmap() []uint64 { return p.words }
 
-func dropBitmap(p tier.Policy) tier.Policy { return nilBitmap{p.(tier.FaultDriven)} }
+// dropBitmap claims an arming bitmap but returns none.
+func dropBitmap(p tier.Policy) tier.Policy { return fixedBitmap{FaultDriven: p.(tier.FaultDriven)} }
 
 // meddler is a fault-driven policy that reaches what the registered ones
 // leave alone, so that the order of the work around a fault shows in the
@@ -337,8 +340,6 @@ func TestRunMatchesReference(t *testing.T) {
 		// Packed replays, each named after the kernel stop it exercises.
 		{name: "stop-at-fault-bitmap", workload: "cdn", policy: "AutoNUMA", form: "packed", ops: 300_000},
 		{name: "stop-at-fault-tpp", workload: "social", policy: "TPP", form: "packed", ops: 100_000},
-		{name: "stop-at-every-access-unbitmapped", workload: "social", policy: "TPP", form: "packed", ops: 100_000, wrap: askFaults},
-		{name: "stop-at-every-access-nil-bitmap", workload: "cdn", policy: "AutoNUMA", form: "packed", ops: 100_000, wrap: dropBitmap},
 		{name: "stop-when-period-1-samples-may-drain", workload: "cdn", policy: "Heat-Idle", form: "packed", ops: 200_000},
 		{name: "stop-at-tick-inside-a-window", workload: "silo", policy: "HybridTier", form: "packed", ops: 100_000, window: 100_000_000},
 		{name: "stop-at-long-op", workload: "long-ops", policy: "HybridTier", form: "packed", ops: 30_000},

@@ -15,36 +15,35 @@ import (
 	"repro/internal/workloads/xgboost"
 )
 
-// miniWorkloads builds small instances of every workload family.
-func miniWorkloads(t *testing.T) []trace.Source {
-	t.Helper()
-	cdn := cachelib.CDN(1)
-	cdn.Objects = 1000
-	cl, err := cachelib.New(cdn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := silo.New(silo.Config{Records: 1 << 13, Mix: silo.YCSBB, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := speccpu.Bwaves(1)
-	bw.Cells = 1 << 13
-	xgb := xgboost.Default(1)
-	xgb.Rows = 1 << 14
-	xgb.Features = 8
-	tr, err := xgboost.New(xgb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []trace.Source{
-		cl,
-		gap.NewSourceFromGraph(gap.BFS, gap.Kronecker(10, 6, 1), "bfs", 1),
-		gap.NewSourceFromGraph(gap.PR, gap.UniformRandom(10, 6, 1), "pr", 1),
-		speccpu.New(bw),
-		db,
-		tr,
-	}
+// miniWorkloads names a builder of a small instance of every workload
+// family; each call builds an identical, unconsumed stream.
+var miniWorkloads = []struct {
+	name  string
+	build func() (trace.Source, error)
+}{
+	{"cachelib-cdn", func() (trace.Source, error) {
+		cdn := cachelib.CDN(1)
+		cdn.Objects = 1000
+		return cachelib.New(cdn)
+	}},
+	{"bfs", func() (trace.Source, error) {
+		return gap.NewSourceFromGraph(gap.BFS, gap.Kronecker(10, 6, 1), "bfs", 1), nil
+	}},
+	{"pr", func() (trace.Source, error) {
+		return gap.NewSourceFromGraph(gap.PR, gap.UniformRandom(10, 6, 1), "pr", 1), nil
+	}},
+	{"spec-bwaves", func() (trace.Source, error) {
+		bw := speccpu.Bwaves(1)
+		bw.Cells = 1 << 13
+		return speccpu.New(bw), nil
+	}},
+	{"silo", func() (trace.Source, error) { return silo.New(silo.Config{Records: 1 << 13, Seed: 1}) }},
+	{"xgboost", func() (trace.Source, error) {
+		xgb := xgboost.Default(1)
+		xgb.Rows = 1 << 14
+		xgb.Features = 8
+		return xgboost.New(xgb)
+	}},
 }
 
 // policyFactories builds every policy family for a given layout.
@@ -70,15 +69,23 @@ func TestEveryWorkloadEveryPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration sweep skipped in -short mode")
 	}
-	for _, w := range miniWorkloads(t) {
+	for _, mw := range miniWorkloads {
+		w, err := mw.build()
+		if err != nil {
+			t.Fatal(err)
+		}
 		numPages := w.NumPages()
 		fast := numPages / 9
 		if fast < 16 {
 			fast = 16
 		}
 		for name, mk := range policyFactories(numPages, fast) {
-			t.Run(fmt.Sprintf("%s/%s", family(w), name), func(t *testing.T) {
-				cfg := DefaultConfig(freshClone(t, w), mk(), fast)
+			t.Run(fmt.Sprintf("%s/%s", mw.name, name), func(t *testing.T) {
+				w, err := mw.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultConfig(w, mk(), fast)
 				cfg.Ops = 30_000
 				res, err := Run(cfg)
 				if err != nil {
@@ -96,57 +103,6 @@ func TestEveryWorkloadEveryPolicy(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// family names a mini workload's family: its Name, but "silo" for the
-// silo DB, whose Name reports its YCSB mix.
-func family(w trace.Source) string {
-	if _, ok := w.(*silo.DB); ok {
-		return "silo"
-	}
-	return w.Name()
-}
-
-// freshClone rebuilds a workload of the same family so each policy sees an
-// identical, unconsumed stream.
-func freshClone(t *testing.T, w trace.Source) trace.Source {
-	t.Helper()
-	switch family(w) {
-	case "cachelib-cdn":
-		cdn := cachelib.CDN(1)
-		cdn.Objects = 1000
-		c, err := cachelib.New(cdn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	case "bfs":
-		return gap.NewSourceFromGraph(gap.BFS, gap.Kronecker(10, 6, 1), "bfs", 1)
-	case "pr":
-		return gap.NewSourceFromGraph(gap.PR, gap.UniformRandom(10, 6, 1), "pr", 1)
-	case "spec-bwaves":
-		bw := speccpu.Bwaves(1)
-		bw.Cells = 1 << 13
-		return speccpu.New(bw)
-	case "silo":
-		db, err := silo.New(silo.Config{Records: 1 << 13, Mix: silo.YCSBB, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return db
-	case "xgboost":
-		xgb := xgboost.Default(1)
-		xgb.Rows = 1 << 14
-		xgb.Features = 8
-		tr, err := xgboost.New(xgb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	default:
-		t.Fatalf("unknown workload %q", w.Name())
-		return nil
 	}
 }
 

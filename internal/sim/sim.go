@@ -12,7 +12,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/cachesim"
 	"repro/internal/mem"
@@ -266,7 +265,7 @@ type simulator struct {
 	// kernel calls.
 	i            int        // the next access in the batch
 	state        []uint8    // memory's page states (mem.Memory.PageStates)
-	faultBits    []uint64   // armed pages: a FaultBitmapped policy's bitmap, all ones for other FaultDriven ones
+	faultBits    []uint64   // armed pages: a fault-driven policy's bitmap
 	wordShift    uint       // packed entry to simulated page id
 	lat          [2]float64 // access latency per tier at the current utilization
 	op           int64      // ops completed
@@ -285,15 +284,13 @@ type simulator struct {
 }
 
 // runBufs are a run's reusable buffers, which Scratch pools. Run writes
-// every entry it reads, except in the all-ones fault bitmap, which nothing
-// writes.
+// every entry it reads.
 type runBufs struct {
 	accs     []trace.Access // the live batch
 	packed   []uint64       // the live batch, packed
 	samples  []sample       // the kernel's samples
 	drained  []tier.Sample  // the drained samples
 	appAddrs []int64        // the kernel's cache lines
-	ones     []uint64       // the fault bitmap of a policy without one
 }
 
 // chargeMigration accounts one page move: tiering-thread time plus slow-
@@ -632,19 +629,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e := &env{s: s}
 	cfg.Policy.Attach(e)
-	// A policy exposing its arming bitmap lets the kernel test faults with
-	// one inline load; any other fault-driven policy is asked WantsFault on
-	// every access, so an all-ones bitmap stops the kernel at each.
-	faultPolicy, _ := cfg.Policy.(tier.FaultDriven)
-	if fb, ok := cfg.Policy.(tier.FaultBitmapped); ok {
-		s.faultBits = fb.FaultBitmap()
+	// A fault-driven policy arms its faults in a bitmap the kernel tests
+	// with one inline load per access.
+	faultPolicy, _ := cfg.Policy.(tier.FaultBitmapped)
+	if faultPolicy != nil {
+		s.faultBits = faultPolicy.FaultBitmap()
 	}
-	bitmapped := s.faultBits != nil
-	if n := (numPages + 63) / 64; !bitmapped && faultPolicy != nil {
-		if len(s.ones) < n {
-			s.ones = slices.Repeat([]uint64{^uint64(0)}, n)
-		}
-		s.faultBits = s.ones[:n]
+	if _, ok := cfg.Policy.(tier.FaultDriven); ok && len(s.faultBits) < (numPages+63)/64 {
+		return nil, fmt.Errorf("sim: fault-driven policy %q arms %d bitmap words for %d pages; it must be a tier.FaultBitmapped with at least %d",
+			cfg.Policy.Name(), len(s.faultBits), numPages, (numPages+63)/64)
 	}
 
 	sc := cfg.Scratch
@@ -766,11 +759,9 @@ func Run(cfg Config) (*Result, error) {
 				// interference), then the sample, then the cache access.
 				page := mem.PageID(w >> s.wordShift)
 				t := memory.TierOf(page)
-				if bitmapped || faultPolicy.WantsFault(page) {
-					faultPolicy.OnFault(page, t)
-					s.faults++
-					s.opLat += faultCostNs
-				}
+				faultPolicy.OnFault(page, t)
+				s.faults++
+				s.opLat += faultCostNs
 				if s.left--; s.left <= 0 {
 					trk.Observe(page, t, s.now, w&1 != 0)
 					s.left = s.period

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/baselines"
@@ -132,6 +133,33 @@ func TestFaultDrivenPolicies(t *testing.T) {
 	}
 }
 
+// TestRunRejectsUnbitmappedFaults: the kernel arms faults only through the
+// policy's bitmap, so a fault-driven policy with none, a nil one or one
+// too short for the page space is an error, never a panic in the op loop.
+func TestRunRejectsUnbitmappedFaults(t *testing.T) {
+	const pages = 4096
+	short := func(p tier.Policy) tier.Policy {
+		return fixedBitmap{p.(tier.FaultDriven), make([]uint64, pages/64-1)}
+	}
+	for _, wrap := range []func(tier.Policy) tier.Policy{askFaults, dropBitmap, short} {
+		for _, p := range []tier.Policy{
+			baselines.NewAutoNUMA(baselines.DefaultAutoNUMAConfig(pages)),
+			baselines.NewTPP(pages),
+		} {
+			cfg := DefaultConfig(trace.NewZipfSource("zipf", pages, 1.1, 0, 3), wrap(p), pages/17)
+			cfg.Ops = 1000
+			n := 0
+			if fb, ok := cfg.Policy.(tier.FaultBitmapped); ok {
+				n = len(fb.FaultBitmap())
+			}
+			want := fmt.Sprintf("sim: fault-driven policy %q arms %d bitmap words for %d pages; it must be a tier.FaultBitmapped with at least %d", p.Name(), n, pages, pages/64)
+			if res, err := Run(cfg); err == nil || err.Error() != want {
+				t.Errorf("%T: Run = %v, %v; want error %s", cfg.Policy, res, err, want)
+			}
+		}
+	}
+}
+
 func TestShiftAdaptationMeasured(t *testing.T) {
 	const pages = 8192
 	w := trace.NewShiftingZipfSource("shift", pages, 1.1, 5, 100_000, 2.0/3.0)
@@ -231,7 +259,7 @@ func TestTrackersConserveSamples(t *testing.T) {
 		cfg := DefaultConfig(w, hybridFor(fast), fast)
 		cfg.Ops = ops
 		cfg.Tracker.Kind = kind
-		cfg.Tracker.Pebs.BufferSize, cfg.Tracker.BufferSize = buffer, buffer
+		cfg.Tracker.BufferSize = buffer
 		cfg.Tracker.ScanNs = 2_000_000
 		res, err := Run(cfg)
 		if err != nil {

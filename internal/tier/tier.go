@@ -69,13 +69,14 @@ type RecencyFree interface {
 	RecencyFree()
 }
 
-// FaultBitmapped is an optional refinement of FaultDriven: the policy
-// exposes its live fault-arming bitmap (bit p&63 of word p>>6 set means an
-// access to page p faults), letting the simulator test arming with one
-// inline load instead of an interface call per access and invoke OnFault
-// only for armed pages. The returned slice must be the policy's working
-// bitmap for its whole lifetime (mutated in place, never reallocated), and
-// WantsFault must agree with it exactly.
+// FaultBitmapped is how a FaultDriven policy arms its faults: it exposes
+// its live fault-arming bitmap (bit p&63 of word p>>6 set means an access
+// to page p faults), which the simulator tests with one inline load per
+// access, invoking OnFault only for armed pages. The returned slice must be
+// the policy's working bitmap for its whole lifetime (mutated in place,
+// never reallocated), cover every page (at least (pages+63)/64 words),
+// and agree with WantsFault exactly. sim.Run rejects a FaultDriven policy
+// that is not FaultBitmapped or whose bitmap is short.
 type FaultBitmapped interface {
 	FaultDriven
 	// FaultBitmap returns the live arming bitmap.
@@ -83,9 +84,11 @@ type FaultBitmapped interface {
 }
 
 // FaultDriven is implemented by recency-based systems that react to page
-// (hint) faults rather than hardware samples. The simulator consults
-// WantsFault on every access — implementations must keep it O(1) — and
-// raises OnFault for accesses to watched pages.
+// (hint) faults rather than hardware samples: OnFault is raised for
+// accesses to watched pages. Which pages are watched is read from the
+// policy's FaultBitmapped bitmap; WantsFault states the same per page,
+// for the naive reference simulator that asks it on every access, so
+// implementations must keep it O(1).
 type FaultDriven interface {
 	Policy
 	// WantsFault reports whether an access to p should raise a fault.

@@ -61,15 +61,16 @@ func Normalize(kind string) (string, error) {
 type Config struct {
 	// Kind is one of the Kind* constants; empty selects KindPEBS.
 	Kind string
-	// Pebs configures the PEBS tracker (ignored by scanning kinds).
-	Pebs pebs.Config
+	// Period is the PEBS sampling period: one sample every Period accesses.
+	// Real deployments use periods in the hundreds to thousands to bound
+	// overhead; the default mirrors that scaled to simulated footprints.
+	Period int
 	// ScanNs is the scan period of the bitmap trackers in virtual ns.
 	// memtierd scans every few hundred ms against real footprints; the
-	// default is scaled to the simulator's footprints like the PEBS
-	// period is.
+	// default is scaled to the simulator's footprints like Period is.
 	ScanNs int64
-	// BufferSize bounds the scanning trackers' sample ring (same drop
-	// semantics as pebs.Config.BufferSize).
+	// BufferSize is the capacity of every kind's sample ring, which drops
+	// (and counts) new samples while full, as the hardware does.
 	BufferSize int
 }
 
@@ -83,7 +84,7 @@ const scanCostPerPageNs = 0.5
 func DefaultConfig() Config {
 	return Config{
 		Kind:       KindPEBS,
-		Pebs:       pebs.DefaultConfig(),
+		Period:     13,
 		ScanNs:     20_000_000, // 20 virtual ms per full-footprint scan
 		BufferSize: 1 << 16,
 	}
@@ -95,13 +96,12 @@ func (c Config) Validate() error {
 	if err != nil {
 		return err
 	}
-	if kind == KindPEBS {
-		return c.Pebs.Validate()
-	}
-	if c.ScanNs <= 0 {
+	switch {
+	case kind == KindPEBS && c.Period <= 0:
+		return fmt.Errorf("tracker: Period must be positive, got %d", c.Period)
+	case kind != KindPEBS && c.ScanNs <= 0:
 		return fmt.Errorf("tracker: ScanNs must be positive, got %d", c.ScanNs)
-	}
-	if c.BufferSize <= 0 {
+	case c.BufferSize <= 0:
 		return fmt.Errorf("tracker: BufferSize must be positive, got %d", c.BufferSize)
 	}
 	return nil
@@ -148,25 +148,20 @@ type Tracker interface {
 // pages shrink them 512×); ring, when non-nil, recycles a sample buffer
 // from a previous run (scrubbed before use, see pebs.NewBuffer).
 func New(cfg Config, numPages int, ring []pebs.Sample) (Tracker, error) {
-	kind, err := Normalize(cfg.Kind)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	norm := cfg
-	norm.Kind = kind
-	if err := norm.Validate(); err != nil {
-		return nil, err
-	}
+	kind, _ := Normalize(cfg.Kind)
 	switch kind {
 	case KindPEBS:
 		return &pebsTracker{
-			buffered: buffered{Buffer: pebs.NewBuffer(ring, norm.Pebs.BufferSize)},
-			period:   norm.Pebs.Period,
+			buffered: buffered{Buffer: pebs.NewBuffer(ring, cfg.BufferSize)},
+			period:   cfg.Period,
 		}, nil
 	case KindIdlepage:
-		return &idlepage{newScanTracker(norm, numPages, ring)}, nil
+		return &idlepage{newScanTracker(cfg, numPages, ring)}, nil
 	case KindSoftDirty:
-		return &softDirty{newScanTracker(norm, numPages, ring)}, nil
+		return &softDirty{newScanTracker(cfg, numPages, ring)}, nil
 	}
 	panic("unreachable: Normalize admitted kind " + kind)
 }

@@ -43,7 +43,8 @@ func TestValidate(t *testing.T) {
 	}
 	bad := []Config{
 		{Kind: "nope"},
-		{Kind: KindPEBS, Pebs: pebs.Config{Period: 0, BufferSize: 1}},
+		{Kind: KindPEBS, Period: 0, BufferSize: 1},
+		{Kind: KindPEBS, Period: 10, BufferSize: 0},
 		{Kind: KindIdlepage, ScanNs: 0, BufferSize: 8},
 		{Kind: KindSoftDirty, ScanNs: 100, BufferSize: 0},
 	}
@@ -62,7 +63,7 @@ func TestValidate(t *testing.T) {
 // ObserveSkipped folds the remainder, Sync is free.
 func TestPEBSAdapter(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Pebs = pebs.Config{Period: 5, BufferSize: 4}
+	cfg.Period, cfg.BufferSize = 5, 4
 	trk, err := New(cfg, 128, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestPEBSAccessesExact(t *testing.T) {
 		remainder := int(rem) % period
 		cfg := DefaultConfig()
 		n := int(fires) % 2048
-		cfg.Pebs = pebs.Config{Period: period, BufferSize: 2048}
+		cfg.Period, cfg.BufferSize = period, 2048
 		trk, err := New(cfg, 1, nil)
 		if err != nil {
 			return false
@@ -253,8 +254,7 @@ func newRingHarness(t *testing.T, kind string, size, recycledLen int) *ringHarne
 	}
 	cfg := DefaultConfig()
 	cfg.Kind = kind
-	cfg.Pebs = pebs.Config{Period: 1, BufferSize: size}
-	cfg.ScanNs, cfg.BufferSize = 1, size
+	cfg.Period, cfg.ScanNs, cfg.BufferSize = 1, 1, size
 	trk, err := New(cfg, 4096, recycled)
 	if err != nil {
 		t.Fatal(err)

@@ -9,12 +9,11 @@
 // and, critically, a *stationary* distribution — every key stays equally hot
 // for the whole run. §6.1 notes this favors pure frequency histograms
 // (Memtis); reproducing that effect requires reproducing the stationarity,
-// which this generator does. YCSB-A/B mixes are provided for completeness.
+// which this generator does.
 package silo
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/mem"
 	"repro/internal/trace"
@@ -33,42 +32,6 @@ const (
 	RecordBytes = 1024
 )
 
-// Mix selects a YCSB operation mix.
-type Mix uint8
-
-// Supported YCSB mixes.
-const (
-	// YCSBC is 100% reads — the paper's configuration.
-	YCSBC Mix = iota
-	// YCSBB is 95% reads, 5% updates.
-	YCSBB
-	// YCSBA is 50% reads, 50% updates.
-	YCSBA
-)
-
-// String implements fmt.Stringer.
-func (m Mix) String() string {
-	switch m {
-	case YCSBA:
-		return "ycsb-a"
-	case YCSBB:
-		return "ycsb-b"
-	default:
-		return "ycsb-c"
-	}
-}
-
-func (m Mix) readFrac() float64 {
-	switch m {
-	case YCSBA:
-		return 0.5
-	case YCSBB:
-		return 0.95
-	default:
-		return 1.0
-	}
-}
-
 // zipfS is the key-popularity exponent (YCSB's default).
 const zipfS = 0.99
 
@@ -76,8 +39,6 @@ const zipfS = 0.99
 type Config struct {
 	// Records is the number of loaded keys.
 	Records int
-	// Mix is the YCSB operation mix.
-	Mix Mix
 	// Seed makes the instance deterministic.
 	Seed uint64
 }
@@ -86,7 +47,6 @@ type Config struct {
 func Default(seed uint64) Config {
 	return Config{
 		Records: 1 << 21, // 2M records ≈ 2 GB of records + index
-		Mix:     YCSBC,
 		Seed:    seed,
 	}
 }
@@ -209,15 +169,6 @@ func (db *DB) recordPage(rec int32) mem.PageID {
 // Get walks the tree for key, appending every touched page to dst, and
 // reports whether the key exists.
 func (db *DB) Get(key uint64, dst []trace.Access) ([]trace.Access, bool) {
-	return db.access(key, false, dst)
-}
-
-// Update rewrites key's record in place, appending touched pages to dst.
-func (db *DB) Update(key uint64, dst []trace.Access) ([]trace.Access, bool) {
-	return db.access(key, true, dst)
-}
-
-func (db *DB) access(key uint64, write bool, dst []trace.Access) ([]trace.Access, bool) {
 	id := db.root
 	for {
 		nd := &db.nodes[id]
@@ -227,7 +178,7 @@ func (db *DB) access(key uint64, write bool, dst []trace.Access) ([]trace.Access
 			if i >= len(nd.keys) || nd.keys[i] != key {
 				return dst, false
 			}
-			dst = append(dst, trace.Access{Page: db.recordPage(nd.recs[i]), Write: write})
+			dst = append(dst, trace.Access{Page: db.recordPage(nd.recs[i])})
 			return dst, true
 		}
 		id = nd.kids[searchGT(nd.keys, key)]
@@ -264,8 +215,8 @@ func searchGT(keys []uint64, key uint64) int {
 	return lo
 }
 
-// Name implements trace.Source: "silo-ycsbc" for the paper's mix.
-func (db *DB) Name() string { return "silo-" + strings.ReplaceAll(db.cfg.Mix.String(), "-", "") }
+// Name implements trace.Source: the database under the paper's YCSB-C mix.
+func (db *DB) Name() string { return "silo-ycsbc" }
 
 // NumPages implements trace.Source.
 func (db *DB) NumPages() int { return db.numPages }
@@ -273,17 +224,17 @@ func (db *DB) NumPages() int { return db.numPages }
 // AdvanceTime implements trace.Source.
 func (db *DB) AdvanceTime(int64) {}
 
-// NextOp implements trace.Source: one YCSB operation. Key popularity is
-// Zipf over *hashed* keys, YCSB's scrambled-Zipfian: hot keys are spread
+// NextOp implements trace.Source: one YCSB-C read. Key popularity is Zipf
+// over *hashed* keys, YCSB's scrambled-Zipfian: hot keys are spread
 // uniformly across the key space rather than clustered at low keys.
 func (db *DB) NextOp(dst []trace.Access) []trace.Access {
 	rank := db.zipf.Next()
 	key := xrand.Hash64Seed(rank, db.cfg.Seed) % uint64(db.cfg.Records)
-	if db.rng.Float64() < db.cfg.Mix.readFrac() {
-		dst, _ = db.Get(key, dst)
-	} else {
-		dst, _ = db.Update(key, dst)
-	}
+	// YCSB draws each op's read/update coin; under YCSB-C it always reads,
+	// but the draw advances the RNG the Zipf sampler shares, so dropping it
+	// would change every silo stream and result byte.
+	db.rng.Float64()
+	dst, _ = db.Get(key, dst)
 	return dst
 }
 

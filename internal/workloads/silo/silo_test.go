@@ -1,13 +1,15 @@
 package silo
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/xrand"
 )
 
 func smallCfg() Config {
-	return Config{Records: 10_000, Mix: YCSBC, Seed: 1}
+	return Config{Records: 10_000, Seed: 1}
 }
 
 func newDB(tb testing.TB, cfg Config) *DB {
@@ -26,21 +28,6 @@ func height(db *DB) int {
 		h++
 	}
 	return h
-}
-
-// countMix runs ops operations and splits them by their record access:
-// an update writes the record page, a read does not.
-func countMix(db *DB, ops int) (reads, updates int) {
-	var buf []trace.Access
-	for i := 0; i < ops; i++ {
-		buf = db.NextOp(buf[:0])
-		if buf[len(buf)-1].Write {
-			updates++
-		} else {
-			reads++
-		}
-	}
-	return reads, updates
 }
 
 func TestNewValidation(t *testing.T) {
@@ -93,39 +80,26 @@ func TestGetMissingKey(t *testing.T) {
 	}
 }
 
-func TestUpdateWritesRecord(t *testing.T) {
-	db := newDB(t, smallCfg())
-	acc, ok := db.Update(42, nil)
-	if !ok {
-		t.Fatal("update of existing key failed")
-	}
-	if !acc[len(acc)-1].Write {
-		t.Error("update must write the record page")
-	}
-	// Index pages are only read.
-	for _, a := range acc[:len(acc)-1] {
-		if a.Write {
-			t.Error("update must not write index pages")
-		}
-	}
-}
-
+// TestYCSBCMixAllReads: every op is a read of its scrambled-Zipf key, and
+// each op still draws YCSB's read/update coin from the RNG the key sampler
+// shares, which the silo stream and every pinned silo result depend on.
 func TestYCSBCMixAllReads(t *testing.T) {
 	db := newDB(t, smallCfg())
-	reads, updates := countMix(db, 5000)
-	if updates != 0 || reads != 5000 {
-		t.Errorf("YCSB-C: reads=%d updates=%d, want 5000/0", reads, updates)
-	}
-}
-
-func TestYCSBBMix(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Mix = YCSBB
-	db := newDB(t, cfg)
-	reads, updates := countMix(db, 10_000)
-	frac := float64(updates) / float64(reads+updates)
-	if frac < 0.03 || frac > 0.08 {
-		t.Errorf("YCSB-B update fraction = %v, want ≈ 0.05", frac)
+	ref := newDB(t, smallCfg())
+	var buf []trace.Access
+	for i := 0; i < 5000; i++ {
+		buf = db.NextOp(buf[:0])
+		for _, a := range buf {
+			if a.Write {
+				t.Fatalf("op %d writes page %d; YCSB-C only reads", i, a.Page)
+			}
+		}
+		rank := ref.zipf.Next()
+		ref.rng.Float64()
+		want, _ := ref.Get(xrand.Hash64Seed(rank, 1)%10_000, nil)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("op %d = %v, want %v", i, buf, want)
+		}
 	}
 }
 
@@ -185,12 +159,6 @@ func topRecordPages(db *DB, ops, k int) map[int64]bool {
 		delete(counts, best)
 	}
 	return top
-}
-
-func TestMixStrings(t *testing.T) {
-	if YCSBA.String() != "ycsb-a" || YCSBB.String() != "ycsb-b" || YCSBC.String() != "ycsb-c" {
-		t.Error("Mix strings wrong")
-	}
 }
 
 func TestDefaultBuilds(t *testing.T) {

@@ -638,12 +638,10 @@ var keptKnobs = map[string]string{
 	"repro/internal/fabric.Config.StealAfter":                 "a seam: TestStragglerCellIsStolenAndLateCommitDropped shortens it to 15 ms",
 	"repro/internal/fabric.WorkerConfig.Interval":             "a seam: newFleet's 2 ms heartbeats revive the workers TestChaosStormStaysByteIdentical presumes dead",
 	"repro/internal/jobs.Config.RetainJobs":                   "a seam: TestRetainJobsBoundsMemory and TestManagerReplayRespectsRetainJobs evict past 2 and 4 jobs",
-	"repro/internal/pebs.Config.BufferSize":                   "a seam: TestTrackersConserveSamples and TestPEBSAdapter shrink the ring until it drops",
-	"repro/internal/pebs.Config.Period":                       "item 13 derives this",
 	"repro/internal/trace.NewZipfSource(writeFrac)":           "TestTrackersConserveSamples and the soft-dirty tracker tests need the stores it draws",
-	"repro/internal/tracker.Config.BufferSize":                "a seam: TestTrackersConserveSamples and TestSoftDirtyWriteOnly shrink the ring until it drops",
+	"repro/internal/tracker.Config.BufferSize":                "a seam: TestTrackersConserveSamples, TestPEBSAdapter and TestSoftDirtyWriteOnly shrink the ring until it drops",
+	"repro/internal/tracker.Config.Period":                    "item 13 derives this",
 	"repro/internal/tracker.Config.ScanNs":                    "item 13 derives this",
-	"repro/internal/workloads/silo.Config.Mix":                "TestYCSBBMix and the sim integration suite's YCSB-B silo need the update mix",
 }
 
 // facadeWorkload is why ShiftingZipf keeps its parameters.
