@@ -44,7 +44,6 @@ func TestValidate(t *testing.T) {
 	bad := []Config{
 		{Kind: "nope"},
 		{Kind: KindPEBS, Period: 0, BufferSize: 1},
-		{Kind: KindPEBS, Period: 10, BufferSize: 0},
 		{Kind: KindIdlepage, ScanNs: 0, BufferSize: 8},
 		{Kind: KindSoftDirty, ScanNs: 100, BufferSize: 0},
 	}
